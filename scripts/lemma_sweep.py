@@ -33,30 +33,18 @@ def main() -> None:
     rng = random.Random(args.seed)
 
     total = failures = additive = 0
-    for n in (1, 2, 3):
-        for poset in models.enumerate_posets(n, up_to_iso=True):
-            for rel in models.canonical_relations(poset):
-                dle = models.FiniteDLE(poset, sig)
-                for decl in sig.connectives:
-                    if decl.arity == 1 and decl.order_type[0] == "1":
-                        dle.add_op(decl.name, rel, validate=False)
-                if len(dle.ops) != len(sig.connectives):
-                    continue
-                total += 1
-                report = models.check_lemma_suite(dle, rng)
-                if not report.ok:
-                    failures += 1
-                    print(f"FAIL on {n}-point poset, relation {rel.pairs()}:")
-                    for role, res in report.role_results.items():
-                        bad = [k for k, v in res.items() if not v]
-                        if bad:
-                            print(f"  {role}: {bad}")
-                if sig.role("pi") is not None:
-                    f = dle.role_table("pi")
-                    if all(dle.leq(f[dle.join(a, b)], dle.join(f[a], f[b]))
-                           for a in range(dle.n_elem)
-                           for b in range(dle.n_elem)):
-                        additive += 1
+    for rel, dle in models.relational_sweep(sig, 3):
+        total += 1
+        report = models.check_lemma_suite(dle, rng)
+        if not report.ok:
+            failures += 1
+            print(f"FAIL on {dle.poset.n}-point poset, relation {rel.pairs()}:")
+            for role, res in report.role_results.items():
+                bad = [k for k, v in res.items() if not v]
+                if bad:
+                    print(f"  {role}: {bad}")
+        if sig.role("pi") is not None:
+            additive += models.role_axiom_holds(dle, "pi")
     print(f"lattices: {total}  suite failures: {failures}  "
           f"additive diamond-role instances: {additive}")
     sys.exit(1 if failures else 0)

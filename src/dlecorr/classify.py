@@ -27,9 +27,9 @@ from dataclasses import dataclass
 from itertools import product
 
 from .language import (
-    ANTI, MONO, ROLES, App, Bot, DOT_BY_ROLE, DotBox, DotDia, DotLhd,
-    DotRhd, Inequality, Join, Layer, Meet, OrderType, RegisteredTerm,
-    Signature, Term, Top, Var, free_vars, layer_of, var_occurrences,
+    ANTI, MONO, ROLE_SPECS, App, Bot, Inequality, Join, Layer, Meet,
+    OrderType, RegisteredTerm, Signature, Term, Top, Var, dotted_spec,
+    family_and_arity, free_vars, layer_of, var_occurrences,
 )
 
 POSITIVE = "positive"
@@ -76,18 +76,12 @@ def node_classes(t: Term, sign: int) -> frozenset[str]:
         return frozenset({DELTA, SRA, SLR}) if sign == MONO else frozenset({DELTA, SRR})
     if isinstance(t, Join):
         return frozenset({DELTA, SRR}) if sign == MONO else frozenset({DELTA, SRA, SLR})
-    if isinstance(t, App):
-        if t.decl.family == "F":
-            if sign == MONO:
-                return frozenset({SLR})
-            return frozenset({SRA}) if t.decl.arity == 1 else frozenset({SRR})
-        if sign == MONO:
-            return frozenset({SRA}) if t.decl.arity == 1 else frozenset({SRR})
-        return frozenset({SLR})
-    if isinstance(t, (DotDia, DotLhd)):
-        return frozenset({SLR}) if sign == MONO else frozenset({SRA})
-    if isinstance(t, (DotBox, DotRhd)):
-        return frozenset({SRA}) if sign == MONO else frozenset({SLR})
+    shape = family_and_arity(t)  # a connective or a dotted marker
+    if shape is not None:
+        family, arity = shape
+        if (family == "F") == (sign == MONO):
+            return frozenset({SLR})
+        return frozenset({SRA}) if arity == 1 else frozenset({SRR})
     raise ClassifyError(f"node {type(t).__name__} has no Table-1 classification")
 
 
@@ -97,10 +91,6 @@ class SignedNode:
     sign: int
     classes: frozenset[str]
     children: tuple["SignedNode", ...]
-
-    @property
-    def layer_flavor(self) -> Layer:
-        return Layer.DLESTAR if layer_of(self.term) >= Layer.DLESTAR else Layer.DLE
 
 
 def signed_tree(t: Term, sign: int) -> SignedNode:
@@ -126,8 +116,6 @@ class BranchAnalysis:
     path: tuple[SignedNode, ...]  # leaf's proper ancestors, leaf side first
     is_good: bool
     is_excellent: bool
-    is_skeleton: bool
-    is_definite: bool
     p1: tuple[SignedNode, ...]
     p2: tuple[SignedNode, ...]
     srr_obligations: tuple[SrrObligation, ...]
@@ -136,18 +124,18 @@ class BranchAnalysis:
 def branches(root: SignedNode) -> list[BranchAnalysis]:
     """Analyses of all variable-leaf branches of a signed tree."""
     out: list[BranchAnalysis] = []
-
-    def walk(node: SignedNode, trail: list[SignedNode]) -> None:
-        trail.append(node)
-        if isinstance(node.term, Var):
-            out.append(_analyse(tuple(reversed(trail))))
-        else:
-            for child in node.children:
-                walk(child, trail)
-        trail.pop()
-
-    walk(root, [])
+    _walk(root, [], out)
     return out
+
+
+def _walk(node: SignedNode, trail: list[SignedNode], out: list[BranchAnalysis]) -> None:
+    trail.append(node)
+    if isinstance(node.term, Var):
+        out.append(_analyse(tuple(reversed(trail))))
+    else:
+        for child in node.children:
+            _walk(child, trail, out)
+    trail.pop()
 
 
 def _analyse(chain: tuple[SignedNode, ...]) -> BranchAnalysis:
@@ -161,7 +149,6 @@ def _analyse(chain: tuple[SignedNode, ...]) -> BranchAnalysis:
     p1, p2 = path[:k], path[k:]
     good = all(node.classes & PIA for node in p1)
     excellent = good and all(SRA in node.classes for node in p1)
-    definite = good and all(SLR in node.classes for node in p2)
     obligations: list[SrrObligation] = []
     if good:
         for i, node in enumerate(p1):
@@ -172,8 +159,7 @@ def _analyse(chain: tuple[SignedNode, ...]) -> BranchAnalysis:
                         obligations.append(SrrObligation(node, child))
     return BranchAnalysis(
         var=leaf.term.name, leaf_sign=leaf.sign, path=path, is_good=good,
-        is_excellent=excellent, is_skeleton=(k == 0), is_definite=definite,
-        p1=p1, p2=p2, srr_obligations=tuple(obligations))
+        is_excellent=excellent, p1=p1, p2=p2, srr_obligations=tuple(obligations))
 
 
 @dataclass(frozen=True)
@@ -181,9 +167,6 @@ class InductiveWitness:
     variables: tuple[str, ...]
     epsilon: OrderType
     omega: frozenset[tuple[str, str]]  # (smaller, larger) pairs, transitive
-
-    def eps_of(self, var: str) -> str:
-        return self.epsilon[self.variables.index(var)]
 
     def linearizations(self):
         """All variable orders compatible with omega, lexicographically."""
@@ -304,27 +287,29 @@ def match_role(term: Term, reg: RegisteredTerm) -> Term | None:
     """If ``term`` is reg.term with some argument substituted for its
     variable, return that argument; otherwise None."""
     found: list[Term] = []
-
-    def go(pat: Term, t: Term) -> bool:
-        if isinstance(pat, Var) and pat.name == reg.var:
-            found.append(t)
-            return True
-        if type(pat) is not type(t):
-            return False
-        if isinstance(pat, App) and pat.decl != t.decl:  # type: ignore[union-attr]
-            return False
-        if isinstance(pat, Var):
-            return pat == t
-        if len(pat.args) != len(t.args):
-            return False
-        return all(go(pa, ta) for pa, ta in zip(pat.args, t.args))
-
-    if not go(reg.term, term) or not found:
+    if not _match(reg.term, term, reg.var, found) or not found:
         return None
     first = found[0]
     if any(f != first for f in found[1:]):
         return None
     return first
+
+
+def _match(pat: Term, t: Term, var: str, found: list[Term]) -> bool:
+    """Whether ``t`` is ``pat`` with terms substituted for ``var``; the
+    substituted terms are appended to ``found``."""
+    if isinstance(pat, Var) and pat.name == var:
+        found.append(t)
+        return True
+    if type(pat) is not type(t):
+        return False
+    if isinstance(pat, App) and pat.decl != t.decl:  # type: ignore[union-attr]
+        return False
+    if isinstance(pat, Var):
+        return pat == t
+    if len(pat.args) != len(t.args):
+        return False
+    return all(_match(pa, ta, var, found) for pa, ta in zip(pat.args, t.args))
 
 
 def _preimages(term: Term, sig: Signature, budget: _Budget) -> list[Term]:
@@ -334,15 +319,15 @@ def _preimages(term: Term, sig: Signature, budget: _Budget) -> list[Term]:
         return []
     out: list[Term] = []
     seen: set[Term] = set()
-    for role in ROLES:
-        reg = sig.role(role)
+    for spec in ROLE_SPECS:
+        reg = sig.role(spec.role)
         if reg is None:
             continue
         arg = match_role(term, reg)
         if arg is None or arg == term:  # identity matches make no progress
             continue
         for sub in _preimages(arg, sig, budget):
-            cand = DOT_BY_ROLE[role]((sub,))
+            cand = spec.dot((sub,))
             if cand not in seen:
                 seen.add(cand)
                 out.append(cand)
@@ -399,9 +384,10 @@ def _node_label(node: SignedNode) -> str:
     sgn = "+" if node.sign == MONO else "-"
     if isinstance(t, App):
         return sgn + t.decl.name
-    names = {Meet: "&", Join: "|", DotDia: "dia.", DotBox: "box.",
-             DotLhd: "lhd.", DotRhd: "rhd."}
-    return sgn + names.get(type(t), type(t).__name__)
+    spec = dotted_spec(t)
+    if spec is not None:
+        return sgn + spec.dotted + "."
+    return sgn + {Meet: "&", Join: "|"}.get(type(t), type(t).__name__)
 
 
 def branch_report(ineq: Inequality, eps: OrderType | None = None) -> str:

@@ -22,7 +22,7 @@ import sys
 from dataclasses import dataclass
 
 from . import classify, engine, models
-from .language import Inequality, Layer, Signature
+from .language import ROLE_SPECS, Inequality, Layer, Signature, subterms
 from .parsing import ParseError, parse_inequality, parse_signature
 from .printing import print_inequality
 
@@ -109,9 +109,8 @@ def cmd_classify(cfg: RunConfig, ineq: Inequality, sig: Signature) -> int:
     meta = classify.is_meta_inductive(ineq, sig)
     if meta is not None:
         pre, mw = meta
-        roles = sorted({r for r in ("pi", "sigma", "lambda", "rho")
-                        if _uses_role(pre, r)},
-                       key=("pi", "sigma", "lambda", "rho").index)
+        nodes = {type(s) for s in (*subterms(pre.lhs), *subterms(pre.rhs))}
+        roles = [spec.role for spec in ROLE_SPECS if spec.dot in nodes]
         via = ",".join(roles) if roles else "identity"
         lines.append(
             f"meta-inductive via {via} preimage: {print_inequality(pre)} "
@@ -124,12 +123,6 @@ def cmd_classify(cfg: RunConfig, ineq: Inequality, sig: Signature) -> int:
                                         (w.epsilon if w is not None else None)))
     _emit(cfg, lines)
     return EXIT_OK if positive else EXIT_NO_VERDICT
-
-
-def _uses_role(ineq: Inequality, role: str) -> bool:
-    from .language import DOT_BY_ROLE, subterms
-    cls = DOT_BY_ROLE[role]
-    return any(type(s) is cls for s in (*subterms(ineq.lhs), *subterms(ineq.rhs)))
 
 
 def _run_reduction(cfg: RunConfig, ineq: Inequality, sig: Signature) -> engine.Derivation:
@@ -165,15 +158,7 @@ def _sweep_lattices(cfg: RunConfig, sig: Signature) -> list[models.FiniteDLE]:
     cap = cfg.lattice_budget
     if cap > 5 and not cfg.unsafe_budget:
         raise models.ModelError("budget above 5 requires --unsafe-budget")
-    out: list[models.FiniteDLE] = []
-    relational = [d for d in sig.connectives
-                  if d.arity == 1 and d.order_type[0] == "1"]
-    if relational and len(relational) == len(sig.connectives):
-        for n in range(1, min(cap, 3) + 1):
-            for poset in models.enumerate_posets(n, up_to_iso=True):
-                for _, dle in models.relational_lattices(
-                        sig, poset, tuple(d.name for d in relational)):
-                    out.append(dle)
+    out = [dle for _, dle in models.relational_sweep(sig, min(cap, 3))]
     rng = random.Random(cfg.seed)
     for _ in range(20):
         out.append(models.random_dle(rng, sig, max_points=min(cap, 4)))

@@ -24,16 +24,16 @@ blocking inequality.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field, replace
 
 from . import classify
 from .language import (
-    ANTI, BOT, DOTADJ_FOR_DOT, MONO, ROLE_BY_DOT, TOP, App, Arrow, BlackBox,
-    BlackDia, BlackLhd, BlackRhd, Coimp, Conominal, DefBox, DefDia, DefLhd,
-    DefRhd, DotBox, DotBoxAdj, DotDia, DotDiaAdj, DotLhd, DotLhdAdj, DotRhd,
-    DotRhdAdj, Inequality, Join, Meet, Nominal, Residual, Signature, Term,
-    Var, big_join, big_meet, conominals_of, free_vars, join, meet,
-    nominals_of, replace_at, substitute, subterm_at, var_occurrences,
+    ANTI, BOT, MONO, ROLE_SPECS, SPEC_BY_NODE, TOP, App, Arrow, Coimp,
+    Conominal, Inequality, Join, Meet, Nominal, Residual, RoleSpec, Signature,
+    Term, Var, big_join, big_meet, conominals_of, dotted_spec,
+    family_and_arity, free_vars, join, meet, nominals_of, replace_at,
+    substitute, subterm_at, var_occurrences,
 )
 from .printing import print_inequality, print_term
 
@@ -159,12 +159,6 @@ class DerivNode:
     children: list[int] = field(default_factory=list)
 
 
-ROLE_RULE_IDS = frozenset({
-    "DistPi", "DistSigma", "DistLambda", "DistRho",
-    "AdjPi", "AdjSigma", "AdjLambda", "AdjRho",
-    "ApproxPi", "ApproxSigma", "ApproxLambda", "ApproxRho",
-    "RewritePi", "RewriteSigma", "RewriteLambda", "RewriteRho",
-})
 ACKERMANN_RULE_IDS = frozenset({"AckermannRight", "AckermannLeft"})
 
 
@@ -240,10 +234,10 @@ class Derivation:
 
 def concretize(t: Term, sig: Signature) -> Term:
     """Expand dotted role markers to their registered terms."""
-    cls = type(t)
-    if cls in ROLE_BY_DOT:
-        return sig.role_instance(ROLE_BY_DOT[cls], concretize(t.args[0], sig))
-    if cls in DOTADJ_FOR_DOT.values():
+    spec = SPEC_BY_NODE.get(type(t))
+    if spec is not None and type(t) is spec.dot:
+        return sig.role_instance(spec.role, concretize(t.args[0], sig))
+    if spec is not None and type(t) is spec.dot_adj:
         raise EngineError("dotted adjoint in a role-mode system")
     if not t.args:
         return t
@@ -266,20 +260,17 @@ def _target(system: System, app: RuleApplication) -> tuple[int, SysIneq]:
     return app.ineq_index, system.ineqs[app.ineq_index]
 
 
-def _role_of_marker(t: Term) -> str | None:
-    return ROLE_BY_DOT.get(type(t))
+def _occurrence_arg(t: Term, spec: RoleSpec, sig: Signature,
+                    plain: bool) -> Term | None:
+    """Argument of an occurrence of ``spec``'s role at the root of ``t``.
 
-
-def _match_role_head(t: Term, role: str, sig: Signature, role_mode: bool) -> Term | None:
-    """Argument of a role occurrence at the root of ``t``.
-
-    In role-mode derivations the occurrence is a dotted marker; on
-    concrete systems (scripted runs) it is located by matching the
-    registered term.
+    Plain rules take only the dotted node itself.  Role rules take a
+    dotted marker (role-mode derivations) or a match of the registered
+    term (concrete systems in scripted runs).
     """
-    if _role_of_marker(t) == role:
+    if type(t) is spec.dot:
         return t.args[0]
-    reg = sig.role(role)
+    reg = None if plain else sig.role(spec.role)
     if reg is None:
         return None
     arg = classify.match_role(t, reg)
@@ -288,8 +279,11 @@ def _match_role_head(t: Term, role: str, sig: Signature, role_mode: bool) -> Ter
     return None
 
 
-def _role_const(sig: Signature, role: str, const: Term) -> Term:
-    return sig.role_instance(role, const)
+def _adjunction_condition(sig: Signature, spec: RoleSpec, other: Term) -> Inequality:
+    """Side condition of a role adjunction: the role term at its unit, on
+    the role's side (left for F roles), against ``other``."""
+    const = sig.role_instance(spec.role, spec.unit)
+    return Inequality(const, other) if spec.family == "F" else Inequality(other, const)
 
 
 def _split(system: System, app: RuleApplication):
@@ -342,72 +336,69 @@ def _resid_g(system: System, app: RuleApplication):
     return [system.replace_index(idx, [SysIneq(new, si.side)])], si.ineq, ()
 
 
-_DOT_ADJ_RULES = {
-    "AdjDotDia": (DotDia, "lhs"),
-    "AdjDotBox": (DotBox, "rhs"),
-    "AdjDotLhd": (DotLhd, "lhs"),
-    "AdjDotRhd": (DotRhd, "rhs"),
-}
-
-
-def _adj_dot(system: System, app: RuleApplication):
-    cls, where = _DOT_ADJ_RULES[app.rule_id]
+def _adjunction(d: Derivation, system: System, app: RuleApplication):
+    """Adjunction on the role side: the occurrence is on the left for F
+    roles, on the right for G roles.  Plain rules flip a dotted node to its
+    adjoint.  Role rules flip a role occurrence to the defined modality's
+    adjoint and add the flagged side condition, or, when the target is
+    rooted in the defined modality itself, do the bare flip (sound
+    unconditionally: the defined maps are complete operators)."""
+    _, spec, plain = _ROLE_RULES[app.rule_id]
     idx, si = _target(system, app)
     a, b = si.ineq.lhs, si.ineq.rhs
-    if where == "lhs":
-        if type(a) is not cls:
-            raise RuleMatchError(f"{app.rule_id} does not match {print_inequality(si.ineq)}")
-        phi = a.args[0]
-        if cls is DotDia:
-            new = Inequality(phi, DotDiaAdj((b,)))
-        else:  # DotLhd
-            new = Inequality(DotLhdAdj((b,)), phi)
+    occ, other = (a, b) if spec.family == "F" else (b, a)
+
+    def flipped(arg: Term, adjoint: type) -> Inequality:
+        adj = adjoint((other,))
+        return Inequality(arg, adj) if spec.bot_unit else Inequality(adj, arg)
+
+    if not plain and type(occ) is spec.defined:
+        items = [SysIneq(flipped(occ.args[0], spec.black), si.side)]
     else:
-        if type(b) is not cls:
+        arg = _occurrence_arg(occ, spec, d.sig, plain)
+        if arg is None:
             raise RuleMatchError(f"{app.rule_id} does not match {print_inequality(si.ineq)}")
-        psi = b.args[0]
-        if cls is DotBox:
-            new = Inequality(DotBoxAdj((a,)), psi)
-        else:  # DotRhd
-            new = Inequality(psi, DotRhdAdj((a,)))
-    return [system.replace_index(idx, [SysIneq(new, si.side)])], si.ineq, ()
+        if plain:
+            items = [SysIneq(flipped(arg, spec.dot_adj), si.side)]
+        else:
+            items = [SysIneq(flipped(arg, spec.black)),
+                     SysIneq(_adjunction_condition(d.sig, spec, other), side=True)]
+    return [system.replace_index(idx, items)], si.ineq, ()
 
 
-def _approx_dot(d: Derivation, system: System, app: RuleApplication):
+def _approximation(d: Derivation, system: System, app: RuleApplication):
+    """Approximation on the side opposite to the adjunction: a nominal
+    below an F role, a conominal above a G role.  The occurrence's argument
+    is approximated by a fresh nominal (bottom-unit roles) or conominal.
+    Plain rules keep the dotted node; role rules move to the defined
+    modality, with branch A the side condition and branch B the main
+    system."""
+    _, spec, plain = _ROLE_RULES[app.rule_id]
     idx, si = _target(system, app)
     a, b = si.ineq.lhs, si.ineq.rhs
-    fresh: list[str] = []
-    if app.rule_id == "ApproxDotDia":
-        if not (isinstance(a, Nominal) and type(b) is DotDia):
-            raise RuleMatchError("ApproxDotDia needs nominal <= dia(...)")
-        j = d.fresh_nominal(system)
-        fresh.append("#" + j.name)
-        sys2 = system.replace_index(idx, [SysIneq(Inequality(a, DotDia((j,))), si.side)])
-        sys2 = sys2.append([SysIneq(Inequality(j, b.args[0]))])
-    elif app.rule_id == "ApproxDotBox":
-        if not (type(a) is DotBox and isinstance(b, Conominal)):
-            raise RuleMatchError("ApproxDotBox needs box(...) <= conominal")
-        n = d.fresh_conominal(system)
-        fresh.append("@" + n.name)
-        sys2 = system.replace_index(idx, [SysIneq(Inequality(DotBox((n,)), b), si.side)])
-        sys2 = sys2.append([SysIneq(Inequality(a.args[0], n))])
-    elif app.rule_id == "ApproxDotLhd":
-        if not (isinstance(a, Nominal) and type(b) is DotLhd):
-            raise RuleMatchError("ApproxDotLhd needs nominal <= lhd(...)")
-        n = d.fresh_conominal(system)
-        fresh.append("@" + n.name)
-        sys2 = system.replace_index(idx, [SysIneq(Inequality(a, DotLhd((n,))), si.side)])
-        sys2 = sys2.append([SysIneq(Inequality(b.args[0], n))])
-    elif app.rule_id == "ApproxDotRhd":
-        if not (type(a) is DotRhd and isinstance(b, Conominal)):
-            raise RuleMatchError("ApproxDotRhd needs rhd(...) <= conominal")
-        j = d.fresh_nominal(system)
-        fresh.append("#" + j.name)
-        sys2 = system.replace_index(idx, [SysIneq(Inequality(DotRhd((j,)), b), si.side)])
-        sys2 = sys2.append([SysIneq(Inequality(j, a.args[0]))])
+    on_left = spec.family == "G"
+    occ, other = (a, b) if on_left else (b, a)
+    arg = _occurrence_arg(occ, spec, d.sig, plain)
+    if arg is None or not isinstance(other, Conominal if on_left else Nominal):
+        raise RuleMatchError(f"{app.rule_id} does not match {print_inequality(si.ineq)}")
+
+    def with_occ(t: Term) -> Inequality:
+        return Inequality(t, b) if on_left else Inequality(a, t)
+
+    out = []
+    if not plain:
+        const = d.sig.role_instance(spec.role, spec.unit)
+        out.append(system.replace_index(idx, [SysIneq(with_occ(const), side=True)]))
+    if spec.bot_unit:
+        atom: Term = d.fresh_nominal(system)
+        fresh, approx = "#" + atom.name, Inequality(atom, arg)
     else:
-        raise RuleMatchError(app.rule_id)
-    return [sys2], si.ineq, tuple(fresh)
+        atom = d.fresh_conominal(system)
+        fresh, approx = "@" + atom.name, Inequality(arg, atom)
+    head = (spec.dot if plain else spec.defined)((atom,))
+    main = system.replace_index(idx, [SysIneq(with_occ(head), si.side)])
+    out.append(main.append([SysIneq(approx)]))
+    return out, si.ineq, (fresh,)
 
 
 def _approx_f(d: Derivation, system: System, app: RuleApplication):
@@ -467,108 +458,6 @@ def _approx_g(d: Derivation, system: System, app: RuleApplication):
     return [sys2], si.ineq, tuple(fresh)
 
 
-_ROLE_ADJ = {"AdjPi": "pi", "AdjSigma": "sigma", "AdjLambda": "lambda", "AdjRho": "rho"}
-_ROLE_APPROX = {"ApproxPi": "pi", "ApproxSigma": "sigma",
-                "ApproxLambda": "lambda", "ApproxRho": "rho"}
-
-
-def _adj_role(d: Derivation, system: System, app: RuleApplication):
-    """Adjunction for a role occurrence (with its side condition) or,
-    when the target is rooted in the defined modality itself, the bare
-    adjoint flip (sound unconditionally: the defined maps are complete
-    operators)."""
-    role = _ROLE_ADJ[app.rule_id]
-    idx, si = _target(system, app)
-    a, b = si.ineq.lhs, si.ineq.rhs
-    sig = d.sig
-    if role == "pi":
-        if type(a) is DefDia:
-            items = [SysIneq(Inequality(a.args[0], BlackBox((b,))), si.side)]
-        else:
-            phi = _match_role_head(a, "pi", sig, d.role_mode)
-            if phi is None:
-                raise RuleMatchError(f"AdjPi does not match {print_inequality(si.ineq)}")
-            items = [SysIneq(Inequality(phi, BlackBox((b,)))),
-                     SysIneq(Inequality(_role_const(sig, "pi", BOT), b), side=True)]
-    elif role == "sigma":
-        if type(b) is DefBox:
-            items = [SysIneq(Inequality(BlackDia((a,)), b.args[0]), si.side)]
-        else:
-            psi = _match_role_head(b, "sigma", sig, d.role_mode)
-            if psi is None:
-                raise RuleMatchError(f"AdjSigma does not match {print_inequality(si.ineq)}")
-            items = [SysIneq(Inequality(BlackDia((a,)), psi)),
-                     SysIneq(Inequality(a, _role_const(sig, "sigma", TOP)), side=True)]
-    elif role == "lambda":
-        if type(a) is DefLhd:
-            items = [SysIneq(Inequality(BlackLhd((b,)), a.args[0]), si.side)]
-        else:
-            phi = _match_role_head(a, "lambda", sig, d.role_mode)
-            if phi is None:
-                raise RuleMatchError(f"AdjLambda does not match {print_inequality(si.ineq)}")
-            items = [SysIneq(Inequality(BlackLhd((b,)), phi)),
-                     SysIneq(Inequality(_role_const(sig, "lambda", TOP), b), side=True)]
-    else:
-        if type(b) is DefRhd:
-            items = [SysIneq(Inequality(b.args[0], BlackRhd((a,))), si.side)]
-        else:
-            psi = _match_role_head(b, "rho", sig, d.role_mode)
-            if psi is None:
-                raise RuleMatchError(f"AdjRho does not match {print_inequality(si.ineq)}")
-            items = [SysIneq(Inequality(psi, BlackRhd((a,)))),
-                     SysIneq(Inequality(a, _role_const(sig, "rho", BOT)), side=True)]
-    return [system.replace_index(idx, items)], si.ineq, ()
-
-
-def _approx_role(d: Derivation, system: System, app: RuleApplication):
-    role = _ROLE_APPROX[app.rule_id]
-    idx, si = _target(system, app)
-    a, b = si.ineq.lhs, si.ineq.rhs
-    sig = d.sig
-    fresh: list[str] = []
-    if role == "pi":
-        psi = _match_role_head(b, "pi", sig, d.role_mode)
-        if not (isinstance(a, Nominal) and psi is not None):
-            raise RuleMatchError(f"ApproxPi does not match {print_inequality(si.ineq)}")
-        side_sys = system.replace_index(
-            idx, [SysIneq(Inequality(a, _role_const(sig, "pi", BOT)), side=True)])
-        j = d.fresh_nominal(system)
-        fresh.append("#" + j.name)
-        main = system.replace_index(idx, [SysIneq(Inequality(a, DefDia((j,))), si.side)])
-        main = main.append([SysIneq(Inequality(j, psi))])
-    elif role == "sigma":
-        phi = _match_role_head(a, "sigma", sig, d.role_mode)
-        if not (isinstance(b, Conominal) and phi is not None):
-            raise RuleMatchError(f"ApproxSigma does not match {print_inequality(si.ineq)}")
-        side_sys = system.replace_index(
-            idx, [SysIneq(Inequality(_role_const(sig, "sigma", TOP), b), side=True)])
-        n = d.fresh_conominal(system)
-        fresh.append("@" + n.name)
-        main = system.replace_index(idx, [SysIneq(Inequality(DefBox((n,)), b), si.side)])
-        main = main.append([SysIneq(Inequality(phi, n))])
-    elif role == "lambda":
-        psi = _match_role_head(b, "lambda", sig, d.role_mode)
-        if not (isinstance(a, Nominal) and psi is not None):
-            raise RuleMatchError(f"ApproxLambda does not match {print_inequality(si.ineq)}")
-        side_sys = system.replace_index(
-            idx, [SysIneq(Inequality(a, _role_const(sig, "lambda", TOP)), side=True)])
-        n = d.fresh_conominal(system)
-        fresh.append("@" + n.name)
-        main = system.replace_index(idx, [SysIneq(Inequality(a, DefLhd((n,))), si.side)])
-        main = main.append([SysIneq(Inequality(psi, n))])
-    else:
-        phi = _match_role_head(a, "rho", sig, d.role_mode)
-        if not (isinstance(b, Conominal) and phi is not None):
-            raise RuleMatchError(f"ApproxRho does not match {print_inequality(si.ineq)}")
-        side_sys = system.replace_index(
-            idx, [SysIneq(Inequality(_role_const(sig, "rho", BOT), b), side=True)])
-        j = d.fresh_nominal(system)
-        fresh.append("#" + j.name)
-        main = system.replace_index(idx, [SysIneq(Inequality(DefRhd((j,)), b), si.side)])
-        main = main.append([SysIneq(Inequality(j, phi))])
-    return [side_sys, main], si.ineq, tuple(fresh)
-
-
 def _ackermann(system: System, app: RuleApplication):
     pivot = app.pivot
     if pivot is None:
@@ -615,55 +504,58 @@ def _ackermann(system: System, app: RuleApplication):
     return [System(tuple(out), system.goal)], None, ()
 
 
-_REWRITE_ROLES = {"RewritePi": "pi", "RewriteSigma": "sigma",
-                  "RewriteLambda": "lambda", "RewriteRho": "rho"}
-
-
 def _rewrite_role(d: Derivation, system: System, app: RuleApplication):
-    role = _REWRITE_ROLES[app.rule_id]
+    """A role occurrence unfolds to the bounded composition of its unit
+    value with the defined modality: a join for F roles, a meet for G."""
+    _, spec, _ = _ROLE_RULES[app.rule_id]
     idx, si = _target(system, app)
     side = "lhs" if not app.path or app.path[0] == 0 else "rhs"
     term = si.ineq.lhs if side == "lhs" else si.ineq.rhs
     sub = subterm_at(term, app.path[1:])
-    arg = _match_role_head(sub, role, d.sig, d.role_mode)
+    arg = _occurrence_arg(sub, spec, d.sig, plain=False)
     if arg is None:
         raise RuleMatchError(f"{app.rule_id} does not match {print_term(sub)}")
-    sig = d.sig
-    if role == "pi":
-        new_sub = join(_role_const(sig, "pi", BOT), DefDia((arg,)))
-    elif role == "sigma":
-        new_sub = meet(_role_const(sig, "sigma", TOP), DefBox((arg,)))
-    elif role == "lambda":
-        new_sub = join(_role_const(sig, "lambda", TOP), DefLhd((arg,)))
-    else:
-        new_sub = meet(_role_const(sig, "rho", BOT), DefRhd((arg,)))
+    new_sub = (join if spec.family == "F" else meet)(
+        d.sig.role_instance(spec.role, spec.unit), spec.defined((arg,)))
     new_term = replace_at(term, app.path[1:], new_sub)
     new = Inequality(new_term, si.ineq.rhs) if side == "lhs" else \
         Inequality(si.ineq.lhs, new_term)
     return [system.replace_index(idx, [SysIneq(new, si.side)])], si.ineq, ()
 
 
+# Rule id -> (kind, role spec, plain).  The plain rules (AdjDotDia, ...)
+# treat the dotted modalities as primitive connectives; the role rules
+# (AdjPi, ...) read them as markers of the registered terms.
+_ROLE_RULES = {
+    kind + (spec.dot_suffix if plain else spec.rule_suffix): (kind, spec, plain)
+    for spec in ROLE_SPECS
+    for kind, plain in (("Dist", False), ("Adj", False), ("Approx", False),
+                        ("Rewrite", False), ("Adj", True), ("Approx", True))
+}
+_DIST_RULES = {"DistributePre"} | {
+    rid for rid, (kind, _, _) in _ROLE_RULES.items() if kind == "Dist"}
+_PREPROCESS_RULES = _DIST_RULES | {"Split", "MonotoneElim"}
+
+
 # ----------------------------------------------------------------------
 # preprocessing (applies to proto nodes: goal is None, single inequality)
 
-# Parents that push down over a join child of positive sign, keyed by
-# (parent class, parent sign); App entries additionally constrain the
-# coordinate tonicity.
-_PUSH_OVER_JOIN = {(Meet, MONO), (DotDia, MONO), (DotRhd, ANTI)}
-_PUSH_OVER_MEET = {(Join, ANTI), (DotBox, ANTI), (DotLhd, MONO)}
-
-
 def _pushable(parent: Term, parent_sign: int, tone: int, over_join: bool) -> bool:
-    if isinstance(parent, App):
-        if parent.decl.arity == 0:
-            return False
-        if over_join:
-            return (parent.decl.family == "F" and parent_sign == MONO and tone == MONO) or \
-                   (parent.decl.family == "G" and parent_sign == ANTI and tone == ANTI)
-        return (parent.decl.family == "G" and parent_sign == ANTI and tone == MONO) or \
-               (parent.decl.family == "F" and parent_sign == MONO and tone == ANTI)
-    key = (type(parent), parent_sign)
-    return key in (_PUSH_OVER_JOIN if over_join else _PUSH_OVER_MEET)
+    """Whether ``parent`` distributes over its join (``over_join``) or meet
+    child; connectives and dotted markers by family and coordinate
+    tonicity, lattice nodes by their sign."""
+    shape = family_and_arity(parent)
+    if shape is None:
+        return (type(parent), parent_sign) in (
+            {(Meet, MONO)} if over_join else {(Join, ANTI)})
+    family, arity = shape
+    if arity == 0:
+        return False
+    if over_join:
+        return (family == "F" and parent_sign == MONO and tone == MONO) or \
+               (family == "G" and parent_sign == ANTI and tone == ANTI)
+    return (family == "G" and parent_sign == ANTI and tone == MONO) or \
+           (family == "F" and parent_sign == MONO and tone == ANTI)
 
 
 def _pia_only(t: Term, sign: int) -> bool:
@@ -714,11 +606,6 @@ def _sign_at(t: Term, pos: tuple[int, ...]) -> int:
     return sign
 
 
-def _role_dist_rule(parent: Term) -> str:
-    return {DotDia: "DistPi", DotBox: "DistSigma",
-            DotLhd: "DistLambda", DotRhd: "DistRho"}[type(parent)]
-
-
 def find_preprocess_step(ineq: Inequality, eps_map: dict[str, str] | None,
                          role_mode: bool) -> RuleApplication | None:
     """First applicable stage-one step: distribution, splitting, variable
@@ -729,11 +616,8 @@ def find_preprocess_step(ineq: Inequality, eps_map: dict[str, str] | None,
         found = _find_distribution(term, sign, eps_map, False, ())
         if found is not None:
             pos, k = found
-            parent = subterm_at(term, pos)
-            if role_mode and type(parent) in ROLE_BY_DOT:
-                rid = _role_dist_rule(parent)
-            else:
-                rid = "DistributePre"
+            spec = dotted_spec(subterm_at(term, pos))
+            rid = "Dist" + spec.rule_suffix if role_mode and spec else "DistributePre"
             return RuleApplication(rid, ineq_index=0, path=(side_idx,) + pos, coord=k + 1)
     if isinstance(ineq.lhs, Join) or isinstance(ineq.rhs, Meet):
         return RuleApplication("Split", ineq_index=0)
@@ -754,7 +638,7 @@ def _preprocess_rule(d: Derivation, system: System, app: RuleApplication):
         raise RuleMatchError(f"{app.rule_id} applies before first approximation")
     idx, si = _target(system, app)
     ineq = si.ineq
-    if app.rule_id in ("DistributePre", "DistPi", "DistSigma", "DistLambda", "DistRho"):
+    if app.rule_id in _DIST_RULES:
         side_idx, pos = app.path[0], app.path[1:]
         term = ineq.lhs if side_idx == 0 else ineq.rhs
         parent = subterm_at(term, pos)
@@ -840,8 +724,8 @@ def apply_rule(d: Derivation, app: RuleApplication,
     system = node.system
 
     rid = app.rule_id
-    if rid in ("DistributePre", "DistPi", "DistSigma", "DistLambda", "DistRho",
-               "Split", "MonotoneElim") and system.goal is None:
+    kind = _ROLE_RULES[rid][0] if rid in _ROLE_RULES else None
+    if rid in _PREPROCESS_RULES and system.goal is None:
         results, principal, fresh = _preprocess_rule(d, system, app)
     elif rid == "FirstApprox":
         results, principal, fresh = _first_approx(system, app)
@@ -851,22 +735,18 @@ def apply_rule(d: Derivation, app: RuleApplication,
         results, principal, fresh = _resid_f(system, app)
     elif rid == "ResidG":
         results, principal, fresh = _resid_g(system, app)
-    elif rid in _DOT_ADJ_RULES:
-        results, principal, fresh = _adj_dot(system, app)
-    elif rid in ("ApproxDotDia", "ApproxDotBox", "ApproxDotLhd", "ApproxDotRhd"):
-        results, principal, fresh = _approx_dot(d, system, app)
+    elif kind == "Adj":
+        results, principal, fresh = _adjunction(d, system, app)
+    elif kind == "Approx":
+        results, principal, fresh = _approximation(d, system, app)
+    elif kind == "Rewrite":
+        results, principal, fresh = _rewrite_role(d, system, app)
     elif rid == "ApproxF":
         results, principal, fresh = _approx_f(d, system, app)
     elif rid == "ApproxG":
         results, principal, fresh = _approx_g(d, system, app)
-    elif rid in _ROLE_ADJ:
-        results, principal, fresh = _adj_role(d, system, app)
-    elif rid in _ROLE_APPROX:
-        results, principal, fresh = _approx_role(d, system, app)
     elif rid in ACKERMANN_RULE_IDS:
         results, principal, fresh = _ackermann(system, app)
-    elif rid in _REWRITE_ROLES:
-        results, principal, fresh = _rewrite_role(d, system, app)
     else:
         raise RuleMatchError(f"unknown rule {rid!r}")
 
@@ -880,7 +760,7 @@ def apply_rule(d: Derivation, app: RuleApplication,
         target_side = system.ineqs[app.ineq_index].side
 
     out = []
-    branch_tags = ("A", "B") if len(results) == 2 and rid in _ROLE_APPROX else \
+    branch_tags = ("A", "B") if len(results) == 2 and kind == "Approx" else \
         ("A", "B") if len(results) == 2 and rid == "Split" and system.goal is None else \
         (None,) * len(results)
     for tag, sys2 in zip(branch_tags, results):
@@ -960,65 +840,28 @@ def _occurrence_coord(root: Term, occ_side: int, pivot: str, want: int) -> int |
 def _display_rule(system: System, idx: int, occ_side: int, role_mode: bool,
                   pivot: str, want: int) -> RuleApplication | None:
     ineq = system.ineqs[idx].ineq
-    a, b = ineq.lhs, ineq.rhs
-    if occ_side == 1:
-        root = b
-        if isinstance(root, Meet):
-            return RuleApplication("Split", ineq_index=idx)
-        if isinstance(root, App):
-            if root.decl.family == "G":
-                k = _occurrence_coord(root, occ_side, pivot, want)
-                if k is None:
-                    return None
-                return RuleApplication("ResidG", ineq_index=idx, coord=k)
-            if root.decl.family == "F" and isinstance(a, Nominal) and root.decl.arity > 0:
-                return RuleApplication("ApproxF", ineq_index=idx)
-            return None
-        cls = type(root)
-        if cls is DotDia:
-            if not isinstance(a, Nominal):
-                return None
-            return RuleApplication("ApproxPi" if role_mode else "ApproxDotDia",
-                                   ineq_index=idx)
-        if cls is DotBox:
-            return RuleApplication("AdjSigma" if role_mode else "AdjDotBox",
-                                   ineq_index=idx)
-        if cls is DotLhd:
-            if not isinstance(a, Nominal):
-                return None
-            return RuleApplication("ApproxLambda" if role_mode else "ApproxDotLhd",
-                                   ineq_index=idx)
-        if cls is DotRhd:
-            return RuleApplication("AdjRho" if role_mode else "AdjDotRhd",
-                                   ineq_index=idx)
-        return None
-    root = a
-    if isinstance(root, Join):
+    root, other = (ineq.rhs, ineq.lhs) if occ_side else (ineq.lhs, ineq.rhs)
+    if isinstance(root, Meet if occ_side else Join):
         return RuleApplication("Split", ineq_index=idx)
-    if isinstance(root, App):
-        if root.decl.family == "F":
-            k = _occurrence_coord(root, occ_side, pivot, want)
-            if k is None:
-                return None
-            return RuleApplication("ResidF", ineq_index=idx, coord=k)
-        if root.decl.family == "G" and isinstance(b, Conominal) and root.decl.arity > 0:
-            return RuleApplication("ApproxG", ineq_index=idx)
+    shape = family_and_arity(root)
+    if shape is None:
         return None
-    cls = type(root)
-    if cls is DotDia:
-        return RuleApplication("AdjPi" if role_mode else "AdjDotDia", ineq_index=idx)
-    if cls is DotBox:
-        if not isinstance(b, Conominal):
+    family, arity = shape
+    spec = dotted_spec(root)
+    suffix = None if spec is None else \
+        spec.rule_suffix if role_mode else spec.dot_suffix
+    # G roots are freed by adjunction or residuation on the right, F roots
+    # on the left; otherwise they need approximation, against a nominal on
+    # the left or a conominal on the right
+    if family == ("G" if occ_side else "F"):
+        if suffix is not None:
+            return RuleApplication("Adj" + suffix, ineq_index=idx)
+        k = _occurrence_coord(root, occ_side, pivot, want)
+        if k is None:
             return None
-        return RuleApplication("ApproxSigma" if role_mode else "ApproxDotBox",
-                               ineq_index=idx)
-    if cls is DotLhd:
-        return RuleApplication("AdjLambda" if role_mode else "AdjDotLhd", ineq_index=idx)
-    if cls is DotRhd:
-        if not isinstance(b, Conominal):
-            return None
-        return RuleApplication("ApproxRho" if role_mode else "ApproxDotRhd",
-                               ineq_index=idx)
+        return RuleApplication("Resid" + family, ineq_index=idx, coord=k)
+    if arity > 0 and isinstance(other, Nominal if occ_side else Conominal):
+        return RuleApplication("Approx" + (suffix or family), ineq_index=idx)
     return None
 
 
@@ -1028,6 +871,53 @@ def _occurs(system: System, pivot: str) -> bool:
 
 
 _MAX_ATTEMPT_STEPS = 10_000
+
+
+def _eliminate(d: Derivation, nid: int, k: int, order: tuple[str, ...],
+               eps_map: dict[str, str], stuck: list[StuckReport],
+               tick) -> list[tuple[int, int]] | None:
+    """Run the elimination cycle on leaf ``nid`` from pivot ``order[k]``.
+
+    Returns the (child, pivot index) pairs to continue from when a rule
+    branches, [] when the leaf ends pure, and None when it gets stuck (the
+    reason is appended to ``stuck``).
+    """
+    while k < len(order):
+        pivot = order[k]
+        system = d.node(nid).system
+        step = _display_step(system, pivot, eps_map[pivot], d.role_mode)
+        if isinstance(step, _Stuck):
+            stuck.append(StuckReport((pivot,), (step.blocking,), step.message))
+            return None
+        if step is None:
+            if _occurs(system, pivot):
+                rid = "AckermannRight" if eps_map[pivot] == "1" else "AckermannLeft"
+                try:
+                    tick()
+                    ids = apply_rule(d, RuleApplication(rid, pivot=pivot), nid)
+                except AckermannShapeError as exc:
+                    stuck.append(StuckReport((pivot,), (), str(exc)))
+                    return None
+                nid = ids[0]
+            k += 1
+            continue
+        tick()
+        try:
+            ids = apply_rule(d, step, nid)
+        except EngineError as exc:
+            stuck.append(StuckReport((pivot,), (), str(exc)))
+            return None
+        if len(ids) > 1:
+            return [(child, k) for child in ids]
+        nid = ids[0]
+    leftover = sorted(
+        set().union(*(free_vars(si.ineq.lhs) | free_vars(si.ineq.rhs)
+                      for si in d.node(nid).system.ineqs), set()))
+    if leftover:
+        stuck.append(StuckReport(tuple(leftover), d.node(nid).system.inequalities(),
+                                 "variables left after the elimination cycle"))
+        return None
+    return []
 
 
 def _attempt(input_ineq: Inequality, internal: Inequality,
@@ -1057,54 +947,17 @@ def _attempt(input_ineq: Inequality, internal: Inequality,
         children = apply_rule(d, step, nid)
         queue = children + queue
 
-    def solve(nid: int, k: int) -> bool:
-        while k < len(order):
-            pivot = order[k]
-            system = d.node(nid).system
-            step = _display_step(system, pivot, eps_map[pivot], d.role_mode)
-            if isinstance(step, _Stuck):
-                stuck.append(StuckReport((pivot,), (step.blocking,), step.message))
-                return False
-            if step is None:
-                if _occurs(system, pivot):
-                    rid = "AckermannRight" if eps_map[pivot] == "1" else "AckermannLeft"
-                    try:
-                        tick()
-                        ids = apply_rule(
-                            d, RuleApplication(rid, pivot=pivot), nid)
-                    except AckermannShapeError as exc:
-                        stuck.append(StuckReport((pivot,), (), str(exc)))
-                        return False
-                    nid = ids[0]
-                k += 1
-                continue
-            tick()
-            try:
-                ids = apply_rule(d, step, nid)
-            except EngineError as exc:
-                stuck.append(StuckReport((pivot,), (), str(exc)))
-                return False
-            if len(ids) == 1:
-                nid = ids[0]
-            else:
-                ok = True
-                for child in ids:
-                    ok = solve(child, k) and ok
-                return ok
-        leftover = sorted(
-            set().union(*(free_vars(si.ineq.lhs) | free_vars(si.ineq.rhs)
-                          for si in d.node(nid).system.ineqs), set()))
-        if leftover:
-            stuck.append(StuckReport(tuple(leftover), d.node(nid).system.inequalities(),
-                                     "variables left after the elimination cycle"))
-            return False
-        return True
-
     ok = True
     for nid in pieces:
         tick()
-        first = apply_rule(d, RuleApplication("FirstApprox"), nid)[0]
-        ok = solve(first, 0) and ok
+        # depth first over branching rules, first child first
+        work = [(apply_rule(d, RuleApplication("FirstApprox"), nid)[0], 0)]
+        while work:
+            branches = _eliminate(d, *work.pop(), order, eps_map, stuck, tick)
+            if branches is None:
+                ok = False
+            else:
+                work.extend(reversed(branches))
 
     if ok:
         pure = tuple(d.node_system_concrete(leaf) for leaf in d.leaves())
@@ -1203,10 +1056,14 @@ def is_safe(d: Derivation) -> bool:
 
 # Def-A.1 style polarity audit.  Members of the first group must occur
 # positively in syntactically closed terms (negatively in open ones); the
-# second group dually.  The dotted adjoints are classified with the
-# corresponding residuals, the coimplication with the join residuals.
-_CLOSED_POSITIVE = (Nominal, BlackLhd, BlackDia, DotBoxAdj, DotLhdAdj, Coimp)
-_CLOSED_NEGATIVE = (Conominal, BlackBox, BlackRhd, DotDiaAdj, DotRhdAdj, Arrow)
+# second group dually.  The role adjoints are classified with the
+# corresponding residuals: those of top-unit roles (sigma, lambda) are
+# closed-positive, those of bottom-unit roles closed-negative.  The
+# coimplication goes with the join residuals.
+_CLOSED_POSITIVE = (Nominal, Coimp) + tuple(
+    cls for spec in ROLE_SPECS if not spec.bot_unit for cls in (spec.black, spec.dot_adj))
+_CLOSED_NEGATIVE = (Conominal, Arrow) + tuple(
+    cls for spec in ROLE_SPECS if spec.bot_unit for cls in (spec.black, spec.dot_adj))
 
 
 def _residual_group(t: Residual) -> int:
@@ -1244,22 +1101,13 @@ def is_syntactically_open(t: Term) -> bool:
 def check_topological_adequacy(system: System, sig: Signature) -> bool:
     """Every adjoint-headed inequality has its paired side condition."""
     for si in system.ineqs:
-        a, b = si.ineq.lhs, si.ineq.rhs
-        if isinstance(b, BlackBox):
-            if sig.role("pi") is None or not system.contains(
-                    Inequality(sig.role_instance("pi", BOT), b.args[0])):
-                return False
-        if isinstance(a, BlackDia):
-            if sig.role("sigma") is None or not system.contains(
-                    Inequality(a.args[0], sig.role_instance("sigma", TOP))):
-                return False
-        if isinstance(b, BlackRhd):
-            if sig.role("rho") is None or not system.contains(
-                    Inequality(b.args[0], sig.role_instance("rho", BOT))):
-                return False
-        if isinstance(a, BlackLhd):
-            if sig.role("lambda") is None or not system.contains(
-                    Inequality(sig.role_instance("lambda", TOP), a.args[0])):
+        for spec in ROLE_SPECS:
+            # the adjunction rule puts the adjoint on the right exactly
+            # for bottom-unit roles
+            adj = si.ineq.rhs if spec.bot_unit else si.ineq.lhs
+            if type(adj) is spec.black and (
+                    sig.role(spec.role) is None or not system.contains(
+                        _adjunction_condition(sig, spec, adj.args[0]))):
                 return False
     return True
 
@@ -1337,9 +1185,7 @@ def trace_lines(d: Derivation) -> list[str]:
     return lines
 
 
-import re as _re
-
-_SCRIPT_RE = _re.compile(
+_SCRIPT_RE = re.compile(
     r"^(?P<rid>[A-Za-z]+)(?:\((?P<coord>\d+)\))?"
     r"(?:\s*@\s*(?P<target>[A-Za-z0-9_]+))?"
     r"(?:\s*/\s*(?P<path>[\d.]+|-))?\s*$")

@@ -20,8 +20,8 @@ import random
 from . import classify
 from .engine import concretize
 from .language import (
-    ANTI, BOT, MONO, TOP, App, ConnectiveDecl, DotBox, DotDia, DotLhd,
-    DotRhd, Inequality, OrderType, Signature, Term, Var, join, meet,
+    ANTI, BOT, MONO, ROLE_SPECS, ROLES, TOP, App, ConnectiveDecl, Inequality,
+    OrderType, RoleSpec, Signature, Term, Var, join, meet,
 )
 
 VAR_NAMES = ("p", "q", "r")
@@ -53,14 +53,13 @@ class _Draw:
         elif sig.registered:
             self.dots = frozenset(reg.role for reg in sig.registered)
         else:
-            self.dots = frozenset(("pi", "sigma", "lambda", "rho"))
+            self.dots = frozenset(ROLES)
         self.star = bool(self.dots)
 
-    _DOT_NAME = {"pi": "dot_dia", "sigma": "dot_box",
-                 "lambda": "dot_lhd", "rho": "dot_rhd"}
-
-    def _dot_options(self, roles) -> list[str]:
-        return [self._DOT_NAME[r] for r in roles if r in self.dots]
+    def _dot_options(self, family: str | None = None) -> list[RoleSpec]:
+        """Drawable dotted markers, of one family unless ``family`` is None."""
+        return [spec for spec in ROLE_SPECS if spec.role in self.dots
+                and family in (None, spec.family)]
 
     def critical_at(self, sign: int) -> list[str]:
         want = "1" if sign == MONO else "d"
@@ -84,7 +83,7 @@ class _Draw:
             return rng.choice((TOP, BOT))
         options = ["meet", "join"]
         options += [d.name for d in self.sig.connectives]
-        options += self._dot_options(("pi", "sigma", "lambda", "rho"))
+        options += self._dot_options()
         pick = rng.choice(options)
         if pick == "meet":
             return meet(self.noncrit(sign, depth - 1, allowed),
@@ -92,14 +91,8 @@ class _Draw:
         if pick == "join":
             return join(self.noncrit(sign, depth - 1, allowed),
                         self.noncrit(sign, depth - 1, allowed))
-        if pick == "dot_dia":
-            return DotDia((self.noncrit(sign, depth - 1, allowed),))
-        if pick == "dot_box":
-            return DotBox((self.noncrit(sign, depth - 1, allowed),))
-        if pick == "dot_lhd":
-            return DotLhd((self.noncrit(-sign, depth - 1, allowed),))
-        if pick == "dot_rhd":
-            return DotRhd((self.noncrit(-sign, depth - 1, allowed),))
+        if isinstance(pick, RoleSpec):
+            return pick.dot((self.noncrit(sign * pick.tone, depth - 1, allowed),))
         decl = self.sig.decl(pick)
         args = tuple(self.noncrit(sign * tone, depth - 1, allowed)
                      for tone in decl.tonicities())
@@ -117,24 +110,12 @@ class _Draw:
                 return None
             v = rng.choice(crits)
             return Var(v), v
-        options = []
-        if sign == MONO:
-            options.append("meet_sra")
-            for d in self.sig.connectives:
-                if d.family == "G" and d.arity >= 1:
-                    options.append("app:" + d.name)
-            options += self._dot_options(("sigma", "rho"))
-        else:
-            options.append("join_sra")
-            for d in self.sig.connectives:
-                if d.family == "F" and d.arity >= 1:
-                    options.append("app:" + d.name)
-            options += self._dot_options(("pi", "lambda"))
-        if not options:
-            if not crits:
-                return None
-            v = rng.choice(crits)
-            return Var(v), v
+        # SRA/SRR nodes: boxes on the positive side, diamonds on the negative
+        family = "G" if sign == MONO else "F"
+        options: list = ["meet_sra" if sign == MONO else "join_sra"]
+        options += ["app:" + d.name for d in self.sig.connectives
+                    if d.family == family and d.arity >= 1]
+        options += self._dot_options(family)
         pick = rng.choice(options)
         if pick == "meet_sra":
             sub = self.pia(sign, depth - 1)
@@ -148,18 +129,9 @@ class _Draw:
                 return None
             t, v = sub
             return join(t, self.noncrit(sign, depth - 1)), v
-        if pick == "dot_box":
-            sub = self.pia(sign, depth - 1)
-            return None if sub is None else (DotBox((sub[0],)), sub[1])
-        if pick == "dot_rhd":
-            sub = self.pia(-sign, depth - 1)
-            return None if sub is None else (DotRhd((sub[0],)), sub[1])
-        if pick == "dot_dia":
-            sub = self.pia(sign, depth - 1)
-            return None if sub is None else (DotDia((sub[0],)), sub[1])
-        if pick == "dot_lhd":
-            sub = self.pia(-sign, depth - 1)
-            return None if sub is None else (DotLhd((sub[0],)), sub[1])
+        if isinstance(pick, RoleSpec):
+            sub = self.pia(sign * pick.tone, depth - 1)
+            return None if sub is None else (pick.dot((sub[0],)), sub[1])
         decl = self.sig.decl(pick.split(":", 1)[1])
         coord = rng.randrange(decl.arity)
         tone = decl.tonicities()[coord]
@@ -184,17 +156,12 @@ class _Draw:
         if depth <= 0 or rng.random() < 0.45:
             sub = self.pia(sign, depth)
             return None if sub is None else sub[0]
-        options = ["delta_both", "delta_one"]
-        if sign == MONO:
-            for d in self.sig.connectives:
-                if d.family == "F" and d.arity >= 1:
-                    options.append("app:" + d.name)
-            options += self._dot_options(("pi", "lambda"))
-        else:
-            for d in self.sig.connectives:
-                if d.family == "G" and d.arity >= 1:
-                    options.append("app:" + d.name)
-            options += self._dot_options(("sigma", "rho"))
+        # SLR nodes: diamonds on the positive side, boxes on the negative
+        family = "F" if sign == MONO else "G"
+        options: list = ["delta_both", "delta_one"]
+        options += ["app:" + d.name for d in self.sig.connectives
+                    if d.family == family and d.arity >= 1]
+        options += self._dot_options(family)
         pick = rng.choice(options)
         if pick == "delta_both":
             lhs = self.skel(sign, depth - 1)
@@ -208,18 +175,9 @@ class _Draw:
                 return None
             other = self.noncrit(sign, depth - 1)
             return meet(sub, other) if sign == MONO else join(sub, other)
-        if pick == "dot_dia":
-            sub = self.skel(sign, depth - 1)
-            return None if sub is None else DotDia((sub,))
-        if pick == "dot_lhd":
-            sub = self.skel(-sign, depth - 1)
-            return None if sub is None else DotLhd((sub,))
-        if pick == "dot_box":
-            sub = self.skel(sign, depth - 1)
-            return None if sub is None else DotBox((sub,))
-        if pick == "dot_rhd":
-            sub = self.skel(-sign, depth - 1)
-            return None if sub is None else DotRhd((sub,))
+        if isinstance(pick, RoleSpec):
+            sub = self.skel(sign * pick.tone, depth - 1)
+            return None if sub is None else pick.dot((sub,))
         decl = self.sig.decl(pick.split(":", 1)[1])
         coord = rng.randrange(decl.arity)
         sub = self.skel(sign * decl.tonicities()[coord], depth - 1)

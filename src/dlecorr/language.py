@@ -34,21 +34,6 @@ class Layer(IntEnum):
     DLEPLUS = 2
     DLEPP = 3
 
-    @classmethod
-    def parse(cls, name: str) -> "Layer":
-        key = name.strip().lower().replace("^", "").replace("+", "plus")
-        table = {
-            "dle": cls.DLE,
-            "dlestar": cls.DLESTAR,
-            "dle*": cls.DLESTAR,
-            "dleplus": cls.DLEPLUS,
-            "dleplusplus": cls.DLEPP,
-            "dlepp": cls.DLEPP,
-        }
-        if key not in table:
-            raise ValueError(f"unknown layer {name!r}")
-        return table[key]
-
 
 @dataclass(frozen=True)
 class OrderType:
@@ -75,20 +60,6 @@ class OrderType:
 
     def __str__(self) -> str:
         return "(" + ",".join(self.entries) + ")"
-
-
-# Names that can never be declared as connectives.
-HARD_RESERVED = {
-    "top", "bot", "res", "conn", "term",
-    "Dia", "Box", "Lhd", "Rhd", "bsq", "bdia", "blhd", "brhd",
-}
-
-# Spellings of the dotted DLEstar modalities.  A signature may declare
-# ordinary connectives with these names; the declaration then shadows the
-# dotted reading in concrete syntax.
-DOTTED_NAMES = ("dia", "box", "lhd", "rhd")
-
-ROLES = ("pi", "sigma", "lambda", "rho")
 
 
 @dataclass(frozen=True)
@@ -274,7 +245,7 @@ class Residual(Term):
         return Layer.DLEPLUS
 
 
-def _unary(cls_name: str, tonicity: int, layer: Layer, role: str | None = None):
+def _unary(cls_name: str, tonicity: int, layer: Layer):
     """Build a frozen unary Term subclass (dotted/defined/adjoint nodes)."""
 
     @dataclass(frozen=True)
@@ -292,7 +263,6 @@ def _unary(cls_name: str, tonicity: int, layer: Layer, role: str | None = None):
 
     _Node.__name__ = cls_name
     _Node.__qualname__ = cls_name
-    _Node.role = role  # type: ignore[attr-defined]
     return _Node
 
 
@@ -310,22 +280,97 @@ DotLhdAdj = _unary("DotLhdAdj", ANTI, Layer.DLEPLUS)
 DotRhdAdj = _unary("DotRhdAdj", ANTI, Layer.DLEPLUS)
 
 # Defined modalities, one per role (DLEpp).
-DefDia = _unary("DefDia", MONO, Layer.DLEPP, role="pi")
-DefBox = _unary("DefBox", MONO, Layer.DLEPP, role="sigma")
-DefLhd = _unary("DefLhd", ANTI, Layer.DLEPP, role="lambda")
-DefRhd = _unary("DefRhd", ANTI, Layer.DLEPP, role="rho")
+DefDia = _unary("DefDia", MONO, Layer.DLEPP)
+DefBox = _unary("DefBox", MONO, Layer.DLEPP)
+DefLhd = _unary("DefLhd", ANTI, Layer.DLEPP)
+DefRhd = _unary("DefRhd", ANTI, Layer.DLEPP)
 
 # Their adjoints (DLEpp).
-BlackBox = _unary("BlackBox", MONO, Layer.DLEPP, role="pi")
-BlackDia = _unary("BlackDia", MONO, Layer.DLEPP, role="sigma")
-BlackLhd = _unary("BlackLhd", ANTI, Layer.DLEPP, role="lambda")
-BlackRhd = _unary("BlackRhd", ANTI, Layer.DLEPP, role="rho")
+BlackBox = _unary("BlackBox", MONO, Layer.DLEPP)
+BlackDia = _unary("BlackDia", MONO, Layer.DLEPP)
+BlackLhd = _unary("BlackLhd", ANTI, Layer.DLEPP)
+BlackRhd = _unary("BlackRhd", ANTI, Layer.DLEPP)
 
-DEF_BY_ROLE = {"pi": DefDia, "sigma": DefBox, "lambda": DefLhd, "rho": DefRhd}
-BLACK_BY_ROLE = {"pi": BlackBox, "sigma": BlackDia, "lambda": BlackLhd, "rho": BlackRhd}
-DOT_BY_ROLE = {"pi": DotDia, "sigma": DotBox, "lambda": DotLhd, "rho": DotRhd}
-ROLE_BY_DOT = {DotDia: "pi", DotBox: "sigma", DotLhd: "lambda", DotRhd: "rho"}
-DOTADJ_FOR_DOT = {DotDia: DotDiaAdj, DotBox: DotBoxAdj, DotLhd: DotLhdAdj, DotRhd: DotRhdAdj}
+
+@dataclass(frozen=True)
+class RoleSpec:
+    """One role: its dotted marker, the marker's adjoint, the defined
+    modality and the defined modality's adjoint, with their spellings.
+
+    ``family`` and ``tone`` describe the dotted marker and the defined
+    modality: F is join-type (a diamond), G meet-type (a box).  The other
+    order-theoretic facts of the role follow from these two.
+    """
+
+    role: str
+    family: str  # "F" | "G"
+    tone: int  # MONO | ANTI
+    dot: type
+    dot_adj: type
+    defined: type
+    black: type
+    dotted: str  # dia(t); the adjoint is spelled res(dia,1)(t)
+    defined_head: str  # Dia[pi](t)
+    black_head: str  # bsq[pi](t)
+
+    @property
+    def bot_unit(self) -> bool:
+        """The unit is bottom (pi, rho), not top (sigma, lambda).
+
+        The same condition puts the role's argument below the adjoint in
+        the adjunction rule, places the adjoint on the right of that
+        inequality, and makes the fresh approximant a nominal.
+        """
+        return (self.family == "F") == (self.tone == MONO)
+
+    @property
+    def unit(self) -> Term:
+        return BOT if self.bot_unit else TOP
+
+    @property
+    def rule_suffix(self) -> str:
+        return self.role.capitalize()  # AdjPi, ApproxPi, DistPi, RewritePi
+
+    @property
+    def dot_suffix(self) -> str:
+        return self.dot.__name__  # AdjDotDia, ApproxDotDia
+
+
+ROLE_SPECS = (
+    RoleSpec("pi", "F", MONO, DotDia, DotDiaAdj, DefDia, BlackBox, "dia", "Dia", "bsq"),
+    RoleSpec("sigma", "G", MONO, DotBox, DotBoxAdj, DefBox, BlackDia, "box", "Box", "bdia"),
+    RoleSpec("lambda", "F", ANTI, DotLhd, DotLhdAdj, DefLhd, BlackLhd, "lhd", "Lhd", "blhd"),
+    RoleSpec("rho", "G", ANTI, DotRhd, DotRhdAdj, DefRhd, BlackRhd, "rhd", "Rhd", "brhd"),
+)
+ROLES = tuple(spec.role for spec in ROLE_SPECS)
+SPEC_BY_ROLE = {spec.role: spec for spec in ROLE_SPECS}
+# every role-specific node class -> its role
+SPEC_BY_NODE = {cls: spec for spec in ROLE_SPECS
+                for cls in (spec.dot, spec.dot_adj, spec.defined, spec.black)}
+
+# Spellings of the dotted DLEstar modalities.  A signature may declare
+# ordinary connectives with these names; the declaration then shadows the
+# dotted reading in concrete syntax.
+DOTTED_NAMES = tuple(spec.dotted for spec in ROLE_SPECS)
+
+# Names that can never be declared as connectives.
+HARD_RESERVED = {"top", "bot", "res", "conn", "term"} | {
+    head for spec in ROLE_SPECS for head in (spec.defined_head, spec.black_head)}
+
+
+def dotted_spec(t: Term) -> RoleSpec | None:
+    """The role of a dotted marker; None for every other node."""
+    spec = SPEC_BY_NODE.get(type(t))
+    return spec if spec is not None and type(t) is spec.dot else None
+
+
+def family_and_arity(t: Term) -> tuple[str, int] | None:
+    """Family and arity of a declared connective, or of a dotted marker
+    read as a unary connective of its role's family; None otherwise."""
+    if isinstance(t, App):
+        return t.decl.family, t.decl.arity
+    spec = dotted_spec(t)
+    return None if spec is None else (spec.family, 1)
 
 
 @dataclass(frozen=True)
@@ -428,10 +473,6 @@ def subterms(t: Term) -> Iterator[Term]:
 
 def layer_of(t: Term) -> Layer:
     return max(s.min_layer() for s in subterms(t))
-
-
-def admits(t: Term, layer: Layer) -> bool:
-    return layer_of(t) <= layer
 
 
 def free_vars(t: Term) -> set[str]:

@@ -26,13 +26,13 @@ BudgetExceeded rather than truncating silently.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import permutations, product
 
 from .language import (
-    App, Arrow, BlackBox, BlackDia, BlackLhd, BlackRhd, Bot, Coimp,
-    Conominal, DefBox, DefDia, DefLhd, DefRhd, DotBox, DotBoxAdj, DotDia,
-    DotDiaAdj, DotLhd, DotLhdAdj, DotRhd, DotRhdAdj, Inequality, Join, Meet,
-    Nominal, Residual, Signature, Term, Top, Var, conominals_of, free_vars,
+    MONO, ROLE_SPECS, SPEC_BY_NODE, SPEC_BY_ROLE, App, Arrow, Bot, Coimp,
+    ConnectiveDecl, Conominal, Inequality, Join, Meet, Nominal, OrderType,
+    Residual, RoleSpec, Signature, Term, Top, Var, conominals_of, free_vars,
     nominals_of,
 )
 from .engine import System
@@ -274,12 +274,10 @@ class FiniteDLE:
         decl = self.sig.decl(name)
         if decl is not None:
             return decl
-        if name in ("dia", "lhd"):
-            from .language import ConnectiveDecl, OrderType
-            return ConnectiveDecl(name, "F", 1, OrderType(("1",) if name == "dia" else ("d",)))
-        if name in ("box", "rhd"):
-            from .language import ConnectiveDecl, OrderType
-            return ConnectiveDecl(name, "G", 1, OrderType(("1",) if name == "box" else ("d",)))
+        for spec in ROLE_SPECS:
+            if name == spec.dotted:
+                entry = "1" if spec.tone == MONO else "d"
+                return ConnectiveDecl(name, spec.family, 1, OrderType((entry,)))
         raise ModelError(f"operation {name!r} is not in the signature")
 
     def add_op(self, name: str, spec, validate: bool = True) -> None:
@@ -378,72 +376,43 @@ class FiniteDLE:
         return self._cached(("role", role), build)
 
     def def_table(self, role: str) -> list[int]:
+        """The defined modality: the role term read off the irreducibles
+        below (bottom-unit roles) or above the argument, joined for F
+        roles and met for G roles."""
+        spec = SPEC_BY_ROLE[role]
+
         def build():
             f = self.role_table(role)
-            out = []
-            for u in range(self.n_elem):
-                if role == "pi":
-                    out.append(self.join_all(
-                        f[j] for j in self.jirr if self.leq(j, u)))
-                elif role == "sigma":
-                    out.append(self.meet_all(
-                        f[m] for m in self.mirr if self.leq(u, m)))
-                elif role == "lambda":
-                    out.append(self.join_all(
-                        f[m] for m in self.mirr if self.leq(u, m)))
-                else:  # rho
-                    out.append(self.meet_all(
-                        f[j] for j in self.jirr if self.leq(j, u)))
-            return out
+            gather = self.join_all if spec.family == "F" else self.meet_all
+            if spec.bot_unit:
+                return [gather(f[j] for j in self.jirr if self.leq(j, u))
+                        for u in range(self.n_elem)]
+            return [gather(f[m] for m in self.mirr if self.leq(u, m))
+                    for u in range(self.n_elem)]
 
         return self._cached(("def", role), build)
 
     def black_table(self, role: str) -> list[int]:
-        def build():
-            g = self.def_table(role)
-            out = []
-            for u in range(self.n_elem):
-                if role == "pi":
-                    out.append(self.join_all(
-                        w for w in range(self.n_elem) if self.leq(g[w], u)))
-                elif role == "sigma":
-                    out.append(self.meet_all(
-                        w for w in range(self.n_elem) if self.leq(u, g[w])))
-                elif role == "lambda":
-                    out.append(self.meet_all(
-                        w for w in range(self.n_elem) if self.leq(g[w], u)))
-                else:  # rho
-                    out.append(self.join_all(
-                        w for w in range(self.n_elem) if self.leq(u, g[w])))
-            return out
-
-        return self._cached(("black", role), build)
+        spec = SPEC_BY_ROLE[role]
+        return self._cached(("black", role),
+                            lambda: self._adjoint(spec, self.def_table(role)))
 
     def dot_adj_table(self, kind: str) -> list[int]:
-        base = {"dia_adj": "dia", "box_adj": "box",
-                "lhd_adj": "lhd", "rhd_adj": "rhd"}[kind]
-        if base not in self.ops:
-            raise ModelError(f"dotted connective {base!r} has no table")
+        spec = {s.dotted + "_adj": s for s in ROLE_SPECS}[kind]
+        if spec.dotted not in self.ops:
+            raise ModelError(f"dotted connective {spec.dotted!r} has no table")
+        return self._cached(("dotadj", kind),
+                            lambda: self._adjoint(spec, self.ops[spec.dotted]))
 
-        def build():
-            t = self.ops[base]
-            out = []
-            for u in range(self.n_elem):
-                if kind == "dia_adj":   # right adjoint of dotted diamond
-                    out.append(self.join_all(
-                        w for w in range(self.n_elem) if self.leq(t[w], u)))
-                elif kind == "box_adj":  # left adjoint of dotted box
-                    out.append(self.meet_all(
-                        w for w in range(self.n_elem) if self.leq(u, t[w])))
-                elif kind == "lhd_adj":
-                    out.append(self.meet_all(
-                        w for w in range(self.n_elem) if self.leq(t[w], u)))
-                else:
-                    out.append(self.join_all(
-                        w for w in range(self.n_elem) if self.leq(u, t[w])))
-            return out
-
-        return self._cached(("dotadj", kind), build)
+    def _adjoint(self, spec: RoleSpec, t: list[int]) -> list[int]:
+        """Adjoint of the unary operation ``t`` of ``spec``'s shape: the
+        right adjoint of a diamond, the left adjoint of a box, the Galois
+        adjoints of the two antitone ones."""
+        gather = self.join_all if spec.bot_unit else self.meet_all
+        leq, r = self.leq_table, range(self.n_elem)
+        if spec.family == "F":
+            return [gather(w for w in r if leq[t[w]][u]) for u in r]
+        return [gather(w for w in r if leq[u][t[w]]) for u in r]
 
     def residual_table(self, decl, coord: int):
         def build():
@@ -497,12 +466,6 @@ class FiniteDLE:
                 for b in range(self.n_elem)] for a in range(self.n_elem)]
 
         return self._cached(("coimp",), build)
-
-
-def build_dle(poset: Poset, sig: Signature, ops: dict) -> FiniteDLE:
-    """Construct and validate a lattice; ``ops`` maps connective names to
-    tables or Relation generators."""
-    return FiniteDLE(poset, sig, ops, validate=True)
 
 
 # ----------------------------------------------------------------------
@@ -579,26 +542,20 @@ def _compile(t: Term, dle: FiniteDLE, pos: dict[tuple[str, str], int]):
             return cur
 
         return apply_res
-    unary = {
-        DotDia: lambda: dle.ops.get("dia"), DotBox: lambda: dle.ops.get("box"),
-        DotLhd: lambda: dle.ops.get("lhd"), DotRhd: lambda: dle.ops.get("rhd"),
-        DotDiaAdj: lambda: dle.dot_adj_table("dia_adj"),
-        DotBoxAdj: lambda: dle.dot_adj_table("box_adj"),
-        DotLhdAdj: lambda: dle.dot_adj_table("lhd_adj"),
-        DotRhdAdj: lambda: dle.dot_adj_table("rhd_adj"),
-        DefDia: lambda: dle.def_table("pi"), DefBox: lambda: dle.def_table("sigma"),
-        DefLhd: lambda: dle.def_table("lambda"), DefRhd: lambda: dle.def_table("rho"),
-        BlackBox: lambda: dle.black_table("pi"),
-        BlackDia: lambda: dle.black_table("sigma"),
-        BlackLhd: lambda: dle.black_table("lambda"),
-        BlackRhd: lambda: dle.black_table("rho"),
-    }
     cls = type(t)
-    if cls in unary:
-        table = unary[cls]()
-        if table is None:
-            raise ModelError(
-                f"dotted connective has no table on this lattice ({cls.__name__})")
+    spec = SPEC_BY_NODE.get(cls)
+    if spec is not None:
+        if cls is spec.dot:
+            table = dle.ops.get(spec.dotted)
+            if table is None:
+                raise ModelError(
+                    f"dotted connective has no table on this lattice ({cls.__name__})")
+        elif cls is spec.dot_adj:
+            table = dle.dot_adj_table(spec.dotted + "_adj")
+        elif cls is spec.defined:
+            table = dle.def_table(spec.role)
+        else:
+            table = dle.black_table(spec.role)
         f = _compile(t.args[0], dle, pos)
         return lambda env: table[f(env)]
     raise ModelError(f"cannot evaluate {type(t).__name__}")
@@ -708,40 +665,36 @@ def check_quasi(systems, dle: FiniteDLE, budget: Budget | None = None) -> bool:
 
 
 def verify_rule_step(parent: System, children, dle: FiniteDLE,
-                     admissible_only: bool = False,
                      budget: Budget | None = None) -> bool:
     """Semantic soundness of one rule application: the parent system's
     quasi-inequality holds iff all children's do (fresh symbols of a
-    child are quantified on the child side).  ``admissible_only`` is
-    accepted for symmetry with restricted-assignment validity; on finite
-    lattices every element is admissible, so it has no effect."""
-    del admissible_only  # finite lattices are their own canonical extensions
+    child are quantified on the child side)."""
     budget = budget or Budget()
     before = _quasi_holds(parent, dle, budget)
     after = all(_quasi_holds(child, dle, budget) for child in children)
     return before == after
 
 
+def role_axiom_holds(dle: FiniteDLE, role: str) -> bool:
+    """The registered term of ``role`` satisfies the role's axiom: it sends
+    binary joins (bottom-unit roles) or meets into joins of values (F
+    roles), or values' meets into it (G roles).  For pi this is
+    additivity, for sigma multiplicativity."""
+    spec = SPEC_BY_ROLE[role]
+    f = dle.role_table(role)
+    leq = dle.leq_table
+    inner = dle.join_table if spec.bot_unit else dle.meet_table
+    r = range(dle.n_elem)
+    if spec.family == "F":
+        outer = dle.join_table
+        return all(leq[f[inner[a][b]]][outer[f[a]][f[b]]] for a in r for b in r)
+    outer = dle.meet_table
+    return all(leq[outer[f[a]][f[b]]][f[inner[a][b]]] for a in r for b in r)
+
+
 def role_axioms_hold(dle: FiniteDLE) -> bool:
     """The registered terms satisfy their additivity-style axioms."""
-    for reg in dle.sig.registered:
-        f = dle.role_table(reg.role)
-        n = dle.n_elem
-        if reg.role == "pi":
-            ok = all(dle.leq(f[dle.join(a, b)], dle.join(f[a], f[b]))
-                     for a in range(n) for b in range(n))
-        elif reg.role == "sigma":
-            ok = all(dle.leq(dle.meet(f[a], f[b]), f[dle.meet(a, b)])
-                     for a in range(n) for b in range(n))
-        elif reg.role == "lambda":
-            ok = all(dle.leq(f[dle.meet(a, b)], dle.join(f[a], f[b]))
-                     for a in range(n) for b in range(n))
-        else:  # rho
-            ok = all(dle.leq(dle.meet(f[a], f[b]), f[dle.join(a, b)])
-                     for a in range(n) for b in range(n))
-        if not ok:
-            return False
-    return True
+    return all(role_axiom_holds(dle, reg.role) for reg in dle.sig.registered)
 
 
 @dataclass
@@ -824,8 +777,7 @@ def check_lemma_suite(dle: FiniteDLE, rng=None) -> LemmaSuiteReport:
                     j2 for j2 in dle.jirr
                     if any(dle.leq(i, u) and dle.leq(j2, f[i]) for i in dle.jirr))
                 for u in range(n))
-            additive = all(dle.leq(f[dle.join(a, b)], dle.join(f[a], f[b]))
-                           for a in range(n) for b in range(n))
+            additive = role_axiom_holds(dle, role)
             identity = all(f[u] == dle.join(f[dle.bot], g[u]) for u in range(n))
             c_pi = all(
                 (not dle.leq(f[dle.bot], m)) or dle.leq(f[adj[m]], m)
@@ -843,9 +795,7 @@ def check_lemma_suite(dle: FiniteDLE, rng=None) -> LemmaSuiteReport:
                 for a in range(n) for b in range(n))
             res["above_f"] = all(dle.leq(f[u], g[u]) for u in range(n))
             res["agrees_on_mirr"] = all(g[m] == f[m] for m in dle.mirr)
-            multiplicative = all(
-                dle.leq(dle.meet(f[a], f[b]), f[dle.meet(a, b)])
-                for a in range(n) for b in range(n))
+            multiplicative = role_axiom_holds(dle, role)
             identity = all(f[u] == dle.meet(f[dle.top], g[u]) for u in range(n))
             res["identity_iff_multiplicative"] = identity == multiplicative
             report.notes.append(
@@ -856,8 +806,7 @@ def check_lemma_suite(dle: FiniteDLE, rng=None) -> LemmaSuiteReport:
                 for u in range(n) for w in range(n))
             res["below_f"] = all(dle.leq(g[u], f[u]) for u in range(n))
             res["agrees_on_mirr"] = all(g[m] == f[m] for m in dle.mirr)
-            axiom = all(dle.leq(f[dle.meet(a, b)], dle.join(f[a], f[b]))
-                        for a in range(n) for b in range(n))
+            axiom = role_axiom_holds(dle, role)
             identity = all(f[u] == dle.join(f[dle.top], g[u]) for u in range(n))
             res["identity_iff_axiom"] = identity == axiom
         else:  # rho
@@ -866,8 +815,7 @@ def check_lemma_suite(dle: FiniteDLE, rng=None) -> LemmaSuiteReport:
                 for u in range(n) for w in range(n))
             res["above_f"] = all(dle.leq(f[u], g[u]) for u in range(n))
             res["agrees_on_jirr"] = all(g[j] == f[j] for j in dle.jirr)
-            axiom = all(dle.leq(dle.meet(f[a], f[b]), f[dle.join(a, b)])
-                        for a in range(n) for b in range(n))
+            axiom = role_axiom_holds(dle, role)
             identity = all(f[u] == dle.meet(f[dle.bot], g[u]) for u in range(n))
             res["identity_iff_axiom"] = identity == axiom
         report.role_results[role] = res
@@ -996,9 +944,28 @@ def relational_lattices(sig: Signature, poset: Poset,
         yield rel, dle
 
 
+def relational_sweep(sig: Signature, max_points: int = 3):
+    """(relation, lattice) for every poset up to isomorphism on 1 to
+    ``max_points`` points and every relation up to automorphism, the
+    relation interpreting all unary type-(1) connectives.  Empty unless
+    every connective of the signature is one of those."""
+    names = tuple(d.name for d in sig.connectives
+                  if d.arity == 1 and d.order_type[0] == "1")
+    if not names or len(names) != len(sig.connectives):
+        return
+    for n in range(1, max_points + 1):
+        for poset in enumerate_posets(n, up_to_iso=True):
+            yield from relational_lattices(sig, poset, names)
+
+
+@lru_cache(maxsize=None)
+def _labelled_posets(n: int) -> tuple[Poset, ...]:
+    return tuple(enumerate_posets(n))
+
+
 def random_poset(rng, max_points: int = 4) -> Poset:
     n = rng.randint(1, max_points)
-    posets = enumerate_posets(n)
+    posets = _labelled_posets(n)
     return posets[rng.randrange(len(posets))]
 
 

@@ -31,17 +31,17 @@ from dataclasses import dataclass
 
 from . import classify
 from .language import (
-    BLACK_BY_ROLE, BOT, DEF_BY_ROLE, DOTADJ_FOR_DOT, DOTTED_NAMES,
-    HARD_RESERVED, ROLES, TOP, App, Arrow, Coimp, ConnectiveDecl,
-    Conominal, DotBox, DotDia, DotLhd, DotRhd, Inequality, Layer, Nominal,
-    OrderType, RegisteredTerm, Residual, Signature, Term, Var, free_vars,
-    join, meet,
+    BOT, DOTTED_NAMES, HARD_RESERVED, MONO, ROLE_SPECS, ROLES, SPEC_BY_NODE,
+    SPEC_BY_ROLE, TOP, App, Arrow, Coimp, ConnectiveDecl, Conominal,
+    Inequality, Layer, Nominal, OrderType, RegisteredTerm, Residual,
+    Signature, Term, Var, free_vars, join, meet,
 )
 
-_DOTTED_NODE = {"dia": DotDia, "box": DotBox, "lhd": DotLhd, "rhd": DotRhd}
-_DEF_HEADS = {"Dia": "pi", "Box": "sigma", "Lhd": "lambda", "Rhd": "rho"}
-_BLACK_HEADS = {"bsq": "pi", "bdia": "sigma", "blhd": "lambda", "brhd": "rho"}
-_KEYWORDS = {"top", "bot", "res"} | set(_DEF_HEADS) | set(_BLACK_HEADS)
+_DOTTED = {spec.dotted: spec for spec in ROLE_SPECS}
+# Dia[pi](t), bsq[pi](t), ...: head -> node class
+_BRACKETED = {head: cls for spec in ROLE_SPECS
+              for head, cls in ((spec.defined_head, spec.defined),
+                                (spec.black_head, spec.black))}
 
 
 class ParseError(ValueError):
@@ -198,7 +198,7 @@ class _Parser:
             return BOT
         if name == "res":
             return self.residual(tok)
-        if name in _DEF_HEADS or name in _BLACK_HEADS:
+        if name in _BRACKETED:
             return self.bracketed(name, tok)
         if self.peek().kind == "(":
             return self.application(name, tok)
@@ -220,7 +220,7 @@ class _Parser:
             self.require_layer(Layer.DLESTAR, f"dotted connective {name!r}", tok)
             if len(arglist) != 1:
                 self.fail(f"dotted connective {name!r} is unary", tok)
-            return _DOTTED_NODE[name]((arglist[0],))
+            return _DOTTED[name].dot((arglist[0],))
         self.fail(f"unknown connective {name!r}", tok)
 
     def bracketed(self, head: str, tok: _Tok) -> Term:
@@ -228,7 +228,8 @@ class _Parser:
         self.expect("[")
         role_tok = self.expect("ident")
         self.expect("]")
-        expected = _DEF_HEADS.get(head) or _BLACK_HEADS.get(head)
+        node = _BRACKETED[head]
+        expected = SPEC_BY_NODE[node].role
         if role_tok.value != expected:
             self.fail(f"{head} takes role {expected!r}, got {role_tok.value!r}", role_tok)
         if self.sig.role(expected) is None:
@@ -236,7 +237,6 @@ class _Parser:
         arglist = self.args()
         if len(arglist) != 1:
             self.fail(f"{head}[{expected}] is unary", tok)
-        node = DEF_BY_ROLE[expected] if head in _DEF_HEADS else BLACK_BY_ROLE[expected]
         return node((arglist[0],))
 
     def residual(self, tok: _Tok) -> Term:
@@ -258,8 +258,7 @@ class _Parser:
         if name_tok.value in DOTTED_NAMES:
             if coord != 1 or len(arglist) != 1:
                 self.fail(f"res({name_tok.value},1) is unary", tok)
-            adj = DOTADJ_FOR_DOT[_DOTTED_NODE[name_tok.value]]
-            return adj((arglist[0],))
+            return _DOTTED[name_tok.value].dot_adj((arglist[0],))
         self.fail(f"unknown connective {name_tok.value!r} in residual", name_tok)
 
 
@@ -322,13 +321,10 @@ def parse_signature(text: str) -> Signature:
                 f"found {fv}", 0, formula)
         var = fv[0]
         pol = classify.polarity(term, var)
-        if role in ("pi", "sigma") and pol not in (classify.POSITIVE, classify.ABSENT):
+        want = classify.POSITIVE if SPEC_BY_ROLE[role].tone == MONO else classify.NEGATIVE
+        if pol not in (want, classify.ABSENT):
             raise ParseError(
-                f"line {lineno}: role {role} requires a term positive in {var} "
-                f"(got {pol})", 0, formula)
-        if role in ("lambda", "rho") and pol not in (classify.NEGATIVE, classify.ABSENT):
-            raise ParseError(
-                f"line {lineno}: role {role} requires a term negative in {var} "
+                f"line {lineno}: role {role} requires a term {want} in {var} "
                 f"(got {pol})", 0, formula)
         regs.append(RegisteredTerm(role, var, term))
     regs.sort(key=lambda r: ROLES.index(r.role))

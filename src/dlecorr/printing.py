@@ -8,21 +8,12 @@ not shadow their spellings), ``parse_term(print_term(t))`` returns ``t``.
 from __future__ import annotations
 
 from .language import (
-    App, Arrow, Bot, BlackBox, BlackDia, BlackLhd, BlackRhd, Coimp, Conominal,
-    DefBox, DefDia, DefLhd, DefRhd, DotBox, DotBoxAdj, DotDia, DotDiaAdj,
-    DotLhd, DotLhdAdj, DotRhd, DotRhdAdj, Inequality, Join, Meet, Nominal,
-    Residual, Term, Top, Var,
+    SPEC_BY_NODE, App, Arrow, Bot, Coimp, Conominal, Inequality, Join, Meet,
+    Nominal, Residual, Term, Top, Var,
 )
 
+
 # Precedence levels: atoms 4, & 3, | 2, ->/-. 1.
-_DOTTED_PRINT = {DotDia: "dia", DotBox: "box", DotLhd: "lhd", DotRhd: "rhd"}
-_DOTADJ_PRINT = {DotDiaAdj: "dia", DotBoxAdj: "box", DotLhdAdj: "lhd", DotRhdAdj: "rhd"}
-_DEF_PRINT = {DefDia: ("Dia", "pi"), DefBox: ("Box", "sigma"),
-              DefLhd: ("Lhd", "lambda"), DefRhd: ("Rhd", "rho")}
-_BLACK_PRINT = {BlackBox: ("bsq", "pi"), BlackDia: ("bdia", "sigma"),
-                BlackLhd: ("blhd", "lambda"), BlackRhd: ("brhd", "rho")}
-
-
 def _prec(t: Term) -> int:
     if isinstance(t, Meet):
         return 3
@@ -58,16 +49,15 @@ def print_term(t: Term) -> str:
         return (f"res({t.decl.name},{t.coord})("
                 + ", ".join(print_term(a) for a in t.args) + ")")
     cls = type(t)
-    if cls in _DOTTED_PRINT:
-        return _DOTTED_PRINT[cls] + "(" + print_term(t.args[0]) + ")"
-    if cls in _DOTADJ_PRINT:
-        return f"res({_DOTADJ_PRINT[cls]},1)(" + print_term(t.args[0]) + ")"
-    if cls in _DEF_PRINT:
-        head, role = _DEF_PRINT[cls]
-        return f"{head}[{role}](" + print_term(t.args[0]) + ")"
-    if cls in _BLACK_PRINT:
-        head, role = _BLACK_PRINT[cls]
-        return f"{head}[{role}](" + print_term(t.args[0]) + ")"
+    spec = SPEC_BY_NODE.get(cls)
+    if spec is not None:
+        arg = print_term(t.args[0])
+        if cls is spec.dot:
+            return f"{spec.dotted}({arg})"
+        if cls is spec.dot_adj:
+            return f"res({spec.dotted},1)({arg})"
+        head = spec.defined_head if cls is spec.defined else spec.black_head
+        return f"{head}[{spec.role}]({arg})"
     raise TypeError(f"cannot print {t!r}")
 
 

@@ -137,3 +137,11 @@ def test_golden_corpus_round_trips():
                 assert print_inequality(ineq) == chunk
                 count += 1
     assert count > 30
+
+
+def test_lemma_sweep_script():
+    script = pathlib.Path(__file__).parents[1] / "scripts" / "lemma_sweep.py"
+    r = subprocess.run([sys.executable, str(script)], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.splitlines()[-1] == \
+        "lattices: 1700  suite failures: 0  additive diamond-role instances: 1648"

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -12,8 +14,10 @@ from dlecorr.engine import (
     is_syntactically_open, preprocess, run_alba, trace_lines,
 )
 from dlecorr.language import (
-    BOT, TOP, BlackBox, Conominal, DefDia, DotBox, DotDia, Layer, Nominal,
-    Var, free_vars, join, meet,
+    BOT, TOP, BlackBox, BlackDia, BlackLhd, BlackRhd, ConnectiveDecl,
+    Conominal, DefBox, DefDia, DefLhd, DefRhd, DotBox, DotBoxAdj, DotDia,
+    DotDiaAdj, DotLhd, DotLhdAdj, DotRhd, DotRhdAdj, Layer, Nominal,
+    OrderType, Var, free_vars, join, meet,
 )
 from dlecorr.parsing import parse_inequality, parse_signature, parse_term
 from dlecorr.printing import print_inequality
@@ -249,6 +253,28 @@ def test_run_geach_matches_worked_trace(classical_sig):
         Inequality(Nominal("j1"), sg(TOP)),
     }
     assert systems == [branch_a, branch_b]
+
+
+def test_runs_leave_no_reference_cycles(bare_sig, classical_sig):
+    # a reduction's derivation is freed by reference counting alone
+    runs = [
+        (parse_inequality("dia(box(p)) <= box(dia(p))", bare_sig, Layer.DLE),
+         bare_sig, "alba"),
+        (parse_inequality("dia(box(dia(box(p)))) <= box(dia(box(dia(p))))",
+                          classical_sig, Layer.DLE), classical_sig, "albae"),
+    ]
+    gc.collect()
+    gc.disable()
+    try:
+        for iq, sig, mode in runs:
+            d = run_alba(iq, sig, mode, "auto")
+            assert d.status.kind == "success"
+            ref = weakref.ref(d)
+            del d
+            assert ref() is None
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_run_noninductive_fails_as_value(bare_sig):
@@ -578,3 +604,248 @@ def test_approximation_rejects_nullary_connectives():
     d = derivation_at(sig, "alba", system)
     with pytest.raises(RuleMatchError):
         apply_rule(d, RuleApplication("ApproxF", ineq_index=0), 0)
+
+
+# ----------------------------------------------------------------------
+# every role rule and every dotted rule, pinned on a minimal system
+
+P, Q, R = Var("p"), Var("q"), Var("r")
+I0, M0, J1, N1 = Nominal("i0"), Conominal("m0"), Nominal("j1"), Conominal("n1")
+
+
+def _pinned_rule_cases():
+    """Case id -> (rule id, signature, mode, target inequality, target
+    side flag, path, coord, expected children as (branch tag, ((inequality,
+    side), ...)), fresh names).  ``u(role, t)`` is the registered term of
+    ``role`` applied to ``t``."""
+    Iq = Inequality
+    return {
+        "DistPi": ("DistPi", "classical", "albae",
+                   lambda u: Iq(DotDia((join(P, Q),)), R), False, (0,), 1,
+                   lambda u: [(None, [(Iq(join(DotDia((P,)), DotDia((Q,))), R), False)])],
+                   ()),
+        "DistSigma": ("DistSigma", "classical", "albae",
+                      lambda u: Iq(R, DotBox((meet(P, Q),))), False, (1,), 1,
+                      lambda u: [(None, [(Iq(R, meet(DotBox((P,)), DotBox((Q,)))), False)])],
+                      ()),
+        "DistLambda": ("DistLambda", "lr", "albae",
+                       lambda u: Iq(DotLhd((meet(P, Q),)), R), False, (0,), 1,
+                       lambda u: [(None, [(Iq(join(DotLhd((P,)), DotLhd((Q,))), R), False)])],
+                       ()),
+        "DistRho": ("DistRho", "lr", "albae",
+                    lambda u: Iq(R, DotRhd((join(P, Q),))), False, (1,), 1,
+                    lambda u: [(None, [(Iq(R, meet(DotRhd((P,)), DotRhd((Q,)))), False)])],
+                    ()),
+        "AdjPi": ("AdjPi", "classical", "albae",
+                  lambda u: Iq(DotDia((P,)), M0), False, (), None,
+                  lambda u: [(None, [(Iq(P, BlackBox((M0,))), False),
+                                     (Iq(u("pi", BOT), M0), True)])],
+                  ()),
+        "AdjSigma": ("AdjSigma", "classical", "albae",
+                     lambda u: Iq(I0, DotBox((P,))), False, (), None,
+                     lambda u: [(None, [(Iq(BlackDia((I0,)), P), False),
+                                        (Iq(I0, u("sigma", TOP)), True)])],
+                     ()),
+        "AdjLambda": ("AdjLambda", "lr", "albae",
+                      lambda u: Iq(DotLhd((P,)), M0), False, (), None,
+                      lambda u: [(None, [(Iq(BlackLhd((M0,)), P), False),
+                                         (Iq(u("lambda", TOP), M0), True)])],
+                      ()),
+        "AdjRho": ("AdjRho", "lr", "albae",
+                   lambda u: Iq(I0, DotRhd((P,))), False, (), None,
+                   lambda u: [(None, [(Iq(P, BlackRhd((I0,))), False),
+                                      (Iq(I0, u("rho", BOT)), True)])],
+                   ()),
+        "AdjPi-flip": ("AdjPi", "classical", "albae",
+                       lambda u: Iq(DefDia((P,)), M0), True, (), None,
+                       lambda u: [(None, [(Iq(P, BlackBox((M0,))), True)])],
+                       ()),
+        "AdjSigma-flip": ("AdjSigma", "classical", "albae",
+                          lambda u: Iq(I0, DefBox((P,))), True, (), None,
+                          lambda u: [(None, [(Iq(BlackDia((I0,)), P), True)])],
+                          ()),
+        "AdjLambda-flip": ("AdjLambda", "lr", "albae",
+                           lambda u: Iq(DefLhd((P,)), M0), True, (), None,
+                           lambda u: [(None, [(Iq(BlackLhd((M0,)), P), True)])],
+                           ()),
+        "AdjRho-flip": ("AdjRho", "lr", "albae",
+                        lambda u: Iq(I0, DefRhd((P,))), True, (), None,
+                        lambda u: [(None, [(Iq(P, BlackRhd((I0,))), True)])],
+                        ()),
+        "ApproxPi": ("ApproxPi", "classical", "albae",
+                     lambda u: Iq(I0, DotDia((P,))), False, (), None,
+                     lambda u: [("A", [(Iq(I0, u("pi", BOT)), True)]),
+                                ("B", [(Iq(I0, DefDia((J1,))), False),
+                                       (Iq(J1, P), False)])],
+                     ("#j1",)),
+        "ApproxSigma": ("ApproxSigma", "classical", "albae",
+                        lambda u: Iq(DotBox((P,)), M0), False, (), None,
+                        lambda u: [("A", [(Iq(u("sigma", TOP), M0), True)]),
+                                   ("B", [(Iq(DefBox((N1,)), M0), False),
+                                          (Iq(P, N1), False)])],
+                        ("@n1",)),
+        "ApproxLambda": ("ApproxLambda", "lr", "albae",
+                         lambda u: Iq(I0, DotLhd((P,))), False, (), None,
+                         lambda u: [("A", [(Iq(I0, u("lambda", TOP)), True)]),
+                                    ("B", [(Iq(I0, DefLhd((N1,))), False),
+                                           (Iq(P, N1), False)])],
+                         ("@n1",)),
+        "ApproxRho": ("ApproxRho", "lr", "albae",
+                      lambda u: Iq(DotRhd((P,)), M0), False, (), None,
+                      lambda u: [("A", [(Iq(u("rho", BOT), M0), True)]),
+                                 ("B", [(Iq(DefRhd((J1,)), M0), False),
+                                        (Iq(J1, P), False)])],
+                      ("#j1",)),
+        "RewritePi": ("RewritePi", "classical", "albae",
+                      lambda u: Iq(I0, DotDia((P,))), False, (1,), None,
+                      lambda u: [(None, [(Iq(I0, join(u("pi", BOT), DefDia((P,)))), False)])],
+                      ()),
+        "RewriteSigma": ("RewriteSigma", "classical", "albae",
+                         lambda u: Iq(DotBox((P,)), M0), False, (0,), None,
+                         lambda u: [(None, [(Iq(meet(u("sigma", TOP), DefBox((P,))), M0),
+                                             False)])],
+                         ()),
+        "RewriteLambda": ("RewriteLambda", "lr", "albae",
+                          lambda u: Iq(DotLhd((P,)), M0), False, (0,), None,
+                          lambda u: [(None, [(Iq(join(u("lambda", TOP), DefLhd((P,))), M0),
+                                              False)])],
+                          ()),
+        "RewriteRho": ("RewriteRho", "lr", "albae",
+                       lambda u: Iq(I0, DotRhd((P,))), False, (1,), None,
+                       lambda u: [(None, [(Iq(I0, meet(u("rho", BOT), DefRhd((P,)))), False)])],
+                       ()),
+        "AdjDotDia": ("AdjDotDia", "classical", "alba",
+                      lambda u: Iq(DotDia((P,)), M0), False, (), None,
+                      lambda u: [(None, [(Iq(P, DotDiaAdj((M0,))), False)])],
+                      ()),
+        "AdjDotBox": ("AdjDotBox", "classical", "alba",
+                      lambda u: Iq(I0, DotBox((P,))), False, (), None,
+                      lambda u: [(None, [(Iq(DotBoxAdj((I0,)), P), False)])],
+                      ()),
+        "AdjDotLhd": ("AdjDotLhd", "lr", "alba",
+                      lambda u: Iq(DotLhd((P,)), M0), False, (), None,
+                      lambda u: [(None, [(Iq(DotLhdAdj((M0,)), P), False)])],
+                      ()),
+        "AdjDotRhd": ("AdjDotRhd", "lr", "alba",
+                      lambda u: Iq(I0, DotRhd((P,))), False, (), None,
+                      lambda u: [(None, [(Iq(P, DotRhdAdj((I0,))), False)])],
+                      ()),
+        "ApproxDotDia": ("ApproxDotDia", "classical", "alba",
+                         lambda u: Iq(I0, DotDia((P,))), False, (), None,
+                         lambda u: [(None, [(Iq(I0, DotDia((J1,))), False),
+                                            (Iq(J1, P), False)])],
+                         ("#j1",)),
+        "ApproxDotBox": ("ApproxDotBox", "classical", "alba",
+                         lambda u: Iq(DotBox((P,)), M0), False, (), None,
+                         lambda u: [(None, [(Iq(DotBox((N1,)), M0), False),
+                                            (Iq(P, N1), False)])],
+                         ("@n1",)),
+        "ApproxDotLhd": ("ApproxDotLhd", "lr", "alba",
+                         lambda u: Iq(I0, DotLhd((P,))), False, (), None,
+                         lambda u: [(None, [(Iq(I0, DotLhd((N1,))), False),
+                                            (Iq(P, N1), False)])],
+                         ("@n1",)),
+        "ApproxDotRhd": ("ApproxDotRhd", "lr", "alba",
+                         lambda u: Iq(DotRhd((P,)), M0), False, (), None,
+                         lambda u: [(None, [(Iq(DotRhd((J1,)), M0), False),
+                                            (Iq(J1, P), False)])],
+                         ("#j1",)),
+    }
+
+
+PINNED_RULE_CASES = _pinned_rule_cases()
+DOTTED_DECLS = (
+    ConnectiveDecl("dia", "F", 1, OrderType(("1",))),
+    ConnectiveDecl("box", "G", 1, OrderType(("1",))),
+    ConnectiveDecl("lhd", "F", 1, OrderType(("d",))),
+    ConnectiveDecl("rhd", "G", 1, OrderType(("d",))),
+)
+
+
+@pytest.fixture(scope="module")
+def pinned_pools(classical_sig):
+    """Small lattices per (signature, mode): the registered terms satisfy
+    their axioms, and in plain mode all four dotted modalities have
+    random normal tables."""
+    sigs = {"classical": classical_sig, "lr": parse_signature(LR_SIG)}
+    rng = random.Random(11)
+    pools = {}
+    for name, sig in sigs.items():
+        role_pool, plain_pool = [], []
+        for _ in range(12):
+            dle = models.random_dle(rng, sig, max_points=2)
+            if models.role_axioms_hold(dle):
+                role_pool.append(dle)
+            plain = models.FiniteDLE(dle.poset, sig)
+            for decl in DOTTED_DECLS:
+                plain.add_op(decl.name, models.random_normal_table(rng, plain, decl))
+            plain_pool.append(plain)
+        if name == "classical":
+            for n in (1, 2):
+                for poset in models.enumerate_posets(n, up_to_iso=True):
+                    role_pool += [dle for _, dle in models.relational_lattices(sig, poset)
+                                  if models.role_axioms_hold(dle)]
+        pools[name] = (sig, role_pool, plain_pool)
+    return pools
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_RULE_CASES))
+def test_pinned_rule_outputs(case, pinned_pools):
+    rid, sig_name, mode, target, side, path, coord, expected, fresh = \
+        PINNED_RULE_CASES[case]
+    sig, role_pool, plain_pool = pinned_pools[sig_name]
+    u = sig.role_instance
+    goal = None if rid.startswith("Dist") else GOAL
+    d = derivation_at(sig, mode, mk_system([(target(u), side)], goal))
+    kids = apply_rule(d, RuleApplication(rid, ineq_index=0, path=path, coord=coord), 0)
+
+    got = [(d.node(k).rule.branch,
+            [(si.ineq, si.side) for si in d.node(k).system.ineqs]) for k in kids]
+    assert got == expected(u)
+    assert all(d.node(k).system.goal == goal for k in kids)
+    assert all(d.node(k).fresh == fresh for k in kids)
+    assert all(d.node(k).rule.rule_id == rid for k in kids)
+
+    # the step is sound on every pool lattice, read on the concrete image
+    parent = d.node_system_concrete(0)
+    children = [d.node_system_concrete(k) for k in kids]
+    pool = plain_pool if mode == "alba" else role_pool
+    assert pool
+    for dle in pool:
+        if goal is None:
+            whole = models.check_validity(parent.ineqs[0].ineq, dle)[0]
+            assert whole == all(models.check_validity(c.ineqs[0].ineq, dle)[0]
+                                for c in children)
+        else:
+            assert models.verify_rule_step(parent, children, dle)
+
+    # a role adjunction pairs its adjoint with the side condition the
+    # adequacy check looks for; without that condition the check fails
+    if rid.startswith("Adj") and mode == "albae" and not case.endswith("flip"):
+        (child,) = children
+        assert check_topological_adequacy(child, sig)
+        bare = System(tuple(si for si in child.ineqs if not si.side), child.goal)
+        assert not check_topological_adequacy(bare, sig)
+
+
+def test_adequacy_of_galois_adjoints():
+    sig = parse_signature(LR_SIG)
+    lam_top = sig.role_instance("lambda", TOP)
+    rho_bot = sig.role_instance("rho", BOT)
+    lhd_sys = mk_system([(Inequality(BlackLhd((M0,)), P), False),
+                         (Inequality(lam_top, M0), True)], GOAL)
+    rhd_sys = mk_system([(Inequality(P, BlackRhd((I0,))), False),
+                         (Inequality(I0, rho_bot), True)], GOAL)
+    assert check_topological_adequacy(lhd_sys, sig)
+    assert check_topological_adequacy(rhd_sys, sig)
+    # the side condition must mention the adjoint's own argument
+    assert not check_topological_adequacy(
+        mk_system([(Inequality(BlackLhd((N1,)), P), False),
+                   (Inequality(lam_top, M0), True)], GOAL), sig)
+    assert not check_topological_adequacy(
+        mk_system([(Inequality(P, BlackRhd((J1,))), False),
+                   (Inequality(I0, rho_bot), True)], GOAL), sig)
+    # and the role must be registered at all
+    classical = parse_signature("conn dia F 1 (1)\nconn box G 1 (1)")
+    assert not check_topological_adequacy(lhd_sys, classical)
+    assert not check_topological_adequacy(rhd_sys, classical)

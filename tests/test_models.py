@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -61,6 +62,25 @@ def test_relational_generators_always_normal(bare_sig):
         dle = FiniteDLE(poset, bare_sig)
         dle.add_op("dia", rel)  # validates on construction
         dle.add_op("box", rel)
+
+
+def test_random_dle_enumerates_each_poset_size_once(classical_sig, monkeypatch):
+    calls = []
+    real = models.enumerate_posets
+
+    def counting(n, up_to_iso=False):
+        calls.append(n)
+        return real(n, up_to_iso)
+
+    monkeypatch.setattr(models, "enumerate_posets", counting)
+    rng = random.Random(12)
+    draws = [random_dle(rng, classical_sig) for _ in range(50)]
+    assert {d.poset.n for d in draws} == {1, 2, 3, 4}
+    assert len(calls) == len(set(calls)) <= 4
+    # the draws are the ones the uncached enumeration gave
+    fingerprint = repr([(d.poset.up, sorted(d.ops.items())) for d in draws])
+    assert hashlib.sha256(fingerprint.encode()).hexdigest() == \
+        "37865c8d27b081513cfdf96d151dc4a5732c6a11012a6fc46fff7fcf703867ff"
 
 
 def test_random_normal_tables_validate(mixed_sig):
