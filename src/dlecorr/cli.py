@@ -42,7 +42,6 @@ class RunConfig:
     lattice_budget: int = 3
     output_path: str | None = None
     seed: int = 0
-    unsafe_budget: bool = False
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -58,11 +57,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strategy", default="auto",
                    help="'auto' or a rule-script file path")
     p.add_argument("--budget", type=int, default=3,
-                   help="poset size cap for lattice sweeps")
+                   help="poset size cap for lattice sweeps, 1 to 5")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", dest="output_path", default=None)
-    p.add_argument("--unsafe-budget", action="store_true",
-                   help="allow poset sizes above 5")
     return p
 
 
@@ -156,8 +153,8 @@ def _sweep_lattices(cfg: RunConfig, sig: Signature) -> list[models.FiniteDLE]:
     """Deterministic lattice sample: relational sweeps on small posets for
     unary type-(1) connectives, plus seeded random normal tables."""
     cap = cfg.lattice_budget
-    if cap > 5 and not cfg.unsafe_budget:
-        raise models.ModelError("budget above 5 requires --unsafe-budget")
+    if not 1 <= cap <= 5:
+        raise models.ModelError(f"--budget must be 1 to 5, got {cap}")
     out = [dle for _, dle in models.relational_sweep(sig, min(cap, 3))]
     rng = random.Random(cfg.seed)
     for _ in range(20):
@@ -180,16 +177,7 @@ def cmd_verify(cfg: RunConfig, ineq: Inequality, sig: Signature) -> int:
                      f"input={left} output={right}")
     steps_bad = 0
     steps_total = 0
-    for node in d.nodes:
-        if not node.children:
-            continue
-        children = [d.node_system_concrete(c) for c in node.children]
-        rule = d.node(node.children[0]).rule
-        if rule is None or d.node(node.children[0]).system.goal is None:
-            continue
-        parent_sys = d.node_system_concrete(node.id)
-        if parent_sys.goal is None:
-            continue
+    for rule, parent_sys, children in engine.rule_steps(d):
         for dle in lattices[:25]:
             if d.mode == "albae" and not models.role_axioms_hold(dle):
                 continue
@@ -229,8 +217,7 @@ def main(argv: list[str] | None = None) -> int:
     cfg = RunConfig(
         signature_path=args.signature_path, command=args.command,
         mode=args.mode, strategy=args.strategy, lattice_budget=args.budget,
-        output_path=args.output_path, seed=args.seed,
-        unsafe_budget=args.unsafe_budget)
+        output_path=args.output_path, seed=args.seed)
     try:
         sig = _load_signature(cfg)
         if cfg.command == "lemmas":

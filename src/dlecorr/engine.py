@@ -31,7 +31,7 @@ from . import classify
 from .language import (
     ANTI, BOT, MONO, ROLE_SPECS, SPEC_BY_NODE, TOP, App, Arrow, Coimp,
     Conominal, Inequality, Join, Meet, Nominal, Residual, RoleSpec, Signature,
-    Term, Var, big_join, big_meet, conominals_of, dotted_spec,
+    Term, Var, big_join, big_meet, bot_unit, conominals_of, dotted_spec,
     family_and_arity, free_vars, join, meet, nominals_of, replace_at,
     substitute, subterm_at, var_occurrences,
 )
@@ -173,8 +173,7 @@ class Derivation:
             DerivNode(0, None, None, System((SysIneq(internal_root or root),), None))
         ]
         self.status = RunStatus("running")
-        self._nom_counter = 0
-        self._conom_counter = 0
+        self._fresh_counts = {"j": 0, "n": 0}
         self.closed: set[int] = set()
 
     # -- bookkeeping ----------------------------------------------------
@@ -188,19 +187,15 @@ class Derivation:
     def open_leaves(self) -> list[int]:
         return [i for i in self.leaves() if i not in self.closed]
 
-    def fresh_nominal(self, system: System) -> Nominal:
+    def fresh_approximant(self, system: System, bot: bool) -> Nominal | Conominal:
+        """The next nominal j<k> (``bot``) or conominal n<k> that does not
+        occur in ``system``; the two kinds are numbered apart."""
+        prefix, cls = ("j", Nominal) if bot else ("n", Conominal)
         while True:
-            self._nom_counter += 1
-            name = f"j{self._nom_counter}"
+            self._fresh_counts[prefix] += 1
+            name = f"{prefix}{self._fresh_counts[prefix]}"
             if name not in system.symbols():
-                return Nominal(name)
-
-    def fresh_conominal(self, system: System) -> Conominal:
-        while True:
-            self._conom_counter += 1
-            name = f"n{self._conom_counter}"
-            if name not in system.symbols():
-                return Conominal(name)
+                return cls(name)
 
     def _add_child(self, parent: int, rule: RuleApplication, system: System,
                    principal: Inequality | None, fresh: tuple[str, ...],
@@ -286,7 +281,7 @@ def _adjunction_condition(sig: Signature, spec: RoleSpec, other: Term) -> Inequa
     return Inequality(const, other) if spec.family == "F" else Inequality(other, const)
 
 
-def _split(system: System, app: RuleApplication):
+def _split(d: Derivation, system: System, app: RuleApplication):
     idx, si = _target(system, app)
     a, b = si.ineq.lhs, si.ineq.rhs
     if isinstance(b, Meet):
@@ -300,39 +295,30 @@ def _split(system: System, app: RuleApplication):
     return [system.replace_index(idx, items)], si.ineq, ()
 
 
-def _resid_f(system: System, app: RuleApplication):
+def _connective(t: Term, family: str) -> App | None:
+    return t if isinstance(t, App) and t.decl.family == family else None
+
+
+def _residuation(d: Derivation, system: System, app: RuleApplication):
+    """Residuation of an F connective on the left (ResidF) or a G
+    connective on the right (ResidG) in one coordinate: the argument goes
+    below the residual exactly when the coordinate has bottom as unit."""
+    family = app.rule_id[-1]
     idx, si = _target(system, app)
     a, b = si.ineq.lhs, si.ineq.rhs
-    if not (isinstance(a, App) and a.decl.family == "F"):
-        raise RuleMatchError("ResidF needs an F-connective on the left")
-    if app.coord is None or not (1 <= app.coord <= a.decl.arity):
-        raise RuleMatchError("ResidF needs a coordinate")
+    occ, other = (a, b) if family == "F" else (b, a)
+    conn = _connective(occ, family)
+    if conn is None:
+        raise RuleMatchError(f"{app.rule_id} needs " + (
+            "an F-connective on the left" if family == "F"
+            else "a G-connective on the right"))
+    if app.coord is None or not (1 <= app.coord <= conn.decl.arity):
+        raise RuleMatchError(f"{app.rule_id} needs a coordinate")
     h = app.coord - 1
-    res_args = list(a.args)
-    res_args[h] = b
-    res = Residual(a.decl, app.coord, tuple(res_args))
-    if a.decl.order_type[h] == "1":
-        new = Inequality(a.args[h], res)
-    else:
-        new = Inequality(res, a.args[h])
-    return [system.replace_index(idx, [SysIneq(new, si.side)])], si.ineq, ()
-
-
-def _resid_g(system: System, app: RuleApplication):
-    idx, si = _target(system, app)
-    a, b = si.ineq.lhs, si.ineq.rhs
-    if not (isinstance(b, App) and b.decl.family == "G"):
-        raise RuleMatchError("ResidG needs a G-connective on the right")
-    if app.coord is None or not (1 <= app.coord <= b.decl.arity):
-        raise RuleMatchError("ResidG needs a coordinate")
-    k = app.coord - 1
-    res_args = list(b.args)
-    res_args[k] = a
-    res = Residual(b.decl, app.coord, tuple(res_args))
-    if b.decl.order_type[k] == "1":
-        new = Inequality(res, b.args[k])
-    else:
-        new = Inequality(b.args[k], res)
+    arg = conn.args[h]
+    res = Residual(conn.decl, app.coord, conn.args[:h] + (other,) + conn.args[h + 1:])
+    new = Inequality(arg, res) if bot_unit(family, conn.decl.tonicities()[h]) \
+        else Inequality(res, arg)
     return [system.replace_index(idx, [SysIneq(new, si.side)])], si.ineq, ()
 
 
@@ -389,113 +375,83 @@ def _approximation(d: Derivation, system: System, app: RuleApplication):
     if not plain:
         const = d.sig.role_instance(spec.role, spec.unit)
         out.append(system.replace_index(idx, [SysIneq(with_occ(const), side=True)]))
-    if spec.bot_unit:
-        atom: Term = d.fresh_nominal(system)
-        fresh, approx = "#" + atom.name, Inequality(atom, arg)
-    else:
-        atom = d.fresh_conominal(system)
-        fresh, approx = "@" + atom.name, Inequality(arg, atom)
+    atom, fresh, approx = _approximant(d, system, arg, spec.bot_unit)
     head = (spec.dot if plain else spec.defined)((atom,))
     main = system.replace_index(idx, [SysIneq(with_occ(head), si.side)])
     out.append(main.append([SysIneq(approx)]))
     return out, si.ineq, (fresh,)
 
 
-def _approx_f(d: Derivation, system: System, app: RuleApplication):
+def _approximant(d: Derivation, system: System, arg: Term,
+                 bot: bool) -> tuple[Term, str, Inequality]:
+    """A fresh nominal below ``arg`` (``bot``: the coordinate has bottom as
+    unit) or a fresh conominal above it, with its tagged name and that
+    inequality."""
+    atom = d.fresh_approximant(system, bot)
+    if bot:
+        return atom, "#" + atom.name, Inequality(atom, arg)
+    return atom, "@" + atom.name, Inequality(arg, atom)
+
+
+def _approx_connective(d: Derivation, system: System, app: RuleApplication):
+    """Approximation of an F connective against a nominal on the left
+    (ApproxF) or a G connective against a conominal on the right (ApproxG),
+    with one fresh approximant per coordinate, in coordinate order."""
+    family = app.rule_id[-1]
     idx, si = _target(system, app)
     a, b = si.ineq.lhs, si.ineq.rhs
-    if not (isinstance(a, Nominal) and isinstance(b, App) and b.decl.family == "F"):
-        raise RuleMatchError("ApproxF needs nominal <= f(...)")
-    if b.decl.arity == 0:
+    on_left = family == "G"
+    occ, other = (a, b) if on_left else (b, a)
+    conn = _connective(occ, family)
+    if conn is None or not isinstance(other, Conominal if on_left else Nominal):
+        raise RuleMatchError(f"{app.rule_id} needs " + (
+            "g(...) <= conominal" if on_left else "nominal <= f(...)"))
+    if conn.decl.arity == 0:
         raise RuleMatchError("approximation does not apply to 0-ary connectives")
     fresh: list[str] = []
     atoms: list[Term] = []
     comps: list[SysIneq] = []
     sys_now = system
-    for k in range(b.decl.arity):
-        if b.decl.order_type[k] == "1":
-            jk = d.fresh_nominal(sys_now)
-            fresh.append("#" + jk.name)
-            atoms.append(jk)
-            comps.append(SysIneq(Inequality(jk, b.args[k])))
-            sys_now = sys_now.append([comps[-1]])
-        else:
-            nk = d.fresh_conominal(sys_now)
-            fresh.append("@" + nk.name)
-            atoms.append(nk)
-            comps.append(SysIneq(Inequality(b.args[k], nk)))
-            sys_now = sys_now.append([comps[-1]])
-    head = SysIneq(Inequality(a, App(b.decl, tuple(atoms))), si.side)
-    sys2 = system.replace_index(idx, [head]).append(comps)
-    return [sys2], si.ineq, tuple(fresh)
-
-
-def _approx_g(d: Derivation, system: System, app: RuleApplication):
-    idx, si = _target(system, app)
-    a, b = si.ineq.lhs, si.ineq.rhs
-    if not (isinstance(b, Conominal) and isinstance(a, App) and a.decl.family == "G"):
-        raise RuleMatchError("ApproxG needs g(...) <= conominal")
-    if a.decl.arity == 0:
-        raise RuleMatchError("approximation does not apply to 0-ary connectives")
-    fresh: list[str] = []
-    atoms: list[Term] = []
-    comps: list[SysIneq] = []
-    sys_now = system
-    for k in range(a.decl.arity):
-        if a.decl.order_type[k] == "1":
-            nk = d.fresh_conominal(sys_now)
-            fresh.append("@" + nk.name)
-            atoms.append(nk)
-            comps.append(SysIneq(Inequality(a.args[k], nk)))
-        else:
-            jk = d.fresh_nominal(sys_now)
-            fresh.append("#" + jk.name)
-            atoms.append(jk)
-            comps.append(SysIneq(Inequality(jk, a.args[k])))
+    for arg, tone in zip(conn.args, conn.decl.tonicities()):
+        atom, name, approx = _approximant(d, sys_now, arg, bot_unit(family, tone))
+        fresh.append(name)
+        atoms.append(atom)
+        comps.append(SysIneq(approx))
         sys_now = sys_now.append([comps[-1]])
-    head = SysIneq(Inequality(App(a.decl, tuple(atoms)), b), si.side)
-    sys2 = system.replace_index(idx, [head]).append(comps)
+    head = App(conn.decl, tuple(atoms))
+    new = Inequality(head, b) if on_left else Inequality(a, head)
+    sys2 = system.replace_index(idx, [SysIneq(new, si.side)]).append(comps)
     return [sys2], si.ineq, tuple(fresh)
 
 
-def _ackermann(system: System, app: RuleApplication):
+def _ackermann(d: Derivation, system: System, app: RuleApplication):
     pivot = app.pivot
     if pivot is None:
         raise RuleMatchError("Ackermann rules need a pivot variable")
+    # the right rule collects premises alpha <= p, substitutes their join
+    # and needs p positive on the left of the rest, negative on the right;
+    # the left rule is its order dual
     right = app.rule_id == "AckermannRight"
-    premises: list[int] = []
-    others: list[int] = []
-    for i, si in enumerate(system.ineqs):
-        a, b = si.ineq.lhs, si.ineq.rhs
-        if right and b == Var(pivot) and pivot not in free_vars(a):
-            premises.append(i)
-        elif not right and a == Var(pivot) and pivot not in free_vars(b):
-            premises.append(i)
+    want_l, want_r = (classify.POSITIVE, classify.NEGATIVE) if right else \
+        (classify.NEGATIVE, classify.POSITIVE)
+    bounds: list[Term] = []
+    others: list[SysIneq] = []
+    for si in system.ineqs:
+        bound, end = (si.ineq.lhs, si.ineq.rhs) if right else (si.ineq.rhs, si.ineq.lhs)
+        if end == Var(pivot) and pivot not in free_vars(bound):
+            bounds.append(bound)
         else:
-            others.append(i)
-    for i in others:
-        si = system.ineqs[i]
-        pol_l = classify.polarity(si.ineq.lhs, pivot)
-        pol_r = classify.polarity(si.ineq.rhs, pivot)
-        if right:
-            ok = pol_l in (classify.POSITIVE, classify.ABSENT) and \
-                pol_r in (classify.NEGATIVE, classify.ABSENT)
-        else:
-            ok = pol_l in (classify.NEGATIVE, classify.ABSENT) and \
-                pol_r in (classify.POSITIVE, classify.ABSENT)
-        if not ok:
+            others.append(si)
+    for si in others:
+        if classify.polarity(si.ineq.lhs, pivot) not in (want_l, classify.ABSENT) or \
+                classify.polarity(si.ineq.rhs, pivot) not in (want_r, classify.ABSENT):
             raise AckermannShapeError(
                 f"pivot {pivot} occurs with the wrong polarity in "
                 f"{print_inequality(si.ineq)}")
-    if right:
-        alpha = big_join([system.ineqs[i].ineq.lhs for i in premises])
-    else:
-        alpha = big_meet([system.ineqs[i].ineq.rhs for i in premises])
-    mapping = {pivot: alpha}
+    mapping = {pivot: (big_join if right else big_meet)(bounds)}
     out: list[SysIneq] = []
     seen: set[Inequality] = set()
-    for i in others:
-        si = system.ineqs[i]
+    for si in others:
         new = Inequality(substitute(si.ineq.lhs, mapping),
                          substitute(si.ineq.rhs, mapping))
         if new not in seen:
@@ -532,30 +488,26 @@ _ROLE_RULES = {
     for kind, plain in (("Dist", False), ("Adj", False), ("Approx", False),
                         ("Rewrite", False), ("Adj", True), ("Approx", True))
 }
-_DIST_RULES = {"DistributePre"} | {
-    rid for rid, (kind, _, _) in _ROLE_RULES.items() if kind == "Dist"}
-_PREPROCESS_RULES = _DIST_RULES | {"Split", "MonotoneElim"}
 
 
 # ----------------------------------------------------------------------
 # preprocessing (applies to proto nodes: goal is None, single inequality)
 
+# In a distributive lattice a meet preserves joins and a join preserves
+# meets, coordinatewise: they distribute like an F and a G connective of
+# order type (1,1).
+_LATTICE_FAMILY = {Meet: "F", Join: "G"}
+
+
 def _pushable(parent: Term, parent_sign: int, tone: int, over_join: bool) -> bool:
     """Whether ``parent`` distributes over its join (``over_join``) or meet
-    child; connectives and dotted markers by family and coordinate
-    tonicity, lattice nodes by their sign."""
+    child in a coordinate of tonicity ``tone``: F nodes (dotted markers
+    and meets included) in positive position, G nodes in negative
+    position, over joins exactly in bottom-unit coordinates."""
     shape = family_and_arity(parent)
-    if shape is None:
-        return (type(parent), parent_sign) in (
-            {(Meet, MONO)} if over_join else {(Join, ANTI)})
-    family, arity = shape
-    if arity == 0:
-        return False
-    if over_join:
-        return (family == "F" and parent_sign == MONO and tone == MONO) or \
-               (family == "G" and parent_sign == ANTI and tone == ANTI)
-    return (family == "G" and parent_sign == ANTI and tone == MONO) or \
-           (family == "F" and parent_sign == MONO and tone == ANTI)
+    family = shape[0] if shape else _LATTICE_FAMILY.get(type(parent))
+    return family is not None and (family == "F") == (parent_sign == MONO) \
+        and bot_unit(family, tone) == over_join
 
 
 def _pia_only(t: Term, sign: int) -> bool:
@@ -569,12 +521,10 @@ def _pia_only(t: Term, sign: int) -> bool:
 
 
 def _has_critical_leaf(t: Term, sign: int, eps_map: dict[str, str] | None) -> bool:
-    if eps_map is None:
-        return True  # exhaustive mode distributes unconditionally
-    for name, s, _ in var_occurrences(t, sign):
-        if name in eps_map and (s == MONO) == (eps_map[name] == "1"):
-            return True
-    return False
+    # exhaustive mode (no eps_map) distributes unconditionally
+    return eps_map is None or any(
+        name in eps_map and classify._is_critical(s, eps_map[name])
+        for name, s, _ in var_occurrences(t, sign))
 
 
 def _find_distribution(t: Term, sign: int, eps_map, below_pia: bool,
@@ -633,47 +583,48 @@ def find_preprocess_step(ineq: Inequality, eps_map: dict[str, str] | None,
     return None
 
 
-def _preprocess_rule(d: Derivation, system: System, app: RuleApplication):
-    if system.goal is not None:
-        raise RuleMatchError(f"{app.rule_id} applies before first approximation")
+def _distribute(d: Derivation, system: System, app: RuleApplication):
     idx, si = _target(system, app)
     ineq = si.ineq
-    if app.rule_id in _DIST_RULES:
-        side_idx, pos = app.path[0], app.path[1:]
-        term = ineq.lhs if side_idx == 0 else ineq.rhs
-        parent = subterm_at(term, pos)
-        if app.coord is None or not (1 <= app.coord <= len(parent.args)):
-            raise RuleMatchError("distribution needs a coordinate")
-        k = app.coord - 1
-        child = parent.args[k]
-        sign = (MONO if side_idx == 0 else ANTI) * _sign_at(term, pos)
-        child_sign = sign * parent.tonicities()[k]
-        over_join = isinstance(child, Join) and child_sign == MONO
-        over_meet = isinstance(child, Meet) and child_sign == ANTI
-        if not (over_join or over_meet) or not _pushable(
-                parent, sign, parent.tonicities()[k], over_join):
-            raise RuleMatchError("distribution does not match at this position")
-        new_term = _apply_distribution_signed(term, MONO if side_idx == 0 else ANTI, pos, k)
-        new = Inequality(new_term, ineq.rhs) if side_idx == 0 else \
-            Inequality(ineq.lhs, new_term)
-        return [system.replace_index(idx, [SysIneq(new, si.side)])], ineq, ()
-    if app.rule_id == "Split":
-        a, b = ineq.lhs, ineq.rhs
-        if isinstance(a, Join):
-            parts = [Inequality(a.args[0], b), Inequality(a.args[1], b)]
-        elif isinstance(b, Meet):
-            parts = [Inequality(a, b.args[0]), Inequality(a, b.args[1])]
-        else:
-            raise RuleMatchError("preprocessing Split does not match")
-        return [System((SysIneq(p),), None) for p in parts], ineq, ()
-    if app.rule_id == "MonotoneElim":
-        if app.pivot is None:
-            raise RuleMatchError("MonotoneElim needs a variable")
-        value = BOT if app.coord == 0 else TOP
-        new = Inequality(substitute(ineq.lhs, {app.pivot: value}),
-                         substitute(ineq.rhs, {app.pivot: value}))
-        return [system.replace_index(idx, [SysIneq(new, si.side)])], ineq, ()
-    raise RuleMatchError(app.rule_id)
+    side_idx, pos = app.path[0], app.path[1:]
+    term = ineq.lhs if side_idx == 0 else ineq.rhs
+    parent = subterm_at(term, pos)
+    if app.coord is None or not (1 <= app.coord <= len(parent.args)):
+        raise RuleMatchError("distribution needs a coordinate")
+    k = app.coord - 1
+    child = parent.args[k]
+    sign = (MONO if side_idx == 0 else ANTI) * _sign_at(term, pos)
+    child_sign = sign * parent.tonicities()[k]
+    over_join = isinstance(child, Join) and child_sign == MONO
+    over_meet = isinstance(child, Meet) and child_sign == ANTI
+    if not (over_join or over_meet) or not _pushable(
+            parent, sign, parent.tonicities()[k], over_join):
+        raise RuleMatchError("distribution does not match at this position")
+    new_term = _apply_distribution_signed(term, MONO if side_idx == 0 else ANTI, pos, k)
+    new = Inequality(new_term, ineq.rhs) if side_idx == 0 else \
+        Inequality(ineq.lhs, new_term)
+    return [system.replace_index(idx, [SysIneq(new, si.side)])], ineq, ()
+
+
+def _split_piece(d: Derivation, system: System, app: RuleApplication):
+    _, si = _target(system, app)
+    a, b = si.ineq.lhs, si.ineq.rhs
+    if isinstance(a, Join):
+        parts = [Inequality(a.args[0], b), Inequality(a.args[1], b)]
+    elif isinstance(b, Meet):
+        parts = [Inequality(a, b.args[0]), Inequality(a, b.args[1])]
+    else:
+        raise RuleMatchError("preprocessing Split does not match")
+    return [System((SysIneq(p),), None) for p in parts], si.ineq, ()
+
+
+def _monotone_elim(d: Derivation, system: System, app: RuleApplication):
+    idx, si = _target(system, app)
+    if app.pivot is None:
+        raise RuleMatchError("MonotoneElim needs a variable")
+    value = {app.pivot: BOT if app.coord == 0 else TOP}
+    new = Inequality(substitute(si.ineq.lhs, value), substitute(si.ineq.rhs, value))
+    return [system.replace_index(idx, [SysIneq(new, si.side)])], si.ineq, ()
 
 
 def _apply_distribution_signed(term: Term, root_sign: int, pos: tuple[int, ...], k: int) -> Term:
@@ -691,7 +642,7 @@ def _apply_distribution_signed(term: Term, root_sign: int, pos: tuple[int, ...],
     return replace_at(term, pos, combined)
 
 
-def _first_approx(system: System, app: RuleApplication):
+def _first_approx(d: Derivation, system: System, app: RuleApplication):
     if system.goal is not None or len(system.ineqs) != 1:
         raise RuleMatchError("FirstApprox applies to a single preprocessed inequality")
     ineq = system.ineqs[0].ineq
@@ -709,6 +660,22 @@ def _first_approx(system: System, app: RuleApplication):
 # ----------------------------------------------------------------------
 # dispatcher
 
+# Stage-one rules rewrite a bare inequality, a system with no goal yet.
+_STAGE_ONE_RULES = {
+    "DistributePre": _distribute, "Split": _split_piece, "MonotoneElim": _monotone_elim,
+    **{rid: _distribute for rid, (kind, _, _) in _ROLE_RULES.items() if kind == "Dist"},
+}
+# Every other rule id.  Split here splits one entry of a system.
+_RULES = {
+    "FirstApprox": _first_approx, "Split": _split,
+    "ResidF": _residuation, "ResidG": _residuation,
+    "ApproxF": _approx_connective, "ApproxG": _approx_connective,
+    "AckermannRight": _ackermann, "AckermannLeft": _ackermann,
+    **{rid: {"Adj": _adjunction, "Approx": _approximation, "Rewrite": _rewrite_role}[kind]
+       for rid, (kind, _, _) in _ROLE_RULES.items() if kind != "Dist"},
+}
+
+
 def apply_rule(d: Derivation, app: RuleApplication,
                node_id: int | None = None) -> list[int]:
     """Apply ``app`` at a leaf (default: leftmost open leaf); returns the
@@ -724,31 +691,10 @@ def apply_rule(d: Derivation, app: RuleApplication,
     system = node.system
 
     rid = app.rule_id
-    kind = _ROLE_RULES[rid][0] if rid in _ROLE_RULES else None
-    if rid in _PREPROCESS_RULES and system.goal is None:
-        results, principal, fresh = _preprocess_rule(d, system, app)
-    elif rid == "FirstApprox":
-        results, principal, fresh = _first_approx(system, app)
-    elif rid == "Split":
-        results, principal, fresh = _split(system, app)
-    elif rid == "ResidF":
-        results, principal, fresh = _resid_f(system, app)
-    elif rid == "ResidG":
-        results, principal, fresh = _resid_g(system, app)
-    elif kind == "Adj":
-        results, principal, fresh = _adjunction(d, system, app)
-    elif kind == "Approx":
-        results, principal, fresh = _approximation(d, system, app)
-    elif kind == "Rewrite":
-        results, principal, fresh = _rewrite_role(d, system, app)
-    elif rid == "ApproxF":
-        results, principal, fresh = _approx_f(d, system, app)
-    elif rid == "ApproxG":
-        results, principal, fresh = _approx_g(d, system, app)
-    elif rid in ACKERMANN_RULE_IDS:
-        results, principal, fresh = _ackermann(system, app)
-    else:
+    rule = (_STAGE_ONE_RULES.get(rid) if system.goal is None else None) or _RULES.get(rid)
+    if rule is None:
         raise RuleMatchError(f"unknown rule {rid!r}")
+    results, principal, fresh = rule(d, system, app)
 
     for name in fresh:
         bare = name.lstrip("#@")
@@ -760,10 +706,8 @@ def apply_rule(d: Derivation, app: RuleApplication,
         target_side = system.ineqs[app.ineq_index].side
 
     out = []
-    branch_tags = ("A", "B") if len(results) == 2 and kind == "Approx" else \
-        ("A", "B") if len(results) == 2 and rid == "Split" and system.goal is None else \
-        (None,) * len(results)
-    for tag, sys2 in zip(branch_tags, results):
+    # the branching rules are role approximation and stage-one Split
+    for tag, sys2 in zip(("A", "B") if len(results) > 1 else (None,), results):
         child_app = replace(app, branch=tag) if tag else app
         out.append(d._add_child(node_id, child_app, sys2, principal, fresh, target_side))
     return out
@@ -798,12 +742,10 @@ def _display_step(system: System, pivot: str, eps_entry: str,
     for idx, si in enumerate(system.ineqs):
         ineq = si.ineq
         a, b = ineq.lhs, ineq.rhs
-        if eps_entry == "1" and b == Var(pivot):
-            if pivot in free_vars(a):
-                return _Stuck(f"pivot {pivot} occurs inside its own premise", ineq)
-            continue  # displayed
-        if eps_entry == "d" and a == Var(pivot):
-            if pivot in free_vars(b):
+        # displayed premises: alpha <= p for eps=1, p <= alpha for eps=d
+        bound, end = (a, b) if eps_entry == "1" else (b, a)
+        if end == Var(pivot):
+            if pivot in free_vars(bound):
                 return _Stuck(f"pivot {pivot} occurs inside its own premise", ineq)
             continue
         occ_side: int | None = None
@@ -967,21 +909,27 @@ def _attempt(input_ineq: Inequality, internal: Inequality,
     return d
 
 
-def _count_prep_steps(ineq: Inequality, eps_map: dict[str, str],
-                      role_mode: bool) -> int:
+def _stage_one(ineq: Inequality, eps_map: dict[str, str] | None,
+               role_mode: bool, max_steps: int) -> tuple[list[Inequality] | None, int]:
+    """Stage-one rewriting of a bare inequality, depth first: the pieces,
+    first piece first, and the number of rewrites.  The pieces are None
+    when more than ``max_steps`` rewrites would be needed."""
     work = [ineq]
+    pieces: list[Inequality] = []
     steps = 0
-    while work and steps < 200:
+    while work:
         cur = work.pop()
         step = find_preprocess_step(cur, eps_map, role_mode)
         if step is None:
+            pieces.append(cur)
             continue
+        if steps == max_steps:
+            return None, steps
         steps += 1
-        systems, _, _ = _preprocess_rule(
+        systems, _, _ = _STAGE_ONE_RULES[step.rule_id](
             None, System((SysIneq(cur),), None), step)  # type: ignore[arg-type]
-        for s in systems:
-            work.append(s.ineqs[0].ineq)
-    return steps
+        work += reversed([s.ineqs[0].ineq for s in systems])
+    return pieces, steps
 
 
 def run_alba(ineq: Inequality, sig: Signature, mode: str = "alba",
@@ -1016,7 +964,8 @@ def run_alba(ineq: Inequality, sig: Signature, mode: str = "alba",
     scored: list[tuple[int, int, Inequality, classify.InductiveWitness]] = []
     for i, (internal, w) in enumerate(cands):
         eps_map = dict(zip(w.variables, w.epsilon.entries))
-        scored.append((_count_prep_steps(internal, eps_map, role_mode), i, internal, w))
+        steps = _stage_one(internal, eps_map, role_mode, 200)[1]
+        scored.append((steps, i, internal, w))
     scored.sort(key=lambda item: (item[0], item[1]))
 
     first_failure: Derivation | None = None
@@ -1067,11 +1016,10 @@ _CLOSED_NEGATIVE = (Conominal, Arrow) + tuple(
 
 
 def _residual_group(t: Residual) -> int:
-    """+1 for the closed-positive group, -1 for the closed-negative."""
-    entry = t.decl.order_type[t.coord - 1]
-    if t.decl.family == "F":
-        return 1 if entry == "d" else -1
-    return 1 if entry == "1" else -1
+    """+1 for the closed-positive group, -1 for the closed-negative: as for
+    the role adjoints, the residuals of bottom-unit coordinates are
+    closed-negative."""
+    return -1 if bot_unit(t.decl.family, t.decl.tonicities()[t.coord - 1]) else 1
 
 
 def _audit(t: Term, sign: int, closed: bool) -> bool:
@@ -1133,32 +1081,34 @@ def check_compact_appropriate(system: System) -> bool:
 def preprocess(ineq: Inequality, sig: Signature | None = None) -> list[Inequality]:
     """Exhaustive stage-one rewriting: distribution, splitting, monotone
     variable elimination.  Role-term structure is not consulted."""
-    work = [ineq]
-    out: list[Inequality] = []
-    guard = 0
-    while work:
-        guard += 1
-        if guard > 10_000:
-            raise EngineError("preprocessing did not terminate")
-        cur = work.pop(0)
-        step = find_preprocess_step(cur, None, False)
-        if step is None:
-            out.append(cur)
-            continue
-        systems, _, _ = _preprocess_rule(
-            None, System((SysIneq(cur),), None), step)  # type: ignore[arg-type]
-        work = [s.ineqs[0].ineq for s in systems] + work
-    return out
+    pieces, _ = _stage_one(ineq, None, False, 10_000)
+    if pieces is None:
+        raise EngineError("preprocessing did not terminate")
+    return pieces
 
 
 def first_approximation(ineq: Inequality) -> System:
-    systems, _, _ = _first_approx(System((SysIneq(ineq),), None),
+    systems, _, _ = _first_approx(None, System((SysIneq(ineq),), None),  # type: ignore[arg-type]
                                   RuleApplication("FirstApprox"))
     return systems[0]
 
 
 # ----------------------------------------------------------------------
-# trace export and scripts
+# rule steps, trace export and scripts
+
+def rule_steps(d: Derivation):
+    """(rule, parent, children) for every rule application whose parent
+    and children all have goals, in node order, as concrete systems: the
+    steps whose soundness ``models.verify_rule_step`` decides."""
+    for node in d.nodes:
+        if not node.children:
+            continue
+        parent = d.node_system_concrete(node.id)
+        children = [d.node_system_concrete(c) for c in node.children]
+        if parent.goal is None or any(c.goal is None for c in children):
+            continue
+        yield d.node(node.children[0]).rule, parent, children
+
 
 def trace_lines(d: Derivation) -> list[str]:
     lines = []

@@ -292,6 +292,21 @@ BlackLhd = _unary("BlackLhd", ANTI, Layer.DLEPP)
 BlackRhd = _unary("BlackRhd", ANTI, Layer.DLEPP)
 
 
+def bot_unit(family: str, tone: int) -> bool:
+    """Whether a coordinate of tonicity ``tone`` of an operation of
+    ``family`` has bottom as its unit: a monotone coordinate of an F
+    operation (bottom goes to bottom) or an antitone one of a G operation
+    (bottom goes to top).  Exactly these coordinates take joins in, which
+    the operation turns into joins (F) or meets (G).
+
+    Every order dual reads this one condition: the argument sits below its
+    residual or adjoint, the approximant is a nominal below the argument,
+    the coordinate distributes over joins, and normal tables are read off
+    join-irreducibles exactly on bottom-unit coordinates.
+    """
+    return (family == "F") == (tone == MONO)
+
+
 @dataclass(frozen=True)
 class RoleSpec:
     """One role: its dotted marker, the marker's adjoint, the defined
@@ -321,7 +336,7 @@ class RoleSpec:
         the adjunction rule, places the adjoint on the right of that
         inequality, and makes the fresh approximant a nominal.
         """
-        return (self.family == "F") == (self.tone == MONO)
+        return bot_unit(self.family, self.tone)
 
     @property
     def unit(self) -> Term:

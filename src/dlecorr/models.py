@@ -32,8 +32,8 @@ from itertools import permutations, product
 from .language import (
     MONO, ROLE_SPECS, SPEC_BY_NODE, SPEC_BY_ROLE, App, Arrow, Bot, Coimp,
     ConnectiveDecl, Conominal, Inequality, Join, Meet, Nominal, OrderType,
-    Residual, RoleSpec, Signature, Term, Top, Var, conominals_of, free_vars,
-    nominals_of,
+    Residual, RoleSpec, Signature, Term, Top, Var, bot_unit, conominals_of,
+    free_vars, nominals_of,
 )
 from .engine import System
 from .printing import print_inequality
@@ -192,14 +192,11 @@ class Valuation:
     conom_map: dict[str, int] = field(default_factory=dict)
 
     def describe(self, dle: "FiniteDLE") -> str:
-        parts = []
-        for name, idx in sorted(self.var_map.items()):
-            parts.append(f"{name}={dle.element_points(idx)}")
-        for name, idx in sorted(self.nom_map.items()):
-            parts.append(f"#{name}={dle.element_points(idx)}")
-        for name, idx in sorted(self.conom_map.items()):
-            parts.append(f"@{name}={dle.element_points(idx)}")
-        return " ".join(parts)
+        return " ".join(
+            f"{tag}{name}={dle.element_points(idx)}"
+            for tag, names in (("", self.var_map), ("#", self.nom_map),
+                               ("@", self.conom_map))
+            for name, idx in sorted(names.items()))
 
 
 class FiniteDLE:
@@ -233,8 +230,8 @@ class FiniteDLE:
         # denseness at finite scale: every element is the join of the
         # irreducibles below it and the meet of those above it
         for u in range(self.n_elem):
-            assert self.join_all(j for j in self.jirr if self.leq_table[j][u]) == u
-            assert self.meet_all(m for m in self.mirr if self.leq_table[u][m]) == u
+            assert self.join_all(self.approximants(u, True)) == u
+            assert self.meet_all(self.approximants(u, False)) == u
         self.ops: dict[str, object] = {}
         self._cache: dict = {}
         for name, spec in sorted((ops or {}).items()):
@@ -263,6 +260,13 @@ class FiniteDLE:
             out = self.meet_table[out][x]
         return out
 
+    def approximants(self, u: int, bot: bool) -> list[int]:
+        """The join-irreducibles below ``u`` (``bot``) or the
+        meet-irreducibles above it, in point order."""
+        if bot:
+            return [j for j in self.jirr if self.leq_table[j][u]]
+        return [m for m in self.mirr if self.leq_table[u][m]]
+
     def element_points(self, idx: int) -> str:
         mask = self.elements[idx]
         return "{" + ",".join(str(i) for i in range(self.poset.n)
@@ -286,12 +290,8 @@ class FiniteDLE:
             if decl.arity != 1 or decl.order_type[0] != "1":
                 raise ModelError(
                     f"relational generator only fits unary (1) connectives, not {name}")
-            if decl.family == "F":
-                table = [self.index[diamond_of(self.poset, spec, self.elements[a])]
-                         for a in range(self.n_elem)]
-            else:
-                table = [self.index[box_of(self.poset, spec, self.elements[a])]
-                         for a in range(self.n_elem)]
+            gen = diamond_of if decl.family == "F" else box_of
+            table = [self.index[gen(self.poset, spec, m)] for m in self.elements]
         else:
             table = spec
         self.ops[name] = table
@@ -310,44 +310,36 @@ class FiniteDLE:
         return table
 
     def _validate_normality(self, decl, table) -> None:
+        """Each coordinate sends its unit to the operation's bound (bottom
+        for F, top for G) and turns binary joins (bottom-unit coordinates)
+        or meets into joins (F) or meets (G) of values."""
         arity = decl.arity
         if arity == 0:
             if not isinstance(table, int):
                 raise ModelError(f"nullary {decl.name} needs a bare element index")
             return
+        if decl.family == "F":
+            bound, bound_name, outer = self.bot, "bottom", self.join_table
+        else:
+            bound, bound_name, outer = self.top, "top", self.meet_table
         idx_ranges = [range(self.n_elem)] * (arity - 1)
-        for coord in range(arity):
-            eps = decl.order_type[coord]
+        for coord, tone in enumerate(decl.tonicities()):
+            if bot_unit(decl.family, tone):
+                unit, inner = self.bot, self.join_table
+            else:
+                unit, inner = self.top, self.meet_table
             for rest in product(*idx_ranges):
                 def val(x: int) -> int:
                     args = list(rest[:coord]) + [x] + list(rest[coord:])
                     return self.op_value(decl.name, tuple(args))
 
-                if decl.family == "F":
-                    unit = self.bot if eps == "1" else self.top
-                    if val(unit) != self.bot:
-                        raise NormalityError(
-                            f"{decl.name} coordinate {coord + 1}: unit not "
-                            f"sent to bottom (args {rest})")
-                else:
-                    unit = self.top if eps == "1" else self.bot
-                    if val(unit) != self.top:
-                        raise NormalityError(
-                            f"{decl.name} coordinate {coord + 1}: unit not "
-                            f"sent to top (args {rest})")
-                if decl.family == "F":
-                    inner_is_join = eps == "1"
-                else:
-                    inner_is_join = eps == "d"
+                if val(unit) != bound:
+                    raise NormalityError(
+                        f"{decl.name} coordinate {coord + 1}: unit not "
+                        f"sent to {bound_name} (args {rest})")
                 for a in range(self.n_elem):
                     for b in range(a + 1, self.n_elem):
-                        inner = self.join(a, b) if inner_is_join else self.meet(a, b)
-                        lhs = val(inner)
-                        if decl.family == "F":
-                            rhs = self.join(val(a), val(b))
-                        else:
-                            rhs = self.meet(val(a), val(b))
-                        if lhs != rhs:
+                        if val(inner[a][b]) != outer[val(a)][val(b)]:
                             raise NormalityError(
                                 f"{decl.name} coordinate {coord + 1} fails "
                                 f"normality at elements "
@@ -384,10 +376,7 @@ class FiniteDLE:
         def build():
             f = self.role_table(role)
             gather = self.join_all if spec.family == "F" else self.meet_all
-            if spec.bot_unit:
-                return [gather(f[j] for j in self.jirr if self.leq(j, u))
-                        for u in range(self.n_elem)]
-            return [gather(f[m] for m in self.mirr if self.leq(u, m))
+            return [gather(f[x] for x in self.approximants(u, spec.bot_unit))
                     for u in range(self.n_elem)]
 
         return self._cached(("def", role), build)
@@ -415,37 +404,26 @@ class FiniteDLE:
         return [gather(w for w in r if leq[u][t[w]]) for u in r]
 
     def residual_table(self, decl, coord: int):
+        """The residual in ``coord``: the join (bottom-unit coordinates) or
+        meet of the arguments whose value lies below (F) or above (G) the
+        residuated argument."""
         def build():
             if decl.arity > 3:
                 raise ModelError("residual tables support arity <= 3")
-            eps = decl.order_type[coord - 1]
-            shape = [self.n_elem] * decl.arity
+            h = coord - 1
+            leq, r = self.leq_table, range(self.n_elem)
+            gather = self.join_all if bot_unit(decl.family, decl.tonicities()[h]) \
+                else self.meet_all
 
             def residual_value(args: tuple[int, ...]) -> int:
-                chi = args[coord - 1]
-                candidates = []
-                for w in range(self.n_elem):
-                    inner = list(args)
-                    inner[coord - 1] = w
-                    v = self.op_value(decl.name, tuple(inner))
-                    if decl.family == "F":
-                        ok = self.leq(v, chi)
-                    else:
-                        ok = self.leq(chi, v)
-                    if ok:
-                        candidates.append(w)
+                chi = args[h]
+                values = [self.op_value(decl.name, args[:h] + (w,) + args[h + 1:])
+                          for w in r]
                 if decl.family == "F":
-                    return self.join_all(candidates) if eps == "1" else \
-                        self.meet_all(candidates)
-                return self.meet_all(candidates) if eps == "1" else \
-                    self.join_all(candidates)
+                    return gather(w for w in r if leq[values[w]][chi])
+                return gather(w for w in r if leq[chi][values[w]])
 
-            def nest(prefix: tuple[int, ...], depth: int):
-                if depth == decl.arity:
-                    return residual_value(prefix)
-                return [nest(prefix + (x,), depth + 1) for x in range(shape[depth])]
-
-            return nest((), 0)
+            return _tabulate(self.n_elem, decl.arity, residual_value)
 
         return self._cached(("res", decl.name, coord), build)
 
@@ -471,94 +449,69 @@ class FiniteDLE:
 # ----------------------------------------------------------------------
 # term compilation and evaluation
 
-def _compile(t: Term, dle: FiniteDLE, pos: dict[tuple[str, str], int]):
-    if isinstance(t, Var):
-        i = pos[("var", t.name)]
-        return lambda env: env[i]
-    if isinstance(t, Nominal):
-        i = pos[("nom", t.name)]
-        return lambda env: env[i]
-    if isinstance(t, Conominal):
-        i = pos[("conom", t.name)]
-        return lambda env: env[i]
-    if isinstance(t, Top):
-        c = dle.top
-        return lambda env: c
-    if isinstance(t, Bot):
-        c = dle.bot
-        return lambda env: c
-    if isinstance(t, Meet):
-        f, g = (_compile(a, dle, pos) for a in t.args)
-        table = dle.meet_table
-        return lambda env: table[f(env)][g(env)]
-    if isinstance(t, Join):
-        f, g = (_compile(a, dle, pos) for a in t.args)
-        table = dle.join_table
-        return lambda env: table[f(env)][g(env)]
-    if isinstance(t, Arrow):
-        f, g = (_compile(a, dle, pos) for a in t.args)
-        table = dle.arrow_table()
-        return lambda env: table[f(env)][g(env)]
-    if isinstance(t, Coimp):
-        f, g = (_compile(a, dle, pos) for a in t.args)
-        table = dle.coimp_table()
-        return lambda env: table[f(env)][g(env)]
-    if isinstance(t, App):
+_LEAF_KINDS = {Var: "var", Nominal: "nom", Conominal: "conom"}
+
+
+def _head_table(t: Term, dle: FiniteDLE):
+    """The table of ``t``'s head on ``dle``: nested lists indexed by the
+    arguments, a bare element for constants."""
+    cls = type(t)
+    if cls is Top:
+        return dle.top
+    if cls is Bot:
+        return dle.bot
+    if cls is Meet:
+        return dle.meet_table
+    if cls is Join:
+        return dle.join_table
+    if cls is Arrow:
+        return dle.arrow_table()
+    if cls is Coimp:
+        return dle.coimp_table()
+    if cls is App:
         if t.decl.name not in dle.ops:
             raise ModelError(f"no table for connective {t.decl.name!r}")
-        table = dle.ops[t.decl.name]
-        if t.decl.arity == 0:
-            c = table
-            return lambda env: c
-        subs = [_compile(a, dle, pos) for a in t.args]
-        if t.decl.arity == 1:
-            f = subs[0]
-            return lambda env: table[f(env)]
-        if t.decl.arity == 2:
-            f, g = subs
-            return lambda env: table[f(env)][g(env)]
-
-        def apply_n(env, table=table, subs=subs):
-            cur = table
-            for s in subs:
-                cur = cur[s(env)]
-            return cur
-
-        return apply_n
-    if isinstance(t, Residual):
-        table = dle.residual_table(t.decl, t.coord)
-        subs = [_compile(a, dle, pos) for a in t.args]
-        if t.decl.arity == 1:
-            f = subs[0]
-            return lambda env: table[f(env)]
-        if t.decl.arity == 2:
-            f, g = subs
-            return lambda env: table[f(env)][g(env)]
-
-        def apply_res(env, table=table, subs=subs):
-            cur = table
-            for s in subs:
-                cur = cur[s(env)]
-            return cur
-
-        return apply_res
-    cls = type(t)
+        return dle.ops[t.decl.name]
+    if cls is Residual:
+        return dle.residual_table(t.decl, t.coord)
     spec = SPEC_BY_NODE.get(cls)
-    if spec is not None:
-        if cls is spec.dot:
-            table = dle.ops.get(spec.dotted)
-            if table is None:
-                raise ModelError(
-                    f"dotted connective has no table on this lattice ({cls.__name__})")
-        elif cls is spec.dot_adj:
-            table = dle.dot_adj_table(spec.dotted + "_adj")
-        elif cls is spec.defined:
-            table = dle.def_table(spec.role)
-        else:
-            table = dle.black_table(spec.role)
-        f = _compile(t.args[0], dle, pos)
+    if spec is None:
+        raise ModelError(f"cannot evaluate {cls.__name__}")
+    if cls is spec.dot:
+        if spec.dotted not in dle.ops:
+            raise ModelError(
+                f"dotted connective has no table on this lattice ({cls.__name__})")
+        return dle.ops[spec.dotted]
+    if cls is spec.dot_adj:
+        return dle.dot_adj_table(spec.dotted + "_adj")
+    if cls is spec.defined:
+        return dle.def_table(spec.role)
+    return dle.black_table(spec.role)
+
+
+def _compile(t: Term, dle: FiniteDLE, pos: dict[tuple[str, str], int]):
+    kind = _LEAF_KINDS.get(type(t))
+    if kind is not None:
+        i = pos[(kind, t.name)]
+        return lambda env: env[i]
+    table = _head_table(t, dle)
+    subs = [_compile(a, dle, pos) for a in t.args]
+    if not subs:
+        return lambda env: table
+    if len(subs) == 1:
+        f = subs[0]
         return lambda env: table[f(env)]
-    raise ModelError(f"cannot evaluate {type(t).__name__}")
+    if len(subs) == 2:
+        f, g = subs
+        return lambda env: table[f(env)][g(env)]
+
+    def apply_n(env):
+        cur = table
+        for s in subs:
+            cur = cur[s(env)]
+        return cur
+
+    return apply_n
 
 
 def _symbols_of_terms(terms) -> list[tuple[str, str]]:
@@ -873,27 +826,22 @@ def load_dle(text: str, sig: Signature) -> FiniteDLE:
         else:
             values = [int(v) for v in body.split()]
             decl = dle._decl_for(name)
-            need = dle.n_elem ** decl.arity if decl.arity else 1
+            need = dle.n_elem ** decl.arity
             if len(values) != need:
                 raise ModelError(
                     f"table {name}: expected {need} entries, got {len(values)}")
-            dle.add_op(name, _nest_table(values, dle.n_elem, decl.arity))
+            it = iter(values)
+            dle.add_op(name, _tabulate(dle.n_elem, decl.arity, lambda _: next(it)))
     return dle
 
 
-def _nest_table(values: list[int], n: int, arity: int):
-    if arity == 0:
-        return values[0]
-    if arity == 1:
-        return list(values)
-
-    def nest(offset: int, depth: int):
-        if depth == arity:
-            return values[offset]
-        stride = n ** (arity - depth - 1)
-        return [nest(offset + i * stride, depth + 1) for i in range(n)]
-
-    return nest(0, 0)
+def _tabulate(n: int, arity: int, value, prefix: tuple[int, ...] = ()):
+    """Nested-list table of ``value`` over all argument tuples of ``arity``
+    elements out of ``n``, computed in row-major order; a bare value at
+    arity 0."""
+    if len(prefix) == arity:
+        return value(prefix)
+    return [_tabulate(n, arity, value, prefix + (x,)) for x in range(n)]
 
 
 # ----------------------------------------------------------------------
@@ -970,37 +918,23 @@ def random_poset(rng, max_points: int = 4) -> Poset:
 
 
 def random_normal_table(rng, dle: FiniteDLE, decl):
-    """Random normal operation from values on irreducible tuples."""
+    """Random normal operation from values on irreducible tuples: each
+    bottom-unit coordinate ranges over join-irreducibles below its argument,
+    each other one over meet-irreducibles above it, and the values of the
+    tuples in range are joined (F) or met (G)."""
     n = dle.n_elem
     if decl.arity == 0:
         return rng.randrange(n)
-    if decl.family == "F":
-        gens = [dle.jirr if e == "1" else dle.mirr for e in decl.order_type.entries]
-    else:
-        gens = [dle.mirr if e == "1" else dle.jirr for e in decl.order_type.entries]
+    bots = [bot_unit(decl.family, tone) for tone in decl.tonicities()]
+    gens = [dle.jirr if bot else dle.mirr for bot in bots]
     assignment = {combo: rng.randrange(n) for combo in product(*gens)}
+    gather = dle.join_all if decl.family == "F" else dle.meet_all
 
     def value(args: tuple[int, ...]) -> int:
-        picked = []
-        for combo, v in assignment.items():
-            ok = True
-            for x, u, e in zip(combo, args, decl.order_type.entries):
-                if decl.family == "F":
-                    ok = dle.leq(x, u) if e == "1" else dle.leq(u, x)
-                else:
-                    ok = dle.leq(u, x) if e == "1" else dle.leq(x, u)
-                if not ok:
-                    break
-            if ok:
-                picked.append(v)
-        return dle.join_all(picked) if decl.family == "F" else dle.meet_all(picked)
+        return gather(assignment[combo] for combo in product(
+            *(dle.approximants(u, bot) for u, bot in zip(args, bots))))
 
-    def nest(prefix: tuple[int, ...], depth: int):
-        if depth == decl.arity:
-            return value(prefix)
-        return [nest(prefix + (i,), depth + 1) for i in range(n)]
-
-    return nest((), 0)
+    return _tabulate(n, decl.arity, value)
 
 
 def random_dle(rng, sig: Signature, max_points: int = 4,

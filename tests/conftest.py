@@ -30,11 +30,13 @@ def bare_sig() -> Signature:
     return parse_signature("conn dia F 1 (1)\nconn box G 1 (1)")
 
 
+# binary connectives with mixed order types, no shadowing
+MIXED_SIG_TEXT = "conn oplus F 2 (1,d)\nconn arrow2 G 2 (d,1)\nconn nabla G 1 (d)"
+
+
 @pytest.fixture(scope="session")
 def mixed_sig() -> Signature:
-    # binary connectives with mixed order types, no shadowing
-    return parse_signature(
-        "conn oplus F 2 (1,d)\nconn arrow2 G 2 (d,1)\nconn nabla G 1 (d)")
+    return parse_signature(MIXED_SIG_TEXT)
 
 
 def random_any_term(rng: random.Random, sig: Signature, layer: Layer,

@@ -18,7 +18,7 @@ from dlecorr.language import (
     BOT, TOP, BlackBox, BlackDia, Conominal, DefDia, Inequality, Layer,
     Nominal, Var, free_vars, join,
 )
-from dlecorr.models import FiniteDLE, antichain, canonical_relations
+from dlecorr.models import antichain
 from dlecorr.parsing import parse_inequality, parse_signature
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -31,25 +31,11 @@ def sig():
     return parse_signature(SIG_TEXT)
 
 
-def _relational_sweep(sig, exhaustive_points=3, big_point_count=4):
-    """Lattices of upsets with dia/box generated from one relation: all
-    posets up to isomorphism on <= exhaustive_points points with all
-    relations up to automorphism, plus the full relation sweep on the
-    discrete poset with big_point_count points."""
-    out = []
-    for n in range(1, exhaustive_points + 1):
-        for poset in models.enumerate_posets(n, up_to_iso=True):
-            for rel in canonical_relations(poset):
-                dle = FiniteDLE(poset, sig)
-                dle.add_op("dia", rel, validate=False)
-                dle.add_op("box", rel, validate=False)
-                out.append(dle)
-    for rel in canonical_relations(antichain(big_point_count)):
-        dle = FiniteDLE(antichain(big_point_count), sig)
-        dle.add_op("dia", rel, validate=False)
-        dle.add_op("box", rel, validate=False)
-        out.append(dle)
-    return out
+@pytest.fixture(scope="module")
+def antichain4_lattices(sig):
+    """dia/box from every relation up to automorphism on the discrete
+    4-point poset, built once for criteria 1 and 6."""
+    return [dle for _, dle in models.relational_lattices(sig, antichain(4))]
 
 
 @pytest.fixture(scope="module")
@@ -96,11 +82,13 @@ def random_albae_suite(sig):
     return runs
 
 
-def test_criterion_1_church_rosser(sig, church_rosser_derivation):
+def test_criterion_1_church_rosser(sig, church_rosser_derivation,
+                                   antichain4_lattices):
     iq, d = church_rosser_derivation
     eq10 = parse_inequality(
         "res(box,1)(dia(#j)) <= dia(res(box,1)(#j))", sig, Layer.DLEPLUS)
-    lattices = _relational_sweep(sig)
+    lattices = [dle for _, dle in models.relational_sweep(sig, 3)]
+    lattices += antichain4_lattices
     assert len(lattices) > 3000
     for dle in lattices:
         valid_input = models.check_validity(iq, dle)[0]
@@ -187,22 +175,6 @@ def _lattice_pool(rng, rsig, need_roles: bool, count: int = 20,
     return pool
 
 
-def _derivation_steps(d):
-    steps = []
-    for node in d.nodes:
-        if not node.children:
-            continue
-        parent = d.node_system_concrete(node.id)
-        if parent.goal is None:
-            continue
-        children = [d.node_system_concrete(c) for c in node.children]
-        if any(c.goal is None for c in children):
-            continue
-        rule = d.node(node.children[0]).rule
-        steps.append((rule, parent, children))
-    return steps
-
-
 def test_criterion_5_rule_soundness(sig, church_rosser_derivation,
                                     golden_albae_derivations,
                                     random_alba_suite, random_albae_suite):
@@ -227,7 +199,7 @@ def test_criterion_5_rule_soundness(sig, church_rosser_derivation,
         derivs.append((sig, d, albae_pool))
 
     for rsig, d, pool in derivs:
-        for rule, parent, children in _derivation_steps(d):
+        for rule, parent, children in engine.rule_steps(d):
             for dle in pool:
                 assert models.verify_rule_step(parent, children, dle), (
                     rule.label(), dle.poset)
@@ -236,23 +208,10 @@ def test_criterion_5_rule_soundness(sig, church_rosser_derivation,
           f"all semantically sound")
 
 
-def test_criterion_6_lemma_suite(sig):
+def test_criterion_6_lemma_suite(sig, antichain4_lattices):
     rng = random.Random(17)
-    lattices = []
-    for n in (1, 2, 3):
-        for poset in models.enumerate_posets(n, up_to_iso=True):
-            for rel in canonical_relations(poset):
-                dle = FiniteDLE(poset, sig)
-                dle.add_op("dia", rel, validate=False)
-                dle.add_op("box", rel, validate=False)
-                lattices.append(dle)
-    sample_rng = random.Random(23)
-    big = list(canonical_relations(antichain(4)))
-    for rel in sample_rng.sample(big, 40):
-        dle = FiniteDLE(antichain(4), sig)
-        dle.add_op("dia", rel, validate=False)
-        dle.add_op("box", rel, validate=False)
-        lattices.append(dle)
+    lattices = [dle for _, dle in models.relational_sweep(sig, 3)]
+    lattices += random.Random(23).sample(antichain4_lattices, 40)
 
     nonadditive_with_witness = 0
     for dle in lattices:

@@ -82,8 +82,13 @@ def test_reduce_failure_exit_four(tmp_path):
 
 
 def test_budget_guard():
-    r = run_cli(["verify", "p <= p", "--sig", str(SIG), "--budget", "6"])
-    assert r.returncode != 0
+    # a sweep budget outside 1..5 is a documented error, not a traceback
+    for command, budget in (("verify", "0"), ("lemmas", "-1"), ("verify", "6")):
+        args = [command] + (["p <= p"] if command == "verify" else [])
+        r = run_cli(args + ["--sig", str(SIG), "--budget", budget])
+        assert r.returncode == 4, (budget, r.stderr)
+        assert "Traceback" not in r.stderr
+        assert r.stderr.startswith("error: --budget must be 1 to 5"), r.stderr
 
 
 def test_determinism_same_seed_byte_identical(tmp_path):

@@ -4,7 +4,7 @@ import weakref
 
 import pytest
 
-from conftest import random_any_term, relational_dle
+from conftest import MIXED_SIG_TEXT, random_any_term, relational_dle
 from dlecorr import generators, models
 from dlecorr.engine import (
     AckermannShapeError, Derivation, Inequality, RuleApplication,
@@ -14,10 +14,10 @@ from dlecorr.engine import (
     is_syntactically_open, preprocess, run_alba, trace_lines,
 )
 from dlecorr.language import (
-    BOT, TOP, BlackBox, BlackDia, BlackLhd, BlackRhd, ConnectiveDecl,
+    BOT, TOP, App, BlackBox, BlackDia, BlackLhd, BlackRhd, ConnectiveDecl,
     Conominal, DefBox, DefDia, DefLhd, DefRhd, DotBox, DotBoxAdj, DotDia,
     DotDiaAdj, DotLhd, DotLhdAdj, DotRhd, DotRhdAdj, Layer, Nominal,
-    OrderType, Var, free_vars, join, meet,
+    OrderType, Residual, Var, free_vars, join, meet,
 )
 from dlecorr.parsing import parse_inequality, parse_signature, parse_term
 from dlecorr.printing import print_inequality
@@ -34,6 +34,22 @@ def derivation_at(sig, mode, system):
 
 
 GOAL = Inequality(Nominal("i0"), Conominal("m0"))
+
+P, Q, R = Var("p"), Var("q"), Var("r")
+I0, M0, J1, N1 = Nominal("i0"), Conominal("m0"), Nominal("j1"), Conominal("n1")
+OPLUS, ARROW2, NABLA = parse_signature(MIXED_SIG_TEXT).connectives
+
+
+def oplus(a, b):
+    return App(OPLUS, (a, b))
+
+
+def arrow2(a, b):
+    return App(ARROW2, (a, b))
+
+
+def nabla(a):
+    return App(NABLA, (a,))
 
 
 # ----------------------------------------------------------------------
@@ -183,13 +199,36 @@ def test_ackermann_shape_violation(bare_sig):
         apply_rule(d, RuleApplication("AckermannRight", pivot="p"), 0)
 
 
-def test_rule_mismatch_raises(bare_sig):
+def test_rule_mismatch_raises(bare_sig, mixed_sig):
     system = mk_system([(Inequality(Var("p"), Var("q")), False)], GOAL)
     d = derivation_at(bare_sig, "alba", system)
     with pytest.raises(RuleMatchError):
         apply_rule(d, RuleApplication("Split", ineq_index=0), 0)
     with pytest.raises(RuleMatchError):
         apply_rule(d, RuleApplication("ResidF", ineq_index=0, coord=1), 0)
+    # the connective rules name the shape they need
+    cases = [
+        ("ResidF", Inequality(P, oplus(P, Q)), 1,
+         "ResidF needs an F-connective on the left"),
+        ("ResidF", Inequality(oplus(P, Q), R), None, "ResidF needs a coordinate"),
+        ("ResidF", Inequality(oplus(P, Q), R), 3, "ResidF needs a coordinate"),
+        ("ResidG", Inequality(arrow2(P, Q), R), 1,
+         "ResidG needs a G-connective on the right"),
+        ("ResidG", Inequality(R, nabla(P)), 0, "ResidG needs a coordinate"),
+        ("ApproxF", Inequality(I0, arrow2(P, Q)), None,
+         "ApproxF needs nominal <= f(...)"),
+        ("ApproxF", Inequality(P, oplus(P, Q)), None,
+         "ApproxF needs nominal <= f(...)"),
+        ("ApproxG", Inequality(oplus(P, Q), M0), None,
+         "ApproxG needs g(...) <= conominal"),
+        ("ApproxG", Inequality(nabla(P), R), None,
+         "ApproxG needs g(...) <= conominal"),
+    ]
+    for rid, target, coord, message in cases:
+        d = derivation_at(mixed_sig, "alba", mk_system([(target, False)], GOAL))
+        with pytest.raises(RuleMatchError) as exc:
+            apply_rule(d, RuleApplication(rid, ineq_index=0, coord=coord), 0)
+        assert str(exc.value) == message
 
 
 def test_approximation_freshness(bare_sig):
@@ -341,7 +380,7 @@ def test_syntactically_closed_open_examples(classical_sig):
     assert is_syntactically_open(pi_bsq)
 
 
-def test_residual_polarity_in_closed_terms(bare_sig):
+def test_residual_polarity_in_closed_terms(bare_sig, mixed_sig):
     # the residual of a type-(1) G-connective behaves like a backward
     # diamond: positive in closed terms
     t = parse_term("res(box,1)(#j1)", bare_sig, Layer.DLEPLUS)
@@ -351,6 +390,15 @@ def test_residual_polarity_in_closed_terms(bare_sig):
     t2 = parse_term("res(dia,1)(@m0)", bare_sig, Layer.DLEPLUS)
     assert is_syntactically_open(t2)
     assert not is_syntactically_closed(t2)
+    # on a (d) coordinate the groups swap: an F residual is closed-positive,
+    # a G residual closed-negative; the passive coordinates keep their
+    # order-type entries
+    t3 = parse_term("res(oplus,2)(#j1, @m0)", mixed_sig, Layer.DLEPLUS)
+    assert is_syntactically_closed(t3)
+    assert not is_syntactically_open(t3)
+    t4 = parse_term("res(arrow2,1)(#j1, @m0)", mixed_sig, Layer.DLEPLUS)
+    assert is_syntactically_open(t4)
+    assert not is_syntactically_closed(t4)
 
 
 def test_adequacy_examples(classical_sig):
@@ -597,21 +645,19 @@ def test_scripted_rewrite_variants(classical_sig):
 
 
 def test_approximation_rejects_nullary_connectives():
-    sig = parse_signature("conn c F 0 ()\nconn dia F 1 (1)")
-    system = mk_system([(Inequality(Nominal("i0"),
-                                    parse_term("c()", sig, Layer.DLE)), False)],
-                       GOAL)
-    d = derivation_at(sig, "alba", system)
-    with pytest.raises(RuleMatchError):
-        apply_rule(d, RuleApplication("ApproxF", ineq_index=0), 0)
+    sig = parse_signature("conn c F 0 ()\nconn k G 0 ()\nconn dia F 1 (1)")
+    for rid, target in (
+            ("ApproxF", Inequality(Nominal("i0"), parse_term("c()", sig, Layer.DLE))),
+            ("ApproxG", Inequality(parse_term("k()", sig, Layer.DLE), Conominal("m0")))):
+        d = derivation_at(sig, "alba", mk_system([(target, False)], GOAL))
+        with pytest.raises(RuleMatchError,
+                           match="approximation does not apply to 0-ary connectives"):
+            apply_rule(d, RuleApplication(rid, ineq_index=0), 0)
 
 
 # ----------------------------------------------------------------------
-# every role rule and every dotted rule, pinned on a minimal system
-
-P, Q, R = Var("p"), Var("q"), Var("r")
-I0, M0, J1, N1 = Nominal("i0"), Conominal("m0"), Nominal("j1"), Conominal("n1")
-
+# every role rule, every dotted rule and the connective rules on mixed
+# order types, pinned on a minimal system
 
 def _pinned_rule_cases():
     """Case id -> (rule id, signature, mode, target inequality, target
@@ -750,6 +796,52 @@ def _pinned_rule_cases():
                          lambda u: [(None, [(Iq(DotRhd((J1,)), M0), False),
                                             (Iq(J1, P), False)])],
                          ("#j1",)),
+        # residuation puts the argument below the residual exactly on the
+        # coordinates whose unit is bottom: (1) of F, (d) of G
+        "ResidF-oplus1": ("ResidF", "mixed", "alba",
+                          lambda u: Iq(oplus(P, Q), R), False, (), 1,
+                          lambda u: [(None, [(Iq(P, Residual(OPLUS, 1, (R, Q))),
+                                              False)])],
+                          ()),
+        "ResidF-oplus2": ("ResidF", "mixed", "alba",
+                          lambda u: Iq(oplus(P, Q), R), True, (), 2,
+                          lambda u: [(None, [(Iq(Residual(OPLUS, 2, (P, R)), Q),
+                                              True)])],
+                          ()),
+        "ResidG-arrow2-1": ("ResidG", "mixed", "alba",
+                            lambda u: Iq(R, arrow2(P, Q)), False, (), 1,
+                            lambda u: [(None, [(Iq(P, Residual(ARROW2, 1, (R, Q))),
+                                                False)])],
+                            ()),
+        "ResidG-arrow2-2": ("ResidG", "mixed", "alba",
+                            lambda u: Iq(R, arrow2(P, Q)), False, (), 2,
+                            lambda u: [(None, [(Iq(Residual(ARROW2, 2, (P, R)), Q),
+                                                False)])],
+                            ()),
+        "ResidG-nabla1": ("ResidG", "mixed", "alba",
+                          lambda u: Iq(R, nabla(P)), False, (), 1,
+                          lambda u: [(None, [(Iq(P, Residual(NABLA, 1, (R,))),
+                                              False)])],
+                          ()),
+        # approximation: a nominal below each bottom-unit coordinate's
+        # argument, a conominal above the others, named in coordinate order
+        "ApproxF-oplus": ("ApproxF", "mixed", "alba",
+                          lambda u: Iq(I0, oplus(P, Q)), False, (), None,
+                          lambda u: [(None, [(Iq(I0, oplus(J1, N1)), False),
+                                             (Iq(J1, P), False),
+                                             (Iq(Q, N1), False)])],
+                          ("#j1", "@n1")),
+        "ApproxG-arrow2": ("ApproxG", "mixed", "alba",
+                           lambda u: Iq(arrow2(P, Q), M0), False, (), None,
+                           lambda u: [(None, [(Iq(arrow2(J1, N1), M0), False),
+                                              (Iq(J1, P), False),
+                                              (Iq(Q, N1), False)])],
+                           ("#j1", "@n1")),
+        "ApproxG-nabla": ("ApproxG", "mixed", "alba",
+                          lambda u: Iq(nabla(P), M0), True, (), None,
+                          lambda u: [(None, [(Iq(nabla(J1), M0), True),
+                                             (Iq(J1, P), False)])],
+                          ("#j1",)),
     }
 
 
@@ -763,10 +855,11 @@ DOTTED_DECLS = (
 
 
 @pytest.fixture(scope="module")
-def pinned_pools(classical_sig):
+def pinned_pools(classical_sig, mixed_sig):
     """Small lattices per (signature, mode): the registered terms satisfy
     their axioms, and in plain mode all four dotted modalities have
-    random normal tables."""
+    random normal tables.  The mixed signature has plain lattices only,
+    with random normal tables for its own connectives."""
     sigs = {"classical": classical_sig, "lr": parse_signature(LR_SIG)}
     rng = random.Random(11)
     pools = {}
@@ -786,6 +879,10 @@ def pinned_pools(classical_sig):
                     role_pool += [dle for _, dle in models.relational_lattices(sig, poset)
                                   if models.role_axioms_hold(dle)]
         pools[name] = (sig, role_pool, plain_pool)
+    mixed_rng = random.Random(12)
+    pools["mixed"] = (mixed_sig, [], [
+        models.random_dle(mixed_rng, mixed_sig, max_points=2, validate=True)
+        for _ in range(8)])
     return pools
 
 

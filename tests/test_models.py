@@ -1,5 +1,6 @@
 import hashlib
 import random
+from itertools import product
 
 import pytest
 
@@ -51,6 +52,19 @@ def test_non_normal_table_rejected(bare_sig):
     # bottom not preserved on a type-(1) coordinate
     with pytest.raises(NormalityError):
         dle.add_op("dia", [dle.top] * dle.n_elem)
+    # each (family, entry) pair on the four-element lattice bot=0, a=1,
+    # b=2, top=3: the first table misplaces the unit, the second keeps it
+    # but breaks the binary law
+    bad_law = {("F", "1"): [0, 1, 2, 1], ("F", "d"): [1, 1, 2, 0],
+               ("G", "1"): [3, 1, 2, 3], ("G", "d"): [3, 1, 2, 3]}
+    for (family, entry), broken in bad_law.items():
+        dle = FiniteDLE(antichain(2), parse_signature(f"conn op {family} 1 ({entry})"))
+        bound = "bottom" if family == "F" else "top"
+        with pytest.raises(NormalityError, match=f"unit not sent to {bound}"):
+            dle.add_op("op", [dle.top if family == "F" else dle.bot] * 4)
+        with pytest.raises(NormalityError, match="op coordinate 1 fails normality"):
+            dle.add_op("op", broken)
+        assert "op" not in dle.ops
 
 
 def test_relational_generators_always_normal(bare_sig):
@@ -83,11 +97,49 @@ def test_random_dle_enumerates_each_poset_size_once(classical_sig, monkeypatch):
         "37865c8d27b081513cfdf96d151dc4a5732c6a11012a6fc46fff7fcf703867ff"
 
 
+def _lookup(table, args):
+    for a in args:
+        table = table[a]
+    return table
+
+
+def test_residuation_law_on_mixed_order_types(mixed_sig):
+    # f(.., x, ..) <= y  iff  x <= res(.., y, ..) on a (1) coordinate of an
+    # F connective, res(.., y, ..) <= x on a (d) one; dually y <= g(..)
+    # for G connectives
+    rng = random.Random(14)
+    for _ in range(6):
+        dle = random_dle(rng, mixed_sig, max_points=3, validate=True)
+        r = range(dle.n_elem)
+        for decl in mixed_sig.connectives:
+            for coord in range(1, decl.arity + 1):
+                res = dle.residual_table(decl, coord)
+                for args in product(r, repeat=decl.arity):
+                    for y in r:
+                        inner = list(args)
+                        inner[coord - 1] = y
+                        rv = _lookup(res, inner)
+                        x = args[coord - 1]
+                        v = dle.op_value(decl.name, args)
+                        lhs = dle.leq(v, y) if decl.family == "F" else dle.leq(y, v)
+                        below = (decl.family == "F") == \
+                            (decl.order_type[coord - 1] == "1")
+                        rhs = dle.leq(x, rv) if below else dle.leq(rv, x)
+                        assert lhs == rhs, (decl.name, coord, args, y)
+
+
 def test_random_normal_tables_validate(mixed_sig):
     rng = random.Random(10)
+    draws = []
     for _ in range(10):
         dle = random_dle(rng, mixed_sig, max_points=3, validate=True)
         assert set(dle.ops) == {d.name for d in mixed_sig.connectives}
+        draws.append(dle)
+    # pins the RNG stream and the tables on binary and antitone
+    # coordinates of both families
+    fingerprint = repr([(d.poset.up, sorted(d.ops.items())) for d in draws])
+    assert hashlib.sha256(fingerprint.encode()).hexdigest() == \
+        "b4ccb747be2da3d16229e52082add58e523ee8016380087ca3d498b0553416d3"
 
 
 def test_eval_def_dia_bottom(classical_sig):
@@ -284,7 +336,7 @@ def test_budget_exceeded_is_loud(bare_sig):
         check_validity(iq, dle, Budget(limit=10))
 
 
-def test_load_dle_text_format(classical_sig):
+def test_load_dle_text_format(classical_sig, mixed_sig):
     text = """
     # two-point chain with a relational diamond/box and a table
     points 2
@@ -302,6 +354,21 @@ def test_load_dle_text_format(classical_sig):
     """
     dle2 = load_dle(text2, classical_sig)
     assert dle2.ops["dia"] == [0, 1]
+    # row-major table lines of any arity nest back into the tables they
+    # were read from
+    rng = random.Random(15)
+    source = FiniteDLE(antichain(2), mixed_sig)
+    lines = ["points 2"]
+    for decl in mixed_sig.connectives:
+        source.add_op(decl.name, models.random_normal_table(rng, source, decl))
+        values = [source.op_value(decl.name, args)
+                  for args in product(range(source.n_elem), repeat=decl.arity)]
+        lines.append(f"table {decl.name} : " + " ".join(map(str, values)))
+    dle3 = load_dle("\n".join(lines), mixed_sig)
+    assert dle3.ops == source.ops
+    assert len(dle3.ops["oplus"]) == len(dle3.ops["oplus"][0]) == 4
+    with pytest.raises(models.ModelError, match="expected 16 entries, got 3"):
+        load_dle("points 2\ntable oplus : 0 0 0", mixed_sig)
 
 
 def test_verify_correspondence_on_church_rosser(bare_sig):
