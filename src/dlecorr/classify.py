@@ -242,34 +242,28 @@ def _eps_candidates(variables: tuple[str, ...]):
     return product("1d", repeat=len(variables))
 
 
-def is_sahlqvist(ineq: Inequality) -> OrderType | None:
-    """Smallest (lexicographic, 1 before d) Sahlqvist order type, if any."""
+def _witnesses(ineq: Inequality, require_excellent: bool):
+    """The witness of each workable epsilon, lexicographically (1 before d)."""
     variables = variables_of(ineq)
     for entries in _eps_candidates(variables):
-        if _check_eps(ineq, variables, tuple(entries), require_excellent=True):
-            return OrderType(tuple(entries))
-    return None
+        w = _check_eps(ineq, variables, tuple(entries), require_excellent)
+        if w is not None:
+            yield w
+
+
+def is_sahlqvist(ineq: Inequality) -> OrderType | None:
+    """Smallest (lexicographic, 1 before d) Sahlqvist order type, if any."""
+    return next((w.epsilon for w in _witnesses(ineq, True)), None)
 
 
 def is_inductive(ineq: Inequality) -> InductiveWitness | None:
     """First (lexicographic epsilon, minimal Omega) inductive witness."""
-    variables = variables_of(ineq)
-    for entries in _eps_candidates(variables):
-        w = _check_eps(ineq, variables, tuple(entries), require_excellent=False)
-        if w is not None:
-            return w
-    return None
+    return next(_witnesses(ineq, False), None)
 
 
 def inductive_witnesses(ineq: Inequality) -> list[InductiveWitness]:
     """All inductive witnesses, one per workable epsilon, lexicographically."""
-    variables = variables_of(ineq)
-    out = []
-    for entries in _eps_candidates(variables):
-        w = _check_eps(ineq, variables, tuple(entries), require_excellent=False)
-        if w is not None:
-            out.append(w)
-    return out
+    return list(_witnesses(ineq, False))
 
 
 # -- meta-inductive search (anti-substitution) -------------------------

@@ -692,6 +692,8 @@ def apply_rule(d: Derivation, app: RuleApplication,
 
     rid = app.rule_id
     rule = (_STAGE_ONE_RULES.get(rid) if system.goal is None else None) or _RULES.get(rid)
+    if rule is None and rid in _STAGE_ONE_RULES:
+        raise RuleMatchError(f"{rid} only applies before FirstApprox")
     if rule is None:
         raise RuleMatchError(f"unknown rule {rid!r}")
     results, principal, fresh = rule(d, system, app)
@@ -1078,7 +1080,7 @@ def check_compact_appropriate(system: System) -> bool:
 # ----------------------------------------------------------------------
 # public stage-one operations
 
-def preprocess(ineq: Inequality, sig: Signature | None = None) -> list[Inequality]:
+def preprocess(ineq: Inequality) -> list[Inequality]:
     """Exhaustive stage-one rewriting: distribution, splitting, monotone
     variable elimination.  Role-term structure is not consulted."""
     pieces, _ = _stage_one(ineq, None, False, 10_000)

@@ -110,9 +110,7 @@ def enumerate_posets(n: int, up_to_iso: bool = False) -> list[Poset]:
     one representative per isomorphism class."""
     if not (1 <= n <= 5):
         raise ModelError("poset enumeration supports 1..5 points")
-    out: list[Poset] = []
-    seen: set[tuple[int, ...]] = set()
-    perms = list(permutations(range(n)))
+    ups: list[tuple[int, ...]] = []
     # candidate strict orders as lists of (i, j) pairs below the diagonal
     pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
     for bits in range(1 << len(pairs)):
@@ -130,25 +128,37 @@ def enumerate_posets(n: int, up_to_iso: bool = False) -> list[Poset]:
                         ok = False
         if not ok:
             continue
-        up = tuple(sum(1 << j for j in range(n) if rel[i][j]) for i in range(n))
-        if up_to_iso:
-            canon = min(
-                tuple(sorted(_permute_up(up, p, n))) for p in perms)
-            if canon in seen:
-                continue
-            seen.add(canon)
-        out.append(Poset(n, up))
-    return out
+        # the code of ``up`` grows with ``bits``, so ``ups`` ascends by code
+        ups.append(tuple(sum(1 << j for j in range(n) if rel[i][j]) for i in range(n)))
+    if up_to_iso:
+        ups = _orbit_representatives(ups, list(permutations(range(n))))
+    return [Poset(n, up) for up in ups]
 
 
-def _permute_up(up: tuple[int, ...], perm: tuple[int, ...], n: int) -> tuple[int, ...]:
-    def pmask(mask: int) -> int:
-        return sum(1 << perm[j] for j in range(n) if mask & (1 << j))
+@lru_cache(maxsize=256)  # every permutation of up to 5 points
+def _relabelling(perm: tuple[int, ...]) -> tuple[int, ...]:
+    """Every bitmask over ``len(perm)`` points with point j moved to perm[j]."""
+    return tuple(sum(1 << perm[j] for j in range(len(perm)) if mask & (1 << j))
+                 for mask in range(1 << len(perm)))
 
-    new = [0] * n
-    for i in range(n):
-        new[perm[i]] = pmask(up[i])
-    return tuple(new)
+
+def _permute_rows(rows: tuple[int, ...], perm: tuple[int, ...]) -> tuple[int, ...]:
+    """Row bitmasks over n points (a poset's ``up``, a relation's ``rows``)
+    relabelled by ``perm``: row i becomes row perm[i]."""
+    image = _relabelling(perm)
+    out = [0] * len(rows)
+    for i, row in enumerate(rows):
+        out[perm[i]] = image[row]
+    return tuple(out)
+
+
+def _orbit_representatives(candidates, perms) -> list[tuple[int, ...]]:
+    """The first of each orbit under ``perms`` among ``candidates``, row
+    tuples in ascending order of their code sum(rows[i] << n*i): those
+    that no permutation maps to a smaller code.  Codes compare as the
+    reversed row tuples."""
+    return [rows for rows in candidates
+            if all(_permute_rows(rows, p)[::-1] >= rows[::-1] for p in perms)]
 
 
 @dataclass(frozen=True)
@@ -190,6 +200,10 @@ class Valuation:
     var_map: dict[str, int] = field(default_factory=dict)
     nom_map: dict[str, int] = field(default_factory=dict)
     conom_map: dict[str, int] = field(default_factory=dict)
+
+    def of_kind(self, kind: str) -> dict[str, int]:
+        """The map of the symbols of ``kind``: "var", "nom" or "conom"."""
+        return {"var": self.var_map, "nom": self.nom_map, "conom": self.conom_map}[kind]
 
     def describe(self, dle: "FiniteDLE") -> str:
         return " ".join(
@@ -359,11 +373,9 @@ class FiniteDLE:
             raise ModelError(f"role {role!r} has no registered term")
 
         def build():
-            out = []
-            for u in range(self.n_elem):
-                val = Valuation(var_map={reg.var: u})
-                out.append(eval_term(reg.term, self, val))
-            return out
+            symbols, (f,) = _compile_terms([reg.term], self)
+            return [f(_env(symbols, Valuation(var_map={reg.var: u})))
+                    for u in range(self.n_elem)]
 
         return self._cached(("role", role), build)
 
@@ -397,53 +409,48 @@ class FiniteDLE:
         """Adjoint of the unary operation ``t`` of ``spec``'s shape: the
         right adjoint of a diamond, the left adjoint of a box, the Galois
         adjoints of the two antitone ones."""
-        gather = self.join_all if spec.bot_unit else self.meet_all
-        leq, r = self.leq_table, range(self.n_elem)
-        if spec.family == "F":
-            return [gather(w for w in r if leq[t[w]][u]) for u in r]
-        return [gather(w for w in r if leq[u][t[w]]) for u in r]
+        return self._residual(1, 1, spec.family, spec.bot_unit, lambda args: t)
+
+    def _residual(self, arity: int, coord: int, family: str, bot: bool, values):
+        """The residual of an operation in ``coord``: at each argument
+        tuple, the join (``bot``) or meet of the elements w whose value
+        ``values(args)[w]``, the operation's with w in ``coord``, lies
+        below (F) or above (G) the residuated argument."""
+        h, leq, r = coord - 1, self.leq_table, range(self.n_elem)
+        gather = self.join_all if bot else self.meet_all
+
+        def residual_value(args: tuple[int, ...]) -> int:
+            chi, vals = args[h], values(args)
+            if family == "F":
+                return gather(w for w in r if leq[vals[w]][chi])
+            return gather(w for w in r if leq[chi][vals[w]])
+
+        return _tabulate(self.n_elem, arity, residual_value)
 
     def residual_table(self, decl, coord: int):
-        """The residual in ``coord``: the join (bottom-unit coordinates) or
-        meet of the arguments whose value lies below (F) or above (G) the
-        residuated argument."""
+        """The residual of ``decl`` in ``coord``, gathered by joins on
+        bottom-unit coordinates and by meets on the others."""
         def build():
             if decl.arity > 3:
                 raise ModelError("residual tables support arity <= 3")
             h = coord - 1
-            leq, r = self.leq_table, range(self.n_elem)
-            gather = self.join_all if bot_unit(decl.family, decl.tonicities()[h]) \
-                else self.meet_all
-
-            def residual_value(args: tuple[int, ...]) -> int:
-                chi = args[h]
-                values = [self.op_value(decl.name, args[:h] + (w,) + args[h + 1:])
-                          for w in r]
-                if decl.family == "F":
-                    return gather(w for w in r if leq[values[w]][chi])
-                return gather(w for w in r if leq[chi][values[w]])
-
-            return _tabulate(self.n_elem, decl.arity, residual_value)
+            return self._residual(
+                decl.arity, coord, decl.family,
+                bot_unit(decl.family, decl.tonicities()[h]),
+                lambda args: [self.op_value(decl.name, args[:h] + (w,) + args[h + 1:])
+                              for w in range(self.n_elem)])
 
         return self._cached(("res", decl.name, coord), build)
 
     def arrow_table(self):
-        def build():
-            return [[self.join_all(
-                w for w in range(self.n_elem)
-                if self.leq(self.meet(a, w), b))
-                for b in range(self.n_elem)] for a in range(self.n_elem)]
-
-        return self._cached(("arrow",), build)
+        """a -> b: the meet's residual in its second coordinate."""
+        return self._cached(("arrow",), lambda: self._residual(
+            2, 2, "F", True, lambda args: self.meet_table[args[0]]))
 
     def coimp_table(self):
-        def build():
-            return [[self.meet_all(
-                w for w in range(self.n_elem)
-                if self.leq(a, self.join(b, w)))
-                for b in range(self.n_elem)] for a in range(self.n_elem)]
-
-        return self._cached(("coimp",), build)
+        """a -. b: the join's residual in its first coordinate."""
+        return self._cached(("coimp",), lambda: self._residual(
+            2, 1, "G", False, lambda args: self.join_table[args[1]]))
 
 
 # ----------------------------------------------------------------------
@@ -514,7 +521,10 @@ def _compile(t: Term, dle: FiniteDLE, pos: dict[tuple[str, str], int]):
     return apply_n
 
 
-def _symbols_of_terms(terms) -> list[tuple[str, str]]:
+def _compile_terms(terms, dle: FiniteDLE):
+    """The symbols of ``terms`` (variables, nominals, conominals, each
+    sorted) and each term compiled to a function of an environment, the
+    tuple of the symbols' values."""
     vs: set[str] = set()
     ns: set[str] = set()
     cs: set[str] = set()
@@ -522,8 +532,20 @@ def _symbols_of_terms(terms) -> list[tuple[str, str]]:
         vs |= free_vars(t)
         ns |= nominals_of(t)
         cs |= conominals_of(t)
-    return ([("var", v) for v in sorted(vs)] + [("nom", v) for v in sorted(ns)]
-            + [("conom", v) for v in sorted(cs)])
+    symbols = ([("var", v) for v in sorted(vs)] + [("nom", v) for v in sorted(ns)]
+               + [("conom", v) for v in sorted(cs)])
+    pos = {sym: i for i, sym in enumerate(symbols)}
+    return symbols, [_compile(t, dle, pos) for t in terms]
+
+
+def _env(symbols, val: Valuation) -> tuple[int, ...]:
+    env = []
+    for kind, name in symbols:
+        source = val.of_kind(kind)
+        if name not in source:
+            raise ModelError(f"unbound {kind} {name!r}")
+        env.append(source[name])
+    return tuple(env)
 
 
 def eval_term(t: Term, dle: FiniteDLE, val: Valuation,
@@ -531,15 +553,8 @@ def eval_term(t: Term, dle: FiniteDLE, val: Valuation,
     """Evaluate one term under one valuation."""
     if budget is not None:
         budget.spend()
-    symbols = _symbols_of_terms([t])
-    pos = {sym: i for i, sym in enumerate(symbols)}
-    env = []
-    for kind, name in symbols:
-        source = {"var": val.var_map, "nom": val.nom_map, "conom": val.conom_map}[kind]
-        if name not in source:
-            raise ModelError(f"unbound {kind} {name!r}")
-        env.append(source[name])
-    return _compile(t, dle, pos)(tuple(env))
+    symbols, (f,) = _compile_terms([t], dle)
+    return f(_env(symbols, val))
 
 
 def _domain(dle: FiniteDLE, kind: str) -> tuple[int, ...]:
@@ -550,12 +565,23 @@ def _domain(dle: FiniteDLE, kind: str) -> tuple[int, ...]:
     return dle.mirr
 
 
-def _valuation_from(symbols, env) -> Valuation:
-    val = Valuation()
-    for (kind, name), x in zip(symbols, env):
-        {"var": val.var_map, "nom": val.nom_map,
-         "conom": val.conom_map}[kind][name] = x
-    return val
+def _counterexample(premises, conclusion: Inequality, dle: FiniteDLE,
+                    budget: Budget) -> Valuation | None:
+    """The first valuation, in enumeration order, under which every
+    premise holds and the conclusion fails; one budget unit per
+    valuation tried."""
+    ineqs = [*premises, conclusion]
+    symbols, fs = _compile_terms([t for iq in ineqs for t in (iq.lhs, iq.rhs)], dle)
+    *ants, (gl, gr) = zip(fs[::2], fs[1::2])
+    leq = dle.leq_table
+    for env in product(*(_domain(dle, kind) for kind, _ in symbols)):
+        budget.spend()
+        if not leq[gl(env)][gr(env)] and all(leq[l(env)][r(env)] for l, r in ants):
+            val = Valuation()
+            for (kind, name), x in zip(symbols, env):
+                val.of_kind(kind)[name] = x
+            return val
+    return None
 
 
 def check_validity(ineq: Inequality, dle: FiniteDLE,
@@ -563,45 +589,16 @@ def check_validity(ineq: Inequality, dle: FiniteDLE,
                    ) -> tuple[bool, Valuation | None]:
     """Quantify everything universally; on failure return the first
     counterexample valuation."""
-    budget = budget or Budget()
-    symbols = _symbols_of_terms([ineq.lhs, ineq.rhs])
-    pos = {sym: i for i, sym in enumerate(symbols)}
-    lhs = _compile(ineq.lhs, dle, pos)
-    rhs = _compile(ineq.rhs, dle, pos)
-    leq = dle.leq_table
-    domains = [_domain(dle, kind) for kind, _ in symbols]
-    for env in product(*domains):
-        budget.spend()
-        if not leq[lhs(env)][rhs(env)]:
-            return False, _valuation_from(symbols, env)
-    return True, None
-
-
-def _system_symbols(system: System) -> list[tuple[str, str]]:
-    terms = [t for si in system.ineqs for t in (si.ineq.lhs, si.ineq.rhs)]
-    if system.goal is not None:
-        terms += [system.goal.lhs, system.goal.rhs]
-    return _symbols_of_terms(terms)
+    ce = _counterexample((), ineq, dle, budget or Budget())
+    return ce is None, ce
 
 
 def _quasi_holds(system: System, dle: FiniteDLE, budget: Budget) -> bool:
     """Universal closure of (all antecedents) => goal."""
-    symbols = _system_symbols(system)
-    pos = {sym: i for i, sym in enumerate(symbols)}
-    ants = [(_compile(si.ineq.lhs, dle, pos), _compile(si.ineq.rhs, dle, pos))
-            for si in system.ineqs]
-    leq = dle.leq_table
     if system.goal is None:
         raise ModelError("system has no goal")
-    gl = _compile(system.goal.lhs, dle, pos)
-    gr = _compile(system.goal.rhs, dle, pos)
-    domains = [_domain(dle, kind) for kind, _ in symbols]
-    for env in product(*domains):
-        budget.spend()
-        if all(leq[l(env)][r(env)] for l, r in ants):
-            if not leq[gl(env)][gr(env)]:
-                return False
-    return True
+    return _counterexample([si.ineq for si in system.ineqs], system.goal,
+                           dle, budget) is None
 
 
 def check_quasi(systems, dle: FiniteDLE, budget: Budget | None = None) -> bool:
@@ -847,37 +844,15 @@ def _tabulate(n: int, arity: int, value, prefix: tuple[int, ...] = ()):
 # ----------------------------------------------------------------------
 # sweeps and random operations
 
-def poset_automorphisms(poset: Poset) -> list[tuple[int, ...]]:
-    out = []
-    for perm in permutations(range(poset.n)):
-        if all(poset.leq(i, j) == poset.leq(perm[i], perm[j])
-               for i in range(poset.n) for j in range(poset.n)):
-            out.append(perm)
-    return out
-
-
 def canonical_relations(poset: Poset) -> list[Relation]:
     """All relations on the poset's points, one per orbit under the
     poset's automorphism group, in ascending encoding order."""
     n = poset.n
-    perms = poset_automorphisms(poset)
-    out = []
-    for code in range(1 << (n * n)):
-        rows = tuple((code >> (n * i)) & ((1 << n) - 1) for i in range(n))
-        canon = code
-        for perm in perms:
-            permuted = [0] * n
-            for x in range(n):
-                row = 0
-                for y in range(n):
-                    if rows[x] & (1 << y):
-                        row |= 1 << perm[y]
-                permuted[perm[x]] = row
-            pcode = sum(r << (n * i) for i, r in enumerate(permuted))
-            canon = min(canon, pcode)
-        if canon == code:
-            out.append(Relation(rows))
-    return out
+    autos = [p for p in permutations(range(n)) if _permute_rows(poset.up, p) == poset.up]
+    row = (1 << n) - 1
+    codes = (tuple((code >> (n * i)) & row for i in range(n))
+             for code in range(1 << (n * n)))
+    return [Relation(rows) for rows in _orbit_representatives(codes, autos)]
 
 
 def relational_lattices(sig: Signature, poset: Poset,

@@ -206,6 +206,13 @@ def test_rule_mismatch_raises(bare_sig, mixed_sig):
         apply_rule(d, RuleApplication("Split", ineq_index=0), 0)
     with pytest.raises(RuleMatchError):
         apply_rule(d, RuleApplication("ResidF", ineq_index=0, coord=1), 0)
+    # stage-one rules on a system that already has a goal
+    for rid in ("MonotoneElim", "DistributePre", "DistPi"):
+        with pytest.raises(RuleMatchError) as exc:
+            apply_rule(d, RuleApplication(rid, ineq_index=0, pivot="p"), 0)
+        assert str(exc.value) == f"{rid} only applies before FirstApprox"
+    with pytest.raises(RuleMatchError, match="unknown rule 'NoSuchRule'"):
+        apply_rule(d, RuleApplication("NoSuchRule", ineq_index=0), 0)
     # the connective rules name the shape they need
     cases = [
         ("ResidF", Inequality(P, oplus(P, Q)), 1,

@@ -97,6 +97,30 @@ def test_random_dle_enumerates_each_poset_size_once(classical_sig, monkeypatch):
         "37865c8d27b081513cfdf96d151dc4a5732c6a11012a6fc46fff7fcf703867ff"
 
 
+def test_orbit_representatives_pinned():
+    # which representative each orbit keeps, and in what order: posets up
+    # to isomorphism and relations up to the poset's automorphisms
+    posets = [p for n in range(1, 5) for p in enumerate_posets(n, up_to_iso=True)]
+    relations = [[r.rows for r in models.canonical_relations(p)]
+                 for p in posets if p.n <= 3 or p == antichain(4)]
+    assert sum(map(len, relations)) == 4744
+    fingerprint = repr(([p.up for p in posets], relations))
+    assert hashlib.sha256(fingerprint.encode()).hexdigest() == \
+        "48a25162e566c4cf768e528be472ac8cfd00ea92ff85bb2380756b6191b84f62"
+
+
+def test_lattice_implications_are_residuals(bare_sig):
+    # a & w <= b  iff  w <= a -> b,  and  a <= b | w  iff  a -. b <= w
+    for n in (1, 2, 3):
+        for poset in enumerate_posets(n, up_to_iso=True):
+            dle = FiniteDLE(poset, bare_sig)
+            arrow, coimp = dle.arrow_table(), dle.coimp_table()
+            r = range(dle.n_elem)
+            for a, b, w in product(r, r, r):
+                assert dle.leq(dle.meet(a, w), b) == dle.leq(w, arrow[a][b])
+                assert dle.leq(a, dle.join(b, w)) == dle.leq(coimp[a][b], w)
+
+
 def _lookup(table, args):
     for a in args:
         table = table[a]
