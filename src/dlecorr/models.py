@@ -21,19 +21,26 @@ enumerate valuations: propositional variables over all elements,
 nominals over join-irreducibles, conominals over meet-irreducibles.  A
 budget caps the number of valuations; exceeding it raises
 BudgetExceeded rather than truncating silently.
+
+Terms are evaluated through plans (``_Plan``), built once per tuple of
+terms, independent of the lattice, and kept in a bounded cache.  A plan
+fixes the symbol order, evaluates equal subterms once and generates one
+loop nest, one loop per symbol, with each subterm evaluated at the
+outermost loop where all its symbols are bound; the lattice's tables and
+domains are arguments of the generated code.  The checks, ``eval_term``
+and the role tables all go through it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import permutations, product
 
 from .language import (
     MONO, ROLE_SPECS, SPEC_BY_NODE, SPEC_BY_ROLE, App, Arrow, Bot, Coimp,
     ConnectiveDecl, Conominal, Inequality, Join, Meet, Nominal, OrderType,
-    Residual, RoleSpec, Signature, Term, Top, Var, bot_unit, conominals_of,
-    free_vars, nominals_of,
+    Residual, RoleSpec, Signature, Term, Top, Var, bot_unit, free_vars,
 )
 from .engine import System
 from .printing import print_inequality
@@ -373,8 +380,9 @@ class FiniteDLE:
             raise ModelError(f"role {role!r} has no registered term")
 
         def build():
-            symbols, (f,) = _compile_terms([reg.term], self)
-            return [f(_env(symbols, Valuation(var_map={reg.var: u})))
+            plan = _plan((reg.term,))
+            tables = plan.tables(self)
+            return [plan.values(tables, plan.env(Valuation(var_map={reg.var: u})))[0]
                     for u in range(self.n_elem)]
 
         return self._cached(("role", role), build)
@@ -454,9 +462,11 @@ class FiniteDLE:
 
 
 # ----------------------------------------------------------------------
-# term compilation and evaluation
+# term plans and evaluation
 
-_LEAF_KINDS = {Var: "var", Nominal: "nom", Conominal: "conom"}
+_LEAF_KINDS = {Var: "var", Nominal: "nom", Conominal: "conom"}  # in symbol order
+_PLANS = 256  # plans kept: the systems of many derivations at once
+_NESTED = 16  # symbols bound by a loop of their own; CPython nests 20 blocks
 
 
 def _head_table(t: Term, dle: FiniteDLE):
@@ -496,56 +506,159 @@ def _head_table(t: Term, dle: FiniteDLE):
     return dle.black_table(spec.role)
 
 
-def _compile(t: Term, dle: FiniteDLE, pos: dict[tuple[str, str], int]):
-    kind = _LEAF_KINDS.get(type(t))
-    if kind is not None:
-        i = pos[(kind, t.name)]
-        return lambda env: env[i]
-    table = _head_table(t, dle)
-    subs = [_compile(a, dle, pos) for a in t.args]
-    if not subs:
-        return lambda env: table
-    if len(subs) == 1:
-        f = subs[0]
-        return lambda env: table[f(env)]
-    if len(subs) == 2:
-        f, g = subs
-        return lambda env: table[f(env)][g(env)]
-
-    def apply_n(env):
-        cur = table
-        for s in subs:
-            cur = cur[s(env)]
-        return cur
-
-    return apply_n
+def _define(name: str, lines: list[str]):
+    """The function ``name`` that ``lines`` define, taken out of its
+    namespace so that the function and its globals form no cycle."""
+    namespace = {"product": product}
+    exec(compile("\n".join(lines), "<plan>", "exec"), namespace)
+    return namespace.pop(name)
 
 
-def _compile_terms(terms, dle: FiniteDLE):
-    """The symbols of ``terms`` (variables, nominals, conominals, each
-    sorted) and each term compiled to a function of an environment, the
-    tuple of the symbols' values."""
-    vs: set[str] = set()
-    ns: set[str] = set()
-    cs: set[str] = set()
-    for t in terms:
-        vs |= free_vars(t)
-        ns |= nominals_of(t)
-        cs |= conominals_of(t)
-    symbols = ([("var", v) for v in sorted(vs)] + [("nom", v) for v in sorted(ns)]
-               + [("conom", v) for v in sorted(cs)])
-    pos = {sym: i for i, sym in enumerate(symbols)}
-    return symbols, [_compile(t, dle, pos) for t in terms]
+class _Plan:
+    """A tuple of terms compiled once and bound to any lattice.
+
+    The symbols are the variables, nominals and conominals of the terms,
+    each kind sorted.  Equal subterms are evaluated once, each distinct
+    head reads one table, and a subterm is evaluated at the outermost loop
+    where all its symbols are bound: as a named value when it is an output
+    or is read more than once or further in, else inside the one
+    expression that reads it.  The generated code names the tables
+    ``T<h>``, domains ``D<i>``, symbols ``s<i>``, values ``v<k>`` and
+    order tests ``c<j>``, so no name from the terms reaches its source.
+    """
+
+    def __init__(self, terms: tuple[Term, ...]):
+        nodes: list = []  # (subterm, head, arguments), distinct, children first
+        heads: dict = {}  # head key -> (its index, the first subterm with it)
+        index: dict[Term, int] = {}
+        roots = [_collect(t, index, nodes, heads) for t in terms]
+        leaves = sorted((i for i, (_, h, _) in enumerate(nodes) if h is None),
+                        key=lambda i: (list(_LEAF_KINDS).index(type(nodes[i][0])),
+                                       nodes[i][0].name))
+        self.symbols = [(_LEAF_KINDS[type(nodes[i][0])], nodes[i][0].name) for i in leaves]
+        self.heads = [t for _, t in heads.values()]
+        # depth: the number of leading symbols a subterm needs
+        depth = [0] * len(nodes)
+        code = [""] * len(nodes)  # a name or an expression
+        for k, i in enumerate(leaves):
+            depth[i], code[i] = k + 1, f"s{k}"
+        readers: list[list[int]] = [[] for _ in nodes]  # their depths
+        for i, (_, h, args) in enumerate(nodes):
+            if h is not None:
+                depth[i] = max((depth[a] for a in args), default=0)
+                for a in args:
+                    readers[a].append(depth[i])
+        for i in roots:
+            readers[i].append(-1)
+        self._steps: list[list[str]] = [[] for _ in range(len(leaves) + 1)]
+        for i, (_, h, args) in enumerate(nodes):
+            if h is None:
+                continue
+            code[i] = f"T{h}" + "".join(f"[{code[a]}]" for a in args)
+            if readers[i] != [depth[i]]:
+                self._steps[depth[i]].append(f"v{i} = {code[i]}")
+                code[i] = f"v{i}"
+        self._outputs = [(code[i], depth[i]) for i in roots]
+
+    def tables(self, dle: FiniteDLE) -> tuple:
+        return tuple(_head_table(t, dle) for t in self.heads)
+
+    def domains(self, dle: FiniteDLE) -> tuple:
+        of_kind = {"var": range(dle.n_elem), "nom": dle.jirr, "conom": dle.mirr}
+        return tuple(of_kind[kind] for kind, _ in self.symbols)
+
+    def env(self, val: Valuation) -> tuple[int, ...]:
+        env = []
+        for kind, name in self.symbols:
+            source = val.of_kind(kind)
+            if name not in source:
+                raise ModelError(f"unbound {kind} {name!r}")
+            env.append(source[name])
+        return tuple(env)
+
+    def valuation(self, env: tuple[int, ...]) -> Valuation:
+        val = Valuation()
+        for (kind, name), x in zip(self.symbols, env):
+            val.of_kind(kind)[name] = x
+        return val
+
+    @cached_property
+    def values(self):
+        """values(T, s): the terms' values at the environment ``s``, given
+        the tables of ``tables``."""
+        return _define("values", [
+            "def values(T, s):", _unpack("T", len(self.heads)),
+            _unpack("s", len(self.symbols))]
+            + ["    " + step for steps in self._steps for step in steps]
+            + ["    return (" + "".join(f"{o}, " for o, _ in self._outputs) + ")"])
+
+    @cached_property
+    def search(self):
+        """search(T, D, leq, room, budget): the first environment, in
+        enumeration order, under which the last pair of terms is not in
+        order and every other pair is.  Each environment tried is one unit
+        of ``budget``, spent in one call once ``room`` units are used, on
+        success and at the end."""
+        k = len(self.symbols)
+        steps = [list(s) for s in self._steps]
+        tests = [(f"leq[{lhs}][{rhs}]", max(dl, dr)) for (lhs, dl), (rhs, dr)
+                 in zip(self._outputs[::2], self._outputs[1::2])]
+        named: dict[str, str] = {}  # the tests outside the innermost loop
+        for test, d in tests:
+            if d < k and test not in named:
+                named[test] = f"c{len(named)}"
+                steps[d].append(f"{named[test]} = {test}")
+        *premises, goal = (named.get(test, test) for test, _ in tests)
+        lines = ["def search(T, D, leq, room, budget):",
+                 _unpack("T", len(self.heads)), _unpack("D", k), "    n = 0"]
+        lines += ["    " + step for step in steps[0]]
+        indent = "    "
+        for i in range(min(k, _NESTED)):
+            lines.append(f"{indent}for s{i} in D{i}:")
+            indent += "    "
+            lines += [indent + step for step in steps[i + 1]]
+        if k > _NESTED:
+            tail = range(_NESTED, k)
+            lines.append(indent + "for " + "".join(f"s{i}, " for i in tail)
+                         + "in product(" + ", ".join(f"D{i}" for i in tail) + "):")
+            indent += "    "
+            lines += [indent + step for level in steps[_NESTED + 1:] for step in level]
+        found = " and ".join([f"not {goal}", *premises])
+        symbols = "(" + "".join(f"s{i}, " for i in range(k)) + ")"
+        lines += [f"{indent}n += 1", f"{indent}if n > room:",
+                  f"{indent}    budget.spend(n)", f"{indent}if {found}:",
+                  f"{indent}    budget.spend(n)", f"{indent}    return {symbols}",
+                  "    budget.spend(n)"]
+        return _define("search", lines)
 
 
-def _env(symbols, val: Valuation) -> tuple[int, ...]:
-    env = []
-    for kind, name in symbols:
-        source = val.of_kind(kind)
-        if name not in source:
-            raise ModelError(f"unbound {kind} {name!r}")
-        env.append(source[name])
-    return tuple(env)
+def _unpack(prefix: str, count: int) -> str:
+    """The statement binding ``<prefix>0`` ... from the sequence ``prefix``."""
+    return "    [" + ", ".join(f"{prefix}{i}" for i in range(count)) + f"] = {prefix}"
+
+
+def _head_key(t: Term) -> tuple:
+    """What ``_head_table`` reads of ``t``."""
+    return type(t), getattr(t, "decl", None), getattr(t, "coord", None)
+
+
+def _collect(t: Term, index: dict, nodes: list, heads: dict) -> int:
+    """The position of ``t`` in ``nodes``, adding it after its arguments
+    and its head, if new, to ``heads`` before them."""
+    i = index.get(t)
+    if i is None:
+        h = None
+        if type(t) not in _LEAF_KINDS:
+            h = heads.setdefault(_head_key(t), (len(heads), t))[0]
+        args = [_collect(a, index, nodes, heads) for a in t.args]
+        i = index[t] = len(nodes)
+        nodes.append((t, h, args))
+    return i
+
+
+@lru_cache(maxsize=_PLANS)
+def _plan(terms: tuple[Term, ...]) -> _Plan:
+    return _Plan(terms)
 
 
 def eval_term(t: Term, dle: FiniteDLE, val: Valuation,
@@ -553,16 +666,8 @@ def eval_term(t: Term, dle: FiniteDLE, val: Valuation,
     """Evaluate one term under one valuation."""
     if budget is not None:
         budget.spend()
-    symbols, (f,) = _compile_terms([t], dle)
-    return f(_env(symbols, val))
-
-
-def _domain(dle: FiniteDLE, kind: str) -> tuple[int, ...]:
-    if kind == "var":
-        return tuple(range(dle.n_elem))
-    if kind == "nom":
-        return dle.jirr
-    return dle.mirr
+    plan = _plan((t,))
+    return plan.values(plan.tables(dle), plan.env(val))[0]
 
 
 def _counterexample(premises, conclusion: Inequality, dle: FiniteDLE,
@@ -570,18 +675,10 @@ def _counterexample(premises, conclusion: Inequality, dle: FiniteDLE,
     """The first valuation, in enumeration order, under which every
     premise holds and the conclusion fails; one budget unit per
     valuation tried."""
-    ineqs = [*premises, conclusion]
-    symbols, fs = _compile_terms([t for iq in ineqs for t in (iq.lhs, iq.rhs)], dle)
-    *ants, (gl, gr) = zip(fs[::2], fs[1::2])
-    leq = dle.leq_table
-    for env in product(*(_domain(dle, kind) for kind, _ in symbols)):
-        budget.spend()
-        if not leq[gl(env)][gr(env)] and all(leq[l(env)][r(env)] for l, r in ants):
-            val = Valuation()
-            for (kind, name), x in zip(symbols, env):
-                val.of_kind(kind)[name] = x
-            return val
-    return None
+    plan = _plan(tuple(t for iq in (*premises, conclusion) for t in (iq.lhs, iq.rhs)))
+    env = plan.search(plan.tables(dle), plan.domains(dle), dle.leq_table,
+                      budget.limit - budget.used, budget)
+    return None if env is None else plan.valuation(env)
 
 
 def check_validity(ineq: Inequality, dle: FiniteDLE,
@@ -629,17 +726,21 @@ def role_axiom_holds(dle: FiniteDLE, role: str) -> bool:
     """The registered term of ``role`` satisfies the role's axiom: it sends
     binary joins (bottom-unit roles) or meets into joins of values (F
     roles), or values' meets into it (G roles).  For pi this is
-    additivity, for sigma multiplicativity."""
+    additivity, for sigma multiplicativity.  Decided once per lattice."""
     spec = SPEC_BY_ROLE[role]
-    f = dle.role_table(role)
-    leq = dle.leq_table
-    inner = dle.join_table if spec.bot_unit else dle.meet_table
-    r = range(dle.n_elem)
-    if spec.family == "F":
-        outer = dle.join_table
-        return all(leq[f[inner[a][b]]][outer[f[a]][f[b]]] for a in r for b in r)
-    outer = dle.meet_table
-    return all(leq[outer[f[a]][f[b]]][f[inner[a][b]]] for a in r for b in r)
+
+    def holds() -> bool:
+        f = dle.role_table(role)
+        leq = dle.leq_table
+        inner = dle.join_table if spec.bot_unit else dle.meet_table
+        r = range(dle.n_elem)
+        if spec.family == "F":
+            outer = dle.join_table
+            return all(leq[f[inner[a][b]]][outer[f[a]][f[b]]] for a in r for b in r)
+        outer = dle.meet_table
+        return all(leq[outer[f[a]][f[b]]][f[inner[a][b]]] for a in r for b in r)
+
+    return dle._cached(("axiom", role), holds)
 
 
 def role_axioms_hold(dle: FiniteDLE) -> bool:

@@ -1,12 +1,14 @@
+import gc
 import hashlib
 import random
+from functools import reduce
 from itertools import product
 
 import pytest
 
 from conftest import relational_dle
-from dlecorr import models
-from dlecorr.engine import SysIneq, System, run_alba
+from dlecorr import generators, models
+from dlecorr.engine import SysIneq, System, rule_steps, run_alba
 from dlecorr.language import (
     BOT, TOP, BlackBox, Conominal, DefDia, Inequality, Layer, Nominal,
     Var, join, meet,
@@ -307,6 +309,21 @@ def test_verify_rule_step_adj_pi_needs_additivity(classical_sig):
     assert failure_found
 
 
+def test_role_axiom_verdict_once_per_lattice(classical_sig, monkeypatch):
+    reads = []
+    role_table = FiniteDLE.role_table
+    monkeypatch.setattr(FiniteDLE, "role_table",
+                        lambda self, role: reads.append(role) or role_table(self, role))
+    dle = relational_dle(classical_sig, 2, [(0, 1)])
+    verdict = models.role_axioms_hold(dle)
+    assert [models.role_axioms_hold(dle) for _ in range(3)] == [verdict] * 3
+    assert reads == ["pi", "sigma"]
+    # a new table decides again
+    dle.add_op("dia", Relation.from_pairs(2, [(0, 1), (1, 0)]))
+    models.role_axiom_holds(dle, "pi")
+    assert reads == ["pi", "sigma", "pi"]
+
+
 def test_lemma_suite_identity_role():
     sig = parse_signature("conn dia F 1 (1)\nconn box G 1 (1)\nterm pi = p")
     dle = relational_dle(sig, 2, [(0, 1)])
@@ -356,8 +373,158 @@ def test_nonadditive_witness_exists(classical_sig):
 def test_budget_exceeded_is_loud(bare_sig):
     dle = relational_dle(bare_sig, 3, [(0, 1)])
     iq = parse_inequality("dia(p) & dia(q) & dia(r) <= top", bare_sig, Layer.DLE)
+    budget = Budget(limit=10)
     with pytest.raises(BudgetExceeded):
-        check_validity(iq, dle, Budget(limit=10))
+        check_validity(iq, dle, budget)
+    # raised on the eleventh valuation, before it is evaluated
+    assert budget.used == 11
+
+
+def test_budget_counts_every_valuation(bare_sig):
+    dle = relational_dle(bare_sig, 3, [(0, 1), (1, 2)])
+    n, nj, nm = dle.n_elem, len(dle.jirr), len(dle.mirr)
+    # a passing check spends the product of its domain sizes
+    valid = parse_inequality("#i & dia(p) <= dia(p) | @m", bare_sig, Layer.DLEPLUS)
+    budget = Budget()
+    assert check_validity(valid, dle, budget)[0]
+    assert budget.used == n * nj * nm
+    # the budget keeps counting across checks; a failing check stops at
+    # its first counterexample, counted in enumeration order (variables,
+    # then nominals, then conominals, each sorted)
+    invalid = parse_inequality("#j & q <= dia(p)", bare_sig, Layer.DLEPLUS)
+    ok, ce = check_validity(invalid, dle, budget)
+    assert not ok
+    rank = (ce.var_map["p"] * n + ce.var_map["q"]) * nj + dle.jirr.index(ce.nom_map["j"])
+    assert budget.used == n * nj * nm + rank + 1
+    # a step between two valid quasi-inequalities spends both in full
+    goal = Inequality(Nominal("i0"), Conominal("m0"))
+    p_below = SysIneq(Inequality(Var("p"), Conominal("m0")))
+    parent = System((SysIneq(Inequality(Nominal("i0"), meet(Var("p"), Var("q")))),
+                     p_below), goal)
+    child = System((SysIneq(Inequality(Nominal("i0"), Var("p"))),
+                    SysIneq(Inequality(Nominal("i0"), Var("q"))), p_below), goal)
+    budget = Budget()
+    assert verify_rule_step(parent, [child], dle, budget)
+    assert budget.used == 2 * n * n * nj * nm
+
+
+def test_symbols_named_like_generated_identifiers(bare_sig):
+    # user names that look like the generated identifiers
+    dle = relational_dle(bare_sig, 2, [(0, 1), (1, 0)])
+    s0, t0, budget = Var("s0"), Var("T0"), Var("budget")
+    term = join(meet(s0, t0), budget)
+    for a, b, c in product(range(dle.n_elem), repeat=3):
+        val = Valuation(var_map={"s0": a, "T0": b, "budget": c})
+        assert eval_term(term, dle, val) == dle.join(dle.meet(a, b), c)
+    assert check_validity(Inequality(meet(budget, s0), budget), dle)[0]
+    ok, ce = check_validity(Inequality(s0, meet(t0, Var("v7"))), dle)
+    assert not ok and ce.var_map == {"T0": 0, "s0": 1, "v7": 0}
+    v0 = Nominal("v0")
+    ok, ce = check_validity(Inequality(join(v0, s0), Conominal("D0")), dle)
+    assert not ok and (ce.var_map, ce.nom_map, ce.conom_map) == (
+        {"s0": 0}, {"v0": dle.jirr[0]}, {"D0": dle.mirr[0]})
+
+
+def test_deep_systems_beyond_the_nesting_limit(classical_sig):
+    # 26 quantified symbols: more loops than CPython nests in one function
+    dle = FiniteDLE(chain(1), classical_sig)
+    lhs = reduce(join, [Nominal(f"i{k}") for k in range(25)])
+    budget = Budget()
+    ok, ce = check_validity(Inequality(lhs, Conominal("m")), dle, budget)
+    assert not ok and budget.used == 1
+    assert ce.nom_map == {f"i{k}": dle.jirr[0] for k in range(25)}
+    # on two points every valuation of 19 symbols is tried
+    dle = FiniteDLE(antichain(2), classical_sig)
+    lhs = reduce(meet, [Nominal(f"i{k:02}") for k in range(18)])
+    rhs = join(Nominal("i00"), Conominal("m"))
+    budget = Budget()
+    assert check_validity(Inequality(lhs, rhs), dle, budget)[0]
+    assert budget.used == 2 ** 19
+    ok, ce = check_validity(Inequality(lhs, meet(rhs, Var("p"))), dle)
+    assert not ok and ce.var_map == {"p": dle.bot}
+
+
+def test_plans_leave_no_reference_cycles(classical_sig):
+    # compiled plans are freed by reference counting once evicted
+    iq = parse_inequality("dia(box(p)) <= box(dia(p))", classical_sig, Layer.DLE)
+    d = run_alba(iq, classical_sig, "alba", "auto")
+    steps = list(rule_steps(d))
+    dle = relational_dle(classical_sig, 2, [(0, 1)])
+    gc.collect()
+    gc.disable()
+    try:
+        models._plan.cache_clear()
+        assert not check_validity(iq, dle)[0]
+        assert all(verify_rule_step(parent, children, dle)
+                   for _, parent, children in steps)
+        eval_term(iq.lhs, dle, Valuation(var_map={"p": dle.top}))
+        dle.role_table("pi")
+        assert models._plan.cache_info().currsize > len(steps)
+        models._plan.cache_clear()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def _oracle_records(classical_sig, draws):
+    """First counterexamples, budget use and verdicts of the quantified
+    checks over seeded derivations (alba on random signatures, albae on
+    the classical and the Galois-role signature) and random lattices."""
+    rng = random.Random(6)
+    lr_sig = parse_signature(LR_SIG_TEXT)
+    symbols = lambda val: tuple(sorted(val.of_kind(kind).items())
+                                for kind in ("var", "nom", "conom"))
+    out = []
+    for k in range(draws):
+        if k % 3 == 0:
+            sig, mode = generators.random_signature(rng), "alba"
+            ineq = generators.random_inductive(rng, sig, max_depth=3)
+        else:
+            sig, mode = (classical_sig, lr_sig)[k % 3 - 1], "albae"
+            ineq = generators.phi_image(
+                generators.random_inductive(rng, sig, star=True, max_depth=3), sig)
+        d = run_alba(ineq, sig, mode, "auto")
+        steps = list(rule_steps(d))
+        for _ in range(2):
+            dle = random_dle(rng, sig, max_points=3)
+            budget = Budget()
+            ok, ce = check_validity(ineq, dle, budget)
+            rec = [k, ok, budget.used]
+            if ce is not None:
+                rec += [symbols(ce), eval_term(ineq.lhs, dle, ce),
+                        eval_term(ineq.rhs, dle, ce)]
+            budget = Budget()
+            for rule, parent, children in steps:
+                rec.append((rule, verify_rule_step(parent, children, dle, budget),
+                            budget.used))
+                # a crossed step that drops every antecedent
+                rec.append(verify_rule_step(parent, [System((), parent.goal)],
+                                            dle, budget))
+                for si in parent.ineqs:
+                    ok, ce = check_validity(si.ineq, dle, budget)
+                    rec.append((ok, budget.used, ce and symbols(ce)))
+            if d.status.kind == "success":
+                rec.append((check_quasi(d.status.pure_systems, dle, budget),
+                            budget.used))
+            budget = Budget(limit=rng.randrange(1, 60))
+            try:
+                rec.append(check_validity(ineq, dle, budget)[0])
+            except BudgetExceeded:
+                rec.append("exceeded")
+            rec.append(budget.used)
+            out.append(rec)
+    return out
+
+
+def test_oracle_differential_pinned(classical_sig):
+    # 200 derivations on 2 lattices each: 8725 entries, among them 1260
+    # verdicts on rule steps and 1260 on crossed steps, 2500 first
+    # counterexamples of antecedents, 398 check_quasi verdicts (185 false)
+    # and 33 exhausted small budgets; the digest was taken with the
+    # closure-tree evaluator that the compiled plans replaced
+    records = _oracle_records(classical_sig, 200)
+    digest = hashlib.sha256(repr(records).encode()).hexdigest()
+    assert digest == "2591ee60d3eee377737a35a5b75e3748be708eb7c58b6ea9798ffd2e4ffbeb1c"
 
 
 def test_load_dle_text_format(classical_sig, mixed_sig):
