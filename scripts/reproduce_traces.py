@@ -1,7 +1,7 @@
-"""Regenerate the golden trace files under tests/golden/.
+"""Regenerate the golden trace and classify files under tests/golden/.
 
-The traces are normative: the CLI tests compare reduce output byte for
-byte against these files.  Run from the repository root:
+They are normative: the CLI tests compare reduce and classify output byte
+for byte against these files.  Run from the repository root:
 
     python scripts/reproduce_traces.py
 """
@@ -41,16 +41,23 @@ AdjPi @ 1
 AckermannLeft @ p
 """
 
+# (file, command, inequality, mode, strategy, expected exit code)
 CASES = [
-    ("churchrosser.trace", "reduce", "dia(box(p)) <= box(dia(p))", "alba", "auto"),
+    ("churchrosser.trace", "reduce", "dia(box(p)) <= box(dia(p))", "alba", "auto", 0),
     ("additivity.trace", "reduce",
-     "dia(box(dia(p | q))) <= dia(box(dia(p))) | dia(box(dia(q)))", "albae", "auto"),
+     "dia(box(dia(p | q))) <= dia(box(dia(p))) | dia(box(dia(q)))", "albae", "auto", 0),
     ("geach.trace", "reduce",
-     "dia(box(dia(box(p)))) <= box(dia(box(dia(p))))", "albae", "auto"),
-    ("tense.trace", "reduce", "dia(box(p)) <= box(dia(p))", "alba", "tense.script"),
+     "dia(box(dia(box(p)))) <= box(dia(box(dia(p))))", "albae", "auto", 0),
+    ("tense.trace", "reduce", "dia(box(p)) <= box(dia(p))", "alba", "tense.script", 0),
     ("pseudo.trace", "reduce",
      "dia(box(dia(p))) <= Dia[pi](p) | dia(box(dia(bot)))", "albae",
-     "pseudo.script"),
+     "pseudo.script", 0),
+    ("churchrosser.classify", "classify", "dia(box(p)) <= box(dia(p))", "alba", "auto", 0),
+    ("additivity.classify", "classify",
+     "dia(box(dia(p | q))) <= dia(box(dia(p))) | dia(box(dia(q)))", "albae", "auto", 0),
+    ("pisigma.classify", "classify",
+     "box(dia(box(p))) <= dia(box(dia(p)))", "albae", "auto", 0),
+    ("mckinsey.classify", "classify", "box(dia(p)) <= dia(box(p))", "alba", "auto", 3),
 ]
 
 
@@ -60,15 +67,15 @@ def main() -> None:
     sig_path.write_text(SIG, encoding="utf-8")
     (GOLDEN / "tense.script").write_text(TENSE_SCRIPT, encoding="utf-8")
     (GOLDEN / "pseudo.script").write_text(PSEUDO_SCRIPT, encoding="utf-8")
-    for fname, command, ineq, mode, strategy in CASES:
+    for fname, command, ineq, mode, strategy, expected in CASES:
         out = GOLDEN / fname
         argv = [command, ineq, "--sig", str(sig_path), "--mode", mode,
                 "--out", str(out)]
         if strategy != "auto":
             argv += ["--strategy", str(GOLDEN / strategy)]
         code = cli.main(argv)
-        if code != 0:
-            raise SystemExit(f"{fname}: exit code {code}")
+        if code != expected:
+            raise SystemExit(f"{fname}: exit code {code}, expected {expected}")
         print(f"wrote {out}")
 
 

@@ -18,7 +18,8 @@ critical branch is good and the side terms of SRR nodes on critical
 branches agree with the opposite order type and only mention strictly
 Omega-smaller variables.  Meta-inductive inequalities are the images of
 inductive dotted-language inequalities under substitution of registered
-role terms for the dotted modalities.
+role terms for the dotted modalities.  Each signed tree is analysed once:
+every order type, preimage pairing and branch report reads the analyses.
 """
 
 from __future__ import annotations
@@ -97,28 +98,24 @@ def signed_tree(t: Term, sign: int) -> SignedNode:
     if layer_of(t) > Layer.DLESTAR:
         raise ClassifyError(
             "signed generation trees are defined for DLE/DLEstar terms only")
+    return _signed(t, sign)
+
+
+def _signed(t: Term, sign: int) -> SignedNode:
     children = tuple(
-        signed_tree(a, sign * tone) for a, tone in zip(t.args, t.tonicities())
-    )
+        _signed(a, sign * tone) for a, tone in zip(t.args, t.tonicities()))
     return SignedNode(t, sign, node_classes(t, sign), children)
-
-
-@dataclass(frozen=True)
-class SrrObligation:
-    node: SignedNode
-    sibling: SignedNode
 
 
 @dataclass(frozen=True)
 class BranchAnalysis:
     var: str
     leaf_sign: int
-    path: tuple[SignedNode, ...]  # leaf's proper ancestors, leaf side first
     is_good: bool
     is_excellent: bool
-    p1: tuple[SignedNode, ...]
-    p2: tuple[SignedNode, ...]
-    srr_obligations: tuple[SrrObligation, ...]
+    p1: tuple[SignedNode, ...]  # PIA block, leaf side first
+    p2: tuple[SignedNode, ...]  # Skeleton block, up to the root
+    srr_leaves: frozenset[tuple[str, int]]  # (var, sign) in P1's SRR side terms
 
 
 def branches(root: SignedNode) -> list[BranchAnalysis]:
@@ -142,24 +139,29 @@ def _analyse(chain: tuple[SignedNode, ...]) -> BranchAnalysis:
     # chain runs from the leaf up to the root; chain[0] is the Var leaf
     leaf = chain[0]
     path = chain[1:]
-    n = len(path)
-    k = n
+    k = len(path)
     while k > 0 and path[k - 1].classes & SKELETON:
         k -= 1
     p1, p2 = path[:k], path[k:]
     good = all(node.classes & PIA for node in p1)
     excellent = good and all(SRA in node.classes for node in p1)
-    obligations: list[SrrObligation] = []
+    srr_leaves: set[tuple[str, int]] = set()
     if good:
         for i, node in enumerate(p1):
             if SRR in node.classes:
                 through = chain[i]  # the child the branch passes through
                 for child in node.children:
                     if child is not through:
-                        obligations.append(SrrObligation(node, child))
+                        srr_leaves.update(
+                            (v, s) for v, s, _ in var_occurrences(child.term, child.sign))
     return BranchAnalysis(
-        var=leaf.term.name, leaf_sign=leaf.sign, path=path, is_good=good,
-        is_excellent=excellent, p1=p1, p2=p2, srr_obligations=tuple(obligations))
+        var=leaf.term.name, leaf_sign=leaf.sign, is_good=good,
+        is_excellent=excellent, p1=p1, p2=p2, srr_leaves=frozenset(srr_leaves))
+
+
+def _sides(ineq: Inequality) -> tuple[list[BranchAnalysis], list[BranchAnalysis]]:
+    """Branch analyses of +lhs and of -rhs."""
+    return branches(signed_tree(ineq.lhs, MONO)), branches(signed_tree(ineq.rhs, ANTI))
 
 
 @dataclass(frozen=True)
@@ -185,13 +187,6 @@ def _is_critical(sign: int, eps_entry: str) -> bool:
     return (sign == MONO) == (eps_entry == "1")
 
 
-def _agrees_with_opposite(node: SignedNode, eps: dict[str, str]) -> bool:
-    """Every variable leaf of the signed subtree is epsilon-dual-critical."""
-    if isinstance(node.term, Var):
-        return not _is_critical(node.sign, eps[node.term.name])
-    return all(_agrees_with_opposite(c, eps) for c in node.children)
-
-
 def _transitive_closure(edges: set[tuple[str, str]]) -> frozenset[tuple[str, str]] | None:
     closure = set(edges)
     changed = True
@@ -207,48 +202,47 @@ def _transitive_closure(edges: set[tuple[str, str]]) -> frozenset[tuple[str, str
     return frozenset(closure)
 
 
-def _tree_pair(ineq: Inequality) -> tuple[SignedNode, SignedNode]:
-    return signed_tree(ineq.lhs, MONO), signed_tree(ineq.rhs, ANTI)
-
-
-def _check_eps(ineq: Inequality, variables: tuple[str, ...], entries: tuple[str, ...],
-               require_excellent: bool) -> InductiveWitness | None:
+def _check_eps(analyses: list[BranchAnalysis], variables: tuple[str, ...],
+               entries: tuple[str, ...], require_excellent: bool) -> InductiveWitness | None:
     eps = dict(zip(variables, entries))
     edges: set[tuple[str, str]] = set()
-    for tree in _tree_pair(ineq):
-        for br in branches(tree):
-            if not _is_critical(br.leaf_sign, eps[br.var]):
-                continue
-            if require_excellent and not br.is_excellent:
-                return None
-            if not br.is_good:
-                return None
-            for ob in br.srr_obligations:
-                if not _agrees_with_opposite(ob.sibling, eps):
-                    return None
-                for q in free_vars(ob.sibling.term):
-                    edges.add((q, br.var))
+    for br in analyses:
+        if not _is_critical(br.leaf_sign, eps[br.var]):
+            continue
+        if not (br.is_excellent if require_excellent else br.is_good):
+            return None
+        # SRR side terms must agree with the opposite order type
+        if any(_is_critical(sign, eps[q]) for q, sign in br.srr_leaves):
+            return None
+        edges.update((q, br.var) for q, _ in br.srr_leaves)
     omega = _transitive_closure(edges)
     if omega is None:
         return None
     return InductiveWitness(variables, OrderType(entries), omega)
 
 
-def _eps_candidates(variables: tuple[str, ...]):
+def _capped_variables(ineq: Inequality) -> tuple[str, ...]:
+    variables = variables_of(ineq)
     if len(variables) > MAX_VARIABLES:
         raise ClassifyError(
             f"order-type search is capped at {MAX_VARIABLES} variables, "
             f"got {len(variables)}")
-    return product("1d", repeat=len(variables))
+    return variables
+
+
+def _eps_witnesses(variables: tuple[str, ...], analyses: list[BranchAnalysis],
+                   require_excellent: bool):
+    """The witness of each workable epsilon, lexicographically (1 before d)."""
+    for entries in product("1d", repeat=len(variables)):
+        w = _check_eps(analyses, variables, entries, require_excellent)
+        if w is not None:
+            yield w
 
 
 def _witnesses(ineq: Inequality, require_excellent: bool):
-    """The witness of each workable epsilon, lexicographically (1 before d)."""
-    variables = variables_of(ineq)
-    for entries in _eps_candidates(variables):
-        w = _check_eps(ineq, variables, tuple(entries), require_excellent)
-        if w is not None:
-            yield w
+    variables = _capped_variables(ineq)  # before any tree is built
+    lhs, rhs = _sides(ineq)
+    return _eps_witnesses(variables, lhs + rhs, require_excellent)
 
 
 def is_sahlqvist(ineq: Inequality) -> OrderType | None:
@@ -343,32 +337,38 @@ def _preimages(term: Term, sig: Signature, budget: _Budget) -> list[Term]:
 ANTI_SUBSTITUTION_BUDGET = 10 ** 5
 
 
+def _meta_witnesses(ineq: Inequality, sig: Signature, budget: int):
+    """The first witness of each inductive (lhs, rhs) preimage pair."""
+    b = _Budget(budget)
+    lhs_pre = _preimages(ineq.lhs, sig, b)
+    rhs_pre = _preimages(ineq.rhs, sig, b)
+    # every preimage has the input's variables: registered terms have one
+    variables = _capped_variables(ineq)
+    lhs = [(t, branches(signed_tree(t, MONO))) for t in lhs_pre]
+    rhs = [(t, branches(signed_tree(t, ANTI))) for t in rhs_pre]
+    for ls, lhs_branches in lhs:
+        for rs, rhs_branches in rhs:
+            if not b.spend(10):
+                return
+            w = next(_eps_witnesses(variables, lhs_branches + rhs_branches, False), None)
+            if w is not None:
+                yield Inequality(ls, rs), w
+
+
 def meta_inductive_witnesses(
     ineq: Inequality, sig: Signature,
     budget: int = ANTI_SUBSTITUTION_BUDGET,
 ) -> list[tuple[Inequality, InductiveWitness]]:
     """All (dotted preimage, witness) pairs, in deterministic search order."""
-    b = _Budget(budget)
-    lhs_pre = _preimages(ineq.lhs, sig, b)
-    rhs_pre = _preimages(ineq.rhs, sig, b)
-    out = []
-    for ls in lhs_pre:
-        for rs in rhs_pre:
-            if not b.spend(10):
-                return out
-            cand = Inequality(ls, rs)
-            w = is_inductive(cand)
-            if w is not None:
-                out.append((cand, w))
-    return out
+    return list(_meta_witnesses(ineq, sig, budget))
 
 
 def is_meta_inductive(
     ineq: Inequality, sig: Signature,
     budget: int = ANTI_SUBSTITUTION_BUDGET,
 ) -> tuple[Inequality, InductiveWitness] | None:
-    found = meta_inductive_witnesses(ineq, sig, budget)
-    return found[0] if found else None
+    """The first (dotted preimage, witness) pair, if any."""
+    return next(_meta_witnesses(ineq, sig, budget), None)
 
 
 # -- reporting ---------------------------------------------------------
@@ -389,8 +389,8 @@ def branch_report(ineq: Inequality, eps: OrderType | None = None) -> str:
     variables = variables_of(ineq)
     eps_map = dict(zip(variables, eps.entries)) if eps is not None else None
     lines = []
-    for label, tree in zip(("+lhs", "-rhs"), _tree_pair(ineq)):
-        for br in branches(tree):
+    for label, side in zip(("+lhs", "-rhs"), _sides(ineq)):
+        for br in side:
             sgn = "+" if br.leaf_sign == MONO else "-"
             flags = []
             if eps_map is not None:

@@ -600,7 +600,10 @@ def _distribute(d: Derivation, system: System, app: RuleApplication):
     if not (over_join or over_meet) or not _pushable(
             parent, sign, parent.tonicities()[k], over_join):
         raise RuleMatchError("distribution does not match at this position")
-    new_term = _apply_distribution_signed(term, MONO if side_idx == 0 else ANTI, pos, k)
+    one, two = (parent.with_args(parent.args[:k] + (half,) + parent.args[k + 1:])
+                for half in child.args)
+    # the combinator is a join when the parent is positively signed
+    new_term = replace_at(term, pos, (join if sign == MONO else meet)(one, two))
     new = Inequality(new_term, ineq.rhs) if side_idx == 0 else \
         Inequality(ineq.lhs, new_term)
     return [system.replace_index(idx, [SysIneq(new, si.side)])], ineq, ()
@@ -625,21 +628,6 @@ def _monotone_elim(d: Derivation, system: System, app: RuleApplication):
     value = {app.pivot: BOT if app.coord == 0 else TOP}
     new = Inequality(substitute(si.ineq.lhs, value), substitute(si.ineq.rhs, value))
     return [system.replace_index(idx, [SysIneq(new, si.side)])], si.ineq, ()
-
-
-def _apply_distribution_signed(term: Term, root_sign: int, pos: tuple[int, ...], k: int) -> Term:
-    # combinator is a join when the parent is positively signed
-    parent = subterm_at(term, pos)
-    child = parent.args[k]
-    left_args = list(parent.args)
-    right_args = list(parent.args)
-    left_args[k] = child.args[0]
-    right_args[k] = child.args[1]
-    one = parent.with_args(tuple(left_args))
-    two = parent.with_args(tuple(right_args))
-    parent_sign = root_sign * _sign_at(term, pos)
-    combined = join(one, two) if parent_sign == MONO else meet(one, two)
-    return replace_at(term, pos, combined)
 
 
 def _first_approx(d: Derivation, system: System, app: RuleApplication):

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -5,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_any_term
-from dlecorr import classify
+from dlecorr import classify, generators
 from dlecorr.classify import (
     ABSENT, BOTH, DELTA, NEGATIVE, POSITIVE, SLR, SRA, branches,
     is_inductive, is_meta_inductive, is_sahlqvist, polarity, signed_tree,
@@ -114,9 +115,8 @@ def test_every_sahlqvist_witness_is_inductive(mixed_sig):
         if eps is None:
             continue
         found += 1
-        variables = classify.variables_of(iq)
-        w = classify._check_eps(iq, variables, eps.entries, require_excellent=False)
-        assert w is not None and w.omega == frozenset()
+        ws = {w.epsilon: w for w in classify.inductive_witnesses(iq)}
+        assert eps in ws and ws[eps].omega == frozenset()
     assert found > 20
 
 
@@ -196,10 +196,62 @@ def test_meta_inductive_recovers_random_images(seed, classical_sig):
     assert is_meta_inductive(img, classical_sig) is not None
 
 
-def test_variable_cap():
+def test_variable_cap(classical_sig):
     sig = parse_signature("conn dia F 1 (1)")
     big = Var("x0")
     for i in range(1, 13):
         big = join(big, Var(f"x{i}"))
     with pytest.raises(classify.ClassifyError):
         is_inductive(Inequality(big, TOP))
+    # outside DLEstar as well: the cap is reported before the layer, by the
+    # epsilon loop and the meta-inductive search alike
+    iq = Inequality(join(big, Nominal("i0")), TOP)
+    with pytest.raises(classify.ClassifyError, match="capped"):
+        is_inductive(iq)
+    with pytest.raises(classify.ClassifyError, match="capped"):
+        is_meta_inductive(iq, classical_sig)
+    with pytest.raises(classify.ClassifyError, match="DLE/DLEstar"):
+        is_inductive(Inequality(Nominal("i0"), TOP))
+
+
+def _classifier_records(classical_sig, mixed_sig, draws):
+    """Everything the classifier answers on seeded inputs: inductive
+    images on random signatures, phi-images of dotted inductive
+    inequalities, and random term pairs (SRR nodes with side terms on the
+    mixed signature, role matches on the classical one)."""
+    rng = random.Random(7)
+    witness = lambda w: (w.variables, w.epsilon.entries, sorted(w.omega))
+    out = []
+    for k in range(draws):
+        if k % 4 == 0:
+            sig = generators.random_signature(rng)
+            iq = generators.random_inductive(rng, sig, max_depth=3)
+        elif k % 4 == 1:
+            sig = classical_sig
+            iq = generators.phi_image(
+                generators.random_inductive(rng, sig, star=True, max_depth=3), sig)
+        else:
+            sig, layer = ((mixed_sig, Layer.DLESTAR), (classical_sig, Layer.DLE))[k % 2]
+            iq = Inequality(random_any_term(rng, sig, layer, 4),
+                            random_any_term(rng, sig, layer, 4))
+        eps = is_sahlqvist(iq)
+        ws = classify.inductive_witnesses(iq)
+        meta = classify.meta_inductive_witnesses(iq, sig)
+        shown = eps if eps is not None else (ws[0].epsilon if ws else None)
+        out.append((
+            k, repr(iq), eps and eps.entries,
+            [witness(w) for w in ws],
+            [(repr(pre), witness(w)) for pre, w in meta],
+            classify.branch_report(iq, shown), classify.branch_report(iq)))
+    return out
+
+
+def test_classifier_differential_pinned(classical_sig, mixed_sig):
+    # 400 inputs: 370 Sahlqvist, 380 inductive (26 with a non-empty
+    # omega), 1379 meta-inductive pairs; 274 side terms disagree with the
+    # opposite order type and 36 dependency orders are cyclic.  The digest
+    # was taken while each order type still rebuilt both signed trees and
+    # every meta-inductive pair was classified from scratch
+    records = _classifier_records(classical_sig, mixed_sig, 400)
+    digest = hashlib.sha256(repr(records).encode()).hexdigest()
+    assert digest == "858ac8e0d3a4e21f1d72fea08d2d1b7b23ad505cd4997ef1c35b9cc144921266"

@@ -72,6 +72,23 @@ def test_reduce_matches_golden_trace(tmp_path):
         assert out.read_bytes() == (GOLDEN / fname).read_bytes(), fname
 
 
+
+def test_classify_matches_golden(tmp_path):
+    cases = [
+        ("churchrosser.classify", "dia(box(p)) <= box(dia(p))", 0),
+        ("additivity.classify",
+         "dia(box(dia(p | q))) <= dia(box(dia(p))) | dia(box(dia(q)))", 0),
+        ("pisigma.classify", "box(dia(box(p))) <= dia(box(dia(p)))", 0),
+        ("mckinsey.classify", "box(dia(p)) <= dia(box(p))", 3),
+    ]
+    for fname, ineq, code in cases:
+        out = tmp_path / fname
+        r = run_cli(["classify", ineq, "--sig", str(SIG)], out=out)
+        assert r.returncode == code, r.stderr
+        golden = (GOLDEN / fname).read_bytes()
+        assert out.read_bytes() == golden, fname
+        assert r.stdout.encode() == golden, fname
+
 def test_reduce_failure_exit_four(tmp_path):
     sig = tmp_path / "bare.sig"
     sig.write_text("conn dia F 1 (1)\nconn box G 1 (1)\n")
