@@ -28,14 +28,24 @@ fixes the symbol order, evaluates equal subterms once and generates one
 loop nest, one loop per symbol, with each subterm evaluated at the
 outermost loop where all its symbols are bound; the lattice's tables and
 domains are arguments of the generated code.  The checks, ``eval_term``
-and the role tables all go through it.
+and the role tables all go through it.  Once a kernel is compiled the
+plan keeps only its terms, symbols, heads and compiled functions.  Slim,
+4096 of them fit in little memory, and the cache's one bound is set
+there: checking every rule step of 650 seeded derivations cycles through
+2700-2900 distinct plans, and a pass that finds them all cached compiles
+nothing.
+
+The part of a lattice that depends only on its poset (elements, bounds,
+join, meet and order tables, irreducibles) is built once per ``Poset``
+and shared, read-only, by every lattice on it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from itertools import permutations, product
+from operator import and_, or_
 
 from .language import (
     MONO, ROLE_SPECS, SPEC_BY_NODE, SPEC_BY_ROLE, App, Arrow, Bot, Coimp,
@@ -101,6 +111,45 @@ class Poset:
     def is_upset(self, mask: int) -> bool:
         return all(self.up[i] & mask == self.up[i] or not (mask & (1 << i))
                    for i in range(self.n))
+
+    @cached_property
+    def skeleton(self) -> "_Skeleton":
+        """Its upset lattice without operations, shared by every lattice
+        on this poset."""
+        return _Skeleton(self)
+
+
+class _Skeleton:
+    """The upsets of a poset as element indices, in ascending mask order,
+    with the bounds, the join, meet and order tables and the irreducibles.
+    Nothing writes to these tables, so lattices share them."""
+
+    __slots__ = ("elements", "index", "n_elem", "bot", "top", "join_table",
+                 "meet_table", "leq_table", "jirr", "mirr")
+
+    def __init__(self, poset: Poset):
+        full = (1 << poset.n) - 1
+        self.elements: tuple[int, ...] = tuple(
+            m for m in range(full + 1) if poset.is_upset(m))
+        self.index = {m: i for i, m in enumerate(self.elements)}
+        self.n_elem = len(self.elements)
+        self.bot = self.index[0]
+        self.top = self.index[full]
+        self.join_table = [[self.index[a | b] for b in self.elements]
+                           for a in self.elements]
+        self.meet_table = [[self.index[a & b] for b in self.elements]
+                           for a in self.elements]
+        self.leq_table = [[(a & ~b) == 0 for b in self.elements]
+                          for a in self.elements]
+        self.jirr = tuple(self.index[poset.up[x]] for x in range(poset.n))
+        self.mirr = tuple(self.index[full & ~poset.down(x)] for x in range(poset.n))
+        # denseness at finite scale: every element is the join of the
+        # irreducibles below it and the meet of those above it
+        ups = [self.elements[j] for j in self.jirr]
+        downs = [self.elements[m] for m in self.mirr]
+        for u in self.elements:
+            assert reduce(or_, (j for j in ups if j & ~u == 0), 0) == u
+            assert reduce(and_, (m for m in downs if u & ~m == 0), full) == u
 
 
 def antichain(n: int) -> Poset:
@@ -227,32 +276,18 @@ class FiniteDLE:
     index).  Normality is validated at construction per the declared
     order types; relational generators are accepted for unary
     connectives, diamonds for the F-family, boxes for the G-family.
+    The lattice structure (elements, bounds, join/meet/order tables,
+    irreducibles) is the poset's shared skeleton; the operations and the
+    derived tables belong to the lattice.
     """
 
     def __init__(self, poset: Poset, sig: Signature, ops: dict | None = None,
                  validate: bool = True):
         self.poset = poset
         self.sig = sig
-        self.elements: tuple[int, ...] = tuple(sorted(
-            m for m in range(1 << poset.n) if poset.is_upset(m)))
-        self.index = {m: i for i, m in enumerate(self.elements)}
-        self.n_elem = len(self.elements)
-        self.bot = self.index[0]
-        self.top = self.index[(1 << poset.n) - 1]
-        self.join_table = [[self.index[a | b] for b in self.elements]
-                           for a in self.elements]
-        self.meet_table = [[self.index[a & b] for b in self.elements]
-                           for a in self.elements]
-        self.leq_table = [[(a & ~b) == 0 for b in self.elements]
-                          for a in self.elements]
-        self.jirr = tuple(self.index[poset.up[x]] for x in range(poset.n))
-        self.mirr = tuple(self.index[((1 << poset.n) - 1) & ~poset.down(x)]
-                          for x in range(poset.n))
-        # denseness at finite scale: every element is the join of the
-        # irreducibles below it and the meet of those above it
-        for u in range(self.n_elem):
-            assert self.join_all(self.approximants(u, True)) == u
-            assert self.meet_all(self.approximants(u, False)) == u
+        skeleton = poset.skeleton
+        for name in _Skeleton.__slots__:
+            setattr(self, name, getattr(skeleton, name))
         self.ops: dict[str, object] = {}
         self._cache: dict = {}
         for name, spec in sorted((ops or {}).items()):
@@ -465,7 +500,9 @@ class FiniteDLE:
 # term plans and evaluation
 
 _LEAF_KINDS = {Var: "var", Nominal: "nom", Conominal: "conom"}  # in symbol order
-_PLANS = 256  # plans kept: the systems of many derivations at once
+# plans kept: about 1.4 times the 2700-2900 distinct plans that checking
+# every rule step of 650 seeded derivations on their lattices cycles through
+_PLANS = 4096
 _NESTED = 16  # symbols bound by a loop of their own; CPython nests 20 blocks
 
 
@@ -525,40 +562,22 @@ class _Plan:
     expression that reads it.  The generated code names the tables
     ``T<h>``, domains ``D<i>``, symbols ``s<i>``, values ``v<k>`` and
     order tests ``c<j>``, so no name from the terms reaches its source.
+
+    The source lines (``_analyse``) are dropped once a kernel is compiled
+    and worked out again only for a second kind of kernel.
     """
 
+    __slots__ = ("terms", "symbols", "heads", "_code", "_values", "_search")
+
     def __init__(self, terms: tuple[Term, ...]):
-        nodes: list = []  # (subterm, head, arguments), distinct, children first
-        heads: dict = {}  # head key -> (its index, the first subterm with it)
-        index: dict[Term, int] = {}
-        roots = [_collect(t, index, nodes, heads) for t in terms]
-        leaves = sorted((i for i, (_, h, _) in enumerate(nodes) if h is None),
-                        key=lambda i: (list(_LEAF_KINDS).index(type(nodes[i][0])),
-                                       nodes[i][0].name))
-        self.symbols = [(_LEAF_KINDS[type(nodes[i][0])], nodes[i][0].name) for i in leaves]
-        self.heads = [t for _, t in heads.values()]
-        # depth: the number of leading symbols a subterm needs
-        depth = [0] * len(nodes)
-        code = [""] * len(nodes)  # a name or an expression
-        for k, i in enumerate(leaves):
-            depth[i], code[i] = k + 1, f"s{k}"
-        readers: list[list[int]] = [[] for _ in nodes]  # their depths
-        for i, (_, h, args) in enumerate(nodes):
-            if h is not None:
-                depth[i] = max((depth[a] for a in args), default=0)
-                for a in args:
-                    readers[a].append(depth[i])
-        for i in roots:
-            readers[i].append(-1)
-        self._steps: list[list[str]] = [[] for _ in range(len(leaves) + 1)]
-        for i, (_, h, args) in enumerate(nodes):
-            if h is None:
-                continue
-            code[i] = f"T{h}" + "".join(f"[{code[a]}]" for a in args)
-            if readers[i] != [depth[i]]:
-                self._steps[depth[i]].append(f"v{i} = {code[i]}")
-                code[i] = f"v{i}"
-        self._outputs = [(code[i], depth[i]) for i in roots]
+        self.terms = terms
+        self.symbols, self.heads, *self._code = _analyse(terms)
+        self._values = self._search = None
+
+    def _source(self) -> list:
+        """The steps and outputs of the analysis, given up by the plan."""
+        code, self._code = self._code or _analyse(self.terms)[2:], None
+        return code
 
     def tables(self, dle: FiniteDLE) -> tuple:
         return tuple(_head_table(t, dle) for t in self.heads)
@@ -582,27 +601,34 @@ class _Plan:
             val.of_kind(kind)[name] = x
         return val
 
-    @cached_property
+    @property
     def values(self):
         """values(T, s): the terms' values at the environment ``s``, given
         the tables of ``tables``."""
-        return _define("values", [
-            "def values(T, s):", _unpack("T", len(self.heads)),
-            _unpack("s", len(self.symbols))]
-            + ["    " + step for steps in self._steps for step in steps]
-            + ["    return (" + "".join(f"{o}, " for o, _ in self._outputs) + ")"])
+        if self._values is None:
+            steps, outputs = self._source()
+            self._values = _define("values", [
+                "def values(T, s):", _unpack("T", len(self.heads)),
+                _unpack("s", len(self.symbols))]
+                + ["    " + step for level in steps for step in level]
+                + ["    return (" + "".join(f"{o}, " for o, _ in outputs) + ")"])
+        return self._values
 
-    @cached_property
+    @property
     def search(self):
         """search(T, D, leq, room, budget): the first environment, in
         enumeration order, under which the last pair of terms is not in
         order and every other pair is.  Each environment tried is one unit
         of ``budget``, spent in one call once ``room`` units are used, on
         success and at the end."""
+        if self._search is None:
+            self._search = _define("search", self._search_lines(*self._source()))
+        return self._search
+
+    def _search_lines(self, steps: list[list[str]], outputs: list) -> list[str]:
         k = len(self.symbols)
-        steps = [list(s) for s in self._steps]
         tests = [(f"leq[{lhs}][{rhs}]", max(dl, dr)) for (lhs, dl), (rhs, dr)
-                 in zip(self._outputs[::2], self._outputs[1::2])]
+                 in zip(outputs[::2], outputs[1::2])]
         named: dict[str, str] = {}  # the tests outside the innermost loop
         for test, d in tests:
             if d < k and test not in named:
@@ -625,11 +651,47 @@ class _Plan:
             lines += [indent + step for level in steps[_NESTED + 1:] for step in level]
         found = " and ".join([f"not {goal}", *premises])
         symbols = "(" + "".join(f"s{i}, " for i in range(k)) + ")"
-        lines += [f"{indent}n += 1", f"{indent}if n > room:",
-                  f"{indent}    budget.spend(n)", f"{indent}if {found}:",
-                  f"{indent}    budget.spend(n)", f"{indent}    return {symbols}",
-                  "    budget.spend(n)"]
-        return _define("search", lines)
+        return lines + [f"{indent}n += 1", f"{indent}if n > room:",
+                        f"{indent}    budget.spend(n)", f"{indent}if {found}:",
+                        f"{indent}    budget.spend(n)", f"{indent}    return {symbols}",
+                        "    budget.spend(n)"]
+
+
+def _analyse(terms: tuple[Term, ...]) -> tuple[list, list, list[list[str]], list]:
+    """The symbols and heads of a plan of ``terms``, the steps of its
+    generated code by the number of leading symbols they need, and the
+    code and depth of each term's value."""
+    nodes: list = []  # (subterm, head, arguments), distinct, children first
+    heads: dict = {}  # head key -> (its index, the first subterm with it)
+    index: dict[Term, int] = {}
+    roots = [_collect(t, index, nodes, heads) for t in terms]
+    leaves = sorted((i for i, (_, h, _) in enumerate(nodes) if h is None),
+                    key=lambda i: (list(_LEAF_KINDS).index(type(nodes[i][0])),
+                                   nodes[i][0].name))
+    symbols = [(_LEAF_KINDS[type(nodes[i][0])], nodes[i][0].name) for i in leaves]
+    # depth: the number of leading symbols a subterm needs
+    depth = [0] * len(nodes)
+    code = [""] * len(nodes)  # a name or an expression
+    for k, i in enumerate(leaves):
+        depth[i], code[i] = k + 1, f"s{k}"
+    readers: list[list[int]] = [[] for _ in nodes]  # their depths
+    for i, (_, h, args) in enumerate(nodes):
+        if h is not None:
+            depth[i] = max((depth[a] for a in args), default=0)
+            for a in args:
+                readers[a].append(depth[i])
+    for i in roots:
+        readers[i].append(-1)
+    steps: list[list[str]] = [[] for _ in range(len(leaves) + 1)]
+    for i, (_, h, args) in enumerate(nodes):
+        if h is None:
+            continue
+        code[i] = f"T{h}" + "".join(f"[{code[a]}]" for a in args)
+        if readers[i] != [depth[i]]:
+            steps[depth[i]].append(f"v{i} = {code[i]}")
+            code[i] = f"v{i}"
+    return (symbols, [t for _, t in heads.values()], steps,
+            [(code[i], depth[i]) for i in roots])
 
 
 def _unpack(prefix: str, count: int) -> str:
@@ -670,12 +732,16 @@ def eval_term(t: Term, dle: FiniteDLE, val: Valuation,
     return plan.values(plan.tables(dle), plan.env(val))[0]
 
 
-def _counterexample(premises, conclusion: Inequality, dle: FiniteDLE,
-                    budget: Budget) -> Valuation | None:
+def _check_plan(premises, conclusion: Inequality) -> _Plan:
+    """The plan of (all ``premises``) => ``conclusion``: each
+    inequality's sides in order, the conclusion's last."""
+    return _plan(tuple(t for iq in (*premises, conclusion) for t in (iq.lhs, iq.rhs)))
+
+
+def _counterexample(plan: _Plan, dle: FiniteDLE, budget: Budget) -> Valuation | None:
     """The first valuation, in enumeration order, under which every
-    premise holds and the conclusion fails; one budget unit per
-    valuation tried."""
-    plan = _plan(tuple(t for iq in (*premises, conclusion) for t in (iq.lhs, iq.rhs)))
+    premise of ``plan`` holds and its conclusion fails; one budget unit
+    per valuation tried."""
     env = plan.search(plan.tables(dle), plan.domains(dle), dle.leq_table,
                       budget.limit - budget.used, budget)
     return None if env is None else plan.valuation(env)
@@ -686,27 +752,35 @@ def check_validity(ineq: Inequality, dle: FiniteDLE,
                    ) -> tuple[bool, Valuation | None]:
     """Quantify everything universally; on failure return the first
     counterexample valuation."""
-    ce = _counterexample((), ineq, dle, budget or Budget())
+    ce = _counterexample(_check_plan((), ineq), dle, budget or Budget())
     return ce is None, ce
 
 
-def _quasi_holds(system: System, dle: FiniteDLE, budget: Budget) -> bool:
-    """Universal closure of (all antecedents) => goal."""
+def _quasi_plan(system: System) -> _Plan:
+    """The plan of the universal closure of (all antecedents) => goal."""
     if system.goal is None:
         raise ModelError("system has no goal")
-    return _counterexample([si.ineq for si in system.ineqs], system.goal,
-                           dle, budget) is None
+    return _check_plan([si.ineq for si in system.ineqs], system.goal)
+
+
+def _quasi_holds(system: System, dle: FiniteDLE, budget: Budget) -> bool:
+    return _counterexample(_quasi_plan(system), dle, budget) is None
 
 
 def check_quasi(systems, dle: FiniteDLE, budget: Budget | None = None) -> bool:
     """Validity of a set of pure quasi-inequalities (success output)."""
     budget = budget or Budget()
     for system in systems:
-        for si in system.ineqs:
-            if free_vars(si.ineq.lhs) | free_vars(si.ineq.rhs):
-                raise ModelError(
-                    f"quasi-inequality is not pure: {print_inequality(si.ineq)}")
-        if not _quasi_holds(system, dle, budget):
+        plan = None if system.goal is None else _quasi_plan(system)
+        # a plan's symbols include every variable of its system: only a
+        # plan with one, or a system without a goal, needs the walk that
+        # names the first impure antecedent
+        if plan is None or any(kind == "var" for kind, _ in plan.symbols):
+            for si in system.ineqs:
+                if free_vars(si.ineq.lhs) | free_vars(si.ineq.rhs):
+                    raise ModelError(
+                        f"quasi-inequality is not pure: {print_inequality(si.ineq)}")
+        if _counterexample(plan or _quasi_plan(system), dle, budget) is not None:
             return False
     return True
 

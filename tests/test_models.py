@@ -3,6 +3,7 @@ import hashlib
 import random
 from functools import reduce
 from itertools import product
+from types import SimpleNamespace
 
 import pytest
 
@@ -464,6 +465,79 @@ def test_plans_leave_no_reference_cycles(classical_sig):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_a_pass_of_rule_steps_compiles_once(monkeypatch):
+    # the rule steps of seeded derivations need more distinct plans than
+    # 256; checked twice in the same cyclic order, the second pass finds
+    # every plan compiled
+    rng = random.Random(8)
+    checks, systems = [], set()
+    while len(systems) <= 300:
+        sig = generators.random_signature(rng)
+        d = run_alba(generators.random_inductive(rng, sig, max_depth=3), sig,
+                     "alba", "auto")
+        if d.status.kind == "success":
+            dle = random_dle(rng, sig, max_points=1)
+            for _, parent, children in rule_steps(d):
+                checks.append((parent, children, dle))
+                systems.update([parent, *children])
+    compiled = []
+    define = models._define
+    monkeypatch.setattr(models, "_define",
+                        lambda name, lines: compiled.append(name) or define(name, lines))
+    models._plan.cache_clear()
+    passes = []
+    for _ in range(2):
+        before = len(compiled)
+        assert all(verify_rule_step(parent, children, dle)
+                   for parent, children, dle in checks)
+        passes.append(len(compiled) - before)
+    assert passes[0] > 256 and passes[1] == 0
+
+
+def test_lattices_on_one_poset_share_its_skeleton(classical_sig):
+    poset = Poset(3, chain(3).up)
+    a, b = FiniteDLE(poset, classical_sig), FiniteDLE(poset, classical_sig)
+    for name in ("elements", "index", "join_table", "meet_table", "leq_table",
+                 "jirr", "mirr"):
+        assert getattr(a, name) is getattr(b, name)
+    assert (a.n_elem, a.bot, a.top) == (b.n_elem, b.bot, b.top) == (4, 0, 3)
+    # operations and derived tables stay with their lattice
+    a.add_op("dia", Relation.from_pairs(3, [(0, 1), (1, 2)]))
+    assert a.arrow_table() and a.coimp_table()
+    assert "dia" in a.ops and a._cache
+    assert b.ops == {} and b._cache == {}
+    # the skeleton is freed with its poset by reference counting
+    gc.collect()
+    gc.disable()
+    try:
+        FiniteDLE(Poset(3, (0b111, 0b010, 0b100)), classical_sig).arrow_table()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_check_quasi_purity_errors(bare_sig):
+    i, m = Nominal("i"), Conominal("m")
+    pure = SysIneq(Inequality(i, m))
+    impure = [SysIneq(Inequality(i, Var(v))) for v in "pq"]
+    dle = relational_dle(bare_sig, 2, [(0, 1)])
+    with pytest.raises(models.ModelError,
+                       match=r"^quasi-inequality is not pure: #i <= p$"):
+        check_quasi([System((pure, *impure), Inequality(i, m))], dle)
+    # purity is checked before the goal
+    with pytest.raises(models.ModelError, match="not pure: #i <= q"):
+        check_quasi([System((pure, impure[1]))], dle)
+    with pytest.raises(models.ModelError, match="system has no goal"):
+        check_quasi([System((pure,))], dle)
+    # systems are checked in order: a failing one ends the check
+    failing = System((SysIneq(Inequality(i, TOP)),), Inequality(i, m))
+    assert not check_quasi([failing, System(tuple(impure), Inequality(i, m))], dle)
+    # System refuses a goal with a variable; check_quasi reads only
+    # ``ineqs`` and ``goal``, and a variable of the goal alone is no impurity
+    goal_var = SimpleNamespace(ineqs=(pure,), goal=Inequality(i, Var("p")))
+    assert not check_quasi([goal_var], dle)
 
 
 def _oracle_records(classical_sig, draws):
