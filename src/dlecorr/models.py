@@ -22,18 +22,18 @@ nominals over join-irreducibles, conominals over meet-irreducibles.  A
 budget caps the number of valuations; exceeding it raises
 BudgetExceeded rather than truncating silently.
 
-Terms are evaluated through plans (``_Plan``), built once per tuple of
-terms, independent of the lattice, and kept in a bounded cache.  A plan
-fixes the symbol order, evaluates equal subterms once and generates one
-loop nest, one loop per symbol, with each subterm evaluated at the
-outermost loop where all its symbols are bound; the lattice's tables and
-domains are arguments of the generated code.  The checks, ``eval_term``
-and the role tables all go through it.  Once a kernel is compiled the
-plan keeps only its terms, symbols, heads and compiled functions.  Slim,
-4096 of them fit in little memory, and the cache's one bound is set
-there: checking every rule step of 650 seeded derivations cycles through
-2700-2900 distinct plans, and a pass that finds them all cached compiles
-nothing.
+The quantified checks run through plans (``_Plan``), built once per
+tuple of terms, independent of the lattice, and kept in a bounded
+cache.  A plan fixes the symbol order, evaluates equal subterms once and
+compiles one search kernel: a loop nest, one loop per symbol, with each
+subterm evaluated at the outermost loop where all its symbols are bound;
+the lattice's tables and domains are arguments of the kernel.  A plan
+keeps only its symbols, heads and kernel.  Slim, 4096 of them fit in
+little memory, and the cache's one bound is set there: checking every
+rule step of 650 seeded derivations cycles through 2700-2900 distinct
+plans, and a pass that finds them all cached compiles nothing.  One term
+under one valuation (``eval_term``, the role tables) is read off the
+head tables directly and compiles nothing.
 
 The part of a lattice that depends only on its poset (elements, bounds,
 join, meet and order tables, irreducibles) is built once per ``Poset``
@@ -92,6 +92,8 @@ class Poset:
     def __post_init__(self) -> None:
         if not (1 <= self.n <= MAX_POINTS):
             raise ModelError(f"poset size must be 1..{MAX_POINTS}")
+        if len(self.up) != self.n or any(row >> self.n for row in self.up):
+            raise ModelError(f"up must be {self.n} bitmasks over {self.n} points")
         for i in range(self.n):
             if not self.up[i] & (1 << i):
                 raise ModelError("order not reflexive")
@@ -414,13 +416,9 @@ class FiniteDLE:
         if reg is None:
             raise ModelError(f"role {role!r} has no registered term")
 
-        def build():
-            plan = _plan((reg.term,))
-            tables = plan.tables(self)
-            return [plan.values(tables, plan.env(Valuation(var_map={reg.var: u})))[0]
-                    for u in range(self.n_elem)]
-
-        return self._cached(("role", role), build)
+        return self._cached(("role", role), lambda: [
+            eval_term(reg.term, self, Valuation(var_map={reg.var: u}))
+            for u in range(self.n_elem)])
 
     def def_table(self, role: str) -> list[int]:
         """The defined modality: the role term read off the irreducibles
@@ -552,7 +550,8 @@ def _define(name: str, lines: list[str]):
 
 
 class _Plan:
-    """A tuple of terms compiled once and bound to any lattice.
+    """A tuple of terms compiled once into a search kernel that binds to
+    any lattice.
 
     The symbols are the variables, nominals and conominals of the terms,
     each kind sorted.  Equal subterms are evaluated once, each distinct
@@ -563,21 +562,19 @@ class _Plan:
     ``T<h>``, domains ``D<i>``, symbols ``s<i>``, values ``v<k>`` and
     order tests ``c<j>``, so no name from the terms reaches its source.
 
-    The source lines (``_analyse``) are dropped once a kernel is compiled
-    and worked out again only for a second kind of kernel.
+    ``search(T, D, leq, room, budget)`` returns the first environment, in
+    enumeration order, under which the last pair of terms is not in order
+    and every other pair is.  Each environment tried is one unit of
+    ``budget``, spent in one call once ``room`` units are used, on success
+    and at the end.  The analysis (``_analyse``) is dropped once ``search``
+    is compiled: a plan keeps only its symbols, heads and kernel.
     """
 
-    __slots__ = ("terms", "symbols", "heads", "_code", "_values", "_search")
+    __slots__ = ("symbols", "heads", "search")
 
     def __init__(self, terms: tuple[Term, ...]):
-        self.terms = terms
-        self.symbols, self.heads, *self._code = _analyse(terms)
-        self._values = self._search = None
-
-    def _source(self) -> list:
-        """The steps and outputs of the analysis, given up by the plan."""
-        code, self._code = self._code or _analyse(self.terms)[2:], None
-        return code
+        self.symbols, self.heads, steps, outputs = _analyse(terms)
+        self.search = _define("search", self._search_lines(steps, outputs))
 
     def tables(self, dle: FiniteDLE) -> tuple:
         return tuple(_head_table(t, dle) for t in self.heads)
@@ -586,44 +583,11 @@ class _Plan:
         of_kind = {"var": range(dle.n_elem), "nom": dle.jirr, "conom": dle.mirr}
         return tuple(of_kind[kind] for kind, _ in self.symbols)
 
-    def env(self, val: Valuation) -> tuple[int, ...]:
-        env = []
-        for kind, name in self.symbols:
-            source = val.of_kind(kind)
-            if name not in source:
-                raise ModelError(f"unbound {kind} {name!r}")
-            env.append(source[name])
-        return tuple(env)
-
     def valuation(self, env: tuple[int, ...]) -> Valuation:
         val = Valuation()
         for (kind, name), x in zip(self.symbols, env):
             val.of_kind(kind)[name] = x
         return val
-
-    @property
-    def values(self):
-        """values(T, s): the terms' values at the environment ``s``, given
-        the tables of ``tables``."""
-        if self._values is None:
-            steps, outputs = self._source()
-            self._values = _define("values", [
-                "def values(T, s):", _unpack("T", len(self.heads)),
-                _unpack("s", len(self.symbols))]
-                + ["    " + step for level in steps for step in level]
-                + ["    return (" + "".join(f"{o}, " for o, _ in outputs) + ")"])
-        return self._values
-
-    @property
-    def search(self):
-        """search(T, D, leq, room, budget): the first environment, in
-        enumeration order, under which the last pair of terms is not in
-        order and every other pair is.  Each environment tried is one unit
-        of ``budget``, spent in one call once ``room`` units are used, on
-        success and at the end."""
-        if self._search is None:
-            self._search = _define("search", self._search_lines(*self._source()))
-        return self._search
 
     def _search_lines(self, steps: list[list[str]], outputs: list) -> list[str]:
         k = len(self.symbols)
@@ -725,11 +689,20 @@ def _plan(terms: tuple[Term, ...]) -> _Plan:
 
 def eval_term(t: Term, dle: FiniteDLE, val: Valuation,
               budget: Budget | None = None) -> int:
-    """Evaluate one term under one valuation."""
+    """Evaluate one term under one valuation: its head's table read at
+    its arguments' values."""
     if budget is not None:
         budget.spend()
-    plan = _plan((t,))
-    return plan.values(plan.tables(dle), plan.env(val))[0]
+    kind = _LEAF_KINDS.get(type(t))
+    if kind is not None:
+        source = val.of_kind(kind)
+        if t.name not in source:
+            raise ModelError(f"unbound {kind} {t.name!r}")
+        return source[t.name]
+    table = _head_table(t, dle)
+    for a in t.args:
+        table = table[eval_term(a, dle, val)]
+    return table
 
 
 def _check_plan(premises, conclusion: Inequality) -> _Plan:
@@ -805,16 +778,20 @@ def role_axiom_holds(dle: FiniteDLE, role: str) -> bool:
 
     def holds() -> bool:
         f = dle.role_table(role)
-        leq = dle.leq_table
+        below = _below(dle, spec.family)
         inner = dle.join_table if spec.bot_unit else dle.meet_table
+        outer = dle.join_table if spec.family == "F" else dle.meet_table
         r = range(dle.n_elem)
-        if spec.family == "F":
-            outer = dle.join_table
-            return all(leq[f[inner[a][b]]][outer[f[a]][f[b]]] for a in r for b in r)
-        outer = dle.meet_table
-        return all(leq[outer[f[a]][f[b]]][f[inner[a][b]]] for a in r for b in r)
+        return all(below[f[inner[a][b]]][outer[f[a]][f[b]]] for a in r for b in r)
 
     return dle._cached(("axiom", role), holds)
+
+
+def _below(dle: FiniteDLE, family: str):
+    """``below[a][b]``: a <= b for F roles and a >= b for G roles, whose
+    checks are those of F roles with the order turned round."""
+    leq = dle.leq_table
+    return leq if family == "F" else tuple(zip(*leq))
 
 
 def role_axioms_hold(dle: FiniteDLE) -> bool:
@@ -860,7 +837,6 @@ def verify_correspondence(ineq: Inequality, derivation, dles,
 @dataclass
 class LemmaSuiteReport:
     role_results: dict = field(default_factory=dict)
-    notes: list = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -868,82 +844,55 @@ class LemmaSuiteReport:
 
 
 def check_lemma_suite(dle: FiniteDLE, rng=None) -> LemmaSuiteReport:
-    """Exhaustive check of the defined-modality identities on one lattice:
-    adjunctions, join/meet preservation, the irreducible-witness form,
-    the bounded-composition identity against the additivity axiom, and
-    the pseudo-correspondent biconditional for pi."""
+    """Exhaustive check of the defined-modality identities on one lattice,
+    read off each registered role's ``RoleSpec``: the adjunction (Galois
+    for antitone roles), join (F) or meet (G) preservation for monotone
+    roles, the defined modality below (F) or above (G) the role term and
+    equal to it on the join- (bottom-unit) or meet-irreducibles, and the
+    bounded-composition identity against the role axiom.  For pi also
+    joins of random subsets, the irreducible-witness form and the
+    pseudo-correspondent biconditional."""
     report = LemmaSuiteReport()
-    n = dle.n_elem
-    rng_subsets: list[list[int]] = []
-    if rng is not None:
-        rng_subsets = [[x for x in range(n) if rng.random() < 0.5]
-                       for _ in range(50)]
+    r = range(dle.n_elem)
+    leq = dle.leq_table
+    rng_subsets = [] if rng is None else [
+        [x for x in r if rng.random() < 0.5] for _ in range(50)]
     for reg in dle.sig.registered:
-        role = reg.role
-        f = dle.role_table(role)
-        g = dle.def_table(role)
-        adj = dle.black_table(role)
+        spec, pi = SPEC_BY_ROLE[reg.role], reg.role == "pi"
+        f, g, adj = (dle.role_table(reg.role), dle.def_table(reg.role),
+                     dle.black_table(reg.role))
+        below, mono = _below(dle, spec.family), spec.tone == MONO
+        is_f = spec.family == "F"
+        outer, bound = (dle.join_table, dle.bot) if is_f else (dle.meet_table, dle.top)
+        unit, gens = (dle.bot, dle.jirr) if spec.bot_unit else (dle.top, dle.mirr)
         res: dict[str, bool] = {}
-        if role == "pi":
-            res["adjunction"] = all(
-                dle.leq(g[u], w) == dle.leq(u, adj[w])
-                for u in range(n) for w in range(n))
-            res["join_preserving"] = g[dle.bot] == dle.bot and all(
-                g[dle.join(a, b)] == dle.join(g[a], g[b])
-                for a in range(n) for b in range(n))
-            if rng_subsets:
-                res["join_preserving_subsets"] = all(
-                    g[dle.join_all(s)] == dle.join_all(g[x] for x in s)
-                    for s in rng_subsets)
-            res["below_f"] = all(dle.leq(g[u], f[u]) for u in range(n))
-            res["agrees_on_jirr"] = all(g[j] == f[j] for j in dle.jirr)
+        res["adjunction" if mono else "galois"] = all(
+            below[g[u]][w] == (below[u][adj[w]] if mono else below[adj[w]][u])
+            for u in r for w in r)
+        if mono:
+            res["join_preserving" if is_f else "meet_preserving"] = (
+                g[bound] == bound
+                and all(g[outer[a][b]] == outer[g[a]][g[b]] for a in r for b in r))
+        if pi and rng_subsets:
+            res["join_preserving_subsets"] = all(
+                g[dle.join_all(s)] == dle.join_all(g[x] for x in s) for s in rng_subsets)
+        res["below_f" if is_f else "above_f"] = all(below[g[u]][f[u]] for u in r)
+        res["agrees_on_jirr" if spec.bot_unit else "agrees_on_mirr"] = all(
+            g[x] == f[x] for x in gens)
+        if pi:
             res["irreducible_form"] = all(
                 g[u] == dle.join_all(
                     j2 for j2 in dle.jirr
-                    if any(dle.leq(i, u) and dle.leq(j2, f[i]) for i in dle.jirr))
-                for u in range(n))
-            additive = role_axiom_holds(dle, role)
-            identity = all(f[u] == dle.join(f[dle.bot], g[u]) for u in range(n))
-            c_pi = all(
-                (not dle.leq(f[dle.bot], m)) or dle.leq(f[adj[m]], m)
-                for m in dle.mirr)
-            res["identity_iff_additive"] = identity == additive
-            res["c_pi_iff_additive"] = c_pi == additive
-            report.notes.append(
-                f"pi: additive={additive} identity={identity} c_pi={c_pi}")
-        elif role == "sigma":
-            res["adjunction"] = all(
-                dle.leq(adj[u], w) == dle.leq(u, g[w])
-                for u in range(n) for w in range(n))
-            res["meet_preserving"] = g[dle.top] == dle.top and all(
-                g[dle.meet(a, b)] == dle.meet(g[a], g[b])
-                for a in range(n) for b in range(n))
-            res["above_f"] = all(dle.leq(f[u], g[u]) for u in range(n))
-            res["agrees_on_mirr"] = all(g[m] == f[m] for m in dle.mirr)
-            multiplicative = role_axiom_holds(dle, role)
-            identity = all(f[u] == dle.meet(f[dle.top], g[u]) for u in range(n))
-            res["identity_iff_multiplicative"] = identity == multiplicative
-            report.notes.append(
-                f"sigma: multiplicative={multiplicative} identity={identity}")
-        elif role == "lambda":
-            res["galois"] = all(
-                dle.leq(g[u], w) == dle.leq(adj[w], u)
-                for u in range(n) for w in range(n))
-            res["below_f"] = all(dle.leq(g[u], f[u]) for u in range(n))
-            res["agrees_on_mirr"] = all(g[m] == f[m] for m in dle.mirr)
-            axiom = role_axiom_holds(dle, role)
-            identity = all(f[u] == dle.join(f[dle.top], g[u]) for u in range(n))
-            res["identity_iff_axiom"] = identity == axiom
-        else:  # rho
-            res["galois"] = all(
-                dle.leq(u, g[w]) == dle.leq(w, adj[u])
-                for u in range(n) for w in range(n))
-            res["above_f"] = all(dle.leq(f[u], g[u]) for u in range(n))
-            res["agrees_on_jirr"] = all(g[j] == f[j] for j in dle.jirr)
-            axiom = role_axiom_holds(dle, role)
-            identity = all(f[u] == dle.meet(f[dle.bot], g[u]) for u in range(n))
-            res["identity_iff_axiom"] = identity == axiom
-        report.role_results[role] = res
+                    if any(leq[i][u] and leq[j2][f[i]] for i in dle.jirr))
+                for u in r)
+        axiom = role_axiom_holds(dle, reg.role)
+        identity = all(f[u] == outer[f[unit]][g[u]] for u in r)
+        name = ("additive" if is_f else "multiplicative") if mono else "axiom"
+        res[f"identity_iff_{name}"] = identity == axiom
+        if pi:
+            res["c_pi_iff_additive"] = axiom == all(
+                not leq[f[dle.bot]][m] or leq[f[adj[m]]][m] for m in dle.mirr)
+        report.role_results[reg.role] = res
     return report
 
 
@@ -953,30 +902,34 @@ def check_lemma_suite(dle: FiniteDLE, rng=None) -> LemmaSuiteReport:
 def load_dle(text: str, sig: Signature) -> FiniteDLE:
     """Text format: ``points N``; ``leq a<=b ...`` pairs (closure taken);
     ``rel name : (a,b) (c,d)`` relational generators; ``table name : i i
-    ...`` row-major element indices."""
+    ...`` row-major element indices.  A malformed line raises ModelError
+    naming it."""
     npoints = None
-    pairs: list[tuple[int, int]] = []
-    op_lines: list[tuple[str, str, str]] = []
+    pairs: list[tuple[int, list[int]]] = []
+    op_lines: list[tuple[int, str, str, str]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         head, _, rest = line.partition(" ")
         if head == "points":
-            npoints = int(rest.strip())
+            if npoints is not None:
+                raise ModelError(f"line {lineno}: a second 'points' line")
+            [npoints] = _ints(lineno, rest, 1)
+            if not 1 <= npoints <= MAX_POINTS:
+                raise ModelError(f"line {lineno}: poset size must be 1..{MAX_POINTS}")
         elif head == "leq":
-            for chunk in rest.split():
-                a, _, b = chunk.partition("<=")
-                pairs.append((int(a), int(b)))
+            pairs += [(lineno, _ints(lineno, chunk, 2, "<=")) for chunk in rest.split()]
         elif head in ("rel", "table"):
             name, _, body = rest.partition(":")
-            op_lines.append((head, name.strip(), body.strip()))
+            op_lines.append((lineno, head, name.strip(), body.strip()))
         else:
             raise ModelError(f"line {lineno}: cannot parse {line!r}")
     if npoints is None:
         raise ModelError("missing 'points' line")
     up = [1 << i for i in range(npoints)]
-    for a, b in pairs:
+    for lineno, (a, b) in pairs:
+        _in_range(lineno, "point", (a, b), npoints)
         up[a] |= 1 << b
     changed = True
     while changed:
@@ -986,25 +939,53 @@ def load_dle(text: str, sig: Signature) -> FiniteDLE:
                 if up[i] & (1 << j) and up[j] & ~up[i]:
                     up[i] |= up[j]
                     changed = True
-    poset = Poset(npoints, tuple(up))
-    dle = FiniteDLE(poset, sig)
-    for kind, name, body in op_lines:
+    for lineno, (a, b) in pairs:
+        if a != b and up[b] & (1 << a):
+            raise ModelError(f"line {lineno}: {a}<={b} lies on a cycle")
+    dle = FiniteDLE(Poset(npoints, tuple(up)), sig)
+    for lineno, kind, name, body in op_lines:
         if kind == "rel":
-            rel_pairs = []
-            for chunk in body.replace("(", " ").replace(")", " ").split():
-                a, _, b = chunk.partition(",")
-                rel_pairs.append((int(a), int(b)))
-            dle.add_op(name, Relation.from_pairs(npoints, rel_pairs))
+            rel_pairs = [_ints(lineno, chunk, 2, ",")
+                         for chunk in body.replace("(", " ").replace(")", " ").split()]
+            _in_range(lineno, "point", [x for pair in rel_pairs for x in pair], npoints)
+            spec = Relation.from_pairs(npoints, rel_pairs)
         else:
-            values = [int(v) for v in body.split()]
-            decl = dle._decl_for(name)
-            need = dle.n_elem ** decl.arity
-            if len(values) != need:
-                raise ModelError(
-                    f"table {name}: expected {need} entries, got {len(values)}")
-            it = iter(values)
-            dle.add_op(name, _tabulate(dle.n_elem, decl.arity, lambda _: next(it)))
+            values = _ints(lineno, body)
+            _in_range(lineno, "element", values, dle.n_elem)
+        try:
+            if name in dle.ops:
+                raise ModelError(f"a second line for {name}")
+            if kind == "table":
+                decl = dle._decl_for(name)
+                need = dle.n_elem ** decl.arity
+                if len(values) != need:
+                    raise ModelError(
+                        f"table {name}: expected {need} entries, got {len(values)}")
+                it = iter(values)
+                spec = _tabulate(dle.n_elem, decl.arity, lambda _: next(it))
+            dle.add_op(name, spec)
+        except ModelError as exc:
+            raise type(exc)(f"line {lineno}: {exc}") from None
     return dle
+
+
+def _ints(lineno: int, text: str, count: int | None = None,
+          sep: str | None = None) -> list[int]:
+    """The integers of ``text`` split at ``sep`` (at whitespace by
+    default), ``count`` of them if given."""
+    words = text.split(sep)
+    try:
+        if count in (None, len(words)):
+            return [int(w) for w in words]
+    except ValueError:
+        pass
+    raise ModelError(f"line {lineno}: cannot parse {text!r}")
+
+
+def _in_range(lineno: int, what: str, values, n: int) -> None:
+    for v in values:
+        if not 0 <= v < n:
+            raise ModelError(f"line {lineno}: {what} {v} is not in 0..{n - 1}")
 
 
 def _tabulate(n: int, arity: int, value, prefix: tuple[int, ...] = ()):

@@ -159,23 +159,12 @@ class _Parser:
         if self.peek().kind == ")":
             self.next()
             return []
-        out = [self.term_inner()]
+        out = [self.term()]
         while self.peek().kind == ",":
             self.next()
-            out.append(self.term_inner())
+            out.append(self.term())
         self.expect(")")
         return out
-
-    def term_inner(self) -> Term:
-        # like term(), but stops before eof checks
-        left = self.or_term()
-        tok = self.peek()
-        if tok.kind in ("arrow", "coimp"):
-            self.require_layer(Layer.DLEPLUS, f"residual {tok.value!r}", tok)
-            self.next()
-            right = self.or_term()
-            return Arrow((left, right)) if tok.kind == "arrow" else Coimp((left, right))
-        return left
 
     def atom(self) -> Term:
         tok = self.next()
@@ -186,7 +175,7 @@ class _Parser:
             self.require_layer(Layer.DLEPLUS, "conominal", tok)
             return Conominal(tok.value[1:])
         if tok.kind == "(":
-            t = self.term_inner()
+            t = self.term()
             self.expect(")")
             return t
         if tok.kind != "ident":
