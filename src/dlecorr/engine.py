@@ -31,9 +31,9 @@ from . import classify
 from .language import (
     ANTI, BOT, MONO, ROLE_SPECS, SPEC_BY_NODE, TOP, App, Arrow, Coimp,
     Conominal, Inequality, Join, Meet, Nominal, Residual, RoleSpec, Signature,
-    Term, Var, big_join, big_meet, bot_unit, conominals_of, dotted_spec,
-    family_and_arity, free_vars, join, meet, nominals_of, replace_at,
-    substitute, subterm_at, var_occurrences,
+    Term, Var, big_join, big_meet, bot_unit, dotted_spec, family_and_arity,
+    free_vars, join, meet, replace_at, substitute, subterm_at, subterms,
+    var_occurrences,
 )
 from .printing import print_inequality, print_term
 
@@ -100,13 +100,12 @@ class System:
         return System(tuple(out), self.goal)
 
     def symbols(self) -> set[str]:
-        names: set[str] = set()
+        """Names of the variables, nominals and conominals that occur."""
         terms = [t for si in self.ineqs for t in (si.ineq.lhs, si.ineq.rhs)]
         if self.goal is not None:
             terms += [self.goal.lhs, self.goal.rhs]
-        for t in terms:
-            names |= free_vars(t) | nominals_of(t) | conominals_of(t)
-        return names
+        return {s.name for t in terms for s in subterms(t)
+                if isinstance(s, (Var, Nominal, Conominal))}
 
 
 @dataclass(frozen=True)
@@ -635,9 +634,7 @@ def _first_approx(d: Derivation, system: System, app: RuleApplication):
         raise RuleMatchError("FirstApprox applies to a single preprocessed inequality")
     ineq = system.ineqs[0].ineq
     i0, m0 = Nominal("i0"), Conominal("m0")
-    used = free_vars(ineq.lhs) | free_vars(ineq.rhs) | nominals_of(ineq.lhs) | \
-        nominals_of(ineq.rhs) | conominals_of(ineq.lhs) | conominals_of(ineq.rhs)
-    if "i0" in used or "m0" in used:
+    if {"i0", "m0"} & system.symbols():
         raise FreshnessError("input already uses the reserved names i0/m0")
     sys2 = System(
         (SysIneq(Inequality(i0, ineq.lhs)), SysIneq(Inequality(ineq.rhs, m0))),
@@ -738,20 +735,16 @@ def _display_step(system: System, pivot: str, eps_entry: str,
             if pivot in free_vars(bound):
                 return _Stuck(f"pivot {pivot} occurs inside its own premise", ineq)
             continue
-        occ_side: int | None = None
-        for side, term in ((0, a), (1, b)):
-            for name, s, _path in var_occurrences(term):
-                if name == pivot and _red_sign(side, s) == want:
-                    occ_side = side
-                    break
-            if occ_side is not None:
-                break
-        if occ_side is None:
+        occ = next(((side, path) for side, term in ((0, a), (1, b))
+                    for name, s, path in var_occurrences(term)
+                    if name == pivot and _red_sign(side, s) == want), None)
+        if occ is None:
             continue
         if si.side:
             return _Stuck(
                 f"critical occurrence of {pivot} inside a side condition", ineq)
-        app = _display_rule(system, idx, occ_side, role_mode, pivot, want)
+        occ_side, path = occ
+        app = _display_rule(system, idx, occ_side, path, role_mode)
         if app is None:
             return _Stuck(
                 f"no display rule for {pivot} in {print_inequality(ineq)}", ineq)
@@ -759,18 +752,8 @@ def _display_step(system: System, pivot: str, eps_entry: str,
     return None
 
 
-def _occurrence_coord(root: Term, occ_side: int, pivot: str, want: int) -> int | None:
-    """1-based coordinate of ``root`` whose subtree holds a wanted
-    occurrence of the pivot."""
-    for k, (child, tone) in enumerate(zip(root.args, root.tonicities())):
-        for name, s, _ in var_occurrences(child, tone):
-            if name == pivot and _red_sign(occ_side, s) == want:
-                return k + 1
-    return None
-
-
-def _display_rule(system: System, idx: int, occ_side: int, role_mode: bool,
-                  pivot: str, want: int) -> RuleApplication | None:
+def _display_rule(system: System, idx: int, occ_side: int,
+                  path: tuple[int, ...], role_mode: bool) -> RuleApplication | None:
     ineq = system.ineqs[idx].ineq
     root, other = (ineq.rhs, ineq.lhs) if occ_side else (ineq.lhs, ineq.rhs)
     if isinstance(root, Meet if occ_side else Join):
@@ -788,10 +771,7 @@ def _display_rule(system: System, idx: int, occ_side: int, role_mode: bool,
     if family == ("G" if occ_side else "F"):
         if suffix is not None:
             return RuleApplication("Adj" + suffix, ineq_index=idx)
-        k = _occurrence_coord(root, occ_side, pivot, want)
-        if k is None:
-            return None
-        return RuleApplication("Resid" + family, ineq_index=idx, coord=k)
+        return RuleApplication("Resid" + family, ineq_index=idx, coord=path[0] + 1)
     if arity > 0 and isinstance(other, Nominal if occ_side else Conominal):
         return RuleApplication("Approx" + (suffix or family), ineq_index=idx)
     return None

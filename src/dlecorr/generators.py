@@ -112,23 +112,17 @@ class _Draw:
             return Var(v), v
         # SRA/SRR nodes: boxes on the positive side, diamonds on the negative
         family = "G" if sign == MONO else "F"
-        options: list = ["meet_sra" if sign == MONO else "join_sra"]
+        options: list = ["lattice_sra"]
         options += ["app:" + d.name for d in self.sig.connectives
                     if d.family == family and d.arity >= 1]
         options += self._dot_options(family)
         pick = rng.choice(options)
-        if pick == "meet_sra":
+        if pick == "lattice_sra":
             sub = self.pia(sign, depth - 1)
             if sub is None:
                 return None
             t, v = sub
-            return meet(t, self.noncrit(sign, depth - 1)), v
-        if pick == "join_sra":
-            sub = self.pia(sign, depth - 1)
-            if sub is None:
-                return None
-            t, v = sub
-            return join(t, self.noncrit(sign, depth - 1)), v
+            return (meet if sign == MONO else join)(t, self.noncrit(sign, depth - 1)), v
         if isinstance(pick, RoleSpec):
             sub = self.pia(sign * pick.tone, depth - 1)
             return None if sub is None else (pick.dot((sub[0],)), sub[1])

@@ -85,75 +85,51 @@ class ConnectiveDecl:
 
 
 class Term:
-    """Base class; every node stores its subterms in ``args``."""
+    """Base class; every node stores its subterms in ``args``.
+
+    A node class states its shape as class data: ``tones``, the tonicity
+    of each coordinate, and ``layer``, the least layer that has it.
+    """
 
     args: tuple["Term", ...] = ()
+    tones: tuple[int, ...] = ()
+    layer: Layer = Layer.DLE
 
     def tonicities(self) -> tuple[int, ...]:
-        raise NotImplementedError
+        return self.tones
 
     def with_args(self, args: tuple["Term", ...]) -> "Term":
-        raise NotImplementedError
+        return type(self)(args) if self.args else self  # type: ignore[call-arg]
 
     def min_layer(self) -> Layer:
-        return Layer.DLE
+        return self.layer
 
 
 @dataclass(frozen=True)
 class Var(Term):
     name: str
 
-    def tonicities(self) -> tuple[int, ...]:
-        return ()
-
-    def with_args(self, args: tuple[Term, ...]) -> Term:
-        return self
-
 
 @dataclass(frozen=True)
 class Nominal(Term):
     name: str
-
-    def tonicities(self) -> tuple[int, ...]:
-        return ()
-
-    def with_args(self, args: tuple[Term, ...]) -> Term:
-        return self
-
-    def min_layer(self) -> Layer:
-        return Layer.DLEPLUS
+    layer = Layer.DLEPLUS
 
 
 @dataclass(frozen=True)
 class Conominal(Term):
     name: str
-
-    def tonicities(self) -> tuple[int, ...]:
-        return ()
-
-    def with_args(self, args: tuple[Term, ...]) -> Term:
-        return self
-
-    def min_layer(self) -> Layer:
-        return Layer.DLEPLUS
+    layer = Layer.DLEPLUS
 
 
 @dataclass(frozen=True)
 class Top(Term):
-    def tonicities(self) -> tuple[int, ...]:
-        return ()
-
-    def with_args(self, args: tuple[Term, ...]) -> Term:
-        return self
+    pass
 
 
 @dataclass(frozen=True)
 class Bot(Term):
-    def tonicities(self) -> tuple[int, ...]:
-        return ()
-
-    def with_args(self, args: tuple[Term, ...]) -> Term:
-        return self
+    pass
 
 
 TOP = Top()
@@ -163,23 +139,13 @@ BOT = Bot()
 @dataclass(frozen=True)
 class Meet(Term):
     args: tuple[Term, Term]
-
-    def tonicities(self) -> tuple[int, ...]:
-        return (MONO, MONO)
-
-    def with_args(self, args: tuple[Term, ...]) -> Term:
-        return Meet(args)  # type: ignore[arg-type]
+    tones = (MONO, MONO)
 
 
 @dataclass(frozen=True)
 class Join(Term):
     args: tuple[Term, Term]
-
-    def tonicities(self) -> tuple[int, ...]:
-        return (MONO, MONO)
-
-    def with_args(self, args: tuple[Term, ...]) -> Term:
-        return Join(args)  # type: ignore[arg-type]
+    tones = (MONO, MONO)
 
 
 @dataclass(frozen=True)
@@ -215,6 +181,7 @@ class Residual(Term):
     decl: ConnectiveDecl
     coord: int
     args: tuple[Term, ...]
+    layer = Layer.DLEPLUS
 
     def __post_init__(self) -> None:
         if not (1 <= self.coord <= self.decl.arity):
@@ -241,28 +208,17 @@ class Residual(Term):
     def with_args(self, args: tuple[Term, ...]) -> Term:
         return Residual(self.decl, self.coord, args)
 
-    def min_layer(self) -> Layer:
-        return Layer.DLEPLUS
 
-
-def _unary(cls_name: str, tonicity: int, layer: Layer):
+def _unary(cls_name: str, tonicity: int, least: Layer) -> type:
     """Build a frozen unary Term subclass (dotted/defined/adjoint nodes)."""
 
     @dataclass(frozen=True)
     class _Node(Term):
         args: tuple[Term]
+        tones = (tonicity,)
+        layer = least
 
-        def tonicities(self) -> tuple[int, ...]:
-            return (tonicity,)
-
-        def with_args(self, args: tuple[Term, ...]) -> Term:
-            return _Node(args)  # type: ignore[arg-type]
-
-        def min_layer(self) -> Layer:
-            return layer
-
-    _Node.__name__ = cls_name
-    _Node.__qualname__ = cls_name
+    _Node.__name__ = _Node.__qualname__ = cls_name
     return _Node
 
 
@@ -393,15 +349,8 @@ class Arrow(Term):
     """Residual of meet; parsed and evaluated, produced by no rule."""
 
     args: tuple[Term, Term]
-
-    def tonicities(self) -> tuple[int, ...]:
-        return (ANTI, MONO)
-
-    def with_args(self, args: tuple[Term, ...]) -> Term:
-        return Arrow(args)  # type: ignore[arg-type]
-
-    def min_layer(self) -> Layer:
-        return Layer.DLEPLUS
+    tones = (ANTI, MONO)
+    layer = Layer.DLEPLUS
 
 
 @dataclass(frozen=True)
@@ -409,15 +358,8 @@ class Coimp(Term):
     """Residual of join; parsed and evaluated, produced by no rule."""
 
     args: tuple[Term, Term]
-
-    def tonicities(self) -> tuple[int, ...]:
-        return (MONO, ANTI)
-
-    def with_args(self, args: tuple[Term, ...]) -> Term:
-        return Coimp(args)  # type: ignore[arg-type]
-
-    def min_layer(self) -> Layer:
-        return Layer.DLEPLUS
+    tones = (MONO, ANTI)
+    layer = Layer.DLEPLUS
 
 
 @dataclass(frozen=True)
@@ -492,14 +434,6 @@ def layer_of(t: Term) -> Layer:
 
 def free_vars(t: Term) -> set[str]:
     return {s.name for s in subterms(t) if isinstance(s, Var)}
-
-
-def nominals_of(t: Term) -> set[str]:
-    return {s.name for s in subterms(t) if isinstance(s, Nominal)}
-
-
-def conominals_of(t: Term) -> set[str]:
-    return {s.name for s in subterms(t) if isinstance(s, Conominal)}
 
 
 def substitute(t: Term, mapping: Mapping[str, Term]) -> Term:

@@ -164,30 +164,33 @@ def chain(n: int) -> Poset:
 
 
 def enumerate_posets(n: int, up_to_iso: bool = False) -> list[Poset]:
-    """All posets on n labelled points, deterministic order; optionally
-    one representative per isomorphism class."""
+    """All posets on n labelled points, in ascending order of their code
+    sum(up[i] << n*i), which compares as the reversed ``up``; optionally
+    one representative per isomorphism class.
+
+    Each poset on points 0..m extends one on 0..m-1 by the point m with a
+    strict upset ``above`` and a disjoint strict downset ``below`` whose
+    points all lie under ``above``.
+    """
     if not (1 <= n <= 5):
         raise ModelError("poset enumeration supports 1..5 points")
-    ups: list[tuple[int, ...]] = []
-    # candidate strict orders as lists of (i, j) pairs below the diagonal
-    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
-    for bits in range(1 << len(pairs)):
-        rel = [[i == j for j in range(n)] for i in range(n)]
-        for k, (i, j) in enumerate(pairs):
-            if bits & (1 << k):
-                rel[i][j] = True
-        ok = True
-        for i in range(n):
-            for j in range(n):
-                if i != j and rel[i][j] and rel[j][i]:
-                    ok = False
-                for k in range(n):
-                    if rel[i][j] and rel[j][k] and not rel[i][k]:
-                        ok = False
-        if not ok:
-            continue
-        # the code of ``up`` grows with ``bits``, so ``ups`` ascends by code
-        ups.append(tuple(sum(1 << j for j in range(n) if rel[i][j]) for i in range(n)))
+    ups: list[tuple[int, ...]] = [()]
+    for m in range(n):
+        new = 1 << m
+        extended = []
+        for up in ups:
+            upsets = [s for s in range(new)
+                      if all(up[i] & ~s == 0 for i in range(m) if s >> i & 1)]
+            downsets = [(new - 1) & ~s for s in upsets]
+            for above in upsets:
+                room = sum(1 << i for i in range(m) if above & ~up[i] == 0)
+                for below in downsets:
+                    if below & ~room == 0 and not below & above:
+                        extended.append(tuple(row | new if below >> i & 1 else row
+                                              for i, row in enumerate(up))
+                                        + (above | new,))
+        ups = extended
+    ups.sort(key=lambda rows: rows[::-1])
     if up_to_iso:
         ups = _orbit_representatives(ups, list(permutations(range(n))))
     return [Poset(n, up) for up in ups]

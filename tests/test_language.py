@@ -6,9 +6,11 @@ from hypothesis import strategies as st
 
 from conftest import random_any_term
 from dlecorr.language import (
-    App, BlackBox, Conominal, DefDia, DotBox, DotDia, Inequality, Layer,
-    Nominal, OrderType, Var, BOT, TOP, join, layer_of,
-    meet, substitute,
+    ANTI, App, Arrow, BlackBox, BlackDia, BlackLhd, BlackRhd, Bot, Coimp,
+    ConnectiveDecl, Conominal, DefBox, DefDia, DefLhd, DefRhd, DotBox,
+    DotBoxAdj, DotDia, DotDiaAdj, DotLhd, DotLhdAdj, DotRhd, DotRhdAdj,
+    Inequality, Join, Layer, Meet, MONO, Nominal, OrderType, Residual, Top,
+    Var, BOT, TOP, join, layer_of, meet, substitute,
 )
 from dlecorr.parsing import ParseError, parse_inequality, parse_signature, parse_term
 from dlecorr.printing import print_term
@@ -174,3 +176,44 @@ def test_layer_monotonicity(seed, mixed_sig):
 def test_roundtrip_registered_role_terms(classical_sig):
     reg = classical_sig.role("pi")
     assert parse_term(print_term(reg.term), classical_sig, Layer.DLE) == reg.term
+
+
+_H = ConnectiveDecl("h", "G", 2, OrderType(("1", "d")))
+_P, _Q = Var("p"), Var("q")
+# every node class: a fresh instance, its tonicities and its least layer
+_NODE_TABLE = [
+    (lambda: Var("p"), (), Layer.DLE),
+    (lambda: Nominal("i0"), (), Layer.DLEPLUS),
+    (lambda: Conominal("m0"), (), Layer.DLEPLUS),
+    (lambda: Top(), (), Layer.DLE),
+    (lambda: Bot(), (), Layer.DLE),
+    (lambda: Meet((_P, _Q)), (MONO, MONO), Layer.DLE),
+    (lambda: Join((_P, _Q)), (MONO, MONO), Layer.DLE),
+    (lambda: Arrow((_P, _Q)), (ANTI, MONO), Layer.DLEPLUS),
+    (lambda: Coimp((_P, _Q)), (MONO, ANTI), Layer.DLEPLUS),
+    (lambda: App(_H, (_P, _Q)), (MONO, ANTI), Layer.DLE),
+    (lambda: Residual(_H, 1, (_P, _Q)), (MONO, MONO), Layer.DLEPLUS),
+    (lambda: Residual(_H, 2, (_P, _Q)), (MONO, ANTI), Layer.DLEPLUS),
+] + [
+    (lambda cls=cls: cls((_P,)), (tone,), layer)
+    for classes, layer in (((DotDia, DotBox, DotLhd, DotRhd), Layer.DLESTAR),
+                           ((DotDiaAdj, DotBoxAdj, DotLhdAdj, DotRhdAdj), Layer.DLEPLUS),
+                           ((DefDia, DefBox, DefLhd, DefRhd), Layer.DLEPP),
+                           ((BlackBox, BlackDia, BlackLhd, BlackRhd), Layer.DLEPP))
+    for cls, tone in zip(classes, (MONO, MONO, ANTI, ANTI))
+]
+
+
+@pytest.mark.parametrize("make, tones, layer", _NODE_TABLE,
+                         ids=[type(make()).__name__ for make, _, _ in _NODE_TABLE])
+def test_node_shape_table(make, tones, layer):
+    t = make()
+    assert t.tonicities() == tones
+    assert t.min_layer() == layer
+    rebuilt = t.with_args(t.args)
+    assert type(rebuilt) is type(t) and rebuilt == t
+    twin = make()
+    assert twin == t and hash(twin) == hash(t)
+    # no instance of another class compares equal
+    assert all(other() != t for other, _, _ in _NODE_TABLE
+               if type(other()) is not type(t))

@@ -29,6 +29,26 @@ def test_poset_counts():
     assert len(enumerate_posets(3)) == 19
     assert len(enumerate_posets(3, up_to_iso=True)) == 5
     assert len(enumerate_posets(4, up_to_iso=True)) == 16
+    assert len(enumerate_posets(5)) == 4231
+    assert len(enumerate_posets(5, up_to_iso=True)) == 63
+
+
+def _brute_force_posets(n):
+    """Every reflexive, antisymmetric and transitive ``up`` on n points,
+    in ascending order of its code sum(up[i] << n*i)."""
+    out = []
+    for code in range(1 << n * n):
+        up = tuple(code >> n * i & (1 << n) - 1 for i in range(n))
+        if all(up[i] >> i & 1 for i in range(n)) and all(
+                up[j] & ~up[i] == 0 and (i == j or not up[j] >> i & 1)
+                for i in range(n) for j in range(n) if up[i] >> j & 1):
+            out.append(up)
+    return out
+
+
+def test_posets_by_extension_match_brute_force():
+    for n in range(1, 5):
+        assert [p.up for p in enumerate_posets(n)] == _brute_force_posets(n)
 
 
 def test_poset_validation():
