@@ -52,6 +52,10 @@ CASES = [
     ("pseudo.trace", "reduce",
      "dia(box(dia(p))) <= Dia[pi](p) | dia(box(dia(bot)))", "albae",
      "pseudo.script", 0),
+    ("stageone.trace", "reduce",
+     "box(box(q) | (top | p)) <= box((bot | bot) & dia(q))", "alba", "auto", 0),
+    ("distsigma.trace", "reduce", "box(p | box(p)) <= box(p & box(p))", "albae",
+     "auto", 0),
     ("churchrosser.classify", "classify", "dia(box(p)) <= box(dia(p))", "alba", "auto", 0),
     ("additivity.classify", "classify",
      "dia(box(dia(p | q))) <= dia(box(dia(p))) | dia(box(dia(q)))", "albae", "auto", 0),

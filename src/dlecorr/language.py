@@ -101,9 +101,6 @@ class Term:
     def with_args(self, args: tuple["Term", ...]) -> "Term":
         return type(self)(args) if self.args else self  # type: ignore[call-arg]
 
-    def min_layer(self) -> Layer:
-        return self.layer
-
 
 @dataclass(frozen=True)
 class Var(Term):
@@ -418,9 +415,6 @@ class Inequality:
     lhs: Term
     rhs: Term
 
-    def min_layer(self) -> Layer:
-        return max(layer_of(self.lhs), layer_of(self.rhs))
-
 
 def subterms(t: Term) -> Iterator[Term]:
     yield t
@@ -429,7 +423,7 @@ def subterms(t: Term) -> Iterator[Term]:
 
 
 def layer_of(t: Term) -> Layer:
-    return max(s.min_layer() for s in subterms(t))
+    return max(s.layer for s in subterms(t))
 
 
 def free_vars(t: Term) -> set[str]:

@@ -134,10 +134,10 @@ class _Parser:
         left = self.or_term()
         tok = self.peek()
         if tok.kind in ("arrow", "coimp"):
-            self.require_layer(Layer.DLEPLUS, f"residual {tok.value!r}", tok)
+            node = Arrow if tok.kind == "arrow" else Coimp
+            self.require_layer(node.layer, f"residual {tok.value!r}", tok)
             self.next()
-            right = self.or_term()
-            return Arrow((left, right)) if tok.kind == "arrow" else Coimp((left, right))
+            return node((left, self.or_term()))
         return left
 
     def or_term(self) -> Term:
@@ -169,10 +169,10 @@ class _Parser:
     def atom(self) -> Term:
         tok = self.next()
         if tok.kind == "nom":
-            self.require_layer(Layer.DLEPLUS, "nominal", tok)
+            self.require_layer(Nominal.layer, "nominal", tok)
             return Nominal(tok.value[1:])
         if tok.kind == "conom":
-            self.require_layer(Layer.DLEPLUS, "conominal", tok)
+            self.require_layer(Conominal.layer, "conominal", tok)
             return Conominal(tok.value[1:])
         if tok.kind == "(":
             t = self.term()
@@ -194,7 +194,7 @@ class _Parser:
         decl = self.sig.decl(name)
         if decl is not None:
             self.fail(f"connective {name!r} used without arguments", tok)
-        if name in DOTTED_NAMES and self.layer >= Layer.DLESTAR:
+        if name in DOTTED_NAMES and self.layer >= _DOTTED[name].dot.layer:
             self.fail(f"builtin {name!r} used without arguments", tok)
         return Var(name)
 
@@ -206,18 +206,19 @@ class _Parser:
                 self.fail(f"{name} expects {decl.arity} arguments, got {len(arglist)}", tok)
             return App(decl, tuple(arglist))
         if name in DOTTED_NAMES:
-            self.require_layer(Layer.DLESTAR, f"dotted connective {name!r}", tok)
+            node = _DOTTED[name].dot
+            self.require_layer(node.layer, f"dotted connective {name!r}", tok)
             if len(arglist) != 1:
                 self.fail(f"dotted connective {name!r} is unary", tok)
-            return _DOTTED[name].dot((arglist[0],))
+            return node((arglist[0],))
         self.fail(f"unknown connective {name!r}", tok)
 
     def bracketed(self, head: str, tok: _Tok) -> Term:
-        self.require_layer(Layer.DLEPP, f"defined modality {head!r}", tok)
+        node = _BRACKETED[head]
+        self.require_layer(node.layer, f"defined modality {head!r}", tok)
         self.expect("[")
         role_tok = self.expect("ident")
         self.expect("]")
-        node = _BRACKETED[head]
         expected = SPEC_BY_NODE[node].role
         if role_tok.value != expected:
             self.fail(f"{head} takes role {expected!r}, got {role_tok.value!r}", role_tok)
@@ -229,7 +230,7 @@ class _Parser:
         return node((arglist[0],))
 
     def residual(self, tok: _Tok) -> Term:
-        self.require_layer(Layer.DLEPLUS, "residual", tok)
+        self.require_layer(Residual.layer, "residual", tok)
         self.expect("(")
         name_tok = self.expect("ident")
         self.expect(",")
@@ -245,9 +246,11 @@ class _Parser:
                 self.fail(f"res({decl.name},{coord}) takes {decl.arity} arguments", tok)
             return Residual(decl, coord, tuple(arglist))
         if name_tok.value in DOTTED_NAMES:
+            node = _DOTTED[name_tok.value].dot_adj
+            self.require_layer(node.layer, "residual", tok)
             if coord != 1 or len(arglist) != 1:
                 self.fail(f"res({name_tok.value},1) is unary", tok)
-            return _DOTTED[name_tok.value].dot_adj((arglist[0],))
+            return node((arglist[0],))
         self.fail(f"unknown connective {name_tok.value!r} in residual", name_tok)
 
 

@@ -61,6 +61,9 @@ def test_reduce_matches_golden_trace(tmp_path):
         ("pseudo.trace",
          "dia(box(dia(p))) <= Dia[pi](p) | dia(box(dia(bot)))", "albae",
          str(GOLDEN / "pseudo.script")),
+        ("stageone.trace", "box(box(q) | (top | p)) <= box((bot | bot) & dia(q))",
+         "alba", None),
+        ("distsigma.trace", "box(p | box(p)) <= box(p & box(p))", "albae", None),
     ]
     for fname, ineq, mode, script in cases:
         out = tmp_path / fname
@@ -88,6 +91,25 @@ def test_classify_matches_golden(tmp_path):
         golden = (GOLDEN / fname).read_bytes()
         assert out.read_bytes() == golden, fname
         assert r.stdout.encode() == golden, fname
+
+def test_script_with_a_bad_path_is_a_stuck_report(tmp_path, capsys):
+    # a missing subterm path, one past a leaf and a side other than 0 or 1
+    # end as a stuck report with exit 4, not as a traceback
+    from dlecorr import cli
+    cases = [
+        ("alba", "DistributePre(1) @ 0", "a subterm path starts with side 0 or 1"),
+        ("alba", "DistributePre(1) @ 0/0.7", "path 0.7 points past a leaf"),
+        ("albae", "FirstApprox\nRewritePi @ 0 / 1.3.3", "path 1.3.3 points past a leaf"),
+        ("albae", "FirstApprox\nRewritePi @ 0 / 2", "a subterm path starts with side 0 or 1"),
+    ]
+    script = tmp_path / "bad.script"
+    for mode, text, reason in cases:
+        script.write_text(text + "\n")
+        code = cli.main(["reduce", "dia(p | q) <= dia(p)", "--sig", str(SIG),
+                         "--mode", mode, "--strategy", str(script)])
+        assert code == 4, text
+        assert f"stuck: vars= : {reason}\n" in capsys.readouterr().out, text
+
 
 def test_reduce_failure_exit_four(tmp_path):
     sig = tmp_path / "bare.sig"

@@ -81,6 +81,28 @@ def test_layer_violations(bare_sig):
         parse_term("bsq[pi](p)", bare_sig, Layer.DLEPP)  # role not registered
 
 
+_LAYER_CASES = [
+    (Nominal, "#i <= p", Layer.DLEPLUS),
+    (Conominal, "p <= @m", Layer.DLEPLUS),
+    (Arrow, "p -> q <= p", Layer.DLEPLUS),
+    (Coimp, "p -. q <= p", Layer.DLEPLUS),
+    (Residual, "res(oplus,1)(p, q) <= p", Layer.DLEPLUS),
+    (DotDiaAdj, "res(dia,1)(p) <= p", Layer.DLEPLUS),
+    (DotLhd, "lhd(p) <= p", Layer.DLESTAR),
+]
+
+
+@pytest.mark.parametrize("node, text, layer", _LAYER_CASES,
+                         ids=[node.__name__ for node, _, _ in _LAYER_CASES])
+def test_layer_checks_read_the_node_class(node, text, layer, mixed_sig, monkeypatch):
+    # the parser admits a node kind from the layer its class declares
+    parse_inequality(text, mixed_sig, layer)
+    monkeypatch.setattr(node, "layer", Layer(layer + 1))
+    with pytest.raises(ParseError) as exc:
+        parse_inequality(text, mixed_sig, layer)
+    assert f"not admitted at layer {layer.name}" in str(exc.value)
+
+
 def test_unknown_connective_and_position(bare_sig):
     with pytest.raises(ParseError) as exc:
         parse_term("p & mystery(q)", bare_sig, Layer.DLE)
@@ -209,7 +231,7 @@ _NODE_TABLE = [
 def test_node_shape_table(make, tones, layer):
     t = make()
     assert t.tonicities() == tones
-    assert t.min_layer() == layer
+    assert t.layer == layer
     rebuilt = t.with_args(t.args)
     assert type(rebuilt) is type(t) and rebuilt == t
     twin = make()
