@@ -27,6 +27,7 @@ from __future__ import annotations
 import copy
 import re
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 from . import classify
 from .language import (
@@ -100,12 +101,17 @@ class System:
                 out.append(item)
         return System(tuple(out), self.goal)
 
+    @cached_property
+    def check_terms(self) -> tuple[Term, ...]:
+        """Each antecedent's two sides in order, then the goal's: the
+        terms a semantic check of the system evaluates.  Terms are
+        interned, so the tuple hashes by their identities."""
+        goal = () if self.goal is None else (self.goal,)
+        return tuple(t for iq in (*self.inequalities(), *goal) for t in (iq.lhs, iq.rhs))
+
     def symbols(self) -> set[str]:
         """Names of the variables, nominals and conominals that occur."""
-        terms = [t for si in self.ineqs for t in (si.ineq.lhs, si.ineq.rhs)]
-        if self.goal is not None:
-            terms += [self.goal.lhs, self.goal.rhs]
-        return {s.name for t in terms for s in subterms(t)
+        return {s.name for t in self.check_terms for s in subterms(t)
                 if isinstance(s, (Var, Nominal, Conominal))}
 
 

@@ -14,7 +14,11 @@ nested layers:
            registered unary term (role pi/sigma/lambda/rho) together with
            their adjoints bsq/bdia/blhd/brhd
 
-Everything here is immutable; terms hash and compare structurally.
+Everything here is immutable.  Terms are interned: every node is built
+through one constructor that returns the live node with the same class
+and fields if there is one, so equal terms are one object, and terms
+compare and hash by identity.  Signatures, declarations and inequalities
+compare structurally.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import Iterator, Mapping
+from weakref import WeakValueDictionary
 
 
 MONO = 1
@@ -84,16 +89,50 @@ class ConnectiveDecl:
         return self.order_type.tonicities()
 
 
+# every live term, keyed by its class and field values; the children in
+# ``args`` are interned already, so a key hashes them by identity.  Lookups
+# read the weak references in ``data``: ``get`` pays for an exception on
+# every miss
+_TERMS: WeakValueDictionary = WeakValueDictionary()
+_LIVE = _TERMS.data
+
+
 class Term:
     """Base class; every node stores its subterms in ``args``.
 
     A node class states its shape as class data: ``tones``, the tonicity
     of each coordinate, and ``layer``, the least layer that has it.
+
+    Nodes are interned: calling a node class returns the live node with
+    the same class and field values, and builds one only if there is
+    none, so ``==`` and ``hash`` are those of identity.
     """
 
     args: tuple["Term", ...] = ()
     tones: tuple[int, ...] = ()
     layer: Layer = Layer.DLE
+
+    def __new__(cls, *fields, **named):
+        if named:  # keyword arguments, put in field order
+            fields += tuple(named.pop(n) for n in cls.__match_args__[len(fields):]
+                            if n in named)
+            if named:
+                raise TypeError(f"{cls.__name__}() got unexpected arguments {sorted(named)}")
+        key = (cls, *fields)
+        ref = _LIVE.get(key)
+        t = None if ref is None else ref()
+        if t is None:
+            if len(fields) != len(cls.__match_args__):
+                raise TypeError(f"{cls.__name__}() takes fields {cls.__match_args__}")
+            t = object.__new__(cls)
+            for name, value in zip(cls.__match_args__, fields):
+                object.__setattr__(t, name, value)
+            t.__post_init__()
+            _TERMS[key] = t
+        return t
+
+    def __post_init__(self) -> None:
+        """Check the fields of a new node."""
 
     def tonicities(self) -> tuple[int, ...]:
         return self.tones
@@ -101,30 +140,40 @@ class Term:
     def with_args(self, args: tuple["Term", ...]) -> "Term":
         return type(self)(args) if self.args else self  # type: ignore[call-arg]
 
+    def __reduce__(self):
+        """Copies and unpickled nodes are built through the constructor,
+        which returns the interned node."""
+        return type(self), tuple(getattr(self, n) for n in self.__match_args__)
 
-@dataclass(frozen=True)
+
+# a node class: frozen, built by ``Term.__new__``, with the identity
+# ``==`` and ``hash`` of ``Term``
+_node = dataclass(frozen=True, eq=False, init=False)
+
+
+@_node
 class Var(Term):
     name: str
 
 
-@dataclass(frozen=True)
+@_node
 class Nominal(Term):
     name: str
     layer = Layer.DLEPLUS
 
 
-@dataclass(frozen=True)
+@_node
 class Conominal(Term):
     name: str
     layer = Layer.DLEPLUS
 
 
-@dataclass(frozen=True)
+@_node
 class Top(Term):
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class Bot(Term):
     pass
 
@@ -133,19 +182,19 @@ TOP = Top()
 BOT = Bot()
 
 
-@dataclass(frozen=True)
+@_node
 class Meet(Term):
     args: tuple[Term, Term]
     tones = (MONO, MONO)
 
 
-@dataclass(frozen=True)
+@_node
 class Join(Term):
     args: tuple[Term, Term]
     tones = (MONO, MONO)
 
 
-@dataclass(frozen=True)
+@_node
 class App(Term):
     decl: ConnectiveDecl
     args: tuple[Term, ...]
@@ -164,7 +213,7 @@ class App(Term):
         return App(self.decl, args)
 
 
-@dataclass(frozen=True)
+@_node
 class Residual(Term):
     """Residual of ``decl`` in coordinate ``coord`` (1-based).
 
@@ -209,7 +258,7 @@ class Residual(Term):
 def _unary(cls_name: str, tonicity: int, least: Layer) -> type:
     """Build a frozen unary Term subclass (dotted/defined/adjoint nodes)."""
 
-    @dataclass(frozen=True)
+    @_node
     class _Node(Term):
         args: tuple[Term]
         tones = (tonicity,)
@@ -341,7 +390,7 @@ def family_and_arity(t: Term) -> tuple[str, int] | None:
     return None if spec is None else (spec.family, 1)
 
 
-@dataclass(frozen=True)
+@_node
 class Arrow(Term):
     """Residual of meet; parsed and evaluated, produced by no rule."""
 
@@ -350,7 +399,7 @@ class Arrow(Term):
     layer = Layer.DLEPLUS
 
 
-@dataclass(frozen=True)
+@_node
 class Coimp(Term):
     """Residual of join; parsed and evaluated, produced by no rule."""
 

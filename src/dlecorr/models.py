@@ -24,7 +24,10 @@ BudgetExceeded rather than truncating silently.
 
 The quantified checks run through plans (``_Plan``), built once per
 tuple of terms, independent of the lattice, and kept in a bounded
-cache.  A plan fixes the symbol order, evaluates equal subterms once and
+cache.  Terms are interned, so the cache key hashes and compares only
+the identities of its terms; a system keeps its tuple of check terms
+(``System.check_terms``), so checking a known system builds no key.  A
+plan fixes the symbol order, evaluates equal subterms once and
 compiles one search kernel: a loop nest, one loop per symbol, with each
 subterm evaluated at the outermost loop where all its symbols are bound;
 the lattice's tables and domains are arguments of the kernel.  A plan
@@ -733,10 +736,14 @@ def check_validity(ineq: Inequality, dle: FiniteDLE,
 
 
 def _quasi_plan(system: System) -> _Plan:
-    """The plan of the universal closure of (all antecedents) => goal."""
+    """The plan of the universal closure of (all antecedents) => goal,
+    keyed by the system's own tuple of check terms."""
     if system.goal is None:
         raise ModelError("system has no goal")
-    return _check_plan([si.ineq for si in system.ineqs], system.goal)
+    terms = getattr(system, "check_terms", None)
+    if terms is None:  # an object with only ``ineqs`` and ``goal``
+        return _check_plan([si.ineq for si in system.ineqs], system.goal)
+    return _plan(terms)
 
 
 def _quasi_holds(system: System, dle: FiniteDLE, budget: Budget) -> bool:

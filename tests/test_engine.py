@@ -7,7 +7,7 @@ import weakref
 import pytest
 
 from conftest import MIXED_SIG_TEXT, random_any_term, relational_dle
-from dlecorr import engine, generators, models
+from dlecorr import engine, generators, language, models
 from dlecorr.engine import (
     AckermannShapeError, Derivation, EngineError, Inequality, RuleApplication,
     RuleMatchError, SysIneq, System, _stage_one, apply_rule,
@@ -382,6 +382,21 @@ def test_runs_leave_no_reference_cycles(bare_sig, classical_sig):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_runs_leave_no_dead_terms_interned(classical_sig):
+    # the interning table holds its terms weakly: once a derivation is
+    # dropped, every term it built has left the table
+    iq = parse_inequality("dia(box(dia(box(p)))) <= box(dia(box(dia(p))))",
+                          classical_sig, Layer.DLE)
+    gc.collect()
+    before = len(language._TERMS)
+    d = run_alba(iq, classical_sig, "albae", "auto")
+    assert d.status.kind == "success"
+    assert len(language._TERMS) > before
+    del d
+    gc.collect()
+    assert len(language._TERMS) == before
 
 
 def test_reduction_traces_pinned(classical_sig):

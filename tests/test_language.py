@@ -1,16 +1,20 @@
+import copy
+import dataclasses
+import pickle
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_any_term
+from conftest import CLASSICAL_SIG_TEXT, random_any_term
+from dlecorr import generators
 from dlecorr.language import (
     ANTI, App, Arrow, BlackBox, BlackDia, BlackLhd, BlackRhd, Bot, Coimp,
     ConnectiveDecl, Conominal, DefBox, DefDia, DefLhd, DefRhd, DotBox,
     DotBoxAdj, DotDia, DotDiaAdj, DotLhd, DotLhdAdj, DotRhd, DotRhdAdj,
     Inequality, Join, Layer, Meet, MONO, Nominal, OrderType, Residual, Top,
-    Var, BOT, TOP, join, layer_of, meet, substitute,
+    Var, BOT, TOP, join, layer_of, meet, replace_at, substitute,
 )
 from dlecorr.parsing import ParseError, parse_inequality, parse_signature, parse_term
 from dlecorr.printing import print_term
@@ -239,3 +243,41 @@ def test_node_shape_table(make, tones, layer):
     # no instance of another class compares equal
     assert all(other() != t for other, _, _ in _NODE_TABLE
                if type(other()) is not type(t))
+
+
+def test_equal_terms_are_one_object():
+    # terms are interned: every way of building a term returns the one
+    # live node equal to it, whatever signature object its decls come from
+    sig, twin_sig = parse_signature(CLASSICAL_SIG_TEXT), parse_signature(CLASSICAL_SIG_TEXT)
+    dia, box = sig.decl("dia"), sig.decl("box")
+    p, q, r = Var("p"), Var("q"), Var("r")
+    t = parse_term("dia(p & box(q)) | top", sig, Layer.DLE)
+    built = Join((App(dia, (Meet((p, App(box, (q,)))),)), TOP))
+    assert t is built
+    assert parse_term("dia(p & box(q)) | top", twin_sig, Layer.DLE) is t
+    assert parse_inequality("dia(p & box(q)) | top <= r", sig, Layer.DLE).lhs is t
+    # rebuilding paths
+    assert substitute(t, {"q": join(p, r)}) is parse_term(
+        "dia(p & box(p | r)) | top", sig, Layer.DLE)
+    assert replace_at(t, (0, 0, 1), r) is parse_term("dia(p & r) | top", sig, Layer.DLE)
+    assert t.with_args((t.args[0], BOT)) is Join((built.args[0], Bot()))
+    assert sig.role_instance("pi", q) is parse_term("dia(box(dia(q)))", sig, Layer.DLE)
+    assert twin_sig.role_instance("sigma", t) is App(box, (t,))
+    draws = [generators.random_inductive(random.Random(11), sig) for _ in range(2)]
+    assert draws[0].lhs is draws[1].lhs and draws[0].rhs is draws[1].rhs
+    # keyword construction, in whole or in part
+    assert Var(name="p") is p
+    assert App(decl=dia, args=(p,)) is App(dia, (p,))
+    assert Residual(dia, args=(q,), coord=1) is Residual(dia, 1, (q,))
+    # copies and replacements
+    for node in (p, TOP, t, Residual(box, 1, (t,)), DotDia((t,))):
+        assert copy.copy(node) is node
+        assert copy.deepcopy(node) is node
+        assert dataclasses.replace(node) is node
+        assert pickle.loads(pickle.dumps(node)) is node
+    assert dataclasses.replace(p, name="q") is q
+    assert dataclasses.replace(t, args=(BOT, TOP)) is join(BOT, TOP)
+    with pytest.raises(TypeError):
+        Var("p", name="q")
+    with pytest.raises(TypeError):
+        Residual(dia, args=(q,))
