@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import random
 import sys
-from dataclasses import dataclass
 
 from . import classify, engine, models
 from .language import ROLE_SPECS, Inequality, Layer, Signature, subterms
@@ -31,17 +30,6 @@ EXIT_PARSE = 2
 EXIT_NO_VERDICT = 3
 EXIT_REDUCE_FAILED = 4
 EXIT_BUDGET = 5
-
-
-@dataclass
-class RunConfig:
-    signature_path: str | None
-    command: str
-    mode: str = "alba"
-    strategy: str = "auto"
-    lattice_budget: int = 3
-    output_path: str | None = None
-    seed: int = 0
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -63,17 +51,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _load_signature(cfg: RunConfig) -> Signature:
-    if cfg.signature_path is None:
+def _load_signature(args: argparse.Namespace) -> Signature:
+    if args.signature_path is None:
         return Signature(())
-    with open(cfg.signature_path, encoding="utf-8") as fh:
+    with open(args.signature_path, encoding="utf-8") as fh:
         return parse_signature(fh.read())
 
 
-def _emit(cfg: RunConfig, lines: list[str]) -> None:
+def _emit(args: argparse.Namespace, lines: list[str]) -> None:
     text = "\n".join(lines) + "\n"
-    if cfg.output_path:
-        with open(cfg.output_path, "w", encoding="utf-8") as fh:
+    if args.output_path:
+        with open(args.output_path, "w", encoding="utf-8") as fh:
             fh.write(text)
     sys.stdout.write(text)
 
@@ -86,7 +74,7 @@ def _omega_str(omega) -> str:
     return "{" + ",".join(f"{a}<{b}" for a, b in sorted(omega)) + "}"
 
 
-def cmd_classify(cfg: RunConfig, ineq: Inequality, sig: Signature) -> int:
+def cmd_classify(args: argparse.Namespace, ineq: Inequality, sig: Signature) -> int:
     lines = [f"inequality: {print_inequality(ineq)}"]
     positive = False
     eps = classify.is_sahlqvist(ineq)
@@ -118,15 +106,16 @@ def cmd_classify(cfg: RunConfig, ineq: Inequality, sig: Signature) -> int:
     lines.append("branches:")
     lines.append(classify.branch_report(ineq, eps if eps is not None else
                                         (w.epsilon if w is not None else None)))
-    _emit(cfg, lines)
+    _emit(args, lines)
     return EXIT_OK if positive else EXIT_NO_VERDICT
 
 
-def _run_reduction(cfg: RunConfig, ineq: Inequality, sig: Signature) -> engine.Derivation:
-    if cfg.strategy == "auto":
-        return engine.run_alba(ineq, sig, cfg.mode, "auto")
-    with open(cfg.strategy, encoding="utf-8") as fh:
-        return engine.run_alba(ineq, sig, cfg.mode, "script", script=fh.read())
+def _run_reduction(args: argparse.Namespace, ineq: Inequality,
+                   sig: Signature) -> engine.Derivation:
+    if args.strategy == "auto":
+        return engine.run_alba(ineq, sig, args.mode, "auto")
+    with open(args.strategy, encoding="utf-8") as fh:
+        return engine.run_alba(ineq, sig, args.mode, "script", script=fh.read())
 
 
 def _result_lines(d: engine.Derivation) -> list[str]:
@@ -143,32 +132,33 @@ def _result_lines(d: engine.Derivation) -> list[str]:
     return lines
 
 
-def cmd_reduce(cfg: RunConfig, ineq: Inequality, sig: Signature) -> int:
-    d = _run_reduction(cfg, ineq, sig)
-    _emit(cfg, _result_lines(d))
+def cmd_reduce(args: argparse.Namespace, ineq: Inequality, sig: Signature) -> int:
+    d = _run_reduction(args, ineq, sig)
+    _emit(args, _result_lines(d))
     return EXIT_OK if d.status.kind == "success" else EXIT_REDUCE_FAILED
 
 
-def _sweep_lattices(cfg: RunConfig, sig: Signature) -> list[models.FiniteDLE]:
+def _sweep_lattices(args: argparse.Namespace,
+                    sig: Signature) -> list[models.FiniteDLE]:
     """Deterministic lattice sample: relational sweeps on small posets for
     unary type-(1) connectives, plus seeded random normal tables."""
-    cap = cfg.lattice_budget
+    cap = args.budget
     if not 1 <= cap <= 5:
         raise models.ModelError(f"--budget must be 1 to 5, got {cap}")
     out = [dle for _, dle in models.relational_sweep(sig, min(cap, 3))]
-    rng = random.Random(cfg.seed)
+    rng = random.Random(args.seed)
     for _ in range(20):
         out.append(models.random_dle(rng, sig, max_points=min(cap, 4)))
     return out
 
 
-def cmd_verify(cfg: RunConfig, ineq: Inequality, sig: Signature) -> int:
-    d = _run_reduction(cfg, ineq, sig)
+def cmd_verify(args: argparse.Namespace, ineq: Inequality, sig: Signature) -> int:
+    d = _run_reduction(args, ineq, sig)
     if d.status.kind != "success":
-        _emit(cfg, _result_lines(d))
+        _emit(args, _result_lines(d))
         return EXIT_REDUCE_FAILED
     lines = _result_lines(d)
-    lattices = _sweep_lattices(cfg, sig)
+    lattices = _sweep_lattices(args, sig)
     report = models.verify_correspondence(ineq, d, lattices)
     lines.append(f"correspondence: lattices={report.lattices} "
                  f"skipped={report.skipped} divergences={len(report.divergences)}")
@@ -187,16 +177,16 @@ def cmd_verify(cfg: RunConfig, ineq: Inequality, sig: Signature) -> int:
                 lines.append(f"  unsound step: {rule.label()} on "
                              f"{dle.poset.n}-point poset")
     lines.append(f"rule-steps: checked={steps_total} unsound={steps_bad}")
-    _emit(cfg, lines)
+    _emit(args, lines)
     return EXIT_OK if report.agree and steps_bad == 0 else EXIT_REDUCE_FAILED
 
 
-def cmd_lemmas(cfg: RunConfig, sig: Signature) -> int:
+def cmd_lemmas(args: argparse.Namespace, sig: Signature) -> int:
     lines = []
     bad = 0
     total = 0
-    rng = random.Random(cfg.seed)
-    for dle in _sweep_lattices(cfg, sig):
+    rng = random.Random(args.seed)
+    for dle in _sweep_lattices(args, sig):
         if not dle.sig.registered:
             continue
         report = models.check_lemma_suite(dle, rng)
@@ -208,32 +198,28 @@ def cmd_lemmas(cfg: RunConfig, sig: Signature) -> int:
                 if fails:
                     lines.append(f"lattice {total}: role {role} fails {fails}")
     lines.append(f"lemma-suite: lattices={total} failures={bad}")
-    _emit(cfg, lines)
+    _emit(args, lines)
     return EXIT_OK if bad == 0 else EXIT_REDUCE_FAILED
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    cfg = RunConfig(
-        signature_path=args.signature_path, command=args.command,
-        mode=args.mode, strategy=args.strategy, lattice_budget=args.budget,
-        output_path=args.output_path, seed=args.seed)
     try:
-        sig = _load_signature(cfg)
-        if cfg.command == "lemmas":
-            return cmd_lemmas(cfg, sig)
+        sig = _load_signature(args)
+        if args.command == "lemmas":
+            return cmd_lemmas(args, sig)
         if args.inequality is None:
             print("error: this command needs an inequality", file=sys.stderr)
             return EXIT_PARSE
         # script replays may start from expanded-language inequalities;
         # classification and auto reduction take base/dotted inputs
-        layer = Layer.DLEPP if cfg.strategy != "auto" else Layer.DLESTAR
+        layer = Layer.DLEPP if args.strategy != "auto" else Layer.DLESTAR
         ineq = parse_inequality(args.inequality, sig, layer)
-        if cfg.command == "classify":
-            return cmd_classify(cfg, ineq, sig)
-        if cfg.command == "reduce":
-            return cmd_reduce(cfg, ineq, sig)
-        return cmd_verify(cfg, ineq, sig)
+        if args.command == "classify":
+            return cmd_classify(args, ineq, sig)
+        if args.command == "reduce":
+            return cmd_reduce(args, ineq, sig)
+        return cmd_verify(args, ineq, sig)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -269,18 +269,20 @@ def _target(system: System, app: RuleApplication) -> tuple[int, SysIneq]:
     return app.ineq_index, system.ineqs[app.ineq_index]
 
 
-def _at_path(ineq: Inequality, path: tuple[int, ...]) -> tuple[int, Term, Term]:
+def _at_path(ineq: Inequality, path: tuple[int, ...]) -> tuple[int, Term, Term, int]:
     """The side ``path[0]`` of ``ineq`` (0 left, 1 right), that side's
-    term and its subterm at ``path[1:]``."""
+    term, its subterm at ``path[1:]`` and the subterm's sign in +lhs/-rhs."""
     if not path or path[0] not in (0, 1):
         raise RuleMatchError("a subterm path starts with side 0 or 1")
     term = sub = ineq.lhs if path[0] == 0 else ineq.rhs
+    sign = MONO if path[0] == 0 else ANTI
     for i in path[1:]:
         if i >= len(sub.args):
             raise RuleMatchError(
                 f"path {'.'.join(map(str, path))} points past a leaf")
+        sign *= sub.tonicities()[i]
         sub = sub.args[i]
-    return path[0], term, sub
+    return path[0], term, sub, sign
 
 
 def _occurrence_arg(t: Term, spec: RoleSpec, sig: Signature,
@@ -457,25 +459,25 @@ def _ackermann(d: Derivation, system: System, app: RuleApplication):
     if pivot is None:
         raise RuleMatchError("Ackermann rules need a pivot variable")
     # the right rule collects premises alpha <= p, substitutes their join
-    # and needs p positive on the left of the rest, negative on the right;
-    # the left rule is its order dual
+    # and needs every other occurrence of p positive in +lhs/-rhs; the
+    # left rule is its order dual
     right = app.rule_id == "AckermannRight"
-    want_l, want_r = (classify.POSITIVE, classify.NEGATIVE) if right else \
-        (classify.NEGATIVE, classify.POSITIVE)
+    want = MONO if right else ANTI
     bounds: list[Term] = []
     others: list[SysIneq] = []
     for si in system.ineqs:
-        bound, end = (si.ineq.lhs, si.ineq.rhs) if right else (si.ineq.rhs, si.ineq.lhs)
+        lhs, rhs = si.ineq.lhs, si.ineq.rhs
+        bound, end = (lhs, rhs) if right else (rhs, lhs)
         if end == Var(pivot) and pivot not in free_vars(bound):
             bounds.append(bound)
-        else:
-            others.append(si)
-    for si in others:
-        if classify.polarity(si.ineq.lhs, pivot) not in (want_l, classify.ABSENT) or \
-                classify.polarity(si.ineq.rhs, pivot) not in (want_r, classify.ABSENT):
+        elif any(name == pivot and _red_sign(side, s) != want
+                 for side, term in enumerate((lhs, rhs))
+                 for name, s, _ in var_occurrences(term)):
             raise AckermannShapeError(
                 f"pivot {pivot} occurs with the wrong polarity in "
                 f"{print_inequality(si.ineq)}")
+        else:
+            others.append(si)
     mapping = {pivot: (big_join if right else big_meet)(bounds)}
     out: list[SysIneq] = []
     seen: set[Inequality] = set()
@@ -493,7 +495,7 @@ def _rewrite_role(d: Derivation, system: System, app: RuleApplication):
     value with the defined modality: a join for F roles, a meet for G."""
     _, spec, _ = _ROLE_RULES[app.rule_id]
     idx, si = _target(system, app)
-    side_idx, term, sub = _at_path(si.ineq, app.path)
+    side_idx, term, sub, _ = _at_path(si.ineq, app.path)
     arg = _occurrence_arg(sub, spec, d.sig, plain=False)
     if arg is None:
         raise RuleMatchError(f"{app.rule_id} does not match {print_term(sub)}")
@@ -525,59 +527,39 @@ _ROLE_RULES = {
 _LATTICE_FAMILY = {Meet: "F", Join: "G"}
 
 
-def _pushable(parent: Term, parent_sign: int, tone: int, over_join: bool) -> bool:
-    """Whether ``parent`` distributes over its join (``over_join``) or meet
-    child in a coordinate of tonicity ``tone``: F nodes (dotted markers
-    and meets included) in positive position, G nodes in negative
-    position, over joins exactly in bottom-unit coordinates."""
+def _distributes(parent: Term, sign: int, k: int) -> bool:
+    """Whether ``parent``, of sign ``sign``, distributes over its child
+    ``k``: the child is a positive join or a negative meet (a delta-adjoint)
+    and the parent an F node (dotted markers and meets included) in
+    positive position or a G node in negative position.  Such a parent
+    takes a join child exactly in a coordinate with bottom as unit, so the
+    coordinate needs no test of its own."""
     shape = family_and_arity(parent)
     family = shape[0] if shape else _LATTICE_FAMILY.get(type(parent))
-    return family is not None and (family == "F") == (parent_sign == MONO) \
-        and bot_unit(family, tone) == over_join
+    child_sign = sign * parent.tonicities()[k]
+    return family == ("F" if sign == MONO else "G") and \
+        isinstance(parent.args[k], Join if child_sign == MONO else Meet)
 
 
-def _pia_only(t: Term, sign: int) -> bool:
-    try:
-        classes = classify.node_classes(t, sign)
-    except classify.ClassifyError:
-        return False
-    if classes & {classify.LEAF, classify.CONSTANT}:
-        return False
-    return not (classes & classify.SKELETON)
-
-
-def _has_critical_leaf(t: Term, sign: int, eps_map: dict[str, str]) -> bool:
-    return any(classify._is_critical(s, eps_map[name])
-               for name, s, _ in var_occurrences(t, sign))
-
-
-def _find_distribution(t: Term, sign: int, eps_map, below_pia: bool,
+def _find_distribution(t: Term, sign: int, eps_map: dict[str, str],
                        path: tuple[int, ...]) -> tuple[tuple[int, ...], int] | None:
-    """Pre-order search for parent-position + coordinate of a pushable
-    delta node (a positive join / negative meet child)."""
-    for k, (child, tone) in enumerate(zip(t.args, t.tonicities())):
-        child_sign = sign * tone
-        over_join = isinstance(child, Join) and child_sign == MONO
-        over_meet = isinstance(child, Meet) and child_sign == ANTI
-        if (over_join or over_meet) and not below_pia:
-            if _pushable(t, sign, tone, over_join) and \
-                    _has_critical_leaf(child, child_sign, eps_map):
-                return path, k
-    for k, (child, tone) in enumerate(zip(t.args, t.tonicities())):
-        found = _find_distribution(
-            child, sign * tone, eps_map,
-            below_pia or _pia_only(t, sign), path + (k,))
+    """Pre-order search for the position and coordinate of a node that
+    distributes over a child with a leaf critical for ``eps_map`` below it.
+    Only the skeleton distributes, the part of each branch above its PIA
+    block: the search ends at a leaf, a constant or a PIA-only node."""
+    if classify.node_classes(t, sign).isdisjoint(classify.SKELETON):
+        return None
+    tones = t.tonicities()
+    for k, child in enumerate(t.args):
+        if _distributes(t, sign, k) and any(
+                classify._is_critical(s, eps_map[name])
+                for name, s, _ in var_occurrences(child, sign * tones[k])):
+            return path, k
+    for k, child in enumerate(t.args):
+        found = _find_distribution(child, sign * tones[k], eps_map, path + (k,))
         if found is not None:
             return found
     return None
-
-
-def _sign_at(t: Term, pos: tuple[int, ...]) -> int:
-    sign = MONO
-    for i in pos:
-        sign *= t.tonicities()[i]
-        t = t.args[i]
-    return sign
 
 
 def find_preprocess_step(ineq: Inequality, eps_map: dict[str, str],
@@ -585,8 +567,9 @@ def find_preprocess_step(ineq: Inequality, eps_map: dict[str, str],
     """First applicable stage-one step: distribution, splitting, variable
     elimination.  Only delta nodes with a leaf critical for ``eps_map``
     below them are distributed."""
-    for side_idx, (term, sign) in enumerate(((ineq.lhs, MONO), (ineq.rhs, ANTI))):
-        found = _find_distribution(term, sign, eps_map, False, ())
+    sides = ((ineq.lhs, MONO), (ineq.rhs, ANTI))
+    for side_idx, (term, sign) in enumerate(sides):
+        found = _find_distribution(term, sign, eps_map, ())
         if found is not None:
             pos, k = found
             spec = dotted_spec(subterm_at(term, pos))
@@ -594,33 +577,30 @@ def find_preprocess_step(ineq: Inequality, eps_map: dict[str, str],
             return RuleApplication(rid, ineq_index=0, path=(side_idx,) + pos, coord=k + 1)
     if isinstance(ineq.lhs, Join) or isinstance(ineq.rhs, Meet):
         return RuleApplication("Split", ineq_index=0)
-    lhs_vars = free_vars(ineq.lhs)
-    rhs_vars = free_vars(ineq.rhs)
-    for v in sorted(lhs_vars & rhs_vars):
-        pol_l = classify.polarity(ineq.lhs, v)
-        pol_r = classify.polarity(ineq.rhs, v)
-        if pol_l == classify.NEGATIVE and pol_r == classify.POSITIVE:
-            return RuleApplication("MonotoneElim", ineq_index=0, pivot=v, coord=0)
-        if pol_l == classify.POSITIVE and pol_r == classify.NEGATIVE:
-            return RuleApplication("MonotoneElim", ineq_index=0, pivot=v, coord=1)
+    # each variable's signs in +lhs/-rhs, per side: one on both sides, all
+    # of it negative, goes to bottom (coord 0); all of it positive, to top
+    left: dict[str, set[int]] = {}
+    right: dict[str, set[int]] = {}
+    for signs, (term, sign) in zip((left, right), sides):
+        for name, s, _ in var_occurrences(term, sign):
+            signs.setdefault(name, set()).add(s)
+    for v in sorted(left.keys() & right.keys()):
+        if left[v] == right[v] and len(left[v]) == 1:
+            return RuleApplication("MonotoneElim", ineq_index=0, pivot=v,
+                                   coord=0 if ANTI in left[v] else 1)
     return None
 
 
 def _distribute(d: Derivation, system: System, app: RuleApplication):
     idx, si = _target(system, app)
     ineq = si.ineq
-    side_idx, term, parent = _at_path(ineq, app.path)
+    side_idx, term, parent, sign = _at_path(ineq, app.path)
     pos = app.path[1:]
     if app.coord is None or not (1 <= app.coord <= len(parent.args)):
         raise RuleMatchError("distribution needs a coordinate")
     k = app.coord - 1
     child = parent.args[k]
-    sign = (MONO if side_idx == 0 else ANTI) * _sign_at(term, pos)
-    child_sign = sign * parent.tonicities()[k]
-    over_join = isinstance(child, Join) and child_sign == MONO
-    over_meet = isinstance(child, Meet) and child_sign == ANTI
-    if not (over_join or over_meet) or not _pushable(
-            parent, sign, parent.tonicities()[k], over_join):
+    if not _distributes(parent, sign, k):
         raise RuleMatchError("distribution does not match at this position")
     one, two = (parent.with_args(parent.args[:k] + (half,) + parent.args[k + 1:])
                 for half in child.args)
@@ -726,12 +706,6 @@ def apply_rule(d: Derivation, app: RuleApplication,
 # ----------------------------------------------------------------------
 # automatic strategy
 
-@dataclass(frozen=True)
-class _Stuck:
-    message: str
-    blocking: Inequality
-
-
 def _red_sign(side: int, tree_sign: int) -> int:
     """Sign of an occurrence inside a system inequality: occurrences on
     the left keep their tree sign, occurrences on the right flip it.
@@ -747,7 +721,7 @@ def _critical_red(eps_entry: str) -> int:
 
 
 def _display_step(system: System, pivot: str, eps_entry: str,
-                  role_mode: bool) -> RuleApplication | _Stuck | None:
+                  role_mode: bool) -> RuleApplication | StuckReport | None:
     want = _critical_red(eps_entry)
     for idx, si in enumerate(system.ineqs):
         ineq = si.ineq
@@ -756,7 +730,8 @@ def _display_step(system: System, pivot: str, eps_entry: str,
         bound, end = (a, b) if eps_entry == "1" else (b, a)
         if end == Var(pivot):
             if pivot in free_vars(bound):
-                return _Stuck(f"pivot {pivot} occurs inside its own premise", ineq)
+                return StuckReport((pivot,), (ineq,),
+                                   f"pivot {pivot} occurs inside its own premise")
             continue
         occ = next(((side, path) for side, term in ((0, a), (1, b))
                     for name, s, path in var_occurrences(term)
@@ -764,13 +739,13 @@ def _display_step(system: System, pivot: str, eps_entry: str,
         if occ is None:
             continue
         if si.side:
-            return _Stuck(
-                f"critical occurrence of {pivot} inside a side condition", ineq)
+            return StuckReport((pivot,), (ineq,),
+                               f"critical occurrence of {pivot} inside a side condition")
         occ_side, path = occ
         app = _display_rule(system, idx, occ_side, path, role_mode)
         if app is None:
-            return _Stuck(
-                f"no display rule for {pivot} in {print_inequality(ineq)}", ineq)
+            return StuckReport((pivot,), (ineq,),
+                               f"no display rule for {pivot} in {print_inequality(ineq)}")
         return app
     return None
 
@@ -821,8 +796,8 @@ def _eliminate(d: Derivation, nid: int, k: int, order: tuple[str, ...],
         pivot = order[k]
         system = d.node(nid).system
         step = _display_step(system, pivot, eps_map[pivot], d.role_mode)
-        if isinstance(step, _Stuck):
-            stuck.append(StuckReport((pivot,), (step.blocking,), step.message))
+        if isinstance(step, StuckReport):
+            stuck.append(step)
             return None
         if step is None:
             if _occurs(system, pivot):

@@ -55,7 +55,6 @@ from .language import (
     ConnectiveDecl, Conominal, Inequality, Join, Meet, Nominal, OrderType,
     Residual, RoleSpec, Signature, Term, Top, Var, bot_unit, free_vars,
 )
-from .engine import System
 from .printing import print_inequality
 
 MAX_POINTS = 8
@@ -711,12 +710,6 @@ def eval_term(t: Term, dle: FiniteDLE, val: Valuation,
     return table
 
 
-def _check_plan(premises, conclusion: Inequality) -> _Plan:
-    """The plan of (all ``premises``) => ``conclusion``: each
-    inequality's sides in order, the conclusion's last."""
-    return _plan(tuple(t for iq in (*premises, conclusion) for t in (iq.lhs, iq.rhs)))
-
-
 def _counterexample(plan: _Plan, dle: FiniteDLE, budget: Budget) -> Valuation | None:
     """The first valuation, in enumeration order, under which every
     premise of ``plan`` holds and its conclusion fails; one budget unit
@@ -731,22 +724,19 @@ def check_validity(ineq: Inequality, dle: FiniteDLE,
                    ) -> tuple[bool, Valuation | None]:
     """Quantify everything universally; on failure return the first
     counterexample valuation."""
-    ce = _counterexample(_check_plan((), ineq), dle, budget or Budget())
+    ce = _counterexample(_plan((ineq.lhs, ineq.rhs)), dle, budget or Budget())
     return ce is None, ce
 
 
-def _quasi_plan(system: System) -> _Plan:
-    """The plan of the universal closure of (all antecedents) => goal,
-    keyed by the system's own tuple of check terms."""
+def _quasi_plan(system) -> _Plan:
+    """The plan of the universal closure of an engine system's (all
+    antecedents) => goal, keyed by its own tuple of check terms."""
     if system.goal is None:
         raise ModelError("system has no goal")
-    terms = getattr(system, "check_terms", None)
-    if terms is None:  # an object with only ``ineqs`` and ``goal``
-        return _check_plan([si.ineq for si in system.ineqs], system.goal)
-    return _plan(terms)
+    return _plan(system.check_terms)
 
 
-def _quasi_holds(system: System, dle: FiniteDLE, budget: Budget) -> bool:
+def _quasi_holds(system, dle: FiniteDLE, budget: Budget) -> bool:
     return _counterexample(_quasi_plan(system), dle, budget) is None
 
 
@@ -768,7 +758,7 @@ def check_quasi(systems, dle: FiniteDLE, budget: Budget | None = None) -> bool:
     return True
 
 
-def verify_rule_step(parent: System, children, dle: FiniteDLE,
+def verify_rule_step(parent, children, dle: FiniteDLE,
                      budget: Budget | None = None) -> bool:
     """Semantic soundness of one rule application: the parent system's
     quasi-inequality holds iff all children's do (fresh symbols of a

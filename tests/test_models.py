@@ -3,7 +3,6 @@ import hashlib
 import random
 from functools import reduce
 from itertools import product
-from types import SimpleNamespace
 
 import pytest
 
@@ -467,6 +466,15 @@ def test_deep_systems_beyond_the_nesting_limit(classical_sig):
     assert budget.used == 2 ** 19
     ok, ce = check_validity(Inequality(lhs, meet(rhs, Var("p"))), dle)
     assert not ok and ce.var_map == {"p": dle.bot}
+    # 17 variables on two elements: the only counterexample is the last
+    # valuation tried, inside the loop that binds the symbols past 16
+    dle = FiniteDLE(chain(1), classical_sig)
+    lhs = reduce(meet, [Var(f"p{k:02}") for k in range(17)])
+    budget = Budget()
+    ok, ce = check_validity(Inequality(lhs, BOT), dle, budget)
+    assert not ok and ce.var_map == {f"p{k:02}": dle.top for k in range(17)}
+    assert budget.used == 2 ** 17
+    assert check_validity(Inequality(lhs, Var("p00")), dle)[0]
 
 
 def test_plans_leave_no_reference_cycles(classical_sig):
@@ -558,10 +566,6 @@ def test_check_quasi_purity_errors(bare_sig):
     # systems are checked in order: a failing one ends the check
     failing = System((SysIneq(Inequality(i, TOP)),), Inequality(i, m))
     assert not check_quasi([failing, System(tuple(impure), Inequality(i, m))], dle)
-    # System refuses a goal with a variable; check_quasi reads only
-    # ``ineqs`` and ``goal``, and a variable of the goal alone is no impurity
-    goal_var = SimpleNamespace(ineqs=(pure,), goal=Inequality(i, Var("p")))
-    assert not check_quasi([goal_var], dle)
 
 
 def _oracle_records(classical_sig, draws):
