@@ -18,8 +18,12 @@ critical branch is good and the side terms of SRR nodes on critical
 branches agree with the opposite order type and only mention strictly
 Omega-smaller variables.  Meta-inductive inequalities are the images of
 inductive dotted-language inequalities under substitution of registered
-role terms for the dotted modalities.  Each signed tree is analysed once:
-every order type, preimage pairing and branch report reads the analyses.
+role terms for the dotted modalities.  Each signed tree is analysed once,
+in one walk that builds no tree: every order type, preimage pairing and
+branch report reads the analyses.  The classes of Table 1, which the
+engine's stage one reads too, are seven fixed sets, and ``is_critical``
+is the one test of a leaf's criticality for classifier, engine and
+generators.
 """
 
 from __future__ import annotations
@@ -30,13 +34,8 @@ from itertools import product
 from .language import (
     ANTI, MONO, ROLE_SPECS, App, Bot, Inequality, Join, Layer, Meet,
     OrderType, RegisteredTerm, Signature, Term, Top, Var, dotted_spec,
-    family_and_arity, free_vars, layer_of, var_occurrences,
+    family_and_arity, free_vars, var_occurrences,
 )
-
-POSITIVE = "positive"
-NEGATIVE = "negative"
-BOTH = "both"
-ABSENT = "absent"
 
 DELTA = "delta"
 SRA = "sra"
@@ -48,6 +47,15 @@ CONSTANT = "constant"
 SKELETON = frozenset({DELTA, SLR})
 PIA = frozenset({SRA, SRR})
 
+# Table 1: the seven class sets a signed node can have
+_LEAF = frozenset({LEAF})
+_CONSTANT = frozenset({CONSTANT})
+_DELTA_SRA_SLR = frozenset({DELTA, SRA, SLR})  # +meet, -join
+_DELTA_SRR = frozenset({DELTA, SRR})  # -meet, +join
+_SLR = frozenset({SLR})
+_SRA = frozenset({SRA})
+_SRR = frozenset({SRR})
+
 MAX_VARIABLES = 12
 
 
@@ -55,34 +63,28 @@ class ClassifyError(ValueError):
     pass
 
 
-def polarity(t: Term, var: str) -> str:
-    """Uniform sign of the occurrences of ``var`` in the positive tree of t."""
-    signs = {s for name, s, _ in var_occurrences(t) if name == var}
-    if not signs:
-        return ABSENT
-    if signs == {MONO}:
-        return POSITIVE
-    if signs == {ANTI}:
-        return NEGATIVE
-    return BOTH
+def is_critical(sign: int, eps_entry: str) -> bool:
+    """Whether a leaf of sign ``sign`` is critical for order-type entry
+    ``eps_entry``: positive for 1, negative for d."""
+    return (sign == MONO) == (eps_entry == "1")
 
 
 def node_classes(t: Term, sign: int) -> frozenset[str]:
     """Table-1 eligibility set of a signed node (DLE/DLEstar shapes only)."""
     if isinstance(t, Var):
-        return frozenset({LEAF})
+        return _LEAF
     if isinstance(t, (Top, Bot)) or (isinstance(t, App) and t.decl.arity == 0):
-        return frozenset({CONSTANT})
+        return _CONSTANT
     if isinstance(t, Meet):
-        return frozenset({DELTA, SRA, SLR}) if sign == MONO else frozenset({DELTA, SRR})
+        return _DELTA_SRA_SLR if sign == MONO else _DELTA_SRR
     if isinstance(t, Join):
-        return frozenset({DELTA, SRR}) if sign == MONO else frozenset({DELTA, SRA, SLR})
+        return _DELTA_SRR if sign == MONO else _DELTA_SRA_SLR
     shape = family_and_arity(t)  # a connective or a dotted marker
     if shape is not None:
         family, arity = shape
         if (family == "F") == (sign == MONO):
-            return frozenset({SLR})
-        return frozenset({SRA}) if arity == 1 else frozenset({SRR})
+            return _SLR
+        return _SRA if arity == 1 else _SRR
     raise ClassifyError(f"node {type(t).__name__} has no Table-1 classification")
 
 
@@ -91,20 +93,6 @@ class SignedNode:
     term: Term
     sign: int
     classes: frozenset[str]
-    children: tuple["SignedNode", ...]
-
-
-def signed_tree(t: Term, sign: int) -> SignedNode:
-    if layer_of(t) > Layer.DLESTAR:
-        raise ClassifyError(
-            "signed generation trees are defined for DLE/DLEstar terms only")
-    return _signed(t, sign)
-
-
-def _signed(t: Term, sign: int) -> SignedNode:
-    children = tuple(
-        _signed(a, sign * tone) for a, tone in zip(t.args, t.tonicities()))
-    return SignedNode(t, sign, node_classes(t, sign), children)
 
 
 @dataclass(frozen=True)
@@ -118,50 +106,57 @@ class BranchAnalysis:
     srr_leaves: frozenset[tuple[str, int]]  # (var, sign) in P1's SRR side terms
 
 
-def branches(root: SignedNode) -> list[BranchAnalysis]:
-    """Analyses of all variable-leaf branches of a signed tree."""
+def branches(t: Term, sign: int) -> list[BranchAnalysis]:
+    """Analyses of all variable-leaf branches of the signed generation
+    tree of ``t`` at ``sign``, leftmost first."""
     out: list[BranchAnalysis] = []
-    _walk(root, [], out)
+    _walk(t, sign, [], out)
     return out
 
 
-def _walk(node: SignedNode, trail: list[SignedNode], out: list[BranchAnalysis]) -> None:
-    trail.append(node)
-    if isinstance(node.term, Var):
-        out.append(_analyse(tuple(reversed(trail))))
-    else:
-        for child in node.children:
-            _walk(child, trail, out)
-    trail.pop()
+def _walk(t: Term, sign: int, trail: list[tuple[SignedNode, int]],
+          out: list[BranchAnalysis]) -> None:
+    # trail: the nodes above t, root first, each with the coordinate taken
+    if t.layer > Layer.DLESTAR:
+        raise ClassifyError(
+            "signed generation trees are defined for DLE/DLEstar terms only")
+    if isinstance(t, Var):
+        out.append(_analyse(t.name, sign, trail))
+        return
+    node = SignedNode(t, sign, node_classes(t, sign))
+    for k, (a, tone) in enumerate(zip(t.args, t.tonicities())):
+        trail.append((node, k))
+        _walk(a, sign * tone, trail, out)
+        trail.pop()
 
 
-def _analyse(chain: tuple[SignedNode, ...]) -> BranchAnalysis:
-    # chain runs from the leaf up to the root; chain[0] is the Var leaf
-    leaf = chain[0]
-    path = chain[1:]
-    k = len(path)
-    while k > 0 and path[k - 1].classes & SKELETON:
-        k -= 1
-    p1, p2 = path[:k], path[k:]
+def _analyse(var: str, leaf_sign: int,
+             trail: list[tuple[SignedNode, int]]) -> BranchAnalysis:
+    k = 0  # the Skeleton block is the longest run of Skeleton nodes from the root
+    while k < len(trail) and trail[k][0].classes & SKELETON:
+        k += 1
+    pia = trail[k:][::-1]  # leaf side first
+    p1 = tuple(node for node, _ in pia)
     good = all(node.classes & PIA for node in p1)
     excellent = good and all(SRA in node.classes for node in p1)
     srr_leaves: set[tuple[str, int]] = set()
     if good:
-        for i, node in enumerate(p1):
+        for node, taken in pia:
             if SRR in node.classes:
-                through = chain[i]  # the child the branch passes through
-                for child in node.children:
-                    if child is not through:
+                tones = node.term.tonicities()
+                for i, a in enumerate(node.term.args):
+                    if i != taken:  # a side term of the branch
                         srr_leaves.update(
-                            (v, s) for v, s, _ in var_occurrences(child.term, child.sign))
+                            (v, s) for v, s, _ in var_occurrences(a, node.sign * tones[i]))
     return BranchAnalysis(
-        var=leaf.term.name, leaf_sign=leaf.sign, is_good=good,
-        is_excellent=excellent, p1=p1, p2=p2, srr_leaves=frozenset(srr_leaves))
+        var=var, leaf_sign=leaf_sign, is_good=good, is_excellent=excellent,
+        p1=p1, p2=tuple(node for node, _ in reversed(trail[:k])),
+        srr_leaves=frozenset(srr_leaves))
 
 
 def _sides(ineq: Inequality) -> tuple[list[BranchAnalysis], list[BranchAnalysis]]:
     """Branch analyses of +lhs and of -rhs."""
-    return branches(signed_tree(ineq.lhs, MONO)), branches(signed_tree(ineq.rhs, ANTI))
+    return branches(ineq.lhs, MONO), branches(ineq.rhs, ANTI)
 
 
 @dataclass(frozen=True)
@@ -181,10 +176,6 @@ class InductiveWitness:
 
 def variables_of(ineq: Inequality) -> tuple[str, ...]:
     return tuple(sorted(free_vars(ineq.lhs) | free_vars(ineq.rhs)))
-
-
-def _is_critical(sign: int, eps_entry: str) -> bool:
-    return (sign == MONO) == (eps_entry == "1")
 
 
 def _transitive_closure(edges: set[tuple[str, str]]) -> frozenset[tuple[str, str]] | None:
@@ -207,12 +198,12 @@ def _check_eps(analyses: list[BranchAnalysis], variables: tuple[str, ...],
     eps = dict(zip(variables, entries))
     edges: set[tuple[str, str]] = set()
     for br in analyses:
-        if not _is_critical(br.leaf_sign, eps[br.var]):
+        if not is_critical(br.leaf_sign, eps[br.var]):
             continue
         if not (br.is_excellent if require_excellent else br.is_good):
             return None
         # SRR side terms must agree with the opposite order type
-        if any(_is_critical(sign, eps[q]) for q, sign in br.srr_leaves):
+        if any(is_critical(sign, eps[q]) for q, sign in br.srr_leaves):
             return None
         edges.update((q, br.var) for q, _ in br.srr_leaves)
     omega = _transitive_closure(edges)
@@ -344,8 +335,8 @@ def _meta_witnesses(ineq: Inequality, sig: Signature, budget: int):
     rhs_pre = _preimages(ineq.rhs, sig, b)
     # every preimage has the input's variables: registered terms have one
     variables = _capped_variables(ineq)
-    lhs = [(t, branches(signed_tree(t, MONO))) for t in lhs_pre]
-    rhs = [(t, branches(signed_tree(t, ANTI))) for t in rhs_pre]
+    lhs = [(t, branches(t, MONO)) for t in lhs_pre]
+    rhs = [(t, branches(t, ANTI)) for t in rhs_pre]
     for ls, lhs_branches in lhs:
         for rs, rhs_branches in rhs:
             if not b.spend(10):
@@ -395,7 +386,7 @@ def branch_report(ineq: Inequality, eps: OrderType | None = None) -> str:
             flags = []
             if eps_map is not None:
                 flags.append(
-                    "critical" if _is_critical(br.leaf_sign, eps_map[br.var])
+                    "critical" if is_critical(br.leaf_sign, eps_map[br.var])
                     else "noncritical")
             flags.append("excellent" if br.is_excellent
                          else "good" if br.is_good else "not-good")

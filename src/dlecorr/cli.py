@@ -9,8 +9,10 @@ Subcommands:
                input and every rule step on a sweep of finite lattices
   lemmas    -- run the algebraic lemma suite over a lattice sweep
 
-Exit codes: 0 success / positive verdict; 2 parse error; 3 no positive
-classification; 4 reduction failure; 5 quantifier budget exceeded.
+Exit codes: 0 success / positive verdict; 2 parse error, unreadable or
+non-UTF-8 --sig/--strategy file, or input nested too deeply; 3 no
+positive classification; 4 reduction failure; 5 quantifier budget
+exceeded.
 Identical inputs and seed produce byte-identical outputs.
 """
 
@@ -51,11 +53,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _read_text(path: str) -> str:
+    """A --sig or --strategy file; one that is not UTF-8 is reported as
+    an unreadable file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise OSError(f"{path}: not valid UTF-8 (byte {exc.start}: {exc.reason})") from exc
+
+
 def _load_signature(args: argparse.Namespace) -> Signature:
     if args.signature_path is None:
         return Signature(())
-    with open(args.signature_path, encoding="utf-8") as fh:
-        return parse_signature(fh.read())
+    return parse_signature(_read_text(args.signature_path))
 
 
 def _emit(args: argparse.Namespace, lines: list[str]) -> None:
@@ -114,8 +125,8 @@ def _run_reduction(args: argparse.Namespace, ineq: Inequality,
                    sig: Signature) -> engine.Derivation:
     if args.strategy == "auto":
         return engine.run_alba(ineq, sig, args.mode, "auto")
-    with open(args.strategy, encoding="utf-8") as fh:
-        return engine.run_alba(ineq, sig, args.mode, "script", script=fh.read())
+    return engine.run_alba(ineq, sig, args.mode, "script",
+                           script=_read_text(args.strategy))
 
 
 def _result_lines(d: engine.Derivation) -> list[str]:
@@ -225,6 +236,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_PARSE
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    except RecursionError:
+        print("error: the input is nested too deeply", file=sys.stderr)
         return EXIT_PARSE
     except models.BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)

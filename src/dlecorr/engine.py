@@ -32,7 +32,7 @@ from functools import cached_property
 from . import classify
 from .language import (
     ANTI, BOT, MONO, ROLE_SPECS, SPEC_BY_NODE, TOP, App, Arrow, Coimp,
-    Conominal, Inequality, Join, Meet, Nominal, Residual, RoleSpec, Signature,
+    Conominal, Inequality, Join, Layer, Meet, Nominal, Residual, RoleSpec, Signature,
     Term, Var, big_join, big_meet, bot_unit, dotted_spec, family_and_arity,
     free_vars, join, meet, replace_at, substitute, subterm_at, subterms,
     var_occurrences,
@@ -179,6 +179,7 @@ class Derivation:
             DerivNode(0, None, None, System((SysIneq(internal_root or root),), None))
         ]
         self.status = RunStatus("running")
+        self.steps = 0  # rewrites of the auto run, against _MAX_ATTEMPT_STEPS
         self._fresh_counts = {"j": 0, "n": 0}
         self.closed: set[int] = set()
 
@@ -521,24 +522,16 @@ _ROLE_RULES = {
 # ----------------------------------------------------------------------
 # preprocessing (applies to proto nodes: goal is None, single inequality)
 
-# In a distributive lattice a meet preserves joins and a join preserves
-# meets, coordinatewise: they distribute like an F and a G connective of
-# order type (1,1).
-_LATTICE_FAMILY = {Meet: "F", Join: "G"}
-
-
 def _distributes(parent: Term, sign: int, k: int) -> bool:
     """Whether ``parent``, of sign ``sign``, distributes over its child
     ``k``: the child is a positive join or a negative meet (a delta-adjoint)
-    and the parent an F node (dotted markers and meets included) in
-    positive position or a G node in negative position.  Such a parent
-    takes a join child exactly in a coordinate with bottom as unit, so the
-    coordinate needs no test of its own."""
-    shape = family_and_arity(parent)
-    family = shape[0] if shape else _LATTICE_FAMILY.get(type(parent))
+    and the parent an SLR node of Table 1 (an F node, dotted markers and
+    meets included, in positive position or a G node in negative
+    position).  Such a parent takes a join child exactly in a coordinate
+    with bottom as unit, so the coordinate needs no test of its own."""
     child_sign = sign * parent.tonicities()[k]
-    return family == ("F" if sign == MONO else "G") and \
-        isinstance(parent.args[k], Join if child_sign == MONO else Meet)
+    return isinstance(parent.args[k], Join if child_sign == MONO else Meet) and \
+        classify.SLR in classify.node_classes(parent, sign)
 
 
 def _find_distribution(t: Term, sign: int, eps_map: dict[str, str],
@@ -552,7 +545,7 @@ def _find_distribution(t: Term, sign: int, eps_map: dict[str, str],
     tones = t.tonicities()
     for k, child in enumerate(t.args):
         if _distributes(t, sign, k) and any(
-                classify._is_critical(s, eps_map[name])
+                classify.is_critical(s, eps_map[name])
                 for name, s, _ in var_occurrences(child, sign * tones[k])):
             return path, k
     for k, child in enumerate(t.args):
@@ -600,7 +593,8 @@ def _distribute(d: Derivation, system: System, app: RuleApplication):
         raise RuleMatchError("distribution needs a coordinate")
     k = app.coord - 1
     child = parent.args[k]
-    if not _distributes(parent, sign, k):
+    # scripts may point past the base and dotted layers, which Table 1 omits
+    if parent.layer > Layer.DLESTAR or not _distributes(parent, sign, k):
         raise RuleMatchError("distribution does not match at this position")
     one, two = (parent.with_args(parent.args[:k] + (half,) + parent.args[k + 1:])
                 for half in child.args)
@@ -783,40 +777,42 @@ def _occurs(system: System, pivot: str) -> bool:
 _MAX_ATTEMPT_STEPS = 10_000
 
 
+def _tick(d: Derivation) -> None:
+    """Count one rewrite of the auto run against the step budget."""
+    d.steps += 1
+    if d.steps > _MAX_ATTEMPT_STEPS:
+        raise EngineError("the auto run exceeded its step budget")
+
+
 def _eliminate(d: Derivation, nid: int, k: int, order: tuple[str, ...],
-               eps_map: dict[str, str], stuck: list[StuckReport],
-               tick) -> list[tuple[int, int]] | None:
+               eps_map: dict[str, str]) -> list[tuple[int, int]] | StuckReport:
     """Run the elimination cycle on leaf ``nid`` from pivot ``order[k]``.
 
     Returns the (child, pivot index) pairs to continue from when a rule
-    branches, [] when the leaf ends pure, and None when it gets stuck (the
-    reason is appended to ``stuck``).
+    branches, [] when the leaf ends pure, and the reason when it gets stuck.
     """
     while k < len(order):
         pivot = order[k]
         system = d.node(nid).system
         step = _display_step(system, pivot, eps_map[pivot], d.role_mode)
         if isinstance(step, StuckReport):
-            stuck.append(step)
-            return None
+            return step
         if step is None:
             if _occurs(system, pivot):
                 rid = "AckermannRight" if eps_map[pivot] == "1" else "AckermannLeft"
                 try:
-                    tick()
+                    _tick(d)
                     ids = apply_rule(d, RuleApplication(rid, pivot=pivot), nid)
                 except AckermannShapeError as exc:
-                    stuck.append(StuckReport((pivot,), (), str(exc)))
-                    return None
+                    return StuckReport((pivot,), (), str(exc))
                 nid = ids[0]
             k += 1
             continue
-        tick()
+        _tick(d)
         try:
             ids = apply_rule(d, step, nid)
         except EngineError as exc:
-            stuck.append(StuckReport((pivot,), (), str(exc)))
-            return None
+            return StuckReport((pivot,), (), str(exc))
         if len(ids) > 1:
             return [(child, k) for child in ids]
         nid = ids[0]
@@ -824,18 +820,16 @@ def _eliminate(d: Derivation, nid: int, k: int, order: tuple[str, ...],
         set().union(*(free_vars(si.ineq.lhs) | free_vars(si.ineq.rhs)
                       for si in d.node(nid).system.ineqs), set()))
     if leftover:
-        stuck.append(StuckReport(tuple(leftover), d.node(nid).system.inequalities(),
-                                 "variables left after the elimination cycle"))
-        return None
+        return StuckReport(tuple(leftover), d.node(nid).system.inequalities(),
+                           "variables left after the elimination cycle")
     return []
 
 
-def _stage_one(d: Derivation, eps_map: dict[str, str]) -> tuple[list[int], int]:
+def _stage_one(d: Derivation, eps_map: dict[str, str]) -> list[int]:
     """Stage one on the root of ``d``: distribution, splitting and monotone
     elimination, depth first with the first child first.  Returns the ids
-    of the pieces, first piece first, and the number of rewrites."""
+    of the pieces, first piece first; ``d.steps`` counts the rewrites."""
     pieces: list[int] = []
-    steps = 0
     work = [0]
     while work:
         nid = work.pop()
@@ -843,43 +837,33 @@ def _stage_one(d: Derivation, eps_map: dict[str, str]) -> tuple[list[int], int]:
         if step is None:
             pieces.append(nid)
             continue
-        steps += 1
-        if steps > _MAX_ATTEMPT_STEPS:
-            raise EngineError("stage one exceeded the step budget")
+        _tick(d)
         work += reversed(apply_rule(d, step, nid))
-    return pieces, steps
+    return pieces
 
 
-def _attempt(staged: Derivation, pieces: list[int], steps: int,
-             eps_map: dict[str, str], order: tuple[str, ...]) -> Derivation:
+def _attempt(staged: Derivation, pieces: list[int], eps_map: dict[str, str],
+             order: tuple[str, ...]) -> Derivation:
     """Eliminate the variables in ``order`` from each stage-one piece, on a
-    copy of ``staged``; the step budget counts the ``steps`` of stage one."""
+    copy of ``staged``, whose steps count against the same budget."""
     d = staged.copy()
-    stuck: list[StuckReport] = []
-    count = [steps]
-
-    def tick() -> None:
-        count[0] += 1
-        if count[0] > _MAX_ATTEMPT_STEPS:
-            raise EngineError("attempt exceeded the step budget")
-
-    ok = True
+    stuck: StuckReport | None = None
     for nid in pieces:
-        tick()
+        _tick(d)
         # depth first over branching rules, first child first
         work = [(apply_rule(d, RuleApplication("FirstApprox"), nid)[0], 0)]
         while work:
-            branches = _eliminate(d, *work.pop(), order, eps_map, stuck, tick)
-            if branches is None:
-                ok = False
+            branches = _eliminate(d, *work.pop(), order, eps_map)
+            if isinstance(branches, StuckReport):
+                stuck = stuck or branches  # the first report is the one shown
             else:
                 work.extend(reversed(branches))
 
-    if ok:
+    if stuck is None:
         pure = tuple(d.node_system_concrete(leaf) for leaf in d.leaves())
         d.status = RunStatus("success", pure_systems=pure)
     else:
-        d.status = RunStatus("failure", stuck=stuck[0] if stuck else None)
+        d.status = RunStatus("failure", stuck=stuck)
     return d
 
 
@@ -918,17 +902,17 @@ def run_alba(ineq: Inequality, sig: Signature, mode: str = "alba",
         eps_map = dict(zip(w.variables, w.epsilon.entries))
         d = Derivation(ineq, sig, mode, internal_root=internal)
         try:
-            pieces, steps = _stage_one(d, eps_map)
+            pieces = _stage_one(d, eps_map)
         except EngineError:
             continue  # no attempt of this candidate could finish
-        staged.append((d, pieces, steps, eps_map, w))
-    staged.sort(key=lambda item: min(item[2], 200))  # stable: ties keep their order
+        staged.append((d, pieces, eps_map, w))
+    staged.sort(key=lambda item: min(item[0].steps, 200))  # stable: ties keep their order
 
     first_failure: Derivation | None = None
-    for d0, pieces, steps, eps_map, w in staged:
+    for d0, pieces, eps_map, w in staged:
         for order in w.linearizations():
             try:
-                d = _attempt(d0, pieces, steps, eps_map, order)
+                d = _attempt(d0, pieces, eps_map, order)
             except EngineError:
                 continue
             if d.status.kind == "success":

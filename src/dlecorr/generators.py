@@ -62,12 +62,10 @@ class _Draw:
                 and family in (None, spec.family)]
 
     def critical_at(self, sign: int) -> list[str]:
-        want = "1" if sign == MONO else "d"
-        return [v for v in self.variables if self.eps[v] == want]
+        return [v for v in self.variables if classify.is_critical(sign, self.eps[v])]
 
     def noncritical_at(self, sign: int, allowed=None) -> list[str]:
-        want = "d" if sign == MONO else "1"
-        vs = [v for v in self.variables if self.eps[v] == want]
+        vs = [v for v in self.variables if not classify.is_critical(sign, self.eps[v])]
         if allowed is not None:
             vs = [v for v in vs if v in allowed]
         return vs

@@ -29,12 +29,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from . import classify
 from .language import (
-    BOT, DOTTED_NAMES, HARD_RESERVED, MONO, ROLE_SPECS, ROLES, SPEC_BY_NODE,
+    ANTI, BOT, DOTTED_NAMES, HARD_RESERVED, MONO, ROLE_SPECS, ROLES, SPEC_BY_NODE,
     SPEC_BY_ROLE, TOP, App, Arrow, Coimp, ConnectiveDecl, Conominal,
     Inequality, Layer, Nominal, OrderType, RegisteredTerm, Residual,
-    Signature, Term, Var, free_vars, join, meet,
+    Signature, Term, Var, free_vars, join, meet, var_occurrences,
 )
 
 _DOTTED = {spec.dotted: spec for spec in ROLE_SPECS}
@@ -42,6 +41,7 @@ _DOTTED = {spec.dotted: spec for spec in ROLE_SPECS}
 _BRACKETED = {head: cls for spec in ROLE_SPECS
               for head, cls in ((spec.defined_head, spec.defined),
                                 (spec.black_head, spec.black))}
+_TONE_WORDS = {MONO: "positive", ANTI: "negative"}
 
 
 class ParseError(ValueError):
@@ -312,12 +312,13 @@ def parse_signature(text: str) -> Signature:
                 f"line {lineno}: registered term must use exactly one variable, "
                 f"found {fv}", 0, formula)
         var = fv[0]
-        pol = classify.polarity(term, var)
-        want = classify.POSITIVE if SPEC_BY_ROLE[role].tone == MONO else classify.NEGATIVE
-        if pol not in (want, classify.ABSENT):
+        signs = {s for _, s, _ in var_occurrences(term)}  # all of ``var``
+        tone = SPEC_BY_ROLE[role].tone
+        if signs != {tone}:
+            got = "both" if len(signs) > 1 else _TONE_WORDS[-tone]
             raise ParseError(
-                f"line {lineno}: role {role} requires a term {want} in {var} "
-                f"(got {pol})", 0, formula)
+                f"line {lineno}: role {role} requires a term {_TONE_WORDS[tone]} "
+                f"in {var} (got {got})", 0, formula)
         regs.append(RegisteredTerm(role, var, term))
     regs.sort(key=lambda r: ROLES.index(r.role))
     try:

@@ -8,73 +8,66 @@ from hypothesis import strategies as st
 from conftest import random_any_term
 from dlecorr import classify, generators
 from dlecorr.classify import (
-    ABSENT, BOTH, DELTA, NEGATIVE, POSITIVE, SLR, SRA, branches,
-    is_inductive, is_meta_inductive, is_sahlqvist, polarity, signed_tree,
+    DELTA, SLR, SRA, branches, is_inductive, is_meta_inductive, is_sahlqvist,
+    node_classes,
 )
 from dlecorr.language import (
     ANTI, MONO, DotBox, DotDia, Inequality, Layer, Nominal, OrderType,
-    Var, TOP, join, meet,
+    Var, TOP, join, meet, var_occurrences,
 )
 from dlecorr.parsing import parse_inequality, parse_signature, parse_term
 
 
+def signs_of(t, var):
+    return {s for name, s, _ in var_occurrences(t) if name == var}
+
+
 def test_polarity_examples(classical_sig):
     pi = parse_term("dia(box(dia(p)))", classical_sig, Layer.DLE)
-    assert polarity(pi, "p") == POSITIVE
+    assert signs_of(pi, "p") == {MONO}
     sig = parse_signature("conn rhd G 1 (d)")
     t1 = parse_term("rhd(p)", sig, Layer.DLE)
-    assert polarity(t1, "p") == NEGATIVE
+    assert signs_of(t1, "p") == {ANTI}
     t3 = parse_term("rhd(rhd(rhd(p)))", sig, Layer.DLE)
-    assert polarity(t3, "p") == NEGATIVE
-    assert polarity(t3, "q") == ABSENT
+    assert signs_of(t3, "p") == {ANTI}
+    assert signs_of(t3, "q") == set()
     both = meet(Var("p"), parse_term("rhd(p)", sig, Layer.DLE))
-    assert polarity(both, "p") == BOTH
+    assert signs_of(both, "p") == {MONO, ANTI}
 
 
 def test_signed_tree_classes(bare_sig):
     t = parse_term("dia(box(p))", bare_sig, Layer.DLE)
-    root = signed_tree(t, MONO)
-    assert SLR in root.classes            # positive F-connective
-    inner = root.children[0]
-    assert SRA in inner.classes           # positive unary G-connective
-    leaf = inner.children[0]
-    assert leaf.sign == MONO and isinstance(leaf.term, Var)
+    [br] = branches(t, MONO)
+    assert br.var == "p" and br.leaf_sign == MONO
+    assert SLR in br.p2[0].classes        # positive F-connective
+    assert SRA in br.p1[0].classes        # positive unary G-connective
+    assert br.p1[0].term == t.args[0] and br.p1[0].sign == MONO
 
-    neg_join = signed_tree(join(Var("p"), Var("q")), ANTI)
-    assert DELTA in neg_join.classes
+    neg_join = branches(join(Var("p"), Var("q")), ANTI)
+    assert [br.var for br in neg_join] == ["p", "q"]
+    assert all(DELTA in br.p2[0].classes for br in neg_join)
 
-    const = signed_tree(TOP, MONO)
-    assert classify.CONSTANT in const.classes
+    assert branches(TOP, MONO) == []
+    assert node_classes(TOP, MONO) == {classify.CONSTANT}
+    # Table 1 has seven class sets; a node gets one of them, not a copy
+    assert node_classes(t, MONO) is node_classes(t.args[0], ANTI)
 
 
 def test_signed_tree_rejects_expanded_layers(classical_sig):
-    with pytest.raises(classify.ClassifyError):
-        signed_tree(Nominal("i0"), MONO)
+    with pytest.raises(classify.ClassifyError, match="DLE/DLEstar"):
+        branches(Nominal("i0"), MONO)
+    with pytest.raises(classify.ClassifyError, match="DLE/DLEstar"):
+        branches(meet(Var("p"), Nominal("i0")), MONO)
 
 
 def test_polarity_matches_leaf_signs(mixed_sig):
+    # the leaves of the branch analyses are the variable occurrences
     rng = random.Random(11)
     for _ in range(200):
         t = random_any_term(rng, mixed_sig, Layer.DLESTAR, 4)
-        tree = signed_tree(t, MONO)
-        signs = {}
-        def collect(node):
-            if isinstance(node.term, Var):
-                signs.setdefault(node.term.name, set()).add(node.sign)
-            for c in node.children:
-                collect(c)
-        collect(tree)
-        for v in "pqr":
-            pol = polarity(t, v)
-            got = signs.get(v, set())
-            if pol == POSITIVE:
-                assert got == {MONO}
-            elif pol == NEGATIVE:
-                assert got == {ANTI}
-            elif pol == ABSENT:
-                assert got == set()
-            else:
-                assert got == {MONO, ANTI}
+        for sign in (MONO, ANTI):
+            assert [(br.var, br.leaf_sign) for br in branches(t, sign)] == \
+                [(name, s) for name, s, _ in var_occurrences(t, sign)]
 
 
 def test_sahlqvist_classical(bare_sig):
@@ -124,8 +117,7 @@ def test_branch_analysis_of_dotted_additivity():
     # dotted additivity: the -rhs branches have a one-node PIA block
     star = Inequality(DotDia((join(Var("p"), Var("q")),)),
                       join(DotDia((Var("p"),)), DotDia((Var("q"),))))
-    tree = signed_tree(star.rhs, ANTI)
-    for br in branches(tree):
+    for br in branches(star.rhs, ANTI):
         assert br.is_good and br.is_excellent
         assert len(br.p1) == 1 and SRA in br.p1[0].classes
         assert len(br.p2) == 1 and DELTA in br.p2[0].classes

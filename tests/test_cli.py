@@ -92,6 +92,26 @@ def test_classify_matches_golden(tmp_path):
         assert out.read_bytes() == golden, fname
         assert r.stdout.encode() == golden, fname
 
+
+def test_input_file_not_utf8_exit_two(tmp_path):
+    bad = tmp_path / "latin1.txt"
+    bad.write_bytes("conn dia F 1 (1) # \u00e9\n".encode("latin-1"))
+    for flag in ("--sig", "--strategy"):
+        r = run_cli(["reduce", "p <= p", flag, str(bad)])
+        assert r.returncode == 2, (flag, r.stderr)
+        assert r.stderr == f"error: {bad}: not valid UTF-8 (byte 19: invalid continuation byte)\n"
+
+
+def test_deeply_nested_input_exit_two():
+    # 3000 parentheses overflow the parser, a 2000-term meet chain the
+    # classifier
+    for text in ("(" * 3000 + "p" + ")" * 3000 + " <= p",
+                 " & ".join(["p"] * 2000) + " <= p"):
+        r = run_cli(["classify", text])
+        assert r.returncode == 2, r.stderr[-300:]
+        assert r.stderr == "error: the input is nested too deeply\n"
+
+
 def test_script_with_a_bad_path_is_a_stuck_report(tmp_path, capsys):
     # a missing subterm path, one past a leaf and a side other than 0 or 1
     # end as a stuck report with exit 4, not as a traceback

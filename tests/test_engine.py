@@ -58,8 +58,8 @@ def nabla(a):
 
 def stage_one_pieces(iq, sig, eps_map, mode="alba"):
     d = Derivation(iq, sig, mode)
-    ids, _ = _stage_one(d, eps_map)
-    return [d.node(i).system.ineqs[0].ineq for i in ids]
+    pieces = _stage_one(d, eps_map)
+    return [d.node(i).system.ineqs[0].ineq for i in pieces]
 
 
 def eps_maps(iq):
@@ -80,13 +80,12 @@ def test_preprocess_leaves_concrete_image_alone(classical_sig):
 def test_preprocess_distributes_and_splits(bare_sig):
     iq = parse_inequality("dia(p | q) <= r & s", bare_sig, Layer.DLE)
     d = Derivation(iq, bare_sig, "alba")
-    ids, steps = _stage_one(d, dict.fromkeys("pqrs", "1"))
+    pieces = _stage_one(d, dict.fromkeys("pqrs", "1"))
     # diamond pushed over the join, the join split, the meet split
-    assert steps == 4
+    assert d.steps == 4
     assert [d.node(n).rule.label() for n in d.nodes[0].children] == \
         ["DistributePre(1) @ 0/0"]
-    pieces = [d.node(i).system.ineqs[0].ineq for i in ids]
-    assert [print_inequality(p) for p in pieces] == \
+    assert [print_inequality(d.node(i).system.ineqs[0].ineq) for i in pieces] == \
         ["dia(p) <= r", "dia(p) <= s", "dia(q) <= r", "dia(q) <= s"]
 
 
@@ -162,10 +161,45 @@ def test_stage_one_runs_once_per_candidate(classical_sig, monkeypatch):
 def test_stage_one_step_budget(classical_sig, monkeypatch):
     iq = parse_inequality(STAGE_ONE_INPUT, classical_sig, Layer.DLE)
     eps = {"p": "d", "q": "d"}
-    assert _stage_one(Derivation(iq, classical_sig, "alba"), eps) == ([2, 3], 2)
+    d = Derivation(iq, classical_sig, "alba")
+    pieces = _stage_one(d, eps)
+    assert (pieces, d.steps) == ([2, 3], 2)
     monkeypatch.setattr(engine, "_MAX_ATTEMPT_STEPS", 1)
     with pytest.raises(EngineError, match="step budget"):
         _stage_one(Derivation(iq, classical_sig, "alba"), eps)
+
+
+def test_attempt_step_budget(classical_sig, monkeypatch):
+    # the candidates' stage ones take 0, 2 and 2 steps, and the attempts
+    # of the last, the only ones that succeed, 8 more: a budget of 9 fits
+    # every stage one and drops those attempts, so the run reports the
+    # failure of the first candidate
+    calls = []
+    find = engine.find_preprocess_step
+    monkeypatch.setattr(engine, "find_preprocess_step",
+                        lambda *args: calls.append(args) or find(*args))
+    iq = parse_inequality(STAGE_ONE_INPUT, classical_sig, Layer.DLE)
+    outcomes = {}
+    for budget in (2, 9, 10):
+        monkeypatch.setattr(engine, "_MAX_ATTEMPT_STEPS", budget)
+        calls.clear()
+        d = run_alba(iq, classical_sig, "alba", "auto")
+        assert len(calls) == 9  # every candidate's stage one ran to its end
+        outcomes[budget] = d.status.stuck.message if d.status.stuck else d.status.kind
+    assert outcomes == {
+        2: "no workable witness",
+        9: "no display rule for q in res(box,1)(#i0) <= box(q) | (top | top)",
+        10: "success",
+    }
+
+
+def test_distribution_refuses_expanded_layer_nodes(classical_sig):
+    # Table 1 classifies base and dotted nodes only; a script that points
+    # distribution at an arrow is refused like any other mismatch
+    iq = parse_inequality("(r -> (p | q)) & r <= p", classical_sig, Layer.DLEPLUS)
+    d = Derivation(iq, classical_sig, "alba")
+    with pytest.raises(RuleMatchError, match="does not match"):
+        apply_rule(d, RuleApplication("DistributePre", ineq_index=0, path=(0, 0), coord=2))
 
 
 # ----------------------------------------------------------------------

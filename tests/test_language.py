@@ -52,6 +52,21 @@ def test_registered_term_polarity_checks():
     assert sig2.role("pi").var == "p"
 
 
+@pytest.mark.parametrize("role, term, got", [
+    ("pi", "rhd(p)", "negative"),
+    ("pi", "p & rhd(p)", "both"),
+    ("rho", "p", "positive"),
+    ("rho", "p & rhd(p)", "both"),
+])
+def test_registered_term_tone_refusals(role, term, got):
+    # pi takes a term positive in its variable, rho a negative one
+    want = "positive" if role == "pi" else "negative"
+    with pytest.raises(ParseError) as info:
+        parse_signature(f"conn rhd G 1 (d)\nterm {role} = {term}")
+    assert str(info.value) == (f"line 2: role {role} requires a term {want} "
+                               f"in p (got {got}) (at position 0)")
+
+
 def test_registered_term_needs_single_variable():
     with pytest.raises(ParseError):
         parse_signature("conn dia F 1 (1)\nterm pi = dia(p) | q")
