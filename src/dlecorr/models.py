@@ -30,8 +30,8 @@ the identities of its terms; a system keeps its tuple of check terms
 plan fixes the symbol order, evaluates equal subterms once and
 compiles one search kernel: a loop nest, one loop per symbol, with each
 subterm evaluated at the outermost loop where all its symbols are bound;
-the lattice's tables and domains are arguments of the kernel.  A plan
-keeps only its symbols, heads and kernel.  Slim, 4096 of them fit in
+the kernel takes the lattice and binds its tables and domains itself.  A
+plan keeps only its symbols, heads and kernel.  Slim, 4096 of them fit in
 little memory, and the cache's one bound is set there: checking every
 rule step of 650 seeded derivations cycles through 2700-2900 distinct
 plans, and a pass that finds them all cached compiles nothing.  One term
@@ -549,14 +549,21 @@ def _head_table(t: Term, dle: FiniteDLE):
 def _define(name: str, lines: list[str]):
     """The function ``name`` that ``lines`` define, taken out of its
     namespace so that the function and its globals form no cycle."""
-    namespace = {"product": product}
+    namespace = {"product": product, "head_table": _head_table}
     exec(compile("\n".join(lines), "<plan>", "exec"), namespace)
     return namespace.pop(name)
 
 
+# heads read off the lattice itself, by the attribute that holds them
+_STRUCTURE = {Top: "top", Bot: "bot", Meet: "meet_table", Join: "join_table"}
+# the domain of each kind of symbol: elements, join- or meet-irreducibles
+_DOMAINS = {"var": ("V", "range(dle.n_elem)"), "nom": ("J", "dle.jirr"),
+            "conom": ("M", "dle.mirr")}
+
+
 class _Plan:
-    """A tuple of terms compiled once into a search kernel that binds to
-    any lattice.
+    """A tuple of terms compiled once into a search kernel that binds
+    itself to any lattice.
 
     The symbols are the variables, nominals and conominals of the terms,
     each kind sorted.  Equal subterms are evaluated once, each distinct
@@ -564,15 +571,21 @@ class _Plan:
     where all its symbols are bound: as a named value when it is an output
     or is read more than once or further in, else inside the one
     expression that reads it.  The generated code names the tables
-    ``T<h>``, domains ``D<i>``, symbols ``s<i>``, values ``v<k>`` and
-    order tests ``c<j>``, so no name from the terms reaches its source.
+    ``T<h>``, symbols ``s<i>``, values ``v<k>`` and order tests ``c<j>``,
+    so no name from the terms reaches its source.
 
-    ``search(T, D, leq, room, budget)`` returns the first environment, in
+    ``search(dle, heads, budget)``, called with the plan's own ``heads``
+    (one term per distinct head), returns the first environment, in
     enumeration order, under which the last pair of terms is not in order
-    and every other pair is.  Each environment tried is one unit of
-    ``budget``, spent in one call once ``room`` units are used, on success
-    and at the end.  The analysis (``_analyse``) is dropped once ``search``
-    is compiled: a plan keeps only its symbols, heads and kernel.
+    and every other pair is.  The kernel binds itself to ``dle``: the
+    bounds, the meet, join and order tables and the domains are read off
+    the lattice, a connective's table off ``dle.ops``, and every other
+    head, or a missing connective with its error, through
+    ``_head_table``, which builds a derived table on first use.  Each
+    environment tried is one unit of ``budget``, spent in one call once
+    the room left in it is used, on success and at the end.  The analysis
+    (``_analyse``) is dropped once ``search`` is compiled: a plan keeps
+    only its symbols, heads and kernel.
     """
 
     __slots__ = ("symbols", "heads", "search")
@@ -580,13 +593,6 @@ class _Plan:
     def __init__(self, terms: tuple[Term, ...]):
         self.symbols, self.heads, steps, outputs = _analyse(terms)
         self.search = _define("search", self._search_lines(steps, outputs))
-
-    def tables(self, dle: FiniteDLE) -> tuple:
-        return tuple(_head_table(t, dle) for t in self.heads)
-
-    def domains(self, dle: FiniteDLE) -> tuple:
-        of_kind = {"var": range(dle.n_elem), "nom": dle.jirr, "conom": dle.mirr}
-        return tuple(of_kind[kind] for kind, _ in self.symbols)
 
     def valuation(self, env: tuple[int, ...]) -> Valuation:
         val = Valuation()
@@ -604,18 +610,19 @@ class _Plan:
                 named[test] = f"c{len(named)}"
                 steps[d].append(f"{named[test]} = {test}")
         *premises, goal = (named.get(test, test) for test, _ in tests)
-        lines = ["def search(T, D, leq, room, budget):",
-                 _unpack("T", len(self.heads)), _unpack("D", k), "    n = 0"]
+        lines = ["def search(dle, H, budget):", *self._bind_lines(),
+                 "    room = budget.limit - budget.used", "    n = 0"]
         lines += ["    " + step for step in steps[0]]
+        domain = [_DOMAINS[kind][0] for kind, _ in self.symbols]
         indent = "    "
         for i in range(min(k, _NESTED)):
-            lines.append(f"{indent}for s{i} in D{i}:")
+            lines.append(f"{indent}for s{i} in {domain[i]}:")
             indent += "    "
             lines += [indent + step for step in steps[i + 1]]
         if k > _NESTED:
             tail = range(_NESTED, k)
             lines.append(indent + "for " + "".join(f"s{i}, " for i in tail)
-                         + "in product(" + ", ".join(f"D{i}" for i in tail) + "):")
+                         + "in product(" + ", ".join(domain[i] for i in tail) + "):")
             indent += "    "
             lines += [indent + step for level in steps[_NESTED + 1:] for step in level]
         found = " and ".join([f"not {goal}", *premises])
@@ -624,6 +631,26 @@ class _Plan:
                         f"{indent}    budget.spend(n)", f"{indent}if {found}:",
                         f"{indent}    budget.spend(n)", f"{indent}    return {symbols}",
                         "    budget.spend(n)"]
+
+    def _bind_lines(self) -> list[str]:
+        """The kernel's preamble: each head's table, in head order, so
+        that the first missing one raises, then the order table and the
+        symbols' domains."""
+        lines = ["    ops = dle.ops"] if any(type(t) is App for t in self.heads) else []
+        for h, t in enumerate(self.heads):
+            cls = type(t)
+            if cls in _STRUCTURE:
+                lines.append(f"    T{h} = dle.{_STRUCTURE[cls]}")
+            elif cls is App:
+                lines += [f"    T{h} = ops.get(H[{h}].decl.name)",
+                          f"    if T{h} is None:",
+                          f"        T{h} = head_table(H[{h}], dle)"]
+            else:
+                lines.append(f"    T{h} = head_table(H[{h}], dle)")
+        kinds = {kind for kind, _ in self.symbols}
+        return lines + ["    leq = dle.leq_table"] + [
+            f"    {name} = {source}" for kind, (name, source) in _DOMAINS.items()
+            if kind in kinds]
 
 
 def _analyse(terms: tuple[Term, ...]) -> tuple[list, list, list[list[str]], list]:
@@ -661,11 +688,6 @@ def _analyse(terms: tuple[Term, ...]) -> tuple[list, list, list[list[str]], list
             code[i] = f"v{i}"
     return (symbols, [t for _, t in heads.values()], steps,
             [(code[i], depth[i]) for i in roots])
-
-
-def _unpack(prefix: str, count: int) -> str:
-    """The statement binding ``<prefix>0`` ... from the sequence ``prefix``."""
-    return "    [" + ", ".join(f"{prefix}{i}" for i in range(count)) + f"] = {prefix}"
 
 
 def _head_key(t: Term) -> tuple:
@@ -710,22 +732,15 @@ def eval_term(t: Term, dle: FiniteDLE, val: Valuation,
     return table
 
 
-def _counterexample(plan: _Plan, dle: FiniteDLE, budget: Budget) -> Valuation | None:
-    """The first valuation, in enumeration order, under which every
-    premise of ``plan`` holds and its conclusion fails; one budget unit
-    per valuation tried."""
-    env = plan.search(plan.tables(dle), plan.domains(dle), dle.leq_table,
-                      budget.limit - budget.used, budget)
-    return None if env is None else plan.valuation(env)
-
-
 def check_validity(ineq: Inequality, dle: FiniteDLE,
                    budget: Budget | None = None
                    ) -> tuple[bool, Valuation | None]:
     """Quantify everything universally; on failure return the first
-    counterexample valuation."""
-    ce = _counterexample(_plan((ineq.lhs, ineq.rhs)), dle, budget or Budget())
-    return ce is None, ce
+    counterexample valuation, in enumeration order (one budget unit per
+    valuation tried)."""
+    plan = _plan((ineq.lhs, ineq.rhs))
+    env = plan.search(dle, plan.heads, budget or Budget())
+    return env is None, None if env is None else plan.valuation(env)
 
 
 def _quasi_plan(system) -> _Plan:
@@ -737,7 +752,8 @@ def _quasi_plan(system) -> _Plan:
 
 
 def _quasi_holds(system, dle: FiniteDLE, budget: Budget) -> bool:
-    return _counterexample(_quasi_plan(system), dle, budget) is None
+    plan = _quasi_plan(system)
+    return plan.search(dle, plan.heads, budget) is None
 
 
 def check_quasi(systems, dle: FiniteDLE, budget: Budget | None = None) -> bool:
@@ -753,7 +769,8 @@ def check_quasi(systems, dle: FiniteDLE, budget: Budget | None = None) -> bool:
                 if free_vars(si.ineq.lhs) | free_vars(si.ineq.rhs):
                     raise ModelError(
                         f"quasi-inequality is not pure: {print_inequality(si.ineq)}")
-        if _counterexample(plan or _quasi_plan(system), dle, budget) is not None:
+        plan = plan or _quasi_plan(system)
+        if plan.search(dle, plan.heads, budget) is not None:
             return False
     return True
 

@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import random
+import re
 from functools import reduce
 from itertools import product
 
@@ -10,14 +11,16 @@ from conftest import CLASSICAL_SIG_TEXT, relational_dle
 from dlecorr import generators, models
 from dlecorr.engine import SysIneq, System, rule_steps, run_alba
 from dlecorr.language import (
-    BOT, TOP, BlackBox, Conominal, DefDia, Inequality, Layer, Nominal,
-    Var, join, meet,
+    BOT, ROLE_SPECS, SPEC_BY_NODE, SPEC_BY_ROLE, TOP, App, Arrow, BlackBox,
+    BlackRhd, Bot, Coimp, Conominal, DefDia, DotBoxAdj, DotDia, Inequality,
+    Join, Layer, Meet, Nominal, Residual, Signature, Top, Var, join, meet,
+    subterms,
 )
 from dlecorr.models import (
     Budget, BudgetExceeded, FiniteDLE, NormalityError, Poset, Relation,
     Valuation, antichain, chain, check_lemma_suite, check_quasi,
     check_validity, enumerate_posets, eval_term, load_dle, random_dle,
-    verify_rule_step,
+    random_normal_table, verify_rule_step,
 )
 from dlecorr.parsing import parse_inequality, parse_signature
 
@@ -208,6 +211,88 @@ def test_eval_unregistered_role(bare_sig):
     dle = relational_dle(bare_sig, 2, [(0, 1)])
     with pytest.raises(models.ModelError):
         eval_term(DefDia((BOT,)), dle, Valuation())
+
+
+_X_SIG = parse_signature("conn x F 1 (1)")
+_X, _J = _X_SIG.decl("x"), Nominal("j")
+
+
+@pytest.mark.parametrize("term, message", [
+    (App(_X, (_J,)), "no table for connective 'x'"),
+    (DotDia((_J,)), "dotted connective has no table on this lattice (DotDia)"),
+    (DotBoxAdj((_J,)), "dotted connective 'box' has no table"),
+    (DefDia((_J,)), "role 'pi' has no registered term"),
+    (BlackRhd((_J,)), "role 'rho' has no registered term"),
+    # the heads are bound outermost first
+    (App(_X, (DefDia((_J,)),)), "no table for connective 'x'"),
+    (join(DefDia((_J,)), App(_X, (_J,))), "role 'pi' has no registered term"),
+])
+def test_missing_tables_are_named(term, message):
+    # a lattice of the signature of x with no operation tables at all
+    dle = FiniteDLE(chain(2), _X_SIG)
+    budget = Budget()
+    with pytest.raises(models.ModelError, match="^" + re.escape(message) + "$"):
+        check_validity(Inequality(term, Var("p")), dle, budget)
+    goal = Inequality(Nominal("i"), Conominal("m"))
+    parent = System((SysIneq(Inequality(Nominal("i"), term)),), goal)
+    with pytest.raises(models.ModelError, match="^" + re.escape(message) + "$"):
+        verify_rule_step(parent, [System((), goal)], dle, budget)
+    # raised before any valuation is tried
+    assert budget.used == 0
+
+
+def _one_of_each_head(sig: Signature) -> list:
+    """A term of every head kind that ``sig`` has: the lattice constants
+    and operations, the lattice implications, each connective and its
+    residual in every coordinate, and the dotted, dotted-adjoint, defined
+    and black head of each registered role."""
+    p, q, i, m = Var("p"), Var("q"), Nominal("i"), Conominal("m")
+    terms = [TOP, BOT, meet(p, i), join(m, q), Arrow((p, q)), Coimp((i, p))]
+    for decl in sig.connectives:
+        args = (p, m, q)[:decl.arity]
+        terms.append(App(decl, args))
+        terms += [Residual(decl, c, args) for c in range(1, decl.arity + 1)]
+    for reg in sig.registered:
+        spec = SPEC_BY_ROLE[reg.role]
+        terms += [cls((p,)) for cls in (spec.dot, spec.dot_adj, spec.defined, spec.black)]
+    return terms
+
+
+_DERIVED = (Arrow, Coimp, Residual, *SPEC_BY_NODE)
+
+
+def test_fresh_and_warm_lattices_agree_on_every_head(mixed_sig):
+    # a lattice whose derived tables are built and a fresh copy of it
+    # give the same first counterexample and spend the same budget; a
+    # check that reads no derived head builds no derived table
+    four_roles = parse_signature(CLASSICAL_SIG_TEXT + LR_SIG_TEXT)
+    rng = random.Random(15)
+    for sig in (mixed_sig, four_roles):
+        terms = _one_of_each_head(sig)
+        kinds = {type(t) for t in terms}
+        assert kinds >= {Top, Bot, Meet, Join, Arrow, Coimp, App, Residual}
+        assert sig is mixed_sig or kinds >= set(SPEC_BY_NODE)
+        for _ in range(4):
+            dle = random_dle(rng, sig, max_points=3)
+            for spec in ROLE_SPECS:
+                if spec.dotted not in dle.ops:
+                    dle.add_op(spec.dotted, random_normal_table(
+                        rng, dle, dle._decl_for(spec.dotted)), validate=False)
+            checks = [Inequality(t, Var("q")) for t in terms]
+            checks += [Inequality(join(Nominal("j"), Var("q")), t) for t in terms]
+            checks += [Inequality(meet(a, b), join(b, a)) for a, b in zip(terms, terms[1:])]
+            for ineq in checks:
+                check_validity(ineq, dle)
+            for ineq in checks:
+                fresh = FiniteDLE(dle.poset, dle.sig, dict(dle.ops), validate=False)
+                warm_budget, fresh_budget = Budget(), Budget()
+                assert check_validity(ineq, dle, warm_budget) == \
+                    check_validity(ineq, fresh, fresh_budget)
+                assert warm_budget.used == fresh_budget.used
+                reads_derived = any(isinstance(t, _DERIVED)
+                                    for side in (ineq.lhs, ineq.rhs)
+                                    for t in subterms(side))
+                assert reads_derived or fresh._cache == {}
 
 
 def test_defined_diamond_adjunction_everywhere(classical_sig):
@@ -447,6 +532,12 @@ def test_symbols_named_like_generated_identifiers(bare_sig):
     ok, ce = check_validity(Inequality(join(v0, s0), Conominal("D0")), dle)
     assert not ok and (ce.var_map, ce.nom_map, ce.conom_map) == (
         {"s0": 0}, {"v0": dle.jirr[0]}, {"D0": dle.mirr[0]})
+    # and like the names the kernel binds the lattice to
+    h, ops = Nominal("H"), Var("ops")
+    assert check_validity(Inequality(meet(h, Var("dle")), join(ops, h)), dle)[0]
+    ok, ce = check_validity(Inequality(h, meet(ops, Conominal("leq"))), dle)
+    assert not ok and (ce.var_map, ce.nom_map, ce.conom_map) == (
+        {"ops": 0}, {"H": dle.jirr[0]}, {"leq": dle.mirr[0]})
 
 
 def test_deep_systems_beyond_the_nesting_limit(classical_sig):

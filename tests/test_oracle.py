@@ -7,20 +7,32 @@ the bitmask of the R-successors of x.  On upsets,
 
   dia U = the upward closure of {x : x R y for some y in U}
   box U = the largest upset inside {x : y in U for every y with x R y}
+  A -> B = the largest upset C with A & C inside B
+  A -. B = the least upset C with A inside B | C
+
+A nominal ranges over the principal upsets, the upsets of single points,
+and a conominal over the complements of the principal downsets.
 
 Validity of an inequality is checked by enumerating every valuation of
-its variables.  Nothing here calls into ``models``; the test compares
-``models.check_validity`` with it.
+its symbols, and a pure quasi-inequality holds when every valuation of
+its nominals and conominals that satisfies its antecedents satisfies its
+goal.  Nothing here calls into ``models``; the tests compare
+``models.check_validity`` and ``models.check_quasi`` with it.
 """
 
+from functools import reduce
 from itertools import product
+from operator import and_, or_
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import CLASSICAL_SIG_TEXT
-from dlecorr.language import App, Bot, Inequality, Join, Meet, Top, Var
-from dlecorr.models import FiniteDLE, Poset, Relation, check_validity
+from dlecorr.engine import SysIneq, System
+from dlecorr.language import (
+    App, Arrow, Bot, Coimp, Conominal, Inequality, Join, Meet, Nominal, Top, Var,
+)
+from dlecorr.models import FiniteDLE, Poset, Relation, check_quasi, check_validity
 from dlecorr.parsing import parse_signature
 
 SIG = parse_signature(CLASSICAL_SIG_TEXT)
@@ -53,9 +65,20 @@ def interior(mask: int, up: tuple[int, ...]) -> int:
     return sum(1 << x for x in range(len(up)) if up[x] | mask == mask)
 
 
+def domain(kind, up: tuple[int, ...]) -> list[int]:
+    """The values a symbol of node class ``kind`` ranges over."""
+    n, full = len(up), (1 << len(up)) - 1
+    if kind is Nominal:
+        return [up[x] for x in range(n)]
+    if kind is Conominal:  # the points not below x
+        return [full & ~sum(1 << y for y in range(n) if up[y] >> x & 1)
+                for x in range(n)]
+    return upsets(up)
+
+
 def evaluate(t, up, rows, val) -> int:
     n = len(up)
-    if isinstance(t, Var):
+    if isinstance(t, (Var, Nominal, Conominal)):
         return val[t.name]
     if isinstance(t, Top):
         return (1 << n) - 1
@@ -66,6 +89,11 @@ def evaluate(t, up, rows, val) -> int:
         return a[0] & a[1]
     if isinstance(t, Join):
         return a[0] | a[1]
+    if isinstance(t, Arrow):
+        return reduce(or_, (c for c in upsets(up) if a[0] & c & ~a[1] == 0), 0)
+    if isinstance(t, Coimp):
+        return reduce(and_, (c for c in upsets(up) if a[0] & ~(a[1] | c) == 0),
+                      (1 << n) - 1)
     if isinstance(t, App) and t.decl.name == "dia":
         return up_closure(sum(1 << x for x in range(n) if rows[x] & a[0]), up)
     if isinstance(t, App) and t.decl.name == "box":
@@ -73,21 +101,36 @@ def evaluate(t, up, rows, val) -> int:
     raise ValueError(f"no reference semantics for {t!r}")
 
 
-def variables(t) -> set[str]:
-    if isinstance(t, Var):
-        return {t.name}
-    return set().union(*(variables(s) for s in t.args))
+def symbols(t) -> set:
+    """The (node class, name) of every variable, nominal and conominal."""
+    if isinstance(t, (Var, Nominal, Conominal)):
+        return {(type(t), t.name)}
+    return set().union(*(symbols(s) for s in t.args))
 
 
-def falsifies(ineq, up, rows, val) -> bool:
+def valuations(terms, up):
+    """Every valuation of the symbols of ``terms``, as a name -> value map."""
+    names = sorted(set().union(*map(symbols, terms)), key=lambda s: s[1])
+    for values in product(*(domain(kind, up) for kind, _ in names)):
+        yield {name: v for (_, name), v in zip(names, values)}
+
+
+def holds(ineq, up, rows, val) -> bool:
     lhs, rhs = (evaluate(t, up, rows, val) for t in (ineq.lhs, ineq.rhs))
-    return lhs & ~rhs != 0
+    return lhs & ~rhs == 0
 
 
 def reference_validity(ineq, up, rows) -> bool:
-    names = sorted(variables(ineq.lhs) | variables(ineq.rhs))
-    return not any(falsifies(ineq, up, rows, dict(zip(names, values)))
-                   for values in product(upsets(up), repeat=len(names)))
+    return all(holds(ineq, up, rows, val)
+               for val in valuations([ineq.lhs, ineq.rhs], up))
+
+
+def reference_quasi(system, up, rows) -> bool:
+    ineqs = [si.ineq for si in system.ineqs]
+    terms = [t for iq in ineqs + [system.goal] for t in (iq.lhs, iq.rhs)]
+    return all(holds(system.goal, up, rows, val)
+               for val in valuations(terms, up)
+               if all(holds(iq, up, rows, val) for iq in ineqs))
 
 
 @st.composite
@@ -105,30 +148,64 @@ def relational_frames(draw):
     return up, rows
 
 
-dle_terms = st.recursive(
-    st.sampled_from([Var("p"), Var("q"), Var("r"), Top(), Bot()]),
-    lambda sub: st.one_of(
-        st.tuples(sub, sub).map(Meet),
-        st.tuples(sub, sub).map(Join),
-        sub.map(lambda t: App(DIA, (t,))),
-        sub.map(lambda t: App(BOX, (t,))),
-    ),
-    max_leaves=6,
-)
+def relational_dle(up, rows) -> FiniteDLE:
+    dle = FiniteDLE(Poset(len(up), up), SIG)
+    for name in ("dia", "box"):
+        dle.add_op(name, Relation(rows), validate=False)
+    return dle
+
+
+def terms_over(leaves):
+    return st.recursive(
+        st.sampled_from(leaves + [Top(), Bot()]),
+        lambda sub: st.one_of(
+            st.tuples(sub, sub).map(Meet),
+            st.tuples(sub, sub).map(Join),
+            st.tuples(sub, sub).map(Arrow),
+            st.tuples(sub, sub).map(Coimp),
+            sub.map(lambda t: App(DIA, (t,))),
+            sub.map(lambda t: App(BOX, (t,))),
+        ),
+        max_leaves=6,
+    )
+
+
+NOMINALS = [Nominal("i"), Nominal("j")]
+CONOMINALS = [Conominal("m"), Conominal("n")]
+dle_terms = terms_over([Var("p"), Var("q"), Var("r"), NOMINALS[0], CONOMINALS[0]])
+pure_terms = terms_over(NOMINALS + CONOMINALS)
 
 
 @settings(max_examples=300, deadline=None)
 @given(frame=relational_frames(), lhs=dle_terms, rhs=dle_terms)
 def test_check_validity_agrees_with_the_reference(frame, lhs, rhs):
     up, rows = frame
-    dle = FiniteDLE(Poset(len(up), up), SIG)
-    for name in ("dia", "box"):
-        dle.add_op(name, Relation(rows), validate=False)
     ineq = Inequality(lhs, rhs)
-    valid, counterexample = check_validity(ineq, dle)
+    valid, counterexample = check_validity(ineq, relational_dle(up, rows))
     assert valid == reference_validity(ineq, up, rows)
     if not valid:
         # element i of the lattice is the i-th upset in ascending mask order
         elements = upsets(up)
-        val = {name: elements[i] for name, i in counterexample.var_map.items()}
-        assert falsifies(ineq, up, rows, val)
+        val = {}
+        for kind, found in ((Var, counterexample.var_map),
+                            (Nominal, counterexample.nom_map),
+                            (Conominal, counterexample.conom_map)):
+            for name, i in found.items():
+                assert elements[i] in domain(kind, up)
+                val[name] = elements[i]
+        assert not holds(ineq, up, rows, val)
+
+
+pure_systems = st.builds(
+    lambda antecedents, i, m: System(
+        tuple(SysIneq(Inequality(a, b)) for a, b in antecedents), Inequality(i, m)),
+    st.lists(st.tuples(pure_terms, pure_terms), max_size=2),
+    st.sampled_from(NOMINALS), st.sampled_from(CONOMINALS))
+
+
+@settings(max_examples=200, deadline=None)
+@given(frame=relational_frames(), systems=st.lists(pure_systems, min_size=1, max_size=2))
+def test_check_quasi_agrees_with_the_reference(frame, systems):
+    up, rows = frame
+    assert check_quasi(systems, relational_dle(up, rows)) == all(
+        reference_quasi(system, up, rows) for system in systems)
