@@ -33,8 +33,8 @@ from itertools import product
 
 from .language import (
     ANTI, MONO, ROLE_SPECS, App, Bot, Inequality, Join, Layer, Meet,
-    OrderType, RegisteredTerm, Signature, Term, Top, Var, dotted_spec,
-    family_and_arity, free_vars, var_occurrences,
+    OrderType, RegisteredTerm, Signature, Term, Top, Var, connective_decl,
+    dotted_spec, free_vars, var_occurrences,
 )
 
 DELTA = "delta"
@@ -79,12 +79,11 @@ def node_classes(t: Term, sign: int) -> frozenset[str]:
         return _DELTA_SRA_SLR if sign == MONO else _DELTA_SRR
     if isinstance(t, Join):
         return _DELTA_SRR if sign == MONO else _DELTA_SRA_SLR
-    shape = family_and_arity(t)  # a connective or a dotted marker
-    if shape is not None:
-        family, arity = shape
-        if (family == "F") == (sign == MONO):
+    decl = connective_decl(t)  # a declared connective or a dotted marker
+    if decl is not None:
+        if (decl.family == "F") == (sign == MONO):
             return _SLR
-        return _SRA if arity == 1 else _SRR
+        return _SRA if decl.arity == 1 else _SRR
     raise ClassifyError(f"node {type(t).__name__} has no Table-1 classification")
 
 
@@ -328,9 +327,9 @@ def _preimages(term: Term, sig: Signature, budget: _Budget) -> list[Term]:
 ANTI_SUBSTITUTION_BUDGET = 10 ** 5
 
 
-def _meta_witnesses(ineq: Inequality, sig: Signature, budget: int):
+def _meta_witnesses(ineq: Inequality, sig: Signature):
     """The first witness of each inductive (lhs, rhs) preimage pair."""
-    b = _Budget(budget)
+    b = _Budget(ANTI_SUBSTITUTION_BUDGET)
     lhs_pre = _preimages(ineq.lhs, sig, b)
     rhs_pre = _preimages(ineq.rhs, sig, b)
     # every preimage has the input's variables: registered terms have one
@@ -346,20 +345,16 @@ def _meta_witnesses(ineq: Inequality, sig: Signature, budget: int):
                 yield Inequality(ls, rs), w
 
 
-def meta_inductive_witnesses(
-    ineq: Inequality, sig: Signature,
-    budget: int = ANTI_SUBSTITUTION_BUDGET,
-) -> list[tuple[Inequality, InductiveWitness]]:
+def meta_inductive_witnesses(ineq: Inequality,
+                             sig: Signature) -> list[tuple[Inequality, InductiveWitness]]:
     """All (dotted preimage, witness) pairs, in deterministic search order."""
-    return list(_meta_witnesses(ineq, sig, budget))
+    return list(_meta_witnesses(ineq, sig))
 
 
-def is_meta_inductive(
-    ineq: Inequality, sig: Signature,
-    budget: int = ANTI_SUBSTITUTION_BUDGET,
-) -> tuple[Inequality, InductiveWitness] | None:
+def is_meta_inductive(ineq: Inequality,
+                      sig: Signature) -> tuple[Inequality, InductiveWitness] | None:
     """The first (dotted preimage, witness) pair, if any."""
-    return next(_meta_witnesses(ineq, sig, budget), None)
+    return next(_meta_witnesses(ineq, sig), None)
 
 
 # -- reporting ---------------------------------------------------------

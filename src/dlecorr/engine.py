@@ -8,11 +8,12 @@ propositional variable is left.  Success yields a set of pure systems,
 read as universally quantified quasi-inequalities.
 
 Two modes are supported.  Plain mode works on the base language plus the
-dotted modalities as primitive connectives.  Role mode (the enhanced
-calculus) treats an input that is a substitution image of a dotted
-inequality: internally the derivation carries the dotted preimage, where
-each dotted node marks an occurrence of the registered term for its role
-(pi/sigma/lambda/rho).  Rules on those markers are the role rules, which
+dotted modalities as primitive connectives: the connective rules apply to
+a dotted marker read as the unary connective of its role's declaration.
+Role mode (the enhanced calculus) treats an input that is a substitution
+image of a dotted inequality: internally the derivation carries the
+dotted preimage, where each dotted node marks an occurrence of the
+registered term for its role (pi/sigma/lambda/rho).  Rules on those markers are the role rules, which
 introduce side conditions (flagged, and never rewritten afterwards except
 by Ackermann substitution), the defined modalities Dia/Box/Lhd/Rhd and
 their adjoints bsq/bdia/blhd/brhd.  Traces and results always show the
@@ -31,9 +32,9 @@ from functools import cached_property
 
 from . import classify
 from .language import (
-    ANTI, BOT, MONO, ROLE_SPECS, SPEC_BY_NODE, TOP, App, Arrow, Coimp,
+    ANTI, BOT, MONO, ROLE_SPECS, TOP, App, Arrow, Coimp, ConnectiveDecl,
     Conominal, Inequality, Join, Layer, Meet, Nominal, Residual, RoleSpec, Signature,
-    Term, Var, big_join, big_meet, bot_unit, dotted_spec, family_and_arity,
+    Term, Var, big_join, big_meet, bot_unit, connective_decl, dotted_spec,
     free_vars, join, meet, replace_at, substitute, subterm_at, subterms,
     var_occurrences,
 )
@@ -244,11 +245,9 @@ class Derivation:
 
 def concretize(t: Term, sig: Signature) -> Term:
     """Expand dotted role markers to their registered terms."""
-    spec = SPEC_BY_NODE.get(type(t))
-    if spec is not None and type(t) is spec.dot:
+    spec = dotted_spec(t)
+    if spec is not None:
         return sig.role_instance(spec.role, concretize(t.args[0], sig))
-    if spec is not None and type(t) is spec.dot_adj:
-        raise EngineError("dotted adjoint in a role-mode system")
     if not t.args:
         return t
     return t.with_args(tuple(concretize(a, sig) for a in t.args))
@@ -286,17 +285,13 @@ def _at_path(ineq: Inequality, path: tuple[int, ...]) -> tuple[int, Term, Term, 
     return path[0], term, sub, sign
 
 
-def _occurrence_arg(t: Term, spec: RoleSpec, sig: Signature,
-                    plain: bool) -> Term | None:
-    """Argument of an occurrence of ``spec``'s role at the root of ``t``.
-
-    Plain rules take only the dotted node itself.  Role rules take a
-    dotted marker (role-mode derivations) or a match of the registered
-    term (concrete systems in scripted runs).
-    """
+def _occurrence_arg(t: Term, spec: RoleSpec, sig: Signature) -> Term | None:
+    """Argument of an occurrence of ``spec``'s role at the root of ``t``:
+    a dotted marker (role-mode derivations) or a match of the registered
+    term (concrete systems in scripted runs)."""
     if type(t) is spec.dot:
         return t.args[0]
-    reg = None if plain else sig.role(spec.role)
+    reg = sig.role(spec.role)
     if reg is None:
         return None
     arg = classify.match_role(t, reg)
@@ -326,91 +321,105 @@ def _split(d: Derivation, system: System, app: RuleApplication):
     return [system.replace_index(idx, items)], si.ineq, ()
 
 
-def _connective(t: Term, family: str) -> App | None:
-    return t if isinstance(t, App) and t.decl.family == family else None
+# Rule id -> (family, node class) of the connective rules.  The plain
+# rules (AdjDotDia, ApproxDotDia, ...) read a dotted marker as the unary
+# connective ``RoleSpec.decl``, in plain mode only: in role mode a marker
+# stands for its registered term, which need not be normal.
+_CONNECTIVE_RULES = {
+    **{kind + family: (family, App) for kind in ("Resid", "Approx") for family in "FG"},
+    **{kind + spec.dot_suffix: (spec.family, spec.dot)
+       for spec in ROLE_SPECS for kind in ("Adj", "Approx")},
+}
+
+
+def _connective_rule(d: Derivation, app: RuleApplication) -> tuple[str, type]:
+    """The family and node class of the connectives ``app``'s rule takes."""
+    family, cls = _CONNECTIVE_RULES[app.rule_id]
+    if cls is not App and d.role_mode:
+        raise RuleMatchError(f"{app.rule_id} applies in alba mode only")
+    return family, cls
+
+
+def _connective(t: Term, family: str, cls: type) -> ConnectiveDecl | None:
+    decl = connective_decl(t) if type(t) is cls else None
+    return decl if decl is not None and decl.family == family else None
 
 
 def _residuation(d: Derivation, system: System, app: RuleApplication):
     """Residuation of an F connective on the left (ResidF) or a G
     connective on the right (ResidG) in one coordinate: the argument goes
-    below the residual exactly when the coordinate has bottom as unit."""
-    family = app.rule_id[-1]
+    below the residual exactly when the coordinate has bottom as unit.
+    A plain adjunction (AdjDotDia, ...) is residuation of a dotted marker
+    in its one coordinate."""
+    family, cls = _connective_rule(d, app)
     idx, si = _target(system, app)
     a, b = si.ineq.lhs, si.ineq.rhs
     occ, other = (a, b) if family == "F" else (b, a)
-    conn = _connective(occ, family)
-    if conn is None:
+    decl = _connective(occ, family, cls)
+    if decl is None:
         raise RuleMatchError(f"{app.rule_id} needs " + (
             "an F-connective on the left" if family == "F"
             else "a G-connective on the right"))
-    if app.coord is None or not (1 <= app.coord <= conn.decl.arity):
+    coord = app.coord if cls is App else 1
+    if coord is None or not (1 <= coord <= decl.arity):
         raise RuleMatchError(f"{app.rule_id} needs a coordinate")
-    h = app.coord - 1
-    arg = conn.args[h]
-    res = Residual(conn.decl, app.coord, conn.args[:h] + (other,) + conn.args[h + 1:])
-    new = Inequality(arg, res) if bot_unit(family, conn.decl.tonicities()[h]) \
+    h = coord - 1
+    arg = occ.args[h]
+    res = Residual(decl, coord, occ.args[:h] + (other,) + occ.args[h + 1:])
+    new = Inequality(arg, res) if bot_unit(family, decl.tonicities()[h]) \
         else Inequality(res, arg)
     return [system.replace_index(idx, [SysIneq(new, si.side)])], si.ineq, ()
 
 
 def _adjunction(d: Derivation, system: System, app: RuleApplication):
     """Adjunction on the role side: the occurrence is on the left for F
-    roles, on the right for G roles.  Plain rules flip a dotted node to its
-    adjoint.  Role rules flip a role occurrence to the defined modality's
-    adjoint and add the flagged side condition, or, when the target is
-    rooted in the defined modality itself, do the bare flip (sound
-    unconditionally: the defined maps are complete operators)."""
-    _, spec, plain = _ROLE_RULES[app.rule_id]
+    roles, on the right for G roles.  A role occurrence flips to the
+    defined modality's adjoint and adds the flagged side condition; a
+    target rooted in the defined modality itself takes the bare flip
+    (sound unconditionally: the defined maps are complete operators)."""
+    _, spec = _ROLE_RULES[app.rule_id]
     idx, si = _target(system, app)
     a, b = si.ineq.lhs, si.ineq.rhs
     occ, other = (a, b) if spec.family == "F" else (b, a)
 
-    def flipped(arg: Term, adjoint: type) -> Inequality:
-        adj = adjoint((other,))
+    def flipped(arg: Term) -> Inequality:
+        adj = spec.black((other,))
         return Inequality(arg, adj) if spec.bot_unit else Inequality(adj, arg)
 
-    if not plain and type(occ) is spec.defined:
-        items = [SysIneq(flipped(occ.args[0], spec.black), si.side)]
+    if type(occ) is spec.defined:
+        items = [SysIneq(flipped(occ.args[0]), si.side)]
     else:
-        arg = _occurrence_arg(occ, spec, d.sig, plain)
+        arg = _occurrence_arg(occ, spec, d.sig)
         if arg is None:
             raise RuleMatchError(f"{app.rule_id} does not match {print_inequality(si.ineq)}")
-        if plain:
-            items = [SysIneq(flipped(arg, spec.dot_adj), si.side)]
-        else:
-            items = [SysIneq(flipped(arg, spec.black)),
-                     SysIneq(_adjunction_condition(d.sig, spec, other), side=True)]
+        items = [SysIneq(flipped(arg)),
+                 SysIneq(_adjunction_condition(d.sig, spec, other), side=True)]
     return [system.replace_index(idx, items)], si.ineq, ()
 
 
 def _approximation(d: Derivation, system: System, app: RuleApplication):
     """Approximation on the side opposite to the adjunction: a nominal
     below an F role, a conominal above a G role.  The occurrence's argument
-    is approximated by a fresh nominal (bottom-unit roles) or conominal.
-    Plain rules keep the dotted node; role rules move to the defined
-    modality, with branch A the side condition and branch B the main
-    system."""
-    _, spec, plain = _ROLE_RULES[app.rule_id]
+    is approximated by a fresh nominal (bottom-unit roles) or conominal
+    under the defined modality, with branch A the side condition and
+    branch B the main system."""
+    _, spec = _ROLE_RULES[app.rule_id]
     idx, si = _target(system, app)
     a, b = si.ineq.lhs, si.ineq.rhs
     on_left = spec.family == "G"
     occ, other = (a, b) if on_left else (b, a)
-    arg = _occurrence_arg(occ, spec, d.sig, plain)
+    arg = _occurrence_arg(occ, spec, d.sig)
     if arg is None or not isinstance(other, Conominal if on_left else Nominal):
         raise RuleMatchError(f"{app.rule_id} does not match {print_inequality(si.ineq)}")
 
     def with_occ(t: Term) -> Inequality:
         return Inequality(t, b) if on_left else Inequality(a, t)
 
-    out = []
-    if not plain:
-        const = d.sig.role_instance(spec.role, spec.unit)
-        out.append(system.replace_index(idx, [SysIneq(with_occ(const), side=True)]))
+    const = d.sig.role_instance(spec.role, spec.unit)
+    side = system.replace_index(idx, [SysIneq(with_occ(const), side=True)])
     atom, fresh, approx = _approximant(d, system, arg, spec.bot_unit)
-    head = (spec.dot if plain else spec.defined)((atom,))
-    main = system.replace_index(idx, [SysIneq(with_occ(head), si.side)])
-    out.append(main.append([SysIneq(approx)]))
-    return out, si.ineq, (fresh,)
+    main = system.replace_index(idx, [SysIneq(with_occ(spec.defined((atom,))), si.side)])
+    return [side, main.append([SysIneq(approx)])], si.ineq, (fresh,)
 
 
 def _approximant(d: Derivation, system: System, arg: Term,
@@ -427,29 +436,30 @@ def _approximant(d: Derivation, system: System, arg: Term,
 def _approx_connective(d: Derivation, system: System, app: RuleApplication):
     """Approximation of an F connective against a nominal on the left
     (ApproxF) or a G connective against a conominal on the right (ApproxG),
-    with one fresh approximant per coordinate, in coordinate order."""
-    family = app.rule_id[-1]
+    with one fresh approximant per coordinate, in coordinate order; a
+    plain approximation (ApproxDotDia, ...) does this to a dotted marker."""
+    family, cls = _connective_rule(d, app)
     idx, si = _target(system, app)
     a, b = si.ineq.lhs, si.ineq.rhs
     on_left = family == "G"
     occ, other = (a, b) if on_left else (b, a)
-    conn = _connective(occ, family)
-    if conn is None or not isinstance(other, Conominal if on_left else Nominal):
+    decl = _connective(occ, family, cls)
+    if decl is None or not isinstance(other, Conominal if on_left else Nominal):
         raise RuleMatchError(f"{app.rule_id} needs " + (
             "g(...) <= conominal" if on_left else "nominal <= f(...)"))
-    if conn.decl.arity == 0:
+    if decl.arity == 0:
         raise RuleMatchError("approximation does not apply to 0-ary connectives")
     fresh: list[str] = []
     atoms: list[Term] = []
     comps: list[SysIneq] = []
     sys_now = system
-    for arg, tone in zip(conn.args, conn.decl.tonicities()):
+    for arg, tone in zip(occ.args, decl.tonicities()):
         atom, name, approx = _approximant(d, sys_now, arg, bot_unit(family, tone))
         fresh.append(name)
         atoms.append(atom)
         comps.append(SysIneq(approx))
         sys_now = sys_now.append([comps[-1]])
-    head = App(conn.decl, tuple(atoms))
+    head = occ.with_args(tuple(atoms))
     new = Inequality(head, b) if on_left else Inequality(a, head)
     sys2 = system.replace_index(idx, [SysIneq(new, si.side)]).append(comps)
     return [sys2], si.ineq, tuple(fresh)
@@ -494,10 +504,10 @@ def _ackermann(d: Derivation, system: System, app: RuleApplication):
 def _rewrite_role(d: Derivation, system: System, app: RuleApplication):
     """A role occurrence unfolds to the bounded composition of its unit
     value with the defined modality: a join for F roles, a meet for G."""
-    _, spec, _ = _ROLE_RULES[app.rule_id]
+    _, spec = _ROLE_RULES[app.rule_id]
     idx, si = _target(system, app)
     side_idx, term, sub, _ = _at_path(si.ineq, app.path)
-    arg = _occurrence_arg(sub, spec, d.sig, plain=False)
+    arg = _occurrence_arg(sub, spec, d.sig)
     if arg is None:
         raise RuleMatchError(f"{app.rule_id} does not match {print_term(sub)}")
     new_sub = (join if spec.family == "F" else meet)(
@@ -508,15 +518,10 @@ def _rewrite_role(d: Derivation, system: System, app: RuleApplication):
     return [system.replace_index(idx, [SysIneq(new, si.side)])], si.ineq, ()
 
 
-# Rule id -> (kind, role spec, plain).  The plain rules (AdjDotDia, ...)
-# treat the dotted modalities as primitive connectives; the role rules
-# (AdjPi, ...) read them as markers of the registered terms.
-_ROLE_RULES = {
-    kind + (spec.dot_suffix if plain else spec.rule_suffix): (kind, spec, plain)
-    for spec in ROLE_SPECS
-    for kind, plain in (("Dist", False), ("Adj", False), ("Approx", False),
-                        ("Rewrite", False), ("Adj", True), ("Approx", True))
-}
+# Rule id -> (kind, role spec) of the role rules (AdjPi, ...), which read
+# the dotted modalities as markers of the registered terms.
+_ROLE_RULES = {kind + spec.rule_suffix: (kind, spec) for spec in ROLE_SPECS
+               for kind in ("Dist", "Adj", "Approx", "Rewrite")}
 
 
 # ----------------------------------------------------------------------
@@ -645,16 +650,16 @@ def _first_approx(d: Derivation, system: System, app: RuleApplication):
 # Stage-one rules rewrite a bare inequality, a system with no goal yet.
 _STAGE_ONE_RULES = {
     "DistributePre": _distribute, "Split": _split_piece, "MonotoneElim": _monotone_elim,
-    **{rid: _distribute for rid, (kind, _, _) in _ROLE_RULES.items() if kind == "Dist"},
+    **{rid: _distribute for rid, (kind, _) in _ROLE_RULES.items() if kind == "Dist"},
 }
 # Every other rule id.  Split here splits one entry of a system.
 _RULES = {
     "FirstApprox": _first_approx, "Split": _split,
-    "ResidF": _residuation, "ResidG": _residuation,
-    "ApproxF": _approx_connective, "ApproxG": _approx_connective,
     "AckermannRight": _ackermann, "AckermannLeft": _ackermann,
+    **{rid: _approx_connective if rid.startswith("Approx") else _residuation
+       for rid in _CONNECTIVE_RULES},
     **{rid: {"Adj": _adjunction, "Approx": _approximation, "Rewrite": _rewrite_role}[kind]
-       for rid, (kind, _, _) in _ROLE_RULES.items() if kind != "Dist"},
+       for rid, (kind, _) in _ROLE_RULES.items() if kind != "Dist"},
 }
 
 
@@ -750,10 +755,10 @@ def _display_rule(system: System, idx: int, occ_side: int,
     root, other = (ineq.rhs, ineq.lhs) if occ_side else (ineq.lhs, ineq.rhs)
     if isinstance(root, Meet if occ_side else Join):
         return RuleApplication("Split", ineq_index=idx)
-    shape = family_and_arity(root)
-    if shape is None:
+    decl = connective_decl(root)
+    if decl is None:
         return None
-    family, arity = shape
+    family = decl.family
     spec = dotted_spec(root)
     suffix = None if spec is None else \
         spec.rule_suffix if role_mode else spec.dot_suffix
@@ -764,7 +769,7 @@ def _display_rule(system: System, idx: int, occ_side: int,
         if suffix is not None:
             return RuleApplication("Adj" + suffix, ineq_index=idx)
         return RuleApplication("Resid" + family, ineq_index=idx, coord=path[0] + 1)
-    if arity > 0 and isinstance(other, Nominal if occ_side else Conominal):
+    if decl.arity > 0 and isinstance(other, Nominal if occ_side else Conominal):
         return RuleApplication("Approx" + (suffix or family), ineq_index=idx)
     return None
 
@@ -950,9 +955,9 @@ def is_safe(d: Derivation) -> bool:
 # closed-positive, those of bottom-unit roles closed-negative.  The
 # coimplication goes with the join residuals.
 _CLOSED_POSITIVE = (Nominal, Coimp) + tuple(
-    cls for spec in ROLE_SPECS if not spec.bot_unit for cls in (spec.black, spec.dot_adj))
+    spec.black for spec in ROLE_SPECS if not spec.bot_unit)
 _CLOSED_NEGATIVE = (Conominal, Arrow) + tuple(
-    cls for spec in ROLE_SPECS if spec.bot_unit for cls in (spec.black, spec.dot_adj))
+    spec.black for spec in ROLE_SPECS if spec.bot_unit)
 
 
 def _residual_group(t: Residual) -> int:
@@ -1060,7 +1065,7 @@ def trace_lines(d: Derivation) -> list[str]:
 _SCRIPT_RE = re.compile(
     r"^(?P<rid>[A-Za-z]+)(?:\((?P<coord>\d+)\))?"
     r"(?:\s*@\s*(?P<target>[A-Za-z0-9_]+))?"
-    r"(?:\s*/\s*(?P<path>[\d.]+|-))?\s*$")
+    r"(?:\s*/\s*(?P<path>\d+(?:\.\d+)*|-))?\s*$")
 
 
 def parse_script(text: str) -> list[RuleApplication | str]:

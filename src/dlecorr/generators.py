@@ -25,11 +25,13 @@ from .language import (
 )
 
 VAR_NAMES = ("p", "q", "r")
+N_CONNECTIVES = 2  # in a random signature
+MAX_TRIES = 200  # draws of one random inductive inequality
 
 
-def random_signature(rng: random.Random, n_conn: int = 2) -> Signature:
+def random_signature(rng: random.Random) -> Signature:
     decls = []
-    for i in range(n_conn):
+    for i in range(N_CONNECTIVES):
         family = rng.choice("FG")
         arity = rng.choice((1, 1, 2))
         eps = OrderType(tuple(rng.choice("1d") for _ in range(arity)))
@@ -185,11 +187,10 @@ class _Draw:
 
 
 def random_inductive(rng: random.Random, sig: Signature, star: bool = False,
-                     max_vars: int = 3, max_depth: int = 5,
-                     max_tries: int = 200) -> Inequality:
+                     max_depth: int = 5) -> Inequality:
     """A random inequality verified inductive by the classifier."""
-    for _ in range(max_tries):
-        nvars = rng.randint(1, max_vars)
+    for _ in range(MAX_TRIES):
+        nvars = rng.randint(1, len(VAR_NAMES))
         variables = VAR_NAMES[:nvars]
         eps = {v: rng.choice("1d") for v in variables}
         perm = list(variables)

@@ -7,9 +7,10 @@ nested layers:
 
   DLE      variables, lattice constants/connectives, declared symbols
   DLEstar  adds the four dotted placeholder modalities (unary, fixed types)
-  DLEplus  adds nominals, conominals, residuals of all declared symbols,
-           residuals of the lattice connectives, and the adjoints of the
-           dotted modalities
+  DLEplus  adds nominals, conominals, residuals of all declared symbols
+           and of the dotted modalities (a dotted modality's adjoint is
+           its residual in coordinate 1), and residuals of the lattice
+           connectives
   DLEpp    adds the defined modalities Dia/Box/Lhd/Rhd parameterized by a
            registered unary term (role pi/sigma/lambda/rho) together with
            their adjoints bsq/bdia/blhd/brhd
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import IntEnum
+from functools import cached_property
 from typing import Iterator, Mapping
 from weakref import WeakValueDictionary
 
@@ -56,9 +58,6 @@ class OrderType:
 
     def __getitem__(self, i: int) -> str:
         return self.entries[i]
-
-    def opposite(self) -> "OrderType":
-        return OrderType(tuple("d" if e == "1" else "1" for e in self.entries))
 
     def tonicities(self) -> tuple[int, ...]:
         return tuple(MONO if e == "1" else ANTI for e in self.entries)
@@ -274,13 +273,6 @@ DotBox = _unary("DotBox", MONO, Layer.DLESTAR)
 DotLhd = _unary("DotLhd", ANTI, Layer.DLESTAR)
 DotRhd = _unary("DotRhd", ANTI, Layer.DLESTAR)
 
-# Their adjoints (DLEplus): right adjoint of DotDia, left adjoint of
-# DotBox, and the two Galois adjoints.
-DotDiaAdj = _unary("DotDiaAdj", MONO, Layer.DLEPLUS)
-DotBoxAdj = _unary("DotBoxAdj", MONO, Layer.DLEPLUS)
-DotLhdAdj = _unary("DotLhdAdj", ANTI, Layer.DLEPLUS)
-DotRhdAdj = _unary("DotRhdAdj", ANTI, Layer.DLEPLUS)
-
 # Defined modalities, one per role (DLEpp).
 DefDia = _unary("DefDia", MONO, Layer.DLEPP)
 DefBox = _unary("DefBox", MONO, Layer.DLEPP)
@@ -311,8 +303,8 @@ def bot_unit(family: str, tone: int) -> bool:
 
 @dataclass(frozen=True)
 class RoleSpec:
-    """One role: its dotted marker, the marker's adjoint, the defined
-    modality and the defined modality's adjoint, with their spellings.
+    """One role: its dotted marker, the defined modality and the defined
+    modality's adjoint, with their spellings.
 
     ``family`` and ``tone`` describe the dotted marker and the defined
     modality: F is join-type (a diamond), G meet-type (a box).  The other
@@ -323,12 +315,18 @@ class RoleSpec:
     family: str  # "F" | "G"
     tone: int  # MONO | ANTI
     dot: type
-    dot_adj: type
     defined: type
     black: type
     dotted: str  # dia(t); the adjoint is spelled res(dia,1)(t)
     defined_head: str  # Dia[pi](t)
     black_head: str  # bsq[pi](t)
+
+    @cached_property
+    def decl(self) -> ConnectiveDecl:
+        """The dotted marker read as a unary connective of the role's
+        family; the marker's adjoint is its residual in coordinate 1."""
+        return ConnectiveDecl(self.dotted, self.family, 1,
+                              OrderType(("1" if self.tone == MONO else "d",)))
 
     @property
     def bot_unit(self) -> bool:
@@ -354,21 +352,22 @@ class RoleSpec:
 
 
 ROLE_SPECS = (
-    RoleSpec("pi", "F", MONO, DotDia, DotDiaAdj, DefDia, BlackBox, "dia", "Dia", "bsq"),
-    RoleSpec("sigma", "G", MONO, DotBox, DotBoxAdj, DefBox, BlackDia, "box", "Box", "bdia"),
-    RoleSpec("lambda", "F", ANTI, DotLhd, DotLhdAdj, DefLhd, BlackLhd, "lhd", "Lhd", "blhd"),
-    RoleSpec("rho", "G", ANTI, DotRhd, DotRhdAdj, DefRhd, BlackRhd, "rhd", "Rhd", "brhd"),
+    RoleSpec("pi", "F", MONO, DotDia, DefDia, BlackBox, "dia", "Dia", "bsq"),
+    RoleSpec("sigma", "G", MONO, DotBox, DefBox, BlackDia, "box", "Box", "bdia"),
+    RoleSpec("lambda", "F", ANTI, DotLhd, DefLhd, BlackLhd, "lhd", "Lhd", "blhd"),
+    RoleSpec("rho", "G", ANTI, DotRhd, DefRhd, BlackRhd, "rhd", "Rhd", "brhd"),
 )
 ROLES = tuple(spec.role for spec in ROLE_SPECS)
 SPEC_BY_ROLE = {spec.role: spec for spec in ROLE_SPECS}
 # every role-specific node class -> its role
 SPEC_BY_NODE = {cls: spec for spec in ROLE_SPECS
-                for cls in (spec.dot, spec.dot_adj, spec.defined, spec.black)}
+                for cls in (spec.dot, spec.defined, spec.black)}
+_SPEC_BY_DOT = {spec.dot: spec for spec in ROLE_SPECS}
 
 # Spellings of the dotted DLEstar modalities.  A signature may declare
 # ordinary connectives with these names; the declaration then shadows the
 # dotted reading in concrete syntax.
-DOTTED_NAMES = tuple(spec.dotted for spec in ROLE_SPECS)
+SPEC_BY_DOTTED = {spec.dotted: spec for spec in ROLE_SPECS}
 
 # Names that can never be declared as connectives.
 HARD_RESERVED = {"top", "bot", "res", "conn", "term"} | {
@@ -377,17 +376,16 @@ HARD_RESERVED = {"top", "bot", "res", "conn", "term"} | {
 
 def dotted_spec(t: Term) -> RoleSpec | None:
     """The role of a dotted marker; None for every other node."""
-    spec = SPEC_BY_NODE.get(type(t))
-    return spec if spec is not None and type(t) is spec.dot else None
+    return _SPEC_BY_DOT.get(type(t))
 
 
-def family_and_arity(t: Term) -> tuple[str, int] | None:
-    """Family and arity of a declared connective, or of a dotted marker
-    read as a unary connective of its role's family; None otherwise."""
-    if isinstance(t, App):
-        return t.decl.family, t.decl.arity
-    spec = dotted_spec(t)
-    return None if spec is None else (spec.family, 1)
+def connective_decl(t: Term) -> ConnectiveDecl | None:
+    """The declaration of a declared connective, or of a dotted marker
+    read as a unary connective (``RoleSpec.decl``); None otherwise."""
+    if type(t) is App:
+        return t.decl
+    spec = _SPEC_BY_DOT.get(type(t))
+    return None if spec is None else spec.decl
 
 
 @_node
@@ -445,11 +443,19 @@ class Signature:
     def decl(self, name: str) -> ConnectiveDecl | None:
         return self._by_name.get(name)
 
+    def connective(self, name: str) -> ConnectiveDecl | None:
+        """The declaration ``name`` reads as: a declared connective, or
+        else the dotted marker it spells."""
+        decl = self._by_name.get(name)
+        if decl is None and name in SPEC_BY_DOTTED:
+            return SPEC_BY_DOTTED[name].decl
+        return decl
+
     def role(self, role: str) -> RegisteredTerm | None:
         return self._by_role.get(role)
 
     def shadows(self, name: str) -> bool:
-        return name in DOTTED_NAMES and name in self._by_name
+        return name in SPEC_BY_DOTTED and name in self._by_name
 
     def role_instance(self, role: str, arg: Term) -> Term:
         """The registered term for ``role`` applied to ``arg``."""

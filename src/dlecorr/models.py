@@ -51,9 +51,9 @@ from itertools import permutations, product
 from operator import and_, or_
 
 from .language import (
-    MONO, ROLE_SPECS, SPEC_BY_NODE, SPEC_BY_ROLE, App, Arrow, Bot, Coimp,
-    ConnectiveDecl, Conominal, Inequality, Join, Meet, Nominal, OrderType,
-    Residual, RoleSpec, Signature, Term, Top, Var, bot_unit, free_vars,
+    MONO, SPEC_BY_DOTTED, SPEC_BY_NODE, SPEC_BY_ROLE, App, Arrow, Bot, Coimp,
+    Conominal, Inequality, Join, Meet, Nominal, Residual, RoleSpec, Signature,
+    Term, Top, Var, bot_unit, connective_decl, free_vars,
 )
 from .printing import print_inequality
 
@@ -338,14 +338,10 @@ class FiniteDLE:
     # -- operations -------------------------------------------------------
 
     def _decl_for(self, name: str):
-        decl = self.sig.decl(name)
-        if decl is not None:
-            return decl
-        for spec in ROLE_SPECS:
-            if name == spec.dotted:
-                entry = "1" if spec.tone == MONO else "d"
-                return ConnectiveDecl(name, spec.family, 1, OrderType((entry,)))
-        raise ModelError(f"operation {name!r} is not in the signature")
+        decl = self.sig.connective(name)
+        if decl is None:
+            raise ModelError(f"operation {name!r} is not in the signature")
+        return decl
 
     def add_op(self, name: str, spec, validate: bool = True) -> None:
         decl = self._decl_for(name)
@@ -445,11 +441,8 @@ class FiniteDLE:
                             lambda: self._adjoint(spec, self.def_table(role)))
 
     def dot_adj_table(self, kind: str) -> list[int]:
-        spec = {s.dotted + "_adj": s for s in ROLE_SPECS}[kind]
-        if spec.dotted not in self.ops:
-            raise ModelError(f"dotted connective {spec.dotted!r} has no table")
-        return self._cached(("dotadj", kind),
-                            lambda: self._adjoint(spec, self.ops[spec.dotted]))
+        """The adjoint of the dotted marker ``kind`` names ("dia_adj")."""
+        return self.residual_table(SPEC_BY_DOTTED[kind.removesuffix("_adj")].decl, 1)
 
     def _adjoint(self, spec: RoleSpec, t: list[int]) -> list[int]:
         """Adjoint of the unary operation ``t`` of ``spec``'s shape: the
@@ -475,8 +468,12 @@ class FiniteDLE:
 
     def residual_table(self, decl, coord: int):
         """The residual of ``decl`` in ``coord``, gathered by joins on
-        bottom-unit coordinates and by meets on the others."""
+        bottom-unit coordinates and by meets on the others.  A declared
+        connective and a dotted marker may share a name, so the cache key
+        holds the whole declaration, as plain values that hash fast."""
         def build():
+            if decl.name not in self.ops:
+                raise ModelError(f"no table for connective {decl.name!r}")
             if decl.arity > 3:
                 raise ModelError("residual tables support arity <= 3")
             h = coord - 1
@@ -486,7 +483,8 @@ class FiniteDLE:
                 lambda args: [self.op_value(decl.name, args[:h] + (w,) + args[h + 1:])
                               for w in range(self.n_elem)])
 
-        return self._cached(("res", decl.name, coord), build)
+        return self._cached(
+            ("res", decl.name, decl.family, decl.order_type.entries, coord), build)
 
     def arrow_table(self):
         """a -> b: the meet's residual in its second coordinate."""
@@ -525,22 +523,16 @@ def _head_table(t: Term, dle: FiniteDLE):
         return dle.arrow_table()
     if cls is Coimp:
         return dle.coimp_table()
-    if cls is App:
-        if t.decl.name not in dle.ops:
-            raise ModelError(f"no table for connective {t.decl.name!r}")
-        return dle.ops[t.decl.name]
     if cls is Residual:
         return dle.residual_table(t.decl, t.coord)
+    decl = connective_decl(t)  # a declared connective or a dotted marker
+    if decl is not None:
+        if decl.name not in dle.ops:
+            raise ModelError(f"no table for connective {decl.name!r}")
+        return dle.ops[decl.name]
     spec = SPEC_BY_NODE.get(cls)
     if spec is None:
         raise ModelError(f"cannot evaluate {cls.__name__}")
-    if cls is spec.dot:
-        if spec.dotted not in dle.ops:
-            raise ModelError(
-                f"dotted connective has no table on this lattice ({cls.__name__})")
-        return dle.ops[spec.dotted]
-    if cls is spec.dot_adj:
-        return dle.dot_adj_table(spec.dotted + "_adj")
     if cls is spec.defined:
         return dle.def_table(spec.role)
     return dle.black_table(spec.role)
@@ -714,12 +706,9 @@ def _plan(terms: tuple[Term, ...]) -> _Plan:
     return _Plan(terms)
 
 
-def eval_term(t: Term, dle: FiniteDLE, val: Valuation,
-              budget: Budget | None = None) -> int:
+def eval_term(t: Term, dle: FiniteDLE, val: Valuation) -> int:
     """Evaluate one term under one valuation: its head's table read at
     its arguments' values."""
-    if budget is not None:
-        budget.spend()
     kind = _LEAF_KINDS.get(type(t))
     if kind is not None:
         source = val.of_kind(kind)

@@ -14,8 +14,8 @@ Formula grammar (ASCII), loosest binding last:
              | "res" "(" IDENT "," INT ")" "(" args ")"
 
 The dotted builtins dia/box/lhd/rhd are soft keywords: a signature may
-declare same-named connectives, which shadow the dotted reading.  The
-dotted adjoints are written as coordinate-1 residuals, e.g. res(dia,1)(t).
+declare same-named connectives, which shadow the dotted reading.  A
+dotted builtin's adjoint is its residual in coordinate 1, res(dia,1)(t).
 
 Signature files are line oriented::
 
@@ -30,13 +30,12 @@ import re
 from dataclasses import dataclass
 
 from .language import (
-    ANTI, BOT, DOTTED_NAMES, HARD_RESERVED, MONO, ROLE_SPECS, ROLES, SPEC_BY_NODE,
+    ANTI, BOT, HARD_RESERVED, MONO, ROLE_SPECS, ROLES, SPEC_BY_DOTTED, SPEC_BY_NODE,
     SPEC_BY_ROLE, TOP, App, Arrow, Coimp, ConnectiveDecl, Conominal,
     Inequality, Layer, Nominal, OrderType, RegisteredTerm, Residual,
     Signature, Term, Var, free_vars, join, meet, var_occurrences,
 )
 
-_DOTTED = {spec.dotted: spec for spec in ROLE_SPECS}
 # Dia[pi](t), bsq[pi](t), ...: head -> node class
 _BRACKETED = {head: cls for spec in ROLE_SPECS
               for head, cls in ((spec.defined_head, spec.defined),
@@ -194,7 +193,7 @@ class _Parser:
         decl = self.sig.decl(name)
         if decl is not None:
             self.fail(f"connective {name!r} used without arguments", tok)
-        if name in DOTTED_NAMES and self.layer >= _DOTTED[name].dot.layer:
+        if name in SPEC_BY_DOTTED and self.layer >= SPEC_BY_DOTTED[name].dot.layer:
             self.fail(f"builtin {name!r} used without arguments", tok)
         return Var(name)
 
@@ -205,8 +204,8 @@ class _Parser:
             if len(arglist) != decl.arity:
                 self.fail(f"{name} expects {decl.arity} arguments, got {len(arglist)}", tok)
             return App(decl, tuple(arglist))
-        if name in DOTTED_NAMES:
-            node = _DOTTED[name].dot
+        if name in SPEC_BY_DOTTED:
+            node = SPEC_BY_DOTTED[name].dot
             self.require_layer(node.layer, f"dotted connective {name!r}", tok)
             if len(arglist) != 1:
                 self.fail(f"dotted connective {name!r} is unary", tok)
@@ -238,20 +237,14 @@ class _Parser:
         self.expect(")")
         arglist = self.args()
         coord = int(coord_tok.value)
-        decl = self.sig.decl(name_tok.value)
-        if decl is not None:
-            if not (1 <= coord <= decl.arity):
-                self.fail(f"coordinate {coord} out of range for {decl.name}", coord_tok)
-            if len(arglist) != decl.arity:
-                self.fail(f"res({decl.name},{coord}) takes {decl.arity} arguments", tok)
-            return Residual(decl, coord, tuple(arglist))
-        if name_tok.value in DOTTED_NAMES:
-            node = _DOTTED[name_tok.value].dot_adj
-            self.require_layer(node.layer, "residual", tok)
-            if coord != 1 or len(arglist) != 1:
-                self.fail(f"res({name_tok.value},1) is unary", tok)
-            return node((arglist[0],))
-        self.fail(f"unknown connective {name_tok.value!r} in residual", name_tok)
+        decl = self.sig.connective(name_tok.value)
+        if decl is None:
+            self.fail(f"unknown connective {name_tok.value!r} in residual", name_tok)
+        if not (1 <= coord <= decl.arity):
+            self.fail(f"coordinate {coord} out of range for {decl.name}", coord_tok)
+        if len(arglist) != decl.arity:
+            self.fail(f"res({decl.name},{coord}) takes {decl.arity} arguments", tok)
+        return Residual(decl, coord, tuple(arglist))
 
 
 def parse_term(text: str, sig: Signature, layer: Layer = Layer.DLEPP) -> Term:
@@ -272,7 +265,7 @@ def parse_signature(text: str) -> Signature:
     """Parse a signature document (``conn``/``term`` lines, # comments)."""
     decls: list[ConnectiveDecl] = []
     term_lines: list[tuple[int, str, str]] = []
-    for lineno, raw in enumerate(text.replace(";", "\n").splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -8,8 +8,8 @@ not shadow their spellings), ``parse_term(print_term(t))`` returns ``t``.
 from __future__ import annotations
 
 from .language import (
-    SPEC_BY_NODE, App, Arrow, Bot, Coimp, Conominal, Inequality, Join, Meet,
-    Nominal, Residual, Term, Top, Var,
+    SPEC_BY_NODE, Arrow, Bot, Coimp, Conominal, Inequality, Join, Meet,
+    Nominal, Residual, Term, Top, Var, connective_decl,
 )
 
 
@@ -43,21 +43,17 @@ def print_term(t: Term) -> str:
         return _binary(t, "->", 1, chain=False)
     if isinstance(t, Coimp):
         return _binary(t, "-.", 1, chain=False)
-    if isinstance(t, App):
-        return t.decl.name + "(" + ", ".join(print_term(a) for a in t.args) + ")"
+    decl = connective_decl(t)  # a declared connective or a dotted marker
+    if decl is not None:
+        return decl.name + "(" + ", ".join(print_term(a) for a in t.args) + ")"
     if isinstance(t, Residual):
         return (f"res({t.decl.name},{t.coord})("
                 + ", ".join(print_term(a) for a in t.args) + ")")
     cls = type(t)
     spec = SPEC_BY_NODE.get(cls)
     if spec is not None:
-        arg = print_term(t.args[0])
-        if cls is spec.dot:
-            return f"{spec.dotted}({arg})"
-        if cls is spec.dot_adj:
-            return f"res({spec.dotted},1)({arg})"
         head = spec.defined_head if cls is spec.defined else spec.black_head
-        return f"{head}[{spec.role}]({arg})"
+        return f"{head}[{spec.role}]({print_term(t.args[0])})"
     raise TypeError(f"cannot print {t!r}")
 
 

@@ -5,9 +5,8 @@ import pytest
 from dlecorr import models
 from dlecorr.language import (
     App, Arrow, BlackBox, BlackDia, BlackLhd, BlackRhd, Coimp, Conominal,
-    DefBox, DefDia, DefLhd, DefRhd, DotBox, DotDia, DotLhd, DotRhd,
-    DotBoxAdj, DotDiaAdj, DotLhdAdj, DotRhdAdj, Layer, Nominal,
-    Residual, Signature, Term, Var, TOP, BOT, join, meet,
+    DefBox, DefDia, DefLhd, DefRhd, DotBox, DotDia, DotLhd, DotRhd, Layer,
+    Nominal, ROLE_SPECS, Residual, Signature, Term, Var, TOP, BOT, join, meet,
 )
 from dlecorr.parsing import parse_signature
 
@@ -73,7 +72,7 @@ def random_any_term(rng: random.Random, sig: Signature, layer: Layer,
     if pick == "dot":
         return rng.choice((DotDia, DotBox, DotLhd, DotRhd))((sub(),))
     if pick == "dotadj":
-        return rng.choice((DotDiaAdj, DotBoxAdj, DotLhdAdj, DotRhdAdj))((sub(),))
+        return Residual(rng.choice(ROLE_SPECS).decl, 1, (sub(),))
     if pick == "res":
         decl = rng.choice(sig.connectives)
         coord = rng.randint(1, max(decl.arity, 1)) if decl.arity else None

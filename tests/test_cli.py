@@ -121,6 +121,13 @@ def test_script_with_a_bad_path_is_a_stuck_report(tmp_path, capsys):
         ("alba", "DistributePre(1) @ 0/0.7", "path 0.7 points past a leaf"),
         ("albae", "FirstApprox\nRewritePi @ 0 / 1.3.3", "path 1.3.3 points past a leaf"),
         ("albae", "FirstApprox\nRewritePi @ 0 / 2", "a subterm path starts with side 0 or 1"),
+        # a path with an empty component is a line the script cannot parse
+        ("albae", "FirstApprox\nRewritePi @ 0 / 1..0",
+         "script line 2: cannot parse 'RewritePi @ 0 / 1..0'"),
+        ("alba", "DistributePre(1) @ 0 / .",
+         "script line 1: cannot parse 'DistributePre(1) @ 0 / .'"),
+        ("alba", "DistributePre(1) @ 0 / 0.",
+         "script line 1: cannot parse 'DistributePre(1) @ 0 / 0.'"),
     ]
     script = tmp_path / "bad.script"
     for mode, text, reason in cases:
@@ -129,6 +136,24 @@ def test_script_with_a_bad_path_is_a_stuck_report(tmp_path, capsys):
                          "--mode", mode, "--strategy", str(script)])
         assert code == 4, text
         assert f"stuck: vars= : {reason}\n" in capsys.readouterr().out, text
+
+
+def test_plain_rules_in_albae_mode_are_a_stuck_report(tmp_path, capsys):
+    # in albae mode a dotted marker stands for its registered term, which
+    # the plain rules, made for a normal connective, may not take apart
+    from dlecorr import cli
+    sig = tmp_path / "f.sig"
+    sig.write_text("conn f F 1 (1)\nterm pi = f(p)\n")
+    script = tmp_path / "plain.script"
+    for ineq, text in (("q <= dia(p)", "FirstApprox\nAdjDotDia @ 1"),
+                       ("dia(p) <= q", "FirstApprox\nApproxDotDia @ 0")):
+        script.write_text(text + "\n")
+        code = cli.main(["reduce", ineq, "--sig", str(sig), "--mode", "albae",
+                         "--strategy", str(script)])
+        assert code == 4, text
+        rid = text.split()[1]
+        assert f"stuck: vars= : {rid} applies in alba mode only\n" in \
+            capsys.readouterr().out, text
 
 
 def test_reduce_failure_exit_four(tmp_path):

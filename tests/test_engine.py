@@ -15,10 +15,9 @@ from dlecorr.engine import (
     is_syntactically_closed, is_syntactically_open, run_alba, trace_lines,
 )
 from dlecorr.language import (
-    BOT, TOP, App, BlackBox, BlackDia, BlackLhd, BlackRhd, ConnectiveDecl,
-    Conominal, DefBox, DefDia, DefLhd, DefRhd, DotBox, DotBoxAdj, DotDia,
-    DotDiaAdj, DotLhd, DotLhdAdj, DotRhd, DotRhdAdj, Layer, Nominal,
-    OrderType, Residual, Var, free_vars, join, meet,
+    BOT, ROLE_SPECS, SPEC_BY_ROLE, TOP, App, BlackBox, BlackDia, BlackLhd,
+    BlackRhd, Conominal, DefBox, DefDia, DefLhd, DefRhd, DotBox, DotDia,
+    DotLhd, DotRhd, Layer, Nominal, Residual, Var, free_vars, join, meet,
 )
 from dlecorr.parsing import parse_inequality, parse_signature, parse_term
 from dlecorr.printing import print_inequality
@@ -326,11 +325,34 @@ def test_rule_mismatch_raises(bare_sig, mixed_sig):
         ("ApproxG", Inequality(nabla(P), R), None,
          "ApproxG needs g(...) <= conominal"),
     ]
+    # the plain rules are the connective rules on a dotted marker
+    for spec in ROLE_SPECS:
+        f = spec.family == "F"
+        cases += [
+            ("Adj" + spec.dot_suffix, Inequality(P, nabla(P)), None,
+             f"Adj{spec.dot_suffix} needs " + ("an F-connective on the left" if f
+                                               else "a G-connective on the right")),
+            ("Approx" + spec.dot_suffix, Inequality(P, R), None,
+             f"Approx{spec.dot_suffix} needs " + ("nominal <= f(...)" if f
+                                                  else "g(...) <= conominal")),
+        ]
     for rid, target, coord, message in cases:
         d = derivation_at(mixed_sig, "alba", mk_system([(target, False)], GOAL))
         with pytest.raises(RuleMatchError) as exc:
             apply_rule(d, RuleApplication(rid, ineq_index=0, coord=coord), 0)
         assert str(exc.value) == message
+    # in albae mode a marker stands for a registered term, not a connective
+    for spec in ROLE_SPECS:
+        adj = Inequality(spec.dot((P,)), M0) if spec.family == "F" else \
+            Inequality(I0, spec.dot((P,)))
+        approx = Inequality(I0, spec.dot((P,))) if spec.family == "F" else \
+            Inequality(spec.dot((P,)), M0)
+        for rid, target in (("Adj" + spec.dot_suffix, adj),
+                            ("Approx" + spec.dot_suffix, approx)):
+            d = derivation_at(mixed_sig, "albae", mk_system([(target, False)], GOAL))
+            with pytest.raises(RuleMatchError) as exc:
+                apply_rule(d, RuleApplication(rid, ineq_index=0), 0)
+            assert str(exc.value) == f"{rid} applies in alba mode only"
 
 
 def test_approximation_freshness(bare_sig):
@@ -687,11 +709,10 @@ def test_plain_run_on_dotted_geach(mixed_sig):
     d = run_alba(star, mixed_sig, "alba", "auto")
     assert d.status.kind == "success"
     (system,) = d.status.pure_systems
-    from dlecorr.language import DotBoxAdj
+    box_adj = Residual(SPEC_BY_ROLE["sigma"].decl, 1, (Nominal("j1"),))
     expected = (
         Inequality(Nominal("i0"), DotDia((Nominal("j1"),))),
-        Inequality(DotBox((DotDia((DotBoxAdj((Nominal("j1"),)),)),)),
-                   Conominal("m0")),
+        Inequality(DotBox((DotDia((box_adj,)),)), Conominal("m0")),
     )
     assert system.inequalities() == expected
 
@@ -801,8 +822,13 @@ def _pinned_rule_cases():
     """Case id -> (rule id, signature, mode, target inequality, target
     side flag, path, coord, expected children as (branch tag, ((inequality,
     side), ...)), fresh names).  ``u(role, t)`` is the registered term of
-    ``role`` applied to ``t``."""
+    ``role`` applied to ``t``; ``dot_adj(role, t)`` is the adjoint of
+    the role's dotted marker, its residual in coordinate 1, at ``t``."""
     Iq = Inequality
+
+    def dot_adj(role, t):
+        return Residual(SPEC_BY_ROLE[role].decl, 1, (t,))
+
     return {
         "DistPi": ("DistPi", "classical", "albae",
                    lambda u: Iq(DotDia((join(P, Q),)), R), False, (0,), 1,
@@ -900,19 +926,19 @@ def _pinned_rule_cases():
                        ()),
         "AdjDotDia": ("AdjDotDia", "classical", "alba",
                       lambda u: Iq(DotDia((P,)), M0), False, (), None,
-                      lambda u: [(None, [(Iq(P, DotDiaAdj((M0,))), False)])],
+                      lambda u: [(None, [(Iq(P, dot_adj("pi", M0)), False)])],
                       ()),
         "AdjDotBox": ("AdjDotBox", "classical", "alba",
                       lambda u: Iq(I0, DotBox((P,))), False, (), None,
-                      lambda u: [(None, [(Iq(DotBoxAdj((I0,)), P), False)])],
+                      lambda u: [(None, [(Iq(dot_adj("sigma", I0), P), False)])],
                       ()),
         "AdjDotLhd": ("AdjDotLhd", "lr", "alba",
                       lambda u: Iq(DotLhd((P,)), M0), False, (), None,
-                      lambda u: [(None, [(Iq(DotLhdAdj((M0,)), P), False)])],
+                      lambda u: [(None, [(Iq(dot_adj("lambda", M0), P), False)])],
                       ()),
         "AdjDotRhd": ("AdjDotRhd", "lr", "alba",
                       lambda u: Iq(I0, DotRhd((P,))), False, (), None,
-                      lambda u: [(None, [(Iq(P, DotRhdAdj((I0,))), False)])],
+                      lambda u: [(None, [(Iq(P, dot_adj("rho", I0)), False)])],
                       ()),
         "ApproxDotDia": ("ApproxDotDia", "classical", "alba",
                          lambda u: Iq(I0, DotDia((P,))), False, (), None,
@@ -984,12 +1010,6 @@ def _pinned_rule_cases():
 
 
 PINNED_RULE_CASES = _pinned_rule_cases()
-DOTTED_DECLS = (
-    ConnectiveDecl("dia", "F", 1, OrderType(("1",))),
-    ConnectiveDecl("box", "G", 1, OrderType(("1",))),
-    ConnectiveDecl("lhd", "F", 1, OrderType(("d",))),
-    ConnectiveDecl("rhd", "G", 1, OrderType(("d",))),
-)
 
 
 @pytest.fixture(scope="module")
@@ -1008,7 +1028,7 @@ def pinned_pools(classical_sig, mixed_sig):
             if models.role_axioms_hold(dle):
                 role_pool.append(dle)
             plain = models.FiniteDLE(dle.poset, sig)
-            for decl in DOTTED_DECLS:
+            for decl in (spec.decl for spec in ROLE_SPECS):
                 plain.add_op(decl.name, models.random_normal_table(rng, plain, decl))
             plain_pool.append(plain)
         if name == "classical":

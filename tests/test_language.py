@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import pickle
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -12,18 +13,12 @@ from dlecorr import generators
 from dlecorr.language import (
     ANTI, App, Arrow, BlackBox, BlackDia, BlackLhd, BlackRhd, Bot, Coimp,
     ConnectiveDecl, Conominal, DefBox, DefDia, DefLhd, DefRhd, DotBox,
-    DotBoxAdj, DotDia, DotDiaAdj, DotLhd, DotLhdAdj, DotRhd, DotRhdAdj,
-    Inequality, Join, Layer, Meet, MONO, Nominal, OrderType, Residual, Top,
-    Var, BOT, TOP, join, layer_of, meet, replace_at, substitute,
+    DotDia, DotLhd, DotRhd, Inequality, Join, Layer, Meet, MONO, Nominal,
+    OrderType, ROLE_SPECS, Residual, SPEC_BY_ROLE, Top, Var, BOT, TOP, join,
+    layer_of, meet, replace_at, substitute,
 )
 from dlecorr.parsing import ParseError, parse_inequality, parse_signature, parse_term
 from dlecorr.printing import print_term
-
-
-def test_order_type_opposite_involution():
-    eps = OrderType(("1", "d", "d"))
-    assert eps.opposite().opposite() == eps
-    assert eps.opposite() == OrderType(("d", "1", "1"))
 
 
 def test_order_type_rejects_junk():
@@ -38,6 +33,17 @@ def test_signature_duplicate_and_arity_errors():
         parse_signature("conn h F 2 (1)")
     with pytest.raises(ParseError):
         parse_signature("conn Dia F 1 (1)")  # reserved
+
+
+def test_signature_comments_run_to_the_end_of_the_line():
+    # a '#' comment takes the rest of its physical line, ';' included
+    sig = parse_signature("conn dia F 1 (1)  # a diamond; conn box G 1 (1)")
+    assert [d.name for d in sig.connectives] == ["dia"]
+    sig = parse_signature("conn dia F 1 (1) # note; see below")
+    assert [d.name for d in sig.connectives] == ["dia"]
+    # errors name physical lines
+    with pytest.raises(ParseError, match="^line 2: cannot parse 'see below'"):
+        parse_signature("conn dia F 1 (1)\nsee below # note; conn box G 1 (1)")
 
 
 def test_registered_term_polarity_checks():
@@ -106,13 +112,14 @@ _LAYER_CASES = [
     (Arrow, "p -> q <= p", Layer.DLEPLUS),
     (Coimp, "p -. q <= p", Layer.DLEPLUS),
     (Residual, "res(oplus,1)(p, q) <= p", Layer.DLEPLUS),
-    (DotDiaAdj, "res(dia,1)(p) <= p", Layer.DLEPLUS),
+    (Residual, "res(dia,1)(p) <= p", Layer.DLEPLUS),
     (DotLhd, "lhd(p) <= p", Layer.DLESTAR),
 ]
 
 
 @pytest.mark.parametrize("node, text, layer", _LAYER_CASES,
-                         ids=[node.__name__ for node, _, _ in _LAYER_CASES])
+                         ids=[node.__name__ + ("-dotted" if "dia" in text else "")
+                              for node, text, _ in _LAYER_CASES])
 def test_layer_checks_read_the_node_class(node, text, layer, mixed_sig, monkeypatch):
     # the parser admits a node kind from the layer its class declares
     parse_inequality(text, mixed_sig, layer)
@@ -138,6 +145,14 @@ def test_dotted_builtin_vs_shadowing(bare_sig, mixed_sig):
     assert type(t2) is DotDia
     with pytest.raises(ParseError):
         parse_term("dia(p)", mixed_sig, Layer.DLE)
+    # the adjoint of a dotted builtin is the residual of its declaration
+    assert parse_term("res(dia,1)(p)", bare_sig) is Residual(bare_sig.decl("dia"), 1, (Var("p"),))
+    assert parse_term("res(lhd,1)(p)", mixed_sig) is \
+        Residual(SPEC_BY_ROLE["lambda"].decl, 1, (Var("p"),))
+    for text, message in (("res(dia,2)(p)", "coordinate 2 out of range for dia"),
+                          ("res(dia,1)(p, q)", "res(dia,1) takes 1 arguments")):
+        with pytest.raises(ParseError, match=re.escape(message)):
+            parse_term(text, mixed_sig)
 
 
 def test_printer_conventions(classical_sig):
@@ -238,10 +253,13 @@ _NODE_TABLE = [
 ] + [
     (lambda cls=cls: cls((_P,)), (tone,), layer)
     for classes, layer in (((DotDia, DotBox, DotLhd, DotRhd), Layer.DLESTAR),
-                           ((DotDiaAdj, DotBoxAdj, DotLhdAdj, DotRhdAdj), Layer.DLEPLUS),
                            ((DefDia, DefBox, DefLhd, DefRhd), Layer.DLEPP),
                            ((BlackBox, BlackDia, BlackLhd, BlackRhd), Layer.DLEPP))
     for cls, tone in zip(classes, (MONO, MONO, ANTI, ANTI))
+] + [
+    # the adjoint of a dotted marker: its residual in coordinate 1
+    (lambda spec=spec: Residual(spec.decl, 1, (_P,)), (spec.tone,), Layer.DLEPLUS)
+    for spec in ROLE_SPECS
 ]
 
 

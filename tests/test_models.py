@@ -12,7 +12,7 @@ from dlecorr import generators, models
 from dlecorr.engine import SysIneq, System, rule_steps, run_alba
 from dlecorr.language import (
     BOT, ROLE_SPECS, SPEC_BY_NODE, SPEC_BY_ROLE, TOP, App, Arrow, BlackBox,
-    BlackRhd, Bot, Coimp, Conominal, DefDia, DotBoxAdj, DotDia, Inequality,
+    BlackRhd, Bot, Coimp, Conominal, DefDia, DotDia, Inequality,
     Join, Layer, Meet, Nominal, Residual, Signature, Top, Var, join, meet,
     subterms,
 )
@@ -219,13 +219,15 @@ _X, _J = _X_SIG.decl("x"), Nominal("j")
 
 @pytest.mark.parametrize("term, message", [
     (App(_X, (_J,)), "no table for connective 'x'"),
-    (DotDia((_J,)), "dotted connective has no table on this lattice (DotDia)"),
-    (DotBoxAdj((_J,)), "dotted connective 'box' has no table"),
+    (DotDia((_J,)), "no table for connective 'dia'"),
+    (Residual(SPEC_BY_ROLE["sigma"].decl, 1, (_J,)), "no table for connective 'box'"),
     (DefDia((_J,)), "role 'pi' has no registered term"),
     (BlackRhd((_J,)), "role 'rho' has no registered term"),
     # the heads are bound outermost first
     (App(_X, (DefDia((_J,)),)), "no table for connective 'x'"),
     (join(DefDia((_J,)), App(_X, (_J,))), "role 'pi' has no registered term"),
+    # a residual reads its connective's table
+    (Residual(_X, 1, (_J,)), "no table for connective 'x'"),
 ])
 def test_missing_tables_are_named(term, message):
     # a lattice of the signature of x with no operation tables at all
@@ -241,11 +243,30 @@ def test_missing_tables_are_named(term, message):
     assert budget.used == 0
 
 
+def test_residual_tables_are_kept_apart_by_declaration():
+    # a declared lhd of type (1) and the dotted lhd, of type (d), read one
+    # table under one name, but their residuals differ: on one lattice
+    # each gets the table it gets on a fresh one
+    sig = parse_signature("conn lhd F 1 (1)")
+    dle = FiniteDLE(chain(2), sig)
+    dle.add_op("lhd", list(range(dle.n_elem)))
+    terms = [Residual(sig.decl("lhd"), 1, (Var("p"),)),
+             Residual(SPEC_BY_ROLE["lambda"].decl, 1, (Var("p"),))]
+
+    def table(t, lattice):
+        return [eval_term(t, lattice, Valuation(var_map={"p": u}))
+                for u in range(lattice.n_elem)]
+
+    got = [table(t, dle) for t in terms]
+    assert got == [table(t, FiniteDLE(dle.poset, sig, dict(dle.ops))) for t in terms]
+    assert got[0] != got[1]
+
+
 def _one_of_each_head(sig: Signature) -> list:
     """A term of every head kind that ``sig`` has: the lattice constants
     and operations, the lattice implications, each connective and its
-    residual in every coordinate, and the dotted, dotted-adjoint, defined
-    and black head of each registered role."""
+    residual in every coordinate, and the dotted marker, its residual, the
+    defined and the black head of each registered role."""
     p, q, i, m = Var("p"), Var("q"), Nominal("i"), Conominal("m")
     terms = [TOP, BOT, meet(p, i), join(m, q), Arrow((p, q)), Coimp((i, p))]
     for decl in sig.connectives:
@@ -254,7 +275,8 @@ def _one_of_each_head(sig: Signature) -> list:
         terms += [Residual(decl, c, args) for c in range(1, decl.arity + 1)]
     for reg in sig.registered:
         spec = SPEC_BY_ROLE[reg.role]
-        terms += [cls((p,)) for cls in (spec.dot, spec.dot_adj, spec.defined, spec.black)]
+        terms += [spec.dot((p,)), Residual(spec.decl, 1, (p,)),
+                  spec.defined((p,)), spec.black((p,))]
     return terms
 
 
