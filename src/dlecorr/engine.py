@@ -16,8 +16,9 @@ dotted preimage, where each dotted node marks an occurrence of the
 registered term for its role (pi/sigma/lambda/rho).  Rules on those markers are the role rules, which
 introduce side conditions (flagged, and never rewritten afterwards except
 by Ackermann substitution), the defined modalities Dia/Box/Lhd/Rhd and
-their adjoints bsq/bdia/blhd/brhd.  Traces and results always show the
-concrete image, with markers expanded to the registered terms.
+their adjoints bsq/bdia/blhd/brhd, which are their residuals.  Traces and
+results always show the concrete image, with markers expanded to the
+registered terms.
 
 Failure is a value: a stuck report naming the offending variable and the
 blocking inequality.
@@ -32,9 +33,8 @@ from functools import cached_property
 
 from . import classify
 from .language import (
-    ANTI, BOT, MONO, ROLE_SPECS, TOP, App, Arrow, Coimp, ConnectiveDecl,
-    Conominal, Inequality, Join, Layer, Meet, Nominal, Residual, RoleSpec, Signature,
-    Term, Var, big_join, big_meet, bot_unit, connective_decl, dotted_spec,
+    ANTI, BOT, MONO, ROLE_SPECS, TOP, App, ConnectiveDecl, Conominal, Inequality,
+    Join, Layer, Meet, Nominal, Residual, RoleSpec, Signature, Term, Var, big_join, big_meet, bot_unit, connective_decl, dotted_spec,
     free_vars, join, meet, replace_at, substitute, subterm_at, subterms,
     var_occurrences,
 )
@@ -360,9 +360,11 @@ def _residuation(d: Derivation, system: System, app: RuleApplication):
         raise RuleMatchError(f"{app.rule_id} needs " + (
             "an F-connective on the left" if family == "F"
             else "a G-connective on the right"))
-    coord = app.coord if cls is App else 1
-    if coord is None or not (1 <= coord <= decl.arity):
+    coord = 1 if cls is not App and app.coord is None else app.coord
+    if coord is None:
         raise RuleMatchError(f"{app.rule_id} needs a coordinate")
+    if not 1 <= coord <= decl.arity:
+        raise RuleMatchError(f"{app.rule_id} has no coordinate {coord}")
     h = coord - 1
     arg = occ.args[h]
     res = Residual(decl, coord, occ.args[:h] + (other,) + occ.args[h + 1:])
@@ -383,7 +385,7 @@ def _adjunction(d: Derivation, system: System, app: RuleApplication):
     occ, other = (a, b) if spec.family == "F" else (b, a)
 
     def flipped(arg: Term) -> Inequality:
-        adj = spec.black((other,))
+        adj = Residual(spec.defined_decl, 1, (other,))
         return Inequality(arg, adj) if spec.bot_unit else Inequality(adj, arg)
 
     if type(occ) is spec.defined:
@@ -661,6 +663,10 @@ _RULES = {
     **{rid: {"Adj": _adjunction, "Approx": _approximation, "Rewrite": _rewrite_role}[kind]
        for rid, (kind, _) in _ROLE_RULES.items() if kind != "Dist"},
 }
+# The rules that read a coordinate: residuation (a dotted marker's in
+# coordinate 1 only), distribution and MonotoneElim; the others refuse one.
+_COORD_RULES = {"MonotoneElim", *(rid for rid in [*_CONNECTIVE_RULES, *_STAGE_ONE_RULES]
+                                  if rid.startswith(("Resid", "Adj", "Dist")))}
 
 
 def apply_rule(d: Derivation, app: RuleApplication,
@@ -683,6 +689,8 @@ def apply_rule(d: Derivation, app: RuleApplication,
         raise RuleMatchError(f"{rid} only applies before FirstApprox")
     if rule is None:
         raise RuleMatchError(f"unknown rule {rid!r}")
+    if app.coord is not None and rid not in _COORD_RULES:
+        raise RuleMatchError(f"{rid} takes no coordinate, got {app.coord}")
     results, principal, fresh = rule(d, system, app)
 
     for name in fresh:
@@ -948,33 +956,21 @@ def is_safe(d: Derivation) -> bool:
     return True
 
 
-# Def-A.1 style polarity audit.  Members of the first group must occur
-# positively in syntactically closed terms (negatively in open ones); the
-# second group dually.  The role adjoints are classified with the
-# corresponding residuals: those of top-unit roles (sigma, lambda) are
-# closed-positive, those of bottom-unit roles closed-negative.  The
-# coimplication goes with the join residuals.
-_CLOSED_POSITIVE = (Nominal, Coimp) + tuple(
-    spec.black for spec in ROLE_SPECS if not spec.bot_unit)
-_CLOSED_NEGATIVE = (Conominal, Arrow) + tuple(
-    spec.black for spec in ROLE_SPECS if spec.bot_unit)
-
-
-def _residual_group(t: Residual) -> int:
-    """+1 for the closed-positive group, -1 for the closed-negative: as for
-    the role adjoints, the residuals of bottom-unit coordinates are
-    closed-negative."""
-    return -1 if bot_unit(t.decl.family, t.decl.tonicities()[t.coord - 1]) else 1
+# Def-A.1 style polarity audit.  Members of the closed-positive group
+# must occur positively in syntactically closed terms (negatively in open
+# ones), members of the closed-negative group dually.
+def _group(t: Term) -> int:
+    """+1 for closed-positive nominals, -1 for closed-negative conominals,
+    0 for neither.  A residual of a bottom-unit coordinate is
+    closed-negative, like a box (a -> b, bsq, brhd), one of any other
+    coordinate closed-positive (a -. b, bdia, blhd)."""
+    if isinstance(t, Residual):
+        return -1 if bot_unit(t.decl.family, t.decl.tonicities()[t.coord - 1]) else 1
+    return 1 if isinstance(t, Nominal) else -1 if isinstance(t, Conominal) else 0
 
 
 def _audit(t: Term, sign: int, closed: bool) -> bool:
-    group = 0
-    if isinstance(t, _CLOSED_POSITIVE):
-        group = 1
-    elif isinstance(t, _CLOSED_NEGATIVE):
-        group = -1
-    elif isinstance(t, Residual):
-        group = _residual_group(t)
+    group = _group(t)
     if group == 1 and (sign == MONO) != closed:
         return False
     if group == -1 and (sign == ANTI) != closed:
@@ -998,7 +994,7 @@ def check_topological_adequacy(system: System, sig: Signature) -> bool:
             # the adjunction rule puts the adjoint on the right exactly
             # for bottom-unit roles
             adj = si.ineq.rhs if spec.bot_unit else si.ineq.lhs
-            if type(adj) is spec.black and (
+            if type(adj) is Residual and adj.decl == spec.defined_decl and (
                     sig.role(spec.role) is None or not system.contains(
                         _adjunction_condition(sig, spec, adj.args[0]))):
                 return False

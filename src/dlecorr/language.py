@@ -7,13 +7,12 @@ nested layers:
 
   DLE      variables, lattice constants/connectives, declared symbols
   DLEstar  adds the four dotted placeholder modalities (unary, fixed types)
-  DLEplus  adds nominals, conominals, residuals of all declared symbols
-           and of the dotted modalities (a dotted modality's adjoint is
-           its residual in coordinate 1), and residuals of the lattice
-           connectives
+  DLEplus  adds nominals, conominals and residuals: of the declared
+           symbols, of the dotted modalities (their adjoints) and of the
+           lattice meet and join (``MEET``, ``JOIN``; a -> b, a -. b)
   DLEpp    adds the defined modalities Dia/Box/Lhd/Rhd parameterized by a
            registered unary term (role pi/sigma/lambda/rho) together with
-           their adjoints bsq/bdia/blhd/brhd
+           their adjoints bsq/bdia/blhd/brhd, their residuals
 
 Everything here is immutable.  Terms are interned: every node is built
 through one constructor that returns the live node with the same class
@@ -24,7 +23,7 @@ compare structurally.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import IntEnum
 from functools import cached_property
 from typing import Iterator, Mapping
@@ -100,7 +99,8 @@ class Term:
     """Base class; every node stores its subterms in ``args``.
 
     A node class states its shape as class data: ``tones``, the tonicity
-    of each coordinate, and ``layer``, the least layer that has it.
+    of each coordinate, and ``layer``, the least layer that has it (a
+    residual of a defined modality sets a higher one of its own).
 
     Nodes are interned: calling a node class returns the live node with
     the same class and field values, and builds one only if there is
@@ -220,7 +220,7 @@ class Residual(Term):
     arguments are passed through unchanged.  Tonicity follows the general
     adjunction pattern: the residuated coordinate keeps the original
     order-type entry, a passive coordinate flips exactly when the
-    residuated entry is '1'.
+    residuated entry is '1'.  A defined modality's residual is in DLEpp.
     """
 
     decl: ConnectiveDecl
@@ -236,6 +236,8 @@ class Residual(Term):
             )
         if len(self.args) != self.decl.arity:
             raise ValueError("residual takes the same number of arguments")
+        if self.decl in SPEC_BY_DEFINED:
+            object.__setattr__(self, "layer", Layer.DLEPP)
 
     def tonicities(self) -> tuple[int, ...]:
         eps = self.decl.tonicities()
@@ -279,11 +281,12 @@ DefBox = _unary("DefBox", MONO, Layer.DLEPP)
 DefLhd = _unary("DefLhd", ANTI, Layer.DLEPP)
 DefRhd = _unary("DefRhd", ANTI, Layer.DLEPP)
 
-# Their adjoints (DLEpp).
-BlackBox = _unary("BlackBox", MONO, Layer.DLEPP)
-BlackDia = _unary("BlackDia", MONO, Layer.DLEPP)
-BlackLhd = _unary("BlackLhd", ANTI, Layer.DLEPP)
-BlackRhd = _unary("BlackRhd", ANTI, Layer.DLEPP)
+# The lattice meet and join read as connectives of order type (1,1), an F
+# and a G operation, whose names no signature can declare; the infix
+# implications are their residuals: a -> b is res(meet,2)(a, b).
+MEET = ConnectiveDecl("&", "F", 2, OrderType(("1", "1")))
+JOIN = ConnectiveDecl("|", "G", 2, OrderType(("1", "1")))
+INFIX_RESIDUALS = {"->": (MEET, 2), "-.": (JOIN, 1)}
 
 
 def bot_unit(family: str, tone: int) -> bool:
@@ -303,8 +306,8 @@ def bot_unit(family: str, tone: int) -> bool:
 
 @dataclass(frozen=True)
 class RoleSpec:
-    """One role: its dotted marker, the defined modality and the defined
-    modality's adjoint, with their spellings.
+    """One role: its dotted marker and the defined modality, with their
+    spellings and that of the defined modality's adjoint, its residual.
 
     ``family`` and ``tone`` describe the dotted marker and the defined
     modality: F is join-type (a diamond), G meet-type (a box).  The other
@@ -316,10 +319,9 @@ class RoleSpec:
     tone: int  # MONO | ANTI
     dot: type
     defined: type
-    black: type
     dotted: str  # dia(t); the adjoint is spelled res(dia,1)(t)
     defined_head: str  # Dia[pi](t)
-    black_head: str  # bsq[pi](t)
+    black_head: str  # bsq[pi](t), the adjoint of Dia[pi]
 
     @cached_property
     def decl(self) -> ConnectiveDecl:
@@ -327,6 +329,12 @@ class RoleSpec:
         family; the marker's adjoint is its residual in coordinate 1."""
         return ConnectiveDecl(self.dotted, self.family, 1,
                               OrderType(("1" if self.tone == MONO else "d",)))
+
+    @cached_property
+    def defined_decl(self) -> ConnectiveDecl:
+        """The defined modality read as a unary connective; its adjoint,
+        spelled ``black_head``, is its residual in coordinate 1."""
+        return replace(self.decl, name=self.defined_head)
 
     @property
     def bot_unit(self) -> bool:
@@ -352,17 +360,18 @@ class RoleSpec:
 
 
 ROLE_SPECS = (
-    RoleSpec("pi", "F", MONO, DotDia, DefDia, BlackBox, "dia", "Dia", "bsq"),
-    RoleSpec("sigma", "G", MONO, DotBox, DefBox, BlackDia, "box", "Box", "bdia"),
-    RoleSpec("lambda", "F", ANTI, DotLhd, DefLhd, BlackLhd, "lhd", "Lhd", "blhd"),
-    RoleSpec("rho", "G", ANTI, DotRhd, DefRhd, BlackRhd, "rhd", "Rhd", "brhd"),
+    RoleSpec("pi", "F", MONO, DotDia, DefDia, "dia", "Dia", "bsq"),
+    RoleSpec("sigma", "G", MONO, DotBox, DefBox, "box", "Box", "bdia"),
+    RoleSpec("lambda", "F", ANTI, DotLhd, DefLhd, "lhd", "Lhd", "blhd"),
+    RoleSpec("rho", "G", ANTI, DotRhd, DefRhd, "rhd", "Rhd", "brhd"),
 )
 ROLES = tuple(spec.role for spec in ROLE_SPECS)
 SPEC_BY_ROLE = {spec.role: spec for spec in ROLE_SPECS}
 # every role-specific node class -> its role
-SPEC_BY_NODE = {cls: spec for spec in ROLE_SPECS
-                for cls in (spec.dot, spec.defined, spec.black)}
+SPEC_BY_NODE = {cls: spec for spec in ROLE_SPECS for cls in (spec.dot, spec.defined)}
 _SPEC_BY_DOT = {spec.dot: spec for spec in ROLE_SPECS}
+# each defined modality's declaration -> its role
+SPEC_BY_DEFINED = {spec.defined_decl: spec for spec in ROLE_SPECS}
 
 # Spellings of the dotted DLEstar modalities.  A signature may declare
 # ordinary connectives with these names; the declaration then shadows the
@@ -370,7 +379,7 @@ _SPEC_BY_DOT = {spec.dot: spec for spec in ROLE_SPECS}
 SPEC_BY_DOTTED = {spec.dotted: spec for spec in ROLE_SPECS}
 
 # Names that can never be declared as connectives.
-HARD_RESERVED = {"top", "bot", "res", "conn", "term"} | {
+HARD_RESERVED = {"top", "bot", "res", "conn", "term", MEET.name, JOIN.name} | {
     head for spec in ROLE_SPECS for head in (spec.defined_head, spec.black_head)}
 
 
@@ -386,24 +395,6 @@ def connective_decl(t: Term) -> ConnectiveDecl | None:
         return t.decl
     spec = _SPEC_BY_DOT.get(type(t))
     return None if spec is None else spec.decl
-
-
-@_node
-class Arrow(Term):
-    """Residual of meet; parsed and evaluated, produced by no rule."""
-
-    args: tuple[Term, Term]
-    tones = (ANTI, MONO)
-    layer = Layer.DLEPLUS
-
-
-@_node
-class Coimp(Term):
-    """Residual of join; parsed and evaluated, produced by no rule."""
-
-    args: tuple[Term, Term]
-    tones = (MONO, ANTI)
-    layer = Layer.DLEPLUS
 
 
 @dataclass(frozen=True)

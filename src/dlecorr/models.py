@@ -12,9 +12,9 @@ Operations for the signature's connectives are given by tables, by
 relational generators (diamond/box of a binary relation on the points,
 forced into the lattice with an upward closure/interior), or sampled
 from values on irreducible tuples, which produces normal operations by
-construction.  Defined modalities, their adjoints, residuals and the
-lattice implications are computed from the tables by exhaustive adjoint
-sweeps and cached.
+construction.  Defined modalities are read off the role terms, and
+every residual (the adjoints and the lattice implications included) off
+its operation's table by one exhaustive sweep; both are cached.
 
 Quantified checks (validity, pure quasi-inequalities, rule soundness)
 enumerate valuations: propositional variables over all elements,
@@ -51,8 +51,8 @@ from itertools import permutations, product
 from operator import and_, or_
 
 from .language import (
-    MONO, SPEC_BY_DOTTED, SPEC_BY_NODE, SPEC_BY_ROLE, App, Arrow, Bot, Coimp,
-    Conominal, Inequality, Join, Meet, Nominal, Residual, RoleSpec, Signature,
+    JOIN, MEET, MONO, SPEC_BY_DEFINED, SPEC_BY_DOTTED, SPEC_BY_NODE, SPEC_BY_ROLE,
+    App, Bot, Conominal, Inequality, Join, Meet, Nominal, Residual, Signature,
     Term, Top, Var, bot_unit, connective_decl, free_vars,
 )
 from .printing import print_inequality
@@ -363,10 +363,7 @@ class FiniteDLE:
         self._cache.clear()
 
     def op_value(self, name: str, args: tuple[int, ...]) -> int:
-        table = self.ops[name]
-        for a in args:
-            table = table[a]
-        return table
+        return _read(self.ops[name], args)
 
     def _validate_normality(self, decl, table) -> None:
         """Each coordinate sends its unit to the operation's bound (bottom
@@ -435,66 +432,60 @@ class FiniteDLE:
 
         return self._cached(("def", role), build)
 
+    def residual_table(self, decl, coord: int):
+        """The residual of the operation ``decl`` in ``coord``: at each
+        argument tuple, the join (bottom-unit coordinates) or meet of the
+        elements w whose value, the operation's with w in ``coord``, lies
+        below (F) or above (G) the residuated argument.  The operation's
+        table is the lattice's meet or join (``MEET``, ``JOIN``), a
+        defined modality's (``RoleSpec.defined_decl``) or in ``ops``,
+        where a connective and a dotted marker may share a name: the cache
+        key holds the whole declaration, as plain values that hash fast."""
+        def build():
+            if decl == MEET:
+                table = self.meet_table
+            elif decl == JOIN:
+                table = self.join_table
+            elif decl in SPEC_BY_DEFINED:
+                table = self.def_table(SPEC_BY_DEFINED[decl].role)
+            elif decl.name in self.ops:
+                table = self.ops[decl.name]
+            else:
+                raise ModelError(f"no table for connective {decl.name!r}")
+            if decl.arity > 3:
+                raise ModelError("residual tables support arity <= 3")
+            h, leq, r = coord - 1, self.leq_table, range(self.n_elem)
+            gather = self.join_all if bot_unit(
+                decl.family, decl.tonicities()[h]) else self.meet_all
+
+            def residual_value(args: tuple[int, ...]) -> int:
+                chi, rest, vals = args[h], args[h + 1:], _read(table, args[:h])
+                if rest:  # vals[w]: the value with w in ``coord``
+                    vals = [_read(vals[w], rest) for w in r]
+                if decl.family == "F":
+                    return gather(w for w in r if leq[vals[w]][chi])
+                return gather(w for w in r if leq[chi][vals[w]])
+
+            return _tabulate(self.n_elem, decl.arity, residual_value)
+
+        return self._cached(
+            ("res", decl.name, decl.family, decl.order_type.entries, coord), build)
+
     def black_table(self, role: str) -> list[int]:
-        spec = SPEC_BY_ROLE[role]
-        return self._cached(("black", role),
-                            lambda: self._adjoint(spec, self.def_table(role)))
+        """The adjoint of the defined modality of ``role``."""
+        return self.residual_table(SPEC_BY_ROLE[role].defined_decl, 1)
 
     def dot_adj_table(self, kind: str) -> list[int]:
         """The adjoint of the dotted marker ``kind`` names ("dia_adj")."""
         return self.residual_table(SPEC_BY_DOTTED[kind.removesuffix("_adj")].decl, 1)
 
-    def _adjoint(self, spec: RoleSpec, t: list[int]) -> list[int]:
-        """Adjoint of the unary operation ``t`` of ``spec``'s shape: the
-        right adjoint of a diamond, the left adjoint of a box, the Galois
-        adjoints of the two antitone ones."""
-        return self._residual(1, 1, spec.family, spec.bot_unit, lambda args: t)
-
-    def _residual(self, arity: int, coord: int, family: str, bot: bool, values):
-        """The residual of an operation in ``coord``: at each argument
-        tuple, the join (``bot``) or meet of the elements w whose value
-        ``values(args)[w]``, the operation's with w in ``coord``, lies
-        below (F) or above (G) the residuated argument."""
-        h, leq, r = coord - 1, self.leq_table, range(self.n_elem)
-        gather = self.join_all if bot else self.meet_all
-
-        def residual_value(args: tuple[int, ...]) -> int:
-            chi, vals = args[h], values(args)
-            if family == "F":
-                return gather(w for w in r if leq[vals[w]][chi])
-            return gather(w for w in r if leq[chi][vals[w]])
-
-        return _tabulate(self.n_elem, arity, residual_value)
-
-    def residual_table(self, decl, coord: int):
-        """The residual of ``decl`` in ``coord``, gathered by joins on
-        bottom-unit coordinates and by meets on the others.  A declared
-        connective and a dotted marker may share a name, so the cache key
-        holds the whole declaration, as plain values that hash fast."""
-        def build():
-            if decl.name not in self.ops:
-                raise ModelError(f"no table for connective {decl.name!r}")
-            if decl.arity > 3:
-                raise ModelError("residual tables support arity <= 3")
-            h = coord - 1
-            return self._residual(
-                decl.arity, coord, decl.family,
-                bot_unit(decl.family, decl.tonicities()[h]),
-                lambda args: [self.op_value(decl.name, args[:h] + (w,) + args[h + 1:])
-                              for w in range(self.n_elem)])
-
-        return self._cached(
-            ("res", decl.name, decl.family, decl.order_type.entries, coord), build)
-
     def arrow_table(self):
         """a -> b: the meet's residual in its second coordinate."""
-        return self._cached(("arrow",), lambda: self._residual(
-            2, 2, "F", True, lambda args: self.meet_table[args[0]]))
+        return self.residual_table(MEET, 2)
 
     def coimp_table(self):
         """a -. b: the join's residual in its first coordinate."""
-        return self._cached(("coimp",), lambda: self._residual(
-            2, 1, "G", False, lambda args: self.join_table[args[1]]))
+        return self.residual_table(JOIN, 1)
 
 
 # ----------------------------------------------------------------------
@@ -519,10 +510,6 @@ def _head_table(t: Term, dle: FiniteDLE):
         return dle.meet_table
     if cls is Join:
         return dle.join_table
-    if cls is Arrow:
-        return dle.arrow_table()
-    if cls is Coimp:
-        return dle.coimp_table()
     if cls is Residual:
         return dle.residual_table(t.decl, t.coord)
     decl = connective_decl(t)  # a declared connective or a dotted marker
@@ -530,12 +517,10 @@ def _head_table(t: Term, dle: FiniteDLE):
         if decl.name not in dle.ops:
             raise ModelError(f"no table for connective {decl.name!r}")
         return dle.ops[decl.name]
-    spec = SPEC_BY_NODE.get(cls)
+    spec = SPEC_BY_NODE.get(cls)  # a defined modality
     if spec is None:
         raise ModelError(f"cannot evaluate {cls.__name__}")
-    if cls is spec.defined:
-        return dle.def_table(spec.role)
-    return dle.black_table(spec.role)
+    return dle.def_table(spec.role)
 
 
 def _define(name: str, lines: list[str]):
@@ -992,6 +977,13 @@ def _in_range(lineno: int, what: str, values, n: int) -> None:
     for v in values:
         if not 0 <= v < n:
             raise ModelError(f"line {lineno}: {what} {v} is not in 0..{n - 1}")
+
+
+def _read(table, args: tuple[int, ...]) -> int:
+    """The entry of a nested-list table at ``args``."""
+    for a in args:
+        table = table[a]
+    return table
 
 
 def _tabulate(n: int, arity: int, value, prefix: tuple[int, ...] = ()):

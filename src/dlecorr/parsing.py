@@ -14,8 +14,10 @@ Formula grammar (ASCII), loosest binding last:
              | "res" "(" IDENT "," INT ")" "(" args ")"
 
 The dotted builtins dia/box/lhd/rhd are soft keywords: a signature may
-declare same-named connectives, which shadow the dotted reading.  A
-dotted builtin's adjoint is its residual in coordinate 1, res(dia,1)(t).
+declare same-named connectives, which shadow the dotted reading.  Every
+residual parses to a ``Residual``: a -> b is res(meet,2)(a, b), a -. b
+is res(join,1)(a, b), and the adjoints res(dia,1)(t) of a dotted builtin
+and bsq[pi](t) of Dia[pi] are residuals in coordinate 1.
 
 Signature files are line oriented::
 
@@ -30,16 +32,16 @@ import re
 from dataclasses import dataclass
 
 from .language import (
-    ANTI, BOT, HARD_RESERVED, MONO, ROLE_SPECS, ROLES, SPEC_BY_DOTTED, SPEC_BY_NODE,
-    SPEC_BY_ROLE, TOP, App, Arrow, Coimp, ConnectiveDecl, Conominal,
+    ANTI, BOT, HARD_RESERVED, INFIX_RESIDUALS, MONO, ROLE_SPECS, ROLES,
+    SPEC_BY_DOTTED, SPEC_BY_ROLE, TOP, App, ConnectiveDecl, Conominal,
     Inequality, Layer, Nominal, OrderType, RegisteredTerm, Residual,
     Signature, Term, Var, free_vars, join, meet, var_occurrences,
 )
 
-# Dia[pi](t), bsq[pi](t), ...: head -> node class
-_BRACKETED = {head: cls for spec in ROLE_SPECS
-              for head, cls in ((spec.defined_head, spec.defined),
-                                (spec.black_head, spec.black))}
+# Dia[pi](t), bsq[pi](t), ...: head -> (role, whether it is the adjoint)
+_BRACKETED = {head: (spec, adjoint) for spec in ROLE_SPECS
+              for head, adjoint in ((spec.defined_head, False),
+                                    (spec.black_head, True))}
 _TONE_WORDS = {MONO: "positive", ANTI: "negative"}
 
 
@@ -58,7 +60,7 @@ class _Tok:
 
 
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<le><=)|(?P<arrow>->)|(?P<coimp>-\.)"
+    r"\s*(?:(?P<le><=)|(?P<infix>->|-\.)"
     r"|(?P<nom>\#[A-Za-z_][A-Za-z0-9_]*)|(?P<conom>@[A-Za-z_][A-Za-z0-9_]*)"
     r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<int>\d+)"
     r"|(?P<punct>[(),\[\]&|]))"
@@ -76,7 +78,7 @@ def _tokenize(text: str) -> list[_Tok]:
                 break
             bad = len(text) - len(stripped)
             raise ParseError(f"unexpected character {text[bad]!r}", bad, text)
-        for kind in ("le", "arrow", "coimp", "nom", "conom", "ident", "int", "punct"):
+        for kind in ("le", "infix", "nom", "conom", "ident", "int", "punct"):
             v = m.group(kind)
             if v is not None:
                 toks.append(_Tok(kind if kind != "punct" else v, v, m.start(kind)))
@@ -132,11 +134,11 @@ class _Parser:
     def term(self) -> Term:
         left = self.or_term()
         tok = self.peek()
-        if tok.kind in ("arrow", "coimp"):
-            node = Arrow if tok.kind == "arrow" else Coimp
-            self.require_layer(node.layer, f"residual {tok.value!r}", tok)
+        if tok.kind == "infix":
+            self.require_layer(Residual.layer, f"residual {tok.value!r}", tok)
             self.next()
-            return node((left, self.or_term()))
+            decl, coord = INFIX_RESIDUALS[tok.value]
+            return Residual(decl, coord, (left, self.or_term()))
         return left
 
     def or_term(self) -> Term:
@@ -213,12 +215,12 @@ class _Parser:
         self.fail(f"unknown connective {name!r}", tok)
 
     def bracketed(self, head: str, tok: _Tok) -> Term:
-        node = _BRACKETED[head]
-        self.require_layer(node.layer, f"defined modality {head!r}", tok)
+        spec, adjoint = _BRACKETED[head]
+        self.require_layer(spec.defined.layer, f"defined modality {head!r}", tok)
         self.expect("[")
         role_tok = self.expect("ident")
         self.expect("]")
-        expected = SPEC_BY_NODE[node].role
+        expected = spec.role
         if role_tok.value != expected:
             self.fail(f"{head} takes role {expected!r}, got {role_tok.value!r}", role_tok)
         if self.sig.role(expected) is None:
@@ -226,7 +228,9 @@ class _Parser:
         arglist = self.args()
         if len(arglist) != 1:
             self.fail(f"{head}[{expected}] is unary", tok)
-        return node((arglist[0],))
+        if adjoint:
+            return Residual(spec.defined_decl, 1, (arglist[0],))
+        return spec.defined((arglist[0],))
 
     def residual(self, tok: _Tok) -> Term:
         self.require_layer(Residual.layer, "residual", tok)

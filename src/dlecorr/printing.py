@@ -8,9 +8,12 @@ not shadow their spellings), ``parse_term(print_term(t))`` returns ``t``.
 from __future__ import annotations
 
 from .language import (
-    SPEC_BY_NODE, Arrow, Bot, Coimp, Conominal, Inequality, Join, Meet,
-    Nominal, Residual, Term, Top, Var, connective_decl,
+    INFIX_RESIDUALS, SPEC_BY_DEFINED, SPEC_BY_NODE, Bot, Conominal, Inequality,
+    Join, Meet, Nominal, Residual, Term, Top, Var, connective_decl,
 )
+
+# (declaration, coordinate) -> the infix spelling of that residual
+_INFIX = {residual: op for op, residual in INFIX_RESIDUALS.items()}
 
 
 # Precedence levels: atoms 4, & 3, | 2, ->/-. 1.
@@ -19,7 +22,7 @@ def _prec(t: Term) -> int:
         return 3
     if isinstance(t, Join):
         return 2
-    if isinstance(t, (Arrow, Coimp)):
+    if isinstance(t, Residual) and (t.decl, t.coord) in _INFIX:
         return 1
     return 4
 
@@ -39,21 +42,22 @@ def print_term(t: Term) -> str:
         return _binary(t, "&", 3)
     if isinstance(t, Join):
         return _binary(t, "|", 2)
-    if isinstance(t, Arrow):
-        return _binary(t, "->", 1, chain=False)
-    if isinstance(t, Coimp):
-        return _binary(t, "-.", 1, chain=False)
     decl = connective_decl(t)  # a declared connective or a dotted marker
     if decl is not None:
         return decl.name + "(" + ", ".join(print_term(a) for a in t.args) + ")"
     if isinstance(t, Residual):
+        # a -> b, a -. b, bsq[pi](t) or res(f,i)(...)
+        op = _INFIX.get((t.decl, t.coord))
+        if op is not None:
+            return _binary(t, op, 1, chain=False)
+        spec = SPEC_BY_DEFINED.get(t.decl)
+        if spec is not None:
+            return f"{spec.black_head}[{spec.role}]({print_term(t.args[0])})"
         return (f"res({t.decl.name},{t.coord})("
                 + ", ".join(print_term(a) for a in t.args) + ")")
-    cls = type(t)
-    spec = SPEC_BY_NODE.get(cls)
-    if spec is not None:
-        head = spec.defined_head if cls is spec.defined else spec.black_head
-        return f"{head}[{spec.role}]({print_term(t.args[0])})"
+    spec = SPEC_BY_NODE.get(type(t))
+    if spec is not None:  # a defined modality
+        return f"{spec.defined_head}[{spec.role}]({print_term(t.args[0])})"
     raise TypeError(f"cannot print {t!r}")
 
 

@@ -4,9 +4,8 @@ import pytest
 
 from dlecorr import models
 from dlecorr.language import (
-    App, Arrow, BlackBox, BlackDia, BlackLhd, BlackRhd, Coimp, Conominal,
-    DefBox, DefDia, DefLhd, DefRhd, DotBox, DotDia, DotLhd, DotRhd, Layer,
-    Nominal, ROLE_SPECS, Residual, Signature, Term, Var, TOP, BOT, join, meet,
+    JOIN, MEET, App, Conominal, DotBox, DotDia, DotLhd, DotRhd, Layer, Nominal,
+    ROLE_SPECS, Residual, SPEC_BY_ROLE, Signature, Term, Var, TOP, BOT, join, meet,
 )
 from dlecorr.parsing import parse_signature
 
@@ -38,6 +37,12 @@ def mixed_sig() -> Signature:
     return parse_signature(MIXED_SIG_TEXT)
 
 
+def adjoint(role: str, t: Term) -> Term:
+    """The adjoint of the defined modality of ``role`` at ``t``, its
+    residual: bsq[pi](t), bdia[sigma](t), blhd[lambda](t), brhd[rho](t)."""
+    return Residual(SPEC_BY_ROLE[role].defined_decl, 1, (t,))
+
+
 def random_any_term(rng: random.Random, sig: Signature, layer: Layer,
                     depth: int, polarity_free: bool = True) -> Term:
     """Arbitrary well-formed term at the given layer (for round-trip and
@@ -66,9 +71,9 @@ def random_any_term(rng: random.Random, sig: Signature, layer: Layer,
     if pick == "join":
         return join(sub(), sub())
     if pick == "arrow":
-        return Arrow((sub(), sub()))
+        return Residual(MEET, 2, (sub(), sub()))
     if pick == "coimp":
-        return Coimp((sub(), sub()))
+        return Residual(JOIN, 1, (sub(), sub()))
     if pick == "dot":
         return rng.choice((DotDia, DotBox, DotLhd, DotRhd))((sub(),))
     if pick == "dotadj":
@@ -82,9 +87,9 @@ def random_any_term(rng: random.Random, sig: Signature, layer: Layer,
     if pick == "defadj":
         regs = list(sig.registered)
         reg = rng.choice(regs)
-        node = {"pi": (DefDia, BlackBox), "sigma": (DefBox, BlackDia),
-                "lambda": (DefLhd, BlackLhd), "rho": (DefRhd, BlackRhd)}[reg.role]
-        return rng.choice(node)((sub(),))
+        make = rng.choice((lambda t: SPEC_BY_ROLE[reg.role].defined((t,)),
+                           lambda t: adjoint(reg.role, t)))
+        return make(sub())
     decl = sig.decl(pick)
     return App(decl, tuple(sub() for _ in range(decl.arity)))
 

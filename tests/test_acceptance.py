@@ -12,10 +12,11 @@ import sys
 
 import pytest
 
+from conftest import adjoint
 from dlecorr import classify, engine, generators, models
 from dlecorr.engine import is_safe, run_alba
 from dlecorr.language import (
-    BOT, TOP, BlackBox, BlackDia, Conominal, DefDia, Inequality, Layer,
+    BOT, TOP, Conominal, DefDia, Inequality, Layer,
     Nominal, Var, free_vars, join,
 )
 from dlecorr.models import antichain
@@ -107,7 +108,7 @@ def test_criterion_2_worked_traces(sig, golden_albae_derivations):
 
     assert d_add.status.kind == "success" and is_safe(d_add)
     (system,) = d_add.status.pure_systems
-    bsq = BlackBox((Conominal("m0"),))
+    bsq = adjoint("pi", Conominal("m0"))
     assert set(system.inequalities()) == {
         Inequality(Nominal("i0"), pi(join(bsq, bsq))),
         Inequality(pi(BOT), Conominal("m0")),
@@ -121,7 +122,7 @@ def test_criterion_2_worked_traces(sig, golden_albae_derivations):
         {Inequality(Nominal("i0"), pi(BOT)),
          Inequality(sg(pi(BOT)), Conominal("m0"))},
         {Inequality(Nominal("i0"), DefDia((Nominal("j1"),))),
-         Inequality(sg(pi(BlackDia((Nominal("j1"),)))), Conominal("m0")),
+         Inequality(sg(pi(adjoint("sigma", Nominal("j1")))), Conominal("m0")),
          Inequality(Nominal("j1"), sg(TOP))},
     ]
     sides = [{si.ineq for si in s.ineqs if si.side}

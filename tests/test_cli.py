@@ -156,6 +156,29 @@ def test_plain_rules_in_albae_mode_are_a_stuck_report(tmp_path, capsys):
             capsys.readouterr().out, text
 
 
+def test_a_coordinate_a_step_does_not_read_is_a_stuck_report(tmp_path, capsys):
+    # only residuation (a dotted marker's in coordinate 1), distribution and
+    # MonotoneElim read a coordinate: a scripted step given one it does not
+    # use refuses it, and the trace has no node for that step
+    from dlecorr import cli
+    sig = tmp_path / "f.sig"
+    sig.write_text("conn f F 1 (1)\nterm pi = f(p)\n")
+    script = tmp_path / "coord.script"
+    cases = [
+        ("alba", "q <= dia(p)", "AdjDotDia(2) @ 1", "AdjDotDia has no coordinate 2"),
+        ("albae", "q <= f(p)", "AdjPi(7) @ 1", "AdjPi takes no coordinate, got 7"),
+        ("alba", "f(p) <= q", "ApproxF(3) @ 0", "ApproxF takes no coordinate, got 3"),
+    ]
+    for mode, ineq, step, reason in cases:
+        script.write_text(f"FirstApprox\n{step}\n")
+        code = cli.main(["reduce", ineq, "--sig", str(sig), "--mode", mode,
+                         "--strategy", str(script)])
+        out = capsys.readouterr().out
+        assert code == 4, step
+        assert f"stuck: vars= : {reason}\n" in out, step
+        assert "rule:FirstApprox" in out and f"rule:{step.split()[0]}" not in out, step
+
+
 def test_reduce_failure_exit_four(tmp_path):
     sig = tmp_path / "bare.sig"
     sig.write_text("conn dia F 1 (1)\nconn box G 1 (1)\n")

@@ -6,7 +6,7 @@ import weakref
 
 import pytest
 
-from conftest import MIXED_SIG_TEXT, random_any_term, relational_dle
+from conftest import MIXED_SIG_TEXT, adjoint, random_any_term, relational_dle
 from dlecorr import engine, generators, language, models
 from dlecorr.engine import (
     AckermannShapeError, Derivation, EngineError, Inequality, RuleApplication,
@@ -15,8 +15,7 @@ from dlecorr.engine import (
     is_syntactically_closed, is_syntactically_open, run_alba, trace_lines,
 )
 from dlecorr.language import (
-    BOT, ROLE_SPECS, SPEC_BY_ROLE, TOP, App, BlackBox, BlackDia, BlackLhd,
-    BlackRhd, Conominal, DefBox, DefDia, DefLhd, DefRhd, DotBox, DotDia,
+    BOT, ROLE_SPECS, SPEC_BY_ROLE, TOP, App, Conominal, DefBox, DefDia, DefLhd, DefRhd, DotBox, DotDia,
     DotLhd, DotRhd, Layer, Nominal, Residual, Var, free_vars, join, meet,
 )
 from dlecorr.parsing import parse_inequality, parse_signature, parse_term
@@ -230,7 +229,7 @@ def test_adj_pi_rule(classical_sig):
     (child,) = apply_rule(d, RuleApplication("AdjPi", ineq_index=0), 0)
     out = d.node(child).system
     assert out.inequalities() == (
-        Inequality(Var("p"), BlackBox((Conominal("m0"),))),
+        Inequality(Var("p"), adjoint("pi", Conominal("m0"))),
         Inequality(pi(BOT), Conominal("m0")))
     assert out.ineqs[1].side and not out.ineqs[0].side
 
@@ -312,10 +311,10 @@ def test_rule_mismatch_raises(bare_sig, mixed_sig):
         ("ResidF", Inequality(P, oplus(P, Q)), 1,
          "ResidF needs an F-connective on the left"),
         ("ResidF", Inequality(oplus(P, Q), R), None, "ResidF needs a coordinate"),
-        ("ResidF", Inequality(oplus(P, Q), R), 3, "ResidF needs a coordinate"),
+        ("ResidF", Inequality(oplus(P, Q), R), 3, "ResidF has no coordinate 3"),
         ("ResidG", Inequality(arrow2(P, Q), R), 1,
          "ResidG needs a G-connective on the right"),
-        ("ResidG", Inequality(R, nabla(P)), 0, "ResidG needs a coordinate"),
+        ("ResidG", Inequality(R, nabla(P)), 0, "ResidG has no coordinate 0"),
         ("ApproxF", Inequality(I0, arrow2(P, Q)), None,
          "ApproxF needs nominal <= f(...)"),
         ("ApproxF", Inequality(P, oplus(P, Q)), None,
@@ -388,7 +387,7 @@ def test_run_additivity_matches_worked_trace(classical_sig):
     d = run_alba(iq, classical_sig, "albae", "auto")
     assert d.status.kind == "success" and is_safe(d)
     (system,) = d.status.pure_systems
-    bsq = BlackBox((Conominal("m0"),))
+    bsq = adjoint("pi", Conominal("m0"))
     expected = {
         Inequality(Nominal("i0"), pi(join(bsq, bsq))),
         Inequality(pi(BOT), Conominal("m0")),
@@ -405,14 +404,13 @@ def test_run_geach_matches_worked_trace(classical_sig):
     d = run_alba(iq, classical_sig, "albae", "auto")
     assert d.status.kind == "success" and is_safe(d)
     systems = [set(s.inequalities()) for s in d.status.pure_systems]
-    from dlecorr.language import BlackDia
     branch_a = {
         Inequality(Nominal("i0"), pi(BOT)),
         Inequality(sg(pi(BOT)), Conominal("m0")),
     }
     branch_b = {
         Inequality(Nominal("i0"), DefDia((Nominal("j1"),))),
-        Inequality(sg(pi(BlackDia((Nominal("j1"),)))), Conominal("m0")),
+        Inequality(sg(pi(adjoint("sigma", Nominal("j1")))), Conominal("m0")),
         Inequality(Nominal("j1"), sg(TOP)),
     }
     assert systems == [branch_a, branch_b]
@@ -532,7 +530,7 @@ def test_syntactically_closed_open_examples(classical_sig):
     i0 = Nominal("i0")
     assert is_syntactically_closed(i0)
     assert not is_syntactically_open(i0)
-    bsq = BlackBox((Conominal("m0"),))
+    bsq = adjoint("pi", Conominal("m0"))
     assert is_syntactically_open(bsq)
     assert not is_syntactically_closed(bsq)
     pi_bsq = classical_sig.role_instance("pi", bsq)
@@ -561,9 +559,47 @@ def test_residual_polarity_in_closed_terms(bare_sig, mixed_sig):
     assert not is_syntactically_closed(t4)
 
 
+# every residual head on nominal and conominal arguments, with its verdict
+# in the closed/open audit: the lattice implications, the adjoints of the
+# defined modalities and the adjoints of the dotted markers
+AUDIT_SIG = """\
+conn f F 1 (1)
+conn g G 1 (1)
+conn l F 1 (d)
+conn r G 1 (d)
+term pi = f(p)
+term sigma = g(p)
+term lambda = l(p)
+term rho = r(p)
+"""
+_AUDIT_CASES = [
+    ("#i -> #j", "neither"), ("#i -> @m", "open"),
+    ("@m -> #i", "neither"), ("@m -> @n", "neither"),
+    ("#i -. #j", "neither"), ("#i -. @m", "closed"),
+    ("@m -. #i", "neither"), ("@m -. @n", "neither"),
+    ("bsq[pi](#i)", "neither"), ("bsq[pi](@m)", "open"),
+    ("bdia[sigma](#i)", "closed"), ("bdia[sigma](@m)", "neither"),
+    ("blhd[lambda](#i)", "neither"), ("blhd[lambda](@m)", "closed"),
+    ("brhd[rho](#i)", "open"), ("brhd[rho](@m)", "neither"),
+    ("res(dia,1)(#i)", "neither"), ("res(dia,1)(@m)", "open"),
+    ("res(box,1)(#i)", "closed"), ("res(box,1)(@m)", "neither"),
+    ("res(lhd,1)(#i)", "neither"), ("res(lhd,1)(@m)", "closed"),
+    ("res(rhd,1)(#i)", "open"), ("res(rhd,1)(@m)", "neither"),
+]
+
+
+@pytest.mark.parametrize("text, verdict", _AUDIT_CASES,
+                         ids=[text for text, _ in _AUDIT_CASES])
+def test_residual_heads_in_the_closed_open_audit(text, verdict):
+    t = parse_term(text, parse_signature(AUDIT_SIG))
+    assert (is_syntactically_closed(t), is_syntactically_open(t)) == \
+        {"closed": (True, False), "open": (False, True),
+         "neither": (False, False)}[verdict]
+
+
 def test_adequacy_examples(classical_sig):
     pi = lambda t: classical_sig.role_instance("pi", t)
-    bsq = BlackBox((Conominal("m0"),))
+    bsq = adjoint("pi", Conominal("m0"))
     good = mk_system([
         (Inequality(Var("p"), bsq), False),
         (Inequality(pi(BOT), Conominal("m0")), True),
@@ -673,7 +709,7 @@ def test_scripted_pseudo_correspondent_shape(classical_sig):
     assert d.status.kind == "success"
     (system,) = d.status.pure_systems
     assert set(system.inequalities()) == {
-        Inequality(Nominal("i0"), pi(BlackBox((Conominal("m0"),)))),
+        Inequality(Nominal("i0"), pi(adjoint("pi", Conominal("m0")))),
         Inequality(pi(BOT), Conominal("m0")),
     }
 
@@ -735,8 +771,7 @@ def test_lambda_rho_roles_end_to_end():
     d = run_alba(iq, sig, "albae", "auto")
     assert d.status.kind == "success" and is_safe(d)
     (system,) = d.status.pure_systems
-    from dlecorr.language import BlackLhd
-    blk = BlackLhd((Conominal("m0"),))
+    blk = adjoint("lambda", Conominal("m0"))
     assert set(system.inequalities()) == {
         Inequality(Nominal("i0"), lam(meet(blk, blk))),
         Inequality(lam(TOP), Conominal("m0")),
@@ -848,39 +883,39 @@ def _pinned_rule_cases():
                     ()),
         "AdjPi": ("AdjPi", "classical", "albae",
                   lambda u: Iq(DotDia((P,)), M0), False, (), None,
-                  lambda u: [(None, [(Iq(P, BlackBox((M0,))), False),
+                  lambda u: [(None, [(Iq(P, adjoint("pi", M0)), False),
                                      (Iq(u("pi", BOT), M0), True)])],
                   ()),
         "AdjSigma": ("AdjSigma", "classical", "albae",
                      lambda u: Iq(I0, DotBox((P,))), False, (), None,
-                     lambda u: [(None, [(Iq(BlackDia((I0,)), P), False),
+                     lambda u: [(None, [(Iq(adjoint("sigma", I0), P), False),
                                         (Iq(I0, u("sigma", TOP)), True)])],
                      ()),
         "AdjLambda": ("AdjLambda", "lr", "albae",
                       lambda u: Iq(DotLhd((P,)), M0), False, (), None,
-                      lambda u: [(None, [(Iq(BlackLhd((M0,)), P), False),
+                      lambda u: [(None, [(Iq(adjoint("lambda", M0), P), False),
                                          (Iq(u("lambda", TOP), M0), True)])],
                       ()),
         "AdjRho": ("AdjRho", "lr", "albae",
                    lambda u: Iq(I0, DotRhd((P,))), False, (), None,
-                   lambda u: [(None, [(Iq(P, BlackRhd((I0,))), False),
+                   lambda u: [(None, [(Iq(P, adjoint("rho", I0)), False),
                                       (Iq(I0, u("rho", BOT)), True)])],
                    ()),
         "AdjPi-flip": ("AdjPi", "classical", "albae",
                        lambda u: Iq(DefDia((P,)), M0), True, (), None,
-                       lambda u: [(None, [(Iq(P, BlackBox((M0,))), True)])],
+                       lambda u: [(None, [(Iq(P, adjoint("pi", M0)), True)])],
                        ()),
         "AdjSigma-flip": ("AdjSigma", "classical", "albae",
                           lambda u: Iq(I0, DefBox((P,))), True, (), None,
-                          lambda u: [(None, [(Iq(BlackDia((I0,)), P), True)])],
+                          lambda u: [(None, [(Iq(adjoint("sigma", I0), P), True)])],
                           ()),
         "AdjLambda-flip": ("AdjLambda", "lr", "albae",
                            lambda u: Iq(DefLhd((P,)), M0), True, (), None,
-                           lambda u: [(None, [(Iq(BlackLhd((M0,)), P), True)])],
+                           lambda u: [(None, [(Iq(adjoint("lambda", M0), P), True)])],
                            ()),
         "AdjRho-flip": ("AdjRho", "lr", "albae",
                         lambda u: Iq(I0, DefRhd((P,))), True, (), None,
-                        lambda u: [(None, [(Iq(P, BlackRhd((I0,))), True)])],
+                        lambda u: [(None, [(Iq(P, adjoint("rho", I0)), True)])],
                         ()),
         "ApproxPi": ("ApproxPi", "classical", "albae",
                      lambda u: Iq(I0, DotDia((P,))), False, (), None,
@@ -1087,18 +1122,18 @@ def test_adequacy_of_galois_adjoints():
     sig = parse_signature(LR_SIG)
     lam_top = sig.role_instance("lambda", TOP)
     rho_bot = sig.role_instance("rho", BOT)
-    lhd_sys = mk_system([(Inequality(BlackLhd((M0,)), P), False),
+    lhd_sys = mk_system([(Inequality(adjoint("lambda", M0), P), False),
                          (Inequality(lam_top, M0), True)], GOAL)
-    rhd_sys = mk_system([(Inequality(P, BlackRhd((I0,))), False),
+    rhd_sys = mk_system([(Inequality(P, adjoint("rho", I0)), False),
                          (Inequality(I0, rho_bot), True)], GOAL)
     assert check_topological_adequacy(lhd_sys, sig)
     assert check_topological_adequacy(rhd_sys, sig)
     # the side condition must mention the adjoint's own argument
     assert not check_topological_adequacy(
-        mk_system([(Inequality(BlackLhd((N1,)), P), False),
+        mk_system([(Inequality(adjoint("lambda", N1), P), False),
                    (Inequality(lam_top, M0), True)], GOAL), sig)
     assert not check_topological_adequacy(
-        mk_system([(Inequality(P, BlackRhd((J1,))), False),
+        mk_system([(Inequality(P, adjoint("rho", J1)), False),
                    (Inequality(I0, rho_bot), True)], GOAL), sig)
     # and the role must be registered at all
     classical = parse_signature("conn dia F 1 (1)\nconn box G 1 (1)")

@@ -8,14 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import CLASSICAL_SIG_TEXT, random_any_term
+from conftest import CLASSICAL_SIG_TEXT, adjoint, random_any_term
 from dlecorr import generators
 from dlecorr.language import (
-    ANTI, App, Arrow, BlackBox, BlackDia, BlackLhd, BlackRhd, Bot, Coimp,
-    ConnectiveDecl, Conominal, DefBox, DefDia, DefLhd, DefRhd, DotBox,
-    DotDia, DotLhd, DotRhd, Inequality, Join, Layer, Meet, MONO, Nominal,
-    OrderType, ROLE_SPECS, Residual, SPEC_BY_ROLE, Top, Var, BOT, TOP, join,
-    layer_of, meet, replace_at, substitute,
+    ANTI, JOIN, MEET, App, Bot, ConnectiveDecl, Conominal, DefBox, DefDia,
+    DefLhd, DefRhd, DotBox, DotDia, DotLhd, DotRhd, Inequality, Join, Layer,
+    Meet, MONO, Nominal, OrderType, ROLE_SPECS, Residual, SPEC_BY_ROLE, Top,
+    Var, BOT, TOP, join, layer_of, meet, replace_at, substitute,
 )
 from dlecorr.parsing import ParseError, parse_inequality, parse_signature, parse_term
 from dlecorr.printing import print_term
@@ -106,20 +105,20 @@ def test_layer_violations(bare_sig):
         parse_term("bsq[pi](p)", bare_sig, Layer.DLEPP)  # role not registered
 
 
+# the lattice implications are residuals too
 _LAYER_CASES = [
-    (Nominal, "#i <= p", Layer.DLEPLUS),
-    (Conominal, "p <= @m", Layer.DLEPLUS),
-    (Arrow, "p -> q <= p", Layer.DLEPLUS),
-    (Coimp, "p -. q <= p", Layer.DLEPLUS),
-    (Residual, "res(oplus,1)(p, q) <= p", Layer.DLEPLUS),
-    (Residual, "res(dia,1)(p) <= p", Layer.DLEPLUS),
-    (DotLhd, "lhd(p) <= p", Layer.DLESTAR),
+    ("Nominal", Nominal, "#i <= p", Layer.DLEPLUS),
+    ("Conominal", Conominal, "p <= @m", Layer.DLEPLUS),
+    ("Arrow", Residual, "p -> q <= p", Layer.DLEPLUS),
+    ("Coimp", Residual, "p -. q <= p", Layer.DLEPLUS),
+    ("Residual", Residual, "res(oplus,1)(p, q) <= p", Layer.DLEPLUS),
+    ("Residual-dotted", Residual, "res(dia,1)(p) <= p", Layer.DLEPLUS),
+    ("DotLhd", DotLhd, "lhd(p) <= p", Layer.DLESTAR),
 ]
 
 
-@pytest.mark.parametrize("node, text, layer", _LAYER_CASES,
-                         ids=[node.__name__ + ("-dotted" if "dia" in text else "")
-                              for node, text, _ in _LAYER_CASES])
+@pytest.mark.parametrize("node, text, layer", [case[1:] for case in _LAYER_CASES],
+                         ids=[case[0] for case in _LAYER_CASES])
 def test_layer_checks_read_the_node_class(node, text, layer, mixed_sig, monkeypatch):
     # the parser admits a node kind from the layer its class declares
     parse_inequality(text, mixed_sig, layer)
@@ -157,7 +156,7 @@ def test_dotted_builtin_vs_shadowing(bare_sig, mixed_sig):
 
 def test_printer_conventions(classical_sig):
     assert print_term(meet(Var("p"), Var("q"))) == "p & q"
-    assert print_term(BlackBox((Conominal("m0"),))) == "bsq[pi](@m0)"
+    assert print_term(adjoint("pi", Conominal("m0"))) == "bsq[pi](@m0)"
     assert print_term(join(meet(Var("p"), Var("q")), Var("r"))) == "p & q | r"
     assert print_term(meet(join(Var("p"), Var("q")), Var("r"))) == "(p | q) & r"
 
@@ -236,35 +235,42 @@ def test_roundtrip_registered_role_terms(classical_sig):
 
 _H = ConnectiveDecl("h", "G", 2, OrderType(("1", "d")))
 _P, _Q = Var("p"), Var("q")
-# every node class: a fresh instance, its tonicities and its least layer
+# every node kind: its name, a fresh instance, its tonicities and its
+# least layer
 _NODE_TABLE = [
-    (lambda: Var("p"), (), Layer.DLE),
-    (lambda: Nominal("i0"), (), Layer.DLEPLUS),
-    (lambda: Conominal("m0"), (), Layer.DLEPLUS),
-    (lambda: Top(), (), Layer.DLE),
-    (lambda: Bot(), (), Layer.DLE),
-    (lambda: Meet((_P, _Q)), (MONO, MONO), Layer.DLE),
-    (lambda: Join((_P, _Q)), (MONO, MONO), Layer.DLE),
-    (lambda: Arrow((_P, _Q)), (ANTI, MONO), Layer.DLEPLUS),
-    (lambda: Coimp((_P, _Q)), (MONO, ANTI), Layer.DLEPLUS),
-    (lambda: App(_H, (_P, _Q)), (MONO, ANTI), Layer.DLE),
-    (lambda: Residual(_H, 1, (_P, _Q)), (MONO, MONO), Layer.DLEPLUS),
-    (lambda: Residual(_H, 2, (_P, _Q)), (MONO, ANTI), Layer.DLEPLUS),
+    ("Var", lambda: Var("p"), (), Layer.DLE),
+    ("Nominal", lambda: Nominal("i0"), (), Layer.DLEPLUS),
+    ("Conominal", lambda: Conominal("m0"), (), Layer.DLEPLUS),
+    ("Top", lambda: Top(), (), Layer.DLE),
+    ("Bot", lambda: Bot(), (), Layer.DLE),
+    ("Meet", lambda: Meet((_P, _Q)), (MONO, MONO), Layer.DLE),
+    ("Join", lambda: Join((_P, _Q)), (MONO, MONO), Layer.DLE),
+    # the lattice implications: residuals of the meet and the join
+    ("Arrow", lambda: Residual(MEET, 2, (_P, _Q)), (ANTI, MONO), Layer.DLEPLUS),
+    ("Coimp", lambda: Residual(JOIN, 1, (_P, _Q)), (MONO, ANTI), Layer.DLEPLUS),
+    ("App", lambda: App(_H, (_P, _Q)), (MONO, ANTI), Layer.DLE),
+    ("Residual0", lambda: Residual(_H, 1, (_P, _Q)), (MONO, MONO), Layer.DLEPLUS),
+    ("Residual1", lambda: Residual(_H, 2, (_P, _Q)), (MONO, ANTI), Layer.DLEPLUS),
 ] + [
-    (lambda cls=cls: cls((_P,)), (tone,), layer)
+    (cls.__name__, lambda cls=cls: cls((_P,)), (tone,), layer)
     for classes, layer in (((DotDia, DotBox, DotLhd, DotRhd), Layer.DLESTAR),
-                           ((DefDia, DefBox, DefLhd, DefRhd), Layer.DLEPP),
-                           ((BlackBox, BlackDia, BlackLhd, BlackRhd), Layer.DLEPP))
+                           ((DefDia, DefBox, DefLhd, DefRhd), Layer.DLEPP))
     for cls, tone in zip(classes, (MONO, MONO, ANTI, ANTI))
 ] + [
+    # the adjoint of a defined modality: its residual in coordinate 1
+    (name, lambda spec=spec: Residual(spec.defined_decl, 1, (_P,)), (spec.tone,),
+     Layer.DLEPP)
+    for name, spec in zip(("BlackBox", "BlackDia", "BlackLhd", "BlackRhd"), ROLE_SPECS)
+] + [
     # the adjoint of a dotted marker: its residual in coordinate 1
-    (lambda spec=spec: Residual(spec.decl, 1, (_P,)), (spec.tone,), Layer.DLEPLUS)
-    for spec in ROLE_SPECS
+    (f"Residual{k}", lambda spec=spec: Residual(spec.decl, 1, (_P,)), (spec.tone,),
+     Layer.DLEPLUS)
+    for k, spec in enumerate(ROLE_SPECS, start=2)
 ]
 
 
-@pytest.mark.parametrize("make, tones, layer", _NODE_TABLE,
-                         ids=[type(make()).__name__ for make, _, _ in _NODE_TABLE])
+@pytest.mark.parametrize("make, tones, layer", [case[1:] for case in _NODE_TABLE],
+                         ids=[case[0] for case in _NODE_TABLE])
 def test_node_shape_table(make, tones, layer):
     t = make()
     assert t.tonicities() == tones
@@ -273,9 +279,8 @@ def test_node_shape_table(make, tones, layer):
     assert type(rebuilt) is type(t) and rebuilt == t
     twin = make()
     assert twin == t and hash(twin) == hash(t)
-    # no instance of another class compares equal
-    assert all(other() != t for other, _, _ in _NODE_TABLE
-               if type(other()) is not type(t))
+    # no other entry builds a node equal to it
+    assert sum(other() == t for _, other, _, _ in _NODE_TABLE) == 1
 
 
 def test_equal_terms_are_one_object():

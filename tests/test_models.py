@@ -7,12 +7,12 @@ from itertools import product
 
 import pytest
 
-from conftest import CLASSICAL_SIG_TEXT, relational_dle
+from conftest import CLASSICAL_SIG_TEXT, adjoint, relational_dle
 from dlecorr import generators, models
 from dlecorr.engine import SysIneq, System, rule_steps, run_alba
 from dlecorr.language import (
-    BOT, ROLE_SPECS, SPEC_BY_NODE, SPEC_BY_ROLE, TOP, App, Arrow, BlackBox,
-    BlackRhd, Bot, Coimp, Conominal, DefDia, DotDia, Inequality,
+    BOT, JOIN, MEET, ROLE_SPECS, SPEC_BY_NODE, SPEC_BY_ROLE, TOP, App, Bot,
+    Conominal, DefDia, DotDia, Inequality,
     Join, Layer, Meet, Nominal, Residual, Signature, Top, Var, join, meet,
     subterms,
 )
@@ -222,7 +222,7 @@ _X, _J = _X_SIG.decl("x"), Nominal("j")
     (DotDia((_J,)), "no table for connective 'dia'"),
     (Residual(SPEC_BY_ROLE["sigma"].decl, 1, (_J,)), "no table for connective 'box'"),
     (DefDia((_J,)), "role 'pi' has no registered term"),
-    (BlackRhd((_J,)), "role 'rho' has no registered term"),
+    (adjoint("rho", _J), "role 'rho' has no registered term"),
     # the heads are bound outermost first
     (App(_X, (DefDia((_J,)),)), "no table for connective 'x'"),
     (join(DefDia((_J,)), App(_X, (_J,))), "role 'pi' has no registered term"),
@@ -268,7 +268,8 @@ def _one_of_each_head(sig: Signature) -> list:
     residual in every coordinate, and the dotted marker, its residual, the
     defined and the black head of each registered role."""
     p, q, i, m = Var("p"), Var("q"), Nominal("i"), Conominal("m")
-    terms = [TOP, BOT, meet(p, i), join(m, q), Arrow((p, q)), Coimp((i, p))]
+    terms = [TOP, BOT, meet(p, i), join(m, q), Residual(MEET, 2, (p, q)),
+             Residual(JOIN, 1, (i, p))]
     for decl in sig.connectives:
         args = (p, m, q)[:decl.arity]
         terms.append(App(decl, args))
@@ -276,11 +277,11 @@ def _one_of_each_head(sig: Signature) -> list:
     for reg in sig.registered:
         spec = SPEC_BY_ROLE[reg.role]
         terms += [spec.dot((p,)), Residual(spec.decl, 1, (p,)),
-                  spec.defined((p,)), spec.black((p,))]
+                  spec.defined((p,)), adjoint(reg.role, p)]
     return terms
 
 
-_DERIVED = (Arrow, Coimp, Residual, *SPEC_BY_NODE)
+_DERIVED = (Residual, *SPEC_BY_NODE)
 
 
 def test_fresh_and_warm_lattices_agree_on_every_head(mixed_sig):
@@ -292,7 +293,7 @@ def test_fresh_and_warm_lattices_agree_on_every_head(mixed_sig):
     for sig in (mixed_sig, four_roles):
         terms = _one_of_each_head(sig)
         kinds = {type(t) for t in terms}
-        assert kinds >= {Top, Bot, Meet, Join, Arrow, Coimp, App, Residual}
+        assert kinds >= {Top, Bot, Meet, Join, App, Residual}
         assert sig is mixed_sig or kinds >= set(SPEC_BY_NODE)
         for _ in range(4):
             dle = random_dle(rng, sig, max_points=3)
@@ -420,7 +421,7 @@ def test_verify_rule_step_adj_pi_needs_additivity(classical_sig):
     parent = System((head, SysIneq(Inequality(pi(Var("p")), Conominal("m0")))),
                     goal)
     child = System((head,
-                    SysIneq(Inequality(Var("p"), BlackBox((Conominal("m0"),)))),
+                    SysIneq(Inequality(Var("p"), adjoint("pi", Conominal("m0")))),
                     SysIneq(Inequality(pi(BOT), Conominal("m0")), side=True)),
                    goal)
     sound_on_additive = True
@@ -889,6 +890,16 @@ def test_lemma_suite_covers_galois_roles():
                         assert dle.leq(blk[b], blk[a])
 
 
+def _cache_key(kind: str, role: str) -> tuple:
+    """The cache key of the role table, the defined table ("def") or the
+    adjoint table ("black") of ``role``: the adjoint's is that of the
+    defined modality's residual."""
+    if kind != "black":
+        return kind, role
+    decl = SPEC_BY_ROLE[role].defined_decl
+    return "res", decl.name, decl.family, decl.order_type.entries, 1
+
+
 def _lemma_records(classical_sig, draws):
     """role_results of the lemma suite on the 3-point relational sweep and
     on random lattices of a signature with all four roles.  On every other
@@ -906,6 +917,7 @@ def _lemma_records(classical_sig, draws):
             dle.black_table(role)  # after the defined and the role table
         if k % 2:
             for key in product(("role", "def", "black"), roles):
+                key = _cache_key(*key)
                 table = list(dle._cache[key])
                 table[rng.randrange(dle.n_elem)] = rng.randrange(dle.n_elem)
                 dle._cache[key] = table

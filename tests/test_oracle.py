@@ -7,8 +7,17 @@ the bitmask of the R-successors of x.  On upsets,
 
   dia U = the upward closure of {x : x R y for some y in U}
   box U = the largest upset inside {x : y in U for every y with x R y}
-  A -> B = the largest upset C with A & C inside B
-  A -. B = the least upset C with A inside B | C
+
+and the residual of an operation f in its coordinate i, res(f,i)(..., A,
+...) with A in coordinate i, is the join or the meet of the upsets C with
+f(..., C, ...) inside A (f preserves joins) or containing A (f preserves
+meets), C in coordinate i.  It is the join when the coordinate has
+bottom as unit: f preserves joins and is monotone there, or preserves
+meets and is antitone there.  The meet preserves joins and the join
+preserves meets, both monotone in each coordinate, so
+
+  A -> B = res(meet,2)(A, B) = the largest upset C with A & C inside B
+  A -. B = res(join,1)(A, B) = the least upset C with A inside C | B
 
 A nominal ranges over the principal upsets, the upsets of single points,
 and a conominal over the complements of the principal downsets.
@@ -30,7 +39,8 @@ from hypothesis import strategies as st
 from conftest import CLASSICAL_SIG_TEXT
 from dlecorr.engine import SysIneq, System
 from dlecorr.language import (
-    App, Arrow, Bot, Coimp, Conominal, Inequality, Join, Meet, Nominal, Top, Var,
+    JOIN, MEET, App, Bot, Conominal, Inequality, Join, Meet, Nominal, Residual,
+    Top, Var,
 )
 from dlecorr.models import FiniteDLE, Poset, Relation, check_quasi, check_validity
 from dlecorr.parsing import parse_signature
@@ -76,28 +86,41 @@ def domain(kind, up: tuple[int, ...]) -> list[int]:
     return upsets(up)
 
 
-def evaluate(t, up, rows, val) -> int:
+def operate(decl, a: list[int], up, rows) -> int:
+    """The value of the operation ``decl`` at the upsets ``a``."""
     n = len(up)
+    if decl == MEET:
+        return a[0] & a[1]
+    if decl == JOIN:
+        return a[0] | a[1]
+    if decl == DIA:
+        return up_closure(sum(1 << x for x in range(n) if rows[x] & a[0]), up)
+    if decl == BOX:
+        return interior(sum(1 << x for x in range(n) if rows[x] | a[0] == a[0]), up)
+    raise ValueError(f"no reference semantics for {decl.name}")
+
+
+def evaluate(t, up, rows, val) -> int:
+    full = (1 << len(up)) - 1
     if isinstance(t, (Var, Nominal, Conominal)):
         return val[t.name]
     if isinstance(t, Top):
-        return (1 << n) - 1
+        return full
     if isinstance(t, Bot):
         return 0
     a = [evaluate(s, up, rows, val) for s in t.args]
-    if isinstance(t, Meet):
-        return a[0] & a[1]
-    if isinstance(t, Join):
-        return a[0] | a[1]
-    if isinstance(t, Arrow):
-        return reduce(or_, (c for c in upsets(up) if a[0] & c & ~a[1] == 0), 0)
-    if isinstance(t, Coimp):
-        return reduce(and_, (c for c in upsets(up) if a[0] & ~(a[1] | c) == 0),
-                      (1 << n) - 1)
-    if isinstance(t, App) and t.decl.name == "dia":
-        return up_closure(sum(1 << x for x in range(n) if rows[x] & a[0]), up)
-    if isinstance(t, App) and t.decl.name == "box":
-        return interior(sum(1 << x for x in range(n) if rows[x] | a[0] == a[0]), up)
+    if isinstance(t, (Meet, Join, App)):
+        return operate(MEET if isinstance(t, Meet) else JOIN if isinstance(t, Join)
+                       else t.decl, a, up, rows)
+    if isinstance(t, Residual):
+        decl, h = t.decl, t.coord - 1
+        preserves_joins = decl.family == "F"
+        cs = [c for c in upsets(up)
+              for fc in [operate(decl, a[:h] + [c] + a[h + 1:], up, rows)]
+              if (fc & ~a[h] if preserves_joins else a[h] & ~fc) == 0]
+        if preserves_joins == (decl.order_type[h] == "1"):  # bottom is the unit
+            return reduce(or_, cs, 0)
+        return reduce(and_, cs, full)
     raise ValueError(f"no reference semantics for {t!r}")
 
 
@@ -161,10 +184,12 @@ def terms_over(leaves):
         lambda sub: st.one_of(
             st.tuples(sub, sub).map(Meet),
             st.tuples(sub, sub).map(Join),
-            st.tuples(sub, sub).map(Arrow),
-            st.tuples(sub, sub).map(Coimp),
+            st.tuples(sub, sub).map(lambda ab: Residual(MEET, 2, ab)),
+            st.tuples(sub, sub).map(lambda ab: Residual(JOIN, 1, ab)),
             sub.map(lambda t: App(DIA, (t,))),
             sub.map(lambda t: App(BOX, (t,))),
+            sub.map(lambda t: Residual(DIA, 1, (t,))),
+            sub.map(lambda t: Residual(BOX, 1, (t,))),
         ),
         max_leaves=6,
     )

@@ -1,0 +1,22 @@
+"""Static checks of the library source."""
+
+import ast
+import pathlib
+
+import pytest
+
+SRC = pathlib.Path(__file__).parents[1] / "src" / "dlecorr"
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_every_imported_name_is_used(path):
+    # a name a module imports and never reads is a stale import
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert sorted(imported - used) == []
