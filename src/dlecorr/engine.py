@@ -35,7 +35,7 @@ from . import classify
 from .language import (
     ANTI, BOT, MONO, ROLE_SPECS, TOP, App, ConnectiveDecl, Conominal, Inequality,
     Join, Layer, Meet, Nominal, Residual, RoleSpec, Signature, Term, Var, big_join, big_meet, bot_unit, connective_decl, dotted_spec,
-    free_vars, join, meet, replace_at, substitute, subterm_at, subterms,
+    free_vars, join, meet, replace_at, substitute, subterms,
     var_occurrences,
 )
 from .printing import print_inequality, print_term
@@ -541,42 +541,43 @@ def _distributes(parent: Term, sign: int, k: int) -> bool:
         classify.SLR in classify.node_classes(parent, sign)
 
 
-def _find_distribution(t: Term, sign: int, eps_map: dict[str, str],
-                       path: tuple[int, ...]) -> tuple[tuple[int, ...], int] | None:
-    """Pre-order search for the position and coordinate of a node that
-    distributes over a child with a leaf critical for ``eps_map`` below it.
+# a distribution step with the (name, sign) leaves of the child it distributes over
+_Site = tuple[RuleApplication, tuple[tuple[str, int], ...]]
+
+
+def _distribution_sites(t: Term, sign: int, path: tuple[int, ...], role_mode: bool,
+                        out: list[_Site]) -> None:
+    """Append each coordinate where a node of ``t`` distributes, as its
+    step with the distinct signed variable leaves of the child, in
+    pre-order: a node's coordinates first, then its children's subtrees.
     Only the skeleton distributes, the part of each branch above its PIA
-    block: the search ends at a leaf, a constant or a PIA-only node."""
+    block: the walk ends at a leaf, a constant or a PIA-only node."""
     if classify.node_classes(t, sign).isdisjoint(classify.SKELETON):
-        return None
+        return
     tones = t.tonicities()
     for k, child in enumerate(t.args):
-        if _distributes(t, sign, k) and any(
-                classify.is_critical(s, eps_map[name])
-                for name, s, _ in var_occurrences(child, sign * tones[k])):
-            return path, k
-    for k, child in enumerate(t.args):
-        found = _find_distribution(child, sign * tones[k], eps_map, path + (k,))
-        if found is not None:
-            return found
-    return None
-
-
-def find_preprocess_step(ineq: Inequality, eps_map: dict[str, str],
-                         role_mode: bool) -> RuleApplication | None:
-    """First applicable stage-one step: distribution, splitting, variable
-    elimination.  Only delta nodes with a leaf critical for ``eps_map``
-    below them are distributed."""
-    sides = ((ineq.lhs, MONO), (ineq.rhs, ANTI))
-    for side_idx, (term, sign) in enumerate(sides):
-        found = _find_distribution(term, sign, eps_map, ())
-        if found is not None:
-            pos, k = found
-            spec = dotted_spec(subterm_at(term, pos))
+        if _distributes(t, sign, k):
+            spec = dotted_spec(t)
             rid = "Dist" + spec.rule_suffix if role_mode and spec else "DistributePre"
-            return RuleApplication(rid, ineq_index=0, path=(side_idx,) + pos, coord=k + 1)
+            leaves = dict.fromkeys((name, s) for name, s, _ in
+                                   var_occurrences(child, sign * tones[k]))
+            out.append((RuleApplication(rid, ineq_index=0, path=path, coord=k + 1),
+                        tuple(leaves)))
+    for k, child in enumerate(t.args):
+        _distribution_sites(child, sign * tones[k], path + (k,), role_mode, out)
+
+
+def _preprocess_analysis(ineq: Inequality,
+                         role_mode: bool) -> tuple[list[_Site], RuleApplication | None]:
+    """The part of ``find_preprocess_step`` that reads no order type: the
+    distribution sites of +lhs and then of -rhs, and the step to take when
+    no site has a critical leaf (Split, MonotoneElim or none)."""
+    sides = ((ineq.lhs, MONO), (ineq.rhs, ANTI))
+    sites: list[_Site] = []
+    for side_idx, (term, sign) in enumerate(sides):
+        _distribution_sites(term, sign, (side_idx,), role_mode, sites)
     if isinstance(ineq.lhs, Join) or isinstance(ineq.rhs, Meet):
-        return RuleApplication("Split", ineq_index=0)
+        return sites, RuleApplication("Split", ineq_index=0)
     # each variable's signs in +lhs/-rhs, per side: one on both sides, all
     # of it negative, goes to bottom (coord 0); all of it positive, to top
     left: dict[str, set[int]] = {}
@@ -586,9 +587,26 @@ def find_preprocess_step(ineq: Inequality, eps_map: dict[str, str],
             signs.setdefault(name, set()).add(s)
     for v in sorted(left.keys() & right.keys()):
         if left[v] == right[v] and len(left[v]) == 1:
-            return RuleApplication("MonotoneElim", ineq_index=0, pivot=v,
-                                   coord=0 if ANTI in left[v] else 1)
-    return None
+            return sites, RuleApplication("MonotoneElim", ineq_index=0, pivot=v,
+                                          coord=0 if ANTI in left[v] else 1)
+    return sites, None
+
+
+def find_preprocess_step(ineq: Inequality, eps_map: dict[str, str], role_mode: bool,
+                         analyses: dict) -> RuleApplication | None:
+    """First applicable stage-one step: distribution, splitting, variable
+    elimination.  Only delta nodes with a leaf critical for ``eps_map``
+    below them are distributed.  The rest of the search reads no order
+    type: ``analyses``, a dict that one run keeps for one mode, holds it
+    per inequality."""
+    found = analyses.get(ineq)
+    if found is None:
+        found = analyses[ineq] = _preprocess_analysis(ineq, role_mode)
+    sites, fallback = found
+    for step, leaves in sites:
+        if any(classify.is_critical(s, eps_map[name]) for name, s in leaves):
+            return step
+    return fallback
 
 
 def _distribute(d: Derivation, system: System, app: RuleApplication):
@@ -838,21 +856,62 @@ def _eliminate(d: Derivation, nid: int, k: int, order: tuple[str, ...],
     return []
 
 
-def _stage_one(d: Derivation, eps_map: dict[str, str]) -> list[int]:
+def _stage_one(d: Derivation, eps_map: dict[str, str], pieces: list[int],
+               analyses: dict):
     """Stage one on the root of ``d``: distribution, splitting and monotone
-    elimination, depth first with the first child first.  Returns the ids
-    of the pieces, first piece first; ``d.steps`` counts the rewrites."""
-    pieces: list[int] = []
+    elimination, depth first with the first child first.  Appends the ids
+    of the pieces to ``pieces``, first piece first, and yields after each
+    rewrite; ``d.steps`` counts the rewrites.  ``analyses`` is
+    ``find_preprocess_step``'s."""
     work = [0]
     while work:
         nid = work.pop()
-        step = find_preprocess_step(d.node(nid).system.ineqs[0].ineq, eps_map, d.role_mode)
+        step = find_preprocess_step(d.node(nid).system.ineqs[0].ineq, eps_map,
+                                    d.role_mode, analyses)
         if step is None:
             pieces.append(nid)
             continue
         _tick(d)
         work += reversed(apply_rule(d, step, nid))
-    return pieces
+        yield
+
+
+# Stage-one rewrites past this many do not move a candidate further back.
+_STAGE_ONE_CAP = 200
+_ENDED = object()
+
+
+def _staged(ineq: Inequality, sig: Signature, mode: str,
+            cands: list[tuple[Inequality, classify.InductiveWitness]], analyses: dict):
+    """The candidates' staged derivations (derivation, pieces, epsilon map,
+    witness) in attempt order: fewest stage-one rewrites first, counted up
+    to ``_STAGE_ONE_CAP``, ties in candidate order.  Each stage one runs
+    only as far as this order needs: at level s, in candidate order, every
+    live candidate is asked for one more rewrite, and one that has none
+    ends with s rewrites and comes next; at the cap the live ones finish,
+    in candidate order.  A candidate whose stage one raises
+    ``EngineError`` is dropped: no attempt of it could finish."""
+    live = []
+    for internal, w in cands:
+        eps_map = dict(zip(w.variables, w.epsilon.entries))
+        d = Derivation(ineq, sig, mode, internal_root=internal)
+        pieces: list[int] = []
+        live.append(((d, pieces, eps_map, w), _stage_one(d, eps_map, pieces, analyses)))
+    level = 0
+    while live:
+        going = []
+        for staged, run in live:
+            try:
+                if level < _STAGE_ONE_CAP and next(run, _ENDED) is not _ENDED:
+                    going.append((staged, run))
+                    continue
+                for _ in run:  # at the cap: to the end
+                    pass
+            except EngineError:
+                continue
+            yield staged
+        live = going
+        level += 1
 
 
 def _attempt(staged: Derivation, pieces: list[int], eps_map: dict[str, str],
@@ -884,13 +943,17 @@ def run_alba(ineq: Inequality, sig: Signature, mode: str = "alba",
              strategy: str = "auto", script: str | None = None) -> Derivation:
     """Reduce an inequality to pure quasi-inequalities.
 
-    Auto strategy: stage one runs once for each candidate witness (an
-    order type with its dependency order).  The candidates are attempted
-    in a fixed order -- fewest stage-one rewrites first, then
-    lexicographic order type with 1 before d -- and each elimination order
-    linearizing a candidate's dependency order continues from a copy of
-    that candidate's stage one.  The first successful attempt is returned.
-    Non-(meta-)inductive inputs yield a failure status, not an exception.
+    Auto strategy: the candidate witnesses (order types with their
+    dependency orders) are attempted in a fixed order -- fewest stage-one
+    rewrites first, counted up to ``_STAGE_ONE_CAP``, then lexicographic
+    order type with 1 before d -- and each elimination order linearizing
+    a candidate's dependency order continues from a copy of that
+    candidate's stage one.  Stage one is lazy (``_staged``): it runs at
+    most once per candidate, and only as far as the order needs to place
+    the next candidate, so the candidates after the first success are
+    staged in part or not at all.  The first successful attempt is
+    returned.  Non-(meta-)inductive inputs yield a failure status, not an
+    exception.
     """
     if mode not in ("alba", "albae"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -910,19 +973,9 @@ def run_alba(ineq: Inequality, sig: Signature, mode: str = "alba",
             classify.variables_of(ineq), (ineq,), why))
         return d
 
-    staged = []
-    for internal, w in cands:
-        eps_map = dict(zip(w.variables, w.epsilon.entries))
-        d = Derivation(ineq, sig, mode, internal_root=internal)
-        try:
-            pieces = _stage_one(d, eps_map)
-        except EngineError:
-            continue  # no attempt of this candidate could finish
-        staged.append((d, pieces, eps_map, w))
-    staged.sort(key=lambda item: min(item[0].steps, 200))  # stable: ties keep their order
-
     first_failure: Derivation | None = None
-    for d0, pieces, eps_map, w in staged:
+    analyses: dict = {}  # for this run only: never kept on the terms
+    for d0, pieces, eps_map, w in _staged(ineq, sig, mode, cands, analyses):
         for order in w.linearizations():
             try:
                 d = _attempt(d0, pieces, eps_map, order)
@@ -1035,16 +1088,17 @@ def rule_steps(d: Derivation):
 
 def trace_lines(d: Derivation) -> list[str]:
     lines = []
+    memo: dict[Term, str] = {}  # printed subterms, for this call only
     for node in d.nodes:
         system = d.concretize_system(node.system)
         side = sorted(i for i, si in enumerate(system.ineqs) if si.side)
-        body = " ;; ".join(print_inequality(si.ineq) for si in system.ineqs)
-        goal = print_inequality(system.goal) if system.goal else "-"
+        body = " ;; ".join(print_inequality(si.ineq, memo) for si in system.ineqs)
+        goal = print_inequality(system.goal, memo) if system.goal else "-"
         principal = "-"
         if node.principal is not None:
             principal = print_inequality(Inequality(
                 d.concretize_term(node.principal.lhs),
-                d.concretize_term(node.principal.rhs)))
+                d.concretize_term(node.principal.rhs)), memo)
         rule = node.rule.label() if node.rule else "-"
         parent = "-" if node.parent is None else str(node.parent)
         lines.append(

@@ -51,6 +51,9 @@ class OrderType:
         for e in self.entries:
             if e not in ("1", "d"):
                 raise ValueError(f"order-type entry must be '1' or 'd', got {e!r}")
+        # not a field: equality, hashing and the repr read ``entries`` only
+        object.__setattr__(self, "_tones",
+                           tuple(MONO if e == "1" else ANTI for e in self.entries))
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -59,7 +62,7 @@ class OrderType:
         return self.entries[i]
 
     def tonicities(self) -> tuple[int, ...]:
-        return tuple(MONO if e == "1" else ANTI for e in self.entries)
+        return self._tones
 
     def __str__(self) -> str:
         return "(" + ",".join(self.entries) + ")"

@@ -11,12 +11,13 @@ Formula grammar (ASCII), loosest binding last:
              | IDENT                             # variable
              | ("Dia"|"Box"|"Lhd"|"Rhd") "[" role "]" "(" term ")"
              | ("bsq"|"bdia"|"blhd"|"brhd") "[" role "]" "(" term ")"
-             | "res" "(" IDENT "," INT ")" "(" args ")"
+             | "res" "(" (IDENT | "&" | "|") "," INT ")" "(" args ")"
 
 The dotted builtins dia/box/lhd/rhd are soft keywords: a signature may
 declare same-named connectives, which shadow the dotted reading.  Every
-residual parses to a ``Residual``: a -> b is res(meet,2)(a, b), a -. b
-is res(join,1)(a, b), and the adjoints res(dia,1)(t) of a dotted builtin
+residual parses to a ``Residual``: a -> b is res(&,2)(a, b), a -. b
+is res(|,1)(a, b), where & and | name the lattice meet and join
+(``MEET``, ``JOIN``), and the adjoints res(dia,1)(t) of a dotted builtin
 and bsq[pi](t) of Dia[pi] are residuals in coordinate 1.
 
 Signature files are line oriented::
@@ -32,7 +33,7 @@ import re
 from dataclasses import dataclass
 
 from .language import (
-    ANTI, BOT, HARD_RESERVED, INFIX_RESIDUALS, MONO, ROLE_SPECS, ROLES,
+    ANTI, BOT, HARD_RESERVED, INFIX_RESIDUALS, JOIN, MEET, MONO, ROLE_SPECS, ROLES,
     SPEC_BY_DOTTED, SPEC_BY_ROLE, TOP, App, ConnectiveDecl, Conominal,
     Inequality, Layer, Nominal, OrderType, RegisteredTerm, Residual,
     Signature, Term, Var, free_vars, join, meet, var_occurrences,
@@ -43,6 +44,8 @@ _BRACKETED = {head: (spec, adjoint) for spec in ROLE_SPECS
               for head, adjoint in ((spec.defined_head, False),
                                     (spec.black_head, True))}
 _TONE_WORDS = {MONO: "positive", ANTI: "negative"}
+# res(&,1)(a, b): the lattice meet and join are named by their operators
+_LATTICE_DECLS = {decl.name: decl for decl in (MEET, JOIN)}
 
 
 class ParseError(ValueError):
@@ -78,11 +81,9 @@ def _tokenize(text: str) -> list[_Tok]:
                 break
             bad = len(text) - len(stripped)
             raise ParseError(f"unexpected character {text[bad]!r}", bad, text)
-        for kind in ("le", "infix", "nom", "conom", "ident", "int", "punct"):
-            v = m.group(kind)
-            if v is not None:
-                toks.append(_Tok(kind if kind != "punct" else v, v, m.start(kind)))
-                break
+        kind = m.lastgroup  # the one alternative that matched
+        v = m.group(kind)
+        toks.append(_Tok(kind if kind != "punct" else v, v, m.start(kind)))
         i = m.end()
     toks.append(_Tok("eof", "", len(text)))
     return toks
@@ -235,13 +236,14 @@ class _Parser:
     def residual(self, tok: _Tok) -> Term:
         self.require_layer(Residual.layer, "residual", tok)
         self.expect("(")
-        name_tok = self.expect("ident")
+        lattice = _LATTICE_DECLS.get(self.peek().kind)
+        name_tok = self.next() if lattice else self.expect("ident")
         self.expect(",")
         coord_tok = self.expect("int")
         self.expect(")")
         arglist = self.args()
         coord = int(coord_tok.value)
-        decl = self.sig.connective(name_tok.value)
+        decl = lattice or self.sig.connective(name_tok.value)
         if decl is None:
             self.fail(f"unknown connective {name_tok.value!r} in residual", name_tok)
         if not (1 <= coord <= decl.arity):

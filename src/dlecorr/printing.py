@@ -27,7 +27,18 @@ def _prec(t: Term) -> int:
     return 4
 
 
-def print_term(t: Term) -> str:
+def print_term(t: Term, memo: dict[Term, str] | None = None) -> str:
+    """``memo`` maps terms to their strings: a caller that prints many
+    terms with shared subterms passes one dict to each call."""
+    if memo is None:
+        memo = {}
+    s = memo.get(t)
+    if s is None:
+        s = memo[t] = _print(t, memo)
+    return s
+
+
+def _print(t: Term, memo: dict[Term, str]) -> str:
     if isinstance(t, Var):
         return t.name
     if isinstance(t, Nominal):
@@ -39,32 +50,33 @@ def print_term(t: Term) -> str:
     if isinstance(t, Bot):
         return "bot"
     if isinstance(t, Meet):
-        return _binary(t, "&", 3)
+        return _binary(t, "&", 3, memo)
     if isinstance(t, Join):
-        return _binary(t, "|", 2)
+        return _binary(t, "|", 2, memo)
     decl = connective_decl(t)  # a declared connective or a dotted marker
     if decl is not None:
-        return decl.name + "(" + ", ".join(print_term(a) for a in t.args) + ")"
+        return decl.name + "(" + ", ".join(print_term(a, memo) for a in t.args) + ")"
     if isinstance(t, Residual):
         # a -> b, a -. b, bsq[pi](t) or res(f,i)(...)
         op = _INFIX.get((t.decl, t.coord))
         if op is not None:
-            return _binary(t, op, 1, chain=False)
+            return _binary(t, op, 1, memo, chain=False)
         spec = SPEC_BY_DEFINED.get(t.decl)
         if spec is not None:
-            return f"{spec.black_head}[{spec.role}]({print_term(t.args[0])})"
+            return f"{spec.black_head}[{spec.role}]({print_term(t.args[0], memo)})"
         return (f"res({t.decl.name},{t.coord})("
-                + ", ".join(print_term(a) for a in t.args) + ")")
+                + ", ".join(print_term(a, memo) for a in t.args) + ")")
     spec = SPEC_BY_NODE.get(type(t))
     if spec is not None:  # a defined modality
-        return f"{spec.defined_head}[{spec.role}]({print_term(t.args[0])})"
+        return f"{spec.defined_head}[{spec.role}]({print_term(t.args[0], memo)})"
     raise TypeError(f"cannot print {t!r}")
 
 
-def _binary(t: Term, op: str, level: int, chain: bool = True) -> str:
+def _binary(t: Term, op: str, level: int, memo: dict[Term, str],
+            chain: bool = True) -> str:
     a, b = t.args
-    left = print_term(a)
-    right = print_term(b)
+    left = print_term(a, memo)
+    right = print_term(b, memo)
     # Left-associative chains at the same level stay unparenthesized.
     if _prec(a) < level or (not chain and _prec(a) <= level):
         left = "(" + left + ")"
@@ -73,5 +85,5 @@ def _binary(t: Term, op: str, level: int, chain: bool = True) -> str:
     return f"{left} {op} {right}"
 
 
-def print_inequality(ineq: Inequality) -> str:
-    return print_term(ineq.lhs) + " <= " + print_term(ineq.rhs)
+def print_inequality(ineq: Inequality, memo: dict[Term, str] | None = None) -> str:
+    return print_term(ineq.lhs, memo) + " <= " + print_term(ineq.rhs, memo)

@@ -6,11 +6,11 @@ import weakref
 
 import pytest
 
-from conftest import MIXED_SIG_TEXT, adjoint, random_any_term, relational_dle
-from dlecorr import engine, generators, language, models
+from conftest import CLASSICAL_SIG_TEXT, MIXED_SIG_TEXT, adjoint, random_any_term, relational_dle
+from dlecorr import classify, engine, generators, language, models
 from dlecorr.engine import (
     AckermannShapeError, Derivation, EngineError, Inequality, RuleApplication,
-    RuleMatchError, SysIneq, System, _stage_one, apply_rule,
+    RuleMatchError, SysIneq, System, _stage_one, apply_rule, find_preprocess_step,
     check_compact_appropriate, check_topological_adequacy, is_safe,
     is_syntactically_closed, is_syntactically_open, run_alba, trace_lines,
 )
@@ -54,9 +54,17 @@ def nabla(a):
 # ----------------------------------------------------------------------
 # stage one: distribution, splitting, monotone elimination
 
+def stage_fully(d, eps_map):
+    """Run stage one on ``d`` to its end; the ids of the pieces."""
+    pieces = []
+    for _ in _stage_one(d, eps_map, pieces, {}):
+        pass
+    return pieces
+
+
 def stage_one_pieces(iq, sig, eps_map, mode="alba"):
     d = Derivation(iq, sig, mode)
-    pieces = _stage_one(d, eps_map)
+    pieces = stage_fully(d, eps_map)
     return [d.node(i).system.ineqs[0].ineq for i in pieces]
 
 
@@ -78,7 +86,7 @@ def test_preprocess_leaves_concrete_image_alone(classical_sig):
 def test_preprocess_distributes_and_splits(bare_sig):
     iq = parse_inequality("dia(p | q) <= r & s", bare_sig, Layer.DLE)
     d = Derivation(iq, bare_sig, "alba")
-    pieces = _stage_one(d, dict.fromkeys("pqrs", "1"))
+    pieces = stage_fully(d, dict.fromkeys("pqrs", "1"))
     # diamond pushed over the join, the join split, the meet split
     assert d.steps == 4
     assert [d.node(n).rule.label() for n in d.nodes[0].children] == \
@@ -160,11 +168,11 @@ def test_stage_one_step_budget(classical_sig, monkeypatch):
     iq = parse_inequality(STAGE_ONE_INPUT, classical_sig, Layer.DLE)
     eps = {"p": "d", "q": "d"}
     d = Derivation(iq, classical_sig, "alba")
-    pieces = _stage_one(d, eps)
+    pieces = stage_fully(d, eps)
     assert (pieces, d.steps) == ([2, 3], 2)
     monkeypatch.setattr(engine, "_MAX_ATTEMPT_STEPS", 1)
     with pytest.raises(EngineError, match="step budget"):
-        _stage_one(Derivation(iq, classical_sig, "alba"), eps)
+        stage_fully(Derivation(iq, classical_sig, "alba"), eps)
 
 
 def test_attempt_step_budget(classical_sig, monkeypatch):
@@ -189,6 +197,139 @@ def test_attempt_step_budget(classical_sig, monkeypatch):
         9: "no display rule for q in res(box,1)(#i0) <= box(q) | (top | top)",
         10: "success",
     }
+
+
+def seeded_draws(seed, n):
+    """``n`` seeded inputs with their modes and candidates, alternately
+    random inductive inequalities (alba) and images of dotted ones (albae)."""
+    rng = random.Random(seed)
+    sig_e = parse_signature(CLASSICAL_SIG_TEXT)
+    for k in range(n):
+        if k % 2 == 0:
+            sig = generators.random_signature(rng)
+            iq = generators.random_inductive(rng, sig)
+            yield iq, sig, "alba", [(iq, w) for w in classify.inductive_witnesses(iq)]
+        else:
+            star = generators.random_inductive(rng, sig_e, star=True, max_depth=3)
+            iq = generators.phi_image(star, sig_e)
+            yield iq, sig_e, "albae", classify.meta_inductive_witnesses(iq, sig_e)
+
+
+def eager_order(iq, sig, mode, cands):
+    """The attempt order written out: stage every candidate to its end,
+    drop the ones whose stage one raises, then sort stably by the
+    capped count of rewrites."""
+    staged = []
+    for internal, w in cands:
+        d = Derivation(iq, sig, mode, internal_root=internal)
+        try:
+            pieces = stage_fully(d, dict(zip(w.variables, w.epsilon.entries)))
+        except EngineError:
+            continue
+        staged.append((w, pieces, d.steps))
+    return sorted(staged, key=lambda item: min(item[2], engine._STAGE_ONE_CAP))
+
+
+@pytest.mark.parametrize("cap, budget", [(200, 10_000), (1, 10_000), (2, 10_000), (200, 3)])
+def test_lazy_stage_one_order_is_the_eager_order(cap, budget, monkeypatch):
+    # a cap of 1 or 2 sends most candidates past it, where they finish in
+    # candidate order; a budget of 3 drops the candidates whose stage one
+    # needs more rewrites
+    monkeypatch.setattr(engine, "_STAGE_ONE_CAP", cap)
+    monkeypatch.setattr(engine, "_MAX_ATTEMPT_STEPS", budget)
+    passed = dropped = 0
+    for iq, sig, mode, cands in seeded_draws(7, 120):
+        lazy = [(w, pieces, d.steps)
+                for d, pieces, _, w in engine._staged(iq, sig, mode, cands, {})]
+        eager = eager_order(iq, sig, mode, cands)
+        assert lazy == eager, print_inequality(iq)
+        passed += sum(steps > cap for _, _, steps in eager)
+        dropped += len(cands) - len(eager)
+    assert (passed > 0) == (cap < 200) and (dropped > 0) == (budget == 3)
+
+
+def test_first_candidate_success_stages_the_rest_in_part(bare_sig, monkeypatch):
+    # the first candidate in attempt order, the seventh of 8 and the
+    # first with no stage-one rewrite, succeeds: the six before it make
+    # one rewrite each, so stage one asks for a step 7 times, where
+    # staging all 8 to their ends asked 32 times
+    calls = []
+    find = engine.find_preprocess_step
+    monkeypatch.setattr(engine, "find_preprocess_step",
+                        lambda *args: calls.append(args) or find(*args))
+    attempts = []
+    attempt = engine._attempt
+    monkeypatch.setattr(engine, "_attempt",
+                        lambda *args: attempts.append(args) or attempt(*args))
+    iq = parse_inequality("dia(p | q) & r <= box(p | r)", bare_sig, Layer.DLE)
+    assert len(classify.inductive_witnesses(iq)) == 8
+    d = run_alba(iq, bare_sig, "alba", "auto")
+    assert d.status.kind == "success"
+    assert (len(attempts), len(calls)) == (1, 7)
+
+
+def _reference_distribution(t, sign, eps_map, path):
+    # the search as it was written before it was split at the order type
+    if classify.node_classes(t, sign).isdisjoint(classify.SKELETON):
+        return None
+    tones = t.tonicities()
+    for k, child in enumerate(t.args):
+        if engine._distributes(t, sign, k) and any(
+                classify.is_critical(s, eps_map[name])
+                for name, s, _ in language.var_occurrences(child, sign * tones[k])):
+            return path, k
+    for k, child in enumerate(t.args):
+        found = _reference_distribution(child, sign * tones[k], eps_map, path + (k,))
+        if found is not None:
+            return found
+    return None
+
+
+def _reference_preprocess_step(ineq, eps_map, role_mode):
+    sides = ((ineq.lhs, 1), (ineq.rhs, -1))
+    for side_idx, (term, sign) in enumerate(sides):
+        found = _reference_distribution(term, sign, eps_map, ())
+        if found is not None:
+            pos, k = found
+            spec = language.dotted_spec(language.subterm_at(term, pos))
+            rid = "Dist" + spec.rule_suffix if role_mode and spec else "DistributePre"
+            return RuleApplication(rid, ineq_index=0, path=(side_idx,) + pos, coord=k + 1)
+    if isinstance(ineq.lhs, language.Join) or isinstance(ineq.rhs, language.Meet):
+        return RuleApplication("Split", ineq_index=0)
+    left, right = {}, {}
+    for signs, (term, sign) in zip((left, right), sides):
+        for name, s, _ in language.var_occurrences(term, sign):
+            signs.setdefault(name, set()).add(s)
+    for v in sorted(left.keys() & right.keys()):
+        if left[v] == right[v] and len(left[v]) == 1:
+            return RuleApplication("MonotoneElim", ineq_index=0, pivot=v,
+                                   coord=0 if -1 in left[v] else 1)
+    return None
+
+
+def test_preprocess_analysis_matches_the_search_per_order_type():
+    # every inequality that stage one meets on the seeded draws, under
+    # every order type on its variables and in both modes, with one
+    # analyses dict per mode shared by all of them and with a new one
+    seen = {}
+    for iq, sig, mode, cands in seeded_draws(11, 80):
+        for internal, w in cands:
+            d = Derivation(iq, sig, mode, internal_root=internal)
+            stage_fully(d, dict(zip(w.variables, w.epsilon.entries)))
+            for node in d.nodes:
+                seen.setdefault(node.system.ineqs[0].ineq, None)
+    assert len(seen) > 300
+    distributed = 0
+    for role_mode in (False, True):
+        analyses = {}
+        for ineq in seen:
+            for eps in eps_maps(ineq):
+                want = _reference_preprocess_step(ineq, eps, role_mode)
+                assert find_preprocess_step(ineq, eps, role_mode, analyses) == want
+                assert find_preprocess_step(ineq, eps, role_mode, {}) == want
+                distributed += want is not None and want.rule_id.startswith("Dist")
+        assert set(analyses) == set(seen)
+    assert distributed > 0
 
 
 def test_distribution_refuses_expanded_layer_nodes(classical_sig):

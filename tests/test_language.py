@@ -161,6 +161,19 @@ def test_printer_conventions(classical_sig):
     assert print_term(meet(join(Var("p"), Var("q")), Var("r"))) == "(p | q) & r"
 
 
+@pytest.mark.parametrize("decl, coord, text", [
+    (MEET, 1, "res(&,1)(p, q)"), (MEET, 2, "p -> q"),
+    (JOIN, 1, "p -. q"), (JOIN, 2, "res(|,2)(p, q)"),
+], ids=["meet1", "meet2", "join1", "join2"])
+def test_lattice_residuals_round_trip(decl, coord, text, bare_sig):
+    # the residuals of the meet and the join in either coordinate: the two
+    # without an infix spelling name the operation by its operator
+    t = Residual(decl, coord, (Var("p"), Var("q")))
+    assert print_term(t) == text
+    assert parse_term(text, bare_sig) is t
+    assert parse_term(f"res({decl.name},{coord})(p, q)", bare_sig) is t
+
+
 def test_substitution_examples(bare_sig):
     box = bare_sig.decl("box")
     t = App(box, (Var("p"),))
