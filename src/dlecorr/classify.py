@@ -34,7 +34,7 @@ from itertools import product
 from .language import (
     ANTI, MONO, ROLE_SPECS, App, Bot, Inequality, Join, Layer, Meet,
     OrderType, RegisteredTerm, Signature, Term, Top, Var, connective_decl,
-    dotted_spec, free_vars, var_occurrences,
+    dotted_spec, var_occurrences,
 )
 
 DELTA = "delta"
@@ -174,7 +174,7 @@ class InductiveWitness:
 
 
 def variables_of(ineq: Inequality) -> tuple[str, ...]:
-    return tuple(sorted(free_vars(ineq.lhs) | free_vars(ineq.rhs)))
+    return tuple(sorted(ineq.lhs.var_names | ineq.rhs.var_names))
 
 
 def _transitive_closure(edges: set[tuple[str, str]]) -> frozenset[tuple[str, str]] | None:
@@ -328,19 +328,27 @@ ANTI_SUBSTITUTION_BUDGET = 10 ** 5
 
 
 def _meta_witnesses(ineq: Inequality, sig: Signature):
-    """The first witness of each inductive (lhs, rhs) preimage pair."""
+    """The first witness of each inductive (lhs, rhs) preimage pair.  Each
+    preimage is analysed when a pair first needs it, once per call."""
     b = _Budget(ANTI_SUBSTITUTION_BUDGET)
     lhs_pre = _preimages(ineq.lhs, sig, b)
     rhs_pre = _preimages(ineq.rhs, sig, b)
     # every preimage has the input's variables: registered terms have one
     variables = _capped_variables(ineq)
-    lhs = [(t, branches(t, MONO)) for t in lhs_pre]
-    rhs = [(t, branches(t, ANTI)) for t in rhs_pre]
-    for ls, lhs_branches in lhs:
-        for rs, rhs_branches in rhs:
+    analysed: dict[tuple[Term, int], list[BranchAnalysis]] = {}
+
+    def analysis(t: Term, sign: int) -> list[BranchAnalysis]:
+        found = analysed.get((t, sign))
+        if found is None:
+            found = analysed[t, sign] = branches(t, sign)
+        return found
+
+    for ls in lhs_pre:
+        for rs in rhs_pre:
             if not b.spend(10):
                 return
-            w = next(_eps_witnesses(variables, lhs_branches + rhs_branches, False), None)
+            w = next(_eps_witnesses(variables, analysis(ls, MONO) + analysis(rs, ANTI),
+                                    False), None)
             if w is not None:
                 yield Inequality(ls, rs), w
 

@@ -35,7 +35,7 @@ from . import classify
 from .language import (
     ANTI, BOT, MONO, ROLE_SPECS, TOP, App, ConnectiveDecl, Conominal, Inequality,
     Join, Layer, Meet, Nominal, Residual, RoleSpec, Signature, Term, Var, big_join, big_meet, bot_unit, connective_decl, dotted_spec,
-    free_vars, join, meet, replace_at, substitute, subterms,
+    join, meet, replace_at, substitute,
     var_occurrences,
 )
 from .printing import print_inequality, print_term
@@ -110,10 +110,9 @@ class System:
         goal = () if self.goal is None else (self.goal,)
         return tuple(t for iq in (*self.inequalities(), *goal) for t in (iq.lhs, iq.rhs))
 
-    def symbols(self) -> set[str]:
+    def symbols(self) -> frozenset[str]:
         """Names of the variables, nominals and conominals that occur."""
-        return {s.name for t in self.check_terms for s in subterms(t)
-                if isinstance(s, (Var, Nominal, Conominal))}
+        return frozenset().union(*(t.symbol_names for t in self.check_terms))
 
 
 @dataclass(frozen=True)
@@ -207,10 +206,11 @@ class Derivation:
         """The next nominal j<k> (``bot``) or conominal n<k> that does not
         occur in ``system``; the two kinds are numbered apart."""
         prefix, cls = ("j", Nominal) if bot else ("n", Conominal)
+        symbols = system.symbols()
         while True:
             self._fresh_counts[prefix] += 1
             name = f"{prefix}{self._fresh_counts[prefix]}"
-            if name not in system.symbols():
+            if name not in symbols:
                 return cls(name)
 
     def _add_child(self, parent: int, rule: RuleApplication, system: System,
@@ -476,15 +476,16 @@ def _ackermann(d: Derivation, system: System, app: RuleApplication):
     # left rule is its order dual
     right = app.rule_id == "AckermannRight"
     want = MONO if right else ANTI
+    var = Var(pivot)
     bounds: list[Term] = []
     others: list[SysIneq] = []
     for si in system.ineqs:
         lhs, rhs = si.ineq.lhs, si.ineq.rhs
         bound, end = (lhs, rhs) if right else (rhs, lhs)
-        if end == Var(pivot) and pivot not in free_vars(bound):
+        if end == var and pivot not in bound.var_names:
             bounds.append(bound)
         elif any(name == pivot and _red_sign(side, s) != want
-                 for side, term in enumerate((lhs, rhs))
+                 for side, term in enumerate((lhs, rhs)) if pivot in term.var_names
                  for name, s, _ in var_occurrences(term)):
             raise AckermannShapeError(
                 f"pivot {pivot} occurs with the wrong polarity in "
@@ -656,7 +657,7 @@ def _first_approx(d: Derivation, system: System, app: RuleApplication):
         raise RuleMatchError("FirstApprox applies to a single preprocessed inequality")
     ineq = system.ineqs[0].ineq
     i0, m0 = Nominal("i0"), Conominal("m0")
-    if {"i0", "m0"} & system.symbols():
+    if not system.symbols().isdisjoint(("i0", "m0")):
         raise FreshnessError("input already uses the reserved names i0/m0")
     sys2 = System(
         (SysIneq(Inequality(i0, ineq.lhs)), SysIneq(Inequality(ineq.rhs, m0))),
@@ -711,10 +712,11 @@ def apply_rule(d: Derivation, app: RuleApplication,
         raise RuleMatchError(f"{rid} takes no coordinate, got {app.coord}")
     results, principal, fresh = rule(d, system, app)
 
-    for name in fresh:
-        bare = name.lstrip("#@")
-        if bare in system.symbols():
-            raise FreshnessError(f"fresh symbol {name} already occurs in the system")
+    if fresh:
+        symbols = system.symbols()
+        for name in fresh:
+            if name.lstrip("#@") in symbols:
+                raise FreshnessError(f"fresh symbol {name} already occurs in the system")
 
     target_side = False
     if app.ineq_index is not None and 0 <= app.ineq_index < len(system.ineqs):
@@ -748,17 +750,19 @@ def _critical_red(eps_entry: str) -> int:
 def _display_step(system: System, pivot: str, eps_entry: str,
                   role_mode: bool) -> RuleApplication | StuckReport | None:
     want = _critical_red(eps_entry)
+    var = Var(pivot)
     for idx, si in enumerate(system.ineqs):
         ineq = si.ineq
         a, b = ineq.lhs, ineq.rhs
         # displayed premises: alpha <= p for eps=1, p <= alpha for eps=d
         bound, end = (a, b) if eps_entry == "1" else (b, a)
-        if end == Var(pivot):
-            if pivot in free_vars(bound):
+        if end == var:
+            if pivot in bound.var_names:
                 return StuckReport((pivot,), (ineq,),
                                    f"pivot {pivot} occurs inside its own premise")
             continue
         occ = next(((side, path) for side, term in ((0, a), (1, b))
+                    if pivot in term.var_names
                     for name, s, path in var_occurrences(term)
                     if name == pivot and _red_sign(side, s) == want), None)
         if occ is None:
@@ -801,8 +805,15 @@ def _display_rule(system: System, idx: int, occ_side: int,
 
 
 def _occurs(system: System, pivot: str) -> bool:
-    return any(pivot in free_vars(si.ineq.lhs) | free_vars(si.ineq.rhs)
+    return any(pivot in si.ineq.lhs.var_names or pivot in si.ineq.rhs.var_names
                for si in system.ineqs)
+
+
+def _variables(*systems: System) -> list[str]:
+    """The variables that occur in the inequalities of ``systems``, sorted."""
+    return sorted(frozenset().union(*(t.var_names for system in systems
+                                      for si in system.ineqs
+                                      for t in (si.ineq.lhs, si.ineq.rhs))))
 
 
 _MAX_ATTEMPT_STEPS = 10_000
@@ -847,9 +858,7 @@ def _eliminate(d: Derivation, nid: int, k: int, order: tuple[str, ...],
         if len(ids) > 1:
             return [(child, k) for child in ids]
         nid = ids[0]
-    leftover = sorted(
-        set().union(*(free_vars(si.ineq.lhs) | free_vars(si.ineq.rhs)
-                      for si in d.node(nid).system.ineqs), set()))
+    leftover = _variables(d.node(nid).system)
     if leftover:
         return StuckReport(tuple(leftover), d.node(nid).system.inequalities(),
                            "variables left after the elimination cycle")
@@ -1060,7 +1069,7 @@ def check_compact_appropriate(system: System) -> bool:
     inequalities need no shape: the Ackermann lemmas place them in the
     untouched part of the system.)"""
     for si in system.ineqs:
-        if not (free_vars(si.ineq.lhs) | free_vars(si.ineq.rhs)):
+        if not (si.ineq.lhs.var_names or si.ineq.rhs.var_names):
             continue
         if not is_syntactically_closed(si.ineq.lhs):
             return False
@@ -1088,17 +1097,25 @@ def rule_steps(d: Derivation):
 
 def trace_lines(d: Derivation) -> list[str]:
     lines = []
-    memo: dict[Term, str] = {}  # printed subterms, for this call only
+    # printed subterms and concrete images of terms, for this call only
+    memo: dict[Term, str] = {}
+    concrete: dict[Term, Term] = {}
+
+    def shown(ineq: Inequality) -> str:
+        sides = []
+        for t in (ineq.lhs, ineq.rhs):
+            c = concrete.get(t)
+            if c is None:
+                c = concrete[t] = d.concretize_term(t)
+            sides.append(c)
+        return print_inequality(Inequality(*sides), memo)
+
     for node in d.nodes:
-        system = d.concretize_system(node.system)
+        system = node.system
         side = sorted(i for i, si in enumerate(system.ineqs) if si.side)
-        body = " ;; ".join(print_inequality(si.ineq, memo) for si in system.ineqs)
+        body = " ;; ".join(shown(si.ineq) for si in system.ineqs)
         goal = print_inequality(system.goal, memo) if system.goal else "-"
-        principal = "-"
-        if node.principal is not None:
-            principal = print_inequality(Inequality(
-                d.concretize_term(node.principal.lhs),
-                d.concretize_term(node.principal.rhs)), memo)
+        principal = "-" if node.principal is None else shown(node.principal)
         rule = node.rule.label() if node.rule else "-"
         parent = "-" if node.parent is None else str(node.parent)
         lines.append(
@@ -1164,17 +1181,16 @@ def run_scripted(ineq: Inequality, sig: Signature, mode: str,
     except EngineError as exc:
         d.status = RunStatus("failure", stuck=StuckReport((), (), str(exc)))
         return d
-    bad: list[str] = []
-    for leaf in d.leaves():
-        system = d.node(leaf).system
-        if system.goal is None:
-            bad.append("leaf without first approximation")
-            continue
-        for si in system.ineqs:
-            bad.extend(sorted(free_vars(si.ineq.lhs) | free_vars(si.ineq.rhs)))
-    if bad:
+    leaves = d.leaves()
+    left = _variables(*(d.node(leaf).system for leaf in leaves))
+    raw = [str(leaf) for leaf in leaves if d.node(leaf).system.goal is None]
+    if raw:
+        d.status = RunStatus("failure", stuck=StuckReport(tuple(left), (), (
+            f"script left {'leaf' if len(raw) == 1 else 'leaves'} {','.join(raw)} "
+            "without first approximation")))
+    elif left:
         d.status = RunStatus("failure", stuck=StuckReport(
-            tuple(dict.fromkeys(bad)), (), "script left a non-pure system"))
+            tuple(left), (), "script left a non-pure system"))
     else:
         d.status = RunStatus(
             "success",

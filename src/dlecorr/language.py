@@ -17,7 +17,11 @@ nested layers:
 Everything here is immutable.  Terms are interned: every node is built
 through one constructor that returns the live node with the same class
 and fields if there is one, so equal terms are one object, and terms
-compare and hash by identity.  Signatures, declarations and inequalities
+compare and hash by identity.  A new node also records, once, two
+frozensets of names: ``var_names``, of its variables, and
+``symbol_names``, of its variables, nominals and conominals;
+``substitute`` and the engine's freshness and occurrence tests read them
+instead of walking the term.  Signatures, declarations and inequalities
 compare structurally.
 """
 
@@ -97,6 +101,23 @@ class ConnectiveDecl:
 _TERMS: WeakValueDictionary = WeakValueDictionary()
 _LIVE = _TERMS.data
 
+_NO_NAMES: frozenset[str] = frozenset()
+# sets a field of a frozen node; bound once, as ``Term.__new__`` runs often
+_set = object.__setattr__
+
+
+def _names(args: tuple["Term", ...]) -> tuple[frozenset[str], frozenset[str]]:
+    """The unions of the children's ``var_names`` and ``symbol_names``;
+    each is a child's own set when that set covers the others."""
+    var_names = symbol_names = _NO_NAMES
+    for a in args:
+        v, s = a.var_names, a.symbol_names
+        if not v <= var_names:
+            var_names = v if var_names <= v else var_names | v
+        if not s <= symbol_names:
+            symbol_names = s if symbol_names <= s else symbol_names | s
+    return var_names, symbol_names
+
 
 class Term:
     """Base class; every node stores its subterms in ``args``.
@@ -108,11 +129,20 @@ class Term:
     Nodes are interned: calling a node class returns the live node with
     the same class and field values, and builds one only if there is
     none, so ``==`` and ``hash`` are those of identity.
+
+    A new node records the names of its variables (``var_names``) and of
+    its variables, nominals and conominals (``symbol_names``): a named
+    leaf's own name (one set, for a variable, read as both), or else the
+    union of its children's sets, which is one of those sets when it
+    covers the others.  They hold strings only, so no node refers to
+    itself.
     """
 
     args: tuple["Term", ...] = ()
     tones: tuple[int, ...] = ()
     layer: Layer = Layer.DLE
+    var_names: frozenset[str] = _NO_NAMES
+    symbol_names: frozenset[str] = _NO_NAMES
 
     def __new__(cls, *fields, **named):
         if named:  # keyword arguments, put in field order
@@ -128,7 +158,16 @@ class Term:
                 raise TypeError(f"{cls.__name__}() takes fields {cls.__match_args__}")
             t = object.__new__(cls)
             for name, value in zip(cls.__match_args__, fields):
-                object.__setattr__(t, name, value)
+                _set(t, name, value)
+            if t.args:
+                var_names, symbol_names = _names(t.args)
+                _set(t, "var_names", var_names)
+                _set(t, "symbol_names", symbol_names)
+            elif cls in _NAMED:
+                names = frozenset((t.name,))  # type: ignore[attr-defined]
+                _set(t, "symbol_names", names)
+                if cls is Var:
+                    _set(t, "var_names", names)
             t.__post_init__()
             _TERMS[key] = t
         return t
@@ -168,6 +207,10 @@ class Nominal(Term):
 class Conominal(Term):
     name: str
     layer = Layer.DLEPLUS
+
+
+# the leaves that carry a name
+_NAMED = (Var, Nominal, Conominal)
 
 
 @_node
@@ -475,22 +518,14 @@ def layer_of(t: Term) -> Layer:
     return max(s.layer for s in subterms(t))
 
 
-def free_vars(t: Term) -> set[str]:
-    return {s.name for s in subterms(t) if isinstance(s, Var)}
-
-
 def substitute(t: Term, mapping: Mapping[str, Term]) -> Term:
-    """Simultaneous replacement of variables; the language has no binders."""
-    if not mapping:
+    """Simultaneous replacement of variables; the language has no binders.
+    A term with none of the mapped variables is returned as it is."""
+    if t.var_names.isdisjoint(mapping):
         return t
     if isinstance(t, Var):
-        return mapping.get(t.name, t)
-    if not t.args:
-        return t
-    new_args = tuple(substitute(a, mapping) for a in t.args)
-    if new_args == t.args:
-        return t
-    return t.with_args(new_args)
+        return mapping[t.name]
+    return t.with_args(tuple(substitute(a, mapping) for a in t.args))
 
 
 def replace_at(t: Term, path: tuple[int, ...], replacement: Term) -> Term:
@@ -516,8 +551,9 @@ def var_occurrences(t: Term, sign: int = MONO) -> Iterator[tuple[str, int, tuple
         yield (t.name, sign, ())
         return
     for i, (a, tone) in enumerate(zip(t.args, t.tonicities())):
-        for name, s, path in var_occurrences(a, sign * tone):
-            yield (name, s, (i,) + path)
+        if a.var_names:  # a subterm without variables has no occurrence
+            for name, s, path in var_occurrences(a, sign * tone):
+                yield (name, s, (i,) + path)
 
 
 def meet(a: Term, b: Term) -> Term:

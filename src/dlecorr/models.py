@@ -53,7 +53,7 @@ from operator import and_, or_
 from .language import (
     JOIN, MEET, MONO, SPEC_BY_DEFINED, SPEC_BY_DOTTED, SPEC_BY_NODE, SPEC_BY_ROLE,
     App, Bot, Conominal, Inequality, Join, Meet, Nominal, Residual, Signature,
-    Term, Top, Var, bot_unit, connective_decl, free_vars,
+    Term, Top, Var, bot_unit, connective_decl,
 )
 from .printing import print_inequality
 
@@ -734,16 +734,11 @@ def check_quasi(systems, dle: FiniteDLE, budget: Budget | None = None) -> bool:
     """Validity of a set of pure quasi-inequalities (success output)."""
     budget = budget or Budget()
     for system in systems:
-        plan = None if system.goal is None else _quasi_plan(system)
-        # a plan's symbols include every variable of its system: only a
-        # plan with one, or a system without a goal, needs the walk that
-        # names the first impure antecedent
-        if plan is None or any(kind == "var" for kind, _ in plan.symbols):
-            for si in system.ineqs:
-                if free_vars(si.ineq.lhs) | free_vars(si.ineq.rhs):
-                    raise ModelError(
-                        f"quasi-inequality is not pure: {print_inequality(si.ineq)}")
-        plan = plan or _quasi_plan(system)
+        for si in system.ineqs:
+            if si.ineq.lhs.var_names or si.ineq.rhs.var_names:
+                raise ModelError(
+                    f"quasi-inequality is not pure: {print_inequality(si.ineq)}")
+        plan = _quasi_plan(system)
         if plan.search(dle, plan.heads, budget) is not None:
             return False
     return True

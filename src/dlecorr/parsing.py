@@ -36,7 +36,7 @@ from .language import (
     ANTI, BOT, HARD_RESERVED, INFIX_RESIDUALS, JOIN, MEET, MONO, ROLE_SPECS, ROLES,
     SPEC_BY_DOTTED, SPEC_BY_ROLE, TOP, App, ConnectiveDecl, Conominal,
     Inequality, Layer, Nominal, OrderType, RegisteredTerm, Residual,
-    Signature, Term, Var, free_vars, join, meet, var_occurrences,
+    Signature, Term, Var, join, meet, var_occurrences,
 )
 
 # Dia[pi](t), bsq[pi](t), ...: head -> (role, whether it is the adjoint)
@@ -305,7 +305,7 @@ def parse_signature(text: str) -> Signature:
             term = parse_term(formula, base, Layer.DLE)
         except ParseError as exc:
             raise ParseError(f"line {lineno}: {exc}", exc.pos, formula) from exc
-        fv = sorted(free_vars(term))
+        fv = sorted(term.var_names)
         if len(fv) != 1:
             raise ParseError(
                 f"line {lineno}: registered term must use exactly one variable, "

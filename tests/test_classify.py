@@ -206,14 +206,12 @@ def test_variable_cap(classical_sig):
         is_inductive(Inequality(Nominal("i0"), TOP))
 
 
-def _classifier_records(classical_sig, mixed_sig, draws):
-    """Everything the classifier answers on seeded inputs: inductive
-    images on random signatures, phi-images of dotted inductive
-    inequalities, and random term pairs (SRR nodes with side terms on the
-    mixed signature, role matches on the classical one)."""
+def _classifier_inputs(classical_sig, mixed_sig, draws):
+    """Seeded (signature, inequality) inputs: inductive images on random
+    signatures, phi-images of dotted inductive inequalities, and random
+    term pairs (SRR nodes with side terms on the mixed signature, role
+    matches on the classical one)."""
     rng = random.Random(7)
-    witness = lambda w: (w.variables, w.epsilon.entries, sorted(w.omega))
-    out = []
     for k in range(draws):
         if k % 4 == 0:
             sig = generators.random_signature(rng)
@@ -226,6 +224,14 @@ def _classifier_records(classical_sig, mixed_sig, draws):
             sig, layer = ((mixed_sig, Layer.DLESTAR), (classical_sig, Layer.DLE))[k % 2]
             iq = Inequality(random_any_term(rng, sig, layer, 4),
                             random_any_term(rng, sig, layer, 4))
+        yield sig, iq
+
+
+def _classifier_records(classical_sig, mixed_sig, draws):
+    """Everything the classifier answers on the seeded inputs."""
+    witness = lambda w: (w.variables, w.epsilon.entries, sorted(w.omega))
+    out = []
+    for k, (sig, iq) in enumerate(_classifier_inputs(classical_sig, mixed_sig, draws)):
         eps = is_sahlqvist(iq)
         ws = classify.inductive_witnesses(iq)
         meta = classify.meta_inductive_witnesses(iq, sig)
@@ -247,3 +253,29 @@ def test_classifier_differential_pinned(classical_sig, mixed_sig):
     records = _classifier_records(classical_sig, mixed_sig, 400)
     digest = hashlib.sha256(repr(records).encode()).hexdigest()
     assert digest == "858ac8e0d3a4e21f1d72fea08d2d1b7b23ad505cd4997ef1c35b9cc144921266"
+
+
+def test_meta_search_answers_its_first_pair(classical_sig, mixed_sig, monkeypatch):
+    # the meta search analyses each preimage when a pair first needs it:
+    # is_meta_inductive stops at the first inductive pair, which is the
+    # first entry of the full search, pair order and budget alike
+    for sig, iq in _classifier_inputs(classical_sig, mixed_sig, 400):
+        found = classify.meta_inductive_witnesses(iq, sig)
+        assert is_meta_inductive(iq, sig) == (found[0] if found else None), repr(iq)
+    iq = parse_inequality("dia(box(dia(p))) <= box(q)", classical_sig, Layer.DLE)
+    trees = []
+    analyse = classify.branches
+    monkeypatch.setattr(classify, "branches",
+                        lambda t, sign: trees.append((t, sign)) or analyse(t, sign))
+    pair = is_meta_inductive(iq, classical_sig)
+    assert pair is not None and trees == [(pair[0].lhs, MONO), (pair[0].rhs, ANTI)]
+    trees.clear()
+    assert len(classify.meta_inductive_witnesses(iq, classical_sig)) > 1
+    assert len(trees) == len(set(trees)) > 2
+    monkeypatch.undo()
+    # above DLEstar the first pair's analysis raises, on either side
+    for text in ("#i0 <= box(q)", "dia(p) <= box(@m0)"):
+        iq = parse_inequality(text, classical_sig, Layer.DLEPLUS)
+        for search in (is_meta_inductive, classify.meta_inductive_witnesses):
+            with pytest.raises(classify.ClassifyError, match="DLE/DLEstar"):
+                search(iq, classical_sig)

@@ -179,6 +179,26 @@ def test_a_coordinate_a_step_does_not_read_is_a_stuck_report(tmp_path, capsys):
         assert "rule:FirstApprox" in out and f"rule:{step.split()[0]}" not in out, step
 
 
+def test_an_unfinished_script_reports_its_variables_and_leaves(tmp_path, capsys):
+    # a script that stops early is a stuck report naming the variables left
+    # in its leaves and each leaf it left without a first approximation
+    from dlecorr import cli
+    script = tmp_path / "short.script"
+    cases = [
+        ("p & q <= p", "", "vars=p,q : script left leaf 0 without first approximation"),
+        ("p | r <= q", "Split @ 0",
+         "vars=p,q,r : script left leaves 1,2 without first approximation"),
+        ("top <= bot", "", "vars= : script left leaf 0 without first approximation"),
+        ("p & q <= p", "FirstApprox", "vars=p,q : script left a non-pure system"),
+    ]
+    for ineq, text, stuck in cases:
+        script.write_text(text + "\n")
+        code = cli.main(["reduce", ineq, "--strategy", str(script)])
+        out = capsys.readouterr().out
+        assert code == 4, (ineq, text)
+        assert f"stuck: {stuck}\n" in out, out
+
+
 def test_reduce_failure_exit_four(tmp_path):
     sig = tmp_path / "bare.sig"
     sig.write_text("conn dia F 1 (1)\nconn box G 1 (1)\n")

@@ -16,7 +16,7 @@ from dlecorr.engine import (
 )
 from dlecorr.language import (
     BOT, ROLE_SPECS, SPEC_BY_ROLE, TOP, App, Conominal, DefBox, DefDia, DefLhd, DefRhd, DotBox, DotDia,
-    DotLhd, DotRhd, Layer, Nominal, Residual, Var, free_vars, join, meet,
+    DotLhd, DotRhd, Layer, Nominal, Residual, Var, join, meet,
 )
 from dlecorr.parsing import parse_inequality, parse_signature, parse_term
 from dlecorr.printing import print_inequality
@@ -70,7 +70,7 @@ def stage_one_pieces(iq, sig, eps_map, mode="alba"):
 
 def eps_maps(iq):
     """Every order type on the variables of ``iq``, as a map."""
-    names = sorted(free_vars(iq.lhs) | free_vars(iq.rhs))
+    names = sorted(iq.lhs.var_names | iq.rhs.var_names)
     return [dict(zip(names, entries)) for entries in itertools.product("1d", repeat=len(names))]
 
 
@@ -116,7 +116,7 @@ def test_preprocess_monotone_elimination(bare_sig):
     iq = parse_inequality("rhd(p) <= p | q", sig, Layer.DLE)
     for eps in eps_maps(iq):
         out = stage_one_pieces(iq, sig, eps)
-        assert all("p" not in (free_vars(x.lhs) | free_vars(x.rhs)) for x in out)
+        assert all("p" not in (x.lhs.var_names | x.rhs.var_names) for x in out)
 
 
 def test_preprocess_keeps_uniform_positive_variable(bare_sig):
@@ -124,7 +124,7 @@ def test_preprocess_keeps_uniform_positive_variable(bare_sig):
     # p occurs positively on both sides, so no elimination applies to it
     for eps in eps_maps(iq):
         pieces = stage_one_pieces(iq, bare_sig, eps)
-        assert any("p" in free_vars(x.lhs) for x in pieces)
+        assert any("p" in x.lhs.var_names for x in pieces)
 
 
 def test_preprocess_semantic_equivalence_oracle(bare_sig):
@@ -632,7 +632,7 @@ def test_output_purity_invariant(bare_sig):
         assert d.status.kind == "success"
         for system in d.status.pure_systems:
             for si in system.ineqs:
-                assert not (free_vars(si.ineq.lhs) | free_vars(si.ineq.rhs))
+                assert not (si.ineq.lhs.var_names or si.ineq.rhs.var_names)
 
 
 # ----------------------------------------------------------------------

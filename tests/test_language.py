@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import gc
 import pickle
 import random
 import re
@@ -9,12 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import CLASSICAL_SIG_TEXT, adjoint, random_any_term
-from dlecorr import generators
+from dlecorr import engine, generators, language
 from dlecorr.language import (
     ANTI, JOIN, MEET, App, Bot, ConnectiveDecl, Conominal, DefBox, DefDia,
     DefLhd, DefRhd, DotBox, DotDia, DotLhd, DotRhd, Inequality, Join, Layer,
     Meet, MONO, Nominal, OrderType, ROLE_SPECS, Residual, SPEC_BY_ROLE, Top,
-    Var, BOT, TOP, join, layer_of, meet, replace_at, substitute,
+    Var, BOT, TOP, join, layer_of, meet, replace_at, substitute, subterms,
 )
 from dlecorr.parsing import ParseError, parse_inequality, parse_signature, parse_term
 from dlecorr.printing import print_term
@@ -332,3 +333,74 @@ def test_equal_terms_are_one_object():
         Var("p", name="q")
     with pytest.raises(TypeError):
         Residual(dia, args=(q,))
+
+
+def _draw(rng, mode, classical_sig):
+    """A seeded generators draw: an inductive inequality over a random
+    signature (alba) or the image of a dotted one (albae)."""
+    if mode == "alba":
+        sig = generators.random_signature(rng)
+        return sig, generators.random_inductive(rng, sig, max_depth=3)
+    star = generators.random_inductive(rng, classical_sig, star=True, max_depth=3)
+    return classical_sig, generators.phi_image(star, classical_sig)
+
+
+def _rebuilt(rng, t, sig):
+    """``t`` through each way of building a term: the parser, substitute,
+    replace_at, with_args, concretize, copy.deepcopy and pickling."""
+    paths = [()]
+    for path in paths:  # grows as it goes: every path into t, breadth first
+        paths.extend(path + (k,) for k in range(len(language.subterm_at(t, path).args)))
+    mapping = {rng.choice("pqr"): meet(Nominal("j1"), Var("s")), "q": Conominal("n1")}
+    out = [parse_term(print_term(t), sig, Layer.DLEPP), substitute(t, mapping),
+           replace_at(t, rng.choice(paths), join(Var("s"), Conominal("m0"))),
+           t.with_args(tuple(reversed(t.args))) if len(t.args) == 2 else t,
+           copy.deepcopy(t), pickle.loads(pickle.dumps(t))]
+    if sig.registered:
+        out.append(engine.concretize(DotDia((t,)), sig))
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10 ** 9), mode=st.sampled_from(("alba", "albae")))
+def test_name_sets_match_a_full_walk(seed, mode, classical_sig):
+    # every node's var_names and symbol_names are the names a walk of the
+    # node finds, however the node was built, the engine's included
+    rng = random.Random(seed)
+    sig, ineq = _draw(rng, mode, classical_sig)
+    terms = [t for side in (ineq.lhs, ineq.rhs) for t in (side, *_rebuilt(rng, side, sig))]
+    d = engine.run_alba(ineq, sig, mode)
+    terms += [t for node in d.nodes for t in node.system.check_terms]
+    terms += [t for leaf in d.leaves() for t in d.node_system_concrete(leaf).check_terms]
+    for t in terms:
+        for s in subterms(t):
+            nodes = list(subterms(s))
+            assert s.var_names == {n.name for n in nodes if isinstance(n, Var)}
+            assert s.symbol_names == {n.name for n in nodes
+                                      if isinstance(n, (Var, Nominal, Conominal))}
+            assert type(s.var_names) is type(s.symbol_names) is frozenset
+
+
+def test_dropped_terms_leave_no_reference_cycles(classical_sig):
+    # a term refers to its children and to frozensets of strings, never to
+    # itself: dropped terms leave the interning table by reference counting
+    # alone, and the collector finds nothing of them.  The names are used
+    # nowhere else, so every node built here is new
+    rng = random.Random(19)
+    draws = [_draw(rng, mode, classical_sig) for mode in ("alba", "albae") * 3]
+    fresh = {v: Var("cyc_" + v) for v in "pqr"}
+    gc.collect()
+    gc.disable()
+    try:
+        before = len(language._TERMS)
+        built = []
+        for sig, ineq in draws:
+            for side in (ineq.lhs, ineq.rhs):
+                t = substitute(side, fresh)
+                built += [t, *_rebuilt(rng, t, sig), Nominal("cyc_j"), Conominal("cyc_n")]
+        assert len(language._TERMS) > before
+        del built, t
+        assert len(language._TERMS) == before
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
