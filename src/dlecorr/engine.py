@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import copy
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from . import classify
@@ -188,7 +188,8 @@ class Derivation:
     def copy(self) -> "Derivation":
         """A copy whose nodes can be extended apart from this one's."""
         d = copy.copy(self)
-        d.nodes = [replace(n, children=list(n.children)) for n in self.nodes]
+        d.nodes = [DerivNode(n.id, n.parent, n.rule, n.system, n.principal, n.fresh,
+                             n.target_was_side, list(n.children)) for n in self.nodes]
         d._fresh_counts = dict(self._fresh_counts)
         d.closed = set(self.closed)
         return d
@@ -708,6 +709,10 @@ def apply_rule(d: Derivation, app: RuleApplication,
         raise RuleMatchError(f"{rid} only applies before FirstApprox")
     if rule is None:
         raise RuleMatchError(f"unknown rule {rid!r}")
+    if rid in _ROLE_RULES and not d.role_mode:
+        # the role rules are sound only where the role axioms hold (pi
+        # additive, ...), which alba mode does not assume
+        raise RuleMatchError(f"{rid} applies in albae mode only")
     if app.coord is not None and rid not in _COORD_RULES:
         raise RuleMatchError(f"{rid} takes no coordinate, got {app.coord}")
     results, principal, fresh = rule(d, system, app)
@@ -725,7 +730,8 @@ def apply_rule(d: Derivation, app: RuleApplication,
     out = []
     # the branching rules are role approximation and stage-one Split
     for tag, sys2 in zip(("A", "B") if len(results) > 1 else (None,), results):
-        child_app = replace(app, branch=tag) if tag else app
+        child_app = RuleApplication(app.rule_id, app.ineq_index, app.path, app.coord,
+                                    app.pivot, tag) if tag else app
         out.append(d._add_child(node_id, child_app, sys2, principal, fresh, target_side))
     return out
 

@@ -38,6 +38,17 @@ plans, and a pass that finds them all cached compiles nothing.  One term
 under one valuation (``eval_term``, the role tables) is read off the
 head tables directly and compiles nothing.
 
+``verify_rule_step`` keeps a verdict memo on each lattice, in the cache
+of its derived tables, keyed by a system's check terms (a tuple of
+terms, never equal to a derived table's key): the child of one rule
+step is the parent of the next, so each system is searched once per
+lattice.  The memo holds no plan, whose kernel would outlive the plan
+cache's bound.  The budget counts the valuations each verdict stands
+for: a known verdict spends what its search spent, and exceeds the
+budget at the same count.  ``add_op`` clears the memo with the tables.
+The other checks keep no verdicts, so the many lattices of a sweep
+hold none.
+
 The part of a lattice that depends only on its poset (elements, bounds,
 join, meet and order tables, irreducibles) is built once per ``Poset``
 and shared, read-only, by every lattice on it.
@@ -82,6 +93,11 @@ class Budget:
         self.used += n
         if self.used > self.limit:
             raise BudgetExceeded(f"quantifier budget of {self.limit} exceeded")
+
+    def replay(self, n: int) -> None:
+        """Spend what a search of ``n`` valuations spends: ``n``, or one
+        more than the room left, which raises as the search does."""
+        self.spend(min(n, max(self.limit - self.used, 0) + 1))
 
 
 @dataclass(frozen=True)
@@ -296,6 +312,8 @@ class FiniteDLE:
         for name in _Skeleton.__slots__:
             setattr(self, name, getattr(skeleton, name))
         self.ops: dict[str, object] = {}
+        # derived tables, keyed by tuples that start with a string, and
+        # rule-step verdicts, keyed by tuples of terms (verify_rule_step)
         self._cache: dict = {}
         for name, spec in sorted((ops or {}).items()):
             self.add_op(name, spec, validate=validate)
@@ -717,16 +735,16 @@ def check_validity(ineq: Inequality, dle: FiniteDLE,
     return env is None, None if env is None else plan.valuation(env)
 
 
-def _quasi_plan(system) -> _Plan:
-    """The plan of the universal closure of an engine system's (all
-    antecedents) => goal, keyed by its own tuple of check terms."""
+def _quasi_terms(system) -> tuple[Term, ...]:
+    """The terms of the universal closure of an engine system's (all
+    antecedents) => goal: its own tuple of check terms."""
     if system.goal is None:
         raise ModelError("system has no goal")
-    return _plan(system.check_terms)
+    return system.check_terms
 
 
-def _quasi_holds(system, dle: FiniteDLE, budget: Budget) -> bool:
-    plan = _quasi_plan(system)
+def _quasi_holds(terms: tuple[Term, ...], dle: FiniteDLE, budget: Budget) -> bool:
+    plan = _plan(terms)
     return plan.search(dle, plan.heads, budget) is None
 
 
@@ -738,8 +756,7 @@ def check_quasi(systems, dle: FiniteDLE, budget: Budget | None = None) -> bool:
             if si.ineq.lhs.var_names or si.ineq.rhs.var_names:
                 raise ModelError(
                     f"quasi-inequality is not pure: {print_inequality(si.ineq)}")
-        plan = _quasi_plan(system)
-        if plan.search(dle, plan.heads, budget) is not None:
+        if not _quasi_holds(_quasi_terms(system), dle, budget):
             return False
     return True
 
@@ -748,11 +765,25 @@ def verify_rule_step(parent, children, dle: FiniteDLE,
                      budget: Budget | None = None) -> bool:
     """Semantic soundness of one rule application: the parent system's
     quasi-inequality holds iff all children's do (fresh symbols of a
-    child are quantified on the child side)."""
+    child are quantified on the child side).  Each system's verdict is
+    kept in the lattice's cache, by its check terms, as one int: the
+    valuations its search spent (at least one), negated when it fails; a
+    known verdict spends them again."""
     budget = budget or Budget()
-    before = _quasi_holds(parent, dle, budget)
-    after = all(_quasi_holds(child, dle, budget) for child in children)
-    return before == after
+    memo = dle._cache
+
+    def holds(system) -> bool:
+        terms = _quasi_terms(system)  # a goalless system raises, known or not
+        known = memo.get(terms)
+        if known is None:
+            used = budget.used
+            ok = _quasi_holds(terms, dle, budget)
+            known = memo[terms] = budget.used - used if ok else used - budget.used
+        else:
+            budget.replay(abs(known))
+        return known > 0
+
+    return holds(parent) == all(holds(child) for child in children)
 
 
 def role_axiom_holds(dle: FiniteDLE, role: str) -> bool:

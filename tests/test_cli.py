@@ -156,6 +156,18 @@ def test_plain_rules_in_albae_mode_are_a_stuck_report(tmp_path, capsys):
             capsys.readouterr().out, text
 
 
+def test_role_rules_in_alba_mode_are_a_stuck_report(tmp_path, capsys):
+    # the role rules read a registered term as satisfying its role's
+    # axiom, which alba mode does not assume
+    from dlecorr import cli
+    script = tmp_path / "role.script"
+    script.write_text("FirstApprox\nApproxPi @ 0\n")
+    code = cli.main(["reduce", "dia(box(dia(p))) <= q", "--sig", str(SIG),
+                     "--mode", "alba", "--strategy", str(script)])
+    assert code == 4
+    assert "stuck: vars= : ApproxPi applies in albae mode only\n" in capsys.readouterr().out
+
+
 def test_a_coordinate_a_step_does_not_read_is_a_stuck_report(tmp_path, capsys):
     # only residuation (a dotted marker's in coordinate 1), distribution and
     # MonotoneElim read a coordinate: a scripted step given one it does not

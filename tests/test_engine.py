@@ -495,6 +495,28 @@ def test_rule_mismatch_raises(bare_sig, mixed_sig):
             assert str(exc.value) == f"{rid} applies in alba mode only"
 
 
+def test_role_rules_in_alba_mode_are_refused(classical_sig):
+    # alba mode does not assume the role axioms on which the role rules
+    # rest: ApproxPi would put Dia[pi] into the system, which is unsound
+    # wherever pi is not additive.  Every role rule is refused there, before
+    # it is matched, and the derivation gets no node for it
+    iq = parse_inequality("dia(box(dia(p))) <= q", classical_sig, Layer.DLE)
+    script = "FirstApprox\nApproxPi @ 0"
+    d = engine.run_scripted(iq, classical_sig, "alba", script)
+    assert d.status.kind == "failure" and len(d.nodes) == 2
+    assert d.status.stuck.message == "ApproxPi applies in albae mode only"
+    assert len(engine.run_scripted(iq, classical_sig, "albae", script).nodes) == 4
+    proto = mk_system([(iq, False)])
+    first = mk_system([(Inequality(I0, iq.lhs), False), (Inequality(iq.rhs, M0), False)],
+                      GOAL)
+    for rid, (kind, _) in engine._ROLE_RULES.items():
+        d = derivation_at(classical_sig, "alba", proto if kind == "Dist" else first)
+        with pytest.raises(RuleMatchError) as exc:
+            apply_rule(d, RuleApplication(rid, ineq_index=0, path=(0,), coord=1), 0)
+        assert str(exc.value) == f"{rid} applies in albae mode only"
+        assert len(d.nodes) == 1
+
+
 def test_approximation_freshness(bare_sig):
     iq = parse_inequality("dia(p) <= box(q)", bare_sig, Layer.DLE)
     d = run_alba(iq, bare_sig, "alba", "auto")

@@ -8,7 +8,7 @@ from itertools import product
 import pytest
 
 from conftest import CLASSICAL_SIG_TEXT, adjoint, relational_dle
-from dlecorr import generators, models
+from dlecorr import generators, language, models
 from dlecorr.engine import SysIneq, System, rule_steps, run_alba
 from dlecorr.language import (
     BOT, JOIN, MEET, ROLE_SPECS, SPEC_BY_NODE, SPEC_BY_ROLE, TOP, App, Bot,
@@ -281,6 +281,11 @@ def _one_of_each_head(sig: Signature) -> list:
     return terms
 
 
+def _fresh_copy(dle: FiniteDLE) -> FiniteDLE:
+    """The same lattice with an empty cache: no derived table, no verdict."""
+    return FiniteDLE(dle.poset, dle.sig, dict(dle.ops), validate=False)
+
+
 _DERIVED = (Residual, *SPEC_BY_NODE)
 
 
@@ -307,7 +312,7 @@ def test_fresh_and_warm_lattices_agree_on_every_head(mixed_sig):
             for ineq in checks:
                 check_validity(ineq, dle)
             for ineq in checks:
-                fresh = FiniteDLE(dle.poset, dle.sig, dict(dle.ops), validate=False)
+                fresh = _fresh_copy(dle)
                 warm_budget, fresh_budget = Budget(), Budget()
                 assert check_validity(ineq, dle, warm_budget) == \
                     check_validity(ineq, fresh, fresh_budget)
@@ -616,7 +621,8 @@ def test_plans_leave_no_reference_cycles(classical_sig):
 def test_a_pass_of_rule_steps_compiles_once(monkeypatch):
     # the rule steps of seeded derivations need more distinct plans than
     # 256; checked twice in the same cyclic order, the second pass finds
-    # every plan compiled
+    # every plan compiled.  It checks copies of the lattices, which know
+    # no verdict, so that every check reads its plan
     rng = random.Random(8)
     checks, systems = [], set()
     while len(systems) <= 300:
@@ -633,10 +639,11 @@ def test_a_pass_of_rule_steps_compiles_once(monkeypatch):
     monkeypatch.setattr(models, "_define",
                         lambda name, lines: compiled.append(name) or define(name, lines))
     models._plan.cache_clear()
+    copies = {dle: _fresh_copy(dle) for _, _, dle in checks}
     passes = []
-    for _ in range(2):
+    for lattice in ({}, copies):
         before = len(compiled)
-        assert all(verify_rule_step(parent, children, dle)
+        assert all(verify_rule_step(parent, children, lattice.get(dle, dle))
                    for parent, children, dle in checks)
         passes.append(len(compiled) - before)
     assert passes[0] > 256 and passes[1] == 0
@@ -741,6 +748,153 @@ def test_oracle_differential_pinned(classical_sig):
     records = _oracle_records(classical_sig, 200)
     digest = hashlib.sha256(repr(records).encode()).hexdigest()
     assert digest == "2591ee60d3eee377737a35a5b75e3748be708eb7c58b6ea9798ffd2e4ffbeb1c"
+
+
+def _verdicts(dle: FiniteDLE) -> dict:
+    """The rule-step verdicts kept in ``dle``'s cache: its keys that are
+    tuples of terms, where every derived table's key starts with a string."""
+    return {key: v for key, v in dle._cache.items() if not isinstance(key[0], str)}
+
+
+def _memo_cases(classical_sig):
+    """(derivation, lattice) pairs: seeded derivations in both modes,
+    each on a random lattice of its signature."""
+    rng = random.Random(20)
+    cases = []
+    for k in range(24):
+        if k % 2 == 0:
+            sig, mode = generators.random_signature(rng), "alba"
+            ineq = generators.random_inductive(rng, sig, max_depth=3)
+        else:
+            sig, mode = classical_sig, "albae"
+            ineq = generators.phi_image(
+                generators.random_inductive(rng, sig, star=True, max_depth=3), sig)
+        d = run_alba(ineq, sig, mode, "auto")
+        cases.append((d, random_dle(rng, sig, max_points=3)))
+    return cases
+
+
+def test_rule_step_verdicts_are_exact(classical_sig):
+    # on each lattice the steps of a derivation share systems (a child is
+    # the next step's parent), so most checks are known verdicts; each
+    # step gives the verdict and spends the budget that it does, searched
+    # afresh, on a copy of the lattice with no verdicts
+    checks = hits = 0
+    modes = set()
+    for d, dle in _memo_cases(classical_sig):
+        steps = list(rule_steps(d))
+        modes.add(d.mode)
+        budget, searched = Budget(), 0
+        for _, parent, children in steps:
+            fresh = Budget()
+            expected = verify_rule_step(parent, children, _fresh_copy(dle), fresh)
+            searched += fresh.used
+            assert verify_rule_step(parent, children, dle, budget) == expected
+            assert budget.used == searched
+            checks += 1 + len(children)
+        hits += checks - len(_verdicts(dle))
+        # a second pass finds every verdict known and spends as much again
+        again = Budget()
+        for _, parent, children in steps:
+            verify_rule_step(parent, children, dle, again)
+        assert again.used == budget.used
+    assert modes == {"alba", "albae"}
+    assert hits > checks // 4
+
+
+def test_known_verdicts_exceed_the_budget_where_a_search_does(bare_sig):
+    # a known verdict raises BudgetExceeded at the valuation where the
+    # search raises it, and spends as much when there is room
+    dle = relational_dle(bare_sig, 3, [(0, 1), (1, 2)])
+    goal = Inequality(Nominal("i0"), Conominal("m0"))
+    holding = System((SysIneq(Inequality(Nominal("i0"), meet(Var("p"), Var("q")))),
+                      SysIneq(Inequality(Var("p"), Conominal("m0")))), goal)
+    failing = System((SysIneq(Inequality(Nominal("i0"), Var("p"))),), goal)
+    for parent, children in ((holding, [holding]), (failing, [holding, failing])):
+        known = _fresh_copy(dle)
+        full = Budget()
+        verify_rule_step(parent, children, known, full)
+        assert _verdicts(known) and full.used > 1
+        for limit in range(full.used + 2):
+            outcomes = []
+            for lattice in (_fresh_copy(dle), known):
+                budget = Budget(limit)
+                budget.spend(min(limit, 3))  # the room left is not the limit
+                try:
+                    outcomes.append(verify_rule_step(parent, children, lattice, budget))
+                except BudgetExceeded:
+                    outcomes.append("exceeded")
+                outcomes.append(budget.used)
+            assert outcomes[:2] == outcomes[2:], (limit, outcomes)
+
+
+def test_add_op_drops_the_verdicts(classical_sig):
+    iq = parse_inequality("dia(box(p)) <= box(dia(p))", classical_sig, Layer.DLE)
+    steps = list(rule_steps(run_alba(iq, classical_sig, "alba", "auto")))
+    dle = relational_dle(classical_sig, 2, [(0, 1)])
+    # the first approximation fails here, as the input does, and so does
+    # a system with its goal and no antecedents, which fails everywhere
+    _, parent, _ = steps[0]
+    crossed = [System((), parent.goal)]
+    assert verify_rule_step(parent, crossed, dle)
+    assert _verdicts(dle)
+    # with dia at bottom and box at top the parent's antecedents hold
+    # nowhere, so it holds
+    for name, value in (("dia", dle.bot), ("box", dle.top)):
+        dle.add_op(name, [value] * dle.n_elem, validate=False)
+    assert _verdicts(dle) == {}
+    assert not verify_rule_step(parent, crossed, dle)
+    assert not verify_rule_step(parent, crossed, _fresh_copy(dle))
+
+
+def test_a_goalless_system_is_refused_even_with_known_terms(bare_sig):
+    # the goalless system's check terms are those of a system with a goal
+    # whose verdict is known: it is still refused
+    i, m = Nominal("i"), Conominal("m")
+    antecedent = SysIneq(Inequality(i, App(bare_sig.decl("dia"), (Var("p"),))))
+    with_goal = System((antecedent,), Inequality(i, m))
+    goalless = System((antecedent, SysIneq(Inequality(i, m))))
+    assert goalless.check_terms == with_goal.check_terms
+    dle = relational_dle(bare_sig, 2, [(0, 1)])
+    assert verify_rule_step(with_goal, [with_goal], dle)
+    assert with_goal.check_terms in _verdicts(dle)
+    for parent, children in ((goalless, [with_goal]), (with_goal, [goalless])):
+        with pytest.raises(models.ModelError, match="^system has no goal$"):
+            verify_rule_step(parent, children, dle)
+
+
+def test_validity_and_quasi_checks_keep_no_verdicts(classical_sig):
+    iq = parse_inequality("dia(box(p)) <= box(dia(p))", classical_sig, Layer.DLE)
+    d = run_alba(iq, classical_sig, "alba", "auto")
+    dle = relational_dle(classical_sig, 2, [(0, 1)])
+    _, parent, children = next(iter(rule_steps(d)))
+    assert not check_validity(iq, dle)[0]
+    for si in (*parent.ineqs, *children[0].ineqs):
+        check_validity(si.ineq, dle)
+    assert not check_quasi(d.status.pure_systems, dle)
+    assert dle._cache and _verdicts(dle) == {}
+
+
+def test_dropped_lattices_release_their_verdicts_terms(classical_sig):
+    # a lattice's verdicts hold the check terms of the systems they are
+    # about: once the derivation and the plans are gone they keep its
+    # terms interned, and dropping the lattice releases them
+    iq = parse_inequality("dia(box(p)) <= box(dia(p))", classical_sig, Layer.DLE)
+    dle = relational_dle(classical_sig, 2, [(0, 1)])
+    models._plan.cache_clear()
+    gc.collect()
+    before = len(language._TERMS)
+    d = run_alba(iq, classical_sig, "alba", "auto")
+    assert d.status.kind == "success"
+    assert all(verify_rule_step(parent, children, dle)
+               for _, parent, children in rule_steps(d))
+    del d
+    models._plan.cache_clear()
+    gc.collect()
+    assert len(language._TERMS) > before
+    del dle
+    gc.collect()
+    assert len(language._TERMS) == before
 
 
 def test_load_dle_text_format(classical_sig, mixed_sig):

@@ -25,8 +25,10 @@ and a conominal over the complements of the principal downsets.
 Validity of an inequality is checked by enumerating every valuation of
 its symbols, and a pure quasi-inequality holds when every valuation of
 its nominals and conominals that satisfies its antecedents satisfies its
-goal.  Nothing here calls into ``models``; the tests compare
-``models.check_validity`` and ``models.check_quasi`` with it.
+goal.  A rule step is sound when its parent system holds exactly when
+its child does.  Nothing here calls into ``models``; the tests compare
+``models.check_validity``, ``models.check_quasi`` and
+``models.verify_rule_step`` with it.
 """
 
 from functools import reduce
@@ -42,7 +44,9 @@ from dlecorr.language import (
     JOIN, MEET, App, Bot, Conominal, Inequality, Join, Meet, Nominal, Residual,
     Top, Var,
 )
-from dlecorr.models import FiniteDLE, Poset, Relation, check_quasi, check_validity
+from dlecorr.models import (
+    FiniteDLE, Poset, Relation, check_quasi, check_validity, verify_rule_step,
+)
 from dlecorr.parsing import parse_signature
 
 SIG = parse_signature(CLASSICAL_SIG_TEXT)
@@ -221,11 +225,16 @@ def test_check_validity_agrees_with_the_reference(frame, lhs, rhs):
         assert not holds(ineq, up, rows, val)
 
 
-pure_systems = st.builds(
-    lambda antecedents, i, m: System(
-        tuple(SysIneq(Inequality(a, b)) for a, b in antecedents), Inequality(i, m)),
-    st.lists(st.tuples(pure_terms, pure_terms), max_size=2),
-    st.sampled_from(NOMINALS), st.sampled_from(CONOMINALS))
+def systems_over(terms):
+    """Systems of up to two antecedents over ``terms`` with a goal."""
+    return st.builds(
+        lambda antecedents, i, m: System(
+            tuple(SysIneq(Inequality(a, b)) for a, b in antecedents), Inequality(i, m)),
+        st.lists(st.tuples(terms, terms), max_size=2),
+        st.sampled_from(NOMINALS), st.sampled_from(CONOMINALS))
+
+
+pure_systems = systems_over(pure_terms)
 
 
 @settings(max_examples=200, deadline=None)
@@ -234,3 +243,19 @@ def test_check_quasi_agrees_with_the_reference(frame, systems):
     up, rows = frame
     assert check_quasi(systems, relational_dle(up, rows)) == all(
         reference_quasi(system, up, rows) for system in systems)
+
+
+# systems of rule steps: one variable besides the nominals and conominals
+step_systems = systems_over(terms_over([Var("p"), *NOMINALS, *CONOMINALS]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(frame=relational_frames(), a=step_systems, b=step_systems)
+def test_verify_rule_step_agrees_with_the_reference(frame, a, b):
+    # checked twice and then crosswise: the later checks read the verdicts
+    # that the lattice keeps
+    up, rows = frame
+    dle = relational_dle(up, rows)
+    sound = reference_quasi(a, up, rows) == reference_quasi(b, up, rows)
+    for parent, child in ((a, b), (a, b), (b, a)):
+        assert verify_rule_step(parent, [child], dle) == sound
