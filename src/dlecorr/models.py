@@ -12,9 +12,10 @@ Operations for the signature's connectives are given by tables, by
 relational generators (diamond/box of a binary relation on the points,
 forced into the lattice with an upward closure/interior), or sampled
 from values on irreducible tuples, which produces normal operations by
-construction.  Defined modalities are read off the role terms, and
-every residual (the adjoints and the lattice implications included) off
-its operation's table by one exhaustive sweep; both are cached.
+construction.  Derived tables are built from the irreducibles in one
+pass and cached: the defined modalities off the role terms, and every
+residual (the adjoints and the lattice implications included) off its
+normal operation's table.
 
 Quantified checks (validity, pure quasi-inequalities, rule soundness)
 enumerate valuations: propositional variables over all elements,
@@ -34,9 +35,10 @@ the kernel takes the lattice and binds its tables and domains itself.  A
 plan keeps only its symbols, heads and kernel.  Slim, 4096 of them fit in
 little memory, and the cache's one bound is set there: checking every
 rule step of 650 seeded derivations cycles through 2700-2900 distinct
-plans, and a pass that finds them all cached compiles nothing.  One term
-under one valuation (``eval_term``, the role tables) is read off the
-head tables directly and compiles nothing.
+plans, and a pass that finds them all cached compiles nothing.
+``eval_term`` reads one term under one valuation off the head tables, a
+role table its term at every element, one node at a time: neither
+compiles anything.
 
 ``verify_rule_step`` keeps a verdict memo on each lattice, in the cache
 of its derived tables, keyed by a system's check terms (a tuple of
@@ -141,11 +143,13 @@ class Poset:
 
 class _Skeleton:
     """The upsets of a poset as element indices, in ascending mask order,
-    with the bounds, the join, meet and order tables and the irreducibles.
+    with the bounds, the join, meet and order tables (both ways round),
+    the elements above and below each element and the irreducibles.
     Nothing writes to these tables, so lattices share them."""
 
     __slots__ = ("elements", "index", "n_elem", "bot", "top", "join_table",
-                 "meet_table", "leq_table", "jirr", "mirr")
+                 "meet_table", "leq_table", "geq_table", "above", "below",
+                 "jirr", "mirr")
 
     def __init__(self, poset: Poset):
         full = (1 << poset.n) - 1
@@ -161,6 +165,9 @@ class _Skeleton:
                            for a in self.elements]
         self.leq_table = [[(a & ~b) == 0 for b in self.elements]
                           for a in self.elements]
+        self.geq_table = [list(col) for col in zip(*self.leq_table)]
+        self.above = [[u for u, le in enumerate(row) if le] for row in self.leq_table]
+        self.below = [[u for u, ge in enumerate(row) if ge] for row in self.geq_table]
         self.jirr = tuple(self.index[poset.up[x]] for x in range(poset.n))
         self.mirr = tuple(self.index[full & ~poset.down(x)] for x in range(poset.n))
         # denseness at finite scale: every element is the join of the
@@ -431,10 +438,20 @@ class FiniteDLE:
         reg = self.sig.role(role)
         if reg is None:
             raise ModelError(f"role {role!r} has no registered term")
+        return self._cached(("role", role), lambda: list(_row(reg.term, reg.var, self)))
 
-        return self._cached(("role", role), lambda: [
-            eval_term(reg.term, self, Valuation(var_map={reg.var: u}))
-            for u in range(self.n_elem)])
+    def _push(self, pairs, up: bool, join: bool) -> list[int]:
+        """The table whose entry at u joins (``join``) or meets the values
+        v of the pairs (x, v) with x below u (``up``) or above it, pushed
+        there as upset masks; a meet is the complement of the join of
+        complements."""
+        flip, acc = 0 if join else self.elements[self.top], [0] * self.n_elem
+        reach = self.above if up else self.below
+        for x, v in pairs:
+            mask = self.elements[v] ^ flip
+            for u in reach[x]:
+                acc[u] |= mask
+        return [self.index[m ^ flip] for m in acc]
 
     def def_table(self, role: str) -> list[int]:
         """The defined modality: the role term read off the irreducibles
@@ -443,22 +460,23 @@ class FiniteDLE:
         spec = SPEC_BY_ROLE[role]
 
         def build():
-            f = self.role_table(role)
-            gather = self.join_all if spec.family == "F" else self.meet_all
-            return [gather(f[x] for x in self.approximants(u, spec.bot_unit))
-                    for u in range(self.n_elem)]
+            f, gens = self.role_table(role), self.jirr if spec.bot_unit else self.mirr
+            return self._push(((x, f[x]) for x in gens), spec.bot_unit,
+                              spec.family == "F")
 
         return self._cached(("def", role), build)
 
     def residual_table(self, decl, coord: int):
-        """The residual of the operation ``decl`` in ``coord``: at each
-        argument tuple, the join (bottom-unit coordinates) or meet of the
-        elements w whose value, the operation's with w in ``coord``, lies
-        below (F) or above (G) the residuated argument.  The operation's
-        table is the lattice's meet or join (``MEET``, ``JOIN``), a
-        defined modality's (``RoleSpec.defined_decl``) or in ``ops``,
-        where a connective and a dotted marker may share a name: the cache
-        key holds the whole declaration, as plain values that hash fast."""
+        """The residual of the normal operation ``decl`` in ``coord``: at
+        each argument tuple, the join (bottom-unit coordinates) or meet of
+        the elements w, by normality the irreducibles w, whose value, the
+        operation's with w in ``coord``, lies below (F) or above (G) the
+        residuated argument.  (A table added unvalidated that is not
+        normal is no DLE operation.)  The operation's table is the
+        lattice's meet or join (``MEET``, ``JOIN``), a defined modality's
+        (``RoleSpec.defined_decl``) or in ``ops``, where a connective and a
+        dotted marker may share a name: the cache key holds the whole
+        declaration, as plain values that hash fast."""
         def build():
             if decl == MEET:
                 table = self.meet_table
@@ -472,19 +490,19 @@ class FiniteDLE:
                 raise ModelError(f"no table for connective {decl.name!r}")
             if decl.arity > 3:
                 raise ModelError("residual tables support arity <= 3")
-            h, leq, r = coord - 1, self.leq_table, range(self.n_elem)
-            gather = self.join_all if bot_unit(
-                decl.family, decl.tonicities()[h]) else self.meet_all
+            h, n = coord - 1, self.n_elem
+            bot = bot_unit(decl.family, decl.tonicities()[h])
+            gens = self.jirr if bot else self.mirr
 
-            def residual_value(args: tuple[int, ...]) -> int:
-                chi, rest, vals = args[h], args[h + 1:], _read(table, args[:h])
-                if rest:  # vals[w]: the value with w in ``coord``
-                    vals = [_read(vals[w], rest) for w in r]
-                if decl.family == "F":
-                    return gather(w for w in r if leq[vals[w]][chi])
-                return gather(w for w in r if leq[chi][vals[w]])
+            def column(rest):  # at the other coordinates' arguments
+                return self._push(((_read(table, rest[:h] + (x,) + rest[h:]), x)
+                                   for x in gens), decl.family == "F", bot)
 
-            return _tabulate(self.n_elem, decl.arity, residual_value)
+            last = _tabulate(n, decl.arity - 1, column)  # residuated argument last
+            if h == decl.arity - 1:
+                return last
+            return _tabulate(n, decl.arity, lambda args: _read(
+                last, args[:h] + args[h + 1:] + args[h:h + 1]))
 
         return self._cached(
             ("res", decl.name, decl.family, decl.order_type.entries, coord), build)
@@ -724,6 +742,19 @@ def eval_term(t: Term, dle: FiniteDLE, val: Valuation) -> int:
     return table
 
 
+def _row(t: Term, var: str, dle: FiniteDLE):
+    """``t`` at every element as the value of ``var``: a node's row is its
+    head's table read at its arguments' rows."""
+    if type(t) is Var and t.name == var:
+        return range(dle.n_elem)
+    if type(t) in _LEAF_KINDS:
+        raise ModelError(f"unbound {_LEAF_KINDS[type(t)]} {t.name!r}")
+    vals = [_head_table(t, dle)] * dle.n_elem
+    for a in t.args:
+        vals = [v[x] for v, x in zip(vals, _row(a, var, dle))]
+    return vals
+
+
 def check_validity(ineq: Inequality, dle: FiniteDLE,
                    budget: Budget | None = None
                    ) -> tuple[bool, Valuation | None]:
@@ -807,8 +838,7 @@ def role_axiom_holds(dle: FiniteDLE, role: str) -> bool:
 def _below(dle: FiniteDLE, family: str):
     """``below[a][b]``: a <= b for F roles and a >= b for G roles, whose
     checks are those of F roles with the order turned round."""
-    leq = dle.leq_table
-    return leq if family == "F" else tuple(zip(*leq))
+    return dle.leq_table if family == "F" else dle.geq_table
 
 
 def role_axioms_hold(dle: FiniteDLE) -> bool:

@@ -22,7 +22,7 @@ from dlecorr.models import (
     check_validity, enumerate_posets, eval_term, load_dle, random_dle,
     random_normal_table, verify_rule_step,
 )
-from dlecorr.parsing import parse_inequality, parse_signature
+from dlecorr.parsing import parse_inequality, parse_signature, parse_term
 
 
 def test_poset_counts():
@@ -179,6 +179,70 @@ def test_residuation_law_on_mixed_order_types(mixed_sig):
                             (decl.order_type[coord - 1] == "1")
                         rhs = dle.leq(x, rv) if below else dle.leq(rv, x)
                         assert lhs == rhs, (decl.name, coord, args, y)
+
+
+def _residual_by_gather(dle, decl, coord, table):
+    """The residual of ``decl`` in ``coord`` from its definition: at each
+    argument tuple, the join (bottom-unit coordinates) or meet of every
+    element w whose value, with w in ``coord``, lies below (F) or above
+    (G) the residuated argument."""
+    h, r, leq = coord - 1, range(dle.n_elem), dle.leq_table
+    bot = (decl.family == "F") == (decl.order_type[h] == "1")
+    gather = dle.join_all if bot else dle.meet_all
+
+    def value(args):
+        vals = [_lookup(table, args[:h] + (w,) + args[h + 1:]) for w in r]
+        if decl.family == "F":
+            return gather(w for w in r if leq[vals[w]][args[h]])
+        return gather(w for w in r if leq[args[h]][vals[w]])
+
+    return models._tabulate(dle.n_elem, decl.arity, value)
+
+
+def _assert_tables_by_gather(dle):
+    """Each role, defined and residual table of ``dle``, the residuals of
+    the lattice's meet and join included, in every coordinate, is the
+    one its definition gathers over every element: the role term
+    evaluated at each element, and the defined modality the join (F) or
+    meet (G) of the role term at the irreducibles below (bottom-unit
+    roles) or above each element."""
+    r = range(dle.n_elem)
+    tables = {decl: dle.ops[decl.name] for decl in dle.sig.connectives}
+    tables.update({MEET: dle.meet_table, JOIN: dle.join_table})
+    for reg in dle.sig.registered:
+        spec = SPEC_BY_ROLE[reg.role]
+        f = [eval_term(reg.term, dle, Valuation(var_map={reg.var: u})) for u in r]
+        gather = dle.join_all if spec.family == "F" else dle.meet_all
+        g = [gather(f[x] for x in dle.approximants(u, spec.bot_unit)) for u in r]
+        assert dle.role_table(reg.role) == f, reg.role
+        assert dle.def_table(reg.role) == g, reg.role
+        tables[spec.defined_decl] = g
+    for decl, table in tables.items():
+        for coord in range(1, decl.arity + 1):
+            assert dle.residual_table(decl, coord) == \
+                _residual_by_gather(dle, decl, coord, table), (decl.name, coord)
+
+
+def test_derived_tables_match_their_definitions(classical_sig, mixed_sig):
+    # the tables built from the irreducibles are those gathered over
+    # every element: on the whole 3-point relational sweep, on random
+    # normal lattices with binary, antitone, F and G connectives and all
+    # four roles, and with role terms built of the lattice constants and
+    # operations and a residual
+    for _, dle in models.relational_sweep(classical_sig, 3):
+        _assert_tables_by_gather(dle)
+    rng = random.Random(21)
+    four_roles = parse_signature(CLASSICAL_SIG_TEXT + LR_SIG_TEXT)
+    for sig in (mixed_sig, four_roles):
+        for _ in range(20):
+            _assert_tables_by_gather(random_dle(rng, sig, max_points=3, validate=True))
+    base = parse_signature("conn dia F 1 (1)\nconn box G 1 (1)\n"
+                           "term pi = dia(p & top) | bot")
+    sigma = language.RegisteredTerm("sigma", "p", parse_term(
+        "box(res(dia,1)(p)) & (top -> p) & (p -. bot)", base, Layer.DLEPLUS))
+    constants = Signature(base.connectives, base.registered + (sigma,))
+    for _, dle in models.relational_sweep(constants, 2):
+        _assert_tables_by_gather(dle)
 
 
 def test_random_normal_tables_validate(mixed_sig):

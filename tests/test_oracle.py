@@ -20,7 +20,16 @@ preserves meets, both monotone in each coordinate, so
   A -. B = res(join,1)(A, B) = the least upset C with A inside C | B
 
 A nominal ranges over the principal upsets, the upsets of single points,
-and a conominal over the complements of the principal downsets.
+and a conominal over the complements of the principal downsets.  The
+signature registers role terms for pi and sigma, and their defined
+modalities read the role term off these:
+
+  Dia[pi] U = the union of pi(up x) over the points x in U
+  Box[sigma] U = the intersection of sigma(C) over the complements C
+                 of the principal downsets of the points not in U
+
+Dia[pi] preserves joins and Box[sigma] meets, both monotone, so their
+adjoints are residuals as above: res(Dia,1) and res(Box,1).
 
 Validity of an inequality is checked by enumerating every valuation of
 its symbols, and a pure quasi-inequality holds when every valuation of
@@ -41,8 +50,8 @@ from hypothesis import strategies as st
 from conftest import CLASSICAL_SIG_TEXT
 from dlecorr.engine import SysIneq, System
 from dlecorr.language import (
-    JOIN, MEET, App, Bot, Conominal, Inequality, Join, Meet, Nominal, Residual,
-    Top, Var,
+    JOIN, MEET, SPEC_BY_ROLE, App, Bot, Conominal, DefBox, DefDia, Inequality,
+    Join, Meet, Nominal, Residual, Top, Var,
 )
 from dlecorr.models import (
     FiniteDLE, Poset, Relation, check_quasi, check_validity, verify_rule_step,
@@ -51,6 +60,10 @@ from dlecorr.parsing import parse_signature
 
 SIG = parse_signature(CLASSICAL_SIG_TEXT)
 DIA, BOX = SIG.decl("dia"), SIG.decl("box")
+# the defined modalities of pi and sigma read as unary connectives
+DEF_DIA, DEF_BOX = (SPEC_BY_ROLE[role].defined_decl for role in ("pi", "sigma"))
+# the operation of each node class other than App, which names its own
+OPERATIONS = {Meet: MEET, Join: JOIN, DefDia: DEF_DIA, DefBox: DEF_BOX}
 
 
 def points(mask: int, n: int) -> list[int]:
@@ -101,7 +114,20 @@ def operate(decl, a: list[int], up, rows) -> int:
         return up_closure(sum(1 << x for x in range(n) if rows[x] & a[0]), up)
     if decl == BOX:
         return interior(sum(1 << x for x in range(n) if rows[x] | a[0] == a[0]), up)
+    if decl == DEF_DIA:
+        return reduce(or_, (role_term("pi", up[x], up, rows)
+                            for x in points(a[0], n)), 0)
+    if decl == DEF_BOX:
+        full = (1 << n) - 1
+        return reduce(and_, (role_term("sigma", domain(Conominal, up)[x], up, rows)
+                             for x in range(n) if not a[0] >> x & 1), full)
     raise ValueError(f"no reference semantics for {decl.name}")
+
+
+def role_term(role: str, value: int, up, rows) -> int:
+    """The registered term of ``role`` with ``value`` for its variable."""
+    reg = SIG.role(role)
+    return evaluate(reg.term, up, rows, {reg.var: value})
 
 
 def evaluate(t, up, rows, val) -> int:
@@ -113,9 +139,10 @@ def evaluate(t, up, rows, val) -> int:
     if isinstance(t, Bot):
         return 0
     a = [evaluate(s, up, rows, val) for s in t.args]
-    if isinstance(t, (Meet, Join, App)):
-        return operate(MEET if isinstance(t, Meet) else JOIN if isinstance(t, Join)
-                       else t.decl, a, up, rows)
+    if isinstance(t, App):
+        return operate(t.decl, a, up, rows)
+    if type(t) in OPERATIONS:
+        return operate(OPERATIONS[type(t)], a, up, rows)
     if isinstance(t, Residual):
         decl, h = t.decl, t.coord - 1
         preserves_joins = decl.family == "F"
@@ -194,6 +221,10 @@ def terms_over(leaves):
             sub.map(lambda t: App(BOX, (t,))),
             sub.map(lambda t: Residual(DIA, 1, (t,))),
             sub.map(lambda t: Residual(BOX, 1, (t,))),
+            sub.map(lambda t: DefDia((t,))),
+            sub.map(lambda t: DefBox((t,))),
+            sub.map(lambda t: Residual(DEF_DIA, 1, (t,))),
+            sub.map(lambda t: Residual(DEF_BOX, 1, (t,))),
         ),
         max_leaves=6,
     )
