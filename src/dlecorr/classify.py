@@ -18,9 +18,14 @@ critical branch is good and the side terms of SRR nodes on critical
 branches agree with the opposite order type and only mention strictly
 Omega-smaller variables.  Meta-inductive inequalities are the images of
 inductive dotted-language inequalities under substitution of registered
-role terms for the dotted modalities.  Each signed tree is analysed once,
-in one walk that builds no tree: every order type, preimage pairing and
-branch report reads the analyses.  The classes of Table 1, which the
+role terms for the dotted modalities.  Each signed tree is analysed in
+one walk that builds no tree and carries the P1/P2 split, the good and
+excellent flags and the SRR side leaves down to each leaf; every order
+type, preimage pairing and branch report reads the analyses.  One slot
+keeps the last input's analyses, so the public calls on one input share
+one walk; it keeps that input's subterms alive until the next input.
+The anti-substitution search memoises each subterm's preimages for one
+search, with the budget they spent.  The classes of Table 1, which the
 engine's stage one reads too, are seven fixed sets, and ``is_critical``
 is the one test of a leaf's criticality for classifier, engine and
 generators.
@@ -34,7 +39,7 @@ from itertools import product
 from .language import (
     ANTI, MONO, ROLE_SPECS, App, Bot, Inequality, Join, Layer, Meet,
     OrderType, RegisteredTerm, Signature, Term, Top, Var, connective_decl,
-    dotted_spec, var_occurrences,
+    dotted_spec, signed_leaves,
 )
 
 DELTA = "delta"
@@ -109,53 +114,58 @@ def branches(t: Term, sign: int) -> list[BranchAnalysis]:
     """Analyses of all variable-leaf branches of the signed generation
     tree of ``t`` at ``sign``, leftmost first."""
     out: list[BranchAnalysis] = []
-    _walk(t, sign, [], out)
+    _walk(t, sign, [], 0, True, True, _NO_LEAVES, out)
     return out
 
 
-def _walk(t: Term, sign: int, trail: list[tuple[SignedNode, int]],
+_NO_LEAVES: frozenset[tuple[str, int]] = frozenset()
+_DLESTAR = Layer.DLESTAR  # an enum member costs a class lookup per read
+
+
+def _walk(t: Term, sign: int, trail: list[SignedNode], k: int, good: bool,
+          excellent: bool, srr: frozenset[tuple[str, int]],
           out: list[BranchAnalysis]) -> None:
-    # trail: the nodes above t, root first, each with the coordinate taken
-    if t.layer > Layer.DLESTAR:
+    # trail: the nodes above t, root first.  Its first k nodes are the
+    # Skeleton block, still open while k == len(trail); the rest is the PIA
+    # block so far, good/excellent so far, with the SRR side leaves ``srr``
+    if t.layer > _DLESTAR:
         raise ClassifyError(
             "signed generation trees are defined for DLE/DLEstar terms only")
     if isinstance(t, Var):
-        out.append(_analyse(t.name, sign, trail))
+        out.append(BranchAnalysis(t.name, sign, good, excellent, tuple(trail[k:][::-1]),
+                                  tuple(trail[:k][::-1]), srr if good else _NO_LEAVES))
         return
     node = SignedNode(t, sign, node_classes(t, sign))
-    for k, (a, tone) in enumerate(zip(t.args, t.tonicities())):
-        trail.append((node, k))
-        _walk(a, sign * tone, trail, out)
-        trail.pop()
-
-
-def _analyse(var: str, leaf_sign: int,
-             trail: list[tuple[SignedNode, int]]) -> BranchAnalysis:
-    k = 0  # the Skeleton block is the longest run of Skeleton nodes from the root
-    while k < len(trail) and trail[k][0].classes & SKELETON:
+    tones = t.tonicities()
+    sides: list[frozenset[tuple[str, int]]] = []
+    if k == len(trail) and not node.classes.isdisjoint(SKELETON):
         k += 1
-    pia = trail[k:][::-1]  # leaf side first
-    p1 = tuple(node for node, _ in pia)
-    good = all(node.classes & PIA for node in p1)
-    excellent = good and all(SRA in node.classes for node in p1)
-    srr_leaves: set[tuple[str, int]] = set()
-    if good:
-        for node, taken in pia:
-            if SRR in node.classes:
-                tones = node.term.tonicities()
-                for i, a in enumerate(node.term.args):
-                    if i != taken:  # a side term of the branch
-                        srr_leaves.update(
-                            (v, s) for v, s, _ in var_occurrences(a, node.sign * tones[i]))
-    return BranchAnalysis(
-        var=var, leaf_sign=leaf_sign, is_good=good, is_excellent=excellent,
-        p1=p1, p2=tuple(node for node, _ in reversed(trail[:k])),
-        srr_leaves=frozenset(srr_leaves))
+    else:  # a PIA-block node: side terms count while the branch is good
+        good = good and not node.classes.isdisjoint(PIA)
+        excellent = excellent and SRA in node.classes
+        if good and SRR in node.classes:
+            sides = [frozenset(signed_leaves(a, sign * tone))
+                     for a, tone in zip(t.args, tones)]
+    trail.append(node)
+    for taken, (a, tone) in enumerate(zip(t.args, tones)):
+        _walk(a, sign * tone, trail, k, good, excellent,
+              srr.union(*sides[:taken], *sides[taken + 1:]) if sides else srr, out)
+    trail.pop()
 
 
-def _sides(ineq: Inequality) -> tuple[list[BranchAnalysis], list[BranchAnalysis]]:
-    """Branch analyses of +lhs and of -rhs."""
-    return branches(ineq.lhs, MONO), branches(ineq.rhs, ANTI)
+# the last input's (lhs, rhs, analyses); terms are interned and the slot
+# holds them, so identity is equality
+_last: tuple = (None, None, None)
+
+
+def _sides(ineq: Inequality) -> tuple[tuple[BranchAnalysis, ...], tuple[BranchAnalysis, ...]]:
+    """Branch analyses of +lhs and of -rhs, walked unless ``ineq`` was the last input."""
+    global _last
+    lhs, rhs, found = _last
+    if lhs is not ineq.lhs or rhs is not ineq.rhs:
+        found = tuple(branches(ineq.lhs, MONO)), tuple(branches(ineq.rhs, ANTI))
+        _last = ineq.lhs, ineq.rhs, found
+    return found
 
 
 @dataclass(frozen=True)
@@ -290,9 +300,24 @@ def _match(pat: Term, t: Term, var: str, found: list[Term]) -> bool:
     return all(_match(pa, ta, var, found) for pa, ta in zip(pat.args, t.args))
 
 
-def _preimages(term: Term, sig: Signature, budget: _Budget) -> list[Term]:
+def _preimages(term: Term, sig: Signature, budget: _Budget, memo: dict) -> list[Term]:
     """Dotted-language preimages of ``term`` under role substitution,
-    role matches enumerated before plain structural copies."""
+    role matches enumerated before plain structural copies.  ``memo``
+    holds, for one search, each subterm's finished preimages and the
+    budget they spent: a hit spends it again, if that much is left, so
+    the search stops where it would without the memo."""
+    hit = memo.get(term)
+    if hit is not None and budget.left >= hit[1]:
+        budget.left -= hit[1]
+        return hit[0]
+    before = budget.left
+    out = _search(term, sig, budget, memo)
+    if budget.left >= 0:
+        memo[term] = out, before - budget.left
+    return out
+
+
+def _search(term: Term, sig: Signature, budget: _Budget, memo: dict) -> list[Term]:
     if not budget.spend():
         return []
     out: list[Term] = []
@@ -304,7 +329,7 @@ def _preimages(term: Term, sig: Signature, budget: _Budget) -> list[Term]:
         arg = match_role(term, reg)
         if arg is None or arg == term:  # identity matches make no progress
             continue
-        for sub in _preimages(arg, sig, budget):
+        for sub in _preimages(arg, sig, budget, memo):
             cand = spec.dot((sub,))
             if cand not in seen:
                 seen.add(cand)
@@ -313,7 +338,7 @@ def _preimages(term: Term, sig: Signature, budget: _Budget) -> list[Term]:
         if term not in seen:
             out.append(term)
         return out
-    child_lists = [_preimages(a, sig, budget) for a in term.args]
+    child_lists = [_preimages(a, sig, budget, memo) for a in term.args]
     for combo in product(*child_lists):
         if not budget.spend():
             return out
@@ -331,8 +356,9 @@ def _meta_witnesses(ineq: Inequality, sig: Signature):
     """The first witness of each inductive (lhs, rhs) preimage pair.  Each
     preimage is analysed when a pair first needs it, once per call."""
     b = _Budget(ANTI_SUBSTITUTION_BUDGET)
-    lhs_pre = _preimages(ineq.lhs, sig, b)
-    rhs_pre = _preimages(ineq.rhs, sig, b)
+    memo: dict[Term, tuple[list[Term], int]] = {}
+    lhs_pre = _preimages(ineq.lhs, sig, b, memo)
+    rhs_pre = _preimages(ineq.rhs, sig, b, memo)
     # every preimage has the input's variables: registered terms have one
     variables = _capped_variables(ineq)
     analysed: dict[tuple[Term, int], list[BranchAnalysis]] = {}

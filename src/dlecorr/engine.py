@@ -35,8 +35,7 @@ from . import classify
 from .language import (
     ANTI, BOT, MONO, ROLE_SPECS, TOP, App, ConnectiveDecl, Conominal, Inequality,
     Join, Layer, Meet, Nominal, Residual, RoleSpec, Signature, Term, Var, big_join, big_meet, bot_unit, connective_decl, dotted_spec,
-    join, meet, replace_at, substitute,
-    var_occurrences,
+    join, meet, replace_at, signed_leaves, substitute, var_occurrences,
 )
 from .printing import print_inequality, print_term
 
@@ -487,7 +486,7 @@ def _ackermann(d: Derivation, system: System, app: RuleApplication):
             bounds.append(bound)
         elif any(name == pivot and _red_sign(side, s) != want
                  for side, term in enumerate((lhs, rhs)) if pivot in term.var_names
-                 for name, s, _ in var_occurrences(term)):
+                 for name, s in signed_leaves(term)):
             raise AckermannShapeError(
                 f"pivot {pivot} occurs with the wrong polarity in "
                 f"{print_inequality(si.ineq)}")
@@ -561,10 +560,8 @@ def _distribution_sites(t: Term, sign: int, path: tuple[int, ...], role_mode: bo
         if _distributes(t, sign, k):
             spec = dotted_spec(t)
             rid = "Dist" + spec.rule_suffix if role_mode and spec else "DistributePre"
-            leaves = dict.fromkeys((name, s) for name, s, _ in
-                                   var_occurrences(child, sign * tones[k]))
             out.append((RuleApplication(rid, ineq_index=0, path=path, coord=k + 1),
-                        tuple(leaves)))
+                        signed_leaves(child, sign * tones[k])))
     for k, child in enumerate(t.args):
         _distribution_sites(child, sign * tones[k], path + (k,), role_mode, out)
 
@@ -585,7 +582,7 @@ def _preprocess_analysis(ineq: Inequality,
     left: dict[str, set[int]] = {}
     right: dict[str, set[int]] = {}
     for signs, (term, sign) in zip((left, right), sides):
-        for name, s, _ in var_occurrences(term, sign):
+        for name, s in signed_leaves(term, sign):
             signs.setdefault(name, set()).add(s)
     for v in sorted(left.keys() & right.keys()):
         if left[v] == right[v] and len(left[v]) == 1:

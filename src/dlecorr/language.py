@@ -556,6 +556,20 @@ def var_occurrences(t: Term, sign: int = MONO) -> Iterator[tuple[str, int, tuple
                 yield (name, s, (i,) + path)
 
 
+def signed_leaves(t: Term, sign: int = MONO) -> tuple[tuple[str, int], ...]:
+    """The distinct (name, sign) pairs of the variable leaves of ``t``
+    under sign propagation, in the order they first occur."""
+    found: dict[tuple[str, int], None] = {}
+    stack = [(t, sign)]
+    while stack:
+        t, sign = stack.pop()
+        if isinstance(t, Var):
+            found[t.name, sign] = None
+        elif t.var_names:  # a subterm without variables has no leaf
+            stack += reversed([(a, sign * tone) for a, tone in zip(t.args, t.tonicities())])
+    return tuple(found)
+
+
 def meet(a: Term, b: Term) -> Term:
     return Meet((a, b))
 

@@ -36,7 +36,7 @@ from .language import (
     ANTI, BOT, HARD_RESERVED, INFIX_RESIDUALS, JOIN, MEET, MONO, ROLE_SPECS, ROLES,
     SPEC_BY_DOTTED, SPEC_BY_ROLE, TOP, App, ConnectiveDecl, Conominal,
     Inequality, Layer, Nominal, OrderType, RegisteredTerm, Residual,
-    Signature, Term, Var, join, meet, var_occurrences,
+    Signature, Term, Var, join, meet, signed_leaves,
 )
 
 # Dia[pi](t), bsq[pi](t), ...: head -> (role, whether it is the adjoint)
@@ -311,7 +311,7 @@ def parse_signature(text: str) -> Signature:
                 f"line {lineno}: registered term must use exactly one variable, "
                 f"found {fv}", 0, formula)
         var = fv[0]
-        signs = {s for _, s, _ in var_occurrences(term)}  # all of ``var``
+        signs = {s for _, s in signed_leaves(term)}  # all of ``var``
         tone = SPEC_BY_ROLE[role].tone
         if signs != {tone}:
             got = "both" if len(signs) > 1 else _TONE_WORDS[-tone]

@@ -1,19 +1,22 @@
+import gc
 import hashlib
 import random
+import weakref
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_any_term
-from dlecorr import classify, generators
+from dlecorr import classify, engine, generators, language
 from dlecorr.classify import (
-    DELTA, SLR, SRA, branches, is_inductive, is_meta_inductive, is_sahlqvist,
-    node_classes,
+    DELTA, PIA, SKELETON, SLR, SRA, SRR, BranchAnalysis, SignedNode, branches,
+    is_inductive, is_meta_inductive, is_sahlqvist, node_classes,
 )
 from dlecorr.language import (
-    ANTI, MONO, DotBox, DotDia, Inequality, Layer, Nominal, OrderType,
-    Var, TOP, join, meet, var_occurrences,
+    ANTI, BOT, MONO, ROLE_SPECS, App, DotBox, DotDia, Inequality, Join, Layer, Meet,
+    Nominal, OrderType, Var, TOP, join, meet, signed_leaves, var_occurrences,
 )
 from dlecorr.parsing import parse_inequality, parse_signature, parse_term
 
@@ -66,8 +69,9 @@ def test_polarity_matches_leaf_signs(mixed_sig):
     for _ in range(200):
         t = random_any_term(rng, mixed_sig, Layer.DLESTAR, 4)
         for sign in (MONO, ANTI):
-            assert [(br.var, br.leaf_sign) for br in branches(t, sign)] == \
-                [(name, s) for name, s, _ in var_occurrences(t, sign)]
+            leaves = [(name, s) for name, s, _ in var_occurrences(t, sign)]
+            assert [(br.var, br.leaf_sign) for br in branches(t, sign)] == leaves
+            assert signed_leaves(t, sign) == tuple(dict.fromkeys(leaves))
 
 
 def test_sahlqvist_classical(bare_sig):
@@ -279,3 +283,188 @@ def test_meta_search_answers_its_first_pair(classical_sig, mixed_sig, monkeypatc
         for search in (is_meta_inductive, classify.meta_inductive_witnesses):
             with pytest.raises(classify.ClassifyError, match="DLE/DLEstar"):
                 search(iq, classical_sig)
+
+
+def _leaf_by_leaf(t, sign, trail=()):
+    """The branch analyses as each leaf reads them off its trail of
+    (signed node, coordinate taken), root first: the Skeleton block is the
+    longest Skeleton run from the root, the rest is P1, and the side leaves
+    of P1's SRR nodes are collected through ``var_occurrences``."""
+    if isinstance(t, Var):
+        k = 0
+        while k < len(trail) and trail[k][0].classes & SKELETON:
+            k += 1
+        pia = trail[k:][::-1]
+        good = all(node.classes & PIA for node, _ in pia)
+        excellent = good and all(SRA in node.classes for node, _ in pia)
+        srr = {(v, s) for node, taken in pia if good and SRR in node.classes
+               for i, (a, tone) in enumerate(zip(node.term.args, node.term.tonicities()))
+               if i != taken for v, s, _ in var_occurrences(a, node.sign * tone)}
+        return [BranchAnalysis(t.name, sign, good, excellent,
+                               tuple(node for node, _ in pia),
+                               tuple(node for node, _ in reversed(trail[:k])),
+                               frozenset(srr))]
+    node = SignedNode(t, sign, node_classes(t, sign))
+    return [br for k, (a, tone) in enumerate(zip(t.args, t.tonicities()))
+            for br in _leaf_by_leaf(a, sign * tone, trail + ((node, k),))]
+
+
+def _inequalities_up_to(sig, size):
+    """Every inequality of at most ``size`` nodes, both sides counted: the
+    leaves are p, q, top and bot, the nodes & and | and each connective."""
+    heads = [(Meet, 2), (Join, 2)] + [(lambda args, d=d: App(d, args), d.arity)
+                                      for d in sig.connectives]
+    by_size = {1: [Var("p"), Var("q"), TOP, BOT]}
+    for n in range(2, size):
+        by_size[n] = [make(args) for make, arity in heads
+                      for sizes in product(range(1, n), repeat=arity) if sum(sizes) == n - 1
+                      for args in product(*(by_size[s] for s in sizes))]
+    return [Inequality(lhs, rhs) for n in range(2, size + 1) for left in range(1, n)
+            for lhs in by_size[left] for rhs in by_size[n - left]]
+
+
+def test_walk_matches_leaf_by_leaf_analysis(classical_sig, mixed_sig):
+    # the walk carries the P1/P2 split, the good and excellent flags and
+    # the SRR side leaves down the tree; each leaf used to rescan its trail
+    inputs = [iq for _, iq in _classifier_inputs(classical_sig, mixed_sig, 400)]
+    inputs += _inequalities_up_to(classical_sig, 5) + _inequalities_up_to(mixed_sig, 5)
+    assert len(inputs) == 400 + 3088 + 2720
+    side_leaves = 0
+    for iq in inputs:
+        for t in (iq.lhs, iq.rhs):
+            for sign in (MONO, ANTI):
+                found = branches(t, sign)
+                assert found == _leaf_by_leaf(t, sign), (repr(iq), sign)
+                side_leaves += sum(len(br.srr_leaves) for br in found)
+    assert side_leaves > 1000
+
+
+def _plain_preimages(term, sig, budget):
+    """``classify._preimages`` without its memo: every path that reaches a
+    subterm searches it again."""
+    if not budget.spend():
+        return []
+    out, seen = [], set()
+    for spec in ROLE_SPECS:
+        reg = sig.role(spec.role)
+        arg = None if reg is None else classify.match_role(term, reg)
+        if arg is None or arg == term:
+            continue
+        for sub in _plain_preimages(arg, sig, budget):
+            cand = spec.dot((sub,))
+            if cand not in seen:
+                seen.add(cand)
+                out.append(cand)
+    if not term.args:
+        return out if term in seen else out + [term]
+    for combo in product(*(_plain_preimages(a, sig, budget) for a in term.args)):
+        if not budget.spend():
+            return out
+        cand = term.with_args(combo)
+        if cand not in seen:
+            seen.add(cand)
+            out.append(cand)
+    return out
+
+
+def test_preimage_memo_stops_where_the_plain_search_does(classical_sig):
+    # a memo hit spends its entry's budget again and is taken only when
+    # that much is left, so at every budget limit the search returns the
+    # same preimages and leaves the same budget as one without the memo
+    iqs = [parse_inequality(text, classical_sig, Layer.DLE) for text in (
+        "dia(box(dia(box(dia(box(p)))))) <= box(q)",
+        "dia(box(dia(p | box(dia(box(q)))))) <= box(dia(box(dia(p & q))))")]
+    rng = random.Random(13)
+    iqs += [generators.phi_image(generators.random_inductive(
+        rng, classical_sig, star=True, max_depth=3), classical_sig) for _ in range(30)]
+    stored = 0
+    for iq in iqs:
+        full = classify._Budget(classify.ANTI_SUBSTITUTION_BUDGET)
+        _plain_preimages(iq.lhs, classical_sig, full)
+        _plain_preimages(iq.rhs, classical_sig, full)
+        for limit in range(1, classify.ANTI_SUBSTITUTION_BUDGET - full.left + 2):
+            plain, memoised, memo = classify._Budget(limit), classify._Budget(limit), {}
+            want = [_plain_preimages(t, classical_sig, plain) for t in (iq.lhs, iq.rhs)]
+            got = [classify._preimages(t, classical_sig, memoised, memo)
+                   for t in (iq.lhs, iq.rhs)]
+            assert (got, memoised.left) == (want, plain.left), (repr(iq), limit)
+            stored += len(memo)
+    assert stored > 1000
+
+
+@pytest.fixture
+def empty_slot(monkeypatch):
+    """An empty one-input slot for this test; the one before comes back."""
+    monkeypatch.setattr(classify, "_last", (None, None, None))
+
+
+def _counted_walks(monkeypatch):
+    trees = []
+    walk = classify.branches
+    monkeypatch.setattr(classify, "branches",
+                        lambda t, sign: trees.append((t, sign)) or walk(t, sign))
+    return trees
+
+
+def test_one_input_slot_answers_like_a_fresh_walk(classical_sig, monkeypatch):
+    first = parse_inequality("dia(box(p)) <= box(dia(p))", classical_sig, Layer.DLE)
+    second = parse_inequality("box(p | dia(q)) <= dia(box(q & p))", classical_sig, Layer.DLE)
+    asks = (is_sahlqvist, is_inductive, classify.inductive_witnesses, classify.branch_report)
+    fresh = {}
+    for iq in (first, second):
+        for ask in asks:
+            monkeypatch.setattr(classify, "_last", (None, None, None))
+            fresh[iq, ask] = ask(iq)
+    for ask in asks:
+        for iq in (first, second, second, first):
+            assert ask(iq) == fresh[iq, ask]
+    # a rejected input raises on every call and leaves the slot to the
+    # input before it, the first input, which is not walked again
+    above = parse_inequality("#i0 <= box(q)", classical_sig, Layer.DLEPLUS)
+    wide = Inequality(Var("x0"), Var("x1"))
+    for i in range(2, 13):
+        wide = Inequality(join(wide.lhs, Var(f"x{i}")), wide.rhs)
+    trees = _counted_walks(monkeypatch)
+    for bad, message in ((above, "DLE/DLEstar"), (wide, "capped")):
+        for _ in range(2):
+            for ask in asks[:3]:
+                with pytest.raises(classify.ClassifyError, match=message):
+                    ask(bad)
+        for ask in asks:
+            assert ask(first) == fresh[first, ask]
+    assert trees == [(above.lhs, MONO)] * 6
+
+
+def test_an_operation_walks_each_side_once(classical_sig, empty_slot, monkeypatch):
+    # is_sahlqvist, is_inductive and run_alba's witnesses share one walk
+    iq = parse_inequality("dia(box(p)) & q <= box(dia(p & q))", classical_sig, Layer.DLE)
+    trees = _counted_walks(monkeypatch)
+    assert is_sahlqvist(iq) is not None and is_inductive(iq) is not None
+    assert engine.run_alba(iq, classical_sig, "alba", "auto").status.kind == "success"
+    assert trees == [(iq.lhs, MONO), (iq.rhs, ANTI)]
+
+
+def test_the_slot_releases_the_previous_input(classical_sig, empty_slot):
+    # the slot keeps the last input's terms alive and no more: classifying
+    # the next input releases them from the interning table.  The names
+    # are this test's own, so no other test keeps these terms alive
+    def subterm_refs(iq):
+        refs, stack = [], [iq.lhs, iq.rhs]
+        while stack:
+            t = stack.pop()
+            refs.append(weakref.ref(t))
+            stack += t.args
+        return refs
+
+    held = []
+    for k in range(3):
+        iq = parse_inequality(f"dia(box(slot{k})) <= box(dia(slot{k} & keep{k}))",
+                              classical_sig, Layer.DLE)
+        assert is_inductive(iq) is not None
+        held.append(subterm_refs(iq))
+        del iq
+        gc.collect()
+        assert all(ref() is not None for ref in held[-1])
+        assert all(ref() is None for refs in held[:-1] for ref in refs)
+        assert not any(f"slot{j}" in t.var_names for t in language._TERMS.values()
+                       for j in range(k))
