@@ -51,6 +51,13 @@ budget at the same count.  ``add_op`` clears the memo with the tables.
 The other checks keep no verdicts, so the many lattices of a sweep
 hold none.
 
+``check_lemma_suite`` checks pi's defined modality on the joins of 50
+random subsets, bit-sliced: one ``getrandbits`` call draws the numbers
+that 50 rounds of ``random() < 0.5`` per element would, byte k of an
+element's member word says whether subset k holds it, and one fold of
+member words times upset masks joins all 50 subsets at once, a byte
+each.
+
 The part of a lattice that depends only on its poset (elements, bounds,
 join, meet and order tables, irreducibles) is built once per ``Poset``
 and shared, read-only, by every lattice on it.
@@ -61,10 +68,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, reduce
 from itertools import permutations, product
-from operator import and_, or_
+from operator import and_, mul, or_
 
 from .language import (
-    JOIN, MEET, MONO, SPEC_BY_DEFINED, SPEC_BY_DOTTED, SPEC_BY_NODE, SPEC_BY_ROLE,
+    JOIN, MEET, MONO, ROLE_SPECS, SPEC_BY_DOTTED, SPEC_BY_NODE, SPEC_BY_ROLE,
     App, Bot, Conominal, Inequality, Join, Meet, Nominal, Residual, Signature,
     Term, Top, Var, bot_unit, connective_decl,
 )
@@ -72,6 +79,8 @@ from .printing import print_inequality
 
 MAX_POINTS = 8
 DEFAULT_BUDGET = 10 ** 7
+# each defined modality's name, which no signature can declare -> its role
+_ROLE_BY_DEFINED_HEAD = {spec.defined_head: spec.role for spec in ROLE_SPECS}
 
 
 class ModelError(ValueError):
@@ -476,18 +485,21 @@ class FiniteDLE:
         lattice's meet or join (``MEET``, ``JOIN``), a defined modality's
         (``RoleSpec.defined_decl``) or in ``ops``, where a connective and a
         dotted marker may share a name: the cache key holds the whole
-        declaration, as plain values that hash fast."""
+        declaration, as plain values that hash fast.  The name alone
+        decides which: no signature can declare those of the meet, the
+        join or a defined modality (``HARD_RESERVED``)."""
         def build():
-            if decl == MEET:
+            name = decl.name
+            if name == MEET.name:
                 table = self.meet_table
-            elif decl == JOIN:
+            elif name == JOIN.name:
                 table = self.join_table
-            elif decl in SPEC_BY_DEFINED:
-                table = self.def_table(SPEC_BY_DEFINED[decl].role)
-            elif decl.name in self.ops:
-                table = self.ops[decl.name]
+            elif name in _ROLE_BY_DEFINED_HEAD:
+                table = self.def_table(_ROLE_BY_DEFINED_HEAD[name])
+            elif name in self.ops:
+                table = self.ops[name]
             else:
-                raise ModelError(f"no table for connective {decl.name!r}")
+                raise ModelError(f"no table for connective {name!r}")
             if decl.arity > 3:
                 raise ModelError("residual tables support arity <= 3")
             h, n = coord - 1, self.n_elem
@@ -890,6 +902,28 @@ class LemmaSuiteReport:
         return all(all(v for v in res.values()) for res in self.role_results.values())
 
 
+_SUBSETS = 50  # random subsets per lattice whose joins pi's Dia must keep
+# a flag byte, the top byte of the first of the two 32-bit words that
+# ``random()`` reads, is below 128 exactly when ``random() < 0.5``
+_IN_SUBSET = bytes(int(b < 128) for b in range(256))
+
+
+def _subset_members(rng, n: int) -> list[int]:
+    """The 50 subsets ``[x for x in range(n) if rng.random() < 0.5]``,
+    bit-sliced: byte k of ``members[x]`` is 1 exactly when x is in subset
+    k.  One ``getrandbits`` call reads the words that the ``random()``
+    calls would, in their order, and leaves ``rng`` in the same state."""
+    flags = rng.getrandbits(64 * _SUBSETS * n).to_bytes(
+        8 * _SUBSETS * n, "little")[3::8].translate(_IN_SUBSET)
+    return [int.from_bytes(flags[x::n], "little") for x in range(n)]
+
+
+def _subset_joins(members: list[int], masks) -> bytes:
+    """Byte k: the union of ``masks[x]`` over the x in subset k, all
+    subsets in one fold, as a mask fits a byte (``MAX_POINTS`` is 8)."""
+    return reduce(or_, map(mul, members, masks), 0).to_bytes(_SUBSETS, "little")
+
+
 def check_lemma_suite(dle: FiniteDLE, rng=None) -> LemmaSuiteReport:
     """Exhaustive check of the defined-modality identities on one lattice,
     read off each registered role's ``RoleSpec``: the adjunction (Galois
@@ -898,12 +932,19 @@ def check_lemma_suite(dle: FiniteDLE, rng=None) -> LemmaSuiteReport:
     equal to it on the join- (bottom-unit) or meet-irreducibles, and the
     bounded-composition identity against the role axiom.  For pi also
     joins of random subsets, the irreducible-witness form and the
-    pseudo-correspondent biconditional."""
+    pseudo-correspondent biconditional.
+
+    ``rng``, when given, must be a ``random.Random`` (CPython's Mersenne
+    Twister).  The 50 subsets are the numbers of ``[x for x in
+    range(dle.n_elem) if rng.random() < 0.5]`` each, drawn in one
+    ``getrandbits`` call that reads the same words and leaves ``rng`` in
+    the same state, whether or not pi is registered; they are joined
+    bit-sliced, all at once (``_subset_joins``)."""
     report = LemmaSuiteReport()
-    r = range(dle.n_elem)
+    n = dle.n_elem
+    r = range(n)
     leq = dle.leq_table
-    rng_subsets = [] if rng is None else [
-        [x for x in r if rng.random() < 0.5] for _ in range(50)]
+    members = None if rng is None else _subset_members(rng, n)
     for reg in dle.sig.registered:
         spec, pi = SPEC_BY_ROLE[reg.role], reg.role == "pi"
         f, g, adj = (dle.role_table(reg.role), dle.def_table(reg.role),
@@ -920,9 +961,12 @@ def check_lemma_suite(dle: FiniteDLE, rng=None) -> LemmaSuiteReport:
             res["join_preserving" if is_f else "meet_preserving"] = (
                 g[bound] == bound
                 and all(g[outer[a][b]] == outer[g[a]][g[b]] for a in r for b in r))
-        if pi and rng_subsets:
+        if pi and members is not None:
+            index, masks = dle.index, dle.elements
             res["join_preserving_subsets"] = all(
-                g[dle.join_all(s)] == dle.join_all(g[x] for x in s) for s in rng_subsets)
+                g[index[a]] == index[b] for a, b in zip(
+                    _subset_joins(members, masks),
+                    _subset_joins(members, [masks[v] for v in g])))
         res["below_f" if is_f else "above_f"] = all(below[g[u]][f[u]] for u in r)
         res["agrees_on_jirr" if spec.bot_unit else "agrees_on_mirr"] = all(
             g[x] == f[x] for x in gens)

@@ -1156,6 +1156,61 @@ def test_lemma_suite_pinned(classical_sig):
     assert digest == "88cea1c2e708d48063a960c48761e124f4ded9beac287e492bf5bda7c9d23b70"
 
 
+def _drawn_subsets(rng, n):
+    """The lemma suite's 50 random subsets of range(n), one ``random()``
+    draw per element."""
+    return [[x for x in range(n) if rng.random() < 0.5] for _ in range(50)]
+
+
+def _bit_sliced(subsets, n):
+    """members[x]: byte k is 1 exactly when x is in subset k."""
+    return [sum(1 << 8 * k for k, s in enumerate(subsets) if x in s) for x in range(n)]
+
+
+def test_subset_draw_reads_the_random_stream():
+    # every lattice size from the 1-point chain's 2 elements to the
+    # 4-point antichain's 16, and the 8-point antichain's 256
+    for n in [*range(2, 17), 256]:
+        for seed in range(60 if n < 256 else 10):
+            rng, ref = random.Random(seed), random.Random(seed)
+            members = models._subset_members(rng, n)
+            assert members == _bit_sliced(_drawn_subsets(ref, n), n), (n, seed)
+            assert rng.getstate() == ref.getstate()
+            assert rng.random() == ref.random()
+
+
+def test_subsets_check_matches_its_definition(classical_sig):
+    # the 3-point relational sweep and four-role random lattices, with one
+    # entry of pi's defined modality redrawn on every other lattice: the
+    # bit-sliced joins are the joins of the subsets drawn one by one, and
+    # the suite's verdict is the one of the join_all formula over them
+    rng = random.Random(23)
+    four_roles = parse_signature(CLASSICAL_SIG_TEXT + LR_SIG_TEXT)
+    lattices = [dle for _, dle in models.relational_sweep(classical_sig, 3)]
+    lattices += [random_dle(rng, four_roles, max_points=3) for _ in range(200)]
+    verdicts = []
+    for k, dle in enumerate(lattices):
+        g = list(dle.def_table("pi"))
+        if k % 2:
+            g[rng.randrange(dle.n_elem)] = rng.randrange(dle.n_elem)
+            dle._cache["def", "pi"] = g
+        ref = random.Random(k)
+        subsets = _drawn_subsets(ref, dle.n_elem)
+        want = all(g[dle.join_all(s)] == dle.join_all(g[x] for x in s) for s in subsets)
+        suite_rng = random.Random(k)
+        report = check_lemma_suite(dle, suite_rng)
+        assert report.role_results["pi"]["join_preserving_subsets"] == want, k
+        assert suite_rng.getstate() == ref.getstate()
+        members = models._subset_members(random.Random(k), dle.n_elem)
+        masks = [dle.elements[v] for v in g]
+        assert list(models._subset_joins(members, dle.elements)) == [
+            dle.elements[dle.join_all(s)] for s in subsets]
+        assert list(models._subset_joins(members, masks)) == [
+            dle.elements[dle.join_all(g[x] for x in s)] for s in subsets]
+        verdicts.append(want)
+    assert verdicts.count(True) > len(lattices) // 2 > verdicts.count(False) > 0
+
+
 def test_checks_compile_only_search(classical_sig, monkeypatch):
     # one kernel per plan, and evaluating terms compiles none
     compiled = []
