@@ -1,7 +1,7 @@
-"""Regenerate the golden trace and classify files under tests/golden/.
+"""Regenerate the golden trace, classify and verify files under tests/golden/.
 
-They are normative: the CLI tests compare reduce and classify output byte
-for byte against these files.  Run from the repository root:
+They are normative: the CLI tests compare reduce, classify and verify
+output byte for byte against these files.  Run from the repository root:
 
     python scripts/reproduce_traces.py
 """
@@ -62,6 +62,9 @@ CASES = [
     ("pisigma.classify", "classify",
      "box(dia(box(p))) <= dia(box(dia(p)))", "albae", "auto", 0),
     ("mckinsey.classify", "classify", "box(dia(p)) <= dia(box(p))", "alba", "auto", 3),
+    ("churchrosser.verify", "verify", "dia(box(p)) <= box(dia(p))", "alba", "auto", 0),
+    ("geach.verify", "verify",
+     "dia(box(dia(box(p)))) <= box(dia(box(dia(p))))", "albae", "auto", 0),
 ]
 
 
@@ -77,6 +80,8 @@ def main() -> None:
                 "--out", str(out)]
         if strategy != "auto":
             argv += ["--strategy", str(GOLDEN / strategy)]
+        if command == "verify":  # the sweep of the posets of at most 2 points
+            argv += ["--budget", "2"]
         code = cli.main(argv)
         if code != expected:
             raise SystemExit(f"{fname}: exit code {code}, expected {expected}")

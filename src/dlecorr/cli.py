@@ -46,8 +46,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["alba", "albae"], default="alba")
     p.add_argument("--strategy", default="auto",
                    help="'auto' or a rule-script file path")
-    p.add_argument("--budget", type=int, default=3,
-                   help="poset size cap for lattice sweeps, 1 to 5")
+    p.add_argument("--budget", type=int, default=3, metavar="N",
+                   help="sweep size, 1 to 5: verify and lemmas check the "
+                        "relational lattices on at most min(N, 3) points and 20 "
+                        "random lattices on at most min(N, 4) points, so 4 and "
+                        "5 check the same lattices")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", dest="output_path", default=None)
     return p

@@ -20,7 +20,8 @@ normal operation's table.
 Quantified checks (validity, pure quasi-inequalities, rule soundness)
 enumerate valuations: propositional variables over all elements,
 nominals over join-irreducibles, conominals over meet-irreducibles.  A
-budget caps the number of valuations; exceeding it raises
+budget caps the number of valuations, counted in enumeration order up to
+the one found, whether tried or skipped; exceeding it raises
 BudgetExceeded rather than truncating silently.
 
 The quantified checks run through plans (``_Plan``), built once per
@@ -30,8 +31,10 @@ the identities of its terms; a system keeps its tuple of check terms
 (``System.check_terms``), so checking a known system builds no key.  A
 plan fixes the symbol order, evaluates equal subterms once and
 compiles one search kernel: a loop nest, one loop per symbol, with each
-subterm evaluated at the outermost loop where all its symbols are bound;
-the kernel takes the lattice and binds its tables and domains itself.  A
+subterm evaluated at the outermost loop where all its symbols are bound,
+and each order test there too, where a premise that fails or a goal that
+holds skips the valuations below it and counts them as a block; the
+kernel takes the lattice and binds its tables and domains itself.  A
 plan keeps only its symbols, heads and kernel.  Slim, 4096 of them fit in
 little memory, and the cache's one bound is set there: checking every
 rule step of 650 seeded derivations cycles through 2700-2900 distinct
@@ -96,6 +99,12 @@ class BudgetExceeded(RuntimeError):
 
 
 class Budget:
+    """A cap on the valuations the quantified checks enumerate.  A unit is
+    a valuation in enumeration order up to the one a search finds, or to
+    the last: tried or skipped, since a skipped valuation is one that an
+    order test at an outer loop already decided.  Spending past ``limit``
+    raises BudgetExceeded; a search stops at the first unit past it."""
+
     def __init__(self, limit: int = DEFAULT_BUDGET):
         self.limit = limit
         self.used = 0
@@ -595,8 +604,15 @@ class _Plan:
     head reads one table, and a subterm is evaluated at the outermost loop
     where all its symbols are bound: as a named value when it is an output
     or is read more than once or further in, else inside the one
-    expression that reads it.  The generated code names the tables
-    ``T<h>``, symbols ``s<i>``, values ``v<k>`` and order tests ``c<j>``,
+    expression that reads it.  Each order test is made at the outermost
+    loop where both its terms are bound: a premise that fails there, or
+    the goal that holds there, decides the whole block of valuations
+    below, which the kernel skips and counts in one addition of its size
+    (raising, as ``Budget.replay`` does, if that passes the room left).
+    The tests past the last loop that decides are made on each valuation:
+    symbols past the first 16 are bound by one ``itertools.product``
+    loop, which skips nothing.  The generated code names the tables
+    ``T<h>``, symbols ``s<i>``, values ``v<k>`` and block sizes ``B<d>``,
     so no name from the terms reaches its source.
 
     ``search(dle, heads, budget)``, called with the plan's own ``heads``
@@ -607,8 +623,10 @@ class _Plan:
     the lattice, a connective's table off ``dle.ops``, and every other
     head, or a missing connective with its error, through
     ``_head_table``, which builds a derived table on first use.  Each
-    environment tried is one unit of ``budget``, spent in one call once
-    the room left in it is used, on success and at the end.  The analysis
+    environment in enumeration order up to the one returned, or to the
+    last, tried or skipped, is one unit of ``budget``, spent in one call
+    once the room left in it is used, on success and at the end; the
+    skips change neither the environment returned nor the count.  The analysis
     (``_analyse``) is dropped once ``search`` is compiled: a plan keeps
     only its symbols, heads and kernel.
     """
@@ -627,33 +645,46 @@ class _Plan:
 
     def _search_lines(self, steps: list[list[str]], outputs: list) -> list[str]:
         k = len(self.symbols)
-        tests = [(f"leq[{lhs}][{rhs}]", max(dl, dr)) for (lhs, dl), (rhs, dr)
-                 in zip(outputs[::2], outputs[1::2])]
-        named: dict[str, str] = {}  # the tests outside the innermost loop
-        for test, d in tests:
-            if d < k and test not in named:
-                named[test] = f"c{len(named)}"
-                steps[d].append(f"{named[test]} = {test}")
-        *premises, goal = (named.get(test, test) for test, _ in tests)
+        # each test, the goal first, either decides the block of the
+        # outermost level where it is bound (a premise that fails, a goal
+        # that holds) or, past the last level that decides, is tested on
+        # each valuation; dicts keep each condition once, in order
+        nested, outer = min(k, _NESTED), min(k - 1, _NESTED)
+        decides: list[dict[str, None]] = [{} for _ in range(nested + 1)]
+        found: dict[str, None] = {}
+        pairs = list(zip(outputs[::2], outputs[1::2]))
+        for j, ((lhs, dl), (rhs, dr)) in enumerate([pairs[-1], *pairs[:-1]]):
+            test, d = f"leq[{lhs}][{rhs}]", max(dl, dr)
+            if d <= outer:
+                decides[d]["not " * (j > 0) + test] = None
+            else:
+                found["not " * (j == 0) + test] = None
+        domain = [_DOMAINS[kind][0] for kind, _ in self.symbols]
         lines = ["def search(dle, H, budget):", *self._bind_lines(),
                  "    room = budget.limit - budget.used", "    n = 0"]
-        lines += ["    " + step for step in steps[0]]
-        domain = [_DOMAINS[kind][0] for kind, _ in self.symbols]
+        first = next((d for d, conds in enumerate(decides) if conds), k)
+        lines += [f"    B{d} = " + f"B{d + 1} * " * (d < k - 1) + f"len({domain[d]})"
+                  for d in range(k - 1, first - 1, -1)]
         indent = "    "
-        for i in range(min(k, _NESTED)):
-            lines.append(f"{indent}for s{i} in {domain[i]}:")
-            indent += "    "
-            lines += [indent + step for step in steps[i + 1]]
+        for d in range(nested + 1):
+            if d:
+                lines.append(f"{indent}for s{d - 1} in {domain[d - 1]}:")
+                indent += "    "
+            lines += [indent + step for step in steps[d]]
+            if decides[d]:
+                lines.append(f"{indent}if {' or '.join(decides[d])}:")
+                lines += [f"{indent}    {line}" for line in (
+                    ["budget.replay(B0)", "return"] if d == 0 else
+                    [f"n += B{d}", "if n > room:", "    budget.replay(n)", "continue"])]
         if k > _NESTED:
             tail = range(_NESTED, k)
             lines.append(indent + "for " + "".join(f"s{i}, " for i in tail)
                          + "in product(" + ", ".join(domain[i] for i in tail) + "):")
             indent += "    "
             lines += [indent + step for level in steps[_NESTED + 1:] for step in level]
-        found = " and ".join([f"not {goal}", *premises])
         symbols = "(" + "".join(f"s{i}, " for i in range(k)) + ")"
         return lines + [f"{indent}n += 1", f"{indent}if n > room:",
-                        f"{indent}    budget.spend(n)", f"{indent}if {found}:",
+                        f"{indent}    budget.spend(n)", f"{indent}if {' and '.join(found)}:",
                         f"{indent}    budget.spend(n)", f"{indent}    return {symbols}",
                         "    budget.spend(n)"]
 
@@ -772,7 +803,7 @@ def check_validity(ineq: Inequality, dle: FiniteDLE,
                    ) -> tuple[bool, Valuation | None]:
     """Quantify everything universally; on failure return the first
     counterexample valuation, in enumeration order (one budget unit per
-    valuation tried)."""
+    valuation up to it, or to the last, tried or skipped)."""
     plan = _plan((ineq.lhs, ineq.rhs))
     env = plan.search(dle, plan.heads, budget or Budget())
     return env is None, None if env is None else plan.valuation(env)

@@ -93,6 +93,23 @@ def test_classify_matches_golden(tmp_path):
         assert r.stdout.encode() == golden, fname
 
 
+def test_verify_matches_golden(tmp_path):
+    # the verdict and count lines of verify on the posets of at most two
+    # points, written by scripts/reproduce_traces.py
+    cases = [
+        ("churchrosser.verify", "dia(box(p)) <= box(dia(p))", "alba"),
+        ("geach.verify", "dia(box(dia(box(p)))) <= box(dia(box(dia(p))))", "albae"),
+    ]
+    for fname, ineq, mode in cases:
+        out = tmp_path / fname
+        r = run_cli(["verify", ineq, "--sig", str(SIG), "--mode", mode,
+                     "--budget", "2"], out=out)
+        assert r.returncode == 0, r.stderr
+        golden = (GOLDEN / fname).read_bytes()
+        assert out.read_bytes() == golden, fname
+        assert r.stdout.encode() == golden, fname
+
+
 def test_input_file_not_utf8_exit_two(tmp_path):
     bad = tmp_path / "latin1.txt"
     bad.write_bytes("conn dia F 1 (1) # \u00e9\n".encode("latin-1"))

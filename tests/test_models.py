@@ -892,6 +892,135 @@ def test_known_verdicts_exceed_the_budget_where_a_search_does(bare_sig):
             assert outcomes[:2] == outcomes[2:], (limit, outcomes)
 
 
+def _enumerated(terms: tuple, dle: FiniteDLE) -> list:
+    """Every valuation of ``terms`` on ``dle`` from the definitions: the
+    product of the plan's domains in its symbol order, each environment
+    with whether it is a counterexample (every pair of terms but the last
+    in order, the last not), evaluated with ``eval_term``."""
+    plan = models._plan(terms)
+    domains = {"var": range(dle.n_elem), "nom": dle.jirr, "conom": dle.mirr}
+    out = []
+    for env in product(*(domains[kind] for kind, _ in plan.symbols)):
+        val = plan.valuation(env)
+        holds = [dle.leq(eval_term(a, dle, val), eval_term(b, dle, val))
+                 for a, b in zip(terms[::2], terms[1::2])]
+        out.append((env, all(holds[:-1]) and not holds[-1]))
+    return out
+
+
+def _outcome(search, budget: Budget) -> tuple:
+    try:
+        return search(budget), budget.used
+    except BudgetExceeded:
+        return "exceeded", budget.used
+
+
+def _assert_search_is_exact(terms: tuple, dle: FiniteDLE) -> int:
+    """``plan.search`` returns the plain enumerator's first counterexample
+    and spends one unit per valuation up to it, or raises where the
+    enumerator does, at every limit from 0 to the total plus 1, with and
+    without room spent before; returns the total."""
+    plan = models._plan(terms)
+    valuations = _enumerated(terms, dle)
+
+    def enumerate_with(budget):
+        for env, counterexample in valuations:
+            budget.spend()
+            if counterexample:
+                return env
+        return None
+
+    for limit in range(len(valuations) + 2):
+        for spent in {0, min(limit, 3)}:
+            outcomes = []
+            for search in (enumerate_with,
+                           lambda budget: plan.search(dle, plan.heads, budget)):
+                budget = Budget(limit)
+                budget.spend(spent)
+                outcomes.append(_outcome(search, budget))
+            assert outcomes[0] == outcomes[1], (terms, limit, spent, outcomes)
+    return len(valuations)
+
+
+def test_search_kernels_count_like_the_plain_enumeration(classical_sig):
+    # the kernels skip the blocks that an outer test decides; the first
+    # counterexample, the budget spent and where it is exceeded stay those
+    # of trying every valuation in order
+    rng = random.Random(24)
+    modes, systems = set(), 0
+    for k in range(12):
+        if k % 2 == 0:
+            sig, mode = generators.random_signature(rng), "alba"
+            ineq = generators.random_inductive(rng, sig, max_depth=2)
+        else:
+            sig, mode = classical_sig, "albae"
+            ineq = generators.phi_image(
+                generators.random_inductive(rng, sig, star=True, max_depth=2), sig)
+        d = run_alba(ineq, sig, mode, "auto")
+        assert d.status.kind == "success"
+        modes.add(mode)
+        dle = random_dle(rng, sig, max_points=3)
+        for terms in {s.check_terms for _, parent, children in rule_steps(d)
+                      for s in (parent, *children)}:
+            _assert_search_is_exact(terms, dle)
+            systems += 1
+    assert modes == {"alba", "albae"} and systems > 20
+    dle = relational_dle(classical_sig, 2, [(0, 1), (1, 1)])
+    dia = classical_sig.decl("dia")
+    i, j, m, p, q = Nominal("i"), Nominal("j"), Conominal("m"), Var("p"), Var("q")
+    dia_p = App(dia, (p,))
+    cases = [
+        (TOP, BOT, i, m),  # a premise false before any loop
+        (i, BOT, j, App(dia, (m,))),  # false in the outermost loop
+        (p, m, i, dia_p),  # the goal bound before the innermost loop
+        (i, q, dia_p, m, i, q, dia_p, m, j, m),  # premises tested twice
+        (j, dia_p, i, q, j, dia_p),  # a premise that is the goal
+        (i, meet(p, q), p, m, q, m, i, m),  # a rule step's system
+    ]
+    for terms in cases:
+        _assert_search_is_exact(terms, dle)
+    # more symbols than loops: 4 variables, 13 nominals and 2 conominals on
+    # the one-point poset, premises decided at the last nested loop and
+    # inside the product loop past it
+    dle = FiniteDLE(chain(1), classical_sig)
+    v = [Var(f"p{k}") for k in range(4)]
+    noms = [Nominal(f"i{k:02}") for k in range(13)]
+    terms = (noms[11], v[1], reduce(meet, noms), v[2], v[3], Conominal("m0"),
+             v[0], Conominal("m1"))
+    assert len(models._plan(terms).symbols) > models._NESTED + 2
+    assert _assert_search_is_exact(terms, dle) == 16
+
+
+class _CountingReads(list):
+    """A table that counts its reads."""
+
+    reads = 0
+
+    def __getitem__(self, index):
+        self.reads += 1
+        return super().__getitem__(index)
+
+
+def test_a_decided_block_reads_no_table_and_counts_in_full(classical_sig):
+    # the premise #i <= p fails for every (p, i) with i not below p: no
+    # dia(@m) under it is read, and every valuation of its block is
+    # counted; a premise that fails before any loop reads none at all
+    dle = relational_dle(classical_sig, 2, [(0, 1)])
+    table = dle.ops["dia"] = _CountingReads(dle.ops["dia"])
+    i, m, p = Nominal("i"), Conominal("m"), Var("p")
+    dia_m = App(classical_sig.decl("dia"), (m,))
+    total = dle.n_elem * len(dle.jirr) * len(dle.mirr)
+    below = sum(dle.leq(j, x) for x in range(dle.n_elem) for j in dle.jirr)
+    for terms, reads in (((i, p, dia_m, TOP), below * len(dle.mirr)),
+                         ((TOP, BOT, i, p, dia_m, TOP), 0)):
+        table.reads = 0
+        plan = models._plan(terms)
+        budget = Budget()
+        assert plan.search(dle, plan.heads, budget) is None
+        assert budget.used == total
+        assert table.reads == reads < total
+
+
 def test_add_op_drops_the_verdicts(classical_sig):
     iq = parse_inequality("dia(box(p)) <= box(dia(p))", classical_sig, Layer.DLE)
     steps = list(rule_steps(run_alba(iq, classical_sig, "alba", "auto")))
