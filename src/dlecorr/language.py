@@ -539,12 +539,6 @@ def replace_at(t: Term, path: tuple[int, ...], replacement: Term) -> Term:
     return t.with_args(tuple(new_args))
 
 
-def subterm_at(t: Term, path: tuple[int, ...]) -> Term:
-    for i in path:
-        t = t.args[i]
-    return t
-
-
 def var_occurrences(t: Term, sign: int = MONO) -> Iterator[tuple[str, int, tuple[int, ...]]]:
     """All variable occurrences as (name, sign, path) under sign propagation."""
     if isinstance(t, Var):

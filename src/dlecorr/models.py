@@ -54,16 +54,23 @@ budget at the same count.  ``add_op`` clears the memo with the tables.
 The other checks keep no verdicts, so the many lattices of a sweep
 hold none.
 
-``check_lemma_suite`` checks pi's defined modality on the joins of 50
-random subsets, bit-sliced: one ``getrandbits`` call draws the numbers
-that 50 rounds of ``random() < 0.5`` per element would, byte k of an
-element's member word says whether subset k holds it, and one fold of
-member words times upset masks joins all 50 subsets at once, a byte
-each.
+``check_lemma_suite`` and ``role_axiom_holds`` check every element pair
+bit-sliced, one byte per pair (a, b) in row-major order: a table becomes
+a 256-byte translation table from element index to the upset mask of its
+value, the poset's pair strings read through it give the table at every
+pair as one int, and on such ints the lattice's join is ``|``, its meet
+``&`` and its order inclusion, so a check over all pairs is a few
+C-level operations.  A mask fits a byte, as ``MAX_POINTS`` is 8, and an
+index too, as a lattice then has at most 256 elements.  The suite also
+checks pi's defined modality on the joins of 50 random subsets,
+bit-sliced: one ``getrandbits`` call draws the numbers that 50 rounds of
+``random() < 0.5`` per element would, byte k of an element's member word
+says whether subset k holds it, and one fold of member words times
+upset masks joins all 50 subsets at once, a byte each.
 
 The part of a lattice that depends only on its poset (elements, bounds,
-join, meet and order tables, irreducibles) is built once per ``Poset``
-and shared, read-only, by every lattice on it.
+join, meet and order tables, irreducibles, the pair checks' strings) is
+built once per ``Poset`` and shared, read-only, by every lattice on it.
 """
 
 from __future__ import annotations
@@ -80,6 +87,8 @@ from .language import (
 )
 from .printing import print_inequality
 
+# an upset mask fits a byte, and so does an element index (at most 256
+# elements), which the bit-sliced pair checks need
 MAX_POINTS = 8
 DEFAULT_BUDGET = 10 ** 7
 # each defined modality's name, which no signature can declare -> its role
@@ -161,13 +170,22 @@ class Poset:
 
 class _Skeleton:
     """The upsets of a poset as element indices, in ascending mask order,
-    with the bounds, the join, meet and order tables (both ways round),
-    the elements above and below each element and the irreducibles.
-    Nothing writes to these tables, so lattices share them."""
+    with the bounds, the join, meet and order tables, the elements above
+    and below each element and the irreducibles, and what the bit-sliced
+    pair checks read: the translation table from element index to upset
+    mask (``mask_of``), the arguments of every element pair (a, b), byte
+    ``a * n_elem + b`` of ``pair_a`` and ``pair_b``, the join and meet
+    tables flattened in that order, and, bit-sliced over the elements,
+    the join-irreducibles below each (``jirr_below[x]``: byte u is 1
+    exactly when ``jirr[x]`` lies below u).  An index fits a byte, as a
+    lattice has at most 256 elements.  Nothing writes to these tables, so
+    lattices share them; each lattice copies the ``LATTICE`` slots as
+    attributes of its own and reads the others here."""
 
-    __slots__ = ("elements", "index", "n_elem", "bot", "top", "join_table",
-                 "meet_table", "leq_table", "geq_table", "above", "below",
-                 "jirr", "mirr")
+    LATTICE = ("elements", "index", "n_elem", "bot", "top", "join_table",
+               "meet_table", "leq_table", "above", "below", "jirr", "mirr")
+    __slots__ = LATTICE + ("mask_of", "pair_a", "pair_b", "join_flat",
+                           "meet_flat", "jirr_below")
 
     def __init__(self, poset: Poset):
         full = (1 << poset.n) - 1
@@ -183,11 +201,21 @@ class _Skeleton:
                            for a in self.elements]
         self.leq_table = [[(a & ~b) == 0 for b in self.elements]
                           for a in self.elements]
-        self.geq_table = [list(col) for col in zip(*self.leq_table)]
         self.above = [[u for u, le in enumerate(row) if le] for row in self.leq_table]
-        self.below = [[u for u, ge in enumerate(row) if ge] for row in self.geq_table]
+        self.below = [[u for u, ge in enumerate(col) if ge]
+                      for col in zip(*self.leq_table)]
         self.jirr = tuple(self.index[poset.up[x]] for x in range(poset.n))
         self.mirr = tuple(self.index[full & ~poset.down(x)] for x in range(poset.n))
+        r = range(self.n_elem)
+        self.mask_of = bytes(self.elements).ljust(256, b"\0")
+        self.pair_a = bytes(a for a in r for _ in r)
+        self.pair_b = bytes(r) * self.n_elem
+        self.join_flat = bytes(v for row in self.join_table for v in row)
+        self.meet_flat = bytes(v for row in self.meet_table for v in row)
+        # the principal upset of x lies below the upset u iff x is in u
+        self.jirr_below = tuple(
+            int.from_bytes(bytes(u >> x & 1 for u in self.elements), "little")
+            for x in range(poset.n))
         # denseness at finite scale: every element is the join of the
         # irreducibles below it and the meet of those above it
         ups = [self.elements[j] for j in self.jirr]
@@ -334,7 +362,7 @@ class FiniteDLE:
         self.poset = poset
         self.sig = sig
         skeleton = poset.skeleton
-        for name in _Skeleton.__slots__:
+        for name in _Skeleton.LATTICE:
             setattr(self, name, getattr(skeleton, name))
         self.ops: dict[str, object] = {}
         # derived tables, keyed by tuples that start with a string, and
@@ -864,24 +892,49 @@ def role_axiom_holds(dle: FiniteDLE, role: str) -> bool:
     """The registered term of ``role`` satisfies the role's axiom: it sends
     binary joins (bottom-unit roles) or meets into joins of values (F
     roles), or values' meets into it (G roles).  For pi this is
-    additivity, for sigma multiplicativity.  Decided once per lattice."""
+    additivity, for sigma multiplicativity.  Checked at every element
+    pair at once, bit-sliced (``_at``): the term's value at the joins or
+    meets of the pairs against the join or meet of its values at their
+    arguments.  Decided once per lattice."""
     spec = SPEC_BY_ROLE[role]
 
     def holds() -> bool:
-        f = dle.role_table(role)
-        below = _below(dle, spec.family)
-        inner = dle.join_table if spec.bot_unit else dle.meet_table
-        outer = dle.join_table if spec.family == "F" else dle.meet_table
-        r = range(dle.n_elem)
-        return all(below[f[inner[a][b]]][outer[f[a]][f[b]]] for a in r for b in r)
+        sk, is_f = dle.poset.skeleton, spec.family == "F"
+        f = _masks(sk, dle.role_table(role))
+        x = _at(sk.join_flat if spec.bot_unit else sk.meet_flat, f)
+        a, b = _at(sk.pair_a, f), _at(sk.pair_b, f)
+        return not _outside(x, a | b if is_f else a & b, is_f)
 
     return dle._cached(("axiom", role), holds)
 
 
-def _below(dle: FiniteDLE, family: str):
-    """``below[a][b]``: a <= b for F roles and a >= b for G roles, whose
+def _masks(sk: _Skeleton, table) -> bytes:
+    """The translation table that sends each element index to the upset
+    mask of ``table``'s value there (a mask fits a byte: ``MAX_POINTS``
+    is 8)."""
+    return bytes(table).translate(sk.mask_of).ljust(256, b"\0")
+
+
+def _at(args: bytes, masks: bytes) -> int:
+    """``masks`` read at every byte of ``args``, bit-sliced into one int:
+    byte k is ``masks[args[k]]``.  On such ints a byte-wise join of upset
+    masks is ``|`` and a meet ``&``."""
+    return int.from_bytes(args.translate(masks), "little")
+
+
+def _outside(x: int, y: int, is_f: bool) -> int:
+    """Nonzero exactly in the bytes where x is not below y: for F roles
+    x <= y, inclusion of upset masks, and for G roles x >= y, whose
     checks are those of F roles with the order turned round."""
-    return dle.leq_table if family == "F" else dle.geq_table
+    return x & ~y if is_f else y & ~x
+
+
+_NONZERO = bytes(int(b > 0) for b in range(256))
+
+
+def _flags(x: int, size: int) -> bytes:
+    """Byte k of the ``size`` bytes of ``x``, nonzero as 1 and zero as 0."""
+    return x.to_bytes(size, "little").translate(_NONZERO)
 
 
 def role_axioms_hold(dle: FiniteDLE) -> bool:
@@ -949,10 +1002,16 @@ def _subset_members(rng, n: int) -> list[int]:
     return [int.from_bytes(flags[x::n], "little") for x in range(n)]
 
 
+def _joins(members, masks) -> int:
+    """Byte k: the union of ``masks[x]`` over the x whose byte k of
+    ``members[x]`` is 1, all bytes in one fold, as a mask fits a byte
+    (``MAX_POINTS`` is 8)."""
+    return reduce(or_, map(mul, members, masks), 0)
+
+
 def _subset_joins(members: list[int], masks) -> bytes:
-    """Byte k: the union of ``masks[x]`` over the x in subset k, all
-    subsets in one fold, as a mask fits a byte (``MAX_POINTS`` is 8)."""
-    return reduce(or_, map(mul, members, masks), 0).to_bytes(_SUBSETS, "little")
+    """Byte k: the union of ``masks[x]`` over the x in subset k."""
+    return _joins(members, masks).to_bytes(_SUBSETS, "little")
 
 
 def check_lemma_suite(dle: FiniteDLE, rng=None) -> LemmaSuiteReport:
@@ -965,6 +1024,15 @@ def check_lemma_suite(dle: FiniteDLE, rng=None) -> LemmaSuiteReport:
     joins of random subsets, the irreducible-witness form and the
     pseudo-correspondent biconditional.
 
+    The checks over element pairs and over elements are bit-sliced: the
+    skeleton's pair strings, one byte per pair (a, b) in row-major order,
+    read through a table's translation table to upset masks (``_masks``)
+    give the table at every pair as one int (``_at``), on which the join,
+    the meet and the order are ``|``, ``&`` and inclusion (``_outside``);
+    every pair is still checked.  The irreducible-witness form is one
+    fold over the skeleton's ``jirr_below``.  A mask fits a byte, as
+    ``MAX_POINTS`` is 8, and so does an index, of at most 256 elements.
+
     ``rng``, when given, must be a ``random.Random`` (CPython's Mersenne
     Twister).  The 50 subsets are the numbers of ``[x for x in
     range(dle.n_elem) if rng.random() < 0.5]`` each, drawn in one
@@ -972,43 +1040,45 @@ def check_lemma_suite(dle: FiniteDLE, rng=None) -> LemmaSuiteReport:
     the same state, whether or not pi is registered; they are joined
     bit-sliced, all at once (``_subset_joins``)."""
     report = LemmaSuiteReport()
-    n = dle.n_elem
-    r = range(n)
-    leq = dle.leq_table
+    sk, n, leq = dle.poset.skeleton, dle.n_elem, dle.leq_table
+    pair_a, pair_b = sk.pair_a, sk.pair_b
+    us, ws = _at(pair_a, sk.mask_of), _at(pair_b, sk.mask_of)
+    ones = int.from_bytes(b"\1" * n, "little")  # byte u is 1 for each element u
     members = None if rng is None else _subset_members(rng, n)
     for reg in dle.sig.registered:
         spec, pi = SPEC_BY_ROLE[reg.role], reg.role == "pi"
         f, g, adj = (dle.role_table(reg.role), dle.def_table(reg.role),
                      dle.black_table(reg.role))
-        below, mono = _below(dle, spec.family), spec.tone == MONO
-        is_f = spec.family == "F"
-        outer, bound = (dle.join_table, dle.bot) if is_f else (dle.meet_table, dle.top)
+        fm, gm, am = _masks(sk, f), _masks(sk, g), _masks(sk, adj)
+        mono, is_f = spec.tone == MONO, spec.family == "F"
+        outer, bound = (sk.join_flat, dle.bot) if is_f else (sk.meet_flat, dle.top)
         unit, gens = (dle.bot, dle.jirr) if spec.bot_unit else (dle.top, dle.mirr)
+        ga, aw = _at(pair_a, gm), _at(pair_b, am)
         res: dict[str, bool] = {}
-        res["adjunction" if mono else "galois"] = all(
-            below[g[u]][w] == (below[u][adj[w]] if mono else below[adj[w]][u])
-            for u in r for w in r)
+        # at each pair (u, w): g(u) below w iff u below adj(w), or for
+        # antitone roles adj(w) below u
+        right = _outside(us, aw, is_f) if mono else _outside(aw, us, is_f)
+        res["adjunction" if mono else "galois"] = (
+            _flags(_outside(ga, ws, is_f), n * n) == _flags(right, n * n))
         if mono:
+            gb = _at(pair_b, gm)
             res["join_preserving" if is_f else "meet_preserving"] = (
-                g[bound] == bound
-                and all(g[outer[a][b]] == outer[g[a]][g[b]] for a in r for b in r))
+                g[bound] == bound and _at(outer, gm) == (ga | gb if is_f else ga & gb))
         if pi and members is not None:
-            index, masks = dle.index, dle.elements
+            index = dle.index
             res["join_preserving_subsets"] = all(
                 g[index[a]] == index[b] for a, b in zip(
-                    _subset_joins(members, masks),
-                    _subset_joins(members, [masks[v] for v in g])))
-        res["below_f" if is_f else "above_f"] = all(below[g[u]][f[u]] for u in r)
+                    _subset_joins(members, dle.elements), _subset_joins(members, gm)))
+        f_all, g_all = int.from_bytes(fm, "little"), int.from_bytes(gm, "little")
+        res["below_f" if is_f else "above_f"] = not _outside(g_all, f_all, is_f)
         res["agrees_on_jirr" if spec.bot_unit else "agrees_on_mirr"] = all(
             g[x] == f[x] for x in gens)
         if pi:
-            res["irreducible_form"] = all(
-                g[u] == dle.join_all(
-                    j2 for j2 in dle.jirr
-                    if any(leq[i][u] and leq[j2][f[i]] for i in dle.jirr))
-                for u in r)
+            res["irreducible_form"] = g_all == _joins(
+                sk.jirr_below, map(fm.__getitem__, dle.jirr))
         axiom = role_axiom_holds(dle, reg.role)
-        identity = all(f[u] == outer[f[unit]][g[u]] for u in r)
+        c = fm[unit] * ones  # f at the unit, at every element
+        identity = f_all == (c | g_all if is_f else c & g_all)
         name = ("additive" if is_f else "multiplicative") if mono else "axiom"
         res[f"identity_iff_{name}"] = identity == axiom
         if pi:

@@ -102,3 +102,10 @@ def relational_dle(sig: Signature, npoints: int, pairs,
     for name in names:
         dle.add_op(name, rel)
     return dle
+
+
+def subterm_at(t: Term, path: tuple[int, ...]) -> Term:
+    """The subterm of ``t`` at ``path``, a tuple of argument positions."""
+    for i in path:
+        t = t.args[i]
+    return t

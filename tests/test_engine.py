@@ -6,7 +6,10 @@ import weakref
 
 import pytest
 
-from conftest import CLASSICAL_SIG_TEXT, MIXED_SIG_TEXT, adjoint, random_any_term, relational_dle
+from conftest import (
+    CLASSICAL_SIG_TEXT, MIXED_SIG_TEXT, adjoint, random_any_term, relational_dle,
+    subterm_at,
+)
 from dlecorr import classify, engine, generators, language, models
 from dlecorr.engine import (
     AckermannShapeError, Derivation, EngineError, Inequality, RuleApplication,
@@ -291,7 +294,7 @@ def _reference_preprocess_step(ineq, eps_map, role_mode):
         found = _reference_distribution(term, sign, eps_map, ())
         if found is not None:
             pos, k = found
-            spec = language.dotted_spec(language.subterm_at(term, pos))
+            spec = language.dotted_spec(subterm_at(term, pos))
             rid = "Dist" + spec.rule_suffix if role_mode and spec else "DistributePre"
             return RuleApplication(rid, ineq_index=0, path=(side_idx,) + pos, coord=k + 1)
     if isinstance(ineq.lhs, language.Join) or isinstance(ineq.rhs, language.Meet):

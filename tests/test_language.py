@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import CLASSICAL_SIG_TEXT, adjoint, random_any_term
+from conftest import CLASSICAL_SIG_TEXT, adjoint, random_any_term, subterm_at
 from dlecorr import engine, generators, language
 from dlecorr.language import (
     ANTI, JOIN, MEET, App, Bot, ConnectiveDecl, Conominal, DefBox, DefDia,
@@ -350,7 +350,7 @@ def _rebuilt(rng, t, sig):
     replace_at, with_args, concretize, copy.deepcopy and pickling."""
     paths = [()]
     for path in paths:  # grows as it goes: every path into t, breadth first
-        paths.extend(path + (k,) for k in range(len(language.subterm_at(t, path).args)))
+        paths.extend(path + (k,) for k in range(len(subterm_at(t, path).args)))
     mapping = {rng.choice("pqr"): meet(Nominal("j1"), Var("s")), "q": Conominal("n1")}
     out = [parse_term(print_term(t), sig, Layer.DLEPP), substitute(t, mapping),
            replace_at(t, rng.choice(paths), join(Var("s"), Conominal("m0"))),

@@ -2,6 +2,7 @@ import gc
 import hashlib
 import random
 import re
+from collections import Counter
 from functools import reduce
 from itertools import product
 
@@ -11,7 +12,7 @@ from conftest import CLASSICAL_SIG_TEXT, adjoint, relational_dle
 from dlecorr import generators, language, models
 from dlecorr.engine import SysIneq, System, rule_steps, run_alba
 from dlecorr.language import (
-    BOT, JOIN, MEET, ROLE_SPECS, SPEC_BY_NODE, SPEC_BY_ROLE, TOP, App, Bot,
+    BOT, JOIN, MEET, MONO, ROLE_SPECS, SPEC_BY_NODE, SPEC_BY_ROLE, TOP, App, Bot,
     Conominal, DefDia, DotDia, Inequality,
     Join, Layer, Meet, Nominal, Residual, Signature, Top, Var, join, meet,
     subterms,
@@ -1338,6 +1339,80 @@ def test_subsets_check_matches_its_definition(classical_sig):
             dle.elements[dle.join_all(g[x] for x in s)] for s in subsets]
         verdicts.append(want)
     assert verdicts.count(True) > len(lattices) // 2 > verdicts.count(False) > 0
+
+
+def _pair_checks_by_definition(dle, role):
+    """The axiom of ``role`` and the lemma suite's checks of it over element
+    pairs and over elements, each pair or element compared on its own
+    through the nested-list tables: the definitions that the bit-sliced
+    checks compute."""
+    spec = SPEC_BY_ROLE[role]
+    f, g, adj = dle.role_table(role), dle.def_table(role), dle.black_table(role)
+    is_f, mono = spec.family == "F", spec.tone == MONO
+    leq, r = dle.leq_table, range(dle.n_elem)
+    below = leq if is_f else [list(col) for col in zip(*leq)]  # G: order turned round
+    inner = dle.join_table if spec.bot_unit else dle.meet_table
+    outer, bound = (dle.join_table, dle.bot) if is_f else (dle.meet_table, dle.top)
+    unit = dle.bot if spec.bot_unit else dle.top
+    axiom = all(below[f[inner[a][b]]][outer[f[a]][f[b]]] for a in r for b in r)
+    res = {"adjunction" if mono else "galois": all(
+        below[g[u]][w] == (below[u][adj[w]] if mono else below[adj[w]][u])
+        for u in r for w in r)}
+    if mono:
+        res["join_preserving" if is_f else "meet_preserving"] = (
+            g[bound] == bound
+            and all(g[outer[a][b]] == outer[g[a]][g[b]] for a in r for b in r))
+    res["below_f" if is_f else "above_f"] = all(below[g[u]][f[u]] for u in r)
+    if role == "pi":
+        res["irreducible_form"] = all(
+            g[u] == dle.join_all(j2 for j2 in dle.jirr
+                                 if any(leq[i][u] and leq[j2][f[i]] for i in dle.jirr))
+            for u in r)
+    name = ("additive" if is_f else "multiplicative") if mono else "axiom"
+    res[f"identity_iff_{name}"] = axiom == all(
+        f[u] == outer[f[unit]][g[u]] for u in r)
+    return axiom, res
+
+
+def test_pair_checks_match_their_definitions(classical_sig):
+    # the bit-sliced pair checks of the lemma suite and the role axiom
+    # against every pair compared on its own, with one entry of each role,
+    # defined and adjoint table redrawn on every other lattice: on the
+    # 3-point relational sweep, the 4-point antichain's relational
+    # lattices, four-role random lattices, and at the byte-width edges, a
+    # 1-point poset (2 elements) and the 8-point antichain (256 elements:
+    # index 255, mask bit 7)
+    rng = random.Random(25)
+    four_roles = parse_signature(CLASSICAL_SIG_TEXT + LR_SIG_TEXT)
+    lattices = [dle for _, dle in models.relational_sweep(classical_sig, 3)]
+    lattices += [dle for _, dle in
+                 models.relational_lattices(classical_sig, antichain(4))]
+    lattices += [random_dle(rng, four_roles, max_points=3) for _ in range(300)]
+    for poset in [chain(1)] * 4 + [antichain(8)] * 2:
+        dle = FiniteDLE(poset, four_roles)
+        for decl in four_roles.connectives:
+            dle.add_op(decl.name, random_normal_table(rng, dle, decl), validate=False)
+        lattices.append(dle)
+    seen = Counter()
+    for k, dle in enumerate(lattices):
+        roles = [reg.role for reg in dle.sig.registered]
+        for role in roles:
+            dle.black_table(role)  # after the defined and the role table
+        if k % 2:
+            for key in product(("role", "def", "black"), roles):
+                key = _cache_key(*key)
+                table = list(dle._cache[key])
+                table[rng.randrange(dle.n_elem)] = rng.randrange(dle.n_elem)
+                dle._cache[key] = table
+        want = {role: _pair_checks_by_definition(dle, role) for role in roles}
+        report = check_lemma_suite(dle)
+        for role, (axiom, res) in want.items():
+            assert models.role_axiom_holds(dle, role) == axiom, (k, role)
+            got = report.role_results[role]
+            assert {key: got[key] for key in res} == res, (k, role)
+            seen.update([("axiom", axiom), *res.items()])
+    # each check holds on some lattice and fails on another
+    assert all(seen[key, True] and seen[key, False] for key, _ in seen), seen
 
 
 def test_checks_compile_only_search(classical_sig, monkeypatch):
