@@ -22,10 +22,14 @@ role terms for the dotted modalities.  Each signed tree is analysed in
 one walk that builds no tree and carries the P1/P2 split, the good and
 excellent flags and the SRR side leaves down to each leaf; every order
 type, preimage pairing and branch report reads the analyses.  One slot
-keeps the last input's analyses, so the public calls on one input share
-one walk; it keeps that input's subterms alive until the next input.
-The anti-substitution search memoises each subterm's preimages for one
-search, with the budget they spent.  The classes of Table 1, which the
+keeps what the public calls have learned about the last input, so that
+they do each piece of work once per input: its analyses, its order-type
+table (the witness and Sahlqvist flag of each workable order type, made
+as far as a call reads it) and an unfinished meta-inductive search, which
+the next call with the same Signature object continues.  It keeps that
+input's subterms alive until the next input.  The anti-substitution
+search memoises each subterm's preimages for one search, with the budget
+they spent.  The classes of Table 1, which the
 engine's stage one reads too, are seven fixed sets, and ``is_critical``
 is the one test of a leaf's criticality for classifier, engine and
 generators.
@@ -153,19 +157,75 @@ def _walk(t: Term, sign: int, trail: list[SignedNode], k: int, good: bool,
     trail.pop()
 
 
-# the last input's (lhs, rhs, analyses); terms are interned and the slot
+class _Found:
+    """The items of a generator, made when a reader first asks for them
+    and kept, so that a later reader continues where an earlier one
+    stopped."""
+
+    __slots__ = ("items", "_more")
+
+    def __init__(self, more):
+        self.items: list = []
+        self._more = more
+
+    @property
+    def done(self) -> bool:
+        return self._more is None
+
+    def __iter__(self):
+        items, i = self.items, 0
+        while True:
+            if i == len(items):
+                if self._more is None:
+                    return
+                item = next(self._more, _DONE)
+                if item is _DONE:
+                    self._more = None
+                    return
+                items.append(item)
+            yield items[i]
+            i += 1
+
+
+_DONE = object()
+
+
+class _Input:
+    """What the public calls have learned about one input, each part made
+    when first asked for: the branch analyses of +lhs and -rhs, the
+    order-type table and one meta-inductive search, with its signature."""
+
+    __slots__ = ("sides", "table", "meta_sig", "meta")
+
+    def __init__(self):
+        self.sides = self.table = self.meta_sig = self.meta = None
+
+
+# the last input's (lhs, rhs, record); terms are interned and the slot
 # holds them, so identity is equality
 _last: tuple = (None, None, None)
 
 
-def _sides(ineq: Inequality) -> tuple[tuple[BranchAnalysis, ...], tuple[BranchAnalysis, ...]]:
-    """Branch analyses of +lhs and of -rhs, walked unless ``ineq`` was the last input."""
+def _record(ineq: Inequality) -> _Input:
+    """The slot's record if ``ineq`` was the last input, else a new one,
+    which ``_keep`` puts in the slot once a call on it has answered."""
+    lhs, rhs, rec = _last
+    return rec if lhs is ineq.lhs and rhs is ineq.rhs else _Input()
+
+
+def _keep(entry: tuple) -> None:
     global _last
-    lhs, rhs, found = _last
-    if lhs is not ineq.lhs or rhs is not ineq.rhs:
-        found = tuple(branches(ineq.lhs, MONO)), tuple(branches(ineq.rhs, ANTI))
-        _last = ineq.lhs, ineq.rhs, found
-    return found
+    _last = entry
+
+
+def _walked(ineq: Inequality) -> _Input:
+    """The input's record, with the branch analyses of +lhs and of -rhs,
+    walked unless ``ineq`` was the last input."""
+    rec = _record(ineq)
+    if rec.sides is None:
+        rec.sides = tuple(branches(ineq.lhs, MONO)), tuple(branches(ineq.rhs, ANTI))
+    _keep((ineq.lhs, ineq.rhs, rec))
+    return rec
 
 
 @dataclass(frozen=True)
@@ -202,15 +262,21 @@ def _transitive_closure(edges: set[tuple[str, str]]) -> frozenset[tuple[str, str
     return frozenset(closure)
 
 
-def _check_eps(analyses: list[BranchAnalysis], variables: tuple[str, ...],
-               entries: tuple[str, ...], require_excellent: bool) -> InductiveWitness | None:
+def _check_eps(analyses: tuple[BranchAnalysis, ...], variables: tuple[str, ...],
+               entries: tuple[str, ...]) -> tuple[InductiveWitness, bool] | None:
+    """The inductive witness of order type ``entries``, if it has one, and
+    whether the order type is Sahlqvist too: every critical branch
+    excellent.  An excellent branch is good and has no SRR node in P1, so
+    a Sahlqvist order type always has a witness, with an empty omega."""
     eps = dict(zip(variables, entries))
     edges: set[tuple[str, str]] = set()
+    excellent = True
     for br in analyses:
         if not is_critical(br.leaf_sign, eps[br.var]):
             continue
-        if not (br.is_excellent if require_excellent else br.is_good):
+        if not br.is_good:
             return None
+        excellent = excellent and br.is_excellent
         # SRR side terms must agree with the opposite order type
         if any(is_critical(sign, eps[q]) for q, sign in br.srr_leaves):
             return None
@@ -218,7 +284,7 @@ def _check_eps(analyses: list[BranchAnalysis], variables: tuple[str, ...],
     omega = _transitive_closure(edges)
     if omega is None:
         return None
-    return InductiveWitness(variables, OrderType(entries), omega)
+    return InductiveWitness(variables, OrderType(entries), omega), excellent
 
 
 def _capped_variables(ineq: Inequality) -> tuple[str, ...]:
@@ -230,34 +296,39 @@ def _capped_variables(ineq: Inequality) -> tuple[str, ...]:
     return variables
 
 
-def _eps_witnesses(variables: tuple[str, ...], analyses: list[BranchAnalysis],
-                   require_excellent: bool):
-    """The witness of each workable epsilon, lexicographically (1 before d)."""
+def _eps_table(variables: tuple[str, ...], analyses: tuple[BranchAnalysis, ...]):
+    """(witness, Sahlqvist flag) of each workable epsilon,
+    lexicographically (1 before d)."""
     for entries in product("1d", repeat=len(variables)):
-        w = _check_eps(analyses, variables, entries, require_excellent)
-        if w is not None:
-            yield w
+        found = _check_eps(analyses, variables, entries)
+        if found is not None:
+            yield found
 
 
-def _witnesses(ineq: Inequality, require_excellent: bool):
+def _table(ineq: Inequality) -> _Found:
+    """The input's order-type table, made as far as a reader asks; one per
+    input in the slot."""
     variables = _capped_variables(ineq)  # before any tree is built
-    lhs, rhs = _sides(ineq)
-    return _eps_witnesses(variables, lhs + rhs, require_excellent)
+    rec = _walked(ineq)
+    if rec.table is None:
+        lhs, rhs = rec.sides
+        rec.table = _Found(_eps_table(variables, lhs + rhs))
+    return rec.table
 
 
 def is_sahlqvist(ineq: Inequality) -> OrderType | None:
     """Smallest (lexicographic, 1 before d) Sahlqvist order type, if any."""
-    return next((w.epsilon for w in _witnesses(ineq, True)), None)
+    return next((w.epsilon for w, sahlqvist in _table(ineq) if sahlqvist), None)
 
 
 def is_inductive(ineq: Inequality) -> InductiveWitness | None:
     """First (lexicographic epsilon, minimal Omega) inductive witness."""
-    return next(_witnesses(ineq, False), None)
+    return next((w for w, _ in _table(ineq)), None)
 
 
 def inductive_witnesses(ineq: Inequality) -> list[InductiveWitness]:
     """All inductive witnesses, one per workable epsilon, lexicographically."""
-    return list(_witnesses(ineq, False))
+    return [w for w, _ in _table(ineq)]
 
 
 # -- meta-inductive search (anti-substitution) -------------------------
@@ -352,43 +423,68 @@ def _search(term: Term, sig: Signature, budget: _Budget, memo: dict) -> list[Ter
 ANTI_SUBSTITUTION_BUDGET = 10 ** 5
 
 
-def _meta_witnesses(ineq: Inequality, sig: Signature):
+def _meta_witnesses(ineq: Inequality, sig: Signature,
+                    analysed: dict[tuple[Term, int], tuple[BranchAnalysis, ...]]):
     """The first witness of each inductive (lhs, rhs) preimage pair.  Each
-    preimage is analysed when a pair first needs it, once per call."""
+    preimage is analysed when a pair first needs it, once per search;
+    ``analysed`` holds the analyses made so far."""
     b = _Budget(ANTI_SUBSTITUTION_BUDGET)
     memo: dict[Term, tuple[list[Term], int]] = {}
     lhs_pre = _preimages(ineq.lhs, sig, b, memo)
     rhs_pre = _preimages(ineq.rhs, sig, b, memo)
     # every preimage has the input's variables: registered terms have one
     variables = _capped_variables(ineq)
-    analysed: dict[tuple[Term, int], list[BranchAnalysis]] = {}
 
-    def analysis(t: Term, sign: int) -> list[BranchAnalysis]:
+    def analysis(t: Term, sign: int) -> tuple[BranchAnalysis, ...]:
         found = analysed.get((t, sign))
         if found is None:
-            found = analysed[t, sign] = branches(t, sign)
+            found = analysed[t, sign] = tuple(branches(t, sign))
         return found
 
     for ls in lhs_pre:
         for rs in rhs_pre:
             if not b.spend(10):
                 return
-            w = next(_eps_witnesses(variables, analysis(ls, MONO) + analysis(rs, ANTI),
-                                    False), None)
-            if w is not None:
-                yield Inequality(ls, rs), w
+            found = next(_eps_table(variables, analysis(ls, MONO) + analysis(rs, ANTI)), None)
+            if found is not None:
+                yield Inequality(ls, rs), found[0]
+
+
+def _meta(ineq: Inequality, sig: Signature, read):
+    """``read`` of the input's meta-inductive search over ``sig``: one
+    search per input and Signature object in the slot, continued by each
+    call.  A call that reads the search to its end takes it out of the
+    slot: its pairs hold new dotted terms, which live as long as the
+    caller keeps them.  A search that raises is not kept, so each call on
+    its input raises again."""
+    rec = _record(ineq)
+    if rec.meta is None or rec.meta_sig is not sig:
+        # the input is its own preimage: its sides' analyses are the slot's
+        analysed = {} if rec.sides is None else \
+            {(ineq.lhs, MONO): rec.sides[0], (ineq.rhs, ANTI): rec.sides[1]}
+        rec.meta_sig, rec.meta = sig, _Found(_meta_witnesses(ineq, sig, analysed))
+    try:
+        out = read(rec.meta)
+    except BaseException:
+        if _last[2] is rec:  # the slot holds no input whose search raised
+            _keep((None, None, None))
+        raise
+    if rec.meta.done:
+        rec.meta_sig = rec.meta = None
+    _keep((ineq.lhs, ineq.rhs, rec))
+    return out
 
 
 def meta_inductive_witnesses(ineq: Inequality,
                              sig: Signature) -> list[tuple[Inequality, InductiveWitness]]:
     """All (dotted preimage, witness) pairs, in deterministic search order."""
-    return list(_meta_witnesses(ineq, sig))
+    return _meta(ineq, sig, list)
 
 
 def is_meta_inductive(ineq: Inequality,
                       sig: Signature) -> tuple[Inequality, InductiveWitness] | None:
     """The first (dotted preimage, witness) pair, if any."""
-    return next(_meta_witnesses(ineq, sig), None)
+    return _meta(ineq, sig, lambda found: next(iter(found), None))
 
 
 # -- reporting ---------------------------------------------------------
@@ -409,7 +505,7 @@ def branch_report(ineq: Inequality, eps: OrderType | None = None) -> str:
     variables = variables_of(ineq)
     eps_map = dict(zip(variables, eps.entries)) if eps is not None else None
     lines = []
-    for label, side in zip(("+lhs", "-rhs"), _sides(ineq)):
+    for label, side in zip(("+lhs", "-rhs"), _walked(ineq).sides):
         for br in side:
             sgn = "+" if br.leaf_sign == MONO else "-"
             flags = []

@@ -184,11 +184,15 @@ class Derivation:
 
     # -- bookkeeping ----------------------------------------------------
 
-    def copy(self) -> "Derivation":
-        """A copy whose nodes can be extended apart from this one's."""
+    def copy(self, size: int | None = None) -> "Derivation":
+        """A copy whose nodes can be extended apart from this one's; with
+        ``size``, of the derivation as it was with its first ``size``
+        nodes (a rewrite gives a leaf all its children at once)."""
         d = copy.copy(self)
         d.nodes = [DerivNode(n.id, n.parent, n.rule, n.system, n.principal, n.fresh,
-                             n.target_was_side, list(n.children)) for n in self.nodes]
+                             n.target_was_side,
+                             [] if size is not None and n.children and n.children[0] >= size
+                             else list(n.children)) for n in self.nodes[:size]]
         d._fresh_counts = dict(self._fresh_counts)
         d.closed = set(self.closed)
         return d
@@ -868,6 +872,72 @@ def _eliminate(d: Derivation, nid: int, k: int, order: tuple[str, ...],
     return []
 
 
+class _Stage:
+    """A point of stage one, reached by the same rewrites from one root:
+    the derivation, the nodes left to stage (the last one next), the
+    pieces so far and the rewrites made.  Stage-one rules take no fresh
+    symbols, so candidates whose steps agree share their points: ``after``
+    keeps each step taken from here (the node it rewrites and the rule) and
+    the point it led to, or the message of the ``EngineError`` it raised.
+
+    The first step taken from a point extends its derivation in place;
+    the point then still reads its first ``size`` nodes, which no later
+    rewrite changes, and a step that forks from it extends a copy of them.
+    ``ended`` is the candidates' (derivation, pieces) when the nodes left
+    are all pieces; a derivation handed out there is not extended."""
+
+    __slots__ = ("d", "size", "steps", "work", "pieces", "after", "ended")
+
+    def __init__(self, d: Derivation, work: tuple[int, ...], pieces: tuple[int, ...]):
+        self.d, self.size, self.steps = d, len(d.nodes), d.steps
+        self.work, self.pieces = work, pieces
+        self.after: dict = {}
+        self.ended: tuple[Derivation, list[int]] | None = None
+
+    def _own(self) -> Derivation:
+        """The derivation as at this point, for a step from here or a
+        candidate that ends here: the shared one while nothing has extended
+        it and none was handed out here, else a copy of its first nodes."""
+        if len(self.d.nodes) == self.size and self.ended is None:
+            d = self.d
+        else:
+            d = self.d.copy(self.size)
+        d.steps = self.steps  # a step that raised may have ticked
+        return d
+
+    def advance(self, eps_map: dict[str, str], analyses: dict) -> "_Stage | None":
+        """The point after the candidate's next rewrite, for ``eps_map``, or
+        None when the nodes left are all pieces.  Asks for a step at each
+        node it takes, depth first with the first child first, and at no
+        other."""
+        d, work = self.d, self.work
+        for i in range(len(work) - 1, -1, -1):
+            nid = work[i]
+            step = find_preprocess_step(d.nodes[nid].system.ineqs[0].ineq, eps_map,
+                                        d.role_mode, analyses)
+            if step is None:
+                continue
+            key = nid, step
+            nxt = self.after.get(key)
+            if nxt is None:
+                try:
+                    own = self._own()
+                    _tick(own)
+                    ids = apply_rule(own, step, nid)
+                except EngineError as exc:
+                    nxt = str(exc)
+                else:
+                    nxt = _Stage(own, work[:i] + tuple(reversed(ids)),
+                                 self.pieces + work[:i:-1])
+                self.after[key] = nxt
+            if isinstance(nxt, str):
+                raise EngineError(nxt)
+            return nxt
+        if self.ended is None:
+            self.ended = self._own(), list(self.pieces + work[::-1])
+        return None
+
+
 def _stage_one(d: Derivation, eps_map: dict[str, str], pieces: list[int],
                analyses: dict):
     """Stage one on the root of ``d``: distribution, splitting and monotone
@@ -875,22 +945,15 @@ def _stage_one(d: Derivation, eps_map: dict[str, str], pieces: list[int],
     of the pieces to ``pieces``, first piece first, and yields after each
     rewrite; ``d.steps`` counts the rewrites.  ``analyses`` is
     ``find_preprocess_step``'s."""
-    work = [0]
-    while work:
-        nid = work.pop()
-        step = find_preprocess_step(d.node(nid).system.ineqs[0].ineq, eps_map,
-                                    d.role_mode, analyses)
-        if step is None:
-            pieces.append(nid)
-            continue
-        _tick(d)
-        work += reversed(apply_rule(d, step, nid))
+    stage = _Stage(d, (0,), ())
+    while (nxt := stage.advance(eps_map, analyses)) is not None:
+        stage = nxt
         yield
+    pieces += stage.ended[1]
 
 
 # Stage-one rewrites past this many do not move a candidate further back.
 _STAGE_ONE_CAP = 200
-_ENDED = object()
 
 
 def _staged(ineq: Inequality, sig: Signature, mode: str,
@@ -902,26 +965,34 @@ def _staged(ineq: Inequality, sig: Signature, mode: str,
     live candidate is asked for one more rewrite, and one that has none
     ends with s rewrites and comes next; at the cap the live ones finish,
     in candidate order.  A candidate whose stage one raises
-    ``EngineError`` is dropped: no attempt of it could finish."""
+    ``EngineError`` is dropped: no attempt of it could finish.
+
+    Candidates with the same internal root share their stage one
+    (``_Stage``) for as long as their steps agree, so a rewrite that
+    several of them take is made once per run; candidates that end at
+    one point are handed one derivation, which the attempts copy."""
+    roots: dict[Inequality, _Stage] = {}
     live = []
     for internal, w in cands:
-        eps_map = dict(zip(w.variables, w.epsilon.entries))
-        d = Derivation(ineq, sig, mode, internal_root=internal)
-        pieces: list[int] = []
-        live.append(((d, pieces, eps_map, w), _stage_one(d, eps_map, pieces, analyses)))
+        root = roots.get(internal)
+        if root is None:
+            root = roots[internal] = _Stage(
+                Derivation(ineq, sig, mode, internal_root=internal), (0,), ())
+        live.append((root, dict(zip(w.variables, w.epsilon.entries)), w))
     level = 0
     while live:
         going = []
-        for staged, run in live:
+        for stage, eps_map, w in live:
             try:
-                if level < _STAGE_ONE_CAP and next(run, _ENDED) is not _ENDED:
-                    going.append((staged, run))
+                nxt = stage.advance(eps_map, analyses)
+                if level < _STAGE_ONE_CAP and nxt is not None:
+                    going.append((nxt, eps_map, w))
                     continue
-                for _ in run:  # at the cap: to the end
-                    pass
+                while nxt is not None:  # at the cap: to the end
+                    stage, nxt = nxt, nxt.advance(eps_map, analyses)
             except EngineError:
                 continue
-            yield staged
+            yield (*stage.ended, eps_map, w)
         live = going
         level += 1
 
@@ -963,9 +1034,12 @@ def run_alba(ineq: Inequality, sig: Signature, mode: str = "alba",
     candidate's stage one.  Stage one is lazy (``_staged``): it runs at
     most once per candidate, and only as far as the order needs to place
     the next candidate, so the candidates after the first success are
-    staged in part or not at all.  The first successful attempt is
-    returned.  Non-(meta-)inductive inputs yield a failure status, not an
-    exception.
+    staged in part or not at all.  Candidates with one internal root share
+    their stage one while their steps agree, so a rewrite that several of
+    them take is made once.  The first successful attempt is returned.
+    Non-(meta-)inductive inputs yield a failure status, not an exception.
+    The witnesses come from the classifier's one-input slot, so a caller
+    that classified the input first has done part of that work already.
     """
     if mode not in ("alba", "albae"):
         raise ValueError(f"unknown mode {mode!r}")

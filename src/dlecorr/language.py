@@ -27,11 +27,11 @@ compare structurally.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field, replace
 from enum import IntEnum
 from functools import cached_property
 from typing import Iterator, Mapping
-from weakref import WeakValueDictionary
 
 
 MONO = 1
@@ -94,12 +94,23 @@ class ConnectiveDecl:
         return self.order_type.tonicities()
 
 
-# every live term, keyed by its class and field values; the children in
-# ``args`` are interned already, so a key hashes them by identity.  Lookups
-# read the weak references in ``data``: ``get`` pays for an exception on
-# every miss
-_TERMS: WeakValueDictionary = WeakValueDictionary()
-_LIVE = _TERMS.data
+class _Ref(weakref.ref):
+    """A weak reference to an interned term that holds the term's key."""
+
+    __slots__ = ("key",)
+
+
+def _drop(dead: _Ref) -> None:
+    """Remove a dead term's entry, unless a new term has its key now."""
+    if _TERMS.get(dead.key) is dead:
+        del _TERMS[dead.key]
+
+
+# every live term, as a weak reference keyed by its class and field
+# values; the children in ``args`` are interned already, so a key hashes
+# them by identity.  A plain dict: a miss builds the reference in C, where
+# ``WeakValueDictionary`` runs ``KeyedRef.__new__`` and ``__init__``
+_TERMS: dict[tuple, _Ref] = {}
 
 _NO_NAMES: frozenset[str] = frozenset()
 # sets a field of a frozen node; bound once, as ``Term.__new__`` runs often
@@ -151,8 +162,8 @@ class Term:
             if named:
                 raise TypeError(f"{cls.__name__}() got unexpected arguments {sorted(named)}")
         key = (cls, *fields)
-        ref = _LIVE.get(key)
-        t = None if ref is None else ref()
+        found = _TERMS.get(key)
+        t = None if found is None else found()
         if t is None:
             if len(fields) != len(cls.__match_args__):
                 raise TypeError(f"{cls.__name__}() takes fields {cls.__match_args__}")
@@ -169,7 +180,8 @@ class Term:
                 if cls is Var:
                     _set(t, "var_names", names)
             t.__post_init__()
-            _TERMS[key] = t
+            found = _TERMS[key] = _Ref(t, _drop)
+            found.key = key
         return t
 
     def __post_init__(self) -> None:

@@ -895,17 +895,18 @@ def role_axiom_holds(dle: FiniteDLE, role: str) -> bool:
     additivity, for sigma multiplicativity.  Checked at every element
     pair at once, bit-sliced (``_at``): the term's value at the joins or
     meets of the pairs against the join or meet of its values at their
-    arguments.  Decided once per lattice."""
-    spec = SPEC_BY_ROLE[role]
-
-    def holds() -> bool:
-        sk, is_f = dle.poset.skeleton, spec.family == "F"
+    arguments.  Decided once per lattice; a decided verdict is read
+    before anything is built."""
+    key = "axiom", role
+    held = dle._cache.get(key)
+    if held is None:
+        spec, sk = SPEC_BY_ROLE[role], dle.poset.skeleton
+        is_f = spec.family == "F"
         f = _masks(sk, dle.role_table(role))
         x = _at(sk.join_flat if spec.bot_unit else sk.meet_flat, f)
         a, b = _at(sk.pair_a, f), _at(sk.pair_b, f)
-        return not _outside(x, a | b if is_f else a & b, is_f)
-
-    return dle._cached(("axiom", role), holds)
+        held = dle._cache[key] = not _outside(x, a | b if is_f else a & b, is_f)
+    return held
 
 
 def _masks(sk: _Skeleton, table) -> bytes:
@@ -939,7 +940,10 @@ def _flags(x: int, size: int) -> bytes:
 
 def role_axioms_hold(dle: FiniteDLE) -> bool:
     """The registered terms satisfy their additivity-style axioms."""
-    return all(role_axiom_holds(dle, reg.role) for reg in dle.sig.registered)
+    for reg in dle.sig.registered:  # a loop, not ``all``: most calls read cached verdicts
+        if not role_axiom_holds(dle, reg.role):
+            return False
+    return True
 
 
 @dataclass

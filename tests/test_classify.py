@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_any_term
+from conftest import CLASSICAL_SIG_TEXT, random_any_term
 from dlecorr import classify, engine, generators, language
 from dlecorr.classify import (
     DELTA, PIA, SKELETON, SLR, SRA, SRR, BranchAnalysis, SignedNode, branches,
@@ -444,6 +444,13 @@ def test_an_operation_walks_each_side_once(classical_sig, empty_slot, monkeypatc
     assert trees == [(iq.lhs, MONO), (iq.rhs, ANTI)]
 
 
+def _interned_var_names():
+    """The ``var_names`` of every live interned term; the table holds weak
+    references, and the names hold no term alive."""
+    live = (found() for found in list(language._TERMS.values()))
+    return [t.var_names for t in live if t is not None]
+
+
 def test_the_slot_releases_the_previous_input(classical_sig, empty_slot):
     # the slot keeps the last input's terms alive and no more: classifying
     # the next input releases them from the interning table.  The names
@@ -466,5 +473,99 @@ def test_the_slot_releases_the_previous_input(classical_sig, empty_slot):
         gc.collect()
         assert all(ref() is not None for ref in held[-1])
         assert all(ref() is None for refs in held[:-1] for ref in refs)
-        assert not any(f"slot{j}" in t.var_names for t in language._TERMS.values()
+        assert not any(f"slot{j}" in names for names in _interned_var_names()
+                       for j in range(k))
+
+
+def _answers(sig, iq):
+    """The three order-type answers and both meta-inductive answers."""
+    return (is_sahlqvist(iq), is_inductive(iq), classify.inductive_witnesses(iq),
+            is_meta_inductive(iq, sig), classify.meta_inductive_witnesses(iq, sig))
+
+
+def test_slot_answers_like_a_cleared_slot(classical_sig, mixed_sig, monkeypatch):
+    # one order-type table and one meta search per input, read by every
+    # call in turn, answer as each call on a cleared slot does
+    inputs = list(_classifier_inputs(classical_sig, mixed_sig, 400))
+    shared = [_answers(sig, iq) for sig, iq in inputs]
+    for (sig, iq), answers in zip(inputs, shared):
+        alone = []
+        for ask in (is_sahlqvist, is_inductive, classify.inductive_witnesses):
+            monkeypatch.setattr(classify, "_last", (None, None, None))
+            alone.append(ask(iq))
+        for ask in (is_meta_inductive, classify.meta_inductive_witnesses):
+            monkeypatch.setattr(classify, "_last", (None, None, None))
+            alone.append(ask(iq, sig))
+        assert answers == tuple(alone), repr(iq)
+    # the Sahlqvist order type is the first whose critical branches are
+    # all excellent, read off the table of workable order types
+    assert sum(answers[0] is not None for answers in shared) == 370
+
+
+def _counted(monkeypatch, name):
+    calls = []
+    orig = getattr(classify, name)
+    monkeypatch.setattr(classify, name,
+                        lambda *args: calls.append(args[:2]) or orig(*args))
+    return calls
+
+
+def test_meta_calls_share_one_search(classical_sig, empty_slot, monkeypatch):
+    # is_meta_inductive stops at the first pair and meta_inductive_witnesses
+    # continues from there: the preimages are searched once and each
+    # (preimage, sign) is analysed once in all
+    iq = parse_inequality("dia(box(dia(p))) <= box(q)", classical_sig, Layer.DLE)
+    want = classify.meta_inductive_witnesses(iq, classical_sig)
+    trees = _counted_walks(monkeypatch)
+    searches = _counted(monkeypatch, "_preimages")
+    assert is_meta_inductive(iq, classical_sig) == want[0]
+    first, searched = len(trees), len(searches)
+    assert classify.meta_inductive_witnesses(iq, classical_sig) == want
+    assert len(want) > 1 and 0 < first < len(trees) == len(set(trees))
+    assert len(searches) == searched > 0
+    # read to its end, the search leaves the slot: a third call searches again
+    assert classify.meta_inductive_witnesses(iq, classical_sig) == want
+    assert len(searches) == 2 * searched
+
+
+def test_meta_slot_reads_only_its_own_search(classical_sig, empty_slot, monkeypatch):
+    iq = parse_inequality("dia(box(dia(p))) <= box(q)", classical_sig, Layer.DLE)
+    want = classify.meta_inductive_witnesses(iq, classical_sig)
+    twin = parse_signature(CLASSICAL_SIG_TEXT)
+    assert twin == classical_sig and twin is not classical_sig
+    searches = _counted(monkeypatch, "_preimages")
+    assert is_meta_inductive(iq, classical_sig) == want[0]
+    searched = len(searches)
+    # another Signature object, equal or not, gets a search of its own
+    assert classify.meta_inductive_witnesses(iq, twin) == want
+    assert len(searches) == 2 * searched
+    # an input whose search raises raises on every call, and the slot
+    # then holds no input: here the sides walk, the search hits the cap
+    wide = Inequality(Var("x0"), Var("x1"))
+    for i in range(2, 13):
+        wide = Inequality(join(wide.lhs, Var(f"x{i}")), wide.rhs)
+    assert classify.branch_report(wide) and classify._last[0] is wide.lhs
+    for search in (is_meta_inductive, classify.meta_inductive_witnesses) * 2:
+        with pytest.raises(classify.ClassifyError, match="capped"):
+            search(wide, classical_sig)
+        assert classify._last == (None, None, None)
+
+
+def test_the_meta_slot_releases_the_previous_input(classical_sig, empty_slot):
+    # the slot keeps an unfinished meta search, with the preimages it has
+    # made, until the next input: then they leave the interning table.
+    # The names are this test's own, so no other test keeps these terms
+    # alive
+    held = []
+    for k in range(3):
+        iq = parse_inequality(f"dia(box(dia(meta{k}))) <= box(kept{k})",
+                              classical_sig, Layer.DLE)
+        pre, _ = is_meta_inductive(iq, classical_sig)
+        assert classify._last[2].meta is not None  # the search goes on
+        held.append([weakref.ref(pre.lhs), weakref.ref(pre.rhs)])
+        del iq, pre
+        gc.collect()
+        assert all(ref() is not None for ref in held[-1])
+        assert all(ref() is None for refs in held[:-1] for ref in refs)
+        assert not any(f"meta{j}" in names for names in _interned_var_names()
                        for j in range(k))

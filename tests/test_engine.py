@@ -251,6 +251,34 @@ def test_lazy_stage_one_order_is_the_eager_order(cap, budget, monkeypatch):
     assert (passed > 0) == (cap < 200) and (dropped > 0) == (budget == 3)
 
 
+def _node_rows(d):
+    return [(n.id, n.parent, n.rule, n.system, n.children) for n in d.nodes]
+
+
+@pytest.mark.parametrize("cap, budget", [(200, 10_000), (1, 10_000), (200, 3)])
+def test_shared_stage_one_builds_each_candidates_own_nodes(cap, budget, monkeypatch):
+    # candidates share stage-one points while their steps agree and fork
+    # a copy where they part, in level order, past the cap and next to a
+    # step that ran out of budget alike: each staged derivation has the
+    # nodes, pieces and count its candidate's own stage one builds
+    monkeypatch.setattr(engine, "_STAGE_ONE_CAP", cap)
+    monkeypatch.setattr(engine, "_MAX_ATTEMPT_STEPS", budget)
+    forks = []
+    copy = Derivation.copy
+    monkeypatch.setattr(Derivation, "copy",
+                        lambda d, size=None: forks.append(size) or copy(d, size))
+    yielded, shared = 0, set()
+    for iq, sig, mode, cands in seeded_draws(7, 120):
+        for d, pieces, eps_map, _ in engine._staged(iq, sig, mode, cands, {}):
+            own = Derivation(iq, sig, mode, internal_root=d.nodes[0].system.ineqs[0].ineq)
+            own_pieces = stage_fully(own, eps_map)
+            assert (_node_rows(d), pieces, d.steps) == \
+                (_node_rows(own), own_pieces, own.steps), print_inequality(iq)
+            yielded += 1
+            shared.add(id(d))
+    assert len(shared) < yielded and sum(size is not None for size in forks) > 10
+
+
 def test_first_candidate_success_stages_the_rest_in_part(bare_sig, monkeypatch):
     # the first candidate in attempt order, the seventh of 8 and the
     # first with no stage-one rewrite, succeeds: the six before it make
@@ -269,6 +297,31 @@ def test_first_candidate_success_stages_the_rest_in_part(bare_sig, monkeypatch):
     d = run_alba(iq, bare_sig, "alba", "auto")
     assert d.status.kind == "success"
     assert (len(attempts), len(calls)) == (1, 7)
+
+
+def test_stage_one_makes_each_shared_rewrite_once(bare_sig, monkeypatch):
+    # the 8 candidates share their root, and six of them take the same
+    # three rewrites: staged to their ends they rewrite 18 times, 3 times
+    # distinct, and each distinct (inequality, step) pair is applied once
+    applied = []
+    apply = engine.apply_rule
+
+    def counted(d, app, node_id=None):
+        if app.rule_id != "FirstApprox" and d.node(node_id).system.goal is None:
+            applied.append((d.node(node_id).system.ineqs[0].ineq, app))
+        return apply(d, app, node_id)
+
+    monkeypatch.setattr(engine, "apply_rule", counted)
+    iq = parse_inequality("dia(p | q) & r <= box(p | r)", bare_sig, Layer.DLE)
+    assert run_alba(iq, bare_sig, "alba", "auto").status.kind == "success"
+    assert len(applied) == 1  # one rewrite for the six that had one
+    applied.clear()
+    cands = [(iq, w) for w in classify.inductive_witnesses(iq)]
+    staged = list(engine._staged(iq, bare_sig, "alba", cands, {}))
+    assert [d.steps for d, *_ in staged] == [0, 0, 3, 3, 3, 3, 3, 3]
+    assert len(applied) == len(set(applied)) == 3
+    # candidates that end at one point share its derivation and pieces
+    assert len({id(d) for d, *_ in staged}) == 2
 
 
 def _reference_distribution(t, sign, eps_map, path):
@@ -604,9 +657,12 @@ def test_runs_leave_no_reference_cycles(bare_sig, classical_sig):
         gc.enable()
 
 
-def test_runs_leave_no_dead_terms_interned(classical_sig):
+def test_runs_leave_no_dead_terms_interned(classical_sig, monkeypatch):
     # the interning table holds its terms weakly: once a derivation is
-    # dropped, every term it built has left the table
+    # dropped, every term it built has left the table.  The classifier's
+    # slot starts empty: the run's meta search takes it over and would
+    # release an earlier test's input, which the count before includes
+    monkeypatch.setattr(classify, "_last", (None, None, None))
     iq = parse_inequality("dia(box(dia(box(p)))) <= box(dia(box(dia(p))))",
                           classical_sig, Layer.DLE)
     gc.collect()
