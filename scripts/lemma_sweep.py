@@ -6,14 +6,13 @@ relation interpreting both unary connectives) and prints a per-lattice
 summary plus the additivity statistics for the registered diamond-role
 term.
 
-    python scripts/lemma_sweep.py [signature-file] [--seed N]
+    python scripts/lemma_sweep.py [signature-file]
 """
 
 from __future__ import annotations
 
 import argparse
 import pathlib
-import random
 import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
@@ -27,15 +26,13 @@ DEFAULT_SIG = pathlib.Path(__file__).resolve().parents[1] / "tests" / "golden" /
 def main() -> None:
     ap = argparse.ArgumentParser()
     ap.add_argument("signature", nargs="?", default=str(DEFAULT_SIG))
-    ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
     sig = parse_signature(pathlib.Path(args.signature).read_text())
-    rng = random.Random(args.seed)
 
     total = failures = additive = 0
     for rel, dle in models.relational_sweep(sig, 3):
         total += 1
-        report = models.check_lemma_suite(dle, rng)
+        report = models.check_lemma_suite(dle)
         if not report.ok:
             failures += 1
             print(f"FAIL on {dle.poset.n}-point poset, relation {rel.pairs()}:")

@@ -199,11 +199,10 @@ def cmd_lemmas(args: argparse.Namespace, sig: Signature) -> int:
     lines = []
     bad = 0
     total = 0
-    rng = random.Random(args.seed)
     for dle in _sweep_lattices(args, sig):
         if not dle.sig.registered:
             continue
-        report = models.check_lemma_suite(dle, rng)
+        report = models.check_lemma_suite(dle)
         total += 1
         if not report.ok:
             bad += 1

@@ -938,20 +938,6 @@ class _Stage:
         return None
 
 
-def _stage_one(d: Derivation, eps_map: dict[str, str], pieces: list[int],
-               analyses: dict):
-    """Stage one on the root of ``d``: distribution, splitting and monotone
-    elimination, depth first with the first child first.  Appends the ids
-    of the pieces to ``pieces``, first piece first, and yields after each
-    rewrite; ``d.steps`` counts the rewrites.  ``analyses`` is
-    ``find_preprocess_step``'s."""
-    stage = _Stage(d, (0,), ())
-    while (nxt := stage.advance(eps_map, analyses)) is not None:
-        stage = nxt
-        yield
-    pieces += stage.ended[1]
-
-
 # Stage-one rewrites past this many do not move a candidate further back.
 _STAGE_ONE_CAP = 200
 
@@ -1037,7 +1023,10 @@ def run_alba(ineq: Inequality, sig: Signature, mode: str = "alba",
     staged in part or not at all.  Candidates with one internal root share
     their stage one while their steps agree, so a rewrite that several of
     them take is made once.  The first successful attempt is returned.
-    Non-(meta-)inductive inputs yield a failure status, not an exception.
+    A DLE/DLEstar input that is not (meta-)inductive yields a failure
+    status, not an exception; an input above DLEstar, with a nominal, a
+    residual or a defined modality such as ``Dia[pi]``, raises
+    ``classify.ClassifyError`` in both modes.
     The witnesses come from the classifier's one-input slot, so a caller
     that classified the input first has done part of that work already.
     """

@@ -210,13 +210,12 @@ def test_criterion_5_rule_soundness(sig, church_rosser_derivation,
 
 
 def test_criterion_6_lemma_suite(sig, antichain4_lattices):
-    rng = random.Random(17)
     lattices = [dle for _, dle in models.relational_sweep(sig, 3)]
     lattices += random.Random(23).sample(antichain4_lattices, 40)
 
     nonadditive_with_witness = 0
     for dle in lattices:
-        report = models.check_lemma_suite(dle, rng)
+        report = models.check_lemma_suite(dle)
         assert report.ok, report.role_results
         f = dle.role_table("pi")
         g = dle.def_table("pi")

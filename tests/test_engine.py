@@ -13,7 +13,7 @@ from conftest import (
 from dlecorr import classify, engine, generators, language, models
 from dlecorr.engine import (
     AckermannShapeError, Derivation, EngineError, Inequality, RuleApplication,
-    RuleMatchError, SysIneq, System, _stage_one, apply_rule, find_preprocess_step,
+    RuleMatchError, SysIneq, System, _Stage, apply_rule, find_preprocess_step,
     check_compact_appropriate, check_topological_adequacy, is_safe,
     is_syntactically_closed, is_syntactically_open, run_alba, trace_lines,
 )
@@ -58,11 +58,11 @@ def nabla(a):
 # stage one: distribution, splitting, monotone elimination
 
 def stage_fully(d, eps_map):
-    """Run stage one on ``d`` to its end; the ids of the pieces."""
-    pieces = []
-    for _ in _stage_one(d, eps_map, pieces, {}):
-        pass
-    return pieces
+    """Run stage one on ``d`` to its end, in place; the ids of the pieces."""
+    stage, analyses = _Stage(d, (0,), ()), {}
+    while (nxt := stage.advance(eps_map, analyses)) is not None:
+        stage = nxt
+    return stage.ended[1]
 
 
 def stage_one_pieces(iq, sig, eps_map, mode="alba"):
@@ -702,6 +702,15 @@ def test_run_noninductive_fails_as_value(bare_sig):
     d = run_alba(iq, bare_sig, "alba", "auto")
     assert d.status.kind == "failure"
     assert d.status.stuck is not None
+
+
+@pytest.mark.parametrize("mode", ["alba", "albae"])
+def test_run_above_dlestar_raises(classical_sig, mode):
+    # a defined modality is a DLEpp term: the classifier refuses it, and
+    # run_alba passes the refusal on instead of a failure status
+    iq = parse_inequality("Dia[pi](p) <= box(p)", classical_sig, Layer.DLEPP)
+    with pytest.raises(classify.ClassifyError, match="DLE/DLEstar terms only"):
+        run_alba(iq, classical_sig, mode)
 
 
 def test_output_purity_invariant(bare_sig):
