@@ -42,8 +42,8 @@ from itertools import product
 
 from .language import (
     ANTI, MONO, ROLE_SPECS, App, Bot, Inequality, Join, Layer, Meet,
-    OrderType, RegisteredTerm, Signature, Term, Top, Var, connective_decl,
-    dotted_spec, signed_leaves,
+    OrderType, RegisteredTerm, Signature, Term, Top, Var, dotted_spec,
+    signed_leaves,
 )
 
 DELTA = "delta"
@@ -88,11 +88,10 @@ def node_classes(t: Term, sign: int) -> frozenset[str]:
         return _DELTA_SRA_SLR if sign == MONO else _DELTA_SRR
     if isinstance(t, Join):
         return _DELTA_SRR if sign == MONO else _DELTA_SRA_SLR
-    decl = connective_decl(t)  # a declared connective or a dotted marker
-    if decl is not None:
-        if (decl.family == "F") == (sign == MONO):
+    if isinstance(t, App):  # a declared connective or a dotted marker
+        if (t.decl.family == "F") == (sign == MONO):
             return _SLR
-        return _SRA if decl.arity == 1 else _SRR
+        return _SRA if t.decl.arity == 1 else _SRR
     raise ClassifyError(f"node {type(t).__name__} has no Table-1 classification")
 
 
@@ -401,7 +400,7 @@ def _search(term: Term, sig: Signature, budget: _Budget, memo: dict) -> list[Ter
         if arg is None or arg == term:  # identity matches make no progress
             continue
         for sub in _preimages(arg, sig, budget, memo):
-            cand = spec.dot((sub,))
+            cand = App(spec.decl, (sub,))
             if cand not in seen:
                 seen.add(cand)
                 out.append(cand)
@@ -492,11 +491,11 @@ def is_meta_inductive(ineq: Inequality,
 def _node_label(node: SignedNode) -> str:
     t = node.term
     sgn = "+" if node.sign == MONO else "-"
-    if isinstance(t, App):
-        return sgn + t.decl.name
     spec = dotted_spec(t)
     if spec is not None:
         return sgn + spec.dotted + "."
+    if isinstance(t, App):
+        return sgn + t.decl.name
     return sgn + {Meet: "&", Join: "|"}.get(type(t), type(t).__name__)
 
 

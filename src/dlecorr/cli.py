@@ -23,7 +23,7 @@ import random
 import sys
 
 from . import classify, engine, models
-from .language import ROLE_SPECS, Inequality, Layer, Signature, subterms
+from .language import ROLE_SPECS, Inequality, Layer, Signature, dotted_spec, subterms
 from .parsing import ParseError, parse_inequality, parse_signature
 from .printing import print_inequality
 
@@ -108,8 +108,8 @@ def cmd_classify(args: argparse.Namespace, ineq: Inequality, sig: Signature) -> 
     meta = classify.is_meta_inductive(ineq, sig)
     if meta is not None:
         pre, mw = meta
-        nodes = {type(s) for s in (*subterms(pre.lhs), *subterms(pre.rhs))}
-        roles = [spec.role for spec in ROLE_SPECS if spec.dot in nodes]
+        found = {dotted_spec(s) for s in (*subterms(pre.lhs), *subterms(pre.rhs))}
+        roles = [spec.role for spec in ROLE_SPECS if spec in found]
         via = ",".join(roles) if roles else "identity"
         lines.append(
             f"meta-inductive via {via} preimage: {print_inequality(pre)} "

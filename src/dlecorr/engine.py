@@ -33,9 +33,10 @@ from functools import cached_property
 
 from . import classify
 from .language import (
-    ANTI, BOT, MONO, ROLE_SPECS, TOP, App, ConnectiveDecl, Conominal, Inequality,
-    Join, Layer, Meet, Nominal, Residual, RoleSpec, Signature, Term, Var, big_join, big_meet, bot_unit, connective_decl, dotted_spec,
-    join, meet, replace_at, signed_leaves, substitute, var_occurrences,
+    ANTI, BOT, MONO, ROLE_SPECS, SPEC_BY_DEFINED, TOP, App, ConnectiveDecl, Conominal,
+    Inequality, Join, Layer, Meet, Nominal, Residual, RoleSpec, Signature, Term, Var,
+    big_join, big_meet, bot_unit, dotted_spec, join, meet, replace_at, signed_leaves,
+    substitute, var_occurrences,
 )
 from .printing import print_inequality, print_term
 
@@ -293,7 +294,7 @@ def _occurrence_arg(t: Term, spec: RoleSpec, sig: Signature) -> Term | None:
     """Argument of an occurrence of ``spec``'s role at the root of ``t``:
     a dotted marker (role-mode derivations) or a match of the registered
     term (concrete systems in scripted runs)."""
-    if type(t) is spec.dot:
+    if dotted_spec(t) is spec:
         return t.args[0]
     reg = sig.role(spec.role)
     if reg is None:
@@ -325,28 +326,36 @@ def _split(d: Derivation, system: System, app: RuleApplication):
     return [system.replace_index(idx, items)], si.ineq, ()
 
 
-# Rule id -> (family, node class) of the connective rules.  The plain
-# rules (AdjDotDia, ApproxDotDia, ...) read a dotted marker as the unary
-# connective ``RoleSpec.decl``, in plain mode only: in role mode a marker
-# stands for its registered term, which need not be normal.
+# Rule id -> (family, role) of the connective rules: ResidF, ... take the
+# declared connectives, the plain rules (AdjDotDia, ApproxDotDia, ...) the
+# dotted marker of the role, read as the unary connective ``RoleSpec.decl``,
+# in plain mode only: in role mode a marker stands for its registered
+# term, which need not be normal.
 _CONNECTIVE_RULES = {
-    **{kind + family: (family, App) for kind in ("Resid", "Approx") for family in "FG"},
-    **{kind + spec.dot_suffix: (spec.family, spec.dot)
+    **{kind + family: (family, None) for kind in ("Resid", "Approx") for family in "FG"},
+    **{kind + spec.dot_suffix: (spec.family, spec)
        for spec in ROLE_SPECS for kind in ("Adj", "Approx")},
 }
 
 
-def _connective_rule(d: Derivation, app: RuleApplication) -> tuple[str, type]:
-    """The family and node class of the connectives ``app``'s rule takes."""
-    family, cls = _CONNECTIVE_RULES[app.rule_id]
-    if cls is not App and d.role_mode:
+def _connective_rule(d: Derivation, app: RuleApplication) -> tuple[str, RoleSpec | None]:
+    """The family of the connectives ``app``'s rule takes and, for a plain
+    rule, the role of its marker."""
+    family, spec = _CONNECTIVE_RULES[app.rule_id]
+    if spec is not None and d.role_mode:
         raise RuleMatchError(f"{app.rule_id} applies in alba mode only")
-    return family, cls
+    return family, spec
 
 
-def _connective(t: Term, family: str, cls: type) -> ConnectiveDecl | None:
-    decl = connective_decl(t) if type(t) is cls else None
-    return decl if decl is not None and decl.family == family else None
+def _connective(t: Term, family: str, spec: RoleSpec | None) -> ConnectiveDecl | None:
+    """The declaration of ``t`` if the rule takes it: a declared connective
+    of ``family`` or else, for a plain rule, the marker of ``spec``."""
+    if type(t) is not App:
+        return None
+    decl = t.decl
+    if spec is not None:
+        return decl if decl == spec.decl else None
+    return decl if decl.role is None and decl.family == family else None
 
 
 def _residuation(d: Derivation, system: System, app: RuleApplication):
@@ -355,16 +364,16 @@ def _residuation(d: Derivation, system: System, app: RuleApplication):
     below the residual exactly when the coordinate has bottom as unit.
     A plain adjunction (AdjDotDia, ...) is residuation of a dotted marker
     in its one coordinate."""
-    family, cls = _connective_rule(d, app)
+    family, spec = _connective_rule(d, app)
     idx, si = _target(system, app)
     a, b = si.ineq.lhs, si.ineq.rhs
     occ, other = (a, b) if family == "F" else (b, a)
-    decl = _connective(occ, family, cls)
+    decl = _connective(occ, family, spec)
     if decl is None:
         raise RuleMatchError(f"{app.rule_id} needs " + (
             "an F-connective on the left" if family == "F"
             else "a G-connective on the right"))
-    coord = 1 if cls is not App and app.coord is None else app.coord
+    coord = 1 if spec is not None and app.coord is None else app.coord
     if coord is None:
         raise RuleMatchError(f"{app.rule_id} needs a coordinate")
     if not 1 <= coord <= decl.arity:
@@ -392,7 +401,7 @@ def _adjunction(d: Derivation, system: System, app: RuleApplication):
         adj = Residual(spec.defined_decl, 1, (other,))
         return Inequality(arg, adj) if spec.bot_unit else Inequality(adj, arg)
 
-    if type(occ) is spec.defined:
+    if type(occ) is App and occ.decl == spec.defined_decl:
         items = [SysIneq(flipped(occ.args[0]), si.side)]
     else:
         arg = _occurrence_arg(occ, spec, d.sig)
@@ -424,7 +433,8 @@ def _approximation(d: Derivation, system: System, app: RuleApplication):
     const = d.sig.role_instance(spec.role, spec.unit)
     side = system.replace_index(idx, [SysIneq(with_occ(const), side=True)])
     atom, fresh, approx = _approximant(d, system, arg, spec.bot_unit)
-    main = system.replace_index(idx, [SysIneq(with_occ(spec.defined((atom,))), si.side)])
+    main = system.replace_index(idx, [SysIneq(with_occ(App(spec.defined_decl, (atom,))),
+                                              si.side)])
     return [side, main.append([SysIneq(approx)])], si.ineq, (fresh,)
 
 
@@ -444,12 +454,12 @@ def _approx_connective(d: Derivation, system: System, app: RuleApplication):
     (ApproxF) or a G connective against a conominal on the right (ApproxG),
     with one fresh approximant per coordinate, in coordinate order; a
     plain approximation (ApproxDotDia, ...) does this to a dotted marker."""
-    family, cls = _connective_rule(d, app)
+    family, spec = _connective_rule(d, app)
     idx, si = _target(system, app)
     a, b = si.ineq.lhs, si.ineq.rhs
     on_left = family == "G"
     occ, other = (a, b) if on_left else (b, a)
-    decl = _connective(occ, family, cls)
+    decl = _connective(occ, family, spec)
     if decl is None or not isinstance(other, Conominal if on_left else Nominal):
         raise RuleMatchError(f"{app.rule_id} needs " + (
             "g(...) <= conominal" if on_left else "nominal <= f(...)"))
@@ -518,7 +528,7 @@ def _rewrite_role(d: Derivation, system: System, app: RuleApplication):
     if arg is None:
         raise RuleMatchError(f"{app.rule_id} does not match {print_term(sub)}")
     new_sub = (join if spec.family == "F" else meet)(
-        d.sig.role_instance(spec.role, spec.unit), spec.defined((arg,)))
+        d.sig.role_instance(spec.role, spec.unit), App(spec.defined_decl, (arg,)))
     new_term = replace_at(term, app.path[1:], new_sub)
     new = Inequality(new_term, si.ineq.rhs) if side_idx == 0 else \
         Inequality(si.ineq.lhs, new_term)
@@ -792,9 +802,10 @@ def _display_rule(system: System, idx: int, occ_side: int,
     root, other = (ineq.rhs, ineq.lhs) if occ_side else (ineq.lhs, ineq.rhs)
     if isinstance(root, Meet if occ_side else Join):
         return RuleApplication("Split", ineq_index=idx)
-    decl = connective_decl(root)
-    if decl is None:
+    # a defined modality has no display rule
+    if type(root) is not App or root.decl in SPEC_BY_DEFINED:
         return None
+    decl = root.decl
     family = decl.family
     spec = dotted_spec(root)
     suffix = None if spec is None else \

@@ -92,7 +92,7 @@ class _Draw:
             return join(self.noncrit(sign, depth - 1, allowed),
                         self.noncrit(sign, depth - 1, allowed))
         if isinstance(pick, RoleSpec):
-            return pick.dot((self.noncrit(sign * pick.tone, depth - 1, allowed),))
+            return App(pick.decl, (self.noncrit(sign * pick.tone, depth - 1, allowed),))
         decl = self.sig.decl(pick)
         args = tuple(self.noncrit(sign * tone, depth - 1, allowed)
                      for tone in decl.tonicities())
@@ -125,7 +125,7 @@ class _Draw:
             return (meet if sign == MONO else join)(t, self.noncrit(sign, depth - 1)), v
         if isinstance(pick, RoleSpec):
             sub = self.pia(sign * pick.tone, depth - 1)
-            return None if sub is None else (pick.dot((sub[0],)), sub[1])
+            return None if sub is None else (App(pick.decl, (sub[0],)), sub[1])
         decl = self.sig.decl(pick.split(":", 1)[1])
         coord = rng.randrange(decl.arity)
         tone = decl.tonicities()[coord]
@@ -171,7 +171,7 @@ class _Draw:
             return meet(sub, other) if sign == MONO else join(sub, other)
         if isinstance(pick, RoleSpec):
             sub = self.skel(sign * pick.tone, depth - 1)
-            return None if sub is None else pick.dot((sub,))
+            return None if sub is None else App(pick.decl, (sub,))
         decl = self.sig.decl(pick.split(":", 1)[1])
         coord = rng.randrange(decl.arity)
         sub = self.skel(sign * decl.tonicities()[coord], depth - 1)

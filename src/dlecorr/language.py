@@ -14,6 +14,11 @@ nested layers:
            registered unary term (role pi/sigma/lambda/rho) together with
            their adjoints bsq/bdia/blhd/brhd, their residuals
 
+A dotted modality and a defined modality are unary normal connectives
+like the declared ones: each is an ``App`` of its role's declaration
+(``RoleSpec.decl``, ``RoleSpec.defined_decl``), which names the role, so
+that it never equals a declared connective of the same spelling.
+
 Everything here is immutable.  Terms are interned: every node is built
 through one constructor that returns the live node with the same class
 and fields if there is one, so equal terms are one object, and terms
@@ -78,6 +83,7 @@ class ConnectiveDecl:
     family: str  # "F" | "G"
     arity: int
     order_type: OrderType
+    role: str | None = None  # a dotted or defined modality's; None if declared
 
     def __post_init__(self) -> None:
         if self.family not in ("F", "G"):
@@ -134,8 +140,10 @@ class Term:
     """Base class; every node stores its subterms in ``args``.
 
     A node class states its shape as class data: ``tones``, the tonicity
-    of each coordinate, and ``layer``, the least layer that has it (a
-    residual of a defined modality sets a higher one of its own).
+    of each coordinate, and ``layer``, the least layer that has it.  An
+    ``App`` and a ``Residual`` read their tonicities off their
+    declaration, and so their layer when it is a role's: an ``App`` of a
+    dotted marker or of a defined modality, a ``Residual`` of the latter.
 
     Nodes are interned: calling a node class returns the live node with
     the same class and field values, and builds one only if there is
@@ -253,6 +261,9 @@ class Join(Term):
 
 @_node
 class App(Term):
+    """A connective applied to its arguments: a declared connective, a
+    dotted marker (DLEstar) or a defined modality (DLEpp)."""
+
     decl: ConnectiveDecl
     args: tuple[Term, ...]
 
@@ -262,6 +273,9 @@ class App(Term):
                 f"{self.decl.name} expects {self.decl.arity} arguments, "
                 f"got {len(self.args)}"
             )
+        if self.decl.role is not None:
+            _set(self, "layer", RoleSpec.defined_layer if self.decl in SPEC_BY_DEFINED
+                 else RoleSpec.marker_layer)
 
     def tonicities(self) -> tuple[int, ...]:
         return self.decl.tonicities()
@@ -295,7 +309,7 @@ class Residual(Term):
         if len(self.args) != self.decl.arity:
             raise ValueError("residual takes the same number of arguments")
         if self.decl in SPEC_BY_DEFINED:
-            object.__setattr__(self, "layer", Layer.DLEPP)
+            _set(self, "layer", RoleSpec.defined_layer)
 
     def tonicities(self) -> tuple[int, ...]:
         eps = self.decl.tonicities()
@@ -313,31 +327,6 @@ class Residual(Term):
     def with_args(self, args: tuple[Term, ...]) -> Term:
         return Residual(self.decl, self.coord, args)
 
-
-def _unary(cls_name: str, tonicity: int, least: Layer) -> type:
-    """Build a frozen unary Term subclass (dotted/defined/adjoint nodes)."""
-
-    @_node
-    class _Node(Term):
-        args: tuple[Term]
-        tones = (tonicity,)
-        layer = least
-
-    _Node.__name__ = _Node.__qualname__ = cls_name
-    return _Node
-
-
-# Dotted placeholder modalities (DLEstar).
-DotDia = _unary("DotDia", MONO, Layer.DLESTAR)
-DotBox = _unary("DotBox", MONO, Layer.DLESTAR)
-DotLhd = _unary("DotLhd", ANTI, Layer.DLESTAR)
-DotRhd = _unary("DotRhd", ANTI, Layer.DLESTAR)
-
-# Defined modalities, one per role (DLEpp).
-DefDia = _unary("DefDia", MONO, Layer.DLEPP)
-DefBox = _unary("DefBox", MONO, Layer.DLEPP)
-DefLhd = _unary("DefLhd", ANTI, Layer.DLEPP)
-DefRhd = _unary("DefRhd", ANTI, Layer.DLEPP)
 
 # The lattice meet and join read as connectives of order type (1,1), an F
 # and a G operation, whose names no signature can declare; the infix
@@ -364,8 +353,10 @@ def bot_unit(family: str, tone: int) -> bool:
 
 @dataclass(frozen=True)
 class RoleSpec:
-    """One role: its dotted marker and the defined modality, with their
-    spellings and that of the defined modality's adjoint, its residual.
+    """One role: the declarations of its dotted marker and of its defined
+    modality, with their spellings and that of the defined modality's
+    adjoint, its residual.  Both are unary connectives, applied as an
+    ``App``; their declarations name the role.
 
     ``family`` and ``tone`` describe the dotted marker and the defined
     modality: F is join-type (a diamond), G meet-type (a box).  The other
@@ -375,23 +366,25 @@ class RoleSpec:
     role: str
     family: str  # "F" | "G"
     tone: int  # MONO | ANTI
-    dot: type
-    defined: type
     dotted: str  # dia(t); the adjoint is spelled res(dia,1)(t)
     defined_head: str  # Dia[pi](t)
     black_head: str  # bsq[pi](t), the adjoint of Dia[pi]
 
+    # the least layers of every role's dotted marker and defined modality
+    marker_layer = Layer.DLESTAR
+    defined_layer = Layer.DLEPP
+
     @cached_property
     def decl(self) -> ConnectiveDecl:
-        """The dotted marker read as a unary connective of the role's
-        family; the marker's adjoint is its residual in coordinate 1."""
+        """The dotted marker's declaration, a unary connective of the
+        role's family; the marker's adjoint is its residual in coordinate 1."""
         return ConnectiveDecl(self.dotted, self.family, 1,
-                              OrderType(("1" if self.tone == MONO else "d",)))
+                              OrderType(("1" if self.tone == MONO else "d",)), self.role)
 
     @cached_property
     def defined_decl(self) -> ConnectiveDecl:
-        """The defined modality read as a unary connective; its adjoint,
-        spelled ``black_head``, is its residual in coordinate 1."""
+        """The defined modality's declaration; its adjoint, spelled
+        ``black_head``, is its residual in coordinate 1."""
         return replace(self.decl, name=self.defined_head)
 
     @property
@@ -414,20 +407,17 @@ class RoleSpec:
 
     @property
     def dot_suffix(self) -> str:
-        return self.dot.__name__  # AdjDotDia, ApproxDotDia
+        return "Dot" + self.dotted.capitalize()  # AdjDotDia, ApproxDotDia
 
 
 ROLE_SPECS = (
-    RoleSpec("pi", "F", MONO, DotDia, DefDia, "dia", "Dia", "bsq"),
-    RoleSpec("sigma", "G", MONO, DotBox, DefBox, "box", "Box", "bdia"),
-    RoleSpec("lambda", "F", ANTI, DotLhd, DefLhd, "lhd", "Lhd", "blhd"),
-    RoleSpec("rho", "G", ANTI, DotRhd, DefRhd, "rhd", "Rhd", "brhd"),
+    RoleSpec("pi", "F", MONO, "dia", "Dia", "bsq"),
+    RoleSpec("sigma", "G", MONO, "box", "Box", "bdia"),
+    RoleSpec("lambda", "F", ANTI, "lhd", "Lhd", "blhd"),
+    RoleSpec("rho", "G", ANTI, "rhd", "Rhd", "brhd"),
 )
 ROLES = tuple(spec.role for spec in ROLE_SPECS)
 SPEC_BY_ROLE = {spec.role: spec for spec in ROLE_SPECS}
-# every role-specific node class -> its role
-SPEC_BY_NODE = {cls: spec for spec in ROLE_SPECS for cls in (spec.dot, spec.defined)}
-_SPEC_BY_DOT = {spec.dot: spec for spec in ROLE_SPECS}
 # each defined modality's declaration -> its role
 SPEC_BY_DEFINED = {spec.defined_decl: spec for spec in ROLE_SPECS}
 
@@ -442,17 +432,12 @@ HARD_RESERVED = {"top", "bot", "res", "conn", "term", MEET.name, JOIN.name} | {
 
 
 def dotted_spec(t: Term) -> RoleSpec | None:
-    """The role of a dotted marker; None for every other node."""
-    return _SPEC_BY_DOT.get(type(t))
-
-
-def connective_decl(t: Term) -> ConnectiveDecl | None:
-    """The declaration of a declared connective, or of a dotted marker
-    read as a unary connective (``RoleSpec.decl``); None otherwise."""
-    if type(t) is App:
-        return t.decl
-    spec = _SPEC_BY_DOT.get(type(t))
-    return None if spec is None else spec.decl
+    """The role of a dotted marker; None for every other node.  Of the
+    applications whose declaration names a role, a marker's is spelled
+    as in ``SPEC_BY_DOTTED`` and a defined modality's is not."""
+    if type(t) is App and t.decl.role is not None:
+        return SPEC_BY_DOTTED.get(t.decl.name)
+    return None
 
 
 @dataclass(frozen=True)

@@ -76,9 +76,9 @@ from itertools import permutations, product
 from operator import and_, mul, or_
 
 from .language import (
-    JOIN, MEET, MONO, ROLE_SPECS, SPEC_BY_DOTTED, SPEC_BY_NODE, SPEC_BY_ROLE,
-    App, Bot, Conominal, Inequality, Join, Meet, Nominal, Residual, Signature,
-    Term, Top, Var, bot_unit, connective_decl,
+    JOIN, MEET, MONO, ROLE_SPECS, SPEC_BY_DOTTED, SPEC_BY_ROLE, App, Bot,
+    Conominal, Inequality, Join, Meet, Nominal, Residual, Signature, Term, Top,
+    Var, bot_unit,
 )
 from .printing import print_inequality
 
@@ -507,31 +507,35 @@ class FiniteDLE:
 
         return self._cached(("def", role), build)
 
+    def op_table(self, decl):
+        """The table of the operation ``decl``: the lattice's meet or join
+        (``MEET``, ``JOIN``), a defined modality's
+        (``RoleSpec.defined_decl``) or the one in ``ops``, where a
+        connective and a dotted marker may share a name and so a table.
+        The name alone decides which: no signature can declare those of
+        the meet, the join or a defined modality (``HARD_RESERVED``)."""
+        name = decl.name
+        if name == MEET.name:
+            return self.meet_table
+        if name == JOIN.name:
+            return self.join_table
+        if name in _ROLE_BY_DEFINED_HEAD:
+            return self.def_table(_ROLE_BY_DEFINED_HEAD[name])
+        if name not in self.ops:
+            raise ModelError(f"no table for connective {name!r}")
+        return self.ops[name]
+
     def residual_table(self, decl, coord: int):
         """The residual of the normal operation ``decl`` in ``coord``: at
         each argument tuple, the join (bottom-unit coordinates) or meet of
         the elements w, by normality the irreducibles w, whose value, the
-        operation's with w in ``coord``, lies below (F) or above (G) the
-        residuated argument.  (A table added unvalidated that is not
-        normal is no DLE operation.)  The operation's table is the
-        lattice's meet or join (``MEET``, ``JOIN``), a defined modality's
-        (``RoleSpec.defined_decl``) or in ``ops``, where a connective and a
-        dotted marker may share a name: the cache key holds the whole
-        declaration, as plain values that hash fast.  The name alone
-        decides which: no signature can declare those of the meet, the
-        join or a defined modality (``HARD_RESERVED``)."""
+        operation's with w in ``coord`` (``op_table``), lies below (F) or
+        above (G) the residuated argument.  (A table added unvalidated that
+        is not normal is no DLE operation.)  The cache key holds the
+        declaration as plain values that hash fast; a residual of a dotted
+        marker shares its entry with that of a connective of its name."""
         def build():
-            name = decl.name
-            if name == MEET.name:
-                table = self.meet_table
-            elif name == JOIN.name:
-                table = self.join_table
-            elif name in _ROLE_BY_DEFINED_HEAD:
-                table = self.def_table(_ROLE_BY_DEFINED_HEAD[name])
-            elif name in self.ops:
-                table = self.ops[name]
-            else:
-                raise ModelError(f"no table for connective {name!r}")
+            table = self.op_table(decl)
             if decl.arity > 3:
                 raise ModelError("residual tables support arity <= 3")
             h, n = coord - 1, self.n_elem
@@ -592,15 +596,7 @@ def _head_table(t: Term, dle: FiniteDLE):
         return dle.join_table
     if cls is Residual:
         return dle.residual_table(t.decl, t.coord)
-    decl = connective_decl(t)  # a declared connective or a dotted marker
-    if decl is not None:
-        if decl.name not in dle.ops:
-            raise ModelError(f"no table for connective {decl.name!r}")
-        return dle.ops[decl.name]
-    spec = SPEC_BY_NODE.get(cls)  # a defined modality
-    if spec is None:
-        raise ModelError(f"cannot evaluate {cls.__name__}")
-    return dle.def_table(spec.role)
+    return dle.op_table(t.decl)  # an App
 
 
 def _define(name: str, lines: list[str]):

@@ -30,12 +30,12 @@ Signature files are line oriented::
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .language import (
     ANTI, BOT, HARD_RESERVED, INFIX_RESIDUALS, JOIN, MEET, MONO, ROLE_SPECS, ROLES,
     SPEC_BY_DOTTED, SPEC_BY_ROLE, TOP, App, ConnectiveDecl, Conominal,
-    Inequality, Layer, Nominal, OrderType, RegisteredTerm, Residual,
+    Inequality, Layer, Nominal, OrderType, RegisteredTerm, Residual, RoleSpec,
     Signature, Term, Var, join, meet, signed_leaves,
 )
 
@@ -55,8 +55,7 @@ class ParseError(ValueError):
         super().__init__(f"{message} (at position {pos})")
 
 
-@dataclass(frozen=True)
-class _Tok:
+class _Tok(NamedTuple):
     kind: str
     value: str
     pos: int
@@ -196,28 +195,26 @@ class _Parser:
         decl = self.sig.decl(name)
         if decl is not None:
             self.fail(f"connective {name!r} used without arguments", tok)
-        if name in SPEC_BY_DOTTED and self.layer >= SPEC_BY_DOTTED[name].dot.layer:
+        if name in SPEC_BY_DOTTED and self.layer >= RoleSpec.marker_layer:
             self.fail(f"builtin {name!r} used without arguments", tok)
         return Var(name)
 
     def application(self, name: str, tok: _Tok) -> Term:
-        decl = self.sig.decl(name)
+        decl = self.sig.connective(name)
         arglist = self.args()
-        if decl is not None:
-            if len(arglist) != decl.arity:
-                self.fail(f"{name} expects {decl.arity} arguments, got {len(arglist)}", tok)
-            return App(decl, tuple(arglist))
-        if name in SPEC_BY_DOTTED:
-            node = SPEC_BY_DOTTED[name].dot
-            self.require_layer(node.layer, f"dotted connective {name!r}", tok)
+        if decl is None:
+            self.fail(f"unknown connective {name!r}", tok)
+        if decl.role is not None:  # a dotted marker
+            self.require_layer(RoleSpec.marker_layer, f"dotted connective {name!r}", tok)
             if len(arglist) != 1:
                 self.fail(f"dotted connective {name!r} is unary", tok)
-            return node((arglist[0],))
-        self.fail(f"unknown connective {name!r}", tok)
+        elif len(arglist) != decl.arity:
+            self.fail(f"{name} expects {decl.arity} arguments, got {len(arglist)}", tok)
+        return App(decl, tuple(arglist))
 
     def bracketed(self, head: str, tok: _Tok) -> Term:
         spec, adjoint = _BRACKETED[head]
-        self.require_layer(spec.defined.layer, f"defined modality {head!r}", tok)
+        self.require_layer(RoleSpec.defined_layer, f"defined modality {head!r}", tok)
         self.expect("[")
         role_tok = self.expect("ident")
         self.expect("]")
@@ -229,9 +226,8 @@ class _Parser:
         arglist = self.args()
         if len(arglist) != 1:
             self.fail(f"{head}[{expected}] is unary", tok)
-        if adjoint:
-            return Residual(spec.defined_decl, 1, (arglist[0],))
-        return spec.defined((arglist[0],))
+        return (Residual(spec.defined_decl, 1, (arglist[0],)) if adjoint
+                else App(spec.defined_decl, (arglist[0],)))
 
     def residual(self, tok: _Tok) -> Term:
         self.require_layer(Residual.layer, "residual", tok)

@@ -8,8 +8,8 @@ not shadow their spellings), ``parse_term(print_term(t))`` returns ``t``.
 from __future__ import annotations
 
 from .language import (
-    INFIX_RESIDUALS, SPEC_BY_DEFINED, SPEC_BY_NODE, Bot, Conominal, Inequality,
-    Join, Meet, Nominal, Residual, Term, Top, Var, connective_decl,
+    INFIX_RESIDUALS, SPEC_BY_DEFINED, App, Bot, Conominal, Inequality, Join,
+    Meet, Nominal, Residual, Term, Top, Var,
 )
 
 # (declaration, coordinate) -> the infix spelling of that residual
@@ -53,23 +53,21 @@ def _print(t: Term, memo: dict[Term, str]) -> str:
         return _binary(t, "&", 3, memo)
     if isinstance(t, Join):
         return _binary(t, "|", 2, memo)
-    decl = connective_decl(t)  # a declared connective or a dotted marker
-    if decl is not None:
-        return decl.name + "(" + ", ".join(print_term(a, memo) for a in t.args) + ")"
-    if isinstance(t, Residual):
-        # a -> b, a -. b, bsq[pi](t) or res(f,i)(...)
-        op = _INFIX.get((t.decl, t.coord))
-        if op is not None:
-            return _binary(t, op, 1, memo, chain=False)
-        spec = SPEC_BY_DEFINED.get(t.decl)
+    if isinstance(t, App):
+        # Dia[pi](t), or f(...) for a declared connective or a dotted marker
+        spec = SPEC_BY_DEFINED.get(t.decl) if t.decl.role else None
         if spec is not None:
-            return f"{spec.black_head}[{spec.role}]({print_term(t.args[0], memo)})"
-        return (f"res({t.decl.name},{t.coord})("
-                + ", ".join(print_term(a, memo) for a in t.args) + ")")
-    spec = SPEC_BY_NODE.get(type(t))
-    if spec is not None:  # a defined modality
-        return f"{spec.defined_head}[{spec.role}]({print_term(t.args[0], memo)})"
-    raise TypeError(f"cannot print {t!r}")
+            return f"{spec.defined_head}[{spec.role}]({print_term(t.args[0], memo)})"
+        return t.decl.name + "(" + ", ".join(print_term(a, memo) for a in t.args) + ")"
+    # a residual: a -> b, a -. b, bsq[pi](t) or res(f,i)(...)
+    op = _INFIX.get((t.decl, t.coord))
+    if op is not None:
+        return _binary(t, op, 1, memo, chain=False)
+    spec = SPEC_BY_DEFINED.get(t.decl)
+    if spec is not None:
+        return f"{spec.black_head}[{spec.role}]({print_term(t.args[0], memo)})"
+    return (f"res({t.decl.name},{t.coord})("
+            + ", ".join(print_term(a, memo) for a in t.args) + ")")
 
 
 def _binary(t: Term, op: str, level: int, memo: dict[Term, str],

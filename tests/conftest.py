@@ -4,8 +4,8 @@ import pytest
 
 from dlecorr import models
 from dlecorr.language import (
-    JOIN, MEET, App, Conominal, DotBox, DotDia, DotLhd, DotRhd, Layer, Nominal,
-    ROLE_SPECS, Residual, SPEC_BY_ROLE, Signature, Term, Var, TOP, BOT, join, meet,
+    JOIN, MEET, App, Conominal, Layer, Nominal, ROLE_SPECS, Residual,
+    SPEC_BY_ROLE, Signature, Term, Var, TOP, BOT, join, meet,
 )
 from dlecorr.parsing import parse_signature
 
@@ -35,6 +35,17 @@ MIXED_SIG_TEXT = "conn oplus F 2 (1,d)\nconn arrow2 G 2 (d,1)\nconn nabla G 1 (d
 @pytest.fixture(scope="session")
 def mixed_sig() -> Signature:
     return parse_signature(MIXED_SIG_TEXT)
+
+
+def dotted(role: str, t: Term) -> Term:
+    """The dotted marker of ``role`` at ``t``: dia(t), box(t), lhd(t), rhd(t)."""
+    return App(SPEC_BY_ROLE[role].decl, (t,))
+
+
+def defined(role: str, t: Term) -> Term:
+    """The defined modality of ``role`` at ``t``: Dia[pi](t), Box[sigma](t),
+    Lhd[lambda](t), Rhd[rho](t)."""
+    return App(SPEC_BY_ROLE[role].defined_decl, (t,))
 
 
 def adjoint(role: str, t: Term) -> Term:
@@ -75,7 +86,7 @@ def random_any_term(rng: random.Random, sig: Signature, layer: Layer,
     if pick == "coimp":
         return Residual(JOIN, 1, (sub(), sub()))
     if pick == "dot":
-        return rng.choice((DotDia, DotBox, DotLhd, DotRhd))((sub(),))
+        return App(rng.choice(ROLE_SPECS).decl, (sub(),))
     if pick == "dotadj":
         return Residual(rng.choice(ROLE_SPECS).decl, 1, (sub(),))
     if pick == "res":
@@ -87,7 +98,7 @@ def random_any_term(rng: random.Random, sig: Signature, layer: Layer,
     if pick == "defadj":
         regs = list(sig.registered)
         reg = rng.choice(regs)
-        make = rng.choice((lambda t: SPEC_BY_ROLE[reg.role].defined((t,)),
+        make = rng.choice((lambda t: defined(reg.role, t),
                            lambda t: adjoint(reg.role, t)))
         return make(sub())
     decl = sig.decl(pick)

@@ -12,12 +12,11 @@ import sys
 
 import pytest
 
-from conftest import adjoint
+from conftest import adjoint, defined, dotted
 from dlecorr import classify, engine, generators, models
 from dlecorr.engine import is_safe, run_alba
 from dlecorr.language import (
-    BOT, TOP, Conominal, DefDia, Inequality, Layer,
-    Nominal, Var, join,
+    BOT, TOP, Conominal, Inequality, Layer, Nominal, Var, join,
 )
 from dlecorr.models import antichain
 from dlecorr.parsing import parse_inequality, parse_signature
@@ -121,7 +120,7 @@ def test_criterion_2_worked_traces(sig, golden_albae_derivations):
     assert systems == [
         {Inequality(Nominal("i0"), pi(BOT)),
          Inequality(sg(pi(BOT)), Conominal("m0"))},
-        {Inequality(Nominal("i0"), DefDia((Nominal("j1"),))),
+        {Inequality(Nominal("i0"), defined("pi", Nominal("j1"))),
          Inequality(sg(pi(adjoint("sigma", Nominal("j1")))), Conominal("m0")),
          Inequality(Nominal("j1"), sg(TOP))},
     ]
@@ -244,9 +243,8 @@ def test_criterion_7_classification_ground_truth(sig):
     assert classify.is_inductive(mckinsey) is None
     meta = classify.is_meta_inductive(mckinsey, sig)
     assert meta is not None
-    from dlecorr.language import DotBox, DotDia
-    assert meta[0] == Inequality(DotDia((DotBox((Var("p"),)),)),
-                                 DotBox((DotDia((Var("p"),)),)))
+    assert meta[0] == Inequality(dotted("pi", dotted("sigma", Var("p"))),
+                                 dotted("sigma", dotted("pi", Var("p"))))
     cr = parse_inequality("dia(box(p)) <= box(dia(p))", sig, Layer.DLE)
     assert classify.is_sahlqvist(cr) is not None
     print("\nACCEPTANCE 7: PASS - the composition-expanded inequality is "

@@ -8,16 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import CLASSICAL_SIG_TEXT, random_any_term
+from conftest import CLASSICAL_SIG_TEXT, dotted, random_any_term
 from dlecorr import classify, engine, generators, language
 from dlecorr.classify import (
     DELTA, PIA, SKELETON, SLR, SRA, SRR, BranchAnalysis, SignedNode, branches,
     is_inductive, is_meta_inductive, is_sahlqvist, node_classes,
 )
 from dlecorr.language import (
-    ANTI, BOT, JOIN, MEET, MONO, ROLE_SPECS, SPEC_BY_NODE, App, DotBox, DotDia,
-    Inequality, Join, Layer, Meet, Nominal, OrderType, Residual, Var, TOP,
-    connective_decl, dotted_spec, join, meet, signed_leaves, var_occurrences,
+    ANTI, BOT, JOIN, MEET, MONO, ROLE_SPECS, App, Inequality, Join, Layer, Meet,
+    Nominal, OrderType, Residual, Var, TOP, dotted_spec, join, meet,
+    signed_leaves, var_occurrences,
 )
 from dlecorr.parsing import parse_inequality, parse_signature, parse_term
 from dlecorr.printing import print_term
@@ -82,8 +82,8 @@ def test_sahlqvist_classical(bare_sig):
 
 
 def test_sahlqvist_dotted_geach(mixed_sig):
-    star = Inequality(DotDia((DotBox((Var("p"),)),)),
-                      DotBox((DotDia((Var("p"),)),)))
+    star = Inequality(dotted("pi", dotted("sigma", Var("p"))),
+                      dotted("sigma", dotted("pi", Var("p"))))
     assert is_sahlqvist(star) is not None
 
 
@@ -121,8 +121,8 @@ def test_every_sahlqvist_witness_is_inductive(mixed_sig):
 
 def test_branch_analysis_of_dotted_additivity():
     # dotted additivity: the -rhs branches have a one-node PIA block
-    star = Inequality(DotDia((join(Var("p"), Var("q")),)),
-                      join(DotDia((Var("p"),)), DotDia((Var("q"),))))
+    star = Inequality(dotted("pi", join(Var("p"), Var("q"))),
+                      join(dotted("pi", Var("p")), dotted("pi", Var("q"))))
     for br in branches(star.rhs, ANTI):
         assert br.is_good and br.is_excellent
         assert len(br.p1) == 1 and SRA in br.p1[0].classes
@@ -154,8 +154,8 @@ def test_meta_inductive_mckinsey(classical_sig):
     found = is_meta_inductive(iq, classical_sig)
     assert found is not None
     pre, w = found
-    assert pre == Inequality(DotDia((DotBox((Var("p"),)),)),
-                             DotBox((DotDia((Var("p"),)),)))
+    assert pre == Inequality(dotted("pi", dotted("sigma", Var("p"))),
+                             dotted("sigma", dotted("pi", Var("p"))))
 
 
 def test_meta_inductive_additivity(classical_sig):
@@ -165,8 +165,8 @@ def test_meta_inductive_additivity(classical_sig):
     found = is_meta_inductive(iq, classical_sig)
     assert found is not None
     pre, w = found
-    expected = Inequality(DotDia((join(Var("p"), Var("q")),)),
-                          join(DotDia((Var("p"),)), DotDia((Var("q"),))))
+    expected = Inequality(dotted("pi", join(Var("p"), Var("q"))),
+                          join(dotted("pi", Var("p")), dotted("pi", Var("q"))))
     assert pre == expected
     assert is_inductive(expected) is not None
 
@@ -240,9 +240,7 @@ def _term_key(t):
     name is marked as the branch report marks it (``dia.``)."""
     if not t.args and not isinstance(t, App):
         return print_term(t)
-    lattice = {Meet: MEET, Join: JOIN}.get(type(t))
-    decl = lattice or connective_decl(t) or getattr(t, "decl", None) or \
-        SPEC_BY_NODE[type(t)].defined_decl
+    decl = {Meet: MEET, Join: JOIN}.get(type(t)) or t.decl
     head = (decl.name + "." if dotted_spec(t) else decl.name, decl.family,
             decl.order_type.entries)
     if isinstance(t, Residual):
@@ -377,7 +375,7 @@ def _plain_preimages(term, sig, budget):
         if arg is None or arg == term:
             continue
         for sub in _plain_preimages(arg, sig, budget):
-            cand = spec.dot((sub,))
+            cand = App(spec.decl, (sub,))
             if cand not in seen:
                 seen.add(cand)
                 out.append(cand)

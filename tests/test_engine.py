@@ -7,8 +7,8 @@ import weakref
 import pytest
 
 from conftest import (
-    CLASSICAL_SIG_TEXT, MIXED_SIG_TEXT, adjoint, random_any_term, relational_dle,
-    subterm_at,
+    CLASSICAL_SIG_TEXT, MIXED_SIG_TEXT, adjoint, defined, dotted, random_any_term,
+    relational_dle, subterm_at,
 )
 from dlecorr import classify, engine, generators, language, models
 from dlecorr.engine import (
@@ -18,8 +18,8 @@ from dlecorr.engine import (
     is_syntactically_closed, is_syntactically_open, run_alba, trace_lines,
 )
 from dlecorr.language import (
-    BOT, ROLE_SPECS, SPEC_BY_ROLE, TOP, App, Conominal, DefBox, DefDia, DefLhd, DefRhd, DotBox, DotDia,
-    DotLhd, DotRhd, Layer, Nominal, Residual, Var, join, meet,
+    BOT, ROLE_SPECS, SPEC_BY_ROLE, TOP, App, ConnectiveDecl, Conominal, Layer,
+    Nominal, Residual, Var, join, meet,
 )
 from dlecorr.parsing import parse_inequality, parse_signature, parse_term
 from dlecorr.printing import print_inequality
@@ -443,7 +443,7 @@ def test_approx_pi_branches(classical_sig):
     assert side_sys.inequalities() == (Inequality(Nominal("j0"), pi(BOT)),)
     assert side_sys.ineqs[0].side
     assert main_sys.inequalities() == (
-        Inequality(Nominal("j0"), DefDia((Nominal("j1"),))),
+        Inequality(Nominal("j0"), defined("pi", Nominal("j1"))),
         Inequality(Nominal("j1"), psi))
     assert d.node(kids[0]).rule.branch == "A"
     assert d.node(kids[1]).rule.branch == "B"
@@ -532,6 +532,23 @@ def test_rule_mismatch_raises(bare_sig, mixed_sig):
              f"Approx{spec.dot_suffix} needs " + ("nominal <= f(...)" if f
                                                   else "g(...) <= conominal")),
         ]
+    # a plain rule takes its own marker only, not a declared connective of
+    # the same spelling and type; ResidF, ... take neither a marker nor a
+    # defined modality
+    needs = {("Resid", "F"): "an F-connective on the left",
+             ("Resid", "G"): "a G-connective on the right",
+             ("Approx", "F"): "nominal <= f(...)", ("Approx", "G"): "g(...) <= conominal"}
+    for spec in ROLE_SPECS:
+        f = spec.family == "F"
+        twin = App(ConnectiveDecl(spec.dotted, spec.family, 1, spec.decl.order_type), (P,))
+        for kind, plain in (("Resid", "Adj"), ("Approx", "Approx")):
+            for rid, occ in ((plain + spec.dot_suffix, twin),
+                             (kind + spec.family, App(spec.decl, (P,))),
+                             (kind + spec.family, App(spec.defined_decl, (P,)))):
+                target = (Inequality(occ, R) if f else Inequality(R, occ)) if kind == "Resid" \
+                    else (Inequality(I0, occ) if f else Inequality(occ, M0))
+                cases.append((rid, target, 1 if rid.startswith("Resid") else None,
+                              f"{rid} needs {needs[kind, spec.family]}"))
     for rid, target, coord, message in cases:
         d = derivation_at(mixed_sig, "alba", mk_system([(target, False)], GOAL))
         with pytest.raises(RuleMatchError) as exc:
@@ -539,16 +556,25 @@ def test_rule_mismatch_raises(bare_sig, mixed_sig):
         assert str(exc.value) == message
     # in albae mode a marker stands for a registered term, not a connective
     for spec in ROLE_SPECS:
-        adj = Inequality(spec.dot((P,)), M0) if spec.family == "F" else \
-            Inequality(I0, spec.dot((P,)))
-        approx = Inequality(I0, spec.dot((P,))) if spec.family == "F" else \
-            Inequality(spec.dot((P,)), M0)
+        adj = Inequality(App(spec.decl, (P,)), M0) if spec.family == "F" else \
+            Inequality(I0, App(spec.decl, (P,)))
+        approx = Inequality(I0, App(spec.decl, (P,))) if spec.family == "F" else \
+            Inequality(App(spec.decl, (P,)), M0)
         for rid, target in (("Adj" + spec.dot_suffix, adj),
                             ("Approx" + spec.dot_suffix, approx)):
             d = derivation_at(mixed_sig, "albae", mk_system([(target, False)], GOAL))
             with pytest.raises(RuleMatchError) as exc:
                 apply_rule(d, RuleApplication(rid, ineq_index=0), 0)
             assert str(exc.value) == f"{rid} applies in alba mode only"
+
+
+def test_a_defined_modality_has_no_display_rule():
+    # the display rules free a pivot from a declared connective or a
+    # dotted marker; under a defined modality it stays stuck in both modes
+    iq = Inequality(defined("pi", Var("p")), Conominal("m0"))
+    for role_mode in (False, True):
+        step = engine._display_step(mk_system([(iq, False)], GOAL), "p", "d", role_mode)
+        assert step.message == "no display rule for p in Dia[pi](p) <= @m0"
 
 
 def test_role_rules_in_alba_mode_are_refused(classical_sig):
@@ -628,7 +654,7 @@ def test_run_geach_matches_worked_trace(classical_sig):
         Inequality(sg(pi(BOT)), Conominal("m0")),
     }
     branch_b = {
-        Inequality(Nominal("i0"), DefDia((Nominal("j1"),))),
+        Inequality(Nominal("i0"), defined("pi", Nominal("j1"))),
         Inequality(sg(pi(adjoint("sigma", Nominal("j1")))), Conominal("m0")),
         Inequality(Nominal("j1"), sg(TOP)),
     }
@@ -902,7 +928,7 @@ def test_scripted_rewrite_rule(classical_sig):
         d, RuleApplication("RewritePi", ineq_index=0, path=(1,)), 0)
     out = d.node(child).system.inequalities()[0]
     assert out == Inequality(Nominal("j0"),
-                             join(pi(BOT), DefDia((Var("p"),))))
+                             join(pi(BOT), defined("pi", Var("p"))))
 
 
 def test_rewrite_step_is_sound_on_additive_lattices(classical_sig):
@@ -910,7 +936,7 @@ def test_rewrite_step_is_sound_on_additive_lattices(classical_sig):
     goal = Inequality(Nominal("i0"), Conominal("m0"))
     parent = mk_system([(Inequality(Nominal("i0"), pi(Var("p"))), False)], goal)
     child = mk_system([(Inequality(Nominal("i0"),
-                                   join(pi(BOT), DefDia((Var("p"),)))), False)],
+                                   join(pi(BOT), defined("pi", Var("p")))), False)],
                       goal)
     checked = 0
     for pairs in ([], [(0, 1)], [(0, 0), (1, 1)], [(0, 1), (1, 0)]):
@@ -935,7 +961,7 @@ def test_scripted_pseudo_correspondent_shape(classical_sig):
     # from f(p) <= dia_f(p) | f(bot) down to the pure quasi-inequality
     # "f(bot) <= m0 implies f(bsq(m0)) <= m0"
     pi = lambda t: classical_sig.role_instance("pi", t)
-    iq = Inequality(pi(Var("p")), join(DefDia((Var("p"),)), pi(BOT)))
+    iq = Inequality(pi(Var("p")), join(defined("pi", Var("p")), pi(BOT)))
     d = run_alba(iq, classical_sig, "albae", "script", script=PSEUDO_SCRIPT)
     assert d.status.kind == "success"
     (system,) = d.status.pure_systems
@@ -949,7 +975,7 @@ def test_pseudo_correspondent_tracks_additivity(classical_sig):
     # the pure output of the scripted derivation holds on a lattice
     # exactly when the role term is additive there
     pi = lambda t: classical_sig.role_instance("pi", t)
-    iq = Inequality(pi(Var("p")), join(DefDia((Var("p"),)), pi(BOT)))
+    iq = Inequality(pi(Var("p")), join(defined("pi", Var("p")), pi(BOT)))
     d = run_alba(iq, classical_sig, "albae", "script", script=PSEUDO_SCRIPT)
     seen_additive = seen_nonadditive = 0
     for n in (2, 3):
@@ -971,15 +997,15 @@ def test_pseudo_correspondent_tracks_additivity(classical_sig):
 def test_plain_run_on_dotted_geach(mixed_sig):
     # the dotted skeleton reduces with the dotted rules and the adjoint
     # of the dotted box in the output
-    star = Inequality(DotDia((DotBox((Var("p"),)),)),
-                      DotBox((DotDia((Var("p"),)),)))
+    star = Inequality(dotted("pi", dotted("sigma", Var("p"))),
+                      dotted("sigma", dotted("pi", Var("p"))))
     d = run_alba(star, mixed_sig, "alba", "auto")
     assert d.status.kind == "success"
     (system,) = d.status.pure_systems
     box_adj = Residual(SPEC_BY_ROLE["sigma"].decl, 1, (Nominal("j1"),))
     expected = (
-        Inequality(Nominal("i0"), DotDia((Nominal("j1"),))),
-        Inequality(DotBox((DotDia((box_adj,)),)), Conominal("m0")),
+        Inequality(Nominal("i0"), dotted("pi", Nominal("j1"))),
+        Inequality(dotted("sigma", dotted("pi", box_adj)), Conominal("m0")),
     )
     assert system.inequalities() == expected
 
@@ -1046,10 +1072,9 @@ def test_scripted_rewrite_variants(classical_sig):
     d = derivation_at(classical_sig, "albae", system)
     (child,) = apply_rule(
         d, RuleApplication("RewriteSigma", ineq_index=0, path=(1,)), 0)
-    from dlecorr.language import DefBox
     out = d.node(child).system.inequalities()[0]
     assert out == Inequality(Nominal("j0"),
-                             meet(sg(TOP), DefBox((Var("p"),))))
+                             meet(sg(TOP), defined("sigma", Var("p"))))
 
     lr = parse_signature(LR_SIG)
     lam = lambda t: lr.role_instance("lambda", t)
@@ -1061,12 +1086,11 @@ def test_scripted_rewrite_variants(classical_sig):
         d2, RuleApplication("RewriteLambda", ineq_index=0, path=(0,)), 0)
     (c2,) = apply_rule(
         d2, RuleApplication("RewriteRho", ineq_index=1, path=(1,)), c1)
-    from dlecorr.language import DefLhd, DefRhd
     outs = d2.node(c2).system.inequalities()
-    assert outs[0] == Inequality(join(lam(TOP), DefLhd((Var("p"),))),
+    assert outs[0] == Inequality(join(lam(TOP), defined("lambda", Var("p"))),
                                  Conominal("m0"))
     assert outs[1] == Inequality(Nominal("j0"),
-                                 meet(rho(BOT), DefRhd((Var("p"),))))
+                                 meet(rho(BOT), defined("rho", Var("p"))))
 
 
 def test_approximation_rejects_nullary_connectives():
@@ -1097,133 +1121,136 @@ def _pinned_rule_cases():
 
     return {
         "DistPi": ("DistPi", "classical", "albae",
-                   lambda u: Iq(DotDia((join(P, Q),)), R), False, (0,), 1,
-                   lambda u: [(None, [(Iq(join(DotDia((P,)), DotDia((Q,))), R), False)])],
+                   lambda u: Iq(dotted("pi", join(P, Q)), R), False, (0,), 1,
+                   lambda u: [(None, [(Iq(join(dotted("pi", P), dotted("pi", Q)), R), False)])],
                    ()),
         "DistSigma": ("DistSigma", "classical", "albae",
-                      lambda u: Iq(R, DotBox((meet(P, Q),))), False, (1,), 1,
-                      lambda u: [(None, [(Iq(R, meet(DotBox((P,)), DotBox((Q,)))), False)])],
+                      lambda u: Iq(R, dotted("sigma", meet(P, Q))), False, (1,), 1,
+                      lambda u: [(None, [(Iq(R, meet(dotted("sigma", P), dotted("sigma", Q))),
+                                          False)])],
                       ()),
         "DistLambda": ("DistLambda", "lr", "albae",
-                       lambda u: Iq(DotLhd((meet(P, Q),)), R), False, (0,), 1,
-                       lambda u: [(None, [(Iq(join(DotLhd((P,)), DotLhd((Q,))), R), False)])],
+                       lambda u: Iq(dotted("lambda", meet(P, Q)), R), False, (0,), 1,
+                       lambda u: [(None, [(Iq(join(dotted("lambda", P), dotted("lambda", Q)), R),
+                                           False)])],
                        ()),
         "DistRho": ("DistRho", "lr", "albae",
-                    lambda u: Iq(R, DotRhd((join(P, Q),))), False, (1,), 1,
-                    lambda u: [(None, [(Iq(R, meet(DotRhd((P,)), DotRhd((Q,)))), False)])],
+                    lambda u: Iq(R, dotted("rho", join(P, Q))), False, (1,), 1,
+                    lambda u: [(None, [(Iq(R, meet(dotted("rho", P), dotted("rho", Q))), False)])],
                     ()),
         "AdjPi": ("AdjPi", "classical", "albae",
-                  lambda u: Iq(DotDia((P,)), M0), False, (), None,
+                  lambda u: Iq(dotted("pi", P), M0), False, (), None,
                   lambda u: [(None, [(Iq(P, adjoint("pi", M0)), False),
                                      (Iq(u("pi", BOT), M0), True)])],
                   ()),
         "AdjSigma": ("AdjSigma", "classical", "albae",
-                     lambda u: Iq(I0, DotBox((P,))), False, (), None,
+                     lambda u: Iq(I0, dotted("sigma", P)), False, (), None,
                      lambda u: [(None, [(Iq(adjoint("sigma", I0), P), False),
                                         (Iq(I0, u("sigma", TOP)), True)])],
                      ()),
         "AdjLambda": ("AdjLambda", "lr", "albae",
-                      lambda u: Iq(DotLhd((P,)), M0), False, (), None,
+                      lambda u: Iq(dotted("lambda", P), M0), False, (), None,
                       lambda u: [(None, [(Iq(adjoint("lambda", M0), P), False),
                                          (Iq(u("lambda", TOP), M0), True)])],
                       ()),
         "AdjRho": ("AdjRho", "lr", "albae",
-                   lambda u: Iq(I0, DotRhd((P,))), False, (), None,
+                   lambda u: Iq(I0, dotted("rho", P)), False, (), None,
                    lambda u: [(None, [(Iq(P, adjoint("rho", I0)), False),
                                       (Iq(I0, u("rho", BOT)), True)])],
                    ()),
         "AdjPi-flip": ("AdjPi", "classical", "albae",
-                       lambda u: Iq(DefDia((P,)), M0), True, (), None,
+                       lambda u: Iq(defined("pi", P), M0), True, (), None,
                        lambda u: [(None, [(Iq(P, adjoint("pi", M0)), True)])],
                        ()),
         "AdjSigma-flip": ("AdjSigma", "classical", "albae",
-                          lambda u: Iq(I0, DefBox((P,))), True, (), None,
+                          lambda u: Iq(I0, defined("sigma", P)), True, (), None,
                           lambda u: [(None, [(Iq(adjoint("sigma", I0), P), True)])],
                           ()),
         "AdjLambda-flip": ("AdjLambda", "lr", "albae",
-                           lambda u: Iq(DefLhd((P,)), M0), True, (), None,
+                           lambda u: Iq(defined("lambda", P), M0), True, (), None,
                            lambda u: [(None, [(Iq(adjoint("lambda", M0), P), True)])],
                            ()),
         "AdjRho-flip": ("AdjRho", "lr", "albae",
-                        lambda u: Iq(I0, DefRhd((P,))), True, (), None,
+                        lambda u: Iq(I0, defined("rho", P)), True, (), None,
                         lambda u: [(None, [(Iq(P, adjoint("rho", I0)), True)])],
                         ()),
         "ApproxPi": ("ApproxPi", "classical", "albae",
-                     lambda u: Iq(I0, DotDia((P,))), False, (), None,
+                     lambda u: Iq(I0, dotted("pi", P)), False, (), None,
                      lambda u: [("A", [(Iq(I0, u("pi", BOT)), True)]),
-                                ("B", [(Iq(I0, DefDia((J1,))), False),
+                                ("B", [(Iq(I0, defined("pi", J1)), False),
                                        (Iq(J1, P), False)])],
                      ("#j1",)),
         "ApproxSigma": ("ApproxSigma", "classical", "albae",
-                        lambda u: Iq(DotBox((P,)), M0), False, (), None,
+                        lambda u: Iq(dotted("sigma", P), M0), False, (), None,
                         lambda u: [("A", [(Iq(u("sigma", TOP), M0), True)]),
-                                   ("B", [(Iq(DefBox((N1,)), M0), False),
+                                   ("B", [(Iq(defined("sigma", N1), M0), False),
                                           (Iq(P, N1), False)])],
                         ("@n1",)),
         "ApproxLambda": ("ApproxLambda", "lr", "albae",
-                         lambda u: Iq(I0, DotLhd((P,))), False, (), None,
+                         lambda u: Iq(I0, dotted("lambda", P)), False, (), None,
                          lambda u: [("A", [(Iq(I0, u("lambda", TOP)), True)]),
-                                    ("B", [(Iq(I0, DefLhd((N1,))), False),
+                                    ("B", [(Iq(I0, defined("lambda", N1)), False),
                                            (Iq(P, N1), False)])],
                          ("@n1",)),
         "ApproxRho": ("ApproxRho", "lr", "albae",
-                      lambda u: Iq(DotRhd((P,)), M0), False, (), None,
+                      lambda u: Iq(dotted("rho", P), M0), False, (), None,
                       lambda u: [("A", [(Iq(u("rho", BOT), M0), True)]),
-                                 ("B", [(Iq(DefRhd((J1,)), M0), False),
+                                 ("B", [(Iq(defined("rho", J1), M0), False),
                                         (Iq(J1, P), False)])],
                       ("#j1",)),
         "RewritePi": ("RewritePi", "classical", "albae",
-                      lambda u: Iq(I0, DotDia((P,))), False, (1,), None,
-                      lambda u: [(None, [(Iq(I0, join(u("pi", BOT), DefDia((P,)))), False)])],
+                      lambda u: Iq(I0, dotted("pi", P)), False, (1,), None,
+                      lambda u: [(None, [(Iq(I0, join(u("pi", BOT), defined("pi", P))), False)])],
                       ()),
         "RewriteSigma": ("RewriteSigma", "classical", "albae",
-                         lambda u: Iq(DotBox((P,)), M0), False, (0,), None,
-                         lambda u: [(None, [(Iq(meet(u("sigma", TOP), DefBox((P,))), M0),
+                         lambda u: Iq(dotted("sigma", P), M0), False, (0,), None,
+                         lambda u: [(None, [(Iq(meet(u("sigma", TOP), defined("sigma", P)), M0),
                                              False)])],
                          ()),
         "RewriteLambda": ("RewriteLambda", "lr", "albae",
-                          lambda u: Iq(DotLhd((P,)), M0), False, (0,), None,
-                          lambda u: [(None, [(Iq(join(u("lambda", TOP), DefLhd((P,))), M0),
+                          lambda u: Iq(dotted("lambda", P), M0), False, (0,), None,
+                          lambda u: [(None, [(Iq(join(u("lambda", TOP), defined("lambda", P)), M0),
                                               False)])],
                           ()),
         "RewriteRho": ("RewriteRho", "lr", "albae",
-                       lambda u: Iq(I0, DotRhd((P,))), False, (1,), None,
-                       lambda u: [(None, [(Iq(I0, meet(u("rho", BOT), DefRhd((P,)))), False)])],
+                       lambda u: Iq(I0, dotted("rho", P)), False, (1,), None,
+                       lambda u: [(None, [(Iq(I0, meet(u("rho", BOT), defined("rho", P))),
+                                           False)])],
                        ()),
         "AdjDotDia": ("AdjDotDia", "classical", "alba",
-                      lambda u: Iq(DotDia((P,)), M0), False, (), None,
+                      lambda u: Iq(dotted("pi", P), M0), False, (), None,
                       lambda u: [(None, [(Iq(P, dot_adj("pi", M0)), False)])],
                       ()),
         "AdjDotBox": ("AdjDotBox", "classical", "alba",
-                      lambda u: Iq(I0, DotBox((P,))), False, (), None,
+                      lambda u: Iq(I0, dotted("sigma", P)), False, (), None,
                       lambda u: [(None, [(Iq(dot_adj("sigma", I0), P), False)])],
                       ()),
         "AdjDotLhd": ("AdjDotLhd", "lr", "alba",
-                      lambda u: Iq(DotLhd((P,)), M0), False, (), None,
+                      lambda u: Iq(dotted("lambda", P), M0), False, (), None,
                       lambda u: [(None, [(Iq(dot_adj("lambda", M0), P), False)])],
                       ()),
         "AdjDotRhd": ("AdjDotRhd", "lr", "alba",
-                      lambda u: Iq(I0, DotRhd((P,))), False, (), None,
+                      lambda u: Iq(I0, dotted("rho", P)), False, (), None,
                       lambda u: [(None, [(Iq(P, dot_adj("rho", I0)), False)])],
                       ()),
         "ApproxDotDia": ("ApproxDotDia", "classical", "alba",
-                         lambda u: Iq(I0, DotDia((P,))), False, (), None,
-                         lambda u: [(None, [(Iq(I0, DotDia((J1,))), False),
+                         lambda u: Iq(I0, dotted("pi", P)), False, (), None,
+                         lambda u: [(None, [(Iq(I0, dotted("pi", J1)), False),
                                             (Iq(J1, P), False)])],
                          ("#j1",)),
         "ApproxDotBox": ("ApproxDotBox", "classical", "alba",
-                         lambda u: Iq(DotBox((P,)), M0), False, (), None,
-                         lambda u: [(None, [(Iq(DotBox((N1,)), M0), False),
+                         lambda u: Iq(dotted("sigma", P), M0), False, (), None,
+                         lambda u: [(None, [(Iq(dotted("sigma", N1), M0), False),
                                             (Iq(P, N1), False)])],
                          ("@n1",)),
         "ApproxDotLhd": ("ApproxDotLhd", "lr", "alba",
-                         lambda u: Iq(I0, DotLhd((P,))), False, (), None,
-                         lambda u: [(None, [(Iq(I0, DotLhd((N1,))), False),
+                         lambda u: Iq(I0, dotted("lambda", P)), False, (), None,
+                         lambda u: [(None, [(Iq(I0, dotted("lambda", N1)), False),
                                             (Iq(P, N1), False)])],
                          ("@n1",)),
         "ApproxDotRhd": ("ApproxDotRhd", "lr", "alba",
-                         lambda u: Iq(DotRhd((P,)), M0), False, (), None,
-                         lambda u: [(None, [(Iq(DotRhd((J1,)), M0), False),
+                         lambda u: Iq(dotted("rho", P), M0), False, (), None,
+                         lambda u: [(None, [(Iq(dotted("rho", J1), M0), False),
                                             (Iq(J1, P), False)])],
                          ("#j1",)),
         # residuation puts the argument below the residual exactly on the

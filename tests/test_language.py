@@ -9,13 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import CLASSICAL_SIG_TEXT, adjoint, random_any_term, subterm_at
+from conftest import (
+    CLASSICAL_SIG_TEXT, adjoint, defined, dotted, random_any_term, subterm_at,
+)
 from dlecorr import engine, generators, language
 from dlecorr.language import (
-    ANTI, JOIN, MEET, App, Bot, ConnectiveDecl, Conominal, DefBox, DefDia,
-    DefLhd, DefRhd, DotBox, DotDia, DotLhd, DotRhd, Inequality, Join, Layer,
-    Meet, MONO, Nominal, OrderType, ROLE_SPECS, Residual, SPEC_BY_ROLE, Top,
-    Var, BOT, TOP, join, layer_of, meet, replace_at, substitute, subterms,
+    ANTI, JOIN, MEET, App, Bot, ConnectiveDecl, Conominal, Inequality, Join,
+    Layer, Meet, MONO, Nominal, OrderType, ROLE_SPECS, Residual, RoleSpec,
+    SPEC_BY_ROLE, Top, Var, BOT, TOP, join, layer_of, meet, replace_at,
+    substitute, subterms,
 )
 from dlecorr.parsing import ParseError, parse_inequality, parse_signature, parse_term
 from dlecorr.printing import print_term
@@ -89,7 +91,7 @@ def test_parse_classical_inequality_at_dle(bare_sig):
 def test_parse_goal_shape_with_defined_diamond(classical_sig):
     iq = parse_inequality("#i0 <= Dia[pi](#j1)", classical_sig, Layer.DLEPP)
     assert iq.lhs == Nominal("i0")
-    assert iq.rhs == DefDia((Nominal("j1"),))
+    assert iq.rhs == defined("pi", Nominal("j1"))
 
 
 def test_parse_constants_only(bare_sig):
@@ -106,24 +108,26 @@ def test_layer_violations(bare_sig):
         parse_term("bsq[pi](p)", bare_sig, Layer.DLEPP)  # role not registered
 
 
-# the lattice implications are residuals too
+# the lattice implications are residuals too; a dotted marker is an App,
+# whose least layer ``RoleSpec`` states for every role's marker
 _LAYER_CASES = [
-    ("Nominal", Nominal, "#i <= p", Layer.DLEPLUS),
-    ("Conominal", Conominal, "p <= @m", Layer.DLEPLUS),
-    ("Arrow", Residual, "p -> q <= p", Layer.DLEPLUS),
-    ("Coimp", Residual, "p -. q <= p", Layer.DLEPLUS),
-    ("Residual", Residual, "res(oplus,1)(p, q) <= p", Layer.DLEPLUS),
-    ("Residual-dotted", Residual, "res(dia,1)(p) <= p", Layer.DLEPLUS),
-    ("DotLhd", DotLhd, "lhd(p) <= p", Layer.DLESTAR),
+    ("Nominal", Nominal, "layer", "#i <= p", Layer.DLEPLUS),
+    ("Conominal", Conominal, "layer", "p <= @m", Layer.DLEPLUS),
+    ("Arrow", Residual, "layer", "p -> q <= p", Layer.DLEPLUS),
+    ("Coimp", Residual, "layer", "p -. q <= p", Layer.DLEPLUS),
+    ("Residual", Residual, "layer", "res(oplus,1)(p, q) <= p", Layer.DLEPLUS),
+    ("Residual-dotted", Residual, "layer", "res(dia,1)(p) <= p", Layer.DLEPLUS),
+    ("DotLhd", RoleSpec, "marker_layer", "lhd(p) <= p", Layer.DLESTAR),
 ]
 
 
-@pytest.mark.parametrize("node, text, layer", [case[1:] for case in _LAYER_CASES],
+@pytest.mark.parametrize("owner, attr, text, layer", [case[1:] for case in _LAYER_CASES],
                          ids=[case[0] for case in _LAYER_CASES])
-def test_layer_checks_read_the_node_class(node, text, layer, mixed_sig, monkeypatch):
-    # the parser admits a node kind from the layer its class declares
+def test_layer_checks_read_the_node_class(owner, attr, text, layer, mixed_sig, monkeypatch):
+    # the parser admits a node kind from the layer its class declares, a
+    # dotted marker from the one ``RoleSpec`` declares
     parse_inequality(text, mixed_sig, layer)
-    monkeypatch.setattr(node, "layer", Layer(layer + 1))
+    monkeypatch.setattr(owner, attr, Layer(layer + 1))
     with pytest.raises(ParseError) as exc:
         parse_inequality(text, mixed_sig, layer)
     assert f"not admitted at layer {layer.name}" in str(exc.value)
@@ -142,7 +146,7 @@ def test_dotted_builtin_vs_shadowing(bare_sig, mixed_sig):
     assert isinstance(t, App)
     # mixed_sig does not: the dotted builtin is available from DLEstar up
     t2 = parse_term("dia(p)", mixed_sig, Layer.DLESTAR)
-    assert type(t2) is DotDia
+    assert t2 is dotted("pi", Var("p")) and t2 != t
     with pytest.raises(ParseError):
         parse_term("dia(p)", mixed_sig, Layer.DLE)
     # the adjoint of a dotted builtin is the residual of its declaration
@@ -187,8 +191,8 @@ def test_phi_substitution_into_dotted_skeleton(classical_sig):
     # replacing the dotted modalities by the registered terms turns the
     # dotted Geach skeleton into its concrete image
     from dlecorr.engine import concretize
-    star = Inequality(DotDia((DotBox((Var("p"),)),)),
-                      DotBox((DotDia((Var("p"),)),)))
+    star = Inequality(dotted("pi", dotted("sigma", Var("p"))),
+                      dotted("sigma", dotted("pi", Var("p"))))
     img = Inequality(concretize(star.lhs, classical_sig),
                      concretize(star.rhs, classical_sig))
     expected = parse_inequality(
@@ -266,10 +270,14 @@ _NODE_TABLE = [
     ("Residual0", lambda: Residual(_H, 1, (_P, _Q)), (MONO, MONO), Layer.DLEPLUS),
     ("Residual1", lambda: Residual(_H, 2, (_P, _Q)), (MONO, ANTI), Layer.DLEPLUS),
 ] + [
-    (cls.__name__, lambda cls=cls: cls((_P,)), (tone,), layer)
-    for classes, layer in (((DotDia, DotBox, DotLhd, DotRhd), Layer.DLESTAR),
-                           ((DefDia, DefBox, DefLhd, DefRhd), Layer.DLEPP))
-    for cls, tone in zip(classes, (MONO, MONO, ANTI, ANTI))
+    # each role's dotted marker and defined modality, and a declared
+    # connective with the marker's name and order type, another node
+    (kind + spec.dotted.capitalize(), lambda decl=decl: App(decl, (_P,)), (spec.tone,), layer)
+    for spec in ROLE_SPECS
+    for kind, decl, layer in (
+        ("Dot", spec.decl, Layer.DLESTAR), ("Def", spec.defined_decl, Layer.DLEPP),
+        ("Declared", ConnectiveDecl(spec.dotted, spec.family, 1, spec.decl.order_type),
+         Layer.DLE))
 ] + [
     # the adjoint of a defined modality: its residual in coordinate 1
     (name, lambda spec=spec: Residual(spec.defined_decl, 1, (_P,)), (spec.tone,),
@@ -322,7 +330,7 @@ def test_equal_terms_are_one_object():
     assert App(decl=dia, args=(p,)) is App(dia, (p,))
     assert Residual(dia, args=(q,), coord=1) is Residual(dia, 1, (q,))
     # copies and replacements
-    for node in (p, TOP, t, Residual(box, 1, (t,)), DotDia((t,))):
+    for node in (p, TOP, t, Residual(box, 1, (t,)), dotted("pi", t)):
         assert copy.copy(node) is node
         assert copy.deepcopy(node) is node
         assert dataclasses.replace(node) is node
@@ -357,7 +365,7 @@ def _rebuilt(rng, t, sig):
            t.with_args(tuple(reversed(t.args))) if len(t.args) == 2 else t,
            copy.deepcopy(t), pickle.loads(pickle.dumps(t))]
     if sig.registered:
-        out.append(engine.concretize(DotDia((t,)), sig))
+        out.append(engine.concretize(dotted("pi", t), sig))
     return out
 
 

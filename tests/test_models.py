@@ -8,14 +8,13 @@ from itertools import product
 
 import pytest
 
-from conftest import CLASSICAL_SIG_TEXT, adjoint, relational_dle
+from conftest import CLASSICAL_SIG_TEXT, adjoint, defined, dotted, relational_dle
 from dlecorr import generators, language, models
 from dlecorr.engine import SysIneq, System, rule_steps, run_alba
 from dlecorr.language import (
-    BOT, JOIN, MEET, MONO, ROLE_SPECS, SPEC_BY_NODE, SPEC_BY_ROLE, TOP, App, Bot,
-    Conominal, DefDia, DotDia, Inequality,
-    Join, Layer, Meet, Nominal, Residual, Signature, Top, Var, join, meet,
-    subterms,
+    BOT, JOIN, MEET, MONO, ROLE_SPECS, SPEC_BY_ROLE, TOP, App, Bot, Conominal,
+    Inequality, Join, Layer, Meet, Nominal, Residual, Signature, Top, Var, join,
+    meet, subterms,
 )
 from dlecorr.models import (
     Budget, BudgetExceeded, FiniteDLE, NormalityError, Poset, Relation,
@@ -263,7 +262,7 @@ def test_random_normal_tables_validate(mixed_sig):
 def test_eval_def_dia_bottom(classical_sig):
     dle = relational_dle(classical_sig, 2, [(0, 1)])
     val = Valuation()
-    assert eval_term(DefDia((BOT,)), dle, val) == dle.bot
+    assert eval_term(defined("pi", BOT), dle, val) == dle.bot
 
 
 def test_eval_unbound_symbol(classical_sig):
@@ -275,7 +274,7 @@ def test_eval_unbound_symbol(classical_sig):
 def test_eval_unregistered_role(bare_sig):
     dle = relational_dle(bare_sig, 2, [(0, 1)])
     with pytest.raises(models.ModelError):
-        eval_term(DefDia((BOT,)), dle, Valuation())
+        eval_term(defined("pi", BOT), dle, Valuation())
 
 
 _X_SIG = parse_signature("conn x F 1 (1)")
@@ -284,13 +283,13 @@ _X, _J = _X_SIG.decl("x"), Nominal("j")
 
 @pytest.mark.parametrize("term, message", [
     (App(_X, (_J,)), "no table for connective 'x'"),
-    (DotDia((_J,)), "no table for connective 'dia'"),
+    (dotted("pi", _J), "no table for connective 'dia'"),
     (Residual(SPEC_BY_ROLE["sigma"].decl, 1, (_J,)), "no table for connective 'box'"),
-    (DefDia((_J,)), "role 'pi' has no registered term"),
+    (defined("pi", _J), "role 'pi' has no registered term"),
     (adjoint("rho", _J), "role 'rho' has no registered term"),
     # the heads are bound outermost first
-    (App(_X, (DefDia((_J,)),)), "no table for connective 'x'"),
-    (join(DefDia((_J,)), App(_X, (_J,))), "role 'pi' has no registered term"),
+    (App(_X, (defined("pi", _J),)), "no table for connective 'x'"),
+    (join(defined("pi", _J), App(_X, (_J,))), "role 'pi' has no registered term"),
     # a residual reads its connective's table
     (Residual(_X, 1, (_J,)), "no table for connective 'x'"),
 ])
@@ -341,8 +340,8 @@ def _one_of_each_head(sig: Signature) -> list:
         terms += [Residual(decl, c, args) for c in range(1, decl.arity + 1)]
     for reg in sig.registered:
         spec = SPEC_BY_ROLE[reg.role]
-        terms += [spec.dot((p,)), Residual(spec.decl, 1, (p,)),
-                  spec.defined((p,)), adjoint(reg.role, p)]
+        terms += [App(spec.decl, (p,)), Residual(spec.decl, 1, (p,)),
+                  App(spec.defined_decl, (p,)), adjoint(reg.role, p)]
     return terms
 
 
@@ -351,7 +350,9 @@ def _fresh_copy(dle: FiniteDLE) -> FiniteDLE:
     return FiniteDLE(dle.poset, dle.sig, dict(dle.ops), validate=False)
 
 
-_DERIVED = (Residual, *SPEC_BY_NODE)
+def _reads_role_or_residual(t) -> bool:
+    """Whether ``t``'s head is a residual or an App of a role's declaration."""
+    return isinstance(t, Residual) or (isinstance(t, App) and t.decl.role is not None)
 
 
 def test_fresh_and_warm_lattices_agree_on_every_head(mixed_sig):
@@ -364,7 +365,9 @@ def test_fresh_and_warm_lattices_agree_on_every_head(mixed_sig):
         terms = _one_of_each_head(sig)
         kinds = {type(t) for t in terms}
         assert kinds >= {Top, Bot, Meet, Join, App, Residual}
-        assert sig is mixed_sig or kinds >= set(SPEC_BY_NODE)
+        decls = {t.decl for t in terms if isinstance(t, App)}
+        assert sig is mixed_sig or decls >= {decl for spec in ROLE_SPECS
+                                             for decl in (spec.decl, spec.defined_decl)}
         for _ in range(4):
             dle = random_dle(rng, sig, max_points=3)
             for spec in ROLE_SPECS:
@@ -382,7 +385,7 @@ def test_fresh_and_warm_lattices_agree_on_every_head(mixed_sig):
                 assert check_validity(ineq, dle, warm_budget) == \
                     check_validity(ineq, fresh, fresh_budget)
                 assert warm_budget.used == fresh_budget.used
-                reads_derived = any(isinstance(t, _DERIVED)
+                reads_derived = any(_reads_role_or_residual(t)
                                     for side in (ineq.lhs, ineq.rhs)
                                     for t in subterms(side))
                 assert reads_derived or fresh._cache == {}

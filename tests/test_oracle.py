@@ -47,11 +47,11 @@ from operator import and_, or_
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import CLASSICAL_SIG_TEXT
+from conftest import CLASSICAL_SIG_TEXT, defined
 from dlecorr.engine import SysIneq, System
 from dlecorr.language import (
-    JOIN, MEET, SPEC_BY_ROLE, App, Bot, Conominal, DefBox, DefDia, Inequality,
-    Join, Meet, Nominal, Residual, Top, Var,
+    JOIN, MEET, SPEC_BY_ROLE, App, Bot, Conominal, Inequality, Join, Meet,
+    Nominal, Residual, Top, Var,
 )
 from dlecorr.models import (
     FiniteDLE, Poset, Relation, check_quasi, check_validity, verify_rule_step,
@@ -62,8 +62,8 @@ SIG = parse_signature(CLASSICAL_SIG_TEXT)
 DIA, BOX = SIG.decl("dia"), SIG.decl("box")
 # the defined modalities of pi and sigma read as unary connectives
 DEF_DIA, DEF_BOX = (SPEC_BY_ROLE[role].defined_decl for role in ("pi", "sigma"))
-# the operation of each node class other than App, which names its own
-OPERATIONS = {Meet: MEET, Join: JOIN, DefDia: DEF_DIA, DefBox: DEF_BOX}
+# the operation of the meet and the join; an App names its own
+OPERATIONS = {Meet: MEET, Join: JOIN}
 
 
 def points(mask: int, n: int) -> list[int]:
@@ -221,8 +221,8 @@ def terms_over(leaves):
             sub.map(lambda t: App(BOX, (t,))),
             sub.map(lambda t: Residual(DIA, 1, (t,))),
             sub.map(lambda t: Residual(BOX, 1, (t,))),
-            sub.map(lambda t: DefDia((t,))),
-            sub.map(lambda t: DefBox((t,))),
+            sub.map(lambda t: defined("pi", t)),
+            sub.map(lambda t: defined("sigma", t)),
             sub.map(lambda t: Residual(DEF_DIA, 1, (t,))),
             sub.map(lambda t: Residual(DEF_BOX, 1, (t,))),
         ),

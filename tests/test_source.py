@@ -20,3 +20,17 @@ def test_every_imported_name_is_used(path):
             imported.update(a.asname or a.name for a in node.names)
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(imported - used) == []
+
+
+def test_term_has_one_node_class_per_shape():
+    # a dotted marker and a defined modality are an App of their role's
+    # declaration, as a declared connective is of its own: no node class
+    # of their own
+    from dlecorr.language import Term
+    found, todo = set(), [Term]
+    while todo:
+        for cls in todo.pop().__subclasses__():
+            found.add(cls.__name__)
+            todo.append(cls)
+    assert found == {"Var", "Nominal", "Conominal", "Top", "Bot", "Meet", "Join",
+                     "App", "Residual"}
