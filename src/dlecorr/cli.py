@@ -157,8 +157,6 @@ def _sweep_lattices(args: argparse.Namespace,
     """Deterministic lattice sample: relational sweeps on small posets for
     unary type-(1) connectives, plus seeded random normal tables."""
     cap = args.budget
-    if not 1 <= cap <= 5:
-        raise models.ModelError(f"--budget must be 1 to 5, got {cap}")
     out = [dle for _, dle in models.relational_sweep(sig, min(cap, 3))]
     rng = random.Random(args.seed)
     for _ in range(20):
@@ -218,6 +216,8 @@ def cmd_lemmas(args: argparse.Namespace, sig: Signature) -> int:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if args.command in ("verify", "lemmas") and not 1 <= args.budget <= 5:
+            raise models.ModelError(f"--budget must be 1 to 5, got {args.budget}")
         sig = _load_signature(args)
         if args.command == "lemmas":
             return cmd_lemmas(args, sig)

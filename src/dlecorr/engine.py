@@ -5,11 +5,15 @@ turns each piece into a system { i0 <= lhs, rhs <= m0 } with goal
 i0 <= m0, and then rewrites systems with residuation, adjunction,
 approximation, splitting and the two Ackermann rules until no
 propositional variable is left.  Success yields a set of pure systems,
-read as universally quantified quasi-inequalities.
+read as universally quantified quasi-inequalities.  Split is one rule in
+both stages: it turns a piece into two pieces and a system entry into
+two entries.
 
-Two modes are supported.  Plain mode works on the base language plus the
-dotted modalities as primitive connectives: the connective rules apply to
-a dotted marker read as the unary connective of its role's declaration.
+Two modes are supported, and one table (``_MODE_OF_RULE``) names the
+rules that apply in one of them only.  Plain mode works on the base
+language plus the dotted modalities as primitive connectives: the plain
+rules (AdjDotDia, ApproxDotDia, ...) apply to a dotted marker read as
+the unary connective of its role's declaration.
 Role mode (the enhanced calculus) treats an input that is a substitution
 image of a dotted inequality: internally the derivation carries the
 dotted preimage, where each dotted node marks an occurrence of the
@@ -79,28 +83,21 @@ class System:
     def contains(self, ineq: Inequality) -> bool:
         return any(si.ineq == ineq for si in self.ineqs)
 
+    @classmethod
+    def of(cls, entries, goal: Inequality | None) -> "System":
+        """The system of ``entries`` in order, each inequality at its first
+        occurrence only."""
+        first: dict[Inequality, SysIneq] = {}
+        for si in entries:
+            first.setdefault(si.ineq, si)
+        return cls(tuple(first.values()), goal)
+
     def replace_index(self, idx: int, items: list[SysIneq]) -> "System":
-        """Replace entry ``idx`` by ``items``; first occurrence wins on dupes."""
-        merged: list[SysIneq] = []
-        for i, si in enumerate(self.ineqs):
-            if i == idx:
-                merged.extend(items)
-            else:
-                merged.append(si)
-        out: list[SysIneq] = []
-        seen: set[Inequality] = set()
-        for si in merged:
-            if si.ineq not in seen:
-                seen.add(si.ineq)
-                out.append(si)
-        return System(tuple(out), self.goal)
+        """Replace entry ``idx`` by ``items``."""
+        return System.of((*self.ineqs[:idx], *items, *self.ineqs[idx + 1:]), self.goal)
 
     def append(self, items: list[SysIneq]) -> "System":
-        out = list(self.ineqs)
-        for item in items:
-            if not any(o.ineq == item.ineq for o in out):
-                out.append(item)
-        return System(tuple(out), self.goal)
+        return System.of((*self.ineqs, *items), self.goal)
 
     @cached_property
     def check_terms(self) -> tuple[Term, ...]:
@@ -207,17 +204,6 @@ class Derivation:
     def open_leaves(self) -> list[int]:
         return [i for i in self.leaves() if i not in self.closed]
 
-    def fresh_approximant(self, system: System, bot: bool) -> Nominal | Conominal:
-        """The next nominal j<k> (``bot``) or conominal n<k> that does not
-        occur in ``system``; the two kinds are numbered apart."""
-        prefix, cls = ("j", Nominal) if bot else ("n", Conominal)
-        symbols = system.symbols()
-        while True:
-            self._fresh_counts[prefix] += 1
-            name = f"{prefix}{self._fresh_counts[prefix]}"
-            if name not in symbols:
-                return cls(name)
-
     def _add_child(self, parent: int, rule: RuleApplication, system: System,
                    principal: Inequality | None, fresh: tuple[str, ...],
                    target_was_side: bool) -> int:
@@ -274,12 +260,12 @@ def _target(system: System, app: RuleApplication) -> tuple[int, SysIneq]:
     return app.ineq_index, system.ineqs[app.ineq_index]
 
 
-def _at_path(ineq: Inequality, path: tuple[int, ...]) -> tuple[int, Term, Term, int]:
-    """The side ``path[0]`` of ``ineq`` (0 left, 1 right), that side's
-    term, its subterm at ``path[1:]`` and the subterm's sign in +lhs/-rhs."""
+def _at_path(ineq: Inequality, path: tuple[int, ...]) -> tuple[Term, int]:
+    """The subterm of ``ineq`` at ``path``, which starts with the side (0
+    left, 1 right), and the subterm's sign in +lhs/-rhs."""
     if not path or path[0] not in (0, 1):
         raise RuleMatchError("a subterm path starts with side 0 or 1")
-    term = sub = ineq.lhs if path[0] == 0 else ineq.rhs
+    sub = ineq.lhs if path[0] == 0 else ineq.rhs
     sign = MONO if path[0] == 0 else ANTI
     for i in path[1:]:
         if i >= len(sub.args):
@@ -287,7 +273,23 @@ def _at_path(ineq: Inequality, path: tuple[int, ...]) -> tuple[int, Term, Term, 
                 f"path {'.'.join(map(str, path))} points past a leaf")
         sign *= sub.tonicities()[i]
         sub = sub.args[i]
-    return path[0], term, sub, sign
+    return sub, sign
+
+
+def _replaced_at(ineq: Inequality, path: tuple[int, ...], new: Term) -> Inequality:
+    """``ineq`` with ``new`` in place of its subterm at ``path``."""
+    sides = [ineq.lhs, ineq.rhs]
+    sides[path[0]] = replace_at(sides[path[0]], path[1:], new)
+    return Inequality(*sides)
+
+
+def _oriented(x: Term, y: Term, below: bool) -> Inequality:
+    """x <= y if ``below``, else y <= x."""
+    return Inequality(x, y) if below else Inequality(y, x)
+
+
+def _substituted(ineq: Inequality, mapping: dict[str, Term]) -> Inequality:
+    return Inequality(substitute(ineq.lhs, mapping), substitute(ineq.rhs, mapping))
 
 
 def _occurrence_arg(t: Term, spec: RoleSpec, sig: Signature) -> Term | None:
@@ -309,42 +311,36 @@ def _adjunction_condition(sig: Signature, spec: RoleSpec, other: Term) -> Inequa
     """Side condition of a role adjunction: the role term at its unit, on
     the role's side (left for F roles), against ``other``."""
     const = sig.role_instance(spec.role, spec.unit)
-    return Inequality(const, other) if spec.family == "F" else Inequality(other, const)
+    return _oriented(const, other, spec.family == "F")
 
 
 def _split(d: Derivation, system: System, app: RuleApplication):
+    """A join on the left or a meet on the right splits into its two
+    arguments.  A stage-one piece (no goal yet) becomes two pieces and
+    splits a join first; a system entry becomes two entries and splits a
+    meet first."""
     idx, si = _target(system, app)
     a, b = si.ineq.lhs, si.ineq.rhs
-    if isinstance(b, Meet):
-        items = [SysIneq(Inequality(a, b.args[0]), si.side),
-                 SysIneq(Inequality(a, b.args[1]), si.side)]
-    elif isinstance(a, Join):
-        items = [SysIneq(Inequality(a.args[0], b), si.side),
-                 SysIneq(Inequality(a.args[1], b), si.side)]
+    piece = system.goal is None
+    if isinstance(a, Join) and (piece or not isinstance(b, Meet)):
+        items = [SysIneq(Inequality(x, b), si.side) for x in a.args]
+    elif isinstance(b, Meet):
+        items = [SysIneq(Inequality(a, y), si.side) for y in b.args]
     else:
         raise RuleMatchError("Split needs a meet on the right or a join on the left")
+    if piece:
+        return [system.replace_index(idx, [item]) for item in items], si.ineq, ()
     return [system.replace_index(idx, items)], si.ineq, ()
 
 
 # Rule id -> (family, role) of the connective rules: ResidF, ... take the
 # declared connectives, the plain rules (AdjDotDia, ApproxDotDia, ...) the
-# dotted marker of the role, read as the unary connective ``RoleSpec.decl``,
-# in plain mode only: in role mode a marker stands for its registered
-# term, which need not be normal.
+# dotted marker of the role, read as the unary connective ``RoleSpec.decl``.
 _CONNECTIVE_RULES = {
     **{kind + family: (family, None) for kind in ("Resid", "Approx") for family in "FG"},
     **{kind + spec.dot_suffix: (spec.family, spec)
        for spec in ROLE_SPECS for kind in ("Adj", "Approx")},
 }
-
-
-def _connective_rule(d: Derivation, app: RuleApplication) -> tuple[str, RoleSpec | None]:
-    """The family of the connectives ``app``'s rule takes and, for a plain
-    rule, the role of its marker."""
-    family, spec = _CONNECTIVE_RULES[app.rule_id]
-    if spec is not None and d.role_mode:
-        raise RuleMatchError(f"{app.rule_id} applies in alba mode only")
-    return family, spec
 
 
 def _connective(t: Term, family: str, spec: RoleSpec | None) -> ConnectiveDecl | None:
@@ -364,7 +360,7 @@ def _residuation(d: Derivation, system: System, app: RuleApplication):
     below the residual exactly when the coordinate has bottom as unit.
     A plain adjunction (AdjDotDia, ...) is residuation of a dotted marker
     in its one coordinate."""
-    family, spec = _connective_rule(d, app)
+    family, spec = _CONNECTIVE_RULES[app.rule_id]
     idx, si = _target(system, app)
     a, b = si.ineq.lhs, si.ineq.rhs
     occ, other = (a, b) if family == "F" else (b, a)
@@ -379,10 +375,8 @@ def _residuation(d: Derivation, system: System, app: RuleApplication):
     if not 1 <= coord <= decl.arity:
         raise RuleMatchError(f"{app.rule_id} has no coordinate {coord}")
     h = coord - 1
-    arg = occ.args[h]
     res = Residual(decl, coord, occ.args[:h] + (other,) + occ.args[h + 1:])
-    new = Inequality(arg, res) if bot_unit(family, decl.tonicities()[h]) \
-        else Inequality(res, arg)
+    new = _oriented(occ.args[h], res, bot_unit(family, decl.tonicities()[h]))
     return [system.replace_index(idx, [SysIneq(new, si.side)])], si.ineq, ()
 
 
@@ -396,18 +390,14 @@ def _adjunction(d: Derivation, system: System, app: RuleApplication):
     idx, si = _target(system, app)
     a, b = si.ineq.lhs, si.ineq.rhs
     occ, other = (a, b) if spec.family == "F" else (b, a)
-
-    def flipped(arg: Term) -> Inequality:
-        adj = Residual(spec.defined_decl, 1, (other,))
-        return Inequality(arg, adj) if spec.bot_unit else Inequality(adj, arg)
-
+    adj = Residual(spec.defined_decl, 1, (other,))
     if type(occ) is App and occ.decl == spec.defined_decl:
-        items = [SysIneq(flipped(occ.args[0]), si.side)]
+        items = [SysIneq(_oriented(occ.args[0], adj, spec.bot_unit), si.side)]
     else:
         arg = _occurrence_arg(occ, spec, d.sig)
         if arg is None:
             raise RuleMatchError(f"{app.rule_id} does not match {print_inequality(si.ineq)}")
-        items = [SysIneq(flipped(arg)),
+        items = [SysIneq(_oriented(arg, adj, spec.bot_unit)),
                  SysIneq(_adjunction_condition(d.sig, spec, other), side=True)]
     return [system.replace_index(idx, items)], si.ineq, ()
 
@@ -426,27 +416,28 @@ def _approximation(d: Derivation, system: System, app: RuleApplication):
     arg = _occurrence_arg(occ, spec, d.sig)
     if arg is None or not isinstance(other, Conominal if on_left else Nominal):
         raise RuleMatchError(f"{app.rule_id} does not match {print_inequality(si.ineq)}")
-
-    def with_occ(t: Term) -> Inequality:
-        return Inequality(t, b) if on_left else Inequality(a, t)
-
     const = d.sig.role_instance(spec.role, spec.unit)
-    side = system.replace_index(idx, [SysIneq(with_occ(const), side=True)])
+    side = system.replace_index(idx, [SysIneq(_oriented(const, other, on_left), side=True)])
     atom, fresh, approx = _approximant(d, system, arg, spec.bot_unit)
-    main = system.replace_index(idx, [SysIneq(with_occ(App(spec.defined_decl, (atom,))),
-                                              si.side)])
+    new = _oriented(App(spec.defined_decl, (atom,)), other, on_left)
+    main = system.replace_index(idx, [SysIneq(new, si.side)])
     return [side, main.append([SysIneq(approx)])], si.ineq, (fresh,)
 
 
 def _approximant(d: Derivation, system: System, arg: Term,
                  bot: bool) -> tuple[Term, str, Inequality]:
-    """A fresh nominal below ``arg`` (``bot``: the coordinate has bottom as
-    unit) or a fresh conominal above it, with its tagged name and that
-    inequality."""
-    atom = d.fresh_approximant(system, bot)
-    if bot:
-        return atom, "#" + atom.name, Inequality(atom, arg)
-    return atom, "@" + atom.name, Inequality(arg, atom)
+    """The next nominal j<k> below ``arg`` (``bot``: the coordinate has
+    bottom as unit) or conominal n<k> above it that does not occur in
+    ``system``, with its tagged name and that inequality; the two kinds
+    are numbered apart."""
+    prefix, cls, tag = ("j", Nominal, "#") if bot else ("n", Conominal, "@")
+    symbols = system.symbols()
+    while True:
+        d._fresh_counts[prefix] += 1
+        name = f"{prefix}{d._fresh_counts[prefix]}"
+        if name not in symbols:
+            atom = cls(name)
+            return atom, tag + name, _oriented(atom, arg, bot)
 
 
 def _approx_connective(d: Derivation, system: System, app: RuleApplication):
@@ -454,7 +445,7 @@ def _approx_connective(d: Derivation, system: System, app: RuleApplication):
     (ApproxF) or a G connective against a conominal on the right (ApproxG),
     with one fresh approximant per coordinate, in coordinate order; a
     plain approximation (ApproxDotDia, ...) does this to a dotted marker."""
-    family, spec = _connective_rule(d, app)
+    family, spec = _CONNECTIVE_RULES[app.rule_id]
     idx, si = _target(system, app)
     a, b = si.ineq.lhs, si.ineq.rhs
     on_left = family == "G"
@@ -465,20 +456,12 @@ def _approx_connective(d: Derivation, system: System, app: RuleApplication):
             "g(...) <= conominal" if on_left else "nominal <= f(...)"))
     if decl.arity == 0:
         raise RuleMatchError("approximation does not apply to 0-ary connectives")
-    fresh: list[str] = []
-    atoms: list[Term] = []
-    comps: list[SysIneq] = []
-    sys_now = system
-    for arg, tone in zip(occ.args, decl.tonicities()):
-        atom, name, approx = _approximant(d, sys_now, arg, bot_unit(family, tone))
-        fresh.append(name)
-        atoms.append(atom)
-        comps.append(SysIneq(approx))
-        sys_now = sys_now.append([comps[-1]])
-    head = occ.with_args(tuple(atoms))
-    new = Inequality(head, b) if on_left else Inequality(a, head)
-    sys2 = system.replace_index(idx, [SysIneq(new, si.side)]).append(comps)
-    return [sys2], si.ineq, tuple(fresh)
+    # the counters make each approximant differ from the ones before it
+    atoms, fresh, approx = zip(*(_approximant(d, system, arg, bot_unit(family, tone))
+                                 for arg, tone in zip(occ.args, decl.tonicities())))
+    new = _oriented(occ.with_args(atoms), other, on_left)
+    sys2 = system.replace_index(idx, [SysIneq(new, si.side)])
+    return [sys2.append([SysIneq(iq) for iq in approx])], si.ineq, fresh
 
 
 def _ackermann(d: Derivation, system: System, app: RuleApplication):
@@ -507,15 +490,8 @@ def _ackermann(d: Derivation, system: System, app: RuleApplication):
         else:
             others.append(si)
     mapping = {pivot: (big_join if right else big_meet)(bounds)}
-    out: list[SysIneq] = []
-    seen: set[Inequality] = set()
-    for si in others:
-        new = Inequality(substitute(si.ineq.lhs, mapping),
-                         substitute(si.ineq.rhs, mapping))
-        if new not in seen:
-            seen.add(new)
-            out.append(SysIneq(new, si.side))
-    return [System(tuple(out), system.goal)], None, ()
+    return [System.of((SysIneq(_substituted(si.ineq, mapping), si.side) for si in others),
+                      system.goal)], None, ()
 
 
 def _rewrite_role(d: Derivation, system: System, app: RuleApplication):
@@ -523,15 +499,13 @@ def _rewrite_role(d: Derivation, system: System, app: RuleApplication):
     value with the defined modality: a join for F roles, a meet for G."""
     _, spec = _ROLE_RULES[app.rule_id]
     idx, si = _target(system, app)
-    side_idx, term, sub, _ = _at_path(si.ineq, app.path)
+    sub, _ = _at_path(si.ineq, app.path)
     arg = _occurrence_arg(sub, spec, d.sig)
     if arg is None:
         raise RuleMatchError(f"{app.rule_id} does not match {print_term(sub)}")
     new_sub = (join if spec.family == "F" else meet)(
         d.sig.role_instance(spec.role, spec.unit), App(spec.defined_decl, (arg,)))
-    new_term = replace_at(term, app.path[1:], new_sub)
-    new = Inequality(new_term, si.ineq.rhs) if side_idx == 0 else \
-        Inequality(si.ineq.lhs, new_term)
+    new = _replaced_at(si.ineq, app.path, new_sub)
     return [system.replace_index(idx, [SysIneq(new, si.side)])], si.ineq, ()
 
 
@@ -544,16 +518,17 @@ _ROLE_RULES = {kind + spec.rule_suffix: (kind, spec) for spec in ROLE_SPECS
 # ----------------------------------------------------------------------
 # preprocessing (applies to proto nodes: goal is None, single inequality)
 
-def _distributes(parent: Term, sign: int, k: int) -> bool:
-    """Whether ``parent``, of sign ``sign``, distributes over its child
-    ``k``: the child is a positive join or a negative meet (a delta-adjoint)
-    and the parent an SLR node of Table 1 (an F node, dotted markers and
-    meets included, in positive position or a G node in negative
-    position).  Such a parent takes a join child exactly in a coordinate
-    with bottom as unit, so the coordinate needs no test of its own."""
+def _distributes(parent: Term, sign: int, classes: frozenset[str], k: int) -> bool:
+    """Whether ``parent``, of sign ``sign`` and Table-1 classes ``classes``,
+    distributes over its child ``k``: the child is a positive join or a
+    negative meet (a delta-adjoint) and the parent an SLR node (an F node,
+    dotted markers and meets included, in positive position or a G node in
+    negative position).  Such a parent takes a join child exactly in a
+    coordinate with bottom as unit, so the coordinate needs no test of its
+    own."""
     child_sign = sign * parent.tonicities()[k]
-    return isinstance(parent.args[k], Join if child_sign == MONO else Meet) and \
-        classify.SLR in classify.node_classes(parent, sign)
+    return classify.SLR in classes and \
+        isinstance(parent.args[k], Join if child_sign == MONO else Meet)
 
 
 # a distribution step with the (name, sign) leaves of the child it distributes over
@@ -567,11 +542,12 @@ def _distribution_sites(t: Term, sign: int, path: tuple[int, ...], role_mode: bo
     pre-order: a node's coordinates first, then its children's subtrees.
     Only the skeleton distributes, the part of each branch above its PIA
     block: the walk ends at a leaf, a constant or a PIA-only node."""
-    if classify.node_classes(t, sign).isdisjoint(classify.SKELETON):
+    classes = classify.node_classes(t, sign)
+    if classes.isdisjoint(classify.SKELETON):
         return
     tones = t.tonicities()
     for k, child in enumerate(t.args):
-        if _distributes(t, sign, k):
+        if _distributes(t, sign, classes, k):
             spec = dotted_spec(t)
             rid = "Dist" + spec.rule_suffix if role_mode and spec else "DistributePre"
             out.append((RuleApplication(rid, ineq_index=0, path=path, coord=k + 1),
@@ -624,43 +600,26 @@ def find_preprocess_step(ineq: Inequality, eps_map: dict[str, str], role_mode: b
 
 def _distribute(d: Derivation, system: System, app: RuleApplication):
     idx, si = _target(system, app)
-    ineq = si.ineq
-    side_idx, term, parent, sign = _at_path(ineq, app.path)
-    pos = app.path[1:]
+    parent, sign = _at_path(si.ineq, app.path)
     if app.coord is None or not (1 <= app.coord <= len(parent.args)):
         raise RuleMatchError("distribution needs a coordinate")
     k = app.coord - 1
-    child = parent.args[k]
     # scripts may point past the base and dotted layers, which Table 1 omits
-    if parent.layer > Layer.DLESTAR or not _distributes(parent, sign, k):
+    if parent.layer > Layer.DLESTAR or \
+            not _distributes(parent, sign, classify.node_classes(parent, sign), k):
         raise RuleMatchError("distribution does not match at this position")
     one, two = (parent.with_args(parent.args[:k] + (half,) + parent.args[k + 1:])
-                for half in child.args)
+                for half in parent.args[k].args)
     # the combinator is a join when the parent is positively signed
-    new_term = replace_at(term, pos, (join if sign == MONO else meet)(one, two))
-    new = Inequality(new_term, ineq.rhs) if side_idx == 0 else \
-        Inequality(ineq.lhs, new_term)
-    return [system.replace_index(idx, [SysIneq(new, si.side)])], ineq, ()
-
-
-def _split_piece(d: Derivation, system: System, app: RuleApplication):
-    _, si = _target(system, app)
-    a, b = si.ineq.lhs, si.ineq.rhs
-    if isinstance(a, Join):
-        parts = [Inequality(a.args[0], b), Inequality(a.args[1], b)]
-    elif isinstance(b, Meet):
-        parts = [Inequality(a, b.args[0]), Inequality(a, b.args[1])]
-    else:
-        raise RuleMatchError("preprocessing Split does not match")
-    return [System((SysIneq(p),), None) for p in parts], si.ineq, ()
+    new = _replaced_at(si.ineq, app.path, (join if sign == MONO else meet)(one, two))
+    return [system.replace_index(idx, [SysIneq(new, si.side)])], si.ineq, ()
 
 
 def _monotone_elim(d: Derivation, system: System, app: RuleApplication):
     idx, si = _target(system, app)
     if app.pivot is None:
         raise RuleMatchError("MonotoneElim needs a variable")
-    value = {app.pivot: BOT if app.coord == 0 else TOP}
-    new = Inequality(substitute(si.ineq.lhs, value), substitute(si.ineq.rhs, value))
+    new = _substituted(si.ineq, {app.pivot: BOT if app.coord == 0 else TOP})
     return [system.replace_index(idx, [SysIneq(new, si.side)])], si.ineq, ()
 
 
@@ -682,10 +641,10 @@ def _first_approx(d: Derivation, system: System, app: RuleApplication):
 
 # Stage-one rules rewrite a bare inequality, a system with no goal yet.
 _STAGE_ONE_RULES = {
-    "DistributePre": _distribute, "Split": _split_piece, "MonotoneElim": _monotone_elim,
+    "DistributePre": _distribute, "MonotoneElim": _monotone_elim,
     **{rid: _distribute for rid, (kind, _) in _ROLE_RULES.items() if kind == "Dist"},
 }
-# Every other rule id.  Split here splits one entry of a system.
+# Every other rule id; Split applies before and after FirstApprox.
 _RULES = {
     "FirstApprox": _first_approx, "Split": _split,
     "AckermannRight": _ackermann, "AckermannLeft": _ackermann,
@@ -698,6 +657,14 @@ _RULES = {
 # coordinate 1 only), distribution and MonotoneElim; the others refuse one.
 _COORD_RULES = {"MonotoneElim", *(rid for rid in [*_CONNECTIVE_RULES, *_STAGE_ONE_RULES]
                                   if rid.startswith(("Resid", "Adj", "Dist")))}
+# The rules of one mode only.  The role rules are sound only where the
+# role axioms hold (pi additive, ...), which alba mode does not assume;
+# the plain rules read a dotted marker as a normal connective, but in
+# albae mode it stands for its registered term, which need not be normal.
+_MODE_OF_RULE = {
+    **dict.fromkeys(_ROLE_RULES, "albae"),
+    **{rid: "alba" for rid, (_, spec) in _CONNECTIVE_RULES.items() if spec is not None},
+}
 
 
 def apply_rule(d: Derivation, app: RuleApplication,
@@ -720,10 +687,9 @@ def apply_rule(d: Derivation, app: RuleApplication,
         raise RuleMatchError(f"{rid} only applies before FirstApprox")
     if rule is None:
         raise RuleMatchError(f"unknown rule {rid!r}")
-    if rid in _ROLE_RULES and not d.role_mode:
-        # the role rules are sound only where the role axioms hold (pi
-        # additive, ...), which alba mode does not assume
-        raise RuleMatchError(f"{rid} applies in albae mode only")
+    mode = _MODE_OF_RULE.get(rid, d.mode)
+    if mode != d.mode:
+        raise RuleMatchError(f"{rid} applies in {mode} mode only")
     if app.coord is not None and rid not in _COORD_RULES:
         raise RuleMatchError(f"{rid} takes no coordinate, got {app.coord}")
     results, principal, fresh = rule(d, system, app)

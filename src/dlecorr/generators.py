@@ -63,6 +63,15 @@ class _Draw:
         return [spec for spec in ROLE_SPECS if spec.role in self.dots
                 and family in (None, spec.family)]
 
+    def _slot(self, pick) -> tuple[ConnectiveDecl, int]:
+        """The declaration of a drawn ``"app:name"`` or dotted marker and the
+        coordinate to grow in: drawn for a declared connective, the one
+        coordinate of a marker."""
+        if isinstance(pick, RoleSpec):
+            return pick.decl, 0
+        decl = self.sig.decl(pick.split(":", 1)[1])
+        return decl, self.rng.randrange(decl.arity)
+
     def critical_at(self, sign: int) -> list[str]:
         return [v for v in self.variables if classify.is_critical(sign, self.eps[v])]
 
@@ -91,12 +100,17 @@ class _Draw:
         if pick == "join":
             return join(self.noncrit(sign, depth - 1, allowed),
                         self.noncrit(sign, depth - 1, allowed))
-        if isinstance(pick, RoleSpec):
-            return App(pick.decl, (self.noncrit(sign * pick.tone, depth - 1, allowed),))
-        decl = self.sig.decl(pick)
-        args = tuple(self.noncrit(sign * tone, depth - 1, allowed)
-                     for tone in decl.tonicities())
-        return App(decl, args)
+        decl = pick.decl if isinstance(pick, RoleSpec) else self.sig.decl(pick)
+        return self.applied(decl, sign, depth, allowed=allowed)
+
+    def applied(self, decl: ConnectiveDecl, sign: int, depth: int, coord: int | None = None,
+                sub: Term | None = None, allowed=None) -> Term:
+        """``decl`` applied, at sign ``sign``, with ``sub`` at ``coord`` (or
+        at no coordinate) and non-critical filler of depth below ``depth``,
+        in coordinate order, in every other coordinate."""
+        return App(decl, tuple(
+            sub if k == coord else self.noncrit(sign * tone, depth - 1, allowed)
+            for k, tone in enumerate(decl.tonicities())))
 
     # -- PIA sections ----------------------------------------------------
 
@@ -123,25 +137,14 @@ class _Draw:
                 return None
             t, v = sub
             return (meet if sign == MONO else join)(t, self.noncrit(sign, depth - 1)), v
-        if isinstance(pick, RoleSpec):
-            sub = self.pia(sign * pick.tone, depth - 1)
-            return None if sub is None else (App(pick.decl, (sub[0],)), sub[1])
-        decl = self.sig.decl(pick.split(":", 1)[1])
-        coord = rng.randrange(decl.arity)
-        tone = decl.tonicities()[coord]
-        sub = self.pia(sign * tone, depth - 1)
+        decl, coord = self._slot(pick)
+        sub = self.pia(sign * decl.tonicities()[coord], depth - 1)
         if sub is None:
             return None
         t, pivot = sub
         # SRR side terms: opposite-order-type agreeing, strictly smaller vars
         allowed = {q for q in self.variables if self.rank[q] < self.rank[pivot]}
-        args = []
-        for k, tk in enumerate(decl.tonicities()):
-            if k == coord:
-                args.append(t)
-            else:
-                args.append(self.noncrit(sign * tk, depth - 1, allowed))
-        return App(decl, tuple(args)), pivot
+        return self.applied(decl, sign, depth, coord, t, allowed), pivot
 
     # -- skeleton sections -------------------------------------------------
 
@@ -169,21 +172,9 @@ class _Draw:
                 return None
             other = self.noncrit(sign, depth - 1)
             return meet(sub, other) if sign == MONO else join(sub, other)
-        if isinstance(pick, RoleSpec):
-            sub = self.skel(sign * pick.tone, depth - 1)
-            return None if sub is None else App(pick.decl, (sub,))
-        decl = self.sig.decl(pick.split(":", 1)[1])
-        coord = rng.randrange(decl.arity)
+        decl, coord = self._slot(pick)
         sub = self.skel(sign * decl.tonicities()[coord], depth - 1)
-        if sub is None:
-            return None
-        args = []
-        for k, tk in enumerate(decl.tonicities()):
-            if k == coord:
-                args.append(sub)
-            else:
-                args.append(self.noncrit(sign * tk, depth - 1))
-        return App(decl, tuple(args))
+        return None if sub is None else self.applied(decl, sign, depth, coord, sub)
 
 
 def random_inductive(rng: random.Random, sig: Signature, star: bool = False,

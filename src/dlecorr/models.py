@@ -419,32 +419,31 @@ class FiniteDLE:
             table = [self.index[gen(self.poset, spec, m)] for m in self.elements]
         else:
             table = spec
+        if validate:  # a rejected table leaves the lattice as it was
+            self._validate_normality(decl, table)
         self.ops[name] = table
-        if validate:
-            try:
-                self._validate_normality(decl, table)
-            except ModelError:
-                del self.ops[name]
-                raise
         self._cache.clear()
 
     def op_value(self, name: str, args: tuple[int, ...]) -> int:
         return _read(self.ops[name], args)
 
     def _validate_normality(self, decl, table) -> None:
-        """Each coordinate sends its unit to the operation's bound (bottom
-        for F, top for G) and turns binary joins (bottom-unit coordinates)
-        or meets into joins (F) or meets (G) of values."""
-        arity = decl.arity
+        """``table`` is a nested list, ``decl.arity`` deep, of element
+        indices; each coordinate sends its unit to the operation's bound
+        (bottom for F, top for G) and turns binary joins (bottom-unit
+        coordinates) or meets into joins (F) or meets (G) of values."""
+        arity, n = decl.arity, self.n_elem
+        if not _well_formed(table, arity, n):
+            raise ModelError(f"{decl.name} needs " + (
+                f"a bare element index below {n}" if arity == 0 else
+                f"a table nested {arity} deep with {n} rows a level and entries below {n}"))
         if arity == 0:
-            if not isinstance(table, int):
-                raise ModelError(f"nullary {decl.name} needs a bare element index")
             return
         if decl.family == "F":
             bound, bound_name, outer = self.bot, "bottom", self.join_table
         else:
             bound, bound_name, outer = self.top, "top", self.meet_table
-        idx_ranges = [range(self.n_elem)] * (arity - 1)
+        idx_ranges = [range(n)] * (arity - 1)
         for coord, tone in enumerate(decl.tonicities()):
             if bot_unit(decl.family, tone):
                 unit, inner = self.bot, self.join_table
@@ -452,15 +451,14 @@ class FiniteDLE:
                 unit, inner = self.top, self.meet_table
             for rest in product(*idx_ranges):
                 def val(x: int) -> int:
-                    args = list(rest[:coord]) + [x] + list(rest[coord:])
-                    return self.op_value(decl.name, tuple(args))
+                    return _read(table, (*rest[:coord], x, *rest[coord:]))
 
                 if val(unit) != bound:
                     raise NormalityError(
                         f"{decl.name} coordinate {coord + 1}: unit not "
                         f"sent to {bound_name} (args {rest})")
-                for a in range(self.n_elem):
-                    for b in range(a + 1, self.n_elem):
+                for a in range(n):
+                    for b in range(a + 1, n):
                         if val(inner[a][b]) != outer[val(a)][val(b)]:
                             raise NormalityError(
                                 f"{decl.name} coordinate {coord + 1} fails "
@@ -1153,6 +1151,15 @@ def _read(table, args: tuple[int, ...]) -> int:
     for a in args:
         table = table[a]
     return table
+
+
+def _well_formed(table, arity: int, n: int) -> bool:
+    """Whether ``table`` is a nested list ``arity`` deep with ``n`` rows at
+    each level and element indices below ``n`` at the bottom."""
+    if arity == 0:
+        return type(table) is int and 0 <= table < n
+    return type(table) is list and len(table) == n and \
+        all(_well_formed(row, arity - 1, n) for row in table)
 
 
 def _tabulate(n: int, arity: int, value, prefix: tuple[int, ...] = ()):

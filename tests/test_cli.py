@@ -238,13 +238,17 @@ def test_reduce_failure_exit_four(tmp_path):
 
 
 def test_budget_guard():
-    # a sweep budget outside 1..5 is a documented error, not a traceback
-    for command, budget in (("verify", "0"), ("lemmas", "-1"), ("verify", "6")):
-        args = [command] + (["p <= p"] if command == "verify" else [])
+    # a sweep budget outside 1..5 is a documented error, not a traceback,
+    # reported before any work: also on an input that does not reduce
+    for command, budget, ineq in (("verify", "0", "p <= p"), ("lemmas", "-1", None),
+                                  ("verify", "6", "p <= p"),
+                                  ("verify", "9", "box(dia(p)) <= dia(box(p))")):
+        args = [command] + ([ineq] if ineq else [])
         r = run_cli(args + ["--sig", str(SIG), "--budget", budget])
         assert r.returncode == 4, (budget, r.stderr)
         assert "Traceback" not in r.stderr
         assert r.stderr.startswith("error: --budget must be 1 to 5"), r.stderr
+        assert r.stdout == ""
 
 
 def test_determinism_same_seed_byte_identical(tmp_path):

@@ -98,6 +98,24 @@ def test_preprocess_distributes_and_splits(bare_sig):
         ["dia(p) <= r", "dia(p) <= s", "dia(q) <= r", "dia(q) <= s"]
 
 
+def test_split_order_depends_on_the_stage(bare_sig):
+    # on p | q <= r & s a stage-one piece splits the join first, into two
+    # pieces; a system entry splits the meet first, into two entries that
+    # keep its side flag
+    iq = parse_inequality("p | q <= r & s", bare_sig, Layer.DLE)
+    S = Var("s")
+    r_s = meet(R, S)
+    d = Derivation(iq, bare_sig, "alba")
+    kids = apply_rule(d, RuleApplication("Split", ineq_index=0))
+    assert [d.node(k).system for k in kids] == [
+        mk_system([(Inequality(P, r_s), False)]), mk_system([(Inequality(Q, r_s), False)])]
+    assert [d.node(k).rule.branch for k in kids] == ["A", "B"]
+    d = derivation_at(bare_sig, "alba", mk_system([(iq, True)], GOAL))
+    (kid,) = apply_rule(d, RuleApplication("Split", ineq_index=0), 0)
+    assert d.node(kid).system == mk_system(
+        [(Inequality(join(P, Q), R), True), (Inequality(join(P, Q), S), True)], GOAL)
+
+
 def test_preprocess_distribution_blocked_below_pia(bare_sig):
     # the join below the box (a PIA node) must not be distributed
     iq = parse_inequality("dia(box(p | q)) <= r", bare_sig, Layer.DLE)
@@ -326,11 +344,12 @@ def test_stage_one_makes_each_shared_rewrite_once(bare_sig, monkeypatch):
 
 def _reference_distribution(t, sign, eps_map, path):
     # the search as it was written before it was split at the order type
-    if classify.node_classes(t, sign).isdisjoint(classify.SKELETON):
+    classes = classify.node_classes(t, sign)
+    if classes.isdisjoint(classify.SKELETON):
         return None
     tones = t.tonicities()
     for k, child in enumerate(t.args):
-        if engine._distributes(t, sign, k) and any(
+        if engine._distributes(t, sign, classes, k) and any(
                 classify.is_critical(s, eps_map[name])
                 for name, s, _ in language.var_occurrences(child, sign * tones[k])):
             return path, k
@@ -562,10 +581,12 @@ def test_rule_mismatch_raises(bare_sig, mixed_sig):
             Inequality(App(spec.decl, (P,)), M0)
         for rid, target in (("Adj" + spec.dot_suffix, adj),
                             ("Approx" + spec.dot_suffix, approx)):
-            d = derivation_at(mixed_sig, "albae", mk_system([(target, False)], GOAL))
-            with pytest.raises(RuleMatchError) as exc:
-                apply_rule(d, RuleApplication(rid, ineq_index=0), 0)
-            assert str(exc.value) == f"{rid} applies in alba mode only"
+            # the mode is checked before the coordinate
+            for coord in (None, 2):
+                d = derivation_at(mixed_sig, "albae", mk_system([(target, False)], GOAL))
+                with pytest.raises(RuleMatchError) as exc:
+                    apply_rule(d, RuleApplication(rid, ineq_index=0, coord=coord), 0)
+                assert str(exc.value) == f"{rid} applies in alba mode only"
 
 
 def test_a_defined_modality_has_no_display_rule():
@@ -581,7 +602,8 @@ def test_role_rules_in_alba_mode_are_refused(classical_sig):
     # alba mode does not assume the role axioms on which the role rules
     # rest: ApproxPi would put Dia[pi] into the system, which is unsound
     # wherever pi is not additive.  Every role rule is refused there, before
-    # it is matched, and the derivation gets no node for it
+    # it is matched or its coordinate is checked, and the derivation gets
+    # no node for it
     iq = parse_inequality("dia(box(dia(p))) <= q", classical_sig, Layer.DLE)
     script = "FirstApprox\nApproxPi @ 0"
     d = engine.run_scripted(iq, classical_sig, "alba", script)

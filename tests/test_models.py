@@ -96,6 +96,29 @@ def test_non_normal_table_rejected(bare_sig):
         assert "op" not in dle.ops
 
 
+def test_a_rejected_table_leaves_the_lattice_as_it_was(classical_sig):
+    # a table of the wrong shape or with an entry out of range is refused
+    # by name, not with an IndexError
+    for bad in ([0, 5], [0], 1, [[0, 1], [0, 1]]):
+        with pytest.raises(models.ModelError, match="^dia needs a table nested 1 deep"):
+            FiniteDLE(chain(1), classical_sig, {"dia": bad})
+    nullary = parse_signature("conn c F 0 ()")
+    with pytest.raises(models.ModelError, match="^c needs a bare element index below 2$"):
+        FiniteDLE(chain(1), nullary, {"c": 2})
+    dle = FiniteDLE(chain(1), classical_sig, {"box": [0, 1]})
+    with pytest.raises(models.ModelError):
+        dle.add_op("dia", [0, 5])
+    assert "dia" not in dle.ops
+    # a non-normal table for an existing operation keeps the valid one and
+    # what was derived from it
+    dle.add_op("dia", [0, 1])
+    pi = dle.role_table("pi")
+    with pytest.raises(NormalityError):
+        dle.add_op("dia", [1, 1])
+    assert dle.ops["dia"] == [0, 1]
+    assert dle.role_table("pi") is pi
+
+
 def test_relational_generators_always_normal(bare_sig):
     rng = random.Random(9)
     for _ in range(30):

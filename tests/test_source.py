@@ -34,3 +34,10 @@ def test_term_has_one_node_class_per_shape():
             todo.append(cls)
     assert found == {"Var", "Nominal", "Conominal", "Top", "Bot", "Meet", "Join",
                      "App", "Residual"}
+
+
+def test_each_rule_id_has_one_dispatch_entry():
+    # a rule that applies before and after FirstApprox is one rule, not a
+    # stage-one rule and a second one of the same id
+    from dlecorr import engine
+    assert engine._STAGE_ONE_RULES.keys() & engine._RULES.keys() == set()
