@@ -1140,18 +1140,23 @@ def rule_steps(d: Derivation):
 
 def trace_lines(d: Derivation) -> list[str]:
     lines = []
-    # printed subterms and concrete images of terms, for this call only
+    # printed subterms, concrete images of terms and printed concrete
+    # inequalities, for this call only: each inequality is printed once
     memo: dict[Term, str] = {}
     concrete: dict[Term, Term] = {}
+    printed: dict[Inequality, str] = {}
 
     def shown(ineq: Inequality) -> str:
-        sides = []
-        for t in (ineq.lhs, ineq.rhs):
-            c = concrete.get(t)
-            if c is None:
-                c = concrete[t] = d.concretize_term(t)
-            sides.append(c)
-        return print_inequality(Inequality(*sides), memo)
+        line = printed.get(ineq)
+        if line is None:
+            sides = []
+            for t in (ineq.lhs, ineq.rhs):
+                c = concrete.get(t)
+                if c is None:
+                    c = concrete[t] = d.concretize_term(t)
+                sides.append(c)
+            line = printed[ineq] = print_inequality(Inequality(*sides), memo)
+        return line
 
     for node in d.nodes:
         system = node.system

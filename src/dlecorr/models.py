@@ -50,7 +50,9 @@ step is the parent of the next, so each system is searched once per
 lattice.  The memo holds no plan, whose kernel would outlive the plan
 cache's bound.  The budget counts the valuations each verdict stands
 for: a known verdict spends what its search spent, and exceeds the
-budget at the same count.  ``add_op`` clears the memo with the tables.
+budget at the same count.  A known verdict is one dict read and one
+budget addition (``Budget.replay``).  ``add_op`` clears the memo with
+the tables.
 The other checks keep no verdicts, so the many lattices of a sweep
 hold none.
 
@@ -119,9 +121,14 @@ class Budget:
             raise BudgetExceeded(f"quantifier budget of {self.limit} exceeded")
 
     def replay(self, n: int) -> None:
-        """Spend what a search of ``n`` valuations spends: ``n``, or one
-        more than the room left, which raises as the search does."""
-        self.spend(min(n, max(self.limit - self.used, 0) + 1))
+        """Spend what a search of ``n`` valuations spends: ``n`` when it
+        fits the room left, in one addition, else one more than the room
+        left, which raises as the search does."""
+        room = self.limit - self.used
+        if n <= room:
+            self.used += n
+        else:
+            self.spend(min(n, max(room, 0) + 1))
 
 
 @dataclass(frozen=True)
@@ -852,6 +859,25 @@ def check_quasi(systems, dle: FiniteDLE, budget: Budget | None = None) -> bool:
     return True
 
 
+def _system_holds(system, dle: FiniteDLE, memo: dict, budget: Budget) -> bool:
+    """Whether an engine system's quasi-inequality holds on ``dle``: its
+    verdict in ``memo``, by its check terms, with the valuations it stands
+    for spent again, else its search, whose count is stored.  A goalless
+    system is refused before the memo is read."""
+    if system.goal is None:
+        raise ModelError("system has no goal")
+    terms = system.check_terms
+    known = memo.get(terms)
+    if known is None:
+        used = budget.used
+        plan = _plan(terms)
+        held = plan.search(dle, plan.heads, budget) is None
+        memo[terms] = budget.used - used if held else used - budget.used
+        return held
+    budget.replay(known if known > 0 else -known)
+    return known > 0
+
+
 def verify_rule_step(parent, children, dle: FiniteDLE,
                      budget: Budget | None = None) -> bool:
     """Semantic soundness of one rule application: the parent system's
@@ -859,22 +885,15 @@ def verify_rule_step(parent, children, dle: FiniteDLE,
     child are quantified on the child side).  Each system's verdict is
     kept in the lattice's cache, by its check terms, as one int: the
     valuations its search spent (at least one), negated when it fails; a
-    known verdict spends them again."""
+    known verdict is one dict read and one budget addition.  The children
+    are checked in order up to the first that fails."""
     budget = budget or Budget()
     memo = dle._cache
-
-    def holds(system) -> bool:
-        terms = _quasi_terms(system)  # a goalless system raises, known or not
-        known = memo.get(terms)
-        if known is None:
-            used = budget.used
-            ok = _quasi_holds(terms, dle, budget)
-            known = memo[terms] = budget.used - used if ok else used - budget.used
-        else:
-            budget.replay(abs(known))
-        return known > 0
-
-    return holds(parent) == all(holds(child) for child in children)
+    holds = _system_holds(parent, dle, memo, budget)
+    for child in children:
+        if not _system_holds(child, dle, memo, budget):
+            return not holds
+    return holds
 
 
 def role_axiom_holds(dle: FiniteDLE, role: str) -> bool:

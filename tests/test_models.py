@@ -918,6 +918,77 @@ def test_known_verdicts_exceed_the_budget_where_a_search_does(bare_sig):
             assert outcomes[:2] == outcomes[2:], (limit, outcomes)
 
 
+def test_an_exceeded_budget_raises_again_on_a_known_verdict(classical_sig):
+    # once a budget has raised, the next check raises again at once and
+    # spends one more unit, whether its verdict is known or searched
+    iq = parse_inequality("dia(box(p)) <= box(dia(p))", classical_sig, Layer.DLE)
+    steps = list(rule_steps(run_alba(iq, classical_sig, "alba", "auto")))
+    dle = relational_dle(classical_sig, 2, [(0, 1)])
+    for _, parent, children in steps:
+        known = _fresh_copy(dle)
+        full = Budget()
+        verify_rule_step(parent, children, known, full)
+        for limit in range(full.used):
+            outcomes = []
+            for first, second in ((_fresh_copy(dle), _fresh_copy(dle)), (known, known)):
+                budget = Budget(limit)
+                for lattice in (first, second):
+                    with pytest.raises(BudgetExceeded):
+                        verify_rule_step(parent, children, lattice, budget)
+                    outcomes.append(budget.used)
+            assert outcomes[:2] == outcomes[2:] and outcomes[1] == outcomes[0] + 1, (
+                limit, outcomes)
+
+
+def test_replay_spends_what_the_formula_does():
+    # Budget.replay adds n when it fits the room left, else spends one
+    # more than the room: the same count and the same raise as spending
+    # min(n, max(room, 0) + 1), also on a budget already past its limit
+    for limit, spent, n in product(range(7), range(9), range(1, 10)):
+        outcomes = []
+        for replay in (Budget.replay,
+                       lambda b, n: b.spend(min(n, max(b.limit - b.used, 0) + 1))):
+            budget = Budget(limit)
+            budget.used = spent
+            try:
+                replay(budget, n)
+                outcomes.append(("spent", budget.used))
+            except BudgetExceeded:
+                outcomes.append(("exceeded", budget.used))
+        assert outcomes[0] == outcomes[1], (limit, spent, n, outcomes)
+
+
+def test_a_known_verdict_does_no_search(classical_sig, monkeypatch):
+    # a second pass over a derivation's rule steps on the same lattice
+    # reads every verdict: it looks up no plan, runs no kernel search and
+    # spends exactly the budget of the first pass
+    plans, searches = [], []
+    plan = models._plan
+
+    class Counted:
+        def __init__(self, terms):
+            plans.append(terms)
+            self.inner = plan(terms)
+            self.heads = self.inner.heads
+
+        def search(self, *args):
+            searches.append(1)
+            return self.inner.search(*args)
+
+    monkeypatch.setattr(models, "_plan", Counted)
+    for d, dle in _memo_cases(classical_sig):
+        spent = []
+        for _ in range(2):
+            plans.clear()
+            searches.clear()
+            budget = Budget()
+            for _, parent, children in rule_steps(d):
+                verify_rule_step(parent, children, dle, budget)
+            spent.append((len(plans), len(searches), budget.used))
+        assert spent[0][0] == spent[0][1] > 0
+        assert spent[1] == (0, 0, spent[0][2])
+
+
 def _enumerated(terms: tuple, dle: FiniteDLE) -> list:
     """Every valuation of ``terms`` on ``dle`` from the definitions: the
     product of the plan's domains in its symbol order, each environment
