@@ -33,7 +33,7 @@ from __future__ import annotations
 import copy
 import re
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from . import classify
 from .language import (
@@ -65,6 +65,14 @@ class AckermannShapeError(EngineError):
 class SysIneq:
     ineq: Inequality
     side: bool = False
+
+
+@lru_cache(maxsize=1024)
+def _shared(names: frozenset[str]) -> frozenset[str]:
+    """An equal set seen before, or ``names``: every system keeps its
+    symbol set, and the thousands of systems of many derivations have a
+    few hundred distinct ones."""
+    return names
 
 
 @dataclass(frozen=True)
@@ -107,9 +115,14 @@ class System:
         goal = () if self.goal is None else (self.goal,)
         return tuple(t for iq in (*self.inequalities(), *goal) for t in (iq.lhs, iq.rhs))
 
+    @cached_property
+    def _symbols(self) -> frozenset[str]:
+        return _shared(frozenset().union(*(t.symbol_names for t in self.check_terms)))
+
     def symbols(self) -> frozenset[str]:
-        """Names of the variables, nominals and conominals that occur."""
-        return frozenset().union(*(t.symbol_names for t in self.check_terms))
+        """Names of the variables, nominals and conominals that occur,
+        collected once per system."""
+        return self._symbols
 
 
 @dataclass(frozen=True)
@@ -628,8 +641,6 @@ def _first_approx(d: Derivation, system: System, app: RuleApplication):
         raise RuleMatchError("FirstApprox applies to a single preprocessed inequality")
     ineq = system.ineqs[0].ineq
     i0, m0 = Nominal("i0"), Conominal("m0")
-    if not system.symbols().isdisjoint(("i0", "m0")):
-        raise FreshnessError("input already uses the reserved names i0/m0")
     sys2 = System(
         (SysIneq(Inequality(i0, ineq.lhs)), SysIneq(Inequality(ineq.rhs, m0))),
         goal=Inequality(i0, m0))

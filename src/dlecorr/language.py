@@ -60,9 +60,18 @@ class OrderType:
         for e in self.entries:
             if e not in ("1", "d"):
                 raise ValueError(f"order-type entry must be '1' or 'd', got {e!r}")
-        # not a field: equality, hashing and the repr read ``entries`` only
+        # not fields: equality and the repr read ``entries`` only
         object.__setattr__(self, "_tones",
                            tuple(MONO if e == "1" else ANTI for e in self.entries))
+        object.__setattr__(self, "_hash", hash((self.entries,)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        """Copies and unpickled order types are built through the
+        constructor, which hashes them in the process that builds them."""
+        return OrderType, (self.entries,)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -95,6 +104,21 @@ class ConnectiveDecl:
                 f"connective {self.name}: arity {self.arity} does not match "
                 f"order type {self.order_type}"
             )
+        # every interning lookup of an App or a Residual hashes its
+        # declaration, so the hash is computed once; not a field
+        object.__setattr__(self, "_hash", hash(self._fields()))
+
+    def _fields(self) -> tuple:
+        return self.name, self.family, self.arity, self.order_type, self.role
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        """Copies and unpickled declarations are built through the
+        constructor: the hash of a string depends on the process's hash
+        seed, so a stored hash must not move to another process."""
+        return ConnectiveDecl, self._fields()
 
     def tonicities(self) -> tuple[int, ...]:
         return self.order_type.tonicities()

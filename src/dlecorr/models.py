@@ -68,6 +68,19 @@ index too, as a lattice then has at most 256 elements.
 The part of a lattice that depends only on its poset (elements, bounds,
 join, meet and order tables, irreducibles, the pair checks' strings) is
 built once per ``Poset`` and shared, read-only, by every lattice on it.
+
+The relational sweep is built by codes.  A relation on n points is the
+code sum(rows[i] << n*i); ``canonical_relations`` walks the 2^(n*n)
+codes in ascending order and keeps the first unmarked one, its orbit's
+least member, marking its images under the poset's automorphisms, one
+byte per code (``_orbit_representatives``, which picks the posets up to
+isomorphism the same way).  Relations are enumerated on at most
+``RELATION_POINTS`` (4) points: 5 would walk 2^25 codes.  A relation's
+diamond and box tables are read off 256-byte translation tables over
+point masks: its preimage (``Relation.preimages``, computed once per
+relation of the sweep) and the poset's upward and downward closures,
+complement and mask-to-index tables, a few ``bytes.translate`` calls
+per table.
 """
 
 from __future__ import annotations
@@ -75,7 +88,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, reduce
 from itertools import permutations, product
-from operator import and_, mul, or_
+from operator import and_, getitem, mul, or_
 
 from .language import (
     JOIN, MEET, MONO, ROLE_SPECS, SPEC_BY_DOTTED, SPEC_BY_ROLE, App, Bot,
@@ -88,6 +101,9 @@ from .printing import print_inequality
 # elements), which the bit-sliced pair checks need
 MAX_POINTS = 8
 DEFAULT_BUDGET = 10 ** 7
+# relations are enumerated by code, 2^(n*n) of them on n points, with one
+# orbit mark per code: 64 KiB at 4 points, 32 MiB at 5
+RELATION_POINTS = 4
 # each defined modality's name, which no signature can declare -> its role
 _ROLE_BY_DEFINED_HEAD = {spec.defined_head: spec.role for spec in ROLE_SPECS}
 
@@ -179,15 +195,18 @@ class _Skeleton:
     ``a * n_elem + b`` of ``pair_a`` and ``pair_b``, the join and meet
     tables flattened in that order, and, bit-sliced over the elements,
     the join-irreducibles below each (``jirr_below[x]``: byte u is 1
-    exactly when ``jirr[x]`` lies below u).  An index fits a byte, as a
-    lattice has at most 256 elements.  Nothing writes to these tables, so
+    exactly when ``jirr[x]`` lies below u).  The relational tables read
+    translation tables over point masks: upset mask to element index
+    (``index_of``), upward and downward closure and complement.  An
+    index fits a byte, as a lattice has at most 256 elements.  Nothing writes to these tables, so
     lattices share them; each lattice copies the ``LATTICE`` slots as
     attributes of its own and reads the others here."""
 
     LATTICE = ("elements", "index", "n_elem", "bot", "top", "join_table",
                "meet_table", "leq_table", "above", "below", "jirr", "mirr")
     __slots__ = LATTICE + ("mask_of", "pair_a", "pair_b", "join_flat",
-                           "meet_flat", "jirr_below")
+                           "meet_flat", "jirr_below", "index_of", "upclose",
+                           "downclose", "complement")
 
     def __init__(self, poset: Poset):
         full = (1 << poset.n) - 1
@@ -218,6 +237,10 @@ class _Skeleton:
         self.jirr_below = tuple(
             int.from_bytes(bytes(u >> x & 1 for u in self.elements), "little")
             for x in range(poset.n))
+        self.index_of = bytes(self.index.get(m, 0) for m in range(256))
+        self.upclose = _unions(poset.up)
+        self.downclose = _unions([poset.down(x) for x in range(poset.n)])
+        self.complement = bytes(full ^ m for m in range(full + 1)).ljust(256, b"\0")
         # denseness at finite scale: every element is the join of the
         # irreducibles below it and the meet of those above it
         ups = [self.elements[j] for j in self.jirr]
@@ -265,7 +288,10 @@ def enumerate_posets(n: int, up_to_iso: bool = False) -> list[Poset]:
         ups = extended
     ups.sort(key=lambda rows: rows[::-1])
     if up_to_iso:
-        ups = _orbit_representatives(ups, list(permutations(range(n))))
+        position = {up: i for i, up in enumerate(ups)}
+        perms = list(permutations(range(n)))[1:]
+        ups = [ups[i] for i in _orbit_representatives(
+            len(ups), lambda i: [position[_permute_rows(ups[i], p)] for p in perms])]
     return [Poset(n, up) for up in ups]
 
 
@@ -286,13 +312,31 @@ def _permute_rows(rows: tuple[int, ...], perm: tuple[int, ...]) -> tuple[int, ..
     return tuple(out)
 
 
-def _orbit_representatives(candidates, perms) -> list[tuple[int, ...]]:
-    """The first of each orbit under ``perms`` among ``candidates``, row
-    tuples in ascending order of their code sum(rows[i] << n*i): those
-    that no permutation maps to a smaller code.  Codes compare as the
-    reversed row tuples."""
-    return [rows for rows in candidates
-            if all(_permute_rows(rows, p)[::-1] >= rows[::-1] for p in perms)]
+def _orbit_representatives(size: int, images) -> list[int]:
+    """The least member of each orbit of the codes 0..size-1 under a
+    group, in ascending order, where ``images(code)`` gives the code's
+    images under the group's elements (the identity's may be left out).
+    Walked in ascending order, the first unmarked code of an orbit is its
+    least member: it is kept and its images are marked, one byte per
+    code."""
+    marks = bytearray(size)
+    kept = []
+    code = 0
+    while code >= 0:
+        kept.append(code)
+        for image in images(code):
+            marks[image] = 1
+        code = marks.find(0, code + 1)
+    return kept
+
+
+def _unions(rows) -> bytes:
+    """The translation table whose byte s is the union of ``rows[x]`` over
+    the points x in the point mask s, for every s."""
+    out = [0]
+    for row in rows:
+        out += [u | row for u in out]
+    return bytes(out).ljust(256, b"\0")
 
 
 @dataclass(frozen=True)
@@ -312,21 +356,11 @@ class Relation:
         return [(x, y) for x, row in enumerate(self.rows)
                 for y in range(len(self.rows)) if row & (1 << y)]
 
-
-def diamond_of(poset: Poset, rel: Relation, mask: int) -> int:
-    """Upward closure of the relational preimage; join-preserving and
-    bottom-preserving on upsets by construction."""
-    pre = 0
-    for x in range(poset.n):
-        if rel.rows[x] & mask:
-            pre |= poset.up[x]
-    return pre
-
-
-def box_of(poset: Poset, rel: Relation, mask: int) -> int:
-    """Largest upset inside {x : every successor of x lies in mask}."""
-    core = sum(1 << x for x in range(poset.n) if rel.rows[x] & ~mask == 0)
-    return sum(1 << x for x in range(poset.n) if poset.up[x] & ~core == 0)
+    def preimages(self) -> bytes:
+        """The translation table whose byte m is the mask of the points
+        with a successor in the point mask m, for every m."""
+        return _unions([sum((row >> y & 1) << x for x, row in enumerate(self.rows))
+                        for y in range(len(self.rows))])
 
 
 @dataclass
@@ -419,17 +453,30 @@ class FiniteDLE:
     def add_op(self, name: str, spec, validate: bool = True) -> None:
         decl = self._decl_for(name)
         if isinstance(spec, Relation):
-            if decl.arity != 1 or decl.order_type[0] != "1":
-                raise ModelError(
-                    f"relational generator only fits unary (1) connectives, not {name}")
-            gen = diamond_of if decl.family == "F" else box_of
-            table = [self.index[gen(self.poset, spec, m)] for m in self.elements]
-        else:
-            table = spec
+            if len(spec.rows) != self.poset.n:
+                raise ModelError(f"a relation on {len(spec.rows)} points does "
+                                 f"not fit a poset on {self.poset.n}")
+            spec = self._relational_table(decl, spec.preimages())
         if validate:  # a rejected table leaves the lattice as it was
-            self._validate_normality(decl, table)
-        self.ops[name] = table
+            self._validate_normality(decl, spec)
+        self.ops[name] = spec
         self._cache.clear()
+
+    def _relational_table(self, decl, pre: bytes) -> list[int]:
+        """The diamond (F) or box (G) of a relation whose preimage table
+        (``Relation.preimages``) is ``pre``, at every element.  The
+        diamond of an upset is the upward closure of its preimage; the
+        box, its dual, the complement of the downward closure of the
+        preimage of its complement: the largest upset whose points have
+        all their successors in it."""
+        if decl.arity != 1 or decl.order_type[0] != "1":
+            raise ModelError(
+                f"relational generator only fits unary (1) connectives, not {decl.name}")
+        sk = self.poset.skeleton
+        flip, closure = ((None, sk.upclose) if decl.family == "F"
+                         else (sk.complement, sk.downclose))
+        masks = bytes(self.elements).translate(flip).translate(pre)
+        return list(masks.translate(closure).translate(flip).translate(sk.index_of))
 
     def op_value(self, name: str, args: tuple[int, ...]) -> int:
         return _read(self.ops[name], args)
@@ -1195,24 +1242,47 @@ def _tabulate(n: int, arity: int, value, prefix: tuple[int, ...] = ()):
 
 def canonical_relations(poset: Poset) -> list[Relation]:
     """All relations on the poset's points, one per orbit under the
-    poset's automorphism group, in ascending encoding order."""
+    poset's automorphism group, in ascending encoding order: the least
+    code sum(rows[i] << n*i) of each orbit (``_orbit_representatives``
+    over the 2^(n*n) codes)."""
     n = poset.n
-    autos = [p for p in permutations(range(n)) if _permute_rows(poset.up, p) == poset.up]
+    if n > RELATION_POINTS:
+        raise ModelError(f"relations are enumerated on at most {RELATION_POINTS} "
+                         f"points, not {n}")
+    autos = [p for p in permutations(range(n)) if _permute_rows(poset.up, p) == poset.up][1:]
     row = (1 << n) - 1
-    codes = (tuple((code >> (n * i)) & row for i in range(n))
-             for code in range(1 << (n * n)))
-    return [Relation(rows) for rows in _orbit_representatives(codes, autos)]
+    # a code's rows: those of its low half, then of its high half, each
+    # read off a table of rows
+    half = n // 2
+    low, high = ([tuple(c >> s & row for s in range(0, n * k, n)) for c in range(1 << n * k)]
+                 for k in (half, n - half))
+    # moved[i][r]: row r at position i as it lies in each automorphism's
+    # image code, relabelled and shifted to its new position
+    moved = [[tuple(_relabelling(p)[r] << n * p[i] for p in autos) for r in range(row + 1)]
+             for i in range(n)]
+
+    def rows_of(code: int) -> tuple[int, ...]:
+        return low[code & (len(low) - 1)] + high[code >> n * half]
+
+    def images(code: int):
+        return map(sum, zip(*map(getitem, moved, rows_of(code)))) if autos else ()
+
+    return [Relation(rows_of(code))
+            for code in _orbit_representatives(1 << (n * n), images)]
 
 
 def relational_lattices(sig: Signature, poset: Poset,
                         names: tuple[str, ...] = ("dia", "box")):
     """All complex-algebra style lattices over one poset: each canonical
     relation interprets every listed unary connective (diamonds for the
-    F-family, boxes for the G-family, same relation throughout)."""
+    F-family, boxes for the G-family, same relation throughout); its
+    preimage table is computed once for all of them."""
     for rel in canonical_relations(poset):
+        pre = rel.preimages()
         dle = FiniteDLE(poset, sig)
         for name in names:
-            dle.add_op(name, rel, validate=False)
+            dle.add_op(name, dle._relational_table(dle._decl_for(name), pre),
+                       validate=False)
         yield rel, dle
 
 
@@ -1220,14 +1290,18 @@ def relational_sweep(sig: Signature, max_points: int = 3):
     """(relation, lattice) for every poset up to isomorphism on 1 to
     ``max_points`` points and every relation up to automorphism, the
     relation interpreting all unary type-(1) connectives.  Empty unless
-    every connective of the signature is one of those."""
+    every connective of the signature is one of those.  More than
+    ``RELATION_POINTS`` points are refused at the call."""
+    if max_points > RELATION_POINTS:
+        raise ModelError(f"relational sweeps reach at most {RELATION_POINTS} "
+                         f"points, not {max_points}")
     names = tuple(d.name for d in sig.connectives
                   if d.arity == 1 and d.order_type[0] == "1")
     if not names or len(names) != len(sig.connectives):
-        return
-    for n in range(1, max_points + 1):
-        for poset in enumerate_posets(n, up_to_iso=True):
-            yield from relational_lattices(sig, poset, names)
+        return iter(())
+    return (pair for n in range(1, max_points + 1)
+            for poset in enumerate_posets(n, up_to_iso=True)
+            for pair in relational_lattices(sig, poset, names))
 
 
 @lru_cache(maxsize=None)

@@ -632,6 +632,20 @@ def test_approximation_freshness(bare_sig):
                 assert name.lstrip("#@") not in parent_syms
 
 
+def test_first_approximation_refuses_the_names_it_introduces(bare_sig):
+    # FirstApprox introduces #i0 and @m0; an input with a symbol of either
+    # name is refused by the fresh-symbol check, as every rule is
+    for text, fresh in (("dia(i0) <= box(q)", "#i0"), ("dia(p) <= m0", "@m0")):
+        d = Derivation(parse_inequality(text, bare_sig, Layer.DLE), bare_sig, "alba")
+        with pytest.raises(engine.FreshnessError,
+                           match=f"^fresh symbol {fresh} already occurs in the system$"):
+            apply_rule(d, RuleApplication("FirstApprox"))
+        assert len(d.nodes) == 1
+        scripted = run_alba(d.root, bare_sig, "alba", "script", script="FirstApprox\n")
+        assert scripted.status.kind == "failure"
+        assert len(scripted.nodes) == 1
+
+
 # ----------------------------------------------------------------------
 # whole runs
 

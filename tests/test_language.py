@@ -1,9 +1,12 @@
 import copy
 import dataclasses
 import gc
+import os
 import pickle
 import random
 import re
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +29,38 @@ from dlecorr.printing import print_term
 def test_order_type_rejects_junk():
     with pytest.raises(ValueError):
         OrderType(("1", "x"))
+
+
+
+_PICKLE_DECL = """
+import pickle, sys
+from dlecorr.language import App, ConnectiveDecl, OrderType, Var
+decl = ConnectiveDecl("dia", "F", 1, OrderType(("1",)), None)
+if sys.argv[1] == "dump":
+    sys.stdout.write(pickle.dumps((decl, decl.order_type, App(decl, (Var("p"),)))).hex())
+else:
+    loaded, order_type, app = pickle.loads(bytes.fromhex(sys.stdin.read()))
+    assert loaded == decl and hash(loaded) == hash(decl), "declaration hash"
+    assert hash(order_type) == hash(decl.order_type), "order type hash"
+    assert app is App(decl, (Var("p"),)), "interned App"
+    assert repr(loaded) == repr(decl)
+"""
+
+
+def test_pickled_declarations_hash_in_the_loading_process():
+    # a declaration computes its hash once; pickled into a process with
+    # another hash seed it must hash there as an equal declaration does
+    dumped = subprocess.run([sys.executable, "-c", _PICKLE_DECL, "dump"],
+                            env={**os.environ, "PYTHONHASHSEED": "1"},
+                            capture_output=True, text=True, check=True).stdout
+    loaded = subprocess.run([sys.executable, "-c", _PICKLE_DECL, "load"],
+                            env={**os.environ, "PYTHONHASHSEED": "2"}, input=dumped,
+                            capture_output=True, text=True)
+    assert loaded.returncode == 0, loaded.stderr
+    decl = ConnectiveDecl("dia", "F", 1, OrderType(("1",)), None)
+    assert repr(decl) == ("ConnectiveDecl(name='dia', family='F', arity=1, "
+                          "order_type=OrderType(entries=('1',)), role=None)")
+    assert copy.deepcopy(decl) == decl and pickle.loads(pickle.dumps(decl)) == decl
 
 
 def test_signature_duplicate_and_arity_errors():

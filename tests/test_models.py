@@ -2,9 +2,11 @@ import gc
 import hashlib
 import random
 import re
+import tracemalloc
 from collections import Counter
 from functools import reduce
-from itertools import product
+from itertools import permutations, product
+from operator import or_
 
 import pytest
 
@@ -159,6 +161,89 @@ def test_orbit_representatives_pinned():
     fingerprint = repr(([p.up for p in posets], relations))
     assert hashlib.sha256(fingerprint.encode()).hexdigest() == \
         "48a25162e566c4cf768e528be472ac8cfd00ea92ff85bb2380756b6191b84f62"
+
+
+
+def _diamond(poset, rows, mask):
+    """The diamond of a relation at an upset, from its definition: the
+    upward closure of the points with a successor in the upset."""
+    return reduce(or_, (poset.up[x] for x in range(poset.n) if rows[x] & mask), 0)
+
+
+def _box(poset, rows, mask):
+    """The box of a relation at an upset, from its definition: the
+    largest upset inside the points whose successors all lie in it."""
+    core = sum(1 << x for x in range(poset.n) if rows[x] & ~mask == 0)
+    return sum(1 << x for x in range(poset.n) if poset.up[x] & ~core == 0)
+
+
+def test_relational_tables_match_their_definitions(classical_sig):
+    # the sweep's lattices, and on every labelled poset up to 3 points the
+    # tables add_op builds from a relation
+    classes = [p for n in (1, 2, 3) for p in enumerate_posets(n, up_to_iso=True)]
+    labelled = [p for n in (1, 2, 3) for p in enumerate_posets(n)]
+    lattices = 0
+    for poset in classes + [antichain(4)] + labelled:
+        for rel, dle in models.relational_lattices(classical_sig, poset):
+            built = FiniteDLE(poset, classical_sig, {"dia": rel, "box": rel},
+                              validate=False)
+            for name, gen in (("dia", _diamond), ("box", _box)):
+                expected = [dle.index[gen(poset, rel.rows, m)] for m in dle.elements]
+                assert dle.ops[name] == built.ops[name] == expected
+            lattices += 1
+    assert lattices == 4744 + sum(len(models.canonical_relations(p)) for p in labelled)
+    with pytest.raises(models.ModelError, match="^a relation on 1 points does not fit"):
+        FiniteDLE(chain(2), classical_sig, {"dia": Relation((1,))})
+
+
+def _orbits_by_burnside(poset):
+    """The number of orbits of the relations on the poset's points under
+    its automorphisms: the mean over the group of 2^(cycles on the point
+    pairs), each cycle's pairs all in or all out of a fixed relation."""
+    n = poset.n
+    autos = [g for g in permutations(range(n))
+             if all(poset.leq(g[i], g[j]) == poset.leq(i, j)
+                    for i in range(n) for j in range(n))]
+    fixed = 0
+    for g in autos:
+        seen, cycles = set(), 0
+        for pair in product(range(n), repeat=2):
+            cycles += pair not in seen
+            while pair not in seen:
+                seen.add(pair)
+                pair = (g[pair[0]], g[pair[1]])
+        fixed += 2 ** cycles
+    assert fixed % len(autos) == 0
+    return fixed // len(autos)
+
+
+def test_canonical_relations_count_the_orbits():
+    total = 0
+    for poset in enumerate_posets(4, up_to_iso=True):
+        codes = [sum(row << 4 * i for i, row in enumerate(rel.rows))
+                 for rel in models.canonical_relations(poset)]
+        assert codes == sorted(set(codes))
+        assert len(codes) == _orbits_by_burnside(poset)
+        total += len(codes)
+    assert total == 603172
+
+
+def test_relations_above_four_points_are_refused(classical_sig, monkeypatch):
+    # 5 points would walk 2^25 codes, with 32 MiB of orbit marks
+    tracemalloc.start()
+    try:
+        with pytest.raises(models.ModelError,
+                           match="^relations are enumerated on at most 4 points, not 5$"):
+            models.canonical_relations(antichain(5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    # the sweep refuses at the call, before it enumerates a poset
+    monkeypatch.setattr(models, "enumerate_posets", None)
+    with pytest.raises(models.ModelError,
+                       match="^relational sweeps reach at most 4 points, not 5$"):
+        models.relational_sweep(classical_sig, 5)
 
 
 def test_lattice_implications_are_residuals(bare_sig):
