@@ -21,15 +21,15 @@ inductive dotted-language inequalities under substitution of registered
 role terms for the dotted modalities.  Each signed tree is analysed in
 one walk that builds no tree and carries the P1/P2 split, the good and
 excellent flags and the SRR side leaves down to each leaf; every order
-type, preimage pairing and branch report reads the analyses.  One slot
-keeps what the public calls have learned about the last input, so that
+type, preimage pairing and branch report reads the analyses.  The public
+calls share one cached record of the last input (``_input``), so that
 they do each piece of work once per input: its analyses, its order-type
-table (the witness and Sahlqvist flag of each workable order type, made
-as far as a call reads it) and an unfinished meta-inductive search, which
-the next call with the same Signature object continues.  It keeps that
-input's subterms alive until the next input.  The anti-substitution
-search memoises each subterm's preimages for one search, with the budget
-they spent.  The classes of Table 1, which the
+table (the witness and Sahlqvist flag of each workable order type) and
+the pairs of one meta-inductive search with their Signature object,
+until ``meta_inductive_witnesses`` takes them.  It keeps that input's
+subterms alive until the next input.  The anti-substitution search
+memoises each subterm's preimages for one search, with the budget they
+spent.  The classes of Table 1, which the
 engine's stage one reads too, are seven fixed sets, and ``is_critical``
 is the one test of a leaf's criticality for classifier, engine and
 generators.
@@ -38,6 +38,7 @@ generators.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 
 from .language import (
@@ -156,75 +157,24 @@ def _walk(t: Term, sign: int, trail: list[SignedNode], k: int, good: bool,
     trail.pop()
 
 
-class _Found:
-    """The items of a generator, made when a reader first asks for them
-    and kept, so that a later reader continues where an earlier one
-    stopped."""
-
-    __slots__ = ("items", "_more")
-
-    def __init__(self, more):
-        self.items: list = []
-        self._more = more
-
-    @property
-    def done(self) -> bool:
-        return self._more is None
-
-    def __iter__(self):
-        items, i = self.items, 0
-        while True:
-            if i == len(items):
-                if self._more is None:
-                    return
-                item = next(self._more, _DONE)
-                if item is _DONE:
-                    self._more = None
-                    return
-                items.append(item)
-            yield items[i]
-            i += 1
-
-
-_DONE = object()
-
-
+@dataclass(slots=True)
 class _Input:
-    """What the public calls have learned about one input, each part made
-    when first asked for: the branch analyses of +lhs and -rhs, the
-    order-type table and one meta-inductive search, with its signature."""
+    """What the public calls have learned about one input: the branch
+    analyses of +lhs and -rhs, its order-type table, made in full when a
+    call first reads it, and one meta-inductive search's
+    ``(Signature, pairs)``."""
 
-    __slots__ = ("sides", "table", "meta_sig", "meta")
-
-    def __init__(self):
-        self.sides = self.table = self.meta_sig = self.meta = None
-
-
-# the last input's (lhs, rhs, record); terms are interned and the slot
-# holds them, so identity is equality
-_last: tuple = (None, None, None)
+    sides: tuple[tuple[BranchAnalysis, ...], tuple[BranchAnalysis, ...]]
+    table: tuple | None = None
+    meta: tuple | None = None
 
 
-def _record(ineq: Inequality) -> _Input:
-    """The slot's record if ``ineq`` was the last input, else a new one,
-    which ``_keep`` puts in the slot once a call on it has answered."""
-    lhs, rhs, rec = _last
-    return rec if lhs is ineq.lhs and rhs is ineq.rhs else _Input()
-
-
-def _keep(entry: tuple) -> None:
-    global _last
-    _last = entry
-
-
-def _walked(ineq: Inequality) -> _Input:
-    """The input's record, with the branch analyses of +lhs and of -rhs,
-    walked unless ``ineq`` was the last input."""
-    rec = _record(ineq)
-    if rec.sides is None:
-        rec.sides = tuple(branches(ineq.lhs, MONO)), tuple(branches(ineq.rhs, ANTI))
-    _keep((ineq.lhs, ineq.rhs, rec))
-    return rec
+@lru_cache(maxsize=1)
+def _input(lhs: Term, rhs: Term) -> _Input:
+    """The record of the last input, with its sides walked; terms are
+    interned, so the cache compares them by identity.  A walk that raises
+    is not cached, and the previous input's record stays."""
+    return _Input((tuple(branches(lhs, MONO)), tuple(branches(rhs, ANTI))))
 
 
 @dataclass(frozen=True)
@@ -304,14 +254,13 @@ def _eps_table(variables: tuple[str, ...], analyses: tuple[BranchAnalysis, ...])
             yield found
 
 
-def _table(ineq: Inequality) -> _Found:
-    """The input's order-type table, made as far as a reader asks; one per
-    input in the slot."""
+def _table(ineq: Inequality) -> tuple[tuple[InductiveWitness, bool], ...]:
+    """The input's order-type table, made once per input in its record."""
     variables = _capped_variables(ineq)  # before any tree is built
-    rec = _walked(ineq)
+    rec = _input(ineq.lhs, ineq.rhs)
     if rec.table is None:
         lhs, rhs = rec.sides
-        rec.table = _Found(_eps_table(variables, lhs + rhs))
+        rec.table = tuple(_eps_table(variables, lhs + rhs))
     return rec.table
 
 
@@ -422,17 +371,17 @@ def _search(term: Term, sig: Signature, budget: _Budget, memo: dict) -> list[Ter
 ANTI_SUBSTITUTION_BUDGET = 10 ** 5
 
 
-def _meta_witnesses(ineq: Inequality, sig: Signature,
-                    analysed: dict[tuple[Term, int], tuple[BranchAnalysis, ...]]):
+def _meta_witnesses(ineq: Inequality, sig: Signature, variables: tuple[str, ...],
+                    sides: tuple[tuple[BranchAnalysis, ...], ...]):
     """The first witness of each inductive (lhs, rhs) preimage pair.  Each
-    preimage is analysed when a pair first needs it, once per search;
-    ``analysed`` holds the analyses made so far."""
+    preimage is analysed when a pair first needs it, once per search; the
+    input is its own preimage, with the analyses ``sides``.  Every
+    preimage has the input's ``variables``: registered terms have one."""
     b = _Budget(ANTI_SUBSTITUTION_BUDGET)
     memo: dict[Term, tuple[list[Term], int]] = {}
     lhs_pre = _preimages(ineq.lhs, sig, b, memo)
     rhs_pre = _preimages(ineq.rhs, sig, b, memo)
-    # every preimage has the input's variables: registered terms have one
-    variables = _capped_variables(ineq)
+    analysed = {(ineq.lhs, MONO): sides[0], (ineq.rhs, ANTI): sides[1]}
 
     def analysis(t: Term, sign: int) -> tuple[BranchAnalysis, ...]:
         found = analysed.get((t, sign))
@@ -449,41 +398,32 @@ def _meta_witnesses(ineq: Inequality, sig: Signature,
                 yield Inequality(ls, rs), found[0]
 
 
-def _meta(ineq: Inequality, sig: Signature, read):
-    """``read`` of the input's meta-inductive search over ``sig``: one
-    search per input and Signature object in the slot, continued by each
-    call.  A call that reads the search to its end takes it out of the
-    slot: its pairs hold new dotted terms, which live as long as the
-    caller keeps them.  A search that raises is not kept, so each call on
-    its input raises again."""
-    rec = _record(ineq)
-    if rec.meta is None or rec.meta_sig is not sig:
-        # the input is its own preimage: its sides' analyses are the slot's
-        analysed = {} if rec.sides is None else \
-            {(ineq.lhs, MONO): rec.sides[0], (ineq.rhs, ANTI): rec.sides[1]}
-        rec.meta_sig, rec.meta = sig, _Found(_meta_witnesses(ineq, sig, analysed))
-    try:
-        out = read(rec.meta)
-    except BaseException:
-        if _last[2] is rec:  # the slot holds no input whose search raised
-            _keep((None, None, None))
-        raise
-    if rec.meta.done:
-        rec.meta_sig = rec.meta = None
-    _keep((ineq.lhs, ineq.rhs, rec))
-    return out
+def _meta(ineq: Inequality, sig: Signature, keep: bool):
+    """The pairs of the input's meta-inductive search over ``sig``: one
+    search per input and Signature object, kept in the input's record if
+    ``keep``.  A search that raises is not kept."""
+    variables = _capped_variables(ineq)  # before any tree is built
+    rec = _input(ineq.lhs, ineq.rhs)
+    meta = rec.meta
+    if meta is None or meta[0] is not sig:
+        meta = sig, tuple(_meta_witnesses(ineq, sig, variables, rec.sides))
+    rec.meta = meta if keep else None
+    return meta[1]
 
 
 def meta_inductive_witnesses(ineq: Inequality,
                              sig: Signature) -> list[tuple[Inequality, InductiveWitness]]:
-    """All (dotted preimage, witness) pairs, in deterministic search order."""
-    return _meta(ineq, sig, list)
+    """All (dotted preimage, witness) pairs, in deterministic search order.
+    The record lets them go: they hold new dotted terms, which live as
+    long as the caller keeps them."""
+    return list(_meta(ineq, sig, False))
 
 
 def is_meta_inductive(ineq: Inequality,
                       sig: Signature) -> tuple[Inequality, InductiveWitness] | None:
     """The first (dotted preimage, witness) pair, if any."""
-    return _meta(ineq, sig, lambda found: next(iter(found), None))
+    pairs = _meta(ineq, sig, True)
+    return pairs[0] if pairs else None
 
 
 # -- reporting ---------------------------------------------------------
@@ -504,7 +444,7 @@ def branch_report(ineq: Inequality, eps: OrderType | None = None) -> str:
     variables = variables_of(ineq)
     eps_map = dict(zip(variables, eps.entries)) if eps is not None else None
     lines = []
-    for label, side in zip(("+lhs", "-rhs"), _walked(ineq).sides):
+    for label, side in zip(("+lhs", "-rhs"), _input(ineq.lhs, ineq.rhs).sides):
         for br in side:
             sgn = "+" if br.leaf_sign == MONO else "-"
             flags = []

@@ -1015,8 +1015,9 @@ def run_alba(ineq: Inequality, sig: Signature, mode: str = "alba",
     status, not an exception; an input above DLEstar, with a nominal, a
     residual or a defined modality such as ``Dia[pi]``, raises
     ``classify.ClassifyError`` in both modes.
-    The witnesses come from the classifier's one-input slot, so a caller
-    that classified the input first has done part of that work already.
+    The witnesses come from the classifier's cached record of the last
+    input, so a caller that classified the input first has done part of
+    that work already.
     """
     if mode not in ("alba", "albae"):
         raise ValueError(f"unknown mode {mode!r}")

@@ -1,6 +1,8 @@
 import gc
 import hashlib
 import random
+import sys
+import threading
 import weakref
 from itertools import product
 
@@ -284,24 +286,25 @@ def test_classifier_differential_pinned(classical_sig, mixed_sig):
 
 
 def test_meta_search_answers_its_first_pair(classical_sig, mixed_sig, monkeypatch):
-    # the meta search analyses each preimage when a pair first needs it:
-    # is_meta_inductive stops at the first inductive pair, which is the
+    # is_meta_inductive answers the first inductive pair, which is the
     # first entry of the full search, pair order and budget alike
     for sig, iq in _classifier_inputs(classical_sig, mixed_sig, 400):
         found = classify.meta_inductive_witnesses(iq, sig)
         assert is_meta_inductive(iq, sig) == (found[0] if found else None), repr(iq)
     iq = parse_inequality("dia(box(dia(p))) <= box(q)", classical_sig, Layer.DLE)
-    trees = []
-    analyse = classify.branches
-    monkeypatch.setattr(classify, "branches",
-                        lambda t, sign: trees.append((t, sign)) or analyse(t, sign))
+    classify._input.cache_clear()
+    trees = _counted_walks(monkeypatch)
     pair = is_meta_inductive(iq, classical_sig)
-    assert pair is not None and trees == [(pair[0].lhs, MONO), (pair[0].rhs, ANTI)]
+    # the record walks the input's sides, which are their own preimages;
+    # the search analyses every other (preimage, sign) once
+    assert pair is not None and trees[:2] == [(iq.lhs, MONO), (iq.rhs, ANTI)]
+    assert {(pair[0].lhs, MONO), (pair[0].rhs, ANTI)} <= set(trees)
+    assert len(trees) == len(set(trees)) > 2
     trees.clear()
     assert len(classify.meta_inductive_witnesses(iq, classical_sig)) > 1
-    assert len(trees) == len(set(trees)) > 2
+    assert trees == []  # the search is the record's
     monkeypatch.undo()
-    # above DLEstar the first pair's analysis raises, on either side
+    # above DLEstar the walk of the input raises, on either side
     for text in ("#i0 <= box(q)", "dia(p) <= box(@m0)"):
         iq = parse_inequality(text, classical_sig, Layer.DLEPLUS)
         for search in (is_meta_inductive, classify.meta_inductive_witnesses):
@@ -417,9 +420,9 @@ def test_preimage_memo_stops_where_the_plain_search_does(classical_sig):
 
 
 @pytest.fixture
-def empty_slot(monkeypatch):
-    """An empty one-input slot for this test; the one before comes back."""
-    monkeypatch.setattr(classify, "_last", (None, None, None))
+def empty_slot():
+    """No input's record cached when this test starts."""
+    classify._input.cache_clear()
 
 
 def _counted_walks(monkeypatch):
@@ -437,12 +440,12 @@ def test_one_input_slot_answers_like_a_fresh_walk(classical_sig, monkeypatch):
     fresh = {}
     for iq in (first, second):
         for ask in asks:
-            monkeypatch.setattr(classify, "_last", (None, None, None))
+            classify._input.cache_clear()
             fresh[iq, ask] = ask(iq)
     for ask in asks:
         for iq in (first, second, second, first):
             assert ask(iq) == fresh[iq, ask]
-    # a rejected input raises on every call and leaves the slot to the
+    # a rejected input raises on every call and leaves the cache to the
     # input before it, the first input, which is not walked again
     above = parse_inequality("#i0 <= box(q)", classical_sig, Layer.DLEPLUS)
     wide = Inequality(Var("x0"), Var("x1"))
@@ -476,7 +479,7 @@ def _interned_var_names():
 
 
 def test_the_slot_releases_the_previous_input(classical_sig, empty_slot):
-    # the slot keeps the last input's terms alive and no more: classifying
+    # the cache keeps the last input's terms alive and no more: classifying
     # the next input releases them from the interning table.  The names
     # are this test's own, so no other test keeps these terms alive
     def subterm_refs(iq):
@@ -507,7 +510,7 @@ def _answers(sig, iq):
             is_meta_inductive(iq, sig), classify.meta_inductive_witnesses(iq, sig))
 
 
-def test_slot_answers_like_a_cleared_slot(classical_sig, mixed_sig, monkeypatch):
+def test_slot_answers_like_a_cleared_slot(classical_sig, mixed_sig):
     # one order-type table and one meta search per input, read by every
     # call in turn, answer as each call on a cleared slot does
     inputs = list(_classifier_inputs(classical_sig, mixed_sig, 400))
@@ -515,10 +518,10 @@ def test_slot_answers_like_a_cleared_slot(classical_sig, mixed_sig, monkeypatch)
     for (sig, iq), answers in zip(inputs, shared):
         alone = []
         for ask in (is_sahlqvist, is_inductive, classify.inductive_witnesses):
-            monkeypatch.setattr(classify, "_last", (None, None, None))
+            classify._input.cache_clear()
             alone.append(ask(iq))
         for ask in (is_meta_inductive, classify.meta_inductive_witnesses):
-            monkeypatch.setattr(classify, "_last", (None, None, None))
+            classify._input.cache_clear()
             alone.append(ask(iq, sig))
         assert answers == tuple(alone), repr(iq)
     # the Sahlqvist order type is the first whose critical branches are
@@ -534,20 +537,34 @@ def _counted(monkeypatch, name):
     return calls
 
 
+def _raising_once(search):
+    """``search``, except that its first call raises."""
+    calls = []
+
+    def wrapped(*args):
+        if not calls:
+            calls.append(args)
+            raise RuntimeError("interrupted")
+        return search(*args)
+    return wrapped
+
+
 def test_meta_calls_share_one_search(classical_sig, empty_slot, monkeypatch):
-    # is_meta_inductive stops at the first pair and meta_inductive_witnesses
-    # continues from there: the preimages are searched once and each
-    # (preimage, sign) is analysed once in all
+    # is_meta_inductive keeps its search and meta_inductive_witnesses
+    # takes it: the preimages are searched once and each (preimage, sign)
+    # is analysed once in all
     iq = parse_inequality("dia(box(dia(p))) <= box(q)", classical_sig, Layer.DLE)
     want = classify.meta_inductive_witnesses(iq, classical_sig)
+    classify._input.cache_clear()
     trees = _counted_walks(monkeypatch)
     searches = _counted(monkeypatch, "_preimages")
     assert is_meta_inductive(iq, classical_sig) == want[0]
     first, searched = len(trees), len(searches)
     assert classify.meta_inductive_witnesses(iq, classical_sig) == want
-    assert len(want) > 1 and 0 < first < len(trees) == len(set(trees))
+    assert len(want) > 1 and 2 < first == len(trees) == len(set(trees))
     assert len(searches) == searched > 0
-    # read to its end, the search leaves the slot: a third call searches again
+    # taken by meta_inductive_witnesses, the search leaves the record: a
+    # third call searches again
     assert classify.meta_inductive_witnesses(iq, classical_sig) == want
     assert len(searches) == 2 * searched
 
@@ -563,29 +580,75 @@ def test_meta_slot_reads_only_its_own_search(classical_sig, empty_slot, monkeypa
     # another Signature object, equal or not, gets a search of its own
     assert classify.meta_inductive_witnesses(iq, twin) == want
     assert len(searches) == 2 * searched
-    # an input whose search raises raises on every call, and the slot
-    # then holds no input: here the sides walk, the search hits the cap
+    # a search that raises is not kept: the next call searches anew, in
+    # full, and answers
+    search = classify._preimages
+    monkeypatch.setattr(classify, "_preimages", _raising_once(search))
+    with pytest.raises(RuntimeError, match="interrupted"):
+        is_meta_inductive(iq, classical_sig)
+    assert classify._input(iq.lhs, iq.rhs).meta is None
+    searches = _counted(monkeypatch, "_preimages")
+    assert is_meta_inductive(iq, classical_sig) == want[0]
+    assert len(searches) == searched
+    # an input whose search raises raises on every call: here the sides
+    # walk, the search hits the cap
     wide = Inequality(Var("x0"), Var("x1"))
     for i in range(2, 13):
         wide = Inequality(join(wide.lhs, Var(f"x{i}")), wide.rhs)
-    assert classify.branch_report(wide) and classify._last[0] is wide.lhs
+    assert classify.branch_report(wide)
     for search in (is_meta_inductive, classify.meta_inductive_witnesses) * 2:
         with pytest.raises(classify.ClassifyError, match="capped"):
             search(wide, classical_sig)
-        assert classify._last == (None, None, None)
+        assert classify._input(wide.lhs, wide.rhs).meta is None
+
+
+def test_threads_answer_as_one_thread_does(classical_sig):
+    # threads that classify two inputs in turn share one cached record and
+    # switch threads every microsecond: each call answers as it does alone
+    iqs = [parse_inequality(text, classical_sig, Layer.DLE) for text in (
+        "dia(box(dia(p))) <= box(q)", "dia(box(dia(box(p)))) <= box(dia(box(dia(q))))")]
+
+    def answers(iq):
+        return (is_meta_inductive(iq, classical_sig),
+                classify.meta_inductive_witnesses(iq, classical_sig),
+                classify.inductive_witnesses(iq))
+
+    want = [answers(iq) for iq in iqs]
+    wrong = []
+
+    def rounds():
+        try:
+            for _ in range(300):
+                for iq, expected in zip(iqs, want):
+                    if answers(iq) != expected:
+                        wrong.append(repr(iq))
+        except Exception as exc:  # reported below, not lost in the thread
+            wrong.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=rounds) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+    finally:
+        sys.setswitchinterval(interval)
+    assert wrong == []
 
 
 def test_the_meta_slot_releases_the_previous_input(classical_sig, empty_slot):
-    # the slot keeps an unfinished meta search, with the preimages it has
-    # made, until the next input: then they leave the interning table.
-    # The names are this test's own, so no other test keeps these terms
-    # alive
+    # the record keeps the pairs of is_meta_inductive's search, with the
+    # preimages they hold, until the next input: then they leave the
+    # interning table.  The names are this test's own, so no other test
+    # keeps these terms alive
     held = []
     for k in range(3):
         iq = parse_inequality(f"dia(box(dia(meta{k}))) <= box(kept{k})",
                               classical_sig, Layer.DLE)
         pre, _ = is_meta_inductive(iq, classical_sig)
-        assert classify._last[2].meta is not None  # the search goes on
+        assert classify._input(iq.lhs, iq.rhs).meta is not None
         held.append([weakref.ref(pre.lhs), weakref.ref(pre.rhs)])
         del iq, pre
         gc.collect()

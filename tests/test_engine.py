@@ -719,12 +719,12 @@ def test_runs_leave_no_reference_cycles(bare_sig, classical_sig):
         gc.enable()
 
 
-def test_runs_leave_no_dead_terms_interned(classical_sig, monkeypatch):
+def test_runs_leave_no_dead_terms_interned(classical_sig):
     # the interning table holds its terms weakly: once a derivation is
     # dropped, every term it built has left the table.  The classifier's
-    # slot starts empty: the run's meta search takes it over and would
+    # cached record starts empty: the run's input takes it over and would
     # release an earlier test's input, which the count before includes
-    monkeypatch.setattr(classify, "_last", (None, None, None))
+    classify._input.cache_clear()
     iq = parse_inequality("dia(box(dia(box(p)))) <= box(dia(box(dia(p))))",
                           classical_sig, Layer.DLE)
     gc.collect()

@@ -22,6 +22,15 @@ def test_every_imported_name_is_used(path):
     assert sorted(imported - used) == []
 
 
+def test_no_module_rebinds_a_global():
+    # state a function keeps between calls is a cache or an object passed
+    # in, not a module global that calls rebind
+    found = [(path.name, node.lineno) for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Global)]
+    assert found == []
+
+
 def test_term_has_one_node_class_per_shape():
     # a dotted marker and a defined modality are an App of their role's
     # declaration, as a declared connective is of its own: no node class
