@@ -27,9 +27,7 @@ they do each piece of work once per input: its analyses, its order-type
 table (the witness and Sahlqvist flag of each workable order type) and
 the pairs of one meta-inductive search with their Signature object,
 until ``meta_inductive_witnesses`` takes them.  It keeps that input's
-subterms alive until the next input.  The anti-substitution search
-memoises each subterm's preimages for one search, with the budget they
-spent.  The classes of Table 1, which the
+subterms alive until the next input.  The classes of Table 1, which the
 engine's stage one reads too, are seven fixed sets, and ``is_critical``
 is the one test of a leaf's criticality for classifier, engine and
 generators.
@@ -319,24 +317,9 @@ def _match(pat: Term, t: Term, var: str, found: list[Term]) -> bool:
     return all(_match(pa, ta, var, found) for pa, ta in zip(pat.args, t.args))
 
 
-def _preimages(term: Term, sig: Signature, budget: _Budget, memo: dict) -> list[Term]:
+def _preimages(term: Term, sig: Signature, budget: _Budget) -> list[Term]:
     """Dotted-language preimages of ``term`` under role substitution,
-    role matches enumerated before plain structural copies.  ``memo``
-    holds, for one search, each subterm's finished preimages and the
-    budget they spent: a hit spends it again, if that much is left, so
-    the search stops where it would without the memo."""
-    hit = memo.get(term)
-    if hit is not None and budget.left >= hit[1]:
-        budget.left -= hit[1]
-        return hit[0]
-    before = budget.left
-    out = _search(term, sig, budget, memo)
-    if budget.left >= 0:
-        memo[term] = out, before - budget.left
-    return out
-
-
-def _search(term: Term, sig: Signature, budget: _Budget, memo: dict) -> list[Term]:
+    role matches enumerated before plain structural copies."""
     if not budget.spend():
         return []
     out: list[Term] = []
@@ -348,7 +331,7 @@ def _search(term: Term, sig: Signature, budget: _Budget, memo: dict) -> list[Ter
         arg = match_role(term, reg)
         if arg is None or arg == term:  # identity matches make no progress
             continue
-        for sub in _preimages(arg, sig, budget, memo):
+        for sub in _preimages(arg, sig, budget):
             cand = App(spec.decl, (sub,))
             if cand not in seen:
                 seen.add(cand)
@@ -357,7 +340,7 @@ def _search(term: Term, sig: Signature, budget: _Budget, memo: dict) -> list[Ter
         if term not in seen:
             out.append(term)
         return out
-    child_lists = [_preimages(a, sig, budget, memo) for a in term.args]
+    child_lists = [_preimages(a, sig, budget) for a in term.args]
     for combo in product(*child_lists):
         if not budget.spend():
             return out
@@ -378,9 +361,8 @@ def _meta_witnesses(ineq: Inequality, sig: Signature, variables: tuple[str, ...]
     input is its own preimage, with the analyses ``sides``.  Every
     preimage has the input's ``variables``: registered terms have one."""
     b = _Budget(ANTI_SUBSTITUTION_BUDGET)
-    memo: dict[Term, tuple[list[Term], int]] = {}
-    lhs_pre = _preimages(ineq.lhs, sig, b, memo)
-    rhs_pre = _preimages(ineq.rhs, sig, b, memo)
+    lhs_pre = _preimages(ineq.lhs, sig, b)
+    rhs_pre = _preimages(ineq.rhs, sig, b)
     analysed = {(ineq.lhs, MONO): sides[0], (ineq.rhs, ANTI): sides[1]}
 
     def analysis(t: Term, sign: int) -> tuple[BranchAnalysis, ...]:

@@ -233,18 +233,16 @@ class Derivation:
             return t
         return concretize(t, self.sig)
 
-    def concretize_system(self, system: System) -> System:
+    def node_system_concrete(self, node_id: int) -> System:
+        system = self.nodes[node_id].system
         if not self.role_mode:
             return system
         return System(
-            tuple(SysIneq(Inequality(self.concretize_term(si.ineq.lhs),
-                                     self.concretize_term(si.ineq.rhs)), si.side)
+            tuple(SysIneq(Inequality(concretize(si.ineq.lhs, self.sig),
+                                     concretize(si.ineq.rhs, self.sig)), si.side)
                   for si in system.ineqs),
             system.goal,
         )
-
-    def node_system_concrete(self, node_id: int) -> System:
-        return self.concretize_system(self.nodes[node_id].system)
 
 
 def concretize(t: Term, sig: Signature) -> Term:

@@ -35,7 +35,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass, field, replace
 from enum import IntEnum
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Iterator, Mapping
 
 
@@ -595,18 +595,8 @@ def join(a: Term, b: Term) -> Term:
 
 def big_join(terms: list[Term]) -> Term:
     """Left-nested join; empty list is bottom, singletons are unwrapped."""
-    if not terms:
-        return BOT
-    out = terms[0]
-    for t in terms[1:]:
-        out = join(out, t)
-    return out
+    return reduce(join, terms) if terms else BOT
 
 
 def big_meet(terms: list[Term]) -> Term:
-    if not terms:
-        return TOP
-    out = terms[0]
-    for t in terms[1:]:
-        out = meet(out, t)
-    return out
+    return reduce(meet, terms) if terms else TOP

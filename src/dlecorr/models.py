@@ -352,10 +352,6 @@ class Relation:
             rows[x] |= 1 << y
         return cls(tuple(rows))
 
-    def pairs(self) -> list[tuple[int, int]]:
-        return [(x, y) for x, row in enumerate(self.rows)
-                for y in range(len(self.rows)) if row & (1 << y)]
-
     def preimages(self) -> bytes:
         """The translation table whose byte m is the mask of the points
         with a successor in the point mask m, for every m."""
@@ -632,20 +628,16 @@ _LEAF_KINDS = {Var: "var", Nominal: "nom", Conominal: "conom"}  # in symbol orde
 # every rule step of 650 seeded derivations on their lattices cycles through
 _PLANS = 4096
 _NESTED = 16  # symbols bound by a loop of their own; CPython nests 20 blocks
+# heads read off the lattice itself, by the attribute that holds them
+_STRUCTURE = {Top: "top", Bot: "bot", Meet: "meet_table", Join: "join_table"}
 
 
 def _head_table(t: Term, dle: FiniteDLE):
     """The table of ``t``'s head on ``dle``: nested lists indexed by the
     arguments, a bare element for constants."""
     cls = type(t)
-    if cls is Top:
-        return dle.top
-    if cls is Bot:
-        return dle.bot
-    if cls is Meet:
-        return dle.meet_table
-    if cls is Join:
-        return dle.join_table
+    if cls in _STRUCTURE:
+        return getattr(dle, _STRUCTURE[cls])
     if cls is Residual:
         return dle.residual_table(t.decl, t.coord)
     return dle.op_table(t.decl)  # an App
@@ -659,8 +651,6 @@ def _define(name: str, lines: list[str]):
     return namespace.pop(name)
 
 
-# heads read off the lattice itself, by the attribute that holds them
-_STRUCTURE = {Top: "top", Bot: "bot", Meet: "meet_table", Join: "join_table"}
 # the domain of each kind of symbol: elements, join- or meet-irreducibles
 _DOMAINS = {"var": ("V", "range(dle.n_elem)"), "nom": ("J", "dle.jirr"),
             "conom": ("M", "dle.mirr")}
@@ -1155,14 +1145,10 @@ def load_dle(text: str, sig: Signature) -> FiniteDLE:
     for lineno, (a, b) in pairs:
         _in_range(lineno, "point", (a, b), npoints)
         up[a] |= 1 << b
-    changed = True
-    while changed:
-        changed = False
+    for k in range(npoints):  # Warshall's transitive closure
         for i in range(npoints):
-            for j in range(npoints):
-                if up[i] & (1 << j) and up[j] & ~up[i]:
-                    up[i] |= up[j]
-                    changed = True
+            if up[i] >> k & 1:
+                up[i] |= up[k]
     for lineno, (a, b) in pairs:
         if a != b and up[b] & (1 << a):
             raise ModelError(f"line {lineno}: {a}<={b} lies on a cycle")

@@ -17,7 +17,7 @@ from dlecorr.classify import (
     is_inductive, is_meta_inductive, is_sahlqvist, node_classes,
 )
 from dlecorr.language import (
-    ANTI, BOT, JOIN, MEET, MONO, ROLE_SPECS, App, Inequality, Join, Layer, Meet,
+    ANTI, BOT, JOIN, MEET, MONO, App, Inequality, Join, Layer, Meet,
     Nominal, OrderType, Residual, Var, TOP, dotted_spec, join, meet,
     signed_leaves, var_occurrences,
 )
@@ -364,59 +364,6 @@ def test_walk_matches_leaf_by_leaf_analysis(classical_sig, mixed_sig):
                 assert found == _leaf_by_leaf(t, sign), (repr(iq), sign)
                 side_leaves += sum(len(br.srr_leaves) for br in found)
     assert side_leaves > 1000
-
-
-def _plain_preimages(term, sig, budget):
-    """``classify._preimages`` without its memo: every path that reaches a
-    subterm searches it again."""
-    if not budget.spend():
-        return []
-    out, seen = [], set()
-    for spec in ROLE_SPECS:
-        reg = sig.role(spec.role)
-        arg = None if reg is None else classify.match_role(term, reg)
-        if arg is None or arg == term:
-            continue
-        for sub in _plain_preimages(arg, sig, budget):
-            cand = App(spec.decl, (sub,))
-            if cand not in seen:
-                seen.add(cand)
-                out.append(cand)
-    if not term.args:
-        return out if term in seen else out + [term]
-    for combo in product(*(_plain_preimages(a, sig, budget) for a in term.args)):
-        if not budget.spend():
-            return out
-        cand = term.with_args(combo)
-        if cand not in seen:
-            seen.add(cand)
-            out.append(cand)
-    return out
-
-
-def test_preimage_memo_stops_where_the_plain_search_does(classical_sig):
-    # a memo hit spends its entry's budget again and is taken only when
-    # that much is left, so at every budget limit the search returns the
-    # same preimages and leaves the same budget as one without the memo
-    iqs = [parse_inequality(text, classical_sig, Layer.DLE) for text in (
-        "dia(box(dia(box(dia(box(p)))))) <= box(q)",
-        "dia(box(dia(p | box(dia(box(q)))))) <= box(dia(box(dia(p & q))))")]
-    rng = random.Random(13)
-    iqs += [generators.phi_image(generators.random_inductive(
-        rng, classical_sig, star=True, max_depth=3), classical_sig) for _ in range(30)]
-    stored = 0
-    for iq in iqs:
-        full = classify._Budget(classify.ANTI_SUBSTITUTION_BUDGET)
-        _plain_preimages(iq.lhs, classical_sig, full)
-        _plain_preimages(iq.rhs, classical_sig, full)
-        for limit in range(1, classify.ANTI_SUBSTITUTION_BUDGET - full.left + 2):
-            plain, memoised, memo = classify._Budget(limit), classify._Budget(limit), {}
-            want = [_plain_preimages(t, classical_sig, plain) for t in (iq.lhs, iq.rhs)]
-            got = [classify._preimages(t, classical_sig, memoised, memo)
-                   for t in (iq.lhs, iq.rhs)]
-            assert (got, memoised.left) == (want, plain.left), (repr(iq), limit)
-            stored += len(memo)
-    assert stored > 1000
 
 
 @pytest.fixture

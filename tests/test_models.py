@@ -654,6 +654,17 @@ def test_lemma_suite_relational_sweep(classical_sig):
             assert report.ok, report.role_results
 
 
+def test_lemma_suite_holds_on_the_3_point_sweep(classical_sig):
+    # every lattice of the 3-point relational sweep passes the lemma suite,
+    # and pi's registered term is additive on 1648 of the 1700
+    total = additive = 0
+    for _, dle in models.relational_sweep(classical_sig, 3):
+        total += 1
+        assert check_lemma_suite(dle).ok, (dle.poset, total)
+        additive += models.role_axiom_holds(dle, "pi")
+    assert (total, additive) == (1700, 1648)
+
+
 def test_nonadditive_witness_exists(classical_sig):
     found = None
     for n in (2, 3):

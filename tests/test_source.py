@@ -22,6 +22,34 @@ def test_every_imported_name_is_used(path):
     assert sorted(imported - used) == []
 
 
+def test_every_private_name_is_read():
+    # a private function, class, method or module name that no module of
+    # the library reads is code nothing calls
+    defined, read = [], set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((path.name, node.name))
+            if isinstance(node, ast.ClassDef):
+                defined += [(f"{path.name}:{node.name}", item.name) for item in node.body
+                            if isinstance(item, ast.FunctionDef)]
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined += [(path.name, n.id) for t in targets for n in ast.walk(t)
+                            if isinstance(n, ast.Name)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.alias):
+                read.add(node.name)
+    unread = [f"{where}:{name}" for where, name in defined
+              if name.startswith("_") and not name.startswith("__") and name not in read]
+    assert unread == []
+
+
 def test_no_module_rebinds_a_global():
     # state a function keeps between calls is a cache or an object passed
     # in, not a module global that calls rebind
