@@ -10,9 +10,10 @@ Subcommands:
   lemmas    -- run the algebraic lemma suite over a lattice sweep
 
 Exit codes: 0 success / positive verdict; 2 parse error, unreadable or
-non-UTF-8 --sig/--strategy file, or input nested too deeply; 3 no
-positive classification; 4 reduction failure; 5 quantifier budget
-exceeded.
+non-UTF-8 --sig/--strategy file, an --out file that cannot be written
+(nothing is printed then), no inequality for classify/reduce/verify or
+one for lemmas, or input nested too deeply; 3 no positive
+classification; 4 reduction failure; 5 quantifier budget exceeded.
 Identical inputs and seed produce byte-identical outputs.
 """
 
@@ -40,7 +41,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description="correspondence calculus for distributive lattice expansions")
     p.add_argument("command", choices=["classify", "reduce", "verify", "lemmas"])
     p.add_argument("inequality", nargs="?", default=None,
-                   help="inequality text, e.g. 'dia(box(p)) <= box(dia(p))'")
+                   help="inequality text, e.g. 'dia(box(p)) <= box(dia(p))'; "
+                        "classify, reduce and verify take one, lemmas none")
     p.add_argument("--sig", dest="signature_path", default=None,
                    help="signature file (conn/term lines)")
     p.add_argument("--mode", choices=["alba", "albae"], default="alba")
@@ -215,6 +217,9 @@ def cmd_lemmas(args: argparse.Namespace, sig: Signature) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    if args.command == "lemmas" and args.inequality is not None:
+        print("error: lemmas takes no inequality", file=sys.stderr)
+        return EXIT_PARSE
     try:
         if args.command in ("verify", "lemmas") and not 1 <= args.budget <= 5:
             raise models.ModelError(f"--budget must be 1 to 5, got {args.budget}")

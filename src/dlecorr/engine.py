@@ -30,10 +30,10 @@ blocking inequality.
 
 from __future__ import annotations
 
-import copy
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 from . import classify
 from .language import (
@@ -163,8 +163,9 @@ class RunStatus:
     stuck: StuckReport | None = None
 
 
-@dataclass
-class DerivNode:
+class DerivNode(NamedTuple):
+    """A node of a derivation, a value: a rewrite of a leaf replaces the
+    leaf's entry by the same node with its children's ids."""
     id: int
     parent: int | None
     rule: RuleApplication | None
@@ -172,7 +173,7 @@ class DerivNode:
     principal: Inequality | None = None
     fresh: tuple[str, ...] = ()
     target_was_side: bool = False
-    children: list[int] = field(default_factory=list)
+    children: tuple[int, ...] = ()
 
 
 ACKERMANN_RULE_IDS = frozenset({"AckermannRight", "AckermannLeft"})
@@ -195,17 +196,13 @@ class Derivation:
 
     # -- bookkeeping ----------------------------------------------------
 
-    def copy(self, size: int | None = None) -> "Derivation":
-        """A copy whose nodes can be extended apart from this one's; with
-        ``size``, of the derivation as it was with its first ``size``
-        nodes (a rewrite gives a leaf all its children at once)."""
-        d = copy.copy(self)
-        d.nodes = [DerivNode(n.id, n.parent, n.rule, n.system, n.principal, n.fresh,
-                             n.target_was_side,
-                             [] if size is not None and n.children and n.children[0] >= size
-                             else list(n.children)) for n in self.nodes[:size]]
-        d._fresh_counts = dict(self._fresh_counts)
-        d.closed = set(self.closed)
+    def copy(self) -> "Derivation":
+        """A copy that can be extended apart from this one: it shares the
+        nodes, which are values, but not their list, the fresh counters or
+        the closed set."""
+        d = object.__new__(Derivation)
+        d.__dict__.update(self.__dict__, nodes=list(self.nodes),
+                          _fresh_counts=dict(self._fresh_counts), closed=set(self.closed))
         return d
 
     def node(self, node_id: int) -> DerivNode:
@@ -216,15 +213,6 @@ class Derivation:
 
     def open_leaves(self) -> list[int]:
         return [i for i in self.leaves() if i not in self.closed]
-
-    def _add_child(self, parent: int, rule: RuleApplication, system: System,
-                   principal: Inequality | None, fresh: tuple[str, ...],
-                   target_was_side: bool) -> int:
-        nid = len(self.nodes)
-        node = DerivNode(nid, parent, rule, system, principal, fresh, target_was_side)
-        self.nodes.append(node)
-        self.nodes[parent].children.append(nid)
-        return nid
 
     # -- concretization ---------------------------------------------------
 
@@ -718,7 +706,10 @@ def apply_rule(d: Derivation, app: RuleApplication,
     for tag, sys2 in zip(("A", "B") if len(results) > 1 else (None,), results):
         child_app = RuleApplication(app.rule_id, app.ineq_index, app.path, app.coord,
                                     app.pivot, tag) if tag else app
-        out.append(d._add_child(node_id, child_app, sys2, principal, fresh, target_side))
+        out.append(len(d.nodes))
+        d.nodes.append(DerivNode(len(d.nodes), node_id, child_app, sys2, principal, fresh,
+                                 target_side))
+    d.nodes[node_id] = DerivNode(*node[:-1], tuple(out))  # children last
     return out
 
 
@@ -860,36 +851,23 @@ def _eliminate(d: Derivation, nid: int, k: int, order: tuple[str, ...],
 
 class _Stage:
     """A point of stage one, reached by the same rewrites from one root:
-    the derivation, the nodes left to stage (the last one next), the
-    pieces so far and the rewrites made.  Stage-one rules take no fresh
-    symbols, so candidates whose steps agree share their points: ``after``
-    keeps each step taken from here (the node it rewrites and the rule) and
-    the point it led to, or the message of the ``EngineError`` it raised.
+    the derivation, the nodes left to stage (the last one next) and the
+    pieces so far.  Stage-one rules take no fresh symbols, so candidates
+    whose steps agree share their points: ``after`` keeps each step taken
+    from here (the node it rewrites and the rule) and the point it led to,
+    or the message of the ``EngineError`` it raised.
 
-    The first step taken from a point extends its derivation in place;
-    the point then still reads its first ``size`` nodes, which no later
-    rewrite changes, and a step that forks from it extends a copy of them.
-    ``ended`` is the candidates' (derivation, pieces) when the nodes left
-    are all pieces; a derivation handed out there is not extended."""
+    A point owns its derivation and nothing extends it: a step from here
+    ticks and rewrites a copy, which the next point owns.  ``ended`` is
+    the candidates' (derivation, pieces) when the nodes left are all
+    pieces."""
 
-    __slots__ = ("d", "size", "steps", "work", "pieces", "after", "ended")
+    __slots__ = ("d", "work", "pieces", "after", "ended")
 
     def __init__(self, d: Derivation, work: tuple[int, ...], pieces: tuple[int, ...]):
-        self.d, self.size, self.steps = d, len(d.nodes), d.steps
-        self.work, self.pieces = work, pieces
+        self.d, self.work, self.pieces = d, work, pieces
         self.after: dict = {}
         self.ended: tuple[Derivation, list[int]] | None = None
-
-    def _own(self) -> Derivation:
-        """The derivation as at this point, for a step from here or a
-        candidate that ends here: the shared one while nothing has extended
-        it and none was handed out here, else a copy of its first nodes."""
-        if len(self.d.nodes) == self.size and self.ended is None:
-            d = self.d
-        else:
-            d = self.d.copy(self.size)
-        d.steps = self.steps  # a step that raised may have ticked
-        return d
 
     def advance(self, eps_map: dict[str, str], analyses: dict) -> "_Stage | None":
         """The point after the candidate's next rewrite, for ``eps_map``, or
@@ -906,8 +884,8 @@ class _Stage:
             key = nid, step
             nxt = self.after.get(key)
             if nxt is None:
+                own = d.copy()
                 try:
-                    own = self._own()
                     _tick(own)
                     ids = apply_rule(own, step, nid)
                 except EngineError as exc:
@@ -920,7 +898,7 @@ class _Stage:
                 raise EngineError(nxt)
             return nxt
         if self.ended is None:
-            self.ended = self._own(), list(self.pieces + work[::-1])
+            self.ended = d, list(self.pieces + work[::-1])
         return None
 
 
@@ -941,8 +919,10 @@ def _staged(ineq: Inequality, sig: Signature, mode: str,
 
     Candidates with the same internal root share their stage one
     (``_Stage``) for as long as their steps agree, so a rewrite that
-    several of them take is made once per run; candidates that end at
-    one point are handed one derivation, which the attempts copy."""
+    several of them take is made once per run, on a copy of the
+    derivation before it; candidates that end at one point are handed
+    that point's derivation, which nothing extends: the attempts copy
+    it."""
     roots: dict[Inequality, _Stage] = {}
     live = []
     for internal, w in cands:
@@ -1008,7 +988,8 @@ def run_alba(ineq: Inequality, sig: Signature, mode: str = "alba",
     the next candidate, so the candidates after the first success are
     staged in part or not at all.  Candidates with one internal root share
     their stage one while their steps agree, so a rewrite that several of
-    them take is made once.  The first successful attempt is returned.
+    them take is made once, on a copy: no derivation that a stage-one
+    point holds is extended.  The first successful attempt is returned.
     A DLE/DLEstar input that is not (meta-)inductive yields a failure
     status, not an exception; an input above DLEstar, with a nominal, a
     residual or a defined modality such as ``Dia[pi]``, raises

@@ -91,7 +91,7 @@ from itertools import permutations, product
 from operator import and_, getitem, mul, or_
 
 from .language import (
-    JOIN, MEET, MONO, ROLE_SPECS, SPEC_BY_DOTTED, SPEC_BY_ROLE, App, Bot,
+    JOIN, MEET, MONO, SPEC_BY_DEFINED, SPEC_BY_DOTTED, SPEC_BY_ROLE, App, Bot,
     Conominal, Inequality, Join, Meet, Nominal, Residual, Signature, Term, Top,
     Var, bot_unit,
 )
@@ -104,8 +104,6 @@ DEFAULT_BUDGET = 10 ** 7
 # relations are enumerated by code, 2^(n*n) of them on n points, with one
 # orbit mark per code: 64 KiB at 4 points, 32 MiB at 5
 RELATION_POINTS = 4
-# each defined modality's name, which no signature can declare -> its role
-_ROLE_BY_DEFINED_HEAD = {spec.defined_head: spec.role for spec in ROLE_SPECS}
 
 
 class ModelError(ValueError):
@@ -560,15 +558,17 @@ class FiniteDLE:
         (``MEET``, ``JOIN``), a defined modality's
         (``RoleSpec.defined_decl``) or the one in ``ops``, where a
         connective and a dotted marker may share a name and so a table.
-        The name alone decides which: no signature can declare those of
-        the meet, the join or a defined modality (``HARD_RESERVED``)."""
+        The meet and the join are found by name, which no signature can
+        declare (``HARD_RESERVED``), a defined modality by its
+        declaration (``SPEC_BY_DEFINED``)."""
         name = decl.name
         if name == MEET.name:
             return self.meet_table
         if name == JOIN.name:
             return self.join_table
-        if name in _ROLE_BY_DEFINED_HEAD:
-            return self.def_table(_ROLE_BY_DEFINED_HEAD[name])
+        spec = SPEC_BY_DEFINED.get(decl)
+        if spec is not None:
+            return self.def_table(spec.role)
         if name not in self.ops:
             raise ModelError(f"no table for connective {name!r}")
         return self.ops[name]

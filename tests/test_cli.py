@@ -119,6 +119,24 @@ def test_input_file_not_utf8_exit_two(tmp_path):
         assert r.stderr == f"error: {bad}: not valid UTF-8 (byte 19: invalid continuation byte)\n"
 
 
+def test_unwritable_out_file_exit_two(tmp_path):
+    # the file is opened before anything is printed
+    out = tmp_path / "missing" / "out.txt"
+    r = run_cli(["reduce", "dia(box(p)) <= box(dia(p))", "--sig", str(SIG)], out=out)
+    assert r.returncode == 2, r.stderr
+    assert r.stderr == f"error: [Errno 2] No such file or directory: '{out}'\n"
+    assert r.stdout == "" and not out.parent.exists()
+
+
+def test_lemmas_takes_no_inequality():
+    # refused before any work, as a missing inequality is for the others
+    r = run_cli(["lemmas", "p <= p", "--sig", str(SIG), "--budget", "1"])
+    assert (r.returncode, r.stdout, r.stderr) == (2, "", "error: lemmas takes no inequality\n")
+    r = run_cli(["reduce", "--sig", str(SIG)])
+    assert (r.returncode, r.stdout, r.stderr) == \
+        (2, "", "error: this command needs an inequality\n")
+
+
 def test_deeply_nested_input_exit_two():
     # 3000 parentheses overflow the parser, a 2000-term meet chain the
     # classifier

@@ -12,7 +12,7 @@ from conftest import (
 )
 from dlecorr import classify, engine, generators, language, models
 from dlecorr.engine import (
-    AckermannShapeError, Derivation, EngineError, Inequality, RuleApplication,
+    AckermannShapeError, DerivNode, Derivation, EngineError, Inequality, RuleApplication,
     RuleMatchError, SysIneq, System, _Stage, apply_rule, find_preprocess_step,
     check_compact_appropriate, check_topological_adequacy, is_safe,
     is_syntactically_closed, is_syntactically_open, run_alba, trace_lines,
@@ -31,7 +31,7 @@ def mk_system(items, goal=None):
 
 def derivation_at(sig, mode, system):
     d = Derivation(Inequality(TOP, TOP), sig, mode)
-    d.nodes[0].system = system
+    d.nodes[0] = DerivNode(0, None, None, system)
     return d
 
 
@@ -58,16 +58,16 @@ def nabla(a):
 # stage one: distribution, splitting, monotone elimination
 
 def stage_fully(d, eps_map):
-    """Run stage one on ``d`` to its end, in place; the ids of the pieces."""
+    """Run stage one from ``d`` to its end: the ended derivation and the
+    ids of its pieces."""
     stage, analyses = _Stage(d, (0,), ()), {}
     while (nxt := stage.advance(eps_map, analyses)) is not None:
         stage = nxt
-    return stage.ended[1]
+    return stage.ended
 
 
 def stage_one_pieces(iq, sig, eps_map, mode="alba"):
-    d = Derivation(iq, sig, mode)
-    pieces = stage_fully(d, eps_map)
+    d, pieces = stage_fully(Derivation(iq, sig, mode), eps_map)
     return [d.node(i).system.ineqs[0].ineq for i in pieces]
 
 
@@ -88,8 +88,7 @@ def test_preprocess_leaves_concrete_image_alone(classical_sig):
 
 def test_preprocess_distributes_and_splits(bare_sig):
     iq = parse_inequality("dia(p | q) <= r & s", bare_sig, Layer.DLE)
-    d = Derivation(iq, bare_sig, "alba")
-    pieces = stage_fully(d, dict.fromkeys("pqrs", "1"))
+    d, pieces = stage_fully(Derivation(iq, bare_sig, "alba"), dict.fromkeys("pqrs", "1"))
     # diamond pushed over the join, the join split, the meet split
     assert d.steps == 4
     assert [d.node(n).rule.label() for n in d.nodes[0].children] == \
@@ -188,8 +187,7 @@ def test_stage_one_runs_once_per_candidate(classical_sig, monkeypatch):
 def test_stage_one_step_budget(classical_sig, monkeypatch):
     iq = parse_inequality(STAGE_ONE_INPUT, classical_sig, Layer.DLE)
     eps = {"p": "d", "q": "d"}
-    d = Derivation(iq, classical_sig, "alba")
-    pieces = stage_fully(d, eps)
+    d, pieces = stage_fully(Derivation(iq, classical_sig, "alba"), eps)
     assert (pieces, d.steps) == ([2, 3], 2)
     monkeypatch.setattr(engine, "_MAX_ATTEMPT_STEPS", 1)
     with pytest.raises(EngineError, match="step budget"):
@@ -242,9 +240,9 @@ def eager_order(iq, sig, mode, cands):
     capped count of rewrites."""
     staged = []
     for internal, w in cands:
-        d = Derivation(iq, sig, mode, internal_root=internal)
         try:
-            pieces = stage_fully(d, dict(zip(w.variables, w.epsilon.entries)))
+            d, pieces = stage_fully(Derivation(iq, sig, mode, internal_root=internal),
+                                    dict(zip(w.variables, w.epsilon.entries)))
         except EngineError:
             continue
         staged.append((w, pieces, d.steps))
@@ -275,26 +273,52 @@ def _node_rows(d):
 
 @pytest.mark.parametrize("cap, budget", [(200, 10_000), (1, 10_000), (200, 3)])
 def test_shared_stage_one_builds_each_candidates_own_nodes(cap, budget, monkeypatch):
-    # candidates share stage-one points while their steps agree and fork
-    # a copy where they part, in level order, past the cap and next to a
+    # candidates share stage-one points while their steps agree and part
+    # where their steps differ, in level order, past the cap and next to a
     # step that ran out of budget alike: each staged derivation has the
-    # nodes, pieces and count its candidate's own stage one builds
+    # nodes, pieces and count its candidate's own stage one builds, and
+    # each distinct rewrite, one that raised included, copies once; more
+    # than 10 points have candidates that part there
     monkeypatch.setattr(engine, "_STAGE_ONE_CAP", cap)
     monkeypatch.setattr(engine, "_MAX_ATTEMPT_STEPS", budget)
-    forks = []
-    copy = Derivation.copy
-    monkeypatch.setattr(Derivation, "copy",
-                        lambda d, size=None: forks.append(size) or copy(d, size))
-    yielded, shared = 0, set()
+    copies, points = [], []
+    copy, init = Derivation.copy, _Stage.__init__
+    monkeypatch.setattr(Derivation, "copy", lambda d: copies.append(d) or copy(d))
+    monkeypatch.setattr(_Stage, "__init__",
+                        lambda stage, *args: points.append(stage) or init(stage, *args))
+    yielded, shared, parted = 0, set(), 0
     for iq, sig, mode, cands in seeded_draws(7, 120):
-        for d, pieces, eps_map, _ in engine._staged(iq, sig, mode, cands, {}):
-            own = Derivation(iq, sig, mode, internal_root=d.nodes[0].system.ineqs[0].ineq)
-            own_pieces = stage_fully(own, eps_map)
+        copies.clear()
+        points.clear()
+        staged = list(engine._staged(iq, sig, mode, cands, {}))
+        assert len(copies) == sum(len(point.after) for point in points)
+        parted += sum(len(point.after) > 1 for point in points)
+        for d, pieces, eps_map, _ in staged:
+            own, own_pieces = stage_fully(
+                Derivation(iq, sig, mode, internal_root=d.nodes[0].system.ineqs[0].ineq),
+                eps_map)
             assert (_node_rows(d), pieces, d.steps) == \
                 (_node_rows(own), own_pieces, own.steps), print_inequality(iq)
             yielded += 1
             shared.add(id(d))
-    assert len(shared) < yielded and sum(size is not None for size in forks) > 10
+    assert len(shared) < yielded and parted > 10
+
+
+def test_stage_one_points_never_change(monkeypatch):
+    # a point's derivation is its own: a step from it rewrites a copy, so
+    # the nodes of every point stay as they were when it was made
+    made = []
+    init = _Stage.__init__
+
+    def recorded(stage, d, *args):
+        made.append((stage, _node_rows(d)))
+        init(stage, d, *args)
+
+    monkeypatch.setattr(_Stage, "__init__", recorded)
+    for iq, sig, mode, cands in seeded_draws(7, 120):
+        list(engine._staged(iq, sig, mode, cands, {}))
+    assert len(made) > 900
+    assert all(_node_rows(stage.d) == rows for stage, rows in made)
 
 
 def test_first_candidate_success_stages_the_rest_in_part(bare_sig, monkeypatch):
@@ -389,8 +413,8 @@ def test_preprocess_analysis_matches_the_search_per_order_type():
     seen = {}
     for iq, sig, mode, cands in seeded_draws(11, 80):
         for internal, w in cands:
-            d = Derivation(iq, sig, mode, internal_root=internal)
-            stage_fully(d, dict(zip(w.variables, w.epsilon.entries)))
+            d, _ = stage_fully(Derivation(iq, sig, mode, internal_root=internal),
+                               dict(zip(w.variables, w.epsilon.entries)))
             for node in d.nodes:
                 seen.setdefault(node.system.ineqs[0].ineq, None)
     assert len(seen) > 300

@@ -541,6 +541,17 @@ def test_check_validity_counterexample_reported(bare_sig):
     assert not dle.leq(lhs, rhs)
 
 
+def test_counterexample_description(bare_sig):
+    # variables, then #nominals, then @conominals, each sorted by name,
+    # every value as the points of its upset
+    dle = relational_dle(bare_sig, 2, [(0, 1)])
+    iq = Inequality(meet(Nominal("j2"), meet(Var("q"), Nominal("j1"))),
+                    join(Conominal("n1"), Var("p")))
+    ok, ce = check_validity(iq, dle)
+    assert not ok
+    assert ce.describe(dle) == "p={} q={0} #j1={0} #j2={0} @n1={1}"
+
+
 def test_check_quasi_vacuous_antecedent(bare_sig):
     dle = relational_dle(bare_sig, 2, [(0, 1)])
     system = System((SysIneq(Inequality(TOP, BOT)),),
