@@ -1,4 +1,7 @@
+import hashlib
+import pathlib
 import random
+from typing import NamedTuple
 
 import pytest
 
@@ -9,13 +12,75 @@ from dlecorr.language import (
 )
 from dlecorr.parsing import parse_signature
 
-CLASSICAL_SIG_TEXT = """\
-# classical unary signature with registered role terms
-conn dia F 1 (1)
-conn box G 1 (1)
-term pi = dia(box(dia(p)))
-term sigma = box(p)
-"""
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+SIG = GOLDEN / "classical.sig"
+CLASSICAL_SIG_TEXT = SIG.read_text(encoding="utf-8")
+
+
+class Case(NamedTuple):
+    """A golden CLI case: the command whose output the file ``out`` under
+    tests/golden holds, and its exit code."""
+
+    out: str
+    command: str
+    ineq: str
+    mode: str = "alba"
+    script: str | None = None  # a rule script under tests/golden
+    code: int = 0
+
+    def argv(self) -> list[str]:
+        argv = [self.command, self.ineq, "--sig", str(SIG), "--mode", self.mode]
+        if self.script:
+            argv += ["--strategy", str(GOLDEN / self.script)]
+        if self.command == "verify":  # the sweep of the posets of at most 2 points
+            argv += ["--budget", "2"]
+        return argv
+
+
+CHURCH_ROSSER = "dia(box(p)) <= box(dia(p))"
+ADDITIVITY = "dia(box(dia(p | q))) <= dia(box(dia(p))) | dia(box(dia(q)))"
+GEACH = "dia(box(dia(box(p)))) <= box(dia(box(dia(p))))"
+
+# every golden output of the CLI; scripts/reproduce_traces.py writes them
+# and test_cli compares them byte for byte
+CASES = [
+    Case("churchrosser.trace", "reduce", CHURCH_ROSSER),
+    Case("additivity.trace", "reduce", ADDITIVITY, "albae"),
+    Case("geach.trace", "reduce", GEACH, "albae"),
+    Case("tense.trace", "reduce", CHURCH_ROSSER, script="tense.script"),
+    Case("pseudo.trace", "reduce", "dia(box(dia(p))) <= Dia[pi](p) | dia(box(dia(bot)))",
+         "albae", "pseudo.script"),
+    Case("stageone.trace", "reduce", "box(box(q) | (top | p)) <= box((bot | bot) & dia(q))"),
+    Case("distsigma.trace", "reduce", "box(p | box(p)) <= box(p & box(p))", "albae"),
+    Case("churchrosser.classify", "classify", CHURCH_ROSSER),
+    Case("additivity.classify", "classify", ADDITIVITY, "albae"),
+    Case("pisigma.classify", "classify", "box(dia(box(p))) <= dia(box(dia(p)))", "albae"),
+    Case("mckinsey.classify", "classify", "box(dia(p)) <= dia(box(p))", code=3),
+    Case("churchrosser.verify", "verify", CHURCH_ROSSER),
+    Case("geach.verify", "verify", GEACH, "albae"),
+]
+
+# each record file under tests/golden, <name>.records, holds the lines of
+# the function <name>_records of its test module, one line per seeded input
+RECORDS = {
+    "reduction": "test_engine",
+    "classifier": "test_classify",
+    "oracle": "test_models",
+    "lemmas": "test_models",
+    "random_dle": "test_models",
+    "orbits": "test_models",
+    "normal_tables": "test_models",
+}
+
+
+def assert_records(name: str, lines: list[str]) -> None:
+    """``lines`` are those of the record file ``name``, byte for byte."""
+    assert [*lines, ""] == (GOLDEN / f"{name}.records").read_bytes().decode().split("\n")
+
+
+def short_hash(text: str) -> str:
+    """The first 16 hex digits of the SHA-256 of ``text``."""
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 @pytest.fixture(scope="session")

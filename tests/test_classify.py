@@ -10,7 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import CLASSICAL_SIG_TEXT, dotted, random_any_term
+from conftest import (
+    CLASSICAL_SIG_TEXT, MIXED_SIG_TEXT, assert_records, dotted, random_any_term,
+    short_hash,
+)
 from dlecorr import classify, engine, generators, language
 from dlecorr.classify import (
     DELTA, PIA, SKELETON, SLR, SRA, SRR, BranchAnalysis, SignedNode, branches,
@@ -22,7 +25,7 @@ from dlecorr.language import (
     signed_leaves, var_occurrences,
 )
 from dlecorr.parsing import parse_inequality, parse_signature, parse_term
-from dlecorr.printing import print_term
+from dlecorr.printing import print_inequality, print_term
 
 
 def signs_of(t, var):
@@ -271,6 +274,23 @@ def _classifier_records(classical_sig, mixed_sig, draws):
     return out
 
 
+def classifier_records():
+    """One line per seeded input: its index, the order type of its
+    Sahlqvist verdict ("-" for none), its numbers of inductive witnesses
+    and meta-inductive pairs, a hash of everything the classifier answers
+    on it, and the input."""
+    classical_sig = parse_signature(CLASSICAL_SIG_TEXT)
+    mixed_sig = parse_signature(MIXED_SIG_TEXT)
+    inputs = _classifier_inputs(classical_sig, mixed_sig, 400)
+    lines = ["# index sahlqvist inductive meta answers-sha256 input"]
+    for (sig, iq), rec in zip(inputs, _classifier_records(classical_sig, mixed_sig, 400)):
+        k, _, eps, ws, meta = rec[:5]
+        eps = "-" if eps is None else f"({','.join(eps)})"
+        lines.append(f"{k} {eps} {len(ws)} {len(meta)} {short_hash(repr(rec))} "
+                     f"{print_inequality(iq)}")
+    return lines
+
+
 def test_classifier_differential_pinned(classical_sig, mixed_sig):
     # 400 inputs: 370 Sahlqvist, 380 inductive (26 with a non-empty
     # omega), 1379 meta-inductive pairs; 274 side terms disagree with the
@@ -283,6 +303,7 @@ def test_classifier_differential_pinned(classical_sig, mixed_sig):
     records = _classifier_records(classical_sig, mixed_sig, 400)
     digest = hashlib.sha256(repr(records).encode()).hexdigest()
     assert digest == "17a25b1d33b04d162525d22963425a7c078a7cb1d4a1ac7bafaee963d9c8b7bf"
+    assert_records("classifier", classifier_records())
 
 
 def test_meta_search_answers_its_first_pair(classical_sig, mixed_sig, monkeypatch):

@@ -1,9 +1,9 @@
-import pathlib
 import subprocess
 import sys
 
-GOLDEN = pathlib.Path(__file__).parent / "golden"
-SIG = GOLDEN / "classical.sig"
+import pytest
+
+from conftest import CASES, GOLDEN, RECORDS, SIG
 
 
 def run_cli(args, out=None):
@@ -48,66 +48,23 @@ def test_parse_error_exit_two():
     assert "position" in r.stderr
 
 
-def test_reduce_matches_golden_trace(tmp_path):
-    cases = [
-        ("churchrosser.trace", "dia(box(p)) <= box(dia(p))", "alba", None),
-        ("additivity.trace",
-         "dia(box(dia(p | q))) <= dia(box(dia(p))) | dia(box(dia(q)))",
-         "albae", None),
-        ("geach.trace", "dia(box(dia(box(p)))) <= box(dia(box(dia(p))))",
-         "albae", None),
-        ("tense.trace", "dia(box(p)) <= box(dia(p))", "alba",
-         str(GOLDEN / "tense.script")),
-        ("pseudo.trace",
-         "dia(box(dia(p))) <= Dia[pi](p) | dia(box(dia(bot)))", "albae",
-         str(GOLDEN / "pseudo.script")),
-        ("stageone.trace", "box(box(q) | (top | p)) <= box((bot | bot) & dia(q))",
-         "alba", None),
-        ("distsigma.trace", "box(p | box(p)) <= box(p & box(p))", "albae", None),
-    ]
-    for fname, ineq, mode, script in cases:
-        out = tmp_path / fname
-        args = ["reduce", ineq, "--sig", str(SIG), "--mode", mode]
-        if script:
-            args += ["--strategy", script]
-        r = run_cli(args, out=out)
-        assert r.returncode == 0, r.stderr
-        assert out.read_bytes() == (GOLDEN / fname).read_bytes(), fname
+@pytest.mark.parametrize("case", CASES, ids=lambda case: case.out)
+def test_cli_matches_golden(case, tmp_path):
+    out = tmp_path / case.out
+    r = run_cli(case.argv(), out=out)
+    assert r.returncode == case.code, r.stderr
+    golden = (GOLDEN / case.out).read_bytes()
+    assert out.read_bytes() == golden
+    assert r.stdout.encode() == golden
 
 
-
-def test_classify_matches_golden(tmp_path):
-    cases = [
-        ("churchrosser.classify", "dia(box(p)) <= box(dia(p))", 0),
-        ("additivity.classify",
-         "dia(box(dia(p | q))) <= dia(box(dia(p))) | dia(box(dia(q)))", 0),
-        ("pisigma.classify", "box(dia(box(p))) <= dia(box(dia(p)))", 0),
-        ("mckinsey.classify", "box(dia(p)) <= dia(box(p))", 3),
-    ]
-    for fname, ineq, code in cases:
-        out = tmp_path / fname
-        r = run_cli(["classify", ineq, "--sig", str(SIG)], out=out)
-        assert r.returncode == code, r.stderr
-        golden = (GOLDEN / fname).read_bytes()
-        assert out.read_bytes() == golden, fname
-        assert r.stdout.encode() == golden, fname
-
-
-def test_verify_matches_golden(tmp_path):
-    # the verdict and count lines of verify on the posets of at most two
-    # points, written by scripts/reproduce_traces.py
-    cases = [
-        ("churchrosser.verify", "dia(box(p)) <= box(dia(p))", "alba"),
-        ("geach.verify", "dia(box(dia(box(p)))) <= box(dia(box(dia(p))))", "albae"),
-    ]
-    for fname, ineq, mode in cases:
-        out = tmp_path / fname
-        r = run_cli(["verify", ineq, "--sig", str(SIG), "--mode", mode,
-                     "--budget", "2"], out=out)
-        assert r.returncode == 0, r.stderr
-        golden = (GOLDEN / fname).read_bytes()
-        assert out.read_bytes() == golden, fname
-        assert r.stdout.encode() == golden, fname
+def test_every_golden_file_is_listed():
+    # each file under tests/golden is an input of a case or the output of
+    # exactly one case or record function: no orphan, nothing unlisted
+    inputs = {SIG.name} | {case.script for case in CASES if case.script}
+    outputs = [case.out for case in CASES] + [f"{name}.records" for name in RECORDS]
+    assert len(set(outputs)) == len(outputs) and not inputs & set(outputs)
+    assert sorted(p.name for p in GOLDEN.iterdir()) == sorted(inputs | set(outputs))
 
 
 def test_input_file_not_utf8_exit_two(tmp_path):

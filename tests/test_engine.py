@@ -7,8 +7,8 @@ import weakref
 import pytest
 
 from conftest import (
-    CLASSICAL_SIG_TEXT, MIXED_SIG_TEXT, adjoint, defined, dotted, random_any_term,
-    relational_dle, subterm_at,
+    CLASSICAL_SIG_TEXT, MIXED_SIG_TEXT, adjoint, assert_records, defined, dotted,
+    random_any_term, relational_dle, short_hash, subterm_at,
 )
 from dlecorr import classify, engine, generators, language, models
 from dlecorr.engine import (
@@ -761,6 +761,27 @@ def test_runs_leave_no_dead_terms_interned(classical_sig):
     assert len(language._TERMS) == before
 
 
+def reduction_records():
+    """One line per seeded input, alternately a random inductive inequality
+    (alba) and the image of a dotted random inductive one (albae): its
+    index, mode and outcome, a hash of its trace, and the input."""
+    classical_sig = parse_signature(CLASSICAL_SIG_TEXT)
+    rng = random.Random(4)
+    lines = ["# index mode outcome trace-sha256 input"]
+    for k in range(800):
+        if k % 2 == 0:
+            sig = generators.random_signature(rng)
+            iq, mode = generators.random_inductive(rng, sig), "alba"
+        else:
+            sig = classical_sig
+            star = generators.random_inductive(rng, sig, star=True, max_depth=3)
+            iq, mode = generators.phi_image(star, sig), "albae"
+        d = run_alba(iq, sig, mode, "auto")
+        trace = short_hash("\n".join(trace_lines(d)))
+        lines.append(f"{k} {mode} {d.status.kind} {trace} {print_inequality(iq)}")
+    return lines
+
+
 def test_reduction_traces_pinned(classical_sig):
     # 800 seeded inputs, alternately random inductive inequalities (alba)
     # and images of dotted random inductive ones (albae); the first attempt
@@ -780,6 +801,9 @@ def test_reduction_traces_pinned(classical_sig):
         digest.update("\n".join(trace_lines(d)).encode() + b"\n\n")
     assert digest.hexdigest() == \
         "0866fd390b757eb51004a44c429276158d1c582ea84e1a6ab4bf6ec0bb18cfe1"
+
+
+    assert_records("reduction", reduction_records())
 
 
 def test_run_noninductive_fails_as_value(bare_sig):

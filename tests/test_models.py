@@ -10,7 +10,10 @@ from operator import or_
 
 import pytest
 
-from conftest import CLASSICAL_SIG_TEXT, adjoint, defined, dotted, relational_dle
+from conftest import (
+    CLASSICAL_SIG_TEXT, MIXED_SIG_TEXT, adjoint, assert_records, defined, dotted,
+    relational_dle, short_hash,
+)
 from dlecorr import generators, language, models
 from dlecorr.engine import SysIneq, System, rule_steps, run_alba
 from dlecorr.language import (
@@ -25,6 +28,7 @@ from dlecorr.models import (
     random_normal_table, verify_rule_step,
 )
 from dlecorr.parsing import parse_inequality, parse_signature, parse_term
+from dlecorr.printing import print_inequality
 
 
 def test_poset_counts():
@@ -132,6 +136,19 @@ def test_relational_generators_always_normal(bare_sig):
         dle.add_op("box", rel)
 
 
+def _dle_line(dle: FiniteDLE) -> str:
+    return repr((dle.poset.up, sorted(dle.ops.items())))
+
+
+def random_dle_records():
+    """Fifty random lattices of the classical signature, of 1 to 4 points,
+    one line each: each point's up-set and the sorted operation tables."""
+    rng, classical_sig = random.Random(12), parse_signature(CLASSICAL_SIG_TEXT)
+    draws = [random_dle(rng, classical_sig) for _ in range(50)]
+    assert {d.poset.n for d in draws} == {1, 2, 3, 4}
+    return ["# up-sets, operation tables", *map(_dle_line, draws)]
+
+
 def test_random_dle_enumerates_each_poset_size_once(classical_sig, monkeypatch):
     calls = []
     real = models.enumerate_posets
@@ -149,6 +166,23 @@ def test_random_dle_enumerates_each_poset_size_once(classical_sig, monkeypatch):
     fingerprint = repr([(d.poset.up, sorted(d.ops.items())) for d in draws])
     assert hashlib.sha256(fingerprint.encode()).hexdigest() == \
         "37865c8d27b081513cfdf96d151dc4a5732c6a11012a6fc46fff7fcf703867ff"
+    assert_records("random_dle", random_dle_records())
+    assert len(calls) == len(set(calls)) <= 4
+
+
+def orbits_records():
+    """Which representative each orbit keeps, and in what order: a line
+    for each poset of 1 to 4 points up to isomorphism, its index and
+    up-sets, and after those of the relational sweep a line for each of
+    its relations up to the poset's automorphisms, the poset's index and
+    the rows."""
+    lines = []
+    posets = [p for n in range(1, 5) for p in enumerate_posets(n, up_to_iso=True)]
+    for i, p in enumerate(posets):
+        lines.append(f"poset {i} {p.up}")
+        if p.n <= 3 or p == antichain(4):
+            lines += [f"{i} {r.rows}" for r in models.canonical_relations(p)]
+    return lines
 
 
 def test_orbit_representatives_pinned():
@@ -161,6 +195,9 @@ def test_orbit_representatives_pinned():
     fingerprint = repr(([p.up for p in posets], relations))
     assert hashlib.sha256(fingerprint.encode()).hexdigest() == \
         "48a25162e566c4cf768e528be472ac8cfd00ea92ff85bb2380756b6191b84f62"
+    lines = orbits_records()
+    assert sum(not line.startswith("poset") for line in lines) == 4744
+    assert_records("orbits", lines)
 
 
 
@@ -353,6 +390,20 @@ def test_derived_tables_match_their_definitions(classical_sig, mixed_sig):
         _assert_tables_by_gather(dle)
 
 
+def normal_tables_records():
+    """Ten random normal lattices of the mixed signature, validated, one
+    line each, which pin the RNG stream and the tables on binary and
+    antitone coordinates of both families."""
+    mixed_sig = parse_signature(MIXED_SIG_TEXT)
+    rng = random.Random(10)
+    lines = ["# up-sets, operation tables"]
+    for _ in range(10):
+        dle = random_dle(rng, mixed_sig, max_points=3, validate=True)
+        assert set(dle.ops) == {d.name for d in mixed_sig.connectives}
+        lines.append(_dle_line(dle))
+    return lines
+
+
 def test_random_normal_tables_validate(mixed_sig):
     rng = random.Random(10)
     draws = []
@@ -365,6 +416,7 @@ def test_random_normal_tables_validate(mixed_sig):
     fingerprint = repr([(d.poset.up, sorted(d.ops.items())) for d in draws])
     assert hashlib.sha256(fingerprint.encode()).hexdigest() == \
         "b4ccb747be2da3d16229e52082add58e523ee8016380087ca3d498b0553416d3"
+    assert_records("normal_tables", normal_tables_records())
 
 
 def test_eval_def_dia_bottom(classical_sig):
@@ -890,6 +942,7 @@ def _oracle_records(classical_sig, draws):
     """First counterexamples, budget use and verdicts of the quantified
     checks over seeded derivations (alba on random signatures, albae on
     the classical and the Galois-role signature) and random lattices."""
+    lines = ["# derivation.lattice mode outcome checks-sha256 input"]
     rng = random.Random(6)
     lr_sig = parse_signature(LR_SIG_TEXT)
     symbols = lambda val: tuple(sorted(val.of_kind(kind).items())
@@ -905,7 +958,7 @@ def _oracle_records(classical_sig, draws):
                 generators.random_inductive(rng, sig, star=True, max_depth=3), sig)
         d = run_alba(ineq, sig, mode, "auto")
         steps = list(rule_steps(d))
-        for _ in range(2):
+        for j in range(2):
             dle = random_dle(rng, sig, max_points=3)
             budget = Budget()
             ok, ce = check_validity(ineq, dle, budget)
@@ -933,7 +986,16 @@ def _oracle_records(classical_sig, draws):
                 rec.append("exceeded")
             rec.append(budget.used)
             out.append(rec)
-    return out
+            lines.append(f"{k}.{j} {mode} {d.status.kind} {short_hash(repr(rec))} "
+                         f"{print_inequality(ineq)}")
+    return out, lines
+
+
+def oracle_records():
+    """One line per seeded derivation and random lattice: the derivation's
+    index, mode and outcome, a hash of the checks' answers on the lattice,
+    and the input."""
+    return _oracle_records(parse_signature(CLASSICAL_SIG_TEXT), 200)[1]
 
 
 def test_oracle_differential_pinned(classical_sig):
@@ -942,9 +1004,10 @@ def test_oracle_differential_pinned(classical_sig):
     # counterexamples of antecedents, 398 check_quasi verdicts (185 false)
     # and 33 exhausted small budgets; the digest was taken with the
     # closure-tree evaluator that the compiled plans replaced
-    records = _oracle_records(classical_sig, 200)
+    records, lines = _oracle_records(classical_sig, 200)
     digest = hashlib.sha256(repr(records).encode()).hexdigest()
     assert digest == "2591ee60d3eee377737a35a5b75e3748be708eb7c58b6ea9798ffd2e4ffbeb1c"
+    assert_records("oracle", lines)
 
 
 def _verdicts(dle: FiniteDLE) -> dict:
@@ -1481,6 +1544,19 @@ def _lemma_records(classical_sig, draws):
     return out
 
 
+def lemmas_records():
+    """The checks of each role on a header line, then one line per lattice:
+    its index and each role's verdicts, 1 for a check that holds."""
+    checks, lines = {}, []
+    for k, rec in enumerate(_lemma_records(parse_signature(CLASSICAL_SIG_TEXT), 300)):
+        for role, res in rec:
+            assert checks.setdefault(role, [c for c, _ in res]) == [c for c, _ in res]
+        lines.append(f"{k} " + " ".join(
+            f"{role}={''.join(str(int(v)) for _, v in res)}" for role, res in rec))
+    return ["# " + " ".join(f"{role}={','.join(c)}" for role, c in checks.items()),
+            *lines]
+
+
 def test_lemma_suite_pinned(classical_sig):
     # 1700 sweep and 300 four-role lattices: 26400 entries, 9059 of them
     # failing, every check of every role among them; the digest is that of
@@ -1491,6 +1567,7 @@ def test_lemma_suite_pinned(classical_sig):
     assert (len(entries), entries.count(False)) == (26400, 9059)
     digest = hashlib.sha256(repr(records).encode()).hexdigest()
     assert digest == "3fa13f9bb1eafc6ecf715a0c97d2ac42835461fb7f83e3119c3882e48e8415a9"
+    assert_records("lemmas", lemmas_records())
 
 
 def test_binary_joins_give_every_subset_join(classical_sig):
