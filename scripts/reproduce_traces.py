@@ -1,10 +1,8 @@
 """Regenerate the golden outputs and record files under tests/golden/.
 
-They are normative, and tests/conftest.py lists each of them once: CASES
-names the reduce, classify and verify runs whose output test_cli compares
-byte for byte, and RECORDS the test module function whose lines each
-record file holds.  The signature and rule scripts those runs read are
-committed inputs, not written here.  Run from the repository root:
+tests/conftest.py lists them once: CASES the CLI runs whose outputs
+test_cli compares byte for byte, RECORDS the test functions whose lines
+the record files hold.  Run from the repository root:
 
     python scripts/reproduce_traces.py
 """

@@ -11,9 +11,10 @@ Subcommands:
 
 Exit codes: 0 success / positive verdict; 2 parse error, unreadable or
 non-UTF-8 --sig/--strategy file, an --out file that cannot be written
-(nothing is printed then), no inequality for classify/reduce/verify or
-one for lemmas, or input nested too deeply; 3 no positive
-classification; 4 reduction failure; 5 quantifier budget exceeded.
+(nothing is printed then), no inequality for classify/reduce/verify, an
+inequality, --mode or --strategy for lemmas, or input nested too deeply;
+3 no positive classification; 4 reduction failure; 5 quantifier budget
+exceeded.
 Identical inputs and seed produce byte-identical outputs.
 """
 
@@ -45,9 +46,11 @@ def _build_parser() -> argparse.ArgumentParser:
                         "classify, reduce and verify take one, lemmas none")
     p.add_argument("--sig", dest="signature_path", default=None,
                    help="signature file (conn/term lines)")
-    p.add_argument("--mode", choices=["alba", "albae"], default="alba")
-    p.add_argument("--strategy", default="auto",
-                   help="'auto' or a rule-script file path")
+    p.add_argument("--mode", choices=["alba", "albae"], default=None,
+                   help="alba (the default) or albae; lemmas takes none")
+    p.add_argument("--strategy", default=None,
+                   help="'auto' (the default) or a rule-script file path; "
+                        "lemmas takes none")
     p.add_argument("--budget", type=int, default=3, metavar="N",
                    help="sweep size, 1 to 5: verify and lemmas check the "
                         "relational lattices on at most min(N, 3) points and 20 "
@@ -217,9 +220,14 @@ def cmd_lemmas(args: argparse.Namespace, sig: Signature) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.command == "lemmas" and args.inequality is not None:
-        print("error: lemmas takes no inequality", file=sys.stderr)
-        return EXIT_PARSE
+    if args.command == "lemmas":
+        for what, value in (("inequality", args.inequality), ("--mode", args.mode),
+                            ("--strategy", args.strategy)):
+            if value is not None:
+                print(f"error: lemmas takes no {what}", file=sys.stderr)
+                return EXIT_PARSE
+    args.mode = args.mode or "alba"
+    args.strategy = "auto" if args.strategy is None else args.strategy
     try:
         if args.command in ("verify", "lemmas") and not 1 <= args.budget <= 5:
             raise models.ModelError(f"--budget must be 1 to 5, got {args.budget}")

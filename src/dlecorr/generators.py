@@ -21,7 +21,7 @@ from . import classify
 from .engine import concretize
 from .language import (
     ANTI, BOT, MONO, ROLE_SPECS, ROLES, TOP, App, ConnectiveDecl, Inequality,
-    OrderType, RoleSpec, Signature, Term, Var, join, meet,
+    OrderType, Signature, Term, Var, join, meet,
 )
 
 VAR_NAMES = ("p", "q", "r")
@@ -58,19 +58,16 @@ class _Draw:
             self.dots = frozenset(ROLES)
         self.star = bool(self.dots)
 
-    def _dot_options(self, family: str | None = None) -> list[RoleSpec]:
-        """Drawable dotted markers, of one family unless ``family`` is None."""
-        return [spec for spec in ROLE_SPECS if spec.role in self.dots
+    def _dot_options(self, family: str | None = None) -> list[ConnectiveDecl]:
+        """Drawable dotted markers' declarations, of one family unless
+        ``family`` is None."""
+        return [spec.decl for spec in ROLE_SPECS if spec.role in self.dots
                 and family in (None, spec.family)]
 
-    def _slot(self, pick) -> tuple[ConnectiveDecl, int]:
-        """The declaration of a drawn ``"app:name"`` or dotted marker and the
-        coordinate to grow in: drawn for a declared connective, the one
-        coordinate of a marker."""
-        if isinstance(pick, RoleSpec):
-            return pick.decl, 0
-        decl = self.sig.decl(pick.split(":", 1)[1])
-        return decl, self.rng.randrange(decl.arity)
+    def _coord(self, decl: ConnectiveDecl) -> int:
+        """The coordinate to grow a drawn declaration in: drawn for a
+        declared connective, the one coordinate of a dotted marker."""
+        return 0 if decl.role else self.rng.randrange(decl.arity)
 
     def critical_at(self, sign: int) -> list[str]:
         return [v for v in self.variables if classify.is_critical(sign, self.eps[v])]
@@ -90,9 +87,7 @@ class _Draw:
             if vs and rng.random() < 0.7:
                 return Var(rng.choice(vs))
             return rng.choice((TOP, BOT))
-        options = ["meet", "join"]
-        options += [d.name for d in self.sig.connectives]
-        options += self._dot_options()
+        options = ["meet", "join", *self.sig.connectives, *self._dot_options()]
         pick = rng.choice(options)
         if pick == "meet":
             return meet(self.noncrit(sign, depth - 1, allowed),
@@ -100,8 +95,7 @@ class _Draw:
         if pick == "join":
             return join(self.noncrit(sign, depth - 1, allowed),
                         self.noncrit(sign, depth - 1, allowed))
-        decl = pick.decl if isinstance(pick, RoleSpec) else self.sig.decl(pick)
-        return self.applied(decl, sign, depth, allowed=allowed)
+        return self.applied(pick, sign, depth, allowed=allowed)
 
     def applied(self, decl: ConnectiveDecl, sign: int, depth: int, coord: int | None = None,
                 sub: Term | None = None, allowed=None) -> Term:
@@ -127,8 +121,7 @@ class _Draw:
         # SRA/SRR nodes: boxes on the positive side, diamonds on the negative
         family = "G" if sign == MONO else "F"
         options: list = ["lattice_sra"]
-        options += ["app:" + d.name for d in self.sig.connectives
-                    if d.family == family and d.arity >= 1]
+        options += [d for d in self.sig.connectives if d.family == family and d.arity >= 1]
         options += self._dot_options(family)
         pick = rng.choice(options)
         if pick == "lattice_sra":
@@ -137,14 +130,14 @@ class _Draw:
                 return None
             t, v = sub
             return (meet if sign == MONO else join)(t, self.noncrit(sign, depth - 1)), v
-        decl, coord = self._slot(pick)
-        sub = self.pia(sign * decl.tonicities()[coord], depth - 1)
+        coord = self._coord(pick)
+        sub = self.pia(sign * pick.tonicities()[coord], depth - 1)
         if sub is None:
             return None
         t, pivot = sub
         # SRR side terms: opposite-order-type agreeing, strictly smaller vars
         allowed = {q for q in self.variables if self.rank[q] < self.rank[pivot]}
-        return self.applied(decl, sign, depth, coord, t, allowed), pivot
+        return self.applied(pick, sign, depth, coord, t, allowed), pivot
 
     # -- skeleton sections -------------------------------------------------
 
@@ -156,8 +149,7 @@ class _Draw:
         # SLR nodes: diamonds on the positive side, boxes on the negative
         family = "F" if sign == MONO else "G"
         options: list = ["delta_both", "delta_one"]
-        options += ["app:" + d.name for d in self.sig.connectives
-                    if d.family == family and d.arity >= 1]
+        options += [d for d in self.sig.connectives if d.family == family and d.arity >= 1]
         options += self._dot_options(family)
         pick = rng.choice(options)
         if pick == "delta_both":
@@ -172,9 +164,9 @@ class _Draw:
                 return None
             other = self.noncrit(sign, depth - 1)
             return meet(sub, other) if sign == MONO else join(sub, other)
-        decl, coord = self._slot(pick)
-        sub = self.skel(sign * decl.tonicities()[coord], depth - 1)
-        return None if sub is None else self.applied(decl, sign, depth, coord, sub)
+        coord = self._coord(pick)
+        sub = self.skel(sign * pick.tonicities()[coord], depth - 1)
+        return None if sub is None else self.applied(pick, sign, depth, coord, sub)
 
 
 def random_inductive(rng: random.Random, sig: Signature, star: bool = False,

@@ -18,8 +18,7 @@ CLASSICAL_SIG_TEXT = SIG.read_text(encoding="utf-8")
 
 
 class Case(NamedTuple):
-    """A golden CLI case: the command whose output the file ``out`` under
-    tests/golden holds, and its exit code."""
+    """A CLI run whose output the golden file ``out`` holds."""
 
     out: str
     command: str
@@ -29,12 +28,10 @@ class Case(NamedTuple):
     code: int = 0
 
     def argv(self) -> list[str]:
-        argv = [self.command, self.ineq, "--sig", str(SIG), "--mode", self.mode]
-        if self.script:
-            argv += ["--strategy", str(GOLDEN / self.script)]
-        if self.command == "verify":  # the sweep of the posets of at most 2 points
-            argv += ["--budget", "2"]
-        return argv
+        script = ["--strategy", str(GOLDEN / self.script)] if self.script else []
+        # verify sweeps the posets of at most 2 points
+        budget = ["--budget", "2"] if self.command == "verify" else []
+        return [self.command, self.ineq, "--sig", str(SIG), "--mode", self.mode, *script, *budget]
 
 
 CHURCH_ROSSER = "dia(box(p)) <= box(dia(p))"
@@ -62,15 +59,9 @@ CASES = [
 
 # each record file under tests/golden, <name>.records, holds the lines of
 # the function <name>_records of its test module, one line per seeded input
-RECORDS = {
-    "reduction": "test_engine",
-    "classifier": "test_classify",
-    "oracle": "test_models",
-    "lemmas": "test_models",
-    "random_dle": "test_models",
-    "orbits": "test_models",
-    "normal_tables": "test_models",
-}
+RECORDS = {"reduction": "test_engine", "classifier": "test_classify", "oracle": "test_models",
+           "lemmas": "test_models", "random_dle": "test_models", "orbits": "test_models",
+           "normal_tables": "test_models"}
 
 
 def assert_records(name: str, lines: list[str]) -> None:

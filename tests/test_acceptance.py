@@ -5,14 +5,13 @@ numbers it established.  Tolerances are exact boolean agreement
 throughout (the subject matter is order-theoretic, not numeric).
 """
 
-import pathlib
 import random
 import subprocess
 import sys
 
 import pytest
 
-from conftest import adjoint, defined, dotted
+from conftest import CLASSICAL_SIG_TEXT, SIG, adjoint, defined, dotted
 from dlecorr import classify, engine, generators, models
 from dlecorr.engine import is_safe, run_alba
 from dlecorr.language import (
@@ -21,14 +20,10 @@ from dlecorr.language import (
 from dlecorr.models import antichain
 from dlecorr.parsing import parse_inequality, parse_signature
 
-GOLDEN = pathlib.Path(__file__).parent / "golden"
-
-SIG_TEXT = (GOLDEN / "classical.sig").read_text()
-
 
 @pytest.fixture(scope="module")
 def sig():
-    return parse_signature(SIG_TEXT)
+    return parse_signature(CLASSICAL_SIG_TEXT)
 
 
 @pytest.fixture(scope="module")
@@ -260,7 +255,7 @@ def test_criterion_8_determinism(tmp_path):
             r = subprocess.run(
                 [sys.executable, "-m", "dlecorr.cli", command,
                  "dia(box(dia(box(p)))) <= box(dia(box(dia(p))))",
-                 "--sig", str(GOLDEN / "classical.sig"), "--mode", "albae",
+                 "--sig", str(SIG), "--mode", "albae",
                  "--seed", "11", "--out", str(out)] + extra,
                 capture_output=True, text=True)
             assert r.returncode == 0, r.stdout + r.stderr

@@ -53,9 +53,7 @@ def test_cli_matches_golden(case, tmp_path):
     out = tmp_path / case.out
     r = run_cli(case.argv(), out=out)
     assert r.returncode == case.code, r.stderr
-    golden = (GOLDEN / case.out).read_bytes()
-    assert out.read_bytes() == golden
-    assert r.stdout.encode() == golden
+    assert out.read_bytes() == r.stdout.encode() == (GOLDEN / case.out).read_bytes()
 
 
 def test_every_golden_file_is_listed():
@@ -89,6 +87,10 @@ def test_lemmas_takes_no_inequality():
     # refused before any work, as a missing inequality is for the others
     r = run_cli(["lemmas", "p <= p", "--sig", str(SIG), "--budget", "1"])
     assert (r.returncode, r.stdout, r.stderr) == (2, "", "error: lemmas takes no inequality\n")
+    # nor the reduction's flags, even at their defaults: it would not read them
+    for flag, value in (("--mode", "alba"), ("--strategy", "auto")):
+        r = run_cli(["lemmas", "--sig", str(SIG), flag, value])
+        assert (r.returncode, r.stdout, r.stderr) == (2, "", f"error: lemmas takes no {flag}\n")
     r = run_cli(["reduce", "--sig", str(SIG)])
     assert (r.returncode, r.stdout, r.stderr) == \
         (2, "", "error: this command needs an inequality\n")

@@ -1,5 +1,4 @@
 import gc
-import hashlib
 import itertools
 import random
 import weakref
@@ -782,27 +781,9 @@ def reduction_records():
     return lines
 
 
-def test_reduction_traces_pinned(classical_sig):
-    # 800 seeded inputs, alternately random inductive inequalities (alba)
-    # and images of dotted random inductive ones (albae); the first attempt
-    # fails on 11 of them (8 alba, 3 albae).  The digest was taken while
-    # every attempt still ran stage one again
-    rng = random.Random(4)
-    digest = hashlib.sha256()
-    for k in range(800):
-        if k % 2 == 0:
-            sig = generators.random_signature(rng)
-            iq, mode = generators.random_inductive(rng, sig), "alba"
-        else:
-            sig = classical_sig
-            star = generators.random_inductive(rng, sig, star=True, max_depth=3)
-            iq, mode = generators.phi_image(star, sig), "albae"
-        d = run_alba(iq, sig, mode, "auto")
-        digest.update("\n".join(trace_lines(d)).encode() + b"\n\n")
-    assert digest.hexdigest() == \
-        "0866fd390b757eb51004a44c429276158d1c582ea84e1a6ab4bf6ec0bb18cfe1"
-
-
+def test_reduction_traces_pinned():
+    # the first attempt fails on 11 of the inputs (8 alba, 3 albae); the
+    # records were pinned while every attempt still ran stage one again
     assert_records("reduction", reduction_records())
 
 
