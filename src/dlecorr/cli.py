@@ -9,12 +9,14 @@ Subcommands:
                input and every rule step on a sweep of finite lattices
   lemmas    -- run the algebraic lemma suite over a lattice sweep
 
+Each command takes only the arguments it reads (dlecorr COMMAND -h).
+
 Exit codes: 0 success / positive verdict; 2 parse error, unreadable or
 non-UTF-8 --sig/--strategy file, an --out file that cannot be written
-(nothing is printed then), no inequality for classify/reduce/verify, an
-inequality, --mode or --strategy for lemmas, or input nested too deeply;
-3 no positive classification; 4 reduction failure; 5 quantifier budget
-exceeded.
+(nothing is printed then), an argument the command does not take or a
+missing inequality, or input nested too deeply; 3 no positive
+classification; 4 reduction failure, a divergence or unsound step, or a
+--budget outside 1 to 5; 5 quantifier budget exceeded.
 Identical inputs and seed produce byte-identical outputs.
 """
 
@@ -36,29 +38,24 @@ EXIT_REDUCE_FAILED = 4
 EXIT_BUDGET = 5
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="dlecorr",
-        description="correspondence calculus for distributive lattice expansions")
-    p.add_argument("command", choices=["classify", "reduce", "verify", "lemmas"])
-    p.add_argument("inequality", nargs="?", default=None,
-                   help="inequality text, e.g. 'dia(box(p)) <= box(dia(p))'; "
-                        "classify, reduce and verify take one, lemmas none")
-    p.add_argument("--sig", dest="signature_path", default=None,
-                   help="signature file (conn/term lines)")
-    p.add_argument("--mode", choices=["alba", "albae"], default=None,
-                   help="alba (the default) or albae; lemmas takes none")
-    p.add_argument("--strategy", default=None,
-                   help="'auto' (the default) or a rule-script file path; "
-                        "lemmas takes none")
-    p.add_argument("--budget", type=int, default=3, metavar="N",
-                   help="sweep size, 1 to 5: verify and lemmas check the "
-                        "relational lattices on at most min(N, 3) points and 20 "
-                        "random lattices on at most min(N, 4) points, so 4 and "
-                        "5 check the same lattices")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", dest="output_path", default=None)
-    return p
+# every argument a command can take; _COMMANDS lists each command's own
+_ARGUMENTS = {
+    "inequality": dict(help="inequality text, e.g. 'dia(box(p)) <= box(dia(p))'"),
+    "--sig": dict(dest="signature_path", metavar="PATH",
+                  help="signature file (conn/term lines)"),
+    "--mode": dict(choices=["alba", "albae"], default="alba",
+                   help="ALBA or ALBA^e (default %(default)s)"),
+    "--strategy": dict(default="auto", metavar="auto|SCRIPT",
+                       help="'auto' (the default) or a rule-script file path"),
+    "--budget": dict(type=int, default=3, metavar="N",
+                     help="sweep size, 1 to 5 (default %(default)s): the relational "
+                          "lattices on at most min(N, 3) points and 20 random "
+                          "lattices on at most min(N, 4) points"),
+    "--seed": dict(type=int, default=0, metavar="N",
+                   help="seed of the random lattices (default %(default)s)"),
+    "--out": dict(dest="output_path", metavar="PATH",
+                  help="also write the output to this file"),
+}
 
 
 def _read_text(path: str) -> str:
@@ -69,12 +66,6 @@ def _read_text(path: str) -> str:
             return fh.read()
     except UnicodeDecodeError as exc:
         raise OSError(f"{path}: not valid UTF-8 (byte {exc.start}: {exc.reason})") from exc
-
-
-def _load_signature(args: argparse.Namespace) -> Signature:
-    if args.signature_path is None:
-        return Signature(())
-    return parse_signature(_read_text(args.signature_path))
 
 
 def _emit(args: argparse.Namespace, lines: list[str]) -> None:
@@ -93,7 +84,8 @@ def _omega_str(omega) -> str:
     return "{" + ",".join(f"{a}<{b}" for a, b in sorted(omega)) + "}"
 
 
-def cmd_classify(args: argparse.Namespace, ineq: Inequality, sig: Signature) -> int:
+def cmd_classify(args: argparse.Namespace, sig: Signature) -> int:
+    ineq = parse_inequality(args.inequality, sig, Layer.DLESTAR)
     lines = [f"inequality: {print_inequality(ineq)}"]
     positive = False
     eps = classify.is_sahlqvist(ineq)
@@ -129,12 +121,14 @@ def cmd_classify(args: argparse.Namespace, ineq: Inequality, sig: Signature) -> 
     return EXIT_OK if positive else EXIT_NO_VERDICT
 
 
-def _run_reduction(args: argparse.Namespace, ineq: Inequality,
-                   sig: Signature) -> engine.Derivation:
-    if args.strategy == "auto":
-        return engine.run_alba(ineq, sig, args.mode, "auto")
-    return engine.run_alba(ineq, sig, args.mode, "script",
-                           script=_read_text(args.strategy))
+def _run_reduction(args: argparse.Namespace,
+                   sig: Signature) -> tuple[Inequality, engine.Derivation]:
+    # script replays may start from expanded-language inequalities; auto
+    # reduction, like classification, takes base/dotted inputs
+    auto = args.strategy == "auto"
+    ineq = parse_inequality(args.inequality, sig, Layer.DLESTAR if auto else Layer.DLEPP)
+    script = None if auto else _read_text(args.strategy)
+    return ineq, engine.run_alba(ineq, sig, args.mode, "auto" if auto else "script", script)
 
 
 def _result_lines(d: engine.Derivation) -> list[str]:
@@ -151,8 +145,8 @@ def _result_lines(d: engine.Derivation) -> list[str]:
     return lines
 
 
-def cmd_reduce(args: argparse.Namespace, ineq: Inequality, sig: Signature) -> int:
-    d = _run_reduction(args, ineq, sig)
+def cmd_reduce(args: argparse.Namespace, sig: Signature) -> int:
+    _, d = _run_reduction(args, sig)
     _emit(args, _result_lines(d))
     return EXIT_OK if d.status.kind == "success" else EXIT_REDUCE_FAILED
 
@@ -169,8 +163,8 @@ def _sweep_lattices(args: argparse.Namespace,
     return out
 
 
-def cmd_verify(args: argparse.Namespace, ineq: Inequality, sig: Signature) -> int:
-    d = _run_reduction(args, ineq, sig)
+def cmd_verify(args: argparse.Namespace, sig: Signature) -> int:
+    ineq, d = _run_reduction(args, sig)
     if d.status.kind != "success":
         _emit(args, _result_lines(d))
         return EXIT_REDUCE_FAILED
@@ -185,7 +179,7 @@ def cmd_verify(args: argparse.Namespace, ineq: Inequality, sig: Signature) -> in
     steps_bad = 0
     steps_total = 0
     for rule, parent_sys, children in engine.rule_steps(d):
-        for dle in lattices[:25]:
+        for dle in lattices:
             if d.mode == "albae" and not models.role_axioms_hold(dle):
                 continue
             steps_total += 1
@@ -218,34 +212,36 @@ def cmd_lemmas(args: argparse.Namespace, sig: Signature) -> int:
     return EXIT_OK if bad == 0 else EXIT_REDUCE_FAILED
 
 
+# each command and the arguments it reads, in the order its usage lists them
+_COMMANDS = {
+    "classify": (cmd_classify, ("inequality", "--sig", "--out")),
+    "reduce": (cmd_reduce, ("inequality", "--sig", "--mode", "--strategy", "--out")),
+    "verify": (cmd_verify, ("inequality", "--sig", "--mode", "--strategy", "--budget",
+                            "--seed", "--out")),
+    "lemmas": (cmd_lemmas, ("--sig", "--budget", "--seed", "--out")),
+}
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    p = argparse.ArgumentParser(prog="dlecorr", description=__doc__,
+                                formatter_class=argparse.RawDescriptionHelpFormatter)
+    commands = p.add_subparsers(dest="command", required=True)
+    for name, (run, arguments) in _COMMANDS.items():
+        sub = commands.add_parser(name)
+        sub.set_defaults(run=run)
+        for argument in arguments:
+            sub.add_argument(argument, **_ARGUMENTS[argument])
+    return p
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.command == "lemmas":
-        for what, value in (("inequality", args.inequality), ("--mode", args.mode),
-                            ("--strategy", args.strategy)):
-            if value is not None:
-                print(f"error: lemmas takes no {what}", file=sys.stderr)
-                return EXIT_PARSE
-    args.mode = args.mode or "alba"
-    args.strategy = "auto" if args.strategy is None else args.strategy
     try:
-        if args.command in ("verify", "lemmas") and not 1 <= args.budget <= 5:
+        if "budget" in args and not 1 <= args.budget <= 5:
             raise models.ModelError(f"--budget must be 1 to 5, got {args.budget}")
-        sig = _load_signature(args)
-        if args.command == "lemmas":
-            return cmd_lemmas(args, sig)
-        if args.inequality is None:
-            print("error: this command needs an inequality", file=sys.stderr)
-            return EXIT_PARSE
-        # script replays may start from expanded-language inequalities;
-        # classification and auto reduction take base/dotted inputs
-        layer = Layer.DLEPP if args.strategy != "auto" else Layer.DLESTAR
-        ineq = parse_inequality(args.inequality, sig, layer)
-        if args.command == "classify":
-            return cmd_classify(args, ineq, sig)
-        if args.command == "reduce":
-            return cmd_reduce(args, ineq, sig)
-        return cmd_verify(args, ineq, sig)
+        sig = Signature(()) if args.signature_path is None else \
+            parse_signature(_read_text(args.signature_path))
+        return args.run(args, sig)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE

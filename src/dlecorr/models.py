@@ -472,9 +472,6 @@ class FiniteDLE:
         masks = bytes(self.elements).translate(flip).translate(pre)
         return list(masks.translate(closure).translate(flip).translate(sk.index_of))
 
-    def op_value(self, name: str, args: tuple[int, ...]) -> int:
-        return _read(self.ops[name], args)
-
     def _validate_normality(self, decl, table) -> None:
         """``table`` is a nested list, ``decl.arity`` deep, of element
         indices; each coordinate sends its unit to the operation's bound

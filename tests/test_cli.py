@@ -83,17 +83,42 @@ def test_unwritable_out_file_exit_two(tmp_path):
     assert r.stdout == "" and not out.parent.exists()
 
 
-def test_lemmas_takes_no_inequality():
-    # refused before any work, as a missing inequality is for the others
-    r = run_cli(["lemmas", "p <= p", "--sig", str(SIG), "--budget", "1"])
-    assert (r.returncode, r.stdout, r.stderr) == (2, "", "error: lemmas takes no inequality\n")
-    # nor the reduction's flags, even at their defaults: it would not read them
-    for flag, value in (("--mode", "alba"), ("--strategy", "auto")):
-        r = run_cli(["lemmas", "--sig", str(SIG), flag, value])
-        assert (r.returncode, r.stdout, r.stderr) == (2, "", f"error: lemmas takes no {flag}\n")
-    r = run_cli(["reduce", "--sig", str(SIG)])
-    assert (r.returncode, r.stdout, r.stderr) == \
-        (2, "", "error: this command needs an inequality\n")
+# the arguments each command reads, besides --out, which each reads
+TAKES = {
+    "classify": {"inequality", "--sig"},
+    "reduce": {"inequality", "--sig", "--mode", "--strategy"},
+    "verify": {"inequality", "--sig", "--mode", "--strategy", "--budget", "--seed"},
+    "lemmas": {"--sig", "--budget", "--seed"},
+}
+GIVEN = {"inequality": ["p <= p"], "--sig": ["--sig", str(SIG)], "--mode": ["--mode", "alba"],
+         "--strategy": ["--strategy", "auto"], "--budget": ["--budget", "1"],
+         "--seed": ["--seed", "1"]}
+
+
+def test_a_command_takes_only_the_arguments_it_reads(tmp_path, capsys):
+    # an argument the command does not read, even at its default value, is
+    # a usage error before any work, as a missing inequality is; argparse's
+    # wording differs between Python versions, so stderr is matched by the
+    # argument it names
+    from dlecorr import cli
+    out = tmp_path / "out.txt"
+
+    def refused(argv, named):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*argv, "--out", str(out)])
+        printed = capsys.readouterr()
+        assert (exc.value.code, printed.out, out.exists()) == (2, "", False), argv
+        assert named in printed.err, (argv, printed.err)
+
+    refusals = 0
+    for command, takes in TAKES.items():
+        needed = GIVEN["inequality"] if "inequality" in takes else []
+        for arg in sorted(GIVEN.keys() - takes):
+            refused([command, *needed, *GIVEN[arg]], GIVEN[arg][0])
+            refusals += 1
+        if needed:
+            refused([command], "inequality")
+    assert refusals == 9
 
 
 def test_deeply_nested_input_exit_two():

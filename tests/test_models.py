@@ -299,7 +299,7 @@ def test_residuation_law_on_mixed_order_types(mixed_sig):
                         inner[coord - 1] = y
                         rv = _lookup(res, inner)
                         x = args[coord - 1]
-                        v = dle.op_value(decl.name, args)
+                        v = _lookup(dle.ops[decl.name], args)
                         lhs = dle.leq(v, y) if decl.family == "F" else dle.leq(y, v)
                         below = (decl.family == "F") == \
                             (decl.order_type[coord - 1] == "1")
@@ -1340,7 +1340,7 @@ def test_load_dle_text_format(classical_sig, mixed_sig):
     lines = ["points 2"]
     for decl in mixed_sig.connectives:
         source.add_op(decl.name, models.random_normal_table(rng, source, decl))
-        values = [source.op_value(decl.name, args)
+        values = [_lookup(source.ops[decl.name], args)
                   for args in product(range(source.n_elem), repeat=decl.arity)]
         lines.append(f"table {decl.name} : " + " ".join(map(str, values)))
     dle3 = load_dle("\n".join(lines), mixed_sig)
