@@ -222,20 +222,25 @@ _COMMANDS = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each command's own."""
     p = argparse.ArgumentParser(prog="dlecorr", description=__doc__,
                                 formatter_class=argparse.RawDescriptionHelpFormatter)
     commands = p.add_subparsers(dest="command", required=True)
+    parsers = {}
     for name, (run, arguments) in _COMMANDS.items():
-        sub = commands.add_parser(name)
+        sub = parsers[name] = commands.add_parser(name)
         sub.set_defaults(run=run)
         for argument in arguments:
             sub.add_argument(argument, **_ARGUMENTS[argument])
-    return p
+    return p, parsers
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser, commands = _build_parser()
+    args, extra = parser.parse_known_args(argv)
+    if extra:  # refused by the command, with its usage, as a missing argument is
+        commands[args.command].error("unrecognized arguments: " + " ".join(extra))
     try:
         if "budget" in args and not 1 <= args.budget <= 5:
             raise models.ModelError(f"--budget must be 1 to 5, got {args.budget}")

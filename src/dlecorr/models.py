@@ -12,79 +12,54 @@ Operations for the signature's connectives are given by tables, by
 relational generators (diamond/box of a binary relation on the points,
 forced into the lattice with an upward closure/interior), or sampled
 from values on irreducible tuples, which produces normal operations by
-construction.  Derived tables are built from the irreducibles in one
-pass and cached: the defined modalities off the role terms, and every
-residual (the adjoints and the lattice implications included) off its
-normal operation's table.
+construction.
+
+Derived tables (the role terms, the defined modalities off them, and
+every residual, the adjoints and the lattice implications included) are
+built in bulk and cached in the lattice's ``_cache``, under keys that are
+tuples starting with a string; a known table, like the role axioms'
+verdicts, is one dict read.  A defined modality and each vector of a
+residual are pushed from the irreducibles (``_push``),
+bit-sliced over the elements, one byte each: the value's upset mask
+times the skeleton's int of the elements above or below the
+irreducible, or-ed over the irreducibles and read back to indices by one
+``bytes.translate``.  A residual in any coordinate of any arity takes
+that one path, its other coordinates moved round by zip-transposes.
 
 Quantified checks (validity, pure quasi-inequalities, rule soundness)
 enumerate valuations: propositional variables over all elements,
 nominals over join-irreducibles, conominals over meet-irreducibles.  A
 budget caps the number of valuations, counted in enumeration order up to
 the one found, whether tried or skipped; exceeding it raises
-BudgetExceeded rather than truncating silently.
-
-The quantified checks run through plans (``_Plan``), built once per
-tuple of terms, independent of the lattice, and kept in a bounded
-cache.  Terms are interned, so the cache key hashes and compares only
-the identities of its terms; a system keeps its tuple of check terms
-(``System.check_terms``), so checking a known system builds no key.  A
-plan fixes the symbol order, evaluates equal subterms once and
-compiles one search kernel: a loop nest, one loop per symbol, with each
-subterm evaluated at the outermost loop where all its symbols are bound,
-and each order test there too, where a premise that fails or a goal that
-holds skips the valuations below it and counts them as a block; the
-kernel takes the lattice and binds its tables and domains itself.  A
-plan keeps only its symbols, heads and kernel.  Slim, 4096 of them fit in
-little memory, and the cache's one bound is set there: checking every
-rule step of 650 seeded derivations cycles through 2700-2900 distinct
-plans, and a pass that finds them all cached compiles nothing.
-``eval_term`` reads one term under one valuation off the head tables, a
-role table its term at every element, one node at a time: neither
-compiles anything.
-
-``verify_rule_step`` keeps a verdict memo on each lattice, in the cache
-of its derived tables, keyed by a system's check terms (a tuple of
-terms, never equal to a derived table's key): the child of one rule
-step is the parent of the next, so each system is searched once per
-lattice.  The memo holds no plan, whose kernel would outlive the plan
-cache's bound.  The budget counts the valuations each verdict stands
-for: a known verdict spends what its search spent, and exceeds the
-budget at the same count.  A known verdict is one dict read and one
-budget addition (``Budget.replay``).  ``add_op`` clears the memo with
-the tables.
-The other checks keep no verdicts, so the many lattices of a sweep
-hold none.
+BudgetExceeded rather than truncating silently.  They run through
+compiled search kernels (``_Plan``), one per tuple of interned terms,
+kept in a bounded cache.  ``verify_rule_step`` keeps one verdict per
+system on each lattice, in ``_cache`` under the system's check terms (a
+tuple of terms, never equal to a derived table's key); ``add_op`` clears
+the tables and verdicts, and the other checks keep none.
 
 ``check_lemma_suite`` and ``role_axiom_holds`` check every element pair
 bit-sliced, one byte per pair (a, b) in row-major order: a table becomes
 a 256-byte translation table from element index to the upset mask of its
 value, the poset's pair strings read through it give the table at every
 pair as one int, and on such ints the lattice's join is ``|``, its meet
-``&`` and its order inclusion, so a check over all pairs is a few
-C-level operations.  A mask fits a byte, as ``MAX_POINTS`` is 8, and an
-index too, as a lattice then has at most 256 elements.
+``&`` and its order inclusion.  A mask fits a byte, as ``MAX_POINTS`` is
+8, and an index too, as a lattice then has at most 256 elements.
 
 The part of a lattice that depends only on its poset (elements, bounds,
-join, meet and order tables, irreducibles, the pair checks' strings) is
-built once per ``Poset`` and shared, read-only, by every lattice on it.
+join, meet and order tables, irreducibles, the bit-sliced ints and
+translation tables) is built once per ``Poset`` and shared, read-only,
+by every lattice on it.
 
-The relational sweep is built by codes.  A relation on n points is the
-code sum(rows[i] << n*i); ``canonical_relations`` walks the 2^(n*n)
-codes in ascending order and keeps the first unmarked one, its orbit's
-least member, marking its images under the poset's automorphisms, one
-byte per code (``_orbit_representatives``, which picks the posets up to
-isomorphism the same way).  Relations are enumerated on at most
-``RELATION_POINTS`` (4) points: 5 would walk 2^25 codes.  A relation's
-diamond and box tables are read off 256-byte translation tables over
-point masks: its preimage (``Relation.preimages``, computed once per
-relation of the sweep) and the poset's upward and downward closures,
-complement and mask-to-index tables, a few ``bytes.translate`` calls
-per table.
+The relational sweep walks relations by code, one per orbit under the
+poset's automorphisms (``canonical_relations``), on at most
+``RELATION_POINTS`` (4) points; a relation's diamond and box tables are a
+few ``bytes.translate`` calls over point masks.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, reduce
 from itertools import permutations, product
@@ -104,6 +79,10 @@ DEFAULT_BUDGET = 10 ** 7
 # relations are enumerated by code, 2^(n*n) of them on n points, with one
 # orbit mark per code: 64 KiB at 4 points, 32 MiB at 5
 RELATION_POINTS = 4
+# the cache keys of each role's tables and axiom verdict: a lattice stores
+# these tuples, not its own equal ones, so its keys take no memory
+_ROLE_KEYS = {key: key for role in SPEC_BY_ROLE
+              for key in (("role", role), ("def", role), ("axiom", role))}
 
 
 class ModelError(ValueError):
@@ -186,25 +165,23 @@ class Poset:
 
 class _Skeleton:
     """The upsets of a poset as element indices, in ascending mask order,
-    with the bounds, the join, meet and order tables, the elements above
-    and below each element and the irreducibles, and what the bit-sliced
-    pair checks read: the translation table from element index to upset
-    mask (``mask_of``), the arguments of every element pair (a, b), byte
-    ``a * n_elem + b`` of ``pair_a`` and ``pair_b``, the join and meet
-    tables flattened in that order, and, bit-sliced over the elements,
-    the join-irreducibles below each (``jirr_below[x]``: byte u is 1
-    exactly when ``jirr[x]`` lies below u).  The relational tables read
-    translation tables over point masks: upset mask to element index
-    (``index_of``), upward and downward closure and complement.  An
-    index fits a byte, as a lattice has at most 256 elements.  Nothing writes to these tables, so
-    lattices share them; each lattice copies the ``LATTICE`` slots as
-    attributes of its own and reads the others here."""
+    with the bounds, the join, meet and order tables, the irreducibles,
+    and, bit-sliced over the elements, one byte each, the elements above
+    each element x (``above[x]``: byte u is 1 exactly when x lies below
+    u) and below it.  Translation tables: element index to upset mask
+    (``mask_of``); ``codes[join]``, that and upset mask back to index,
+    for a meet (``join`` false) both through the complement, as a meet is
+    the complement of the join of the complements; upward and downward
+    closure over point masks.  The pair checks read every element pair
+    (a, b) as byte ``a * n_elem + b`` of ``pair_a`` and ``pair_b``, and
+    the join and meet tables flattened in that order.  Nothing writes to
+    these tables, so lattices share them; each lattice copies the
+    ``LATTICE`` slots as attributes of its own."""
 
     LATTICE = ("elements", "index", "n_elem", "bot", "top", "join_table",
-               "meet_table", "leq_table", "above", "below", "jirr", "mirr")
-    __slots__ = LATTICE + ("mask_of", "pair_a", "pair_b", "join_flat",
-                           "meet_flat", "jirr_below", "index_of", "upclose",
-                           "downclose", "complement")
+               "meet_table", "leq_table", "jirr", "mirr")
+    __slots__ = LATTICE + ("above", "below", "mask_of", "codes", "pair_a", "pair_b",
+                           "join_flat", "meet_flat", "upclose", "downclose")
 
     def __init__(self, poset: Poset):
         full = (1 << poset.n) - 1
@@ -220,25 +197,22 @@ class _Skeleton:
                            for a in self.elements]
         self.leq_table = [[(a & ~b) == 0 for b in self.elements]
                           for a in self.elements]
-        self.above = [[u for u, le in enumerate(row) if le] for row in self.leq_table]
-        self.below = [[u for u, ge in enumerate(col) if ge]
-                      for col in zip(*self.leq_table)]
+        self.above = tuple(int.from_bytes(bytes(row), "little") for row in self.leq_table)
+        self.below = tuple(int.from_bytes(bytes(col), "little")
+                           for col in zip(*self.leq_table))
         self.jirr = tuple(self.index[poset.up[x]] for x in range(poset.n))
         self.mirr = tuple(self.index[full & ~poset.down(x)] for x in range(poset.n))
         r = range(self.n_elem)
         self.mask_of = bytes(self.elements).ljust(256, b"\0")
+        self.codes = tuple((bytes(flip ^ m for m in self.elements).ljust(256, b"\0"),
+                            bytes(self.index.get(flip ^ m, 0) for m in range(256)))
+                           for flip in (full, 0))
         self.pair_a = bytes(a for a in r for _ in r)
         self.pair_b = bytes(r) * self.n_elem
         self.join_flat = bytes(v for row in self.join_table for v in row)
         self.meet_flat = bytes(v for row in self.meet_table for v in row)
-        # the principal upset of x lies below the upset u iff x is in u
-        self.jirr_below = tuple(
-            int.from_bytes(bytes(u >> x & 1 for u in self.elements), "little")
-            for x in range(poset.n))
-        self.index_of = bytes(self.index.get(m, 0) for m in range(256))
         self.upclose = _unions(poset.up)
         self.downclose = _unions([poset.down(x) for x in range(poset.n)])
-        self.complement = bytes(full ^ m for m in range(full + 1)).ljust(256, b"\0")
         # denseness at finite scale: every element is the join of the
         # irreducibles below it and the meet of those above it
         ups = [self.elements[j] for j in self.jirr]
@@ -466,17 +440,18 @@ class FiniteDLE:
         if decl.arity != 1 or decl.order_type[0] != "1":
             raise ModelError(
                 f"relational generator only fits unary (1) connectives, not {decl.name}")
-        sk = self.poset.skeleton
-        flip, closure = ((None, sk.upclose) if decl.family == "F"
-                         else (sk.complement, sk.downclose))
-        masks = bytes(self.elements).translate(flip).translate(pre)
-        return list(masks.translate(closure).translate(flip).translate(sk.index_of))
+        sk, is_f = self.poset.skeleton, decl.family == "F"
+        into, out = sk.codes[is_f]
+        closure = sk.upclose if is_f else sk.downclose
+        return list(into[:self.n_elem].translate(pre).translate(closure).translate(out))
 
     def _validate_normality(self, decl, table) -> None:
         """``table`` is a nested list, ``decl.arity`` deep, of element
         indices; each coordinate sends its unit to the operation's bound
         (bottom for F, top for G) and turns binary joins (bottom-unit
-        coordinates) or meets into joins (F) or meets (G) of values."""
+        coordinates) or meets into joins (F) or meets (G) of values,
+        checked at every pair at once (``_pair_sides``) on each vector of
+        the table along the coordinate."""
         arity, n = decl.arity, self.n_elem
         if not _well_formed(table, arity, n):
             raise ModelError(f"{decl.name} needs " + (
@@ -484,121 +459,115 @@ class FiniteDLE:
                 f"a table nested {arity} deep with {n} rows a level and entries below {n}"))
         if arity == 0:
             return
-        if decl.family == "F":
-            bound, bound_name, outer = self.bot, "bottom", self.join_table
-        else:
-            bound, bound_name, outer = self.top, "top", self.meet_table
-        idx_ranges = [range(n)] * (arity - 1)
+        is_f = decl.family == "F"
+        bound, bound_name = (self.bot, "bottom") if is_f else (self.top, "top")
         for coord, tone in enumerate(decl.tonicities()):
-            if bot_unit(decl.family, tone):
-                unit, inner = self.bot, self.join_table
-            else:
-                unit, inner = self.top, self.meet_table
-            for rest in product(*idx_ranges):
-                def val(x: int) -> int:
-                    return _read(table, (*rest[:coord], x, *rest[coord:]))
-
-                if val(unit) != bound:
+            bot = bot_unit(decl.family, tone)
+            for rest, val in zip(product(range(n), repeat=arity - 1),
+                                 _vectors(table, coord, arity)):
+                if val[self.bot if bot else self.top] != bound:
                     raise NormalityError(
                         f"{decl.name} coordinate {coord + 1}: unit not "
                         f"sent to {bound_name} (args {rest})")
-                for a in range(n):
-                    for b in range(a + 1, n):
-                        if val(inner[a][b]) != outer[val(a)][val(b)]:
-                            raise NormalityError(
-                                f"{decl.name} coordinate {coord + 1} fails "
-                                f"normality at elements "
-                                f"{self.element_points(a)},{self.element_points(b)}"
-                                f" (args {rest})")
+                x, y = _pair_sides(self.poset.skeleton, val, bot, is_f)
+                if x != y:  # the lowest byte that differs: the first pair, a < b
+                    diff = x ^ y
+                    a, b = divmod((diff & -diff).bit_length() - 1 >> 3, n)
+                    raise NormalityError(
+                        f"{decl.name} coordinate {coord + 1} fails normality at elements "
+                        f"{self.element_points(a)},{self.element_points(b)} (args {rest})")
 
     # -- derived tables (cached) ------------------------------------------
 
-    def _cached(self, key, build):
-        if key not in self._cache:
-            self._cache[key] = build()
-        return self._cache[key]
-
     def role_table(self, role: str) -> list[int]:
-        reg = self.sig.role(role)
-        if reg is None:
-            raise ModelError(f"role {role!r} has no registered term")
-        return self._cached(("role", role), lambda: list(_row(reg.term, reg.var, self)))
+        key = "role", role
+        table = self._cache.get(key)
+        if table is None:
+            reg = self.sig.role(role)
+            if reg is None:
+                raise ModelError(f"role {role!r} has no registered term")
+            table = self._cache[_ROLE_KEYS.get(key, key)] = _row(reg.term, reg.var, self)
+        return table
 
-    def _push(self, pairs, up: bool, join: bool) -> list[int]:
+    def _push(self, xs, vs, up: bool, join: bool) -> list[int]:
         """The table whose entry at u joins (``join``) or meets the values
-        v of the pairs (x, v) with x below u (``up``) or above it, pushed
-        there as upset masks; a meet is the complement of the join of
-        complements."""
-        flip, acc = 0 if join else self.elements[self.top], [0] * self.n_elem
-        reach = self.above if up else self.below
-        for x, v in pairs:
-            mask = self.elements[v] ^ flip
-            for u in reach[x]:
-                acc[u] |= mask
-        return [self.index[m ^ flip] for m in acc]
+        ``vs[k]`` whose ``xs[k]`` lies below u (``up``) or above it.
+        Bit-sliced, one byte per element: one multiply-or per pair places
+        the value's upset mask (complemented for a meet) at the elements
+        above or below x, and one translation reads the masks back as
+        indices (``_Skeleton.codes``)."""
+        sk = self.poset.skeleton
+        into, out = sk.codes[join]
+        reach, acc = sk.above if up else sk.below, 0
+        for x, mask in zip(xs, bytes(vs).translate(into)):
+            acc |= reach[x] * mask
+        return list(acc.to_bytes(self.n_elem, "little").translate(out))
 
     def def_table(self, role: str) -> list[int]:
         """The defined modality: the role term read off the irreducibles
         below (bottom-unit roles) or above the argument, joined for F
         roles and met for G roles."""
-        spec = SPEC_BY_ROLE[role]
-
-        def build():
+        key = "def", role
+        table = self._cache.get(key)
+        if table is None:
+            spec = SPEC_BY_ROLE[role]
             f, gens = self.role_table(role), self.jirr if spec.bot_unit else self.mirr
-            return self._push(((x, f[x]) for x in gens), spec.bot_unit,
-                              spec.family == "F")
-
-        return self._cached(("def", role), build)
+            table = self._cache[_ROLE_KEYS.get(key, key)] = self._push(
+                gens, map(f.__getitem__, gens), spec.bot_unit, spec.family == "F")
+        return table
 
     def op_table(self, decl):
-        """The table of the operation ``decl``: the lattice's meet or join
-        (``MEET``, ``JOIN``), a defined modality's
-        (``RoleSpec.defined_decl``) or the one in ``ops``, where a
-        connective and a dotted marker may share a name and so a table.
-        The meet and the join are found by name, which no signature can
-        declare (``HARD_RESERVED``), a defined modality by its
-        declaration (``SPEC_BY_DEFINED``)."""
+        """The table of the operation ``decl``: the one in ``ops``, by name,
+        where a connective and a dotted marker may share a name and so a
+        table, else the lattice's meet or join, or a defined modality's
+        (``SPEC_BY_DEFINED``), whose names no signature can declare
+        (``HARD_RESERVED``)."""
         name = decl.name
+        table = self.ops.get(name)
+        if table is not None:
+            return table
         if name == MEET.name:
             return self.meet_table
         if name == JOIN.name:
             return self.join_table
         spec = SPEC_BY_DEFINED.get(decl)
-        if spec is not None:
-            return self.def_table(spec.role)
-        if name not in self.ops:
+        if spec is None:
             raise ModelError(f"no table for connective {name!r}")
-        return self.ops[name]
+        return self.def_table(spec.role)
 
     def residual_table(self, decl, coord: int):
         """The residual of the normal operation ``decl`` in ``coord``: at
         each argument tuple, the join (bottom-unit coordinates) or meet of
         the elements w, by normality the irreducibles w, whose value, the
         operation's with w in ``coord`` (``op_table``), lies below (F) or
-        above (G) the residuated argument.  (A table added unvalidated that
-        is not normal is no DLE operation.)  The cache key holds the
-        declaration as plain values that hash fast; a residual of a dotted
-        marker shares its entry with that of a connective of its name."""
-        def build():
-            table = self.op_table(decl)
+        above (G) the residuated argument (``_residual``).  (A table added
+        unvalidated that is not normal is no DLE operation.)  The cache key
+        holds the declaration as plain values that hash fast; a residual of
+        a dotted marker shares its entry with that of a connective of its
+        name."""
+        key = "res", decl.name, decl.family, decl.order_type.entries, coord
+        table = self._cache.get(key)
+        if table is None:
+            op = self.op_table(decl)
             if decl.arity > 3:
                 raise ModelError("residual tables support arity <= 3")
-            h, n = coord - 1, self.n_elem
+            h, up = coord - 1, decl.family == "F"
             bot = bot_unit(decl.family, decl.tonicities()[h])
             gens = self.jirr if bot else self.mirr
+            table = self._cache[key] = self._residual(op, h, decl.arity, gens, up, bot)
+        return table
 
-            def column(rest):  # at the other coordinates' arguments
-                return self._push(((_read(table, rest[:h] + (x,) + rest[h:]), x)
-                                   for x in gens), decl.family == "F", bot)
-
-            last = _tabulate(n, decl.arity - 1, column)  # residuated argument last
-            if h == decl.arity - 1:
-                return last
-            return _tabulate(n, decl.arity, lambda args: _read(
-                last, args[:h] + args[h + 1:] + args[h:h + 1]))
-
-        return self._cached(
-            ("res", decl.name, decl.family, decl.order_type.entries, coord), build)
+    def _residual(self, table, h: int, arity: int, gens, up: bool, join: bool):
+        """Each vector of ``table``, ``arity`` deep, along axis ``h``, read
+        at the irreducibles ``gens`` and pushed to the residual's vector
+        there, in every arity: the axes after h are moved in front of it
+        and back by zip-transposes, a call per vector, none per entry."""
+        if arity == 1:
+            return self._push(map(table.__getitem__, gens), gens, up, join)
+        if h:
+            return [self._residual(row, h - 1, arity - 1, gens, up, join) for row in table]
+        return [list(v) for v in zip(*[self._residual(col, 0, arity - 1, gens, up, join)
+                                       for col in zip(*table)])]
 
     def black_table(self, role: str) -> list[int]:
         """The adjoint of the defined modality of ``role``."""
@@ -665,13 +634,13 @@ class _Plan:
     expression that reads it.  Each order test is made at the outermost
     loop where both its terms are bound: a premise that fails there, or
     the goal that holds there, decides the whole block of valuations
-    below, which the kernel skips and counts in one addition of its size
-    (raising, as ``Budget.replay`` does, if that passes the room left).
-    The tests past the last loop that decides are made on each valuation:
-    symbols past the first 16 are bound by one ``itertools.product``
-    loop, which skips nothing.  The generated code names the tables
-    ``T<h>``, symbols ``s<i>``, values ``v<k>`` and block sizes ``B<d>``,
-    so no name from the terms reaches its source.
+    below, which the kernel skips and counts in one addition of its size.
+    A value of that loop that only loops further in read is computed after
+    the skip test.  The tests past the last loop that decides are made on
+    each valuation: symbols past the first 16 are bound by one
+    ``itertools.product`` loop, which skips nothing.  The generated code
+    names the tables ``T<h>``, symbols ``s<i>``, values ``v<k>`` and block
+    sizes ``B<d>``, so no name from the terms reaches its source.
 
     ``search(dle, heads, budget)``, called with the plan's own ``heads``
     (one term per distinct head), returns the first environment, in
@@ -682,11 +651,11 @@ class _Plan:
     head, or a missing connective with its error, through
     ``_head_table``, which builds a derived table on first use.  Each
     environment in enumeration order up to the one returned, or to the
-    last, tried or skipped, is one unit of ``budget``, spent in one call
-    once the room left in it is used, on success and at the end; the
-    skips change neither the environment returned nor the count.  The analysis
-    (``_analyse``) is dropped once ``search`` is compiled: a plan keeps
-    only its symbols, heads and kernel.
+    last, tried or skipped, is one unit of ``budget``, counted against the
+    room left in it: past that room it is spent through ``Budget.spend``
+    or ``Budget.replay``, which raise, else added in one step on success
+    and at the end.  The skips change neither the environment returned nor
+    the count.  A plan keeps only its symbols, heads and kernel.
     """
 
     __slots__ = ("symbols", "heads", "search")
@@ -696,10 +665,13 @@ class _Plan:
         self.search = _define("search", self._search_lines(steps, outputs))
 
     def valuation(self, env: tuple[int, ...]) -> Valuation:
-        val = Valuation()
+        var: dict[str, int] = {}
+        nom: dict[str, int] = {}
+        conom: dict[str, int] = {}
+        maps = {"var": var, "nom": nom, "conom": conom}
         for (kind, name), x in zip(self.symbols, env):
-            val.of_kind(kind)[name] = x
-        return val
+            maps[kind][name] = x
+        return Valuation(var, nom, conom)
 
     def _search_lines(self, steps: list[list[str]], outputs: list) -> list[str]:
         k = len(self.symbols)
@@ -728,12 +700,16 @@ class _Plan:
             if d:
                 lines.append(f"{indent}for s{d - 1} in {domain[d - 1]}:")
                 indent += "    "
-            lines += [indent + step for step in steps[d]]
+            # the values the level's skip test reads come before it, the
+            # others, read only further in, after it
+            tested = _read_by(steps[d], decides[d])
+            lines += [indent + step for step in steps[d] if step in tested]
             if decides[d]:
                 lines.append(f"{indent}if {' or '.join(decides[d])}:")
                 lines += [f"{indent}    {line}" for line in (
                     ["budget.replay(B0)", "return"] if d == 0 else
                     [f"n += B{d}", "if n > room:", "    budget.replay(n)", "continue"])]
+            lines += [indent + step for step in steps[d] if step not in tested]
         if k > _NESTED:
             tail = range(_NESTED, k)
             lines.append(indent + "for " + "".join(f"s{i}, " for i in tail)
@@ -741,10 +717,11 @@ class _Plan:
             indent += "    "
             lines += [indent + step for level in steps[_NESTED + 1:] for step in level]
         symbols = "(" + "".join(f"s{i}, " for i in range(k)) + ")"
+        # n never passes the room at a return: it is added in place
         return lines + [f"{indent}n += 1", f"{indent}if n > room:",
                         f"{indent}    budget.spend(n)", f"{indent}if {' and '.join(found)}:",
-                        f"{indent}    budget.spend(n)", f"{indent}    return {symbols}",
-                        "    budget.spend(n)"]
+                        f"{indent}    budget.used += n", f"{indent}    return {symbols}",
+                        "    budget.used += n"]
 
     def _bind_lines(self) -> list[str]:
         """The kernel's preamble: each head's table, in head order, so
@@ -765,6 +742,21 @@ class _Plan:
         return lines + ["    leq = dle.leq_table"] + [
             f"    {name} = {source}" for kind, (name, source) in _DOMAINS.items()
             if kind in kinds]
+
+
+_VALUE = re.compile(r"\bv\d+\b")  # a named value of the generated code
+
+
+def _read_by(steps: list[str], tests) -> set[str]:
+    """The steps of one level (``v<k> = <code>``, each reading only steps
+    before it) whose values ``tests`` read, directly or through others."""
+    read, out = set(_VALUE.findall(" ".join(tests))), set()
+    for step in reversed(steps):
+        name, _, code = step.partition(" = ")
+        if name in read:
+            out.add(step)
+            read.update(_VALUE.findall(code))
+    return out
 
 
 def _analyse(terms: tuple[Term, ...]) -> tuple[list, list, list[list[str]], list]:
@@ -845,15 +837,18 @@ def eval_term(t: Term, dle: FiniteDLE, val: Valuation) -> int:
 
 def _row(t: Term, var: str, dle: FiniteDLE):
     """``t`` at every element as the value of ``var``: a node's row is its
-    head's table read at its arguments' rows."""
+    head's table ``map``ped over its arguments' rows."""
     if type(t) is Var and t.name == var:
-        return range(dle.n_elem)
+        return list(range(dle.n_elem))
     if type(t) in _LEAF_KINDS:
         raise ModelError(f"unbound {_LEAF_KINDS[type(t)]} {t.name!r}")
-    vals = [_head_table(t, dle)] * dle.n_elem
-    for a in t.args:
-        vals = [v[x] for v, x in zip(vals, _row(a, var, dle))]
-    return vals
+    table, args = _head_table(t, dle), t.args
+    if not args:
+        return [table] * dle.n_elem
+    vals = map(table.__getitem__, _row(args[0], var, dle))
+    for a in args[1:]:
+        vals = map(getitem, vals, _row(a, var, dle))
+    return list(vals)
 
 
 def check_validity(ineq: Inequality, dle: FiniteDLE,
@@ -935,20 +930,24 @@ def role_axiom_holds(dle: FiniteDLE, role: str) -> bool:
     binary joins (bottom-unit roles) or meets into joins of values (F
     roles), or values' meets into it (G roles).  For pi this is
     additivity, for sigma multiplicativity.  Checked at every element
-    pair at once, bit-sliced (``_at``): the term's value at the joins or
-    meets of the pairs against the join or meet of its values at their
-    arguments.  Decided once per lattice; a decided verdict is read
-    before anything is built."""
+    pair at once, bit-sliced (``_pair_sides``).  Decided once per lattice;
+    a decided verdict is read before anything is built."""
     key = "axiom", role
     held = dle._cache.get(key)
     if held is None:
-        spec, sk = SPEC_BY_ROLE[role], dle.poset.skeleton
+        spec = SPEC_BY_ROLE[role]
         is_f = spec.family == "F"
-        f = _masks(sk, dle.role_table(role))
-        x = _at(sk.join_flat if spec.bot_unit else sk.meet_flat, f)
-        a, b = _at(sk.pair_a, f), _at(sk.pair_b, f)
-        held = dle._cache[key] = not _outside(x, a | b if is_f else a & b, is_f)
+        x, y = _pair_sides(dle.poset.skeleton, dle.role_table(role), spec.bot_unit, is_f)
+        held = dle._cache[_ROLE_KEYS.get(key, key)] = not _outside(x, y, is_f)
     return held
+
+
+def _pair_sides(sk: _Skeleton, table, bot: bool, is_f: bool) -> tuple[int, int]:
+    """A unary ``table`` at the join (``bot``) or meet of every element pair, and
+    the join (``is_f``) or meet of its values at its arguments, bit-sliced."""
+    f = _masks(sk, table)
+    a, b = _at(sk.pair_a, f), _at(sk.pair_b, f)
+    return _at(sk.join_flat if bot else sk.meet_flat, f), a | b if is_f else a & b
 
 
 def _masks(sk: _Skeleton, table) -> bytes:
@@ -981,11 +980,13 @@ def _flags(x: int, size: int) -> bytes:
 
 
 def role_axioms_hold(dle: FiniteDLE) -> bool:
-    """The registered terms satisfy their additivity-style axioms."""
-    for reg in dle.sig.registered:  # a loop, not ``all``: most calls read cached verdicts
-        if not role_axiom_holds(dle, reg.role):
-            return False
-    return True
+    """The registered terms satisfy their additivity-style axioms: one
+    verdict per lattice, kept with its tables, read in one dict read."""
+    held = dle._cache.get(("axioms",))
+    if held is None:
+        held = dle._cache[("axioms",)] = all(role_axiom_holds(dle, reg.role)
+                                             for reg in dle.sig.registered)
+    return held
 
 
 @dataclass
@@ -1054,14 +1055,10 @@ def check_lemma_suite(dle: FiniteDLE, rng=None) -> LemmaSuiteReport:
     pair, induction on |S| gives g(V S) = V g[S] for every subset S of a
     finite lattice, as in Jonsson and Tarski's finite-join argument.
 
-    The checks over element pairs and over elements are bit-sliced: the
-    skeleton's pair strings, one byte per pair (a, b) in row-major order,
-    read through a table's translation table to upset masks (``_masks``)
-    give the table at every pair as one int (``_at``), on which the join,
-    the meet and the order are ``|``, ``&`` and inclusion (``_outside``);
-    every pair is still checked.  The irreducible-witness form is one
-    fold over the skeleton's ``jirr_below``.  A mask fits a byte, as
-    ``MAX_POINTS`` is 8, and so does an index, of at most 256 elements.
+    The checks over element pairs and over elements are bit-sliced, as
+    the module's docstring says (``_masks``, ``_at``, ``_outside``); every
+    pair is still checked.  The irreducible-witness form is one fold over
+    the skeleton's ``above``.
 
     ``rng`` is read by nothing: only the benchmark still passes one."""
     report = LemmaSuiteReport()
@@ -1094,7 +1091,7 @@ def check_lemma_suite(dle: FiniteDLE, rng=None) -> LemmaSuiteReport:
             g[x] == f[x] for x in gens)
         if pi:
             res["irreducible_form"] = g_all == _joins(
-                sk.jirr_below, map(fm.__getitem__, dle.jirr))
+                map(sk.above.__getitem__, dle.jirr), map(fm.__getitem__, dle.jirr))
         axiom = role_axiom_holds(dle, reg.role)
         c = fm[unit] * ones  # f at the unit, at every element
         identity = f_all == (c | g_all if is_f else c & g_all)
@@ -1195,13 +1192,6 @@ def _in_range(lineno: int, what: str, values, n: int) -> None:
             raise ModelError(f"line {lineno}: {what} {v} is not in 0..{n - 1}")
 
 
-def _read(table, args: tuple[int, ...]) -> int:
-    """The entry of a nested-list table at ``args``."""
-    for a in args:
-        table = table[a]
-    return table
-
-
 def _well_formed(table, arity: int, n: int) -> bool:
     """Whether ``table`` is a nested list ``arity`` deep with ``n`` rows at
     each level and element indices below ``n`` at the bottom."""
@@ -1209,6 +1199,16 @@ def _well_formed(table, arity: int, n: int) -> bool:
         return type(table) is int and 0 <= table < n
     return type(table) is list and len(table) == n and \
         all(_well_formed(row, arity - 1, n) for row in table)
+
+
+def _vectors(table, h: int, arity: int) -> list:
+    """The vectors of the nested-list ``table``, ``arity`` deep, along
+    axis ``h``, for the other coordinates' arguments in row-major order."""
+    if arity == 1:
+        return [table]
+    if h:
+        return [v for row in table for v in _vectors(row, h - 1, arity - 1)]
+    return [v for col in zip(*table) for v in _vectors(col, 0, arity - 1)]
 
 
 def _tabulate(n: int, arity: int, value, prefix: tuple[int, ...] = ()):

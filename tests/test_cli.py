@@ -109,6 +109,7 @@ def test_a_command_takes_only_the_arguments_it_reads(tmp_path, capsys):
         printed = capsys.readouterr()
         assert (exc.value.code, printed.out, out.exists()) == (2, "", False), argv
         assert named in printed.err, (argv, printed.err)
+        assert printed.err.startswith(f"usage: dlecorr {argv[0]} "), printed.err
 
     refusals = 0
     for command, takes in TAKES.items():
@@ -119,6 +120,24 @@ def test_a_command_takes_only_the_arguments_it_reads(tmp_path, capsys):
         if needed:
             refused([command], "inequality")
     assert refusals == 9
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["classify", "p <= p", "--mode", "alba"], "--mode"),
+    (["reduce", "p <= p", "--budget", "9"], "--budget 9"),
+    (["verify", "p <= p", "--depth", "2"], "--depth 2"),
+    (["lemmas", "p <= p"], "p <= p"),
+])
+def test_an_argument_a_command_does_not_take_shows_its_usage(argv, named, capsys):
+    # the command's own parser refuses it, with the command's usage, not
+    # the top level's list of commands
+    from dlecorr import cli
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert err.startswith(f"usage: dlecorr {argv[0]} "), err
+    assert f"dlecorr {argv[0]}: error: " in err and named in err, err
 
 
 def test_deeply_nested_input_exit_two():

@@ -369,6 +369,28 @@ def test_derived_tables_match_their_definitions(classical_sig, mixed_sig):
     constants = Signature(base.connectives, base.registered + (sigma,))
     for _, dle in models.relational_sweep(constants, 2):
         _assert_tables_by_gather(dle)
+    # at full width: the bit-sliced tables hold one byte per element, so
+    # on a seeded sample of the 16-element lattices of the 4-point
+    # antichain they span 16 bytes; on 5- and 6-point posets, declared
+    # connectives of arity 2 and 3, of both families and mixed order
+    # types, have residuals in every coordinate
+    rng = random.Random(37)
+    wide = list(models.relational_lattices(classical_sig, antichain(4)))
+    for _, dle in rng.sample(wide, 12):
+        assert dle.n_elem == 16
+        _assert_tables_by_gather(dle)
+    sig = parse_signature("conn f F 2 (1,d)\nconn g G 2 (d,1)\n"
+                          "conn h F 3 (d,1,1)\nconn k G 3 (1,1,d)")
+    posets = [p for p in enumerate_posets(5, up_to_iso=True) + [chain(6)]
+              if 7 <= p.skeleton.n_elem <= 9]
+    arities = set()
+    for poset in rng.sample(posets, 5):
+        dle = FiniteDLE(poset, sig)
+        for decl in sig.connectives:
+            dle.add_op(decl.name, random_normal_table(rng, dle, decl))
+            arities.add(decl.arity)
+        _assert_tables_by_gather(dle)
+    assert arities == {2, 3} and len(posets) > 5
 
 
 def normal_tables_records():
@@ -1216,6 +1238,57 @@ def test_search_kernels_count_like_the_plain_enumeration(classical_sig):
     assert _assert_search_is_exact(terms, dle) == 16
 
 
+def test_a_deciding_level_computes_first_only_what_its_skip_test_reads(monkeypatch):
+    # in the kernels of seeded rule-step systems, a level whose test
+    # decides a block computes, before that test, only the values it reads,
+    # directly or through one another; the values that only the loops
+    # further in read come after it.  The verdicts and counts stay those
+    # of the plain enumeration
+    sources = []
+    define = models._define
+    monkeypatch.setattr(models, "_define",
+                        lambda name, lines: sources.append(lines) or define(name, lines))
+    models._plan.cache_clear()
+    rng = random.Random(9)
+    systems = {}
+    while len(systems) < 120:
+        sig = generators.random_signature(rng)
+        d = run_alba(generators.random_inductive(rng, sig, max_depth=3), sig, "alba", "auto")
+        if d.status.kind == "success":
+            dle = random_dle(rng, sig, max_points=2)
+            for _, parent, children in rule_steps(d):
+                systems.update((s.check_terms, dle) for s in (parent, *children))
+    for k, (terms, dle) in enumerate(systems.items()):
+        models._plan(terms)
+        if k % 4 == 0:
+            _assert_search_is_exact(terms, dle)
+    value = re.compile(r"\bv\d+\b")
+    levels = deferred = 0
+    for lines in sources:
+        for i, test in enumerate(lines):
+            if not (test.lstrip().startswith("if ") and lines[i + 1].lstrip().startswith(
+                    ("n += B", "budget.replay(B0)"))):
+                continue
+            indent = test[:len(test) - len(test.lstrip())]
+            first, j = [], i - 1  # the level's values before the test, last first
+            while lines[j].startswith(indent + "v"):
+                first.append(lines[j].lstrip().partition(" = "))
+                j -= 1
+            read = set(value.findall(test))
+            for name, _, code in first:
+                if name in read:
+                    read.update(value.findall(code))
+            assert {name for name, _, _ in first} <= read, (lines, test)
+            j = i + 1
+            while lines[j].startswith(indent + " "):  # the skip
+                j += 1
+            while j < len(lines) and lines[j].startswith(indent + "v"):
+                deferred += 1
+                j += 1
+            levels += 1
+    assert levels > 50 and deferred > 10
+
+
 class _CountingReads(list):
     """A table that counts its reads."""
 
@@ -1263,6 +1336,29 @@ def test_add_op_drops_the_verdicts(classical_sig):
     assert _verdicts(dle) == {}
     assert not verify_rule_step(parent, crossed, dle)
     assert not verify_rule_step(parent, crossed, _fresh_copy(dle))
+
+
+def test_add_op_leaves_no_stale_table_or_verdict(classical_sig):
+    # with box fixed, replacing dia changes the role axioms' verdict, the
+    # residual of dia, the adjoint of Dia[pi] and a check that reads them:
+    # once dia is replaced, each answers from the new table, as on a fresh
+    # lattice, whether or not its old answer was known
+    dia, p = classical_sig.decl("dia"), Var("p")
+    checks = [Inequality(Residual(dia, 1, (p,)), p), Inequality(p, adjoint("pi", p))]
+
+    def answers(dle):
+        return (models.role_axioms_hold(dle), dle.residual_table(dia, 1),
+                dle.black_table("pi"), [check_validity(iq, dle) for iq in checks])
+
+    box = Relation.from_pairs(2, [(1, 0), (1, 1)])
+    dle = FiniteDLE(antichain(2), classical_sig,
+                    {"dia": Relation.from_pairs(2, [(1, 1)]), "box": box})
+    before = answers(dle)
+    assert dle._cache and before[0]
+    dle.add_op("dia", Relation.from_pairs(2, [(0, 0), (1, 1)]))
+    after = answers(dle)
+    assert after == answers(_fresh_copy(dle))
+    assert all(old != new for old, new in zip(before, after))
 
 
 def test_a_goalless_system_is_refused_even_with_known_terms(bare_sig):
